@@ -10,7 +10,9 @@ over the real m x d matrix K, where P and S are the normal-space Gram and
 coupling matrices.  The cross term is the antisymmetrized form: expanding
 Tr[rho X_mu X_nu] for X = L Q^-1 + P K gives Q^-1 S K - (Q^-1 S K)^T in the
 imaginary part, which keeps the objective equal to the Holevo functional of
-the actual operator tuple (and hence convex in K).
+the actual operator tuple (and hence convex in K).  For a one-dimensional
+normal space and d <= 3 the minimum has a closed form; every other case runs
+an iterative simplex ladder.
 """
 
 from __future__ import annotations
@@ -151,33 +153,46 @@ def _tracenorm_antisym_smoothed(m: np.ndarray, mu: float) -> float:
     return 2.0 * float(np.sum(np.sqrt(sv * sv + mu * mu)))
 
 
-def tangent_objective(
-    g: InformationGeometry,
-    basis: NormalSpaceBasis,
-    w_mat: np.ndarray,
-    smoothing: float = 0.0,
-) -> Callable[[np.ndarray], float]:
-    """The Holevo objective as a function of the flattened K matrix.
+@dataclass(frozen=True)
+class _TangentSetup:
+    """The per-point pieces of the tangent objective, in the variable
+    B = K sqrt(W): Q^-1, sqrt(W), the K = 0 core sqrt(W) Q^-1 U Q^-1 sqrt(W),
+    the constant C_SLD = Tr[W Q^-1], the d x m coupling sqrt(W) Q^-1 S and
+    the normal-space Gram matrix P."""
 
-    A positive ``smoothing`` replaces the trace norm by its smooth
-    sqrt(sigma^2 + mu^2) envelope; the minimizer anneals this to polish past
-    the kink, but reported values always use the exact (mu = 0) objective.
-    """
-    d = g.n_params
-    m = basis.size
-    w_mat = require_weight(w_mat, d)
+    qinv: np.ndarray
+    sqrt_w: np.ndarray
+    core: np.ndarray
+    base: float
+    left: np.ndarray
+    gram: np.ndarray
+
+
+def _tangent_setup(
+    g: InformationGeometry, basis: NormalSpaceBasis, w_mat: np.ndarray
+) -> _TangentSetup:
+    w_mat = require_weight(w_mat, g.n_params)
     qinv, _, _ = _qfim_inverse(g.qfim)
     sqrt_w = spd_sqrt(w_mat)
-    core = sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w
-    base = float(np.trace(w_mat @ qinv))
-    gram_re = basis.gram.real if m else np.zeros((0, 0))
-    gram_im = basis.gram.imag if m else np.zeros((0, 0))
-    # Conjugating K -> K sqrt(W) folds both sqrt(W) factors into the
-    # quadratic terms, halving the matmul count per evaluation.
-    left = sqrt_w @ qinv @ basis.coupling if m else np.zeros((d, 0))
+    return _TangentSetup(
+        qinv=qinv,
+        sqrt_w=sqrt_w,
+        core=sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w,
+        base=float(np.trace(w_mat @ qinv)),
+        left=sqrt_w @ qinv @ basis.coupling,
+        gram=basis.gram,
+    )
+
+
+def _objective(setup: _TangentSetup, smoothing: float = 0.0) -> Callable[[np.ndarray], float]:
+    d, m = setup.left.shape
+    sqrt_w, core, base, left = setup.sqrt_w, setup.core, setup.base, setup.left
+    gram_re, gram_im = setup.gram.real, setup.gram.imag
     mu = float(smoothing)
 
     def objective(k_flat: np.ndarray) -> float:
+        # Conjugating K -> K sqrt(W) folds both sqrt(W) factors into the
+        # quadratic terms, halving the matmul count per evaluation.
         b = np.asarray(k_flat, dtype=float).reshape(m, d) @ sqrt_w
         cross = left @ b
         im_z = core + b.T @ (gram_im @ b) + cross - cross.T
@@ -191,6 +206,21 @@ def tangent_objective(
     return objective
 
 
+def tangent_objective(
+    g: InformationGeometry,
+    basis: NormalSpaceBasis,
+    w_mat: np.ndarray,
+    smoothing: float = 0.0,
+) -> Callable[[np.ndarray], float]:
+    """The Holevo objective as a function of the flattened K matrix.
+
+    A positive ``smoothing`` replaces the trace norm by its smooth
+    sqrt(sigma^2 + mu^2) envelope; the minimizer anneals this to polish past
+    the kink, but reported values always use the exact (mu = 0) objective.
+    """
+    return _objective(_tangent_setup(g, basis, w_mat), smoothing)
+
+
 def holevo_tangent_min(
     rho: np.ndarray,
     g: InformationGeometry,
@@ -200,27 +230,110 @@ def holevo_tangent_min(
 ) -> HolevoSolution:
     """Minimize the tangent-space Holevo objective over K.
 
-    Simplex descent from K = 0 and from seeded random perturbations of
-    scale 0.1 ||Q^-1||, keeping the best vertex; converged when a full
-    restart round improves the value by less than the relative tolerance.
-    The returned value never exceeds the K = 0 objective, so it always sits
-    between C_SLD and C_T.
+    An empty normal space leaves only K = 0.  A one-dimensional normal space
+    with d <= 3 parameters has an exact minimum (``_holevo_exact``).  Every
+    other case runs the simplex ladder (``_holevo_simplex``), the only path
+    that ``opts`` affects.  The returned value never exceeds the K = 0
+    objective, so it always sits between C_SLD and C_T.
     """
-    opts = opts or HolevoOptions()
-    d = g.n_params
-    m = basis.size
-    objective = tangent_objective(g, basis, w_mat)
-    value_at_zero = objective(np.zeros(m * d))
+    setup = _tangent_setup(g, basis, w_mat)
+    d, m = setup.left.shape
     if m == 0:
         return HolevoSolution(
             k_matrix=np.zeros((0, d)),
-            value=value_at_zero,
+            value=_objective(setup)(np.zeros(0)),
             iterations=0,
             converged=True,
             restarts_used=0,
         )
-    qinv, _, _ = _qfim_inverse(g.qfim)
-    scale = 0.1 * float(np.max(np.abs(np.linalg.eigvalsh(qinv))))
+    if m == 1 and d in (2, 3):
+        return _holevo_exact(setup)
+    return _holevo_simplex(setup, opts or HolevoOptions())
+
+
+def _shrink(q: float, p: float, weight: float, s2: float) -> float:
+    """The minimizer tau in [0, q] of weight tau^2 / s2 + 2 sqrt(p^2 + (q - tau)^2)."""
+    if q == 0.0:
+        return 0.0
+    tau = min(q, s2 / weight)
+    if p == 0.0:
+        return tau
+    # The stationarity condition h(tau) = weight tau - s2 u / sqrt(p^2 + u^2)
+    # = 0, u = q - tau, is increasing and convex on [0, q] with h(0) < 0, and
+    # h >= 0 at the start.  Newton steps therefore fall monotonically onto
+    # the root; they stop once a step no longer moves tau down.
+    while True:
+        u = q - tau
+        r = float(np.hypot(p, u))
+        h = weight * tau - s2 * u / r
+        step = h / (weight + s2 * (p / r) ** 2 / r)
+        nxt = max(tau - step, 0.0)
+        if not nxt < tau:
+            return tau
+        tau = nxt
+
+
+def _holevo_exact(setup: _TangentSetup) -> HolevoSolution:
+    """Exact minimum for a one-dimensional normal space and d in {2, 3}.
+
+    With b = K sqrt(W), s = sqrt(W) Q^-1 S and c the axial part of the core
+    (core_12 for d = 2, (core_23, -core_13, core_12) for d = 3), the
+    objective is C_SLD + P |b|^2 + 2 |c + M b|, where M b is the axial part
+    of s b^T - b s^T: l.b with l = (-s_2, s_1) for d = 2, s x b for d = 3.
+    Every nonzero singular value of M is |s|, so the optimum cancels the
+    part of c in the range of M (norm q) down to q - tau and keeps the rest
+    (norm p):
+
+        C_H = C_SLD + min_{0 <= tau <= q} P tau^2 / |s|^2 + 2 sqrt(p^2 + (q - tau)^2).
+
+    For p = 0 (always when d = 2) this is Suzuki's two-parameter formula:
+    C_H = C_T - |s|^2 / P when q P >= |s|^2, else C_SLD + P q^2 / |s|^2.
+    """
+    d = setup.core.shape[0]
+    core, s = setup.core, setup.left[:, 0]
+    weight = float(setup.gram.real[0, 0])
+    s2 = float(s @ s)
+    if d == 2:
+        c = float(core[0, 1])
+        q, p = abs(c), 0.0
+    else:
+        c = np.array([core[1, 2], -core[0, 2], core[0, 1]])
+        c_range = c - s * (float(c @ s) / s2) if s2 > 0.0 else np.zeros(3)
+        q = float(np.linalg.norm(c_range))
+        p = float(np.linalg.norm(c - c_range))
+    tau = _shrink(q, p, weight, s2)
+    if tau == 0.0:
+        b = np.zeros(d)
+    elif d == 2:
+        b = -np.copysign(tau, c) * np.array([-s[1], s[0]]) / s2
+    else:
+        b = np.cross(-tau * c_range / q, s) / s2
+    k = np.linalg.solve(setup.sqrt_w, b)
+    objective = _objective(setup)
+    value_at_zero = objective(np.zeros(d))
+    value = objective(k)
+    if value > value_at_zero:
+        value, k = value_at_zero, np.zeros(d)
+    return HolevoSolution(
+        k_matrix=k.reshape(1, d),
+        value=value,
+        iterations=2,  # objective evaluations: K = 0 and the optimum
+        converged=True,
+        restarts_used=0,
+    )
+
+
+def _holevo_simplex(setup: _TangentSetup, opts: HolevoOptions) -> HolevoSolution:
+    """Simplex-ladder minimum for any normal space of size m >= 1.
+
+    Simplex descent from K = 0 and from seeded random perturbations of
+    scale 0.1 ||Q^-1||, keeping the best vertex; converged when a full
+    restart round improves the value by less than the relative tolerance.
+    """
+    d, m = setup.left.shape
+    objective = _objective(setup)
+    value_at_zero = objective(np.zeros(m * d))
+    scale = 0.1 * float(np.max(np.abs(np.linalg.eigvalsh(setup.qinv))))
     rng = np.random.default_rng(opts.seed)
     nvar = m * d
     best_x = np.zeros(nvar)
@@ -266,7 +379,7 @@ def holevo_tangent_min(
         # upper bound)
         kink_scale = max(abs(best_f), 1e-6)
         for mu_rel in (1e-3, 1e-5, 1e-7, 1e-9):
-            smooth_obj = tangent_objective(g, basis, w_mat, smoothing=mu_rel * kink_scale)
+            smooth_obj = _objective(setup, smoothing=mu_rel * kink_scale)
             x, _, ev = nelder_mead(
                 smooth_obj, best_x, step=max(np.sqrt(mu_rel) * scale, 1e-9), max_iter=opts.max_iter
             )

@@ -23,8 +23,6 @@ from .sweep import (
     Axis,
     SweepSpec,
     WeightSpec,
-    canonical_outputs,
-    columns,
     emit,
     figure_preset,
     run_point,
@@ -110,11 +108,11 @@ def _add_common(parser: argparse.ArgumentParser, with_axes: bool) -> None:
         parser.add_argument("--axis", action="append", default=[],
                             metavar="NAME=START:STOP:COUNT",
                             help="add a linear sweep axis (repeatable)")
-    parser.add_argument("--weight", default="identity",
-                        help="identity | diag:v1,v2,... | full:v11,v12,... | qfim")
+    parser.add_argument("--weight",
+                        help="identity (default) | diag:v1,v2,... | full:v11,v12,... | qfim")
     parser.add_argument("--out", help="output path (stdout if omitted)")
     parser.add_argument("--format", default="csv", choices=("csv", "json"))
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, help="Holevo restart seed (default 0)")
     parser.add_argument("--pseudo-inverse", action="store_true",
                         help="rank-truncated inverses on singular QFIM lines (flagged)")
     parser.add_argument("--threads", type=int, default=None,
@@ -123,37 +121,21 @@ def _add_common(parser: argparse.ArgumentParser, with_axes: bool) -> None:
 
 
 def _apply_config(args: argparse.Namespace, with_axes: bool) -> None:
-    if not args.config:
-        return
-    entries = _read_config(args.config)
+    """Fill what the flags left unset from the config file, then from the defaults."""
+    entries = _read_config(args.config) if args.config else {}
     if args.model is None and "model" in entries:
         args.model = entries["model"][-1]
     args.set = entries.get("set", []) + args.set
     if with_axes and not args.axis:
         args.axis = entries.get("axis", [])
-    if "weight" in entries and args.weight == "identity":
-        args.weight = entries["weight"][-1]
-    if "seed" in entries and args.seed == 0:
-        args.seed = int(entries["seed"][-1])
+    if args.weight is None:
+        args.weight = entries.get("weight", ["identity"])[-1]
+    if args.seed is None:
+        args.seed = int(entries.get("seed", [0])[-1])
     if "threads" in entries and args.threads is None:
         args.threads = int(entries["threads"][-1])
     if "out" in entries and args.out is None:
         args.out = entries["out"][-1]
-
-
-def _emit_rows(rows, spec: SweepSpec, args: argparse.Namespace) -> None:
-    if args.out:
-        emit(rows, args.format, args.out, spec)
-        return
-    # stdout fallback mirrors the CSV schema
-    print(",".join(columns(spec)))
-    for row in rows:
-        cells = [format(v, ".12g") for v in row.axis_values]
-        for name in canonical_outputs(spec.outputs):
-            v = row.outputs.get(name)
-            cells.append("" if v is None else format(v, ".12g"))
-        cells.append(";".join(row.flags))
-        print(",".join(cells))
 
 
 def _build_spec(args: argparse.Namespace, axes: tuple[Axis, ...]) -> SweepSpec:
@@ -190,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
             _apply_config(args, with_axes=False)
             spec = _build_spec(args, axes=())
             rows = [run_point(spec)]
-            _emit_rows(rows, validate_spec(spec), args)
+            emit(rows, args.format, args.out or sys.stdout, validate_spec(spec))
         elif args.command == "sweep":
             _apply_config(args, with_axes=True)
             axes = tuple(_parse_axis(a) for a in args.axis)
@@ -198,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise QmbError("sweep needs at least one --axis")
             spec = _build_spec(args, axes=axes)
             rows = run_sweep(spec, threads=_threads_from(args))
-            _emit_rows(rows, validate_spec(spec), args)
+            emit(rows, args.format, args.out or sys.stdout, validate_spec(spec))
         else:
             _apply_config(args, with_axes=False)
             overrides = _parse_set(args.set)
@@ -207,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.pseudo_inverse:
                 spec = replace(spec, pseudo_inverse=True)
             rows = run_sweep(spec, threads=_threads_from(args))
-            _emit_rows(rows, spec, args)
+            emit(rows, args.format, args.out or sys.stdout, spec)
     except QmbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

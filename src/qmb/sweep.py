@@ -7,7 +7,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -410,8 +410,9 @@ def _format_value(v: float | None) -> str:
     return format(float(v), ".12g")
 
 
-def emit(rows: Iterable[ResultRow], fmt: str, path: str, spec: SweepSpec) -> None:
-    """Write rows as CSV or JSON; byte-deterministic for a fixed seed."""
+def emit(rows: Iterable[ResultRow], fmt: str, out: str | TextIO, spec: SweepSpec) -> None:
+    """Write rows as CSV or JSON to a path or an open text stream;
+    byte-deterministic for a fixed seed."""
     cols = columns(spec)
     out_names = canonical_outputs(spec.outputs)
     if fmt == "csv":
@@ -435,8 +436,11 @@ def emit(rows: Iterable[ResultRow], fmt: str, path: str, spec: SweepSpec) -> Non
         payload = json.dumps(records, indent=1) + "\n"
     else:
         raise InvalidSpec(f"unknown output format {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(payload)
+    if isinstance(out, str):
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(payload)
+    else:
+        out.write(payload)
 
 
 def figure_preset(name: str, config: Mapping[str, float] | None = None) -> SweepSpec:

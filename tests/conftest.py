@@ -26,6 +26,20 @@ def random_model(
     return rho, [random_traceless_hermitian(rng, n) for _ in range(d)]
 
 
+def random_pure_model(
+    rng: np.random.Generator, n: int, d: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Pure state |psi><psi| plus d derivatives |dpsi><psi| + |psi><dpsi|."""
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi /= np.linalg.norm(psi)
+    derivs = []
+    for _ in range(d):
+        dpsi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        dpsi -= psi * np.real(np.vdot(psi, dpsi))  # keeps the norm fixed
+        derivs.append(np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj()))
+    return np.outer(psi, psi.conj()), derivs
+
+
 def random_spd(rng: np.random.Generator, d: int, spread: float = 1.0) -> np.ndarray:
     a = rng.normal(size=(d, d)) * spread
     return a @ a.T + 0.1 * np.eye(d)

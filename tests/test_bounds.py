@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,9 @@ from qmb.bounds import (
     HolevoOptions,
     ReportOptions,
     _check_hierarchy,
+    _holevo_simplex,
+    _shrink,
+    _tangent_setup,
     c_r_bound,
     c_rld,
     c_sld,
@@ -29,7 +34,7 @@ from qmb.linalg import spd_sqrt, tracenorm_antisym
 from qmb.models import model_config, su2_qubit_point, su2_qutrit_point, tunable_qubit_point
 from qmb.neldermead import nelder_mead
 
-from conftest import random_model, random_spd
+from conftest import random_model, random_pure_model, random_spd
 
 
 def tq_point(r0=(0.3, 0.2, 0.5), phi=0.35, l1=0.525, l2=0.0):
@@ -348,6 +353,93 @@ class TestHolevoTangentMin:
         direct = holevo_direct_oracle(rho, derivs, w, seed=7, starts=4, max_iter=20000)
         assert sol.value <= direct * (1 + 1e-6)
         assert sol.value >= c_sld(g, w) - 1e-9
+
+
+def one_dim_normal_space(rng, kind):
+    """A random model whose SLD normal space has one direction: a full-rank
+    qubit with two parameters or a pure qutrit with three."""
+    rho, derivs = random_model(rng, 2, 2) if kind == "mixed_qubit" else random_pure_model(rng, 3, 3)
+    g = compute_geometry(rho, derivs)
+    basis = tangent_normal_decomposition(rho, g)
+    assert basis.size == 1
+    return rho, g, basis, random_spd(rng, len(derivs))
+
+
+def axial_split(setup):
+    """(q, p): the norms of the core's axial part in and out of the range of M."""
+    core, s = setup.core, setup.left[:, 0]
+    if core.shape[0] == 2:
+        return abs(core[0, 1]), 0.0
+    c = np.array([core[1, 2], -core[0, 2], core[0, 1]])
+    p = abs(c @ s) / np.linalg.norm(s)
+    return np.sqrt(c @ c - p * p), p
+
+
+KINDS = ("mixed_qubit", "pure_qutrit")
+
+
+class TestHolevoExact:
+    """The exact path for a one-dimensional normal space with d = 2, 3,
+    against the simplex ladder that it replaces there."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_agrees_with_ladder(self, rng, kind):
+        ladder_opts = HolevoOptions(restarts=1, max_rounds=2)
+        for _ in range(100):
+            rho, g, basis, w = one_dim_normal_space(rng, kind)
+            sol = holevo_tangent_min(rho, g, basis, w)
+            ladder = _holevo_simplex(_tangent_setup(g, basis, w), ladder_opts)
+            assert sol.converged
+            assert sol.value <= ladder.value
+            assert sol.value == pytest.approx(ladder.value, rel=1e-10)
+            objective = tangent_objective(g, basis, w)
+            assert objective(sol.k_matrix.ravel()) == pytest.approx(sol.value, rel=1e-12)
+
+    def test_two_parameter_formula(self, rng):
+        branches = set()
+        for _ in range(20):
+            rho, g, basis, w = one_dim_normal_space(rng, "mixed_qubit")
+            setup = _tangent_setup(g, basis, w)
+            s2 = float(setup.left[:, 0] @ setup.left[:, 0])
+            weight = basis.gram.real[0, 0]
+            q, _ = axial_split(setup)
+            kink = q * weight >= s2
+            branches.add(kink)
+            want = c_t_bound(g, w) - s2 / weight if kink else c_sld(g, w) + weight * q * q / s2
+            assert holevo_tangent_min(rho, g, basis, w).value == pytest.approx(want, rel=1e-12)
+        assert branches == {True, False}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_coupling_gives_c_t(self, rng, kind):
+        rho, g, basis, w = one_dim_normal_space(rng, kind)
+        basis = replace(basis, coupling=np.zeros_like(basis.coupling))
+        sol = holevo_tangent_min(rho, g, basis, w)
+        assert sol.value == pytest.approx(c_t_bound(g, w), rel=1e-14)
+        assert not np.any(sol.k_matrix)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_curvature_gives_c_sld(self, rng, kind):
+        rho, g, basis, w = one_dim_normal_space(rng, kind)
+        g = replace(g, uhlmann=np.zeros_like(g.uhlmann))
+        sol = holevo_tangent_min(rho, g, basis, w)
+        assert sol.value == pytest.approx(c_sld(g, w), rel=1e-14)
+        assert not np.any(sol.k_matrix)
+
+    def test_interior_root(self, rng):
+        rho, g, basis, w = one_dim_normal_space(rng, "pure_qutrit")
+        setup = _tangent_setup(g, basis, w)
+        s2 = float(setup.left[:, 0] @ setup.left[:, 0])
+        weight = basis.gram.real[0, 0]
+        q, p = axial_split(setup)
+        assert p > 1e-3 * q
+        tau = _shrink(q, p, weight, s2)
+        assert 0.0 < tau < q
+        # stationarity of weight tau^2 / s2 + 2 sqrt(p^2 + (q - tau)^2)
+        assert weight * tau == pytest.approx(s2 * (q - tau) / np.hypot(p, q - tau), rel=1e-13)
+        sol = holevo_tangent_min(rho, g, basis, w)
+        want = c_sld(g, w) + weight * tau**2 / s2 + 2.0 * np.hypot(p, q - tau)
+        assert sol.value == pytest.approx(want, rel=1e-12)
+        assert c_sld(g, w) < sol.value < c_t_bound(g, w)
 
 
 class TestFullReport:

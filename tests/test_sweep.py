@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -7,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qmb
 from qmb.cli import main as cli_main
 from qmb.errors import InvalidSpec, UnknownPreset
 from qmb.sweep import (
@@ -358,6 +360,35 @@ class TestCli:
         out = capsys.readouterr().out
         assert "c_h" in out
 
+    def test_compute_json_stdout(self, capsys):
+        args = ["compute", "--model", "su2_qutrit", "--format", "json"]
+        for key, val in ANCHOR.items():
+            args += ["--set", f"{key}={val}"]
+        assert cli_main(args) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert len(records) == 1
+        assert records[0]["c_h"] == pytest.approx(1.551777, abs=1e-4)
+        assert records[0]["flags"] == ["RldUnavailable"]
+
+    def test_explicit_flags_beat_config(self, tmp_path, monkeypatch, capsys):
+        specs = []
+
+        def spy(spec):
+            specs.append(spec)
+            return run_point(spec)
+
+        monkeypatch.setattr("qmb.cli.run_point", spy)
+        cfg = tmp_path / "point.conf"
+        lines = ["model=su2_qubit", "seed=5", "weight=diag:1,2"]
+        lines += [f"set={k}={v}" for k, v in
+                  {"alpha": 1.0, "beta": 0.0, "t": 2.0, "B": 1.0, "theta": 0.3}.items()]
+        cfg.write_text("\n".join(lines) + "\n")
+        assert cli_main(["compute", "--config", str(cfg), "--seed", "0", "--weight", "identity"]) == 0
+        assert cli_main(["compute", "--config", str(cfg)]) == 0
+        explicit, from_config = specs
+        assert (explicit.seed, explicit.weight) == (0, WeightSpec(kind="identity"))
+        assert (from_config.seed, from_config.weight) == (5, WeightSpec(kind="diag", values=(1.0, 2.0)))
+
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QMB_THREADS", "2")
         out = tmp_path / "s.csv"
@@ -371,11 +402,15 @@ class TestCli:
         assert out.exists()
 
     def test_console_script_installed(self):
+        # the child interpreter sees the package where this process found it
+        src_dir = os.path.dirname(os.path.dirname(qmb.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "qmb.cli", "compute", "--model", "su2_qubit",
              "--set", "alpha=1.0", "--set", "beta=0.0", "--set", "t=2.0",
              "--set", "B=1.0", "--set", "theta=0.3"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "c_sld" in proc.stdout

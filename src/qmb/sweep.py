@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -36,6 +37,19 @@ _ALLOWED_CONSTANTS = {
     "su2_qubit": {"alpha", "beta", "t"},
     "su2_qutrit": {"alpha", "beta", "t"},
 }
+
+# Angles of the pure tunable-qubit probe and rotation, with the span each
+# is maximized over (in the argument order of the pure-state geometry).
+_ANGLE_SPANS = {
+    "alpha": (1e-3, math.pi - 1e-3),
+    "beta": (0.0, 2.0 * math.pi),
+    "gamma": (1e-3, math.pi - 1e-3),
+    "theta": (1e-3, math.pi - 1e-3),
+    "phi": (0.0, 2.0 * math.pi),
+}
+# Names that describe the probe other than through (alpha, beta), or set
+# lambda1 through phi; the maximized probe is pure and lambda1 is direct.
+_NON_ANGLE_PROBE_NAMES = {"r_x", "r_y", "r_z", "r_xy", "r2", "xi"}
 
 
 @dataclass(frozen=True)
@@ -127,6 +141,34 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
             raise InvalidSpec("per-point maximization is defined for the tunable qubit")
         if not set(outputs) <= {"R", "T"}:
             raise InvalidSpec("per-point maximization reports R and T only")
+        if spec.weight.kind != "diag_log_axis":
+            raise InvalidSpec("maximization sweeps expect the diag_log_axis weight")
+        names = spec.maximize_over
+        unknown = set(names) - set(_ANGLE_SPANS)
+        if unknown:
+            raise InvalidSpec(f"cannot maximize over {sorted(unknown)}")
+        if len(set(names)) != len(names):
+            raise InvalidSpec("duplicate maximized names")
+        bound_names = set(spec.fixed) | set(axis_names)
+        if set(names) & bound_names:
+            raise InvalidSpec(f"maximized names also fixed: {sorted(set(names) & bound_names)}")
+        if bound_names & _NON_ANGLE_PROBE_NAMES:
+            # the grid maximizes a pure probe (alpha, beta) at the given
+            # lambda1; these names would evaluate a different model
+            raise InvalidSpec(
+                f"maximization cannot take {sorted(bound_names & _NON_ANGLE_PROBE_NAMES)}; "
+                "set the probe by alpha and beta and the parameter by lambda1"
+            )
+        unbound = set(_ANGLE_SPANS) - set(names) - bound_names
+        if unbound:
+            raise InvalidSpec(f"angles neither maximized nor fixed: {sorted(unbound)}")
+        if spec.maximize_grid < 2:
+            raise InvalidSpec(f"maximize_grid needs >= 2, got {spec.maximize_grid}")
+        if spec.maximize_grid ** len(names) > MAX_SWEEP_POINTS:
+            raise InvalidSpec(
+                f"maximization grid has {spec.maximize_grid}^{len(names)} points, "
+                f"above the {MAX_SWEEP_POINTS} guard"
+            )
     return replace(spec, outputs=outputs)
 
 
@@ -252,100 +294,106 @@ def _evaluate_point(spec: SweepSpec, bound: dict[str, float], index: int) -> Res
     )
 
 
-_PURE_GRID_MEMO: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+def _regular_det(q11, q12, q22):
+    """det Q, and whether Q is regular enough to keep.
+
+    Configurations with a (near-)singular QFIM carry no information about
+    one direction; they are excluded rather than chasing noise in the
+    ratio |u| / sqrt(det Q).  Works on grids and on scalars alike.
+    """
+    det_q = q11 * q22 - q12 * q12
+    return det_q, det_q > 1e-6 * np.maximum(q11 * q22, 1e-300)
 
 
-def _pure_grid_geometry(alpha, beta, gamma, theta, phi, l1: float, l2: float):
-    """Memoized vectorized pure-qubit geometry; the maximization grid does
-    not depend on the weight axis, so it is shared across sweep rows."""
-    arrays = (alpha, beta, gamma, theta, phi)
-    shapes = [np.shape(a) for a in arrays]
-    if all(s == () or int(np.prod(s)) <= 1 for s in shapes):
-        return tunable_qubit_pure_geometry_grid(*arrays, l1, l2)
-    key_parts = []
-    for a in arrays:
-        a = np.asarray(a, dtype=float)
-        key_parts.append((a.shape, a.tobytes()))
-    key = (tuple(key_parts), l1, l2)
-    if key not in _PURE_GRID_MEMO:
-        if len(_PURE_GRID_MEMO) > 4:
-            _PURE_GRID_MEMO.clear()
-        _PURE_GRID_MEMO[key] = tunable_qubit_pure_geometry_grid(*arrays, l1, l2)
-    return _PURE_GRID_MEMO[key]
+@dataclass(frozen=True)
+class _AngleGrid:
+    """The weight-free parts of the maximization grid.
+
+    ``abs_u`` is |U12| and ``q22`` is Q22, except at configurations with a
+    (near-)singular QFIM, where they are 0 and 1: there T is 0 at every
+    weight.  ``r_start`` is the grid index where R is largest.
+    """
+
+    q11: np.ndarray
+    q22: np.ndarray
+    abs_u: np.ndarray
+    r_start: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=2)
+def _angle_grid(
+    names: tuple[str, ...], n: int, fixed: tuple[tuple[str, float], ...], l1: float
+) -> _AngleGrid:
+    """Closed-form pure-qubit geometry on the coarse angle grid.
+
+    The grid does not depend on the weight axis, so one build serves every
+    sweep row with the same fixed angles; cached builds are read-only.
+    """
+    axes = np.meshgrid(
+        *[np.linspace(*_ANGLE_SPANS[name], n) for name in names], indexing="ij", sparse=True
+    )
+    angle = {**dict(fixed), **dict(zip(names, axes))}
+    q11, q12, q22, u12 = tunable_qubit_pure_geometry_grid(
+        *(angle[name] for name in _ANGLE_SPANS), l1
+    )
+    det_q, regular = _regular_det(q11, q12, q22)
+    abs_u = np.where(regular, np.abs(u12), 0.0)
+    r_grid = abs_u / np.sqrt(np.where(regular, det_q, 1.0))
+    grid = _AngleGrid(
+        q11=q11,
+        q22=np.where(regular, q22, 1.0),
+        abs_u=abs_u,
+        r_start=np.unravel_index(int(np.argmax(r_grid)), r_grid.shape),
+    )
+    grid.q22.flags.writeable = grid.abs_u.flags.writeable = False
+    return grid
 
 
 def _maximize_point(spec: SweepSpec, bound: dict[str, float], index: int) -> ResultRow:
     """Maximize R and T over pure-state and rotation angles at one weight.
 
-    Coarse grid (maximize_grid points per angle, vectorized pure-qubit
+    Coarse grid (maximize_grid points per angle, closed-form pure-qubit
     geometry) followed by simplex refinement of each requested output; the
     refined optimum is re-evaluated through the ordinary scalar pipeline.
     """
-    if spec.weight.kind != "diag_log_axis":
-        raise InvalidSpec("maximization sweeps expect the diag_log_axis weight")
     omega = 10.0 ** float(bound[spec.weight.axis])
     n = spec.maximize_grid
     names = spec.maximize_over
-    spans = {
-        "alpha": (1e-3, math.pi - 1e-3),
-        "beta": (0.0, 2.0 * math.pi),
-        "gamma": (1e-3, math.pi - 1e-3),
-        "theta": (1e-3, math.pi - 1e-3),
-        "phi": (0.0, 2.0 * math.pi),
-    }
-    unknown = set(names) - set(spans)
-    if unknown:
-        raise InvalidSpec(f"cannot maximize over {sorted(unknown)}")
-    grids = np.meshgrid(
-        *[np.linspace(*spans[name], n) for name in names], indexing="ij", sparse=True
-    )
-    angle_of = dict(zip(names, grids))
+    fixed = tuple((name, float(bound[name])) for name in _ANGLE_SPANS if name not in names)
+    l1 = float(bound.get("lambda1", 0.0))
+    grid = _angle_grid(names, n, fixed, l1)
 
-    def eval_grid(chunk: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        def angle(key: str, default: float) -> np.ndarray | float:
-            if key in chunk:
-                return chunk[key]
-            return float(bound.get(key, default))
-
-        q11, q12, q22, u12 = _pure_grid_geometry(
-            angle("alpha", 0.5), angle("beta", 0.0), angle("gamma", 0.5),
-            angle("theta", 0.5), angle("phi", 0.0),
-            float(bound.get("lambda1", 0.0)), float(bound.get("lambda2", 0.0)),
+    def refine(metric: str, start_idx: tuple[int, ...]) -> np.ndarray:
+        x0 = np.array(
+            [np.linspace(*_ANGLE_SPANS[name], n)[i] for name, i in zip(names, start_idx)]
         )
-        det_q = q11 * q22 - q12 * q12
-        # Configurations with a (near-)singular QFIM carry no information
-        # about one direction; exclude them rather than chase noise in the
-        # ratio |u| / sqrt(det Q).
-        valid = det_q > 1e-6 * np.maximum(q11 * q22, 1e-300)
-        t_grid = np.where(
-            valid, 2.0 * math.sqrt(omega) * np.abs(u12) / (q22 + omega * q11), 0.0
-        )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r_grid = np.where(valid, np.abs(u12) / np.sqrt(np.abs(det_q)), 0.0)
-        return t_grid, r_grid
-
-    t_grid, r_grid = eval_grid(angle_of)
-    t_grid = np.broadcast_to(t_grid, tuple([n] * len(names)))
-    r_grid = np.broadcast_to(r_grid, tuple([n] * len(names)))
-
-    def refine(metric: str, start_idx: tuple[int, ...]) -> tuple[float, np.ndarray]:
-        x0 = np.array([np.linspace(*spans[name], n)[i] for name, i in zip(names, start_idx)])
+        angle = dict(fixed)
 
         def negated(x: np.ndarray) -> float:
-            chunk = {name: np.asarray([v]) for name, v in zip(names, x)}
-            t_val, r_val = eval_grid(chunk)
-            return -float(t_val[0] if metric == "T" else r_val[0])
+            angle.update(zip(names, x))
+            q11, q12, q22, u12 = tunable_qubit_pure_geometry_grid(
+                *(angle[name] for name in _ANGLE_SPANS), l1
+            )
+            det_q, regular = _regular_det(q11, q12, q22)
+            if not regular:
+                return 0.0
+            if metric == "T":
+                return -2.0 * math.sqrt(omega) * abs(u12) / (q22 + omega * q11)
+            return -abs(u12) / math.sqrt(det_q)
 
-        x, f, _ = nelder_mead(negated, x0, step=0.08, max_iter=1200)
-        return -f, x
+        x, _, _ = nelder_mead(negated, x0, step=0.08, max_iter=1200)
+        return x
 
     results: dict[str, float | None] = {}
-    for metric, grid in (("T", t_grid), ("R", r_grid)):
+    for metric in ("T", "R"):
         if metric not in spec.outputs:
             continue
-        flat = int(np.argmax(grid))
-        idx = np.unravel_index(flat, grid.shape)
-        _, best_x = refine(metric, idx)
+        if metric == "T":
+            t_score = grid.abs_u / (grid.q22 + omega * grid.q11)  # T / (2 sqrt(omega))
+            start = np.unravel_index(int(np.argmax(t_score)), t_score.shape)
+        else:
+            start = grid.r_start
+        best_x = refine(metric, start)
         const = {name: float(v) for name, v in zip(names, best_x)}
         keep = _ALLOWED_CONSTANTS["tunable_qubit"] | set(PARAM_NAMES["tunable_qubit"])
         cfg, params = _bind_values(

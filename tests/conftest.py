@@ -4,6 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and have no deadline,
+# so the suite stays reproducible on slow or shared machines.
+settings.register_profile("qmb", derandomize=True, deadline=None, database=None)
+settings.load_profile("qmb")
 
 
 def random_traceless_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmb.errors import StepTooLarge
 from qmb.models import (
@@ -16,6 +18,14 @@ from qmb.models import (
     tunable_qubit_pure_geometry_grid,
     unitary_generator,
 )
+
+
+def pure_point_geometry(alpha, beta, gamma, theta, phi, l1, l2):
+    """Analytic (Q, U) of the pure tunable qubit through the per-point model."""
+    cfg = model_config(
+        "tunable_qubit", alpha=alpha, beta=beta, gamma=gamma, theta=theta, phi=phi
+    )
+    return tunable_qubit_point(cfg, (l1, l2)).analytic_geometry
 
 
 def tq_config(r0=(0.3, 0.2, 0.5), gamma=np.pi / 4, theta=np.pi / 2, phi=0.35):
@@ -330,6 +340,52 @@ class TestPureGeometryGrid:
             assert float(q12) == pytest.approx(q[0, 1], abs=1e-10)
             assert float(q22) == pytest.approx(q[1, 1], abs=1e-10)
             assert float(u12) == pytest.approx(u[0, 1], abs=1e-10)
+
+    def test_nonzero_lambdas(self, rng):
+        for _ in range(30):
+            alpha, beta, gamma, theta, phi = rng.uniform(0.2, 2.8, size=5)
+            l1, l2 = rng.uniform(-2.0, 2.0, size=2)
+            grid = tunable_qubit_pure_geometry_grid(alpha, beta, gamma, theta, phi, l1, l2)
+            q, u = pure_point_geometry(alpha, beta, gamma, theta, phi, l1, l2)
+            expected = (q[0, 0], q[0, 1], q[1, 1], u[0, 1])
+            for got, want in zip(grid, expected):
+                assert float(got) == pytest.approx(want, abs=1e-10)
+
+    def test_sparse_grid_elementwise(self, rng):
+        spans = [(0.05, 3.1), (0.0, 6.2), (0.05, 3.1), (0.05, 3.1), (0.0, 6.2)]
+        axes = [np.sort(rng.uniform(lo, hi, size=k)) for (lo, hi), k in zip(spans, (3, 4, 3, 4, 3))]
+        l1, l2 = 0.4, -1.3
+        grid = tunable_qubit_pure_geometry_grid(
+            *np.meshgrid(*axes, indexing="ij", sparse=True), l1, l2
+        )
+        shape = tuple(len(a) for a in axes)
+        for out in grid:
+            assert out.shape == shape
+        for idx in np.ndindex(*shape):
+            angles = [float(a[i]) for a, i in zip(axes, idx)]
+            q, u = pure_point_geometry(*angles, l1, l2)
+            expected = (q[0, 0], q[0, 1], q[1, 1], u[0, 1])
+            for out, want in zip(grid, expected):
+                assert abs(out[idx] - want) <= 1e-10
+
+    def test_scalar_inputs_give_scalars(self):
+        grid = tunable_qubit_pure_geometry_grid(0.3, 1.2, 0.7, 1.1, 2.0, 0.25, 0.5)
+        assert all(np.ndim(out) == 0 for out in grid)
+        q, u = pure_point_geometry(0.3, 1.2, 0.7, 1.1, 2.0, 0.25, 0.5)
+        assert [float(out) for out in grid] == pytest.approx(
+            [q[0, 0], q[0, 1], q[1, 1], u[0, 1]], abs=1e-12
+        )
+
+    @given(
+        angles=st.tuples(*[st.floats(-7.0, 7.0)] * 5),
+        lambdas=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+    )
+    def test_property_matches_point_model(self, angles, lambdas):
+        grid = tunable_qubit_pure_geometry_grid(*angles, *lambdas)
+        q, u = pure_point_geometry(*angles, *lambdas)
+        expected = (q[0, 0], q[0, 1], q[1, 1], u[0, 1])
+        for got, want in zip(grid, expected):
+            assert abs(float(got) - want) <= 1e-10
 
 
 class TestModelConfigValidation:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qmb
+from qmb import sweep
 from qmb.cli import main as cli_main
 from qmb.errors import InvalidSpec, UnknownPreset
 from qmb.sweep import (
@@ -303,12 +304,83 @@ class TestFigurePresets:
         assert at_unit.outputs["T"] == pytest.approx(at_unit.outputs["R"], abs=1e-9)
 
     def test_fig1_maximized_outputs(self):
+        # pure qubits have R = 1; by AM-GM T <= 1, with equality where
+        # Q12 = 0 and Q22 = omega Q11, which some angles reach at every omega
         spec = figure_preset("fig1")
-        spec = replace(spec, axes=(Axis("omega_log10", -1.0, 1.0, 2),), maximize_grid=9)
+        spec = replace(spec, axes=(Axis("omega_log10", -2.0, 2.0, 3),))
         rows = run_sweep(spec)
+        assert [row.axis_values[0] for row in rows] == [-2.0, 0.0, 2.0]
         for row in rows:
-            assert row.outputs["R"] == pytest.approx(1.0, abs=1e-6)
-            assert 0.0 < row.outputs["T"] <= 1.0 + 1e-9
+            assert row.outputs["R"] == pytest.approx(1.0, abs=1e-8)
+            assert row.outputs["T"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_fig1_thread_count_does_not_change_results(self):
+        spec = replace(figure_preset("fig1", {"count": 3}), maximize_grid=9)
+        sweep._angle_grid.cache_clear()
+        rows1 = run_sweep(spec, threads=1)
+        sweep._angle_grid.cache_clear()
+        rows2 = run_sweep(spec, threads=2)
+        assert rows1 == rows2
+
+
+class TestMaximizeValidation:
+    def test_rejects_bloch_components(self):
+        spec = replace(
+            figure_preset("fig1"),
+            fixed={"r_x": 0.3, "r_y": 0.0, "r_z": 0.0},
+            maximize_over=("gamma", "theta", "phi"),
+        )
+        with pytest.raises(InvalidSpec, match="r_x"):
+            validate_spec(spec)
+
+    @pytest.mark.parametrize("name", ["r_xy", "r2", "xi"])
+    def test_rejects_derived_probe_names(self, name):
+        spec = replace(
+            figure_preset("fig1"),
+            fixed={name: 0.3, "alpha": 1.0, "beta": 0.0},
+            maximize_over=("gamma", "theta", "phi"),
+        )
+        with pytest.raises(InvalidSpec, match=name):
+            validate_spec(spec)
+
+    def test_rejects_unbound_angle(self):
+        spec = replace(
+            figure_preset("fig1"),
+            fixed={"alpha": 1.0},
+            maximize_over=("gamma", "theta", "phi"),
+        )
+        with pytest.raises(InvalidSpec, match="beta"):
+            validate_spec(spec)
+
+    def test_accepts_fixed_probe(self):
+        spec = replace(
+            figure_preset("fig1"),
+            fixed={"alpha": 1.0, "beta": 0.0},
+            maximize_over=("gamma", "theta", "phi"),
+        )
+        validate_spec(spec)
+
+    def test_rejects_angle_both_maximized_and_fixed(self):
+        spec = replace(figure_preset("fig1"), fixed={"gamma": 0.5})
+        with pytest.raises(InvalidSpec, match="gamma"):
+            validate_spec(spec)
+
+    def test_rejects_other_weights(self):
+        spec = replace(figure_preset("fig1"), weight=WeightSpec(kind="identity"))
+        with pytest.raises(InvalidSpec):
+            validate_spec(spec)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_rejects_degenerate_grid(self, n):
+        with pytest.raises(InvalidSpec, match="maximize_grid"):
+            validate_spec(replace(figure_preset("fig1"), maximize_grid=n))
+
+    def test_rejects_oversized_grid(self):
+        # 200^5 = 3.2e11 grid points; only validated, never built
+        with pytest.raises(InvalidSpec, match="guard"):
+            validate_spec(replace(figure_preset("fig1"), maximize_grid=200))
+        # 25^5 is just below the guard
+        validate_spec(replace(figure_preset("fig1"), maximize_grid=25))
 
 
 class TestCli:

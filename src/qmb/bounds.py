@@ -26,15 +26,14 @@ from .errors import HierarchyViolation, SingularQFIM, SingularState
 from .geometry import (
     InformationGeometry,
     NormalSpaceBasis,
-    _qfim_inverse,
+    _WeightFrame,
+    _weight_frame,
     compute_geometry,
     quantumness_R,
     rld_qfim,
-    t_measure,
     tangent_normal_decomposition,
-    uhlmann_axial,
 )
-from .linalg import SUPPORT_TOL, require_weight, spd_sqrt, trace_norm, tracenorm_antisym
+from .linalg import SUPPORT_TOL, require_weight, trace_norm, tracenorm_antisym
 from .models import ModelPoint
 from .neldermead import nelder_mead
 
@@ -97,9 +96,7 @@ class BoundsReport:
 
 def c_sld(g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = False) -> float:
     """SLD quantum Cramer-Rao scalar bound Tr[W Q^-1]."""
-    w_mat = require_weight(w_mat, g.n_params)
-    qinv, _, _ = _qfim_inverse(g.qfim, pseudo_inverse)
-    return float(np.trace(w_mat @ qinv))
+    return _weight_frame(g, w_mat, pseudo_inverse).c_sld
 
 
 def c_rld(j: np.ndarray, w_mat: np.ndarray) -> float:
@@ -116,12 +113,7 @@ def c_rld(j: np.ndarray, w_mat: np.ndarray) -> float:
 
 def c_t_bound(g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = False) -> float:
     """(1 + T[W]) C_SLD[W], evaluated in the direct form Tr[W Q^-1] + ||.||_1."""
-    w_mat = require_weight(w_mat, g.n_params)
-    qinv, _, _ = _qfim_inverse(g.qfim, pseudo_inverse)
-    sqrt_w = spd_sqrt(w_mat)
-    return float(np.trace(w_mat @ qinv)) + tracenorm_antisym(
-        sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w
-    )
+    return _weight_frame(g, w_mat, pseudo_inverse).c_t
 
 
 def c_r_bound(g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = False) -> float:
@@ -133,9 +125,8 @@ def holevo_pure_qubit_closed_form(g: InformationGeometry, w_mat: np.ndarray) -> 
     """Pure-qubit two-parameter Holevo bound, Tr[W Q^-1] + 2 sqrt(det[W Q^-1])."""
     if g.n_params != 2:
         raise ValueError("closed form is specific to two-parameter models")
-    w_mat = require_weight(w_mat, 2)
-    qinv, _, _ = _qfim_inverse(g.qfim)
-    prod = w_mat @ qinv
+    frame = _weight_frame(g, w_mat)
+    prod = frame.w_mat @ frame.qinv
     det = max(float(np.linalg.det(prod)), 0.0)
     return float(np.trace(prod)) + 2.0 * float(np.sqrt(det))
 
@@ -156,14 +147,11 @@ def _tracenorm_antisym_smoothed(m: np.ndarray, mu: float) -> float:
 @dataclass(frozen=True)
 class _TangentSetup:
     """The per-point pieces of the tangent objective, in the variable
-    B = K sqrt(W): Q^-1, sqrt(W), the K = 0 core sqrt(W) Q^-1 U Q^-1 sqrt(W),
-    the constant C_SLD = Tr[W Q^-1], the d x m coupling sqrt(W) Q^-1 S and
-    the normal-space Gram matrix P."""
+    B = K sqrt(W): the weight frame (its core is the K = 0 value of the
+    antisymmetric part, its C_SLD the constant term), the d x m coupling
+    sqrt(W) Q^-1 S and the normal-space Gram matrix P."""
 
-    qinv: np.ndarray
-    sqrt_w: np.ndarray
-    core: np.ndarray
-    base: float
+    frame: _WeightFrame
     left: np.ndarray
     gram: np.ndarray
 
@@ -171,22 +159,16 @@ class _TangentSetup:
 def _tangent_setup(
     g: InformationGeometry, basis: NormalSpaceBasis, w_mat: np.ndarray
 ) -> _TangentSetup:
-    w_mat = require_weight(w_mat, g.n_params)
-    qinv, _, _ = _qfim_inverse(g.qfim)
-    sqrt_w = spd_sqrt(w_mat)
+    frame = _weight_frame(g, w_mat)
     return _TangentSetup(
-        qinv=qinv,
-        sqrt_w=sqrt_w,
-        core=sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w,
-        base=float(np.trace(w_mat @ qinv)),
-        left=sqrt_w @ qinv @ basis.coupling,
-        gram=basis.gram,
+        frame=frame, left=frame.sqrt_w @ frame.qinv @ basis.coupling, gram=basis.gram
     )
 
 
 def _objective(setup: _TangentSetup, smoothing: float = 0.0) -> Callable[[np.ndarray], float]:
     d, m = setup.left.shape
-    sqrt_w, core, base, left = setup.sqrt_w, setup.core, setup.base, setup.left
+    sqrt_w, core, base = setup.frame.sqrt_w, setup.frame.core, setup.frame.c_sld
+    left = setup.left
     gram_re, gram_im = setup.gram.real, setup.gram.imag
     mu = float(smoothing)
 
@@ -289,8 +271,8 @@ def _holevo_exact(setup: _TangentSetup) -> HolevoSolution:
     For p = 0 (always when d = 2) this is Suzuki's two-parameter formula:
     C_H = C_T - |s|^2 / P when q P >= |s|^2, else C_SLD + P q^2 / |s|^2.
     """
-    d = setup.core.shape[0]
-    core, s = setup.core, setup.left[:, 0]
+    core, s = setup.frame.core, setup.left[:, 0]
+    d = core.shape[0]
     weight = float(setup.gram.real[0, 0])
     s2 = float(s @ s)
     if d == 2:
@@ -308,7 +290,7 @@ def _holevo_exact(setup: _TangentSetup) -> HolevoSolution:
         b = -np.copysign(tau, c) * np.array([-s[1], s[0]]) / s2
     else:
         b = np.cross(-tau * c_range / q, s) / s2
-    k = np.linalg.solve(setup.sqrt_w, b)
+    k = np.linalg.solve(setup.frame.sqrt_w, b)
     objective = _objective(setup)
     value_at_zero = objective(np.zeros(d))
     value = objective(k)
@@ -333,7 +315,7 @@ def _holevo_simplex(setup: _TangentSetup, opts: HolevoOptions) -> HolevoSolution
     d, m = setup.left.shape
     objective = _objective(setup)
     value_at_zero = objective(np.zeros(m * d))
-    scale = 0.1 * float(np.max(np.abs(np.linalg.eigvalsh(setup.qinv))))
+    scale = 0.1 * float(np.max(np.abs(np.linalg.eigvalsh(setup.frame.qinv))))
     rng = np.random.default_rng(opts.seed)
     nvar = m * d
     best_x = np.zeros(nvar)
@@ -433,18 +415,11 @@ def full_report(
     g = geometry
     if g is None:
         g = compute_geometry(point.rho, point.derivs, support_tol=opts.support_tol)
-    d = g.n_params
-    w_mat = require_weight(w_mat, d)
     flags: set[str] = set()
-
-    qfim_ok = True
-    used_pseudo = False
     try:
-        _, _, used_pseudo = _qfim_inverse(g.qfim, opts.pseudo_inverse)
+        frame = _weight_frame(g, w_mat, opts.pseudo_inverse)
     except SingularQFIM:
-        qfim_ok = False
-    if used_pseudo:
-        flags |= {FLAG_SINGULAR_QFIM, FLAG_PSEUDO_INVERSE}
+        frame = None
 
     c_rld_val = None
     if opts.compute_rld:
@@ -454,7 +429,7 @@ def full_report(
         except SingularState:
             flags.add(FLAG_RLD_UNAVAILABLE)
 
-    if not qfim_ok:
+    if frame is None:
         flags.add(FLAG_SINGULAR_QFIM)
         return BoundsReport(
             c_sld=None,
@@ -468,48 +443,30 @@ def full_report(
             flags=frozenset(flags),
         )
 
-    pseudo = opts.pseudo_inverse
-    c_s = c_sld(g, w_mat, pseudo)
-    r_val = quantumness_R(g, pseudo)
-    t_val = t_measure(g, w_mat, pseudo)
-    c_t_val = c_t_bound(g, w_mat, pseudo)
-    c_r_val = (1.0 + r_val) * c_s
+    if frame.used_pseudo:
+        flags |= {FLAG_SINGULAR_QFIM, FLAG_PSEUDO_INVERSE}
+    r_val = quantumness_R(g, opts.pseudo_inverse)
 
     holevo = None
     c_h_val = None
-    if opts.compute_holevo and not used_pseudo:
+    if opts.compute_holevo and not frame.used_pseudo:
         basis = tangent_normal_decomposition(point.rho, g)
-        holevo = holevo_tangent_min(point.rho, g, basis, w_mat, opts.holevo)
+        holevo = holevo_tangent_min(point.rho, g, basis, frame.w_mat, opts.holevo)
         c_h_val = holevo.value
         if not holevo.converged:
             flags.add(FLAG_HOLEVO_NOT_CONVERGED)
 
     report = BoundsReport(
-        c_sld=c_s,
+        c_sld=frame.c_sld,
         c_rld=c_rld_val,
-        c_t=c_t_val,
-        c_r=c_r_val,
+        c_t=frame.c_t,
+        c_r=(1.0 + r_val) * frame.c_sld,
         c_h=c_h_val,
         r_value=r_val,
-        t_value=t_val,
+        t_value=frame.t_value,
         holevo=holevo,
         flags=frozenset(flags),
     )
-    if not used_pseudo:
+    if not frame.used_pseudo:
         _check_hierarchy(report)
     return report
-
-
-def closed_form_quantumness(g: InformationGeometry) -> float | None:
-    """The determinant-route value of R for d in {2, 3}; None otherwise."""
-    q, u = g.qfim, g.uhlmann
-    d = q.shape[0]
-    det_q = float(np.linalg.det(q))
-    if det_q <= 0:
-        return None
-    if d == 2:
-        return float(np.sqrt(max(float(np.linalg.det(u)), 0.0) / det_q))
-    if d == 3:
-        ax = uhlmann_axial(u)
-        return float(np.sqrt(max(float(ax @ q @ ax), 0.0) / det_q))
-    return None

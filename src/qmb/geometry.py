@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,20 +36,23 @@ class InformationGeometry:
     def n_params(self) -> int:
         return self.qfim.shape[0]
 
+    @cached_property
+    def _qfim_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and eigenvectors of Q, computed once."""
+        return np.linalg.eigh(np.asarray(self.qfim, dtype=float))
+
 
 @dataclass(frozen=True)
 class NormalSpaceBasis:
     """Orthonormal basis of the SLD normal space with its Gram and coupling data.
 
     ``gram`` is the complex matrix Tr[rho P_i P_j] (its real part is the
-    identity by orthonormality), ``coupling`` is Im Tr[rho L_i P_j], and
-    ``l_gram`` is Tr[rho L_mu L_nu] = Q + iU.
+    identity by orthonormality) and ``coupling`` is Im Tr[rho L_i P_j].
     """
 
     ops: tuple[np.ndarray, ...]
     gram: np.ndarray
     coupling: np.ndarray
-    l_gram: np.ndarray
 
     @property
     def size(self) -> int:
@@ -148,17 +152,18 @@ def rld_qfim(rho: np.ndarray, derivs: Sequence[np.ndarray], check: bool = True) 
 
 
 def _qfim_inverse(
-    q: np.ndarray,
+    g: InformationGeometry,
     pseudo_inverse: bool = False,
     cond_limit: float = COND_LIMIT,
     rank_tol: float = RANK_TOL,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(Q^-1, Q^-1/2, used_pseudo) with the singularity policy applied.
+    """(Q^-1, Q^-1/2, used_pseudo) with the singularity policy applied to
+    the cached eigenpairs of Q.
 
     The pseudo branch is rank revealing: eigenvalues below rank_tol times
     the largest are dropped.
     """
-    w, v = np.linalg.eigh(np.asarray(q, dtype=float))
+    w, v = g._qfim_eigh
     top = w[-1] if w.size else 0.0
     if top <= 0.0:
         raise SingularQFIM("QFIM has no positive eigenvalues")
@@ -180,6 +185,50 @@ def _qfim_inverse(
     return qinv, qinv_sqrt, used_pseudo
 
 
+@dataclass(frozen=True)
+class _WeightFrame:
+    """What every weighted bound reads at one (geometry, W): the validated
+    W, sqrt(W), Q^-1, the core sqrt(W) Q^-1 U Q^-1 sqrt(W) and
+    C_SLD = Tr[W Q^-1].  ``used_pseudo`` says whether Q^-1 is the
+    rank-truncated pseudo-inverse."""
+
+    w_mat: np.ndarray
+    sqrt_w: np.ndarray
+    qinv: np.ndarray
+    core: np.ndarray
+    c_sld: float
+    used_pseudo: bool
+
+    @cached_property
+    def core_norm(self) -> float:
+        """||sqrt(W) Q^-1 U Q^-1 sqrt(W)||_1."""
+        return tracenorm_antisym(self.core)
+
+    @property
+    def t_value(self) -> float:
+        return self.core_norm / self.c_sld
+
+    @property
+    def c_t(self) -> float:
+        return self.c_sld + self.core_norm
+
+
+def _weight_frame(
+    g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = False
+) -> _WeightFrame:
+    w_mat = require_weight(w_mat, g.n_params)
+    qinv, _, used_pseudo = _qfim_inverse(g, pseudo_inverse)
+    sqrt_w = spd_sqrt(w_mat)
+    return _WeightFrame(
+        w_mat=w_mat,
+        sqrt_w=sqrt_w,
+        qinv=qinv,
+        core=sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w,
+        c_sld=float(np.trace(w_mat @ qinv)),
+        used_pseudo=used_pseudo,
+    )
+
+
 def uhlmann_axial(u: np.ndarray) -> np.ndarray:
     """The vector (U_23, -U_13, U_12) of a 3x3 antisymmetric matrix."""
     return np.array([u[1, 2], -u[0, 2], u[0, 1]])
@@ -189,40 +238,18 @@ def quantumness_R(g: InformationGeometry, pseudo_inverse: bool = False) -> float
     """Weight-independent incompatibility R, the spectral radius of i Q^-1 U.
 
     Evaluated through the Hermitian similarity i Q^-1/2 U Q^-1/2.  For
-    d in {2, 3} the closed forms sqrt(det U / det Q) and
-    sqrt(u^T Q u / det Q) are cross-validated internally when Q is well
-    conditioned enough for determinants to carry 1e-9 accuracy.
+    d in {2, 3} it equals sqrt(det U / det Q) and sqrt(u^T Q u / det Q)
+    (u the axial vector of U).
     """
-    q, u = g.qfim, g.uhlmann
-    _, qinv_sqrt, _ = _qfim_inverse(q, pseudo_inverse)
-    herm = 1j * (qinv_sqrt @ u @ qinv_sqrt)
+    _, qinv_sqrt, _ = _qfim_inverse(g, pseudo_inverse)
+    herm = 1j * (qinv_sqrt @ g.uhlmann @ qinv_sqrt)
     vals = np.linalg.eigvalsh(hermitian_part(herm))
-    r = float(np.max(np.abs(vals))) if vals.size else 0.0
-    d = q.shape[0]
-    w = np.linalg.eigvalsh(q)
-    well_conditioned = w[0] > 0 and w[-1] / w[0] < 1e6
-    if well_conditioned and d in (2, 3):
-        det_q = float(np.linalg.det(q))
-        if d == 2:
-            closed = float(np.sqrt(max(np.linalg.det(u), 0.0) / det_q))
-        else:
-            ax = uhlmann_axial(u)
-            closed = float(np.sqrt(max(ax @ q @ ax, 0.0) / det_q))
-        if abs(r - closed) > 1e-9 * max(1.0, r):
-            raise AssertionError(
-                f"quantumness cross-validation failed: spectral {r!r} vs closed {closed!r}"
-            )
-    return r
+    return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 
 def t_measure(g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = False) -> float:
     """Weight-dependent measure ||sqrt(W) Q^-1 U Q^-1 sqrt(W)||_1 / Tr[W Q^-1]."""
-    q, u = g.qfim, g.uhlmann
-    w_mat = require_weight(w_mat, q.shape[0])
-    qinv, _, _ = _qfim_inverse(q, pseudo_inverse)
-    sqrt_w = spd_sqrt(w_mat)
-    numer = tracenorm_antisym(sqrt_w @ qinv @ u @ qinv @ sqrt_w)
-    return numer / float(np.trace(w_mat @ qinv))
+    return _weight_frame(g, w_mat, pseudo_inverse).t_value
 
 
 def _rank_antisym(u: np.ndarray, tol: float = RANK_TOL) -> int:
@@ -242,9 +269,10 @@ def t_saturation_analysis(g: InformationGeometry, w_mat: np.ndarray) -> TSaturat
     rank bound T <= Rank(U) R holds always.
     """
     q, u = g.qfim, g.uhlmann
-    w_mat = require_weight(w_mat, q.shape[0])
+    frame = _weight_frame(g, w_mat)
+    w_mat = frame.w_mat
     d = q.shape[0]
-    t_val = t_measure(g, w_mat)
+    t_val = frame.t_value
     r_val = quantumness_R(g)
     rank_u = _rank_antisym(u)
     saturating_weight = None
@@ -343,7 +371,7 @@ def tangent_normal_decomposition(
     d = g.n_params
     if not g.slds:
         raise ValueError("geometry must carry SLD operators")
-    _qfim_inverse(g.qfim, pseudo_inverse)  # singularity policy
+    _qfim_inverse(g, pseudo_inverse)  # singularity policy
 
     def pairing(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.real(np.trace(rho @ (a @ b + b @ a)))) / 2.0
@@ -395,15 +423,10 @@ def tangent_normal_decomposition(
     for i in range(d):
         for j in range(m):
             coupling[i, j] = float(np.imag(np.trace(rho @ g.slds[i] @ ops[j])))
-    l_gram = np.empty((d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            l_gram[a, b] = np.trace(rho @ g.slds[a] @ g.slds[b])
     return NormalSpaceBasis(
         ops=tuple(ops),
         gram=0.5 * (p_gram + p_gram.conj().T),
         coupling=coupling,
-        l_gram=l_gram,
     )
 
 
@@ -419,12 +442,9 @@ def singular_values_pairing(
     tests that construct such aligned inputs).
     """
     q, u = g.qfim, g.uhlmann
-    w_mat = require_weight(w_mat, q.shape[0])
-    qinv, _, _ = _qfim_inverse(q)
-    sqrt_w = spd_sqrt(w_mat)
-    m = sqrt_w @ qinv @ u @ qinv @ sqrt_w
-    direct = np.sort(np.linalg.svd(m, compute_uv=False))[::-1]
-    a = sqrt_w @ qinv
+    frame = _weight_frame(g, w_mat)
+    direct = np.sort(np.linalg.svd(frame.core, compute_uv=False))[::-1]
+    a = frame.sqrt_w @ frame.qinv
     av, avec = np.linalg.eigh(0.5 * (a + a.T))
     u_tilde = avec.T @ u @ avec
     paired = []

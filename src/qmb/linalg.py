@@ -164,6 +164,8 @@ def require_weight(w_mat: np.ndarray, d: int | None = None) -> np.ndarray:
         raise ValueError(f"weight matrix must be square, got shape {w_mat.shape}")
     if d is not None and w_mat.shape[0] != d:
         raise ValueError(f"weight matrix has dimension {w_mat.shape[0]}, expected {d}")
+    if not np.all(np.isfinite(w_mat)):
+        raise ValueError("weight matrix has non-finite entries")
     if np.max(np.abs(w_mat - w_mat.T), initial=0.0) > 1e-10 * (1 + np.max(np.abs(w_mat))):
         raise ValueError("weight matrix must be symmetric")
     if np.linalg.eigvalsh(w_mat)[0] <= 1e-12:

@@ -12,9 +12,9 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .bounds import HolevoOptions, ReportOptions, closed_form_quantumness, full_report
+from .bounds import HolevoOptions, ReportOptions, full_report
 from .errors import InvalidSpec, UnknownPreset
-from .geometry import compute_geometry, quantumness_R, t_measure
+from .geometry import InformationGeometry, compute_geometry, quantumness_R, t_measure
 from .linalg import require_weight
 from .models import (
     MODEL_IDS,
@@ -29,7 +29,6 @@ from .neldermead import nelder_mead
 CANONICAL_OUTPUTS = ("c_sld", "c_rld", "c_t", "c_r", "c_h", "R", "T", "gap_h", "gap_t", "gap_r")
 MAX_SWEEP_POINTS = 10**7
 
-FLAG_R_FORMULA_MISMATCH = "RFormulaMismatch"
 FLAG_R_ABOVE_ONE = "RAboveOne"
 
 _ALLOWED_CONSTANTS = {
@@ -136,6 +135,18 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         raise InvalidSpec(f"unknown weight kind {spec.weight.kind!r}")
     if spec.weight.kind == "diag_log_axis" and spec.weight.axis not in axis_names:
         raise InvalidSpec("diag_log_axis weight needs a matching axis name")
+    if spec.weight.kind in ("diag", "full"):
+        # a fixed weight is checked once here, not at every point
+        d = len(PARAM_NAMES[spec.model_id])
+        size = d if spec.weight.kind == "diag" else d * d
+        if len(spec.weight.values) != size:
+            raise InvalidSpec(
+                f"{spec.weight.kind} weight needs {size} values, got {len(spec.weight.values)}"
+            )
+        try:
+            require_weight(_resolve_weight(spec, d, {}, None), d)
+        except ValueError as exc:
+            raise InvalidSpec(f"{spec.weight.kind} weight: {exc}") from exc
     if spec.maximize_over:
         if spec.model_id != "tunable_qubit":
             raise InvalidSpec("per-point maximization is defined for the tunable qubit")
@@ -212,16 +223,9 @@ def _resolve_weight(
     if w.kind == "identity":
         return np.eye(d)
     if w.kind == "diag":
-        if len(w.values) != d:
-            raise InvalidSpec(f"diag weight needs {d} values, got {len(w.values)}")
         return np.diag(np.asarray(w.values, dtype=float))
     if w.kind == "full":
-        if len(w.values) != d * d:
-            raise InvalidSpec(f"full weight needs {d * d} values, got {len(w.values)}")
-        try:
-            return require_weight(np.asarray(w.values, dtype=float).reshape(d, d), d)
-        except ValueError as exc:
-            raise InvalidSpec(f"weight matrix: {exc}") from exc
+        return np.asarray(w.values, dtype=float).reshape(d, d)
     if w.kind == "qfim":
         if qfim is None:
             raise InvalidSpec("qfim weight needs a computable QFIM")
@@ -262,18 +266,8 @@ def _evaluate_point(spec: SweepSpec, bound: dict[str, float], index: int) -> Res
     )
     report = full_report(point, w_mat, opts, geometry=geometry)
     flags = set(report.flags)
-    if report.r_value is not None:
-        if report.r_value > 1.0 + 1e-9:
-            flags.add(FLAG_R_ABOVE_ONE)
-        q_eigs = np.linalg.eigvalsh(geometry.qfim)
-        if q_eigs[0] > 0 and q_eigs[-1] / q_eigs[0] < 1e8:
-            # determinant-route cross-check only where determinants carry
-            # enough precision to make a mismatch meaningful
-            closed = closed_form_quantumness(geometry)
-            if closed is not None and abs(report.r_value - closed) > 1e-6 * max(
-                1.0, report.r_value
-            ):
-                flags.add(FLAG_R_FORMULA_MISMATCH)
+    if report.r_value is not None and report.r_value > 1.0 + 1e-9:
+        flags.add(FLAG_R_ABOVE_ONE)
     values: dict[str, float | None] = {
         "c_sld": report.c_sld,
         "c_rld": report.c_rld,
@@ -349,6 +343,59 @@ def _angle_grid(
     return grid
 
 
+def _refine(
+    names: tuple[str, ...],
+    n: int,
+    fixed: tuple[tuple[str, float], ...],
+    l1: float,
+    start_idx: tuple[int, ...],
+    omega: float | None = None,
+) -> np.ndarray:
+    """Simplex refinement from a grid index of T at W = diag(1, omega), or
+    of R when ``omega`` is None; returns the refined angles."""
+    x0 = np.array([np.linspace(*_ANGLE_SPANS[name], n)[i] for name, i in zip(names, start_idx)])
+    angle = dict(fixed)
+
+    def negated(x: np.ndarray) -> float:
+        angle.update(zip(names, x))
+        q11, q12, q22, u12 = tunable_qubit_pure_geometry_grid(
+            *(angle[name] for name in _ANGLE_SPANS), l1
+        )
+        det_q, regular = _regular_det(q11, q12, q22)
+        if not regular:
+            return 0.0
+        if omega is not None:
+            return -2.0 * math.sqrt(omega) * abs(u12) / (q22 + omega * q11)
+        return -abs(u12) / math.sqrt(det_q)
+
+    x, _, _ = nelder_mead(negated, x0, step=0.08, max_iter=1200)
+    return x
+
+
+def _refined_geometry(
+    names: tuple[str, ...],
+    x: np.ndarray,
+    fixed: tuple[tuple[str, float], ...],
+    l1: float,
+    l2: float,
+) -> InformationGeometry:
+    """The ordinary pipeline's geometry at refined angles."""
+    angles = {**dict(fixed), **{name: float(v) for name, v in zip(names, x)}}
+    cfg, params = _bind_values("tunable_qubit", {**angles, "lambda1": l1, "lambda2": l2})
+    pt = model_point(cfg, params)
+    return compute_geometry(pt.rho, pt.derivs)
+
+
+@functools.lru_cache(maxsize=2)
+def _max_r(
+    names: tuple[str, ...], n: int, fixed: tuple[tuple[str, float], ...], l1: float, l2: float
+) -> float:
+    """Refined maximum of R.  R does not read the weight, so one refinement
+    serves every row of a sweep with the same angles and parameters."""
+    x = _refine(names, n, fixed, l1, _angle_grid(names, n, fixed, l1).r_start)
+    return quantumness_R(_refined_geometry(names, x, fixed, l1, l2))
+
+
 def _maximize_point(spec: SweepSpec, bound: dict[str, float], index: int) -> ResultRow:
     """Maximize R and T over pure-state and rotation angles at one weight.
 
@@ -356,56 +403,21 @@ def _maximize_point(spec: SweepSpec, bound: dict[str, float], index: int) -> Res
     geometry) followed by simplex refinement of each requested output; the
     refined optimum is re-evaluated through the ordinary scalar pipeline.
     """
-    omega = 10.0 ** float(bound[spec.weight.axis])
     n = spec.maximize_grid
     names = spec.maximize_over
     fixed = tuple((name, float(bound[name])) for name in _ANGLE_SPANS if name not in names)
     l1 = float(bound.get("lambda1", 0.0))
-    grid = _angle_grid(names, n, fixed, l1)
-
-    def refine(metric: str, start_idx: tuple[int, ...]) -> np.ndarray:
-        x0 = np.array(
-            [np.linspace(*_ANGLE_SPANS[name], n)[i] for name, i in zip(names, start_idx)]
-        )
-        angle = dict(fixed)
-
-        def negated(x: np.ndarray) -> float:
-            angle.update(zip(names, x))
-            q11, q12, q22, u12 = tunable_qubit_pure_geometry_grid(
-                *(angle[name] for name in _ANGLE_SPANS), l1
-            )
-            det_q, regular = _regular_det(q11, q12, q22)
-            if not regular:
-                return 0.0
-            if metric == "T":
-                return -2.0 * math.sqrt(omega) * abs(u12) / (q22 + omega * q11)
-            return -abs(u12) / math.sqrt(det_q)
-
-        x, _, _ = nelder_mead(negated, x0, step=0.08, max_iter=1200)
-        return x
-
+    l2 = float(bound.get("lambda2", 0.0))
     results: dict[str, float | None] = {}
-    for metric in ("T", "R"):
-        if metric not in spec.outputs:
-            continue
-        if metric == "T":
-            t_score = grid.abs_u / (grid.q22 + omega * grid.q11)  # T / (2 sqrt(omega))
-            start = np.unravel_index(int(np.argmax(t_score)), t_score.shape)
-        else:
-            start = grid.r_start
-        best_x = refine(metric, start)
-        const = {name: float(v) for name, v in zip(names, best_x)}
-        keep = _ALLOWED_CONSTANTS["tunable_qubit"] | set(PARAM_NAMES["tunable_qubit"])
-        cfg, params = _bind_values(
-            "tunable_qubit",
-            {**{k: v for k, v in bound.items() if k in keep}, **const},
-        )
-        pt = model_point(cfg, params)
-        g = compute_geometry(pt.rho, pt.derivs)
-        w_mat = np.diag([1.0, omega])
-        results[metric] = (
-            t_measure(g, w_mat) if metric == "T" else quantumness_R(g)
-        )
+    if "T" in spec.outputs:
+        omega = 10.0 ** float(bound[spec.weight.axis])
+        grid = _angle_grid(names, n, fixed, l1)
+        t_score = grid.abs_u / (grid.q22 + omega * grid.q11)  # T / (2 sqrt(omega))
+        start = np.unravel_index(int(np.argmax(t_score)), t_score.shape)
+        x = _refine(names, n, fixed, l1, start, omega)
+        results["T"] = t_measure(_refined_geometry(names, x, fixed, l1, l2), np.diag([1.0, omega]))
+    if "R" in spec.outputs:
+        results["R"] = _max_r(names, n, fixed, l1, l2)
     outputs = {name: results.get(name) for name in spec.outputs}
     return ResultRow(
         axis_values=tuple(float(bound[ax.name]) for ax in spec.axes),

@@ -367,7 +367,7 @@ def one_dim_normal_space(rng, kind):
 
 def axial_split(setup):
     """(q, p): the norms of the core's axial part in and out of the range of M."""
-    core, s = setup.core, setup.left[:, 0]
+    core, s = setup.frame.core, setup.left[:, 0]
     if core.shape[0] == 2:
         return abs(core[0, 1]), 0.0
     c = np.array([core[1, 2], -core[0, 2], core[0, 1]])
@@ -443,6 +443,26 @@ class TestHolevoExact:
 
 
 class TestFullReport:
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3, 3), (4, 4)])
+    def test_matches_standalone_functions(self, rng, shape):
+        # one weight frame per point: the report's scalars are the very
+        # floats the public functions return
+        from qmb.models import ModelPoint
+
+        n, d = shape
+        opts = ReportOptions(compute_rld=False, compute_holevo=False)
+        for _ in range(20):
+            rho, derivs = random_model(rng, n, d)
+            w = random_spd(rng, d)
+            g = compute_geometry(rho, derivs)
+            point = ModelPoint(params=(0.0,) * d, rho=rho, derivs=tuple(derivs))
+            report = full_report(point, w, opts, geometry=g)
+            assert report.c_sld == c_sld(g, w)
+            assert report.r_value == quantumness_R(g)
+            assert report.t_value == t_measure(g, w)
+            assert report.c_t == c_t_bound(g, w)
+            assert report.c_r == c_r_bound(g, w)
+
     def test_zero_curvature_all_equal(self, rng):
         from qmb.models import ModelPoint
 

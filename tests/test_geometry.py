@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from qmb.errors import SingularQFIM, SingularState
 from qmb.geometry import (
@@ -11,6 +13,7 @@ from qmb.geometry import (
     t_measure,
     t_saturation_analysis,
     tangent_normal_decomposition,
+    uhlmann_axial,
     weight_transform,
 )
 from qmb.models import model_config, su2_qutrit_point, tunable_qubit_point
@@ -134,6 +137,27 @@ class TestQuantumness:
         g = geometry_from_matrices(np.diag([1.0, 0.0]), np.zeros((2, 2)))
         with pytest.raises(SingularQFIM):
             quantumness_R(g)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)]),
+    )
+    def test_determinant_closed_forms(self, seed, shape):
+        # R = sqrt(det U / det Q) for d = 2 and sqrt(u^T Q u / det Q) for
+        # d = 3, with u the axial vector of U, wherever Q is conditioned
+        # well enough for determinants to carry 1e-9 accuracy
+        n, d = shape
+        rho, derivs = random_model(np.random.default_rng(seed), n, d)
+        g = compute_geometry(rho, derivs)
+        assume(np.linalg.cond(g.qfim) < 1e6)
+        q, u = g.qfim, g.uhlmann
+        if d == 2:
+            closed = np.sqrt(max(np.linalg.det(u), 0.0) / np.linalg.det(q))
+        else:
+            ax = uhlmann_axial(u)
+            closed = np.sqrt(max(ax @ q @ ax, 0.0) / np.linalg.det(q))
+        r = quantumness_R(g)
+        assert abs(r - closed) <= 1e-9 * max(1.0, r)
 
 
 class TestTMeasure:
@@ -309,8 +333,9 @@ class TestNormalSpace:
                     assert abs(np.trace(dr @ op)) <= 1e-8
             if basis.size:
                 assert np.max(np.abs(basis.gram.real - np.eye(basis.size))) <= 1e-8
-            assert np.max(np.abs(basis.l_gram.real - g.qfim)) <= 1e-8
-            assert np.max(np.abs(basis.l_gram.imag - g.uhlmann)) <= 1e-8
+            l_gram = np.array([[np.trace(rho @ la @ lb) for lb in g.slds] for la in g.slds])
+            assert np.max(np.abs(l_gram.real - g.qfim)) <= 1e-8
+            assert np.max(np.abs(l_gram.imag - g.uhlmann)) <= 1e-8
 
     def test_local_unbiasedness_reconstruction(self, rng):
         rho, derivs = random_model(rng, 3, 2)

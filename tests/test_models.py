@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from qmb.errors import StepTooLarge
 from qmb.models import (
     PAULI,
+    _bloch_closed_form,
+    _tunable_qubit_bloch_derivs,
     expm_generator,
     generator_geometry,
     model_config,
@@ -61,11 +63,32 @@ class TestTunableQubitBloch:
             assert abs(np.linalg.norm(r) - np.linalg.norm(r0)) <= 1e-12
 
     def test_dual_path_specific_point(self):
-        # both evaluation routes agree internally (asserted inside) at the
+        # the composed, closed-form and derivative routes agree at the
         # reference configuration
         cfg = tq_config((0.3, 0.2, 0.5), np.pi / 4, np.pi / 2, 0.7)
         r = tunable_qubit_bloch(cfg, 0.4, 0.0)
         assert abs(np.linalg.norm(r) - np.linalg.norm([0.3, 0.2, 0.5])) <= 1e-12
+        closed = _bloch_closed_form(np.array([0.3, 0.2, 0.5]), np.pi / 4, np.pi / 2, 0.7, 0.4, 0.0)
+        assert np.max(np.abs(r - closed)) <= 1e-10
+        assert np.max(np.abs(r - _tunable_qubit_bloch_derivs(cfg, 0.4, 0.0)[0])) <= 1e-10
+
+    @given(
+        direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+            lambda v: np.linalg.norm(v) > 1e-3
+        ),
+        radius=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+        angles=st.tuples(*[st.floats(-7.0, 7.0)] * 5),
+    )
+    def test_three_routes_agree(self, direction, radius, angles):
+        # random mixed (|r0| < 1) and pure (|r0| = 1) configurations
+        r0 = radius * np.asarray(direction) / np.linalg.norm(direction)
+        gamma, theta, phi, l1, l2 = angles
+        cfg = tq_config(tuple(r0), gamma, theta, phi)
+        composed = tunable_qubit_bloch(cfg, l1, l2)
+        closed = _bloch_closed_form(r0, gamma, theta, phi, l1, l2)
+        derived = _tunable_qubit_bloch_derivs(cfg, l1, l2)[0]
+        assert np.max(np.abs(composed - closed)) <= 1e-10
+        assert np.max(np.abs(composed - derived)) <= 1e-10
 
     def test_periodic_in_lambda1(self):
         cfg = tq_config()

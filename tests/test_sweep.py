@@ -83,6 +83,22 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             run_sweep(spec)
 
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            WeightSpec(kind="diag", values=(1.0, -1.0)),
+            WeightSpec(kind="diag", values=(1.0, 0.0)),
+            WeightSpec(kind="diag", values=(1.0, math.nan)),
+            WeightSpec(kind="diag", values=(1.0, 2.0, 3.0)),
+            WeightSpec(kind="full", values=(1.0, 0.5, 0.0, 1.0)),
+            WeightSpec(kind="full", values=(1.0, 0.0, 0.0)),
+        ],
+        ids=["negative", "zero", "nan", "wrong_size", "asymmetric", "full_wrong_size"],
+    )
+    def test_rejects_invalid_fixed_weight(self, weight):
+        with pytest.raises(InvalidSpec):
+            validate_spec(small_spec(weight=weight))
+
 
 class TestRunPoint:
     def test_qutrit_anchor(self):
@@ -317,10 +333,31 @@ class TestFigurePresets:
     def test_fig1_thread_count_does_not_change_results(self):
         spec = replace(figure_preset("fig1", {"count": 3}), maximize_grid=9)
         sweep._angle_grid.cache_clear()
+        sweep._max_r.cache_clear()
         rows1 = run_sweep(spec, threads=1)
         sweep._angle_grid.cache_clear()
+        sweep._max_r.cache_clear()
         rows2 = run_sweep(spec, threads=2)
         assert rows1 == rows2
+
+    def test_fig1_refines_r_once_per_grid(self, monkeypatch):
+        # R does not read the weight: k rows make k refinements of T and
+        # one of R
+        calls = []
+        real = sweep.nelder_mead
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "nelder_mead", counting)
+        spec = replace(figure_preset("fig1", {"count": 4}), maximize_grid=5)
+        sweep._angle_grid.cache_clear()
+        sweep._max_r.cache_clear()
+        rows = run_sweep(spec)
+        assert len(rows) == 4
+        assert len(calls) == 5
+        assert len({row.outputs["R"] for row in rows}) == 1
 
 
 class TestMaximizeValidation:
@@ -414,6 +451,14 @@ class TestCli:
             args += ["--set", f"{key}={val}"]
         assert cli_main(args) == 0
         assert "c_sld" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("weight", ["diag:1,-1", "diag:1,0", "diag:1,nan", "full:1,1,0,1"])
+    def test_invalid_weight_returns_error(self, capsys, weight):
+        args = ["compute", "--model", "su2_qubit", "--weight", weight]
+        for key, val in {"alpha": 1, "beta": 0, "t": 1, "B": 1, "theta": 0.3}.items():
+            args += ["--set", f"{key}={val}"]
+        assert cli_main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {weight.split(':')[0]} weight: ")
 
     def test_bad_axis_returns_error(self, capsys):
         assert cli_main(["sweep", "--model", "su2_qubit", "--axis", "B=bad"]) == 2

@@ -13,7 +13,6 @@ Examples:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -27,7 +26,6 @@ from .sweep import (
     figure_preset,
     run_point,
     run_sweep,
-    validate_spec,
 )
 
 
@@ -58,10 +56,8 @@ def _parse_axis(entry: str) -> Axis:
 
 
 def _parse_weight(entry: str) -> WeightSpec:
-    if entry == "identity":
-        return WeightSpec(kind="identity")
-    if entry == "qfim":
-        return WeightSpec(kind="qfim")
+    if entry in ("identity", "qfim"):
+        return WeightSpec(kind=entry)
     for kind in ("diag", "full"):
         prefix = kind + ":"
         if entry.startswith(prefix):
@@ -88,54 +84,52 @@ def _read_config(path: str) -> dict[str, list[str]]:
     return entries
 
 
-def _threads_from(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("QMB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise QmbError(f"QMB_THREADS={env!r} is not an integer") from exc
-    return 1
+# Config-file keys per command; a preset fixes its own model and weight.
+_CONFIG_KEYS = {
+    "compute": ("model", "set", "weight", "seed", "out"),
+    "sweep": ("model", "set", "axis", "weight", "seed", "out"),
+    "preset": ("set", "seed", "out"),
+}
 
 
-def _add_common(parser: argparse.ArgumentParser, with_axes: bool) -> None:
-    parser.add_argument("--model", help="tunable_qubit | su2_qubit | su2_qutrit")
+def _add_common(parser: argparse.ArgumentParser, command: str) -> None:
+    if command != "preset":
+        parser.add_argument("--model", help="tunable_qubit | su2_qubit | su2_qutrit")
+        parser.add_argument("--weight",
+                            help="identity (default) | diag:v1,v2,... | full:v11,v12,... | qfim")
     parser.add_argument("--set", action="append", default=[], metavar="NAME=VALUE",
                         help="bind a model parameter or constant (repeatable)")
-    if with_axes:
+    if command == "sweep":
         parser.add_argument("--axis", action="append", default=[],
                             metavar="NAME=START:STOP:COUNT",
                             help="add a linear sweep axis (repeatable)")
-    parser.add_argument("--weight",
-                        help="identity (default) | diag:v1,v2,... | full:v11,v12,... | qfim")
     parser.add_argument("--out", help="output path (stdout if omitted)")
     parser.add_argument("--format", default="csv", choices=("csv", "json"))
     parser.add_argument("--seed", type=int, help="Holevo restart seed (default 0)")
     parser.add_argument("--pseudo-inverse", action="store_true",
                         help="rank-truncated inverses on singular QFIM lines (flagged)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for sweeps (QMB_THREADS as fallback)")
     parser.add_argument("--config", help="flat key=value config file; flags take precedence")
 
 
-def _apply_config(args: argparse.Namespace, with_axes: bool) -> None:
+def _apply_config(args: argparse.Namespace) -> None:
     """Fill what the flags left unset from the config file, then from the defaults."""
     entries = _read_config(args.config) if args.config else {}
-    if args.model is None and "model" in entries:
-        args.model = entries["model"][-1]
-    args.set = entries.get("set", []) + args.set
-    if with_axes and not args.axis:
+    keys = _CONFIG_KEYS[args.command]
+    unknown = sorted(set(entries) - set(keys))
+    if unknown:
+        raise QmbError(f"unknown {args.command} config keys {unknown}; accepted: {', '.join(keys)}")
+    if args.command != "preset":
+        if args.model is None:
+            args.model = entries.get("model", [None])[-1]
+        if args.weight is None:
+            args.weight = entries.get("weight", ["identity"])[-1]
+    if args.command == "sweep" and not args.axis:
         args.axis = entries.get("axis", [])
-    if args.weight is None:
-        args.weight = entries.get("weight", ["identity"])[-1]
+    args.set = entries.get("set", []) + args.set
     if args.seed is None:
         args.seed = int(entries.get("seed", [0])[-1])
-    if "threads" in entries and args.threads is None:
-        args.threads = int(entries["threads"][-1])
-    if "out" in entries and args.out is None:
-        args.out = entries["out"][-1]
+    if args.out is None:
+        args.out = entries.get("out", [None])[-1]
 
 
 def _build_spec(args: argparse.Namespace, axes: tuple[Axis, ...]) -> SweepSpec:
@@ -159,37 +153,33 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_compute = sub.add_parser("compute", help="evaluate one fully bound point")
-    _add_common(p_compute, with_axes=False)
+    _add_common(p_compute, "compute")
     p_sweep = sub.add_parser("sweep", help="evaluate a parameter grid")
-    _add_common(p_sweep, with_axes=True)
+    _add_common(p_sweep, "sweep")
     p_preset = sub.add_parser("preset", help="run a named figure preset")
     p_preset.add_argument("name", help="fig1 | fig2 | fig3a | fig3b | fig4 | fig5")
-    _add_common(p_preset, with_axes=False)
+    _add_common(p_preset, "preset")
 
     args = parser.parse_args(argv)
     try:
+        _apply_config(args)
         if args.command == "compute":
-            _apply_config(args, with_axes=False)
             spec = _build_spec(args, axes=())
             rows = [run_point(spec)]
-            emit(rows, args.format, args.out or sys.stdout, validate_spec(spec))
         elif args.command == "sweep":
-            _apply_config(args, with_axes=True)
             axes = tuple(_parse_axis(a) for a in args.axis)
             if not axes:
                 raise QmbError("sweep needs at least one --axis")
             spec = _build_spec(args, axes=axes)
-            rows = run_sweep(spec, threads=_threads_from(args))
-            emit(rows, args.format, args.out or sys.stdout, validate_spec(spec))
+            rows = run_sweep(spec)
         else:
-            _apply_config(args, with_axes=False)
             overrides = _parse_set(args.set)
             overrides["seed"] = args.seed
             spec = figure_preset(args.name, overrides)
             if args.pseudo_inverse:
                 spec = replace(spec, pseudo_inverse=True)
-            rows = run_sweep(spec, threads=_threads_from(args))
-            emit(rows, args.format, args.out or sys.stdout, spec)
+            rows = run_sweep(spec)
+        emit(rows, args.format, args.out or sys.stdout, spec)
     except QmbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

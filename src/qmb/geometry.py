@@ -12,10 +12,13 @@ from .errors import SingularQFIM
 from .linalg import (
     SUPPORT_TOL,
     hermitian_part,
+    require_density,
+    require_derivative,
     require_weight,
     rld_solve,
-    sld_solve,
+    sld_in_eigenbasis,
     spd_sqrt,
+    state_eigensystem,
     tracenorm_antisym,
 )
 
@@ -118,7 +121,11 @@ def compute_geometry(
     d = len(derivs)
     if d < 1:
         raise ValueError("need at least one parameter derivative")
-    slds = tuple(sld_solve(rho, dr, support_tol=support_tol, check=check) for dr in derivs)
+    if check:
+        rho = require_density(rho)
+        derivs = [require_derivative(dr) for dr in derivs]
+    w, v = state_eigensystem(rho)
+    slds = tuple(sld_in_eigenbasis(w, v, dr, support_tol) for dr in derivs)
     gram = np.empty((d, d), dtype=complex)
     rho_l = [np.asarray(rho, dtype=complex) @ l for l in slds]
     for a in range(d):
@@ -126,10 +133,8 @@ def compute_geometry(
             gram[a, b] = np.trace(rho_l[a] @ slds[b])
             if b > a:
                 gram[b, a] = np.conj(gram[a, b])
-    q = gram.real.copy()
-    q = 0.5 * (q + q.T)
-    u = gram.imag.copy()
-    u = 0.5 * (u - u.T)
+    q = 0.5 * (gram.real + gram.real.T)
+    u = 0.5 * (gram.imag - gram.imag.T)
     np.fill_diagonal(u, 0.0)
     return InformationGeometry(q, u, slds, _psd_rank(q, rank_tol))
 

@@ -109,6 +109,30 @@ def tracenorm_antisym(m: np.ndarray) -> float:
     return trace_norm(m)
 
 
+def require_derivative(drho: np.ndarray) -> np.ndarray:
+    """Validate a state derivative: Hermitian and traceless."""
+    drho = require_hermitian(drho, "drho")
+    tr = np.trace(drho)
+    if abs(tr) > 1e-10:
+        raise DerivativeNotTraceless(f"Tr drho = {tr!r}, expected 0")
+    return drho
+
+
+def sld_in_eigenbasis(
+    w: np.ndarray, v: np.ndarray, drho: np.ndarray, support_tol: float
+) -> np.ndarray:
+    """The SLD of ``drho`` given the eigensystem (w, v) of rho, so several
+    derivatives of one state share a single decomposition."""
+    if support_tol <= 0:
+        raise ValueError("support_tol must be positive")
+    m = v.conj().T @ drho @ v
+    denom = w[:, None] + w[None, :]
+    keep = denom > support_tol
+    coeff = np.zeros_like(m)
+    coeff[keep] = 2.0 * m[keep] / denom[keep]
+    return hermitian_part(v @ coeff @ v.conj().T)
+
+
 def sld_solve(
     rho: np.ndarray,
     drho: np.ndarray,
@@ -123,19 +147,8 @@ def sld_solve(
     """
     if check:
         rho = require_density(rho)
-        drho = require_hermitian(drho, "drho")
-        tr = np.trace(drho)
-        if abs(tr) > 1e-10:
-            raise DerivativeNotTraceless(f"Tr drho = {tr!r}, expected 0")
-    if support_tol <= 0:
-        raise ValueError("support_tol must be positive")
-    w, v = state_eigensystem(rho)
-    m = v.conj().T @ drho @ v
-    denom = w[:, None] + w[None, :]
-    keep = denom > support_tol
-    coeff = np.zeros_like(m)
-    coeff[keep] = 2.0 * m[keep] / denom[keep]
-    return hermitian_part(v @ coeff @ v.conj().T)
+        drho = require_derivative(drho)
+    return sld_in_eigenbasis(*state_eigensystem(rho), drho, support_tol)
 
 
 def rld_solve(rho: np.ndarray, drho: np.ndarray, check: bool = True) -> np.ndarray:

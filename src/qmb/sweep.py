@@ -6,7 +6,6 @@ import functools
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -244,18 +243,17 @@ def _gap(c_x: float | None, c_s: float | None) -> float | None:
 
 
 def _evaluate_point(spec: SweepSpec, bound: dict[str, float], index: int) -> ResultRow:
-    skip = {spec.weight.axis} if spec.weight.axis else set()
-    model_bound = {k: v for k, v in bound.items() if k not in skip}
+    model_bound = {k: v for k, v in bound.items() if k != spec.weight.axis}
     cfg, params = _bind_values(spec.model_id, model_bound)
     point = model_point(cfg, params)
     geometry = compute_geometry(point.rho, point.derivs)
     w_mat = _resolve_weight(spec, cfg.n_params, bound, geometry.qfim)
+    axis_values = tuple(float(bound[ax.name]) for ax in spec.axes)
     if spec.weight.kind == "qfim" and np.linalg.eigvalsh(w_mat)[0] <= 1e-12:
         # singular QFIM cannot serve as a weight; emit a flagged null row
-        outputs = {name: None for name in spec.outputs}
         return ResultRow(
-            axis_values=tuple(float(bound[ax.name]) for ax in spec.axes),
-            outputs=outputs,
+            axis_values=axis_values,
+            outputs={name: None for name in spec.outputs},
             flags=("SingularQFIM",),
         )
     opts = ReportOptions(
@@ -280,10 +278,9 @@ def _evaluate_point(spec: SweepSpec, bound: dict[str, float], index: int) -> Res
         "gap_t": _gap(report.c_t, report.c_sld),
         "gap_r": _gap(report.c_r, report.c_sld),
     }
-    outputs = {name: values[name] for name in spec.outputs}
     return ResultRow(
-        axis_values=tuple(float(bound[ax.name]) for ax in spec.axes),
-        outputs=outputs,
+        axis_values=axis_values,
+        outputs={name: values[name] for name in spec.outputs},
         flags=tuple(sorted(flags)),
     )
 
@@ -429,34 +426,26 @@ def _maximize_point(spec: SweepSpec, bound: dict[str, float], index: int) -> Res
 def run_point(spec: SweepSpec) -> ResultRow:
     """Evaluate a fully bound spec (no axes) as a single row."""
     spec = validate_spec(replace(spec, axes=()))
-    bound = dict(spec.fixed)
-    return _evaluate_point(spec, bound, 0)
+    return _evaluate_point(spec, dict(spec.fixed), 0)
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
-    """Evaluate the grid in row-major axis order.
+    """Evaluate the grid serially in row-major axis order.
 
-    Points are independent and deterministic for a fixed seed (each row
-    derives its own optimizer seed from the row index), so the thread count
-    never changes the output.  Physics flags never abort the sweep.
+    Each row derives its own optimizer seed from its index, so a row is
+    reproducible on its own.  Physics flags never abort the sweep.
+    ``threads`` is kept only because the benchmark scripts in perfbench/
+    still pass ``threads=1``; any other value raises InvalidSpec.
     """
+    if threads != 1:
+        raise InvalidSpec("sweeps run serially; threads must be 1")
     spec = validate_spec(spec)
-    axis_values = [ax.values() for ax in spec.axes]
-    combos = list(itertools.product(*axis_values)) if spec.axes else [()]
     evaluate = _maximize_point if spec.maximize_over else _evaluate_point
-
-    def job(item: tuple[int, tuple[float, ...]]) -> ResultRow:
-        index, combo = item
+    rows = []
+    for index, combo in enumerate(itertools.product(*(ax.values() for ax in spec.axes))):
         bound = dict(spec.fixed)
         bound.update({ax.name: float(v) for ax, v in zip(spec.axes, combo)})
-        return evaluate(spec, bound, index)
-
-    items = list(enumerate(combos))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(job, items, chunksize=max(1, len(items) // (8 * threads))))
-    else:
-        rows = [job(item) for item in items]
+        rows.append(evaluate(spec, bound, index))
     return rows
 
 

@@ -281,7 +281,7 @@ def test_criterion_08_dual_path_geometry():
 def test_criterion_09_fig2_grid_claim():
     spec = figure_preset("fig2", {"r_y": 0.2, "r_z": 0.4})
     start = time.perf_counter()
-    rows = run_sweep(spec, threads=4)
+    rows = run_sweep(spec)
     elapsed = time.perf_counter() - start
     assert len(rows) == 64 * 64
     unflagged = [r for r in rows if not r.flags]
@@ -290,7 +290,7 @@ def test_criterion_09_fig2_grid_claim():
     assert worst <= 1e-3
     assert elapsed < 120.0
     _passline(9, f"fig2 64x64 grid (r_y=0.2, r_z=0.4): |gap_h - gap_t| <= {worst:.1e} "
-                 f"on {len(unflagged)} unflagged rows, {elapsed:.1f} s on 4 threads")
+                 f"on {len(unflagged)} unflagged rows, {elapsed:.1f} s serial")
 
 
 def test_criterion_10_fig5_neighborhood():

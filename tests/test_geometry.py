@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qmb.errors import SingularQFIM, SingularState
+from qmb.errors import DerivativeNotTraceless, NonHermitianInput, SingularQFIM, SingularState
 from qmb.geometry import (
     compute_geometry,
     geometry_from_matrices,
@@ -16,9 +16,10 @@ from qmb.geometry import (
     uhlmann_axial,
     weight_transform,
 )
+from qmb.linalg import sld_solve
 from qmb.models import model_config, su2_qutrit_point, tunable_qubit_point
 
-from conftest import random_antisymmetric, random_model, random_spd
+from conftest import random_antisymmetric, random_model, random_pure_model, random_spd
 
 
 def tq_point(r0=(0.3, 0.2, 0.5), phi=0.35, l1=0.525, l2=0.0):
@@ -71,6 +72,28 @@ class TestComputeGeometry:
             assert np.min(np.linalg.eigvalsh(g.qfim)) >= -1e-10
             assert np.max(np.abs(g.uhlmann + g.uhlmann.T)) <= 1e-10
             assert np.max(np.abs(np.diag(g.uhlmann))) == 0.0
+
+    @pytest.mark.parametrize("make", [random_model, random_pure_model])
+    @pytest.mark.parametrize("check", [True, False])
+    def test_slds_equal_single_solves(self, rng, make, check):
+        # one eigensystem of rho serves every derivative, with the same result
+        for n, d in ((2, 2), (3, 3), (4, 3)):
+            for _ in range(10):
+                rho, derivs = make(rng, n, d)
+                g = compute_geometry(rho, derivs, check=check)
+                for sld, dr in zip(g.slds, derivs):
+                    assert np.array_equal(sld, sld_solve(rho, dr, check=check))
+
+    def test_rejects_invalid_state_and_derivatives(self, rng):
+        rho, derivs = random_model(rng, 3, 2)
+        with pytest.raises(NonHermitianInput, match="trace"):
+            compute_geometry(2.0 * rho, derivs)
+        with pytest.raises(NonHermitianInput, match="negative eigenvalue"):
+            compute_geometry(np.diag([1.2, -0.1, -0.1]), derivs)
+        with pytest.raises(NonHermitianInput, match="drho is not Hermitian"):
+            compute_geometry(rho, [derivs[0], derivs[1] + 0.1j * np.eye(3)])
+        with pytest.raises(DerivativeNotTraceless):
+            compute_geometry(rho, [derivs[0], derivs[1] + 0.1 * np.eye(3)])
 
 
 class TestRldQfim:

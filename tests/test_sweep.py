@@ -178,13 +178,23 @@ class TestRunSweep:
             assert row.outputs["c_sld"] is None
 
     def test_thread_count_does_not_change_results(self):
+        # sweeps run serially: the default and the explicit threads=1 give the
+        # same rows, run after run
         spec = small_spec(axes=(Axis("lambda2", 0.0, 1.0, 5),))
-        rows1 = run_sweep(spec, threads=1)
-        rows2 = run_sweep(spec, threads=3)
+        rows1 = run_sweep(spec)
+        rows2 = run_sweep(spec, threads=1)
+        assert len(rows1) == 5
         for a, b in zip(rows1, rows2):
             assert a.axis_values == b.axis_values
             for name in a.outputs:
                 assert a.outputs[name] == b.outputs[name]
+
+    def test_threads_other_than_one_rejected(self):
+        spec = small_spec()
+        for threads in (0, 2):
+            with pytest.raises(InvalidSpec, match="threads must be 1"):
+                run_sweep(spec, threads=threads)
+        assert len(run_sweep(spec, threads=1)) == 2
 
     def test_row_major_order(self):
         spec = small_spec(
@@ -228,7 +238,7 @@ class TestEmit:
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         emit(run_sweep(spec), "csv", str(a), validate_spec(spec))
-        emit(run_sweep(spec, threads=2), "csv", str(b), validate_spec(spec))
+        emit(run_sweep(spec), "csv", str(b), validate_spec(spec))
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_roundtrip(self, tmp_path):
@@ -272,7 +282,7 @@ class TestFigurePresets:
         # with one normal direction and full rank, the tangent minimum sits
         # at K = 0 across the whole grid
         spec = figure_preset("fig2", {"r_y": 0.2, "r_z": 0.4, "count": 16})
-        rows = run_sweep(spec, threads=2)
+        rows = run_sweep(spec)
         unflagged = [r for r in rows if not r.flags]
         assert len(unflagged) >= 250
         worst = max(abs(r.outputs["gap_h"] - r.outputs["gap_t"]) for r in unflagged)
@@ -331,13 +341,17 @@ class TestFigurePresets:
             assert row.outputs["T"] == pytest.approx(1.0, abs=1e-8)
 
     def test_fig1_thread_count_does_not_change_results(self):
+        # serial runs on cold and on warm angle-grid and R caches give the same rows
         spec = replace(figure_preset("fig1", {"count": 3}), maximize_grid=9)
         sweep._angle_grid.cache_clear()
         sweep._max_r.cache_clear()
-        rows1 = run_sweep(spec, threads=1)
-        sweep._angle_grid.cache_clear()
-        sweep._max_r.cache_clear()
-        rows2 = run_sweep(spec, threads=2)
+        rows1 = run_sweep(spec)
+        cold = sweep._angle_grid.cache_info(), sweep._max_r.cache_info()
+        rows2 = run_sweep(spec)
+        # the second run builds no grid and refines no R: both come from the caches
+        warm = sweep._angle_grid.cache_info(), sweep._max_r.cache_info()
+        assert [w.misses for w in warm] == [c.misses for c in cold]
+        assert all(w.hits > c.hits for w, c in zip(warm, cold))
         assert rows1 == rows2
 
     def test_fig1_refines_r_once_per_grid(self, monkeypatch):
@@ -506,17 +520,50 @@ class TestCli:
         assert (explicit.seed, explicit.weight) == (0, WeightSpec(kind="identity"))
         assert (from_config.seed, from_config.weight) == (5, WeightSpec(kind="diag", values=(1.0, 2.0)))
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QMB_THREADS", "2")
-        out = tmp_path / "s.csv"
-        args = [
-            "sweep", "--model", "tunable_qubit",
-            "--axis", "lambda2=0:0.3:2", "--out", str(out),
-        ]
+    def test_threads_flag_rejected(self, capsys):
+        args = ["sweep", "--model", "tunable_qubit", "--axis", "lambda2=0:0.3:2",
+                "--threads", "2"]
         for key, val in MIXED_QUBIT.items():
             args += ["--set", f"{key}={val}"]
-        assert cli_main(args) == 0
-        assert out.exists()
+        with pytest.raises(SystemExit) as exc:
+            cli_main(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, entry", [
+        ("compute", "format=json"), ("compute", "pseudo-inverse=1"), ("compute", "seeed=3"),
+        ("compute", "threads=2"), ("compute", "axis=B=0:1:2"),
+        ("preset", "model=su2_qutrit"), ("preset", "weight=diag:1,100"),
+    ])
+    def test_unknown_config_key_returns_error(self, tmp_path, capsys, command, entry):
+        if command == "compute":
+            argv, lines = ["compute"], ["model=su2_qutrit"]
+            lines += [f"set={k}={v}" for k, v in ANCHOR.items()]
+        else:
+            argv, lines = ["preset", "fig4"], ["set=count=2"]
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("\n".join(lines + [entry]) + "\n")
+        assert cli_main([*argv, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        key = entry.split("=", 1)[0]
+        assert captured.err.startswith(f"error: unknown {command} config keys ['{key}']")
+
+    @pytest.mark.parametrize("flag", [["--model", "su2_qutrit"], ["--weight", "diag:1,100"]])
+    def test_preset_rejects_model_and_weight_flags(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["preset", "fig4", "--set", "count=2", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_preset_config_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "preset.conf"
+        cfg.write_text("set=count=2\nseed=4\n")
+        assert cli_main(["preset", "fig4", "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert cli_main(["preset", "fig4", "--set", "count=2", "--seed", "4"]) == 0
+        assert capsys.readouterr().out == from_config
+        assert from_config.count("\n") == 5
 
     def test_console_script_installed(self):
         # the child interpreter sees the package where this process found it

@@ -157,9 +157,9 @@ class _TangentSetup:
 
 
 def _tangent_setup(
-    g: InformationGeometry, basis: NormalSpaceBasis, w_mat: np.ndarray
+    g: InformationGeometry, basis: NormalSpaceBasis, w_mat: np.ndarray | _WeightFrame
 ) -> _TangentSetup:
-    frame = _weight_frame(g, w_mat)
+    frame = w_mat if isinstance(w_mat, _WeightFrame) else _weight_frame(g, w_mat)
     return _TangentSetup(
         frame=frame, left=frame.sqrt_w @ frame.qinv @ basis.coupling, gram=basis.gram
     )
@@ -204,19 +204,20 @@ def tangent_objective(
 
 
 def holevo_tangent_min(
-    rho: np.ndarray,
     g: InformationGeometry,
     basis: NormalSpaceBasis,
-    w_mat: np.ndarray,
+    w_mat: np.ndarray | _WeightFrame,
     opts: HolevoOptions | None = None,
 ) -> HolevoSolution:
     """Minimize the tangent-space Holevo objective over K.
 
-    An empty normal space leaves only K = 0.  A one-dimensional normal space
-    with d <= 3 parameters has an exact minimum (``_holevo_exact``).  Every
-    other case runs the simplex ladder (``_holevo_simplex``), the only path
-    that ``opts`` affects.  The returned value never exceeds the K = 0
-    objective, so it always sits between C_SLD and C_T.
+    ``w_mat`` is the weight matrix, or the weight frame that ``full_report``
+    already built from it.  An empty normal space leaves only K = 0.  A
+    one-dimensional normal space with d <= 3 parameters has an exact minimum
+    (``_holevo_exact``).  Every other case runs the simplex ladder
+    (``_holevo_simplex``), the only path that ``opts`` affects.  The
+    returned value never exceeds the K = 0 objective, so it always sits
+    between C_SLD and C_T.
     """
     setup = _tangent_setup(g, basis, w_mat)
     d, m = setup.left.shape
@@ -451,7 +452,7 @@ def full_report(
     c_h_val = None
     if opts.compute_holevo and not frame.used_pseudo:
         basis = tangent_normal_decomposition(point.rho, g)
-        holevo = holevo_tangent_min(point.rho, g, basis, frame.w_mat, opts.holevo)
+        holevo = holevo_tangent_min(g, basis, frame, opts.holevo)
         c_h_val = holevo.value
         if not holevo.converged:
             flags.add(FLAG_HOLEVO_NOT_CONVERGED)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -11,11 +11,13 @@ import numpy as np
 from .errors import SingularQFIM
 from .linalg import (
     SUPPORT_TOL,
+    density_spectrum,
     hermitian_part,
     require_density,
     require_derivative,
+    require_full_rank,
+    require_hermitian,
     require_weight,
-    rld_solve,
     sld_in_eigenbasis,
     spd_sqrt,
     state_eigensystem,
@@ -43,23 +45,6 @@ class InformationGeometry:
     def _qfim_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and eigenvectors of Q, computed once."""
         return np.linalg.eigh(np.asarray(self.qfim, dtype=float))
-
-
-@dataclass(frozen=True)
-class NormalSpaceBasis:
-    """Orthonormal basis of the SLD normal space with its Gram and coupling data.
-
-    ``gram`` is the complex matrix Tr[rho P_i P_j] (its real part is the
-    identity by orthonormality) and ``coupling`` is Im Tr[rho L_i P_j].
-    """
-
-    ops: tuple[np.ndarray, ...]
-    gram: np.ndarray
-    coupling: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.ops)
 
 
 @dataclass(frozen=True)
@@ -142,17 +127,17 @@ def compute_geometry(
 def rld_qfim(rho: np.ndarray, derivs: Sequence[np.ndarray], check: bool = True) -> np.ndarray:
     """RLD quantum Fisher information J_munu = Tr[rho L^R_mu L^R_nu^dag].
 
-    Defined for full-rank states only; raises SingularState otherwise.
+    Defined for full-rank states only; raises SingularState otherwise.  The
+    state is validated and its spectrum taken once, and one factorization
+    of rho solves rho L^R_mu = d_mu rho for every derivative.
     """
-    ls = [rld_solve(rho, dr, check=check) for dr in derivs]
-    d = len(ls)
-    j = np.empty((d, d), dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    for a in range(d):
-        for b in range(a, d):
-            j[a, b] = np.trace(rho @ ls[a] @ ls[b].conj().T)
-            if b > a:
-                j[b, a] = np.conj(j[a, b])
+    rho, w = density_spectrum(rho, check=check)
+    if check:
+        derivs = [require_hermitian(dr, "drho") for dr in derivs]
+    require_full_rank(w)
+    n = rho.shape[0]
+    ls = np.linalg.solve(rho, np.hstack(derivs)).reshape(n, -1, n).transpose(1, 0, 2)
+    j = np.einsum("aij,bij->ab", rho @ ls, ls.conj())
     return 0.5 * (j + j.conj().T)
 
 
@@ -330,28 +315,54 @@ def weight_transform(g: InformationGeometry, w_mat: np.ndarray) -> WeightTransfo
     return WeightTransform(rotated=rotated, diagonal_weight=np.diag(vals), rotation=rot)
 
 
-def _gell_mann_basis(n: int) -> list[np.ndarray]:
-    """Generalized Gell-Mann basis in lexicographic order (symmetric pairs,
-    antisymmetric pairs, then diagonal), Hilbert-Schmidt norm sqrt(2)."""
-    basis: list[np.ndarray] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = m[j, i] = 1.0
-            basis.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = -1j
-            m[j, i] = 1j
-            basis.append(m)
+@lru_cache(maxsize=None)
+def _gell_mann(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Generalized Gell-Mann basis G_a, stacked (n^2 - 1, n, n) in lexicographic
+    order (symmetric pairs, antisymmetric pairs, diagonal), Hilbert-Schmidt
+    norm sqrt(2); with flat rows giving Tr[x G_a] = traces @ x.ravel() and
+    Tr[rho G_a G_b] = (products @ rho.ravel())[a (n^2 - 1) + b].  Built on
+    first use per n, read-only."""
+    basis = np.zeros((n * n - 1, n, n), dtype=complex)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for a, (i, j) in enumerate(pairs):
+        basis[a, i, j] = basis[a, j, i] = 1.0
+        basis[len(pairs) + a, i, j], basis[len(pairs) + a, j, i] = -1j, 1j
     for l in range(1, n):
-        m = np.zeros((n, n), dtype=complex)
-        for k in range(l):
-            m[k, k] = 1.0
-        m[l, l] = -float(l)
-        basis.append(m * np.sqrt(2.0 / (l * (l + 1))))
-    return basis
+        diag = [1.0] * l + [-float(l)] + [0.0] * (n - l - 1)
+        basis[2 * len(pairs) + l - 1] = np.diag(diag) * np.sqrt(2.0 / (l * (l + 1)))
+    traces = basis.transpose(0, 2, 1).reshape(n * n - 1, n * n)
+    products = (basis[:, None] @ basis[None, :]).transpose(0, 1, 3, 2).reshape(-1, n * n)
+    for arr in (basis, traces, products):
+        arr.flags.writeable = False
+    return basis, traces, products
+
+
+@dataclass(frozen=True)
+class NormalSpaceBasis:
+    """Orthonormal basis of the SLD normal space with its Gram and coupling data.
+
+    Direction j is P_j = sum_a coeffs[a, j] (G_a - c_a) in the Gell-Mann basis,
+    c_a = Tr[rho G_a] (``means``), so Tr[rho P_j] = 0.  ``gram`` is the complex
+    matrix Tr[rho P_i P_j] (its real part is the identity by orthonormality)
+    and ``coupling`` is Im Tr[rho L_i P_j]."""
+
+    coeffs: np.ndarray
+    means: np.ndarray
+    gram: np.ndarray
+    coupling: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.coeffs.shape[1]
+
+    @cached_property
+    def ops(self) -> tuple[np.ndarray, ...]:
+        """The operators P_j, built from the coefficients on first read."""
+        n = int(np.sqrt(len(self.means) + 1))
+        basis = _gell_mann(n)[0]
+        ops = np.tensordot(self.coeffs, basis, axes=(0, 0))
+        ops -= (self.means @ self.coeffs)[:, None, None] * np.eye(n)
+        return tuple(ops)
 
 
 def tangent_normal_decomposition(
@@ -362,76 +373,51 @@ def tangent_normal_decomposition(
 ) -> NormalSpaceBasis:
     """Orthonormal basis of the SLD normal space at rho.
 
-    Candidates are the generalized Gell-Mann operators shifted to satisfy
-    Tr[rho X] = 0; the SLD span is projected out under the inner product
-    <A, B> = Re Tr[rho (AB + BA)] / 2, and directions whose Gram eigenvalue
-    falls below ``tol`` times the largest are discarded.  Those null
-    directions satisfy rho P = 0, so they contribute nothing to the Holevo
-    objective; dropping them keeps the Gram matrix invertible.
+    Real coefficients x stand for sum_a x_a (G_a - Tr[rho G_a]) in the Gell-Mann
+    basis.  With S = Tr[rho G_a G_b] - Tr[rho G_a] Tr[rho G_b], the inner
+    product Re Tr[rho (AB + BA)] / 2 is x^T Re S y, Im Tr[rho A B] is x^T Im S y,
+    and SLD i has coefficients Tr[L_i G_a] / 2.  The SLD span is projected out
+    under Re S, and directions whose Gram eigenvalue falls below ``tol`` times
+    the largest diagonal of Re S are discarded.  Those satisfy rho P = 0, so
+    they add nothing to the Holevo objective; dropping them keeps the Gram
+    matrix invertible.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rho = np.asarray(rho, dtype=complex)
-    n = rho.shape[0]
-    d = g.n_params
     if not g.slds:
         raise ValueError("geometry must carry SLD operators")
     _qfim_inverse(g, pseudo_inverse)  # singularity policy
-
-    def pairing(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.real(np.trace(rho @ (a @ b + b @ a)))) / 2.0
+    rho = np.asarray(rho, dtype=complex)
+    n = rho.shape[0]
+    _, traces, products = _gell_mann(n)
+    flat_rho = rho.ravel()
+    means = (traces @ flat_rho).real
+    s = (products @ flat_rho).reshape(len(means), -1) - np.outer(means, means)
+    s_re = s.real
+    l = 0.5 * (np.reshape(g.slds, (len(g.slds), -1)) @ traces.T).real
 
     # Orthonormalize the tangent span first so projection works even when
     # the SLD Gram matrix is (near) singular.
-    tg = np.array([[pairing(a, b) for b in g.slds] for a in g.slds])
-    tw, tv = np.linalg.eigh(tg)
-    tangent_frame = []
-    for k in range(d):
-        if tw[k] > tol * max(tw[-1], 0.0) and tw[k] > 0:
-            vec = sum(tv[nu, k] * g.slds[nu] for nu in range(d))
-            tangent_frame.append(vec / np.sqrt(tw[k]))
+    tw, tv = np.linalg.eigh(l @ s_re @ l.T)
+    keep = (tw > tol * max(tw[-1], 0.0)) & (tw > 0)
+    frame = (tv[:, keep] / np.sqrt(tw[keep])).T @ l
+    cand = np.eye(len(means)) - frame.T @ (frame @ s_re)
 
-    eye = np.eye(n, dtype=complex)
-    candidates = []
-    raw_scale = 0.0
-    for gm in _gell_mann_basis(n):
-        x = gm - np.real(np.trace(rho @ gm)) * eye
-        raw_scale = max(raw_scale, pairing(x, x))
-        for frame_op in tangent_frame:
-            x = x - pairing(frame_op, x) * frame_op
-        candidates.append(x)
-
-    gram = np.array([[pairing(a, b) for b in candidates] for a in candidates])
-    w, v = np.linalg.eigh(gram)
-    # Null directions are cut against the scale of the form itself (the
-    # largest candidate Gram eigenvalue before tangent projection);
-    # thresholding against the projected maximum would keep pure roundoff
-    # when the true normal space is empty.
-    cut = tol * raw_scale
-    ops: list[np.ndarray] = []
-    if raw_scale > 0:
-        for k in range(len(candidates) - 1, -1, -1):
-            if w[k] <= cut:
-                break
-            col = v[:, k]
-            idx = int(np.argmax(np.abs(col)))
-            if col[idx] < 0:
-                col = -col
-            op = sum(col[a] * candidates[a] for a in range(len(candidates)))
-            ops.append(hermitian_part(op / np.sqrt(w[k])))
-    m = len(ops)
-    p_gram = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            p_gram[i, j] = np.trace(rho @ ops[i] @ ops[j])
-    coupling = np.empty((d, m))
-    for i in range(d):
-        for j in range(m):
-            coupling[i, j] = float(np.imag(np.trace(rho @ g.slds[i] @ ops[j])))
+    w, v = np.linalg.eigh(cand.T @ s_re @ cand)
+    # The cut is against the scale of the form itself, not the projected
+    # maximum, which would keep pure roundoff when the normal space is empty.
+    raw_scale = float(np.max(np.diag(s_re)))
+    kept = np.flatnonzero(w > tol * raw_scale)[::-1] if raw_scale > 0 else np.zeros(0, int)
+    vecs = v[:, kept]
+    pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(kept))]
+    coeffs = cand @ (vecs * (np.where(pivot < 0, -1.0, 1.0) / np.sqrt(w[kept])))
+    sv = s @ coeffs
+    gram = coeffs.T @ sv
     return NormalSpaceBasis(
-        ops=tuple(ops),
-        gram=0.5 * (p_gram + p_gram.conj().T),
-        coupling=coupling,
+        coeffs=coeffs,
+        means=means,
+        gram=0.5 * (gram + gram.conj().T),
+        coupling=(l @ sv).imag,
     )
 
 

@@ -37,14 +37,22 @@ def require_hermitian(h: np.ndarray, name: str = "operator") -> np.ndarray:
 
 def require_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     """Validate unit trace and positivity (up to the eigenvalue floor)."""
-    rho = require_hermitian(rho, name)
+    return density_spectrum(rho, name)[0]
+
+
+def density_spectrum(
+    rho: np.ndarray, name: str = "rho", check: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """rho as a complex array and its ascending eigenvalues from one eigvalsh;
+    with ``check``, validated against them as ``require_density`` does."""
+    rho = require_hermitian(rho, name) if check else np.asarray(rho, dtype=complex)
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
+    if check and abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise NonHermitianInput(f"{name} has trace {tr!r}, expected 1")
     w = np.linalg.eigvalsh(rho)
-    if w[0] < DENSITY_EIG_FLOOR:
+    if check and w[0] < DENSITY_EIG_FLOOR:
         raise NonHermitianInput(f"{name} has negative eigenvalue {w[0]:.3e}")
-    return rho
+    return rho, w
 
 
 def eig_hermitian(h: np.ndarray, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -151,14 +159,18 @@ def sld_solve(
     return sld_in_eigenbasis(*state_eigensystem(rho), drho, support_tol)
 
 
-def rld_solve(rho: np.ndarray, drho: np.ndarray, check: bool = True) -> np.ndarray:
-    """Right logarithmic derivative L^R = rho^-1 drho (full-rank rho only)."""
-    if check:
-        rho = require_density(rho)
-        drho = require_hermitian(drho, "drho")
-    w = np.linalg.eigvalsh(rho)
+def require_full_rank(w: np.ndarray) -> None:
+    """Raise SingularState unless the RLD exists: ascending spectrum w > 1e-10."""
     if w[0] <= 1e-10:
         raise SingularState(f"rho is rank deficient (min eigenvalue {w[0]:.3e}); RLD undefined")
+
+
+def rld_solve(rho: np.ndarray, drho: np.ndarray, check: bool = True) -> np.ndarray:
+    """Right logarithmic derivative L^R = rho^-1 drho (full-rank rho only)."""
+    rho, w = density_spectrum(rho, check=check)
+    if check:
+        drho = require_hermitian(drho, "drho")
+    require_full_rank(w)
     return np.linalg.solve(rho, np.asarray(drho, dtype=complex))
 
 

@@ -46,6 +46,23 @@ def random_pure_model(
     return np.outer(psi, psi.conj()), derivs
 
 
+def random_rank_deficient_model(
+    rng: np.random.Generator, n: int, d: int, rank: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Mixed state of the given rank plus d derivatives tangent to the
+    rank-``rank`` states, d/dt of (rho + t (h rho + rho h^dag)) / Tr."""
+    a = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    derivs = []
+    for _ in range(d):
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        x = h @ rho + rho @ h.conj().T
+        x = 0.5 * (x + x.conj().T)
+        derivs.append(x - np.trace(x).real * rho)
+    return rho, derivs
+
+
 def random_spd(rng: np.random.Generator, d: int, spread: float = 1.0) -> np.ndarray:
     a = rng.normal(size=(d, d)) * spread
     return a @ a.T + 0.1 * np.eye(d)

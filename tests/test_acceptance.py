@@ -52,7 +52,7 @@ def test_criterion_01_qutrit_holevo_anchor():
     g = compute_geometry(pt.rho, pt.derivs)
     basis = tangent_normal_decomposition(pt.rho, g)
     start = time.perf_counter()
-    sol = holevo_tangent_min(pt.rho, g, basis, np.eye(3))
+    sol = holevo_tangent_min(g, basis, np.eye(3))
     elapsed = time.perf_counter() - start
     target = (11.0 + math.sqrt(2.0)) / 8.0
     assert abs(sol.value - target) <= 1e-4
@@ -83,7 +83,7 @@ def test_criterion_02_pure_qubit_closed_form():
             continue
         w = random_spd(rng, 2)
         basis = tangent_normal_decomposition(pt.rho, g)
-        sol = holevo_tangent_min(pt.rho, g, basis, w)
+        sol = holevo_tangent_min(g, basis, w)
         prod = w @ np.linalg.inv(g.qfim)
         closed = float(np.trace(prod)) + 2.0 * math.sqrt(max(np.linalg.det(prod), 0.0))
         rel = abs(sol.value - closed) / closed

@@ -218,7 +218,7 @@ class TestPureQubitClosedForm:
         pt = tunable_qubit_point(cfg, (0.2, 0.1))
         g = compute_geometry(pt.rho, pt.derivs)
         basis = tangent_normal_decomposition(pt.rho, g)
-        sol = holevo_tangent_min(pt.rho, g, basis, np.eye(2))
+        sol = holevo_tangent_min(g, basis, np.eye(2))
         closed = holevo_pure_qubit_closed_form(g, np.eye(2))
         assert sol.value == pytest.approx(closed, rel=1e-6)
 
@@ -284,7 +284,7 @@ class TestHolevoTangentMin:
         pt = su2_qutrit_point(cfg, np.pi, 0.0, 0.0)
         g = compute_geometry(pt.rho, pt.derivs)
         basis = tangent_normal_decomposition(pt.rho, g)
-        sol = holevo_tangent_min(pt.rho, g, basis, np.eye(3))
+        sol = holevo_tangent_min(g, basis, np.eye(3))
         assert sol.value == pytest.approx((11 + np.sqrt(2)) / 8, abs=1e-4)
         assert np.max(np.abs(sol.k_matrix)) <= 1e-4
         assert sol.converged
@@ -293,8 +293,24 @@ class TestHolevoTangentMin:
         rho, derivs = classical_model(rng)
         g = compute_geometry(rho, derivs)
         basis = tangent_normal_decomposition(rho, g)
-        sol = holevo_tangent_min(rho, g, basis, np.eye(2))
+        sol = holevo_tangent_min(g, basis, np.eye(2))
         assert sol.value == pytest.approx(c_sld(g, np.eye(2)), rel=1e-9)
+
+    def test_weight_frame_equals_weight_matrix(self, rng):
+        # passing the frame built from W gives the very floats W gives
+        from qmb.geometry import _weight_frame
+
+        qutrit = model_config("su2_qutrit", alpha=np.pi / 4, beta=0.0, t=1.0)
+        qubit = model_config("su2_qubit", alpha=np.pi / 2, beta=0.0, t=5.0)
+        # m = 1 with d = 2 and d = 3, and m = 0
+        for pt in (tq_point(), su2_qutrit_point(qutrit, 2.9, 0.2, 0.0), su2_qubit_point(qubit, 0.8, 0.6)):
+            g = compute_geometry(pt.rho, pt.derivs)
+            basis = tangent_normal_decomposition(pt.rho, g)
+            w = random_spd(rng, g.n_params)
+            by_matrix = holevo_tangent_min(g, basis, w)
+            by_frame = holevo_tangent_min(g, basis, _weight_frame(g, w))
+            assert by_frame.value == by_matrix.value
+            assert np.array_equal(by_frame.k_matrix, by_matrix.k_matrix)
 
     def test_empty_normal_space_returns_c_t(self):
         cfg = model_config(
@@ -304,7 +320,7 @@ class TestHolevoTangentMin:
         g = compute_geometry(pt.rho, pt.derivs)
         basis = tangent_normal_decomposition(pt.rho, g)
         assert basis.size == 0
-        sol = holevo_tangent_min(pt.rho, g, basis, np.eye(2))
+        sol = holevo_tangent_min(g, basis, np.eye(2))
         assert sol.converged
         assert sol.value == pytest.approx(c_t_bound(g, np.eye(2)), rel=1e-12)
         prod = np.eye(2) @ np.linalg.inv(g.qfim)
@@ -318,7 +334,7 @@ class TestHolevoTangentMin:
             basis = tangent_normal_decomposition(rho, g)
             w = random_spd(rng, 2)
             opts = HolevoOptions(restarts=2, max_iter=800)
-            sol = holevo_tangent_min(rho, g, basis, w, opts)
+            sol = holevo_tangent_min(g, basis, w, opts)
             objective = tangent_objective(g, basis, w)
             assert sol.value <= objective(np.zeros(basis.size * 2)) + 1e-12
             assert sol.value == pytest.approx(objective(sol.k_matrix.ravel()), rel=1e-10)
@@ -329,7 +345,7 @@ class TestHolevoTangentMin:
             g = compute_geometry(rho, derivs)
             basis = tangent_normal_decomposition(rho, g)
             w = random_spd(rng, 2)
-            sol = holevo_tangent_min(rho, g, basis, w)
+            sol = holevo_tangent_min(g, basis, w)
             direct = holevo_direct_oracle(rho, derivs, w, seed=1)
             assert sol.value == pytest.approx(direct, rel=2e-5)
 
@@ -337,7 +353,7 @@ class TestHolevoTangentMin:
         rho, derivs = random_model(rng, 3, 2)
         g = compute_geometry(rho, derivs)
         basis = tangent_normal_decomposition(rho, g)
-        sol = holevo_tangent_min(rho, g, basis, np.eye(2))
+        sol = holevo_tangent_min(g, basis, np.eye(2))
         direct = holevo_direct_oracle(rho, derivs, np.eye(2), seed=3, starts=10)
         assert sol.value == pytest.approx(direct, rel=2e-4)
 
@@ -349,7 +365,7 @@ class TestHolevoTangentMin:
         g = compute_geometry(rho, derivs)
         basis = tangent_normal_decomposition(rho, g)
         w = random_spd(rng, 3)
-        sol = holevo_tangent_min(rho, g, basis, w, HolevoOptions(tol=1e-11, max_rounds=8))
+        sol = holevo_tangent_min(g, basis, w, HolevoOptions(tol=1e-11, max_rounds=8))
         direct = holevo_direct_oracle(rho, derivs, w, seed=7, starts=4, max_iter=20000)
         assert sol.value <= direct * (1 + 1e-6)
         assert sol.value >= c_sld(g, w) - 1e-9
@@ -387,7 +403,7 @@ class TestHolevoExact:
         ladder_opts = HolevoOptions(restarts=1, max_rounds=2)
         for _ in range(100):
             rho, g, basis, w = one_dim_normal_space(rng, kind)
-            sol = holevo_tangent_min(rho, g, basis, w)
+            sol = holevo_tangent_min(g, basis, w)
             ladder = _holevo_simplex(_tangent_setup(g, basis, w), ladder_opts)
             assert sol.converged
             assert sol.value <= ladder.value
@@ -406,14 +422,14 @@ class TestHolevoExact:
             kink = q * weight >= s2
             branches.add(kink)
             want = c_t_bound(g, w) - s2 / weight if kink else c_sld(g, w) + weight * q * q / s2
-            assert holevo_tangent_min(rho, g, basis, w).value == pytest.approx(want, rel=1e-12)
+            assert holevo_tangent_min(g, basis, w).value == pytest.approx(want, rel=1e-12)
         assert branches == {True, False}
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_no_coupling_gives_c_t(self, rng, kind):
         rho, g, basis, w = one_dim_normal_space(rng, kind)
         basis = replace(basis, coupling=np.zeros_like(basis.coupling))
-        sol = holevo_tangent_min(rho, g, basis, w)
+        sol = holevo_tangent_min(g, basis, w)
         assert sol.value == pytest.approx(c_t_bound(g, w), rel=1e-14)
         assert not np.any(sol.k_matrix)
 
@@ -421,7 +437,7 @@ class TestHolevoExact:
     def test_zero_curvature_gives_c_sld(self, rng, kind):
         rho, g, basis, w = one_dim_normal_space(rng, kind)
         g = replace(g, uhlmann=np.zeros_like(g.uhlmann))
-        sol = holevo_tangent_min(rho, g, basis, w)
+        sol = holevo_tangent_min(g, basis, w)
         assert sol.value == pytest.approx(c_sld(g, w), rel=1e-14)
         assert not np.any(sol.k_matrix)
 
@@ -436,7 +452,7 @@ class TestHolevoExact:
         assert 0.0 < tau < q
         # stationarity of weight tau^2 / s2 + 2 sqrt(p^2 + (q - tau)^2)
         assert weight * tau == pytest.approx(s2 * (q - tau) / np.hypot(p, q - tau), rel=1e-13)
-        sol = holevo_tangent_min(rho, g, basis, w)
+        sol = holevo_tangent_min(g, basis, w)
         want = c_sld(g, w) + weight * tau**2 / s2 + 2.0 * np.hypot(p, q - tau)
         assert sol.value == pytest.approx(want, rel=1e-12)
         assert c_sld(g, w) < sol.value < c_t_bound(g, w)
@@ -490,6 +506,24 @@ class TestFullReport:
         report = full_report(pt, np.eye(2))
         assert report.c_r > report.c_t
 
+    def test_weight_frame_built_once(self, monkeypatch):
+        # the Holevo solve reuses the report's weight frame: W is validated
+        # and square-rooted once per report
+        import qmb.geometry as geometry
+
+        calls = []
+        for name in ("require_weight", "spd_sqrt"):
+            fn = getattr(geometry, name)
+            monkeypatch.setattr(
+                geometry, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
+            )
+        cfg = model_config("su2_qutrit", alpha=np.pi / 4, beta=0.0, t=1.0)
+        for pt, w in ((tq_point(), np.diag([1.0, 2.0])), (su2_qutrit_point(cfg, 2.9, 0.2, 0.0), np.eye(3))):
+            calls.clear()
+            report = full_report(pt, w, ReportOptions(compute_rld=False))
+            assert report.c_h is not None
+            assert sorted(calls) == ["require_weight", "spd_sqrt"]
+
     def test_pure_state_flags_rld(self):
         cfg = model_config("su2_qubit", alpha=np.pi / 2, beta=0.0, t=5.0)
         pt = su2_qubit_point(cfg, 0.8, 0.6)
@@ -524,8 +558,8 @@ class TestFullReport:
         basis = tangent_normal_decomposition(rho, g)
         basis_rot = tangent_normal_decomposition(rho, wt.rotated)
         opts = HolevoOptions(tol=1e-12, restarts=6, max_rounds=10, max_iter=8000)
-        sol = holevo_tangent_min(rho, g, basis, w, opts)
-        sol_rot = holevo_tangent_min(rho, wt.rotated, basis_rot, wt.diagonal_weight, opts)
+        sol = holevo_tangent_min(g, basis, w, opts)
+        sol_rot = holevo_tangent_min(wt.rotated, basis_rot, wt.diagonal_weight, opts)
         assert sol.value == pytest.approx(sol_rot.value, rel=1e-8)
 
     def test_hierarchy_random_models(self, rng):

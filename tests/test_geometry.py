@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from qmb.errors import DerivativeNotTraceless, NonHermitianInput, SingularQFIM, SingularState
 from qmb.geometry import (
+    RANK_TOL,
+    _gell_mann,
     compute_geometry,
     geometry_from_matrices,
     quantumness_R,
@@ -16,10 +18,16 @@ from qmb.geometry import (
     uhlmann_axial,
     weight_transform,
 )
-from qmb.linalg import sld_solve
+from qmb.linalg import hermitian_part, rld_solve, sld_solve
 from qmb.models import model_config, su2_qutrit_point, tunable_qubit_point
 
-from conftest import random_antisymmetric, random_model, random_pure_model, random_spd
+from conftest import (
+    random_antisymmetric,
+    random_model,
+    random_pure_model,
+    random_rank_deficient_model,
+    random_spd,
+)
 
 
 def tq_point(r0=(0.3, 0.2, 0.5), phi=0.35, l1=0.525, l2=0.0):
@@ -126,6 +134,39 @@ class TestRldQfim:
         pt = tunable_qubit_point(cfg, (0.2, 0.0))
         with pytest.raises(SingularState):
             rld_qfim(pt.rho, pt.derivs)
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_matches_per_derivative_solves(self, rng, check):
+        # one spectrum and one factorization of rho serve every derivative
+        for n, d in ((2, 1), (2, 2), (3, 2), (3, 3), (4, 3)):
+            for _ in range(5):
+                rho, derivs = random_model(rng, n, d)
+                ls = [rld_solve(rho, dr, check=check) for dr in derivs]
+                want = np.array([[np.trace(rho @ la @ lb.conj().T) for lb in ls] for la in ls])
+                got = rld_qfim(rho, derivs, check=check)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_rank_deficient_states_rejected(self, rng, check):
+        for rho, derivs in (
+            random_pure_model(rng, 2, 2),
+            random_pure_model(rng, 3, 3),
+            random_rank_deficient_model(rng, 3, 2, 2),
+            random_rank_deficient_model(rng, 4, 3, 3),
+        ):
+            with pytest.raises(SingularState):
+                rld_qfim(rho, derivs, check=check)
+
+    def test_one_decomposition_per_call(self, rng, monkeypatch):
+        rho, derivs = random_model(rng, 3, 3)
+        calls = []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
+            )
+        rld_qfim(rho, derivs)
+        assert calls == ["eigvalsh"]
 
 
 class TestQuantumness:
@@ -373,6 +414,20 @@ class TestNormalSpace:
                 overlap = np.real(np.trace(derivs[nu] @ x))
                 assert overlap == pytest.approx(1.0 if mu == nu else 0.0, abs=1e-8)
 
+    def test_rejects_nonpositive_tol(self):
+        pt = tq_point()
+        g = compute_geometry(pt.rho, pt.derivs)
+        for tol in (0.0, -1e-9):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                tangent_normal_decomposition(pt.rho, g, tol=tol)
+
+    def test_rejects_geometry_without_slds(self):
+        pt = tq_point()
+        g = compute_geometry(pt.rho, pt.derivs)
+        bare = geometry_from_matrices(g.qfim, g.uhlmann)
+        with pytest.raises(ValueError, match="must carry SLD operators"):
+            tangent_normal_decomposition(pt.rho, bare)
+
     def test_singular_qfim_policy(self):
         pt = tq_point(l1=(np.arctan2(0.3, 0.2) + 0.35) / 2)
         g = compute_geometry(pt.rho, pt.derivs)
@@ -380,6 +435,171 @@ class TestNormalSpace:
             tangent_normal_decomposition(pt.rho, g)
         basis = tangent_normal_decomposition(pt.rho, g, pseudo_inverse=True)
         assert basis.size >= 1
+
+
+def _loop_gell_mann_basis(n):
+    basis = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n), dtype=complex)
+            m[i, j] = m[j, i] = 1.0
+            basis.append(m)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n), dtype=complex)
+            m[i, j] = -1j
+            m[j, i] = 1j
+            basis.append(m)
+    for l in range(1, n):
+        m = np.zeros((n, n), dtype=complex)
+        for k in range(l):
+            m[k, k] = 1.0
+        m[l, l] = -float(l)
+        basis.append(m * np.sqrt(2.0 / (l * (l + 1))))
+    return basis
+
+
+def _loop_normal_space(rho, g, tol=RANK_TOL):
+    """Operator-level oracle for the normal space: Gell-Mann candidates
+    shifted to Tr[rho X] = 0, Gram-Schmidt against the SLD frame, and every
+    inner product an explicit trace.  Returns (ops, gram, coupling)."""
+    rho = np.asarray(rho, dtype=complex)
+    n, d = rho.shape[0], g.n_params
+
+    def pairing(a, b):
+        return float(np.real(np.trace(rho @ (a @ b + b @ a)))) / 2.0
+
+    tg = np.array([[pairing(a, b) for b in g.slds] for a in g.slds])
+    tw, tv = np.linalg.eigh(tg)
+    tangent_frame = []
+    for k in range(d):
+        if tw[k] > tol * max(tw[-1], 0.0) and tw[k] > 0:
+            vec = sum(tv[nu, k] * g.slds[nu] for nu in range(d))
+            tangent_frame.append(vec / np.sqrt(tw[k]))
+    candidates = []
+    raw_scale = 0.0
+    for gm in _loop_gell_mann_basis(n):
+        x = gm - np.real(np.trace(rho @ gm)) * np.eye(n)
+        raw_scale = max(raw_scale, pairing(x, x))
+        for frame_op in tangent_frame:
+            x = x - pairing(frame_op, x) * frame_op
+        candidates.append(x)
+    gram = np.array([[pairing(a, b) for b in candidates] for a in candidates])
+    w, v = np.linalg.eigh(gram)
+    ops = []
+    for k in range(len(candidates) - 1, -1, -1):
+        if raw_scale <= 0 or w[k] <= tol * raw_scale:
+            break
+        col = v[:, k]
+        if col[int(np.argmax(np.abs(col)))] < 0:
+            col = -col
+        op = sum(col[a] * candidates[a] for a in range(len(candidates)))
+        ops.append(hermitian_part(op / np.sqrt(w[k])))
+    m = len(ops)
+    p_gram = np.array([[np.trace(rho @ ops[i] @ ops[j]) for j in range(m)] for i in range(m)])
+    coupling = np.array(
+        [[np.imag(np.trace(rho @ g.slds[i] @ ops[j])) for j in range(m)] for i in range(d)]
+    ).reshape(d, m)
+    return ops, 0.5 * (p_gram + p_gram.conj().T).reshape(m, m), coupling
+
+
+def _assert_matches_oracle(rho, g, exact, pseudo_inverse=False):
+    """The coefficient-form basis against the loop oracle at 1e-12.
+
+    The basis is unique up to signs (fixed by the same rule) only where the
+    projected Gram eigenvalues are distinct.  For pure states they are all
+    equal, and then any orthonormal basis of the same span is right: the
+    bases are compared through the orthogonal matrix O relating them,
+    which ``exact`` requires to be the identity.
+    """
+    basis = tangent_normal_decomposition(rho, g, pseudo_inverse=pseudo_inverse)
+    ops, gram, coupling = _loop_normal_space(rho, g)
+    m = len(ops)
+    assert basis.size == m
+    assert basis.gram.shape == (m, m) and basis.coupling.shape == (g.n_params, m)
+    if m == 0:
+        return
+    o = np.array([[np.real(np.trace(rho @ a @ b)) for b in basis.ops] for a in ops])
+    assert np.max(np.abs(o.T @ o - np.eye(m))) <= 1e-12
+    if exact:
+        assert np.max(np.abs(o - np.eye(m))) <= 1e-12
+    rotated = np.einsum("ij,ikl->jkl", o, np.array(ops))
+    assert np.max(np.abs(np.array(basis.ops) - rotated)) <= 1e-12
+    assert np.max(np.abs(basis.gram - o.T @ gram @ o)) <= 1e-12
+    assert np.max(np.abs(basis.coupling - coupling @ o)) <= 1e-12
+
+
+class TestNormalSpaceOracle:
+    def test_gell_mann_basis(self):
+        for n in (2, 3, 4, 5):
+            basis, traces, products = _gell_mann(n)
+            assert _gell_mann(n)[0] is basis
+            assert not (basis.flags.writeable or traces.flags.writeable or products.flags.writeable)
+            assert np.array_equal(basis, np.array(_loop_gell_mann_basis(n)))
+            hs = np.einsum("aij,bji->ab", basis, basis)
+            assert np.max(np.abs(hs - 2.0 * np.eye(n * n - 1))) <= 1e-14
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3)])
+    def test_full_rank(self, rng, n, d):
+        for _ in range(5):
+            rho, derivs = random_model(rng, n, d)
+            _assert_matches_oracle(rho, compute_geometry(rho, derivs), exact=True)
+
+    @pytest.mark.parametrize("n, d, rank", [(3, 2, 2), (3, 3, 2), (4, 2, 2), (4, 3, 2), (4, 3, 3)])
+    def test_rank_deficient_mixed(self, rng, n, d, rank):
+        for _ in range(5):
+            rho, derivs = random_rank_deficient_model(rng, n, d, rank)
+            _assert_matches_oracle(rho, compute_geometry(rho, derivs), exact=False)
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3)])
+    def test_pure(self, rng, n, d):
+        for _ in range(5):
+            rho, derivs = random_pure_model(rng, n, d)
+            _assert_matches_oracle(rho, compute_geometry(rho, derivs), exact=False)
+
+    def test_presets_exact(self):
+        cfg = model_config("su2_qutrit", alpha=np.pi / 4, beta=0.0, t=1.0)
+        for pt in (su2_qutrit_point(cfg, np.pi + 0.3, 0.2, 0.0), tq_point()):
+            _assert_matches_oracle(pt.rho, compute_geometry(pt.rho, pt.derivs), exact=True)
+
+    def test_collapsed_tangent_space(self):
+        # the two SLDs are (nearly) linearly dependent, with a QFIM
+        # eigenvalue of 0 or about 1e-14: the tangent frame keeps one
+        for step in (0.0, 1e-7):
+            pt = tq_point(l1=(np.arctan2(0.3, 0.2) + 0.35) / 2 + step)
+            g = compute_geometry(pt.rho, pt.derivs)
+            assert g.tangent_dim == 1
+            _assert_matches_oracle(pt.rho, g, exact=True, pseudo_inverse=True)
+
+
+_MAKERS = {
+    "full_rank": lambda rng, n, d: random_model(rng, n, d, min_eig=0.01),
+    "pure": random_pure_model,
+    "rank_deficient": lambda rng, n, d: random_rank_deficient_model(rng, n, d, n - 1),
+}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    d=st.integers(1, 3),
+    kind=st.sampled_from(sorted(_MAKERS)),
+)
+def test_normal_space_properties(seed, n, d, kind):
+    rho, derivs = _MAKERS[kind](np.random.default_rng(seed), n, d)
+    g = compute_geometry(rho, derivs)
+    assume(g.tangent_dim == d and np.linalg.cond(g.qfim) < 1e8)
+    basis = tangent_normal_decomposition(rho, g)
+    m = basis.size
+    assert basis.coupling.shape == (d, m)
+    assert np.max(np.abs(basis.gram - basis.gram.conj().T), initial=0.0) == 0.0
+    assert np.max(np.abs(basis.gram.real - np.eye(m)), initial=0.0) <= 1e-9
+    assert np.min(np.linalg.eigvalsh(basis.gram), initial=0.0) >= -1e-9
+    scale = max(1.0, float(np.max(np.abs(g.qfim))))
+    for op in basis.ops:
+        assert np.array_equal(op, op.conj().T)
+        for sld in g.slds:
+            assert abs(np.real(np.trace(rho @ sld @ op))) <= 1e-9 * scale
 
 
 class TestSingularValuePairing:

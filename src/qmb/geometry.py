@@ -13,7 +13,6 @@ from .linalg import (
     SUPPORT_TOL,
     density_spectrum,
     hermitian_part,
-    require_density,
     require_derivative,
     require_full_rank,
     require_hermitian,
@@ -46,6 +45,27 @@ class InformationGeometry:
         """Eigenvalues (ascending) and eigenvectors of Q, computed once."""
         return np.linalg.eigh(np.asarray(self.qfim, dtype=float))
 
+    @cached_property
+    def _qfim_inverses(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(Q^-1, Q^-1/2, ill) from the cached eigenpairs, computed once.
+
+        ``ill`` says that Q has a nonpositive eigenvalue or a condition
+        number above COND_LIMIT; the inverses are then rank-revealing
+        pseudo-inverses that drop eigenvalues below RANK_TOL times the
+        largest.  Raises SingularQFIM when Q has no positive eigenvalue.
+        """
+        w, v = self._qfim_eigh
+        top = w[-1] if w.size else 0.0
+        if top <= 0.0:
+            raise SingularQFIM("QFIM has no positive eigenvalues")
+        ill = bool(w[0] <= 0.0 or top / w[0] > COND_LIMIT)
+        if ill:
+            keep = w > RANK_TOL * top
+            inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+        else:
+            inv_w = 1.0 / w
+        return (v * inv_w) @ v.T, (v * np.sqrt(inv_w)) @ v.T, ill
+
 
 @dataclass(frozen=True)
 class WeightTransform:
@@ -77,17 +97,21 @@ def geometry_from_matrices(
     """Wrap explicit (Q, U) matrices, for cross-checks and synthetic inputs."""
     q = np.asarray(q, dtype=float)
     u = np.asarray(u, dtype=float)
-    q = 0.5 * (q + q.T)
-    u = 0.5 * (u - u.T)
-    return InformationGeometry(q, u, tuple(np.asarray(s) for s in slds), _psd_rank(q))
+    return _geometry(0.5 * (q + q.T), 0.5 * (u - u.T), tuple(np.asarray(s) for s in slds))
 
 
-def _psd_rank(q: np.ndarray, tol: float = RANK_TOL) -> int:
-    w = np.linalg.eigvalsh(q)
+def _geometry(
+    q: np.ndarray, u: np.ndarray, slds: tuple[np.ndarray, ...], rank_tol: float = RANK_TOL
+) -> InformationGeometry:
+    """The geometry of (Q, U, SLDs); the one eigendecomposition of Q gives
+    the tangent rank at relative tolerance ``rank_tol`` and fills the
+    geometry's cached eigenpairs."""
+    w, v = np.linalg.eigh(q)
     top = w[-1] if w.size else 0.0
-    if top <= 0:
-        return 0
-    return int(np.sum(w > tol * top))
+    rank = int(np.sum(w > rank_tol * top)) if top > 0 else 0
+    g = InformationGeometry(q, u, slds, rank)
+    g.__dict__["_qfim_eigh"] = (w, v)  # the cached_property slot
+    return g
 
 
 def compute_geometry(
@@ -101,15 +125,15 @@ def compute_geometry(
 
     Q_munu = Re Tr[rho L_mu L_nu], U_munu = Im Tr[rho L_mu L_nu]; the
     tangent dimension is the rank of Q at relative tolerance ``rank_tol``
-    (adjustable for sensitivity studies near singular lines).
+    (adjustable for sensitivity studies near singular lines).  rho is
+    decomposed once, and with ``check`` validated against that spectrum.
     """
     d = len(derivs)
     if d < 1:
         raise ValueError("need at least one parameter derivative")
+    w, v = state_eigensystem(rho, check)
     if check:
-        rho = require_density(rho)
         derivs = [require_derivative(dr) for dr in derivs]
-    w, v = state_eigensystem(rho)
     slds = tuple(sld_in_eigenbasis(w, v, dr, support_tol) for dr in derivs)
     gram = np.empty((d, d), dtype=complex)
     rho_l = [np.asarray(rho, dtype=complex) @ l for l in slds]
@@ -121,7 +145,7 @@ def compute_geometry(
     q = 0.5 * (gram.real + gram.real.T)
     u = 0.5 * (gram.imag - gram.imag.T)
     np.fill_diagonal(u, 0.0)
-    return InformationGeometry(q, u, slds, _psd_rank(q, rank_tol))
+    return _geometry(q, u, slds, rank_tol)
 
 
 def rld_qfim(rho: np.ndarray, derivs: Sequence[np.ndarray], check: bool = True) -> np.ndarray:
@@ -142,37 +166,19 @@ def rld_qfim(rho: np.ndarray, derivs: Sequence[np.ndarray], check: bool = True) 
 
 
 def _qfim_inverse(
-    g: InformationGeometry,
-    pseudo_inverse: bool = False,
-    cond_limit: float = COND_LIMIT,
-    rank_tol: float = RANK_TOL,
+    g: InformationGeometry, pseudo_inverse: bool = False
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """(Q^-1, Q^-1/2, used_pseudo) with the singularity policy applied to
-    the cached eigenpairs of Q.
-
-    The pseudo branch is rank revealing: eigenvalues below rank_tol times
-    the largest are dropped.
-    """
-    w, v = g._qfim_eigh
-    top = w[-1] if w.size else 0.0
-    if top <= 0.0:
-        raise SingularQFIM("QFIM has no positive eigenvalues")
-    ill = w[0] <= 0.0 or top / w[0] > cond_limit
+    the geometry's cached inverses: an ill-conditioned Q raises
+    SingularQFIM unless ``pseudo_inverse`` allows the pseudo-inverses."""
+    qinv, qinv_sqrt, ill = g._qfim_inverses
     if ill and not pseudo_inverse:
+        w = g._qfim_eigh[0]
         raise SingularQFIM(
-            f"QFIM condition number exceeds {cond_limit:.1e} "
-            f"(eigenvalues {w[0]:.3e} .. {top:.3e})"
+            f"QFIM condition number exceeds {COND_LIMIT:.1e} "
+            f"(eigenvalues {w[0]:.3e} .. {w[-1]:.3e})"
         )
-    if ill:
-        keep = w > rank_tol * top
-        inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-        used_pseudo = True
-    else:
-        inv_w = 1.0 / w
-        used_pseudo = False
-    qinv = (v * inv_w) @ v.T
-    qinv_sqrt = (v * np.sqrt(inv_w)) @ v.T
-    return qinv, qinv_sqrt, used_pseudo
+    return qinv, qinv_sqrt, ill
 
 
 @dataclass(frozen=True)

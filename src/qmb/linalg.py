@@ -40,18 +40,28 @@ def require_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     return density_spectrum(rho, name)[0]
 
 
+def _require_unit_trace(rho: np.ndarray, name: str) -> np.ndarray:
+    rho = require_hermitian(rho, name)
+    tr = np.trace(rho).real
+    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
+        raise NonHermitianInput(f"{name} has trace {tr!r}, expected 1")
+    return rho
+
+
+def _require_eig_floor(lowest: float, name: str) -> None:
+    if lowest < DENSITY_EIG_FLOOR:
+        raise NonHermitianInput(f"{name} has negative eigenvalue {lowest:.3e}")
+
+
 def density_spectrum(
     rho: np.ndarray, name: str = "rho", check: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """rho as a complex array and its ascending eigenvalues from one eigvalsh;
     with ``check``, validated against them as ``require_density`` does."""
-    rho = require_hermitian(rho, name) if check else np.asarray(rho, dtype=complex)
-    tr = np.trace(rho).real
-    if check and abs(tr - 1.0) > DENSITY_TRACE_TOL:
-        raise NonHermitianInput(f"{name} has trace {tr!r}, expected 1")
+    rho = _require_unit_trace(rho, name) if check else np.asarray(rho, dtype=complex)
     w = np.linalg.eigvalsh(rho)
-    if check and w[0] < DENSITY_EIG_FLOOR:
-        raise NonHermitianInput(f"{name} has negative eigenvalue {w[0]:.3e}")
+    if check:
+        _require_eig_floor(w[0], name)
     return rho, w
 
 
@@ -77,9 +87,17 @@ def eig_hermitian(h: np.ndarray, check: bool = True) -> tuple[np.ndarray, np.nda
     return w, v
 
 
-def state_eigensystem(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a density matrix, tiny negatives clamped to 0."""
+def state_eigensystem(rho: np.ndarray, check: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral decomposition of a density matrix, tiny negatives clamped to 0.
+
+    With ``check``, rho is validated as ``require_density`` does, against
+    the spectrum of this same decomposition.
+    """
+    if check:
+        rho = _require_unit_trace(rho, "rho")
     w, v = eig_hermitian(rho, check=False)
+    if check:
+        _require_eig_floor(w[-1], "rho")
     return np.clip(w, 0.0, None), v
 
 
@@ -153,10 +171,10 @@ def sld_solve(
     support (p_i + p_j > support_tol) and 0 elsewhere; the kernel-sector
     choice makes Tr[rho L^2] minimal and matches the pure-state SLD.
     """
+    w, v = state_eigensystem(rho, check)
     if check:
-        rho = require_density(rho)
         drho = require_derivative(drho)
-    return sld_in_eigenbasis(*state_eigensystem(rho), drho, support_tol)
+    return sld_in_eigenbasis(w, v, drho, support_tol)
 
 
 def require_full_rank(w: np.ndarray) -> None:

@@ -2,9 +2,9 @@
 
 Written for the tiny non-smooth convex problems this package produces
 (at most a few tens of variables); dense exact methods elsewhere keep the
-objective cheap, so plain simplex descent is the right tool.  Bookkeeping
-stays in plain Python to keep per-iteration overhead below the objective
-cost.
+objective cheap, so plain simplex descent is the right tool.  The simplex
+is one (n + 1, n) array, so the centroid and the vertex spread are single
+vectorized reductions; the ordering stays in plain Python.
 """
 
 from __future__ import annotations
@@ -35,11 +35,8 @@ def nelder_mead(
         return x0, float(fn(x0)), 1
     if step == 0:
         step = 0.1
-    verts = [x0.copy()]
-    for i in range(n):
-        v = x0.copy()
-        v[i] += step
-        verts.append(v)
+    verts = np.tile(x0, (n + 1, 1))
+    verts[np.arange(1, n + 1), np.arange(n)] += step
     pairs = sorted(zip([float(fn(v)) for v in verts], range(n + 1)))
     order = [i for _, i in pairs]
     vals = {i: f for f, i in pairs}
@@ -50,8 +47,7 @@ def nelder_mead(
         f_best, f_worst = vals[best_i], vals[worst_i]
         if f_worst - f_best <= f_tol_rel * (abs(f_best) + 1e-300):
             break
-        vbest = verts[best_i]
-        if max(float(np.max(np.abs(verts[i] - vbest))) for i in order[1:]) <= x_tol:
+        if float(np.max(np.abs(verts - verts[best_i]))) <= x_tol:
             break
         centroid = (np.sum(verts, axis=0) - verts[worst_i]) / n
 

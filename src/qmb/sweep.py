@@ -285,30 +285,35 @@ def _evaluate_point(spec: SweepSpec, bound: dict[str, float], index: int) -> Res
     )
 
 
-def _regular_det(q11, q12, q22):
-    """det Q, and whether Q is regular enough to keep.
+def _regular(q11, q12, q22):
+    """Whether Q is regular enough to keep.
 
     Configurations with a (near-)singular QFIM carry no information about
     one direction; they are excluded rather than chasing noise in the
     ratio |u| / sqrt(det Q).  Works on grids and on scalars alike.
     """
-    det_q = q11 * q22 - q12 * q12
-    return det_q, det_q > 1e-6 * np.maximum(q11 * q22, 1e-300)
+    return q11 * q22 - q12 * q12 > 1e-6 * np.maximum(q11 * q22, 1e-300)
+
+
+def _pure_geometry(names, values, fixed, l1):
+    """Closed-form (Q11, Q12, Q22, U12) with the angles ``names`` at
+    ``values`` (scalars or broadcastable arrays) and the rest at ``fixed``."""
+    angle = {**dict(fixed), **dict(zip(names, values))}
+    return tunable_qubit_pure_geometry_grid(*(angle[name] for name in _ANGLE_SPANS), l1)
 
 
 @dataclass(frozen=True)
 class _AngleGrid:
-    """The weight-free parts of the maximization grid.
+    """The weight-free parts of the maximization start grid.
 
     ``abs_u`` is |U12| and ``q22`` is Q22, except at configurations with a
     (near-)singular QFIM, where they are 0 and 1: there T is 0 at every
-    weight.  ``r_start`` is the grid index where R is largest.
+    weight.
     """
 
     q11: np.ndarray
     q22: np.ndarray
     abs_u: np.ndarray
-    r_start: tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=2)
@@ -323,47 +328,112 @@ def _angle_grid(
     axes = np.meshgrid(
         *[np.linspace(*_ANGLE_SPANS[name], n) for name in names], indexing="ij", sparse=True
     )
-    angle = {**dict(fixed), **dict(zip(names, axes))}
-    q11, q12, q22, u12 = tunable_qubit_pure_geometry_grid(
-        *(angle[name] for name in _ANGLE_SPANS), l1
-    )
-    det_q, regular = _regular_det(q11, q12, q22)
-    abs_u = np.where(regular, np.abs(u12), 0.0)
-    r_grid = abs_u / np.sqrt(np.where(regular, det_q, 1.0))
+    q11, q12, q22, u12 = _pure_geometry(names, axes, fixed, l1)
+    regular = _regular(q11, q12, q22)
     grid = _AngleGrid(
-        q11=q11,
-        q22=np.where(regular, q22, 1.0),
-        abs_u=abs_u,
-        r_start=np.unravel_index(int(np.argmax(r_grid)), r_grid.shape),
+        q11=q11, q22=np.where(regular, q22, 1.0), abs_u=np.where(regular, np.abs(u12), 0.0)
     )
     grid.q22.flags.writeable = grid.abs_u.flags.writeable = False
     return grid
 
 
-def _refine(
+# Gauss-Newton on the saturation residual: |g|^2 / 2 = -log T, so stopping at
+# |g| <= 1e-7 leaves T within 5e-15 of its upper bound R = 1.
+_CERTIFICATE_TOL = 1e-7
+_GN_MAX_STEPS = 40
+_FD_STEP = 1e-6
+_DAMPING = 0.5 ** np.arange(21)
+
+
+def _saturation_residual(
     names: tuple[str, ...],
-    n: int,
     fixed: tuple[tuple[str, float], ...],
     l1: float,
-    start_idx: tuple[int, ...],
-    omega: float | None = None,
+    omega: float,
+    xs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The residual g at each row of ``xs`` (angles in ``names`` order) and
+    |g|^2, which is inf off the regular set.
+
+    On the regular set of a pure qubit |U12| = sqrt(det Q), so with
+    f1 = Q12 / sqrt(Q11 Q22) and f2 = log(Q22 / (omega Q11)),
+    T[diag(1, omega)] = sqrt(1 - f1^2) / cosh(f2 / 2).  The residual
+    g = (sgn f1 sqrt(-log(1 - f1^2)), sgn f2 sqrt(2 log cosh(f2 / 2)))
+    vanishes exactly where T = R = 1 and has |g|^2 / 2 = -log T; both
+    logarithms are taken through log1p so that g stays accurate near 0.
+    """
+    q11, q12, q22, _ = _pure_geometry(names, xs.T, fixed, l1)
+    regular = _regular(q11, q12, q22)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f1 = q12 / np.sqrt(q11 * q22)
+        f2 = np.log(q22 / (omega * q11))
+        g = np.stack(
+            [
+                np.sign(f1) * np.sqrt(-np.log1p(-f1 * f1)),
+                np.sign(f2) * np.sqrt(2.0 * np.log1p(2.0 * np.sinh(0.25 * f2) ** 2)),
+            ],
+            axis=-1,
+        )
+    return g, np.where(regular, np.sum(g * g, axis=-1), np.inf)
+
+
+def _saturate(
+    names: tuple[str, ...],
+    fixed: tuple[tuple[str, float], ...],
+    l1: float,
+    omega: float,
+    x0: np.ndarray,
+) -> np.ndarray | None:
+    """Damped Gauss-Newton on the saturation residual from ``x0``.
+
+    Central-difference Jacobians, minimum-norm least-squares steps and a
+    backtracking line search on |g|^2; bounded angles are clipped to their
+    spans and periodic ones wrapped.  Returns the angles once
+    |g| <= _CERTIFICATE_TOL, where T = R = 1 certifies the global maximum,
+    or None when the iteration stalls.
+    """
+    k = len(names)
+    lo, hi = np.array([_ANGLE_SPANS[name] for name in names]).T
+    periodic = np.array([name in ("beta", "phi") for name in names])
+    probes = _FD_STEP * np.vstack([np.eye(k), -np.eye(k)])
+    g, norm2 = _saturation_residual(names, fixed, l1, omega, x0[None])
+    x, g, norm2 = x0, g[0], norm2[0]
+    if not np.isfinite(norm2):  # a start off the regular set
+        return None
+    for _ in range(_GN_MAX_STEPS):
+        if norm2 <= _CERTIFICATE_TOL**2:
+            return x
+        g_probe, _ = _saturation_residual(names, fixed, l1, omega, x + probes)
+        jac = (g_probe[:k] - g_probe[k:]).T / (2.0 * _FD_STEP)
+        if not np.all(np.isfinite(jac)):
+            return None
+        step = np.linalg.lstsq(jac, -g, rcond=None)[0]
+        trials = x + _DAMPING[:, None] * step
+        trials = np.where(periodic, np.mod(trials, 2.0 * math.pi), np.clip(trials, lo, hi))
+        g_trial, norm2_trial = _saturation_residual(names, fixed, l1, omega, trials)
+        accepted = np.flatnonzero(norm2_trial <= (1.0 - 1e-4 * _DAMPING) * norm2)
+        if accepted.size == 0:
+            return None
+        i = accepted[0]
+        x, g, norm2 = trials[i], g_trial[i], norm2_trial[i]
+    return None
+
+
+def _refine(
+    names: tuple[str, ...],
+    fixed: tuple[tuple[str, float], ...],
+    l1: float,
+    omega: float,
+    x0: np.ndarray,
 ) -> np.ndarray:
-    """Simplex refinement from a grid index of T at W = diag(1, omega), or
-    of R when ``omega`` is None; returns the refined angles."""
-    x0 = np.array([np.linspace(*_ANGLE_SPANS[name], n)[i] for name, i in zip(names, start_idx)])
-    angle = dict(fixed)
+    """Simplex refinement of T at W = diag(1, omega) from ``x0``; returns
+    the refined angles."""
 
     def negated(x: np.ndarray) -> float:
-        angle.update(zip(names, x))
-        q11, q12, q22, u12 = tunable_qubit_pure_geometry_grid(
-            *(angle[name] for name in _ANGLE_SPANS), l1
-        )
-        det_q, regular = _regular_det(q11, q12, q22)
-        if not regular:
+        q11, q12, q22, u12 = _pure_geometry(names, x, fixed, l1)
+        if not _regular(q11, q12, q22):
             return 0.0
-        if omega is not None:
-            return -2.0 * math.sqrt(omega) * abs(u12) / (q22 + omega * q11)
-        return -abs(u12) / math.sqrt(det_q)
+        return -2.0 * math.sqrt(omega) * abs(u12) / (q22 + omega * q11)
 
     x, _, _ = nelder_mead(negated, x0, step=0.08, max_iter=1200)
     return x
@@ -383,42 +453,43 @@ def _refined_geometry(
     return compute_geometry(pt.rho, pt.derivs)
 
 
-@functools.lru_cache(maxsize=2)
-def _max_r(
-    names: tuple[str, ...], n: int, fixed: tuple[tuple[str, float], ...], l1: float, l2: float
-) -> float:
-    """Refined maximum of R.  R does not read the weight, so one refinement
-    serves every row of a sweep with the same angles and parameters."""
-    x = _refine(names, n, fixed, l1, _angle_grid(names, n, fixed, l1).r_start)
-    return quantumness_R(_refined_geometry(names, x, fixed, l1, l2))
-
-
 def _maximize_point(spec: SweepSpec, bound: dict[str, float], index: int) -> ResultRow:
-    """Maximize R and T over pure-state and rotation angles at one weight.
+    """Maximize T over pure-state and rotation angles at one weight, and
+    report R at the maximizing angles.
 
-    Coarse grid (maximize_grid points per angle, closed-form pure-qubit
-    geometry) followed by simplex refinement of each requested output; the
-    refined optimum is re-evaluated through the ordinary scalar pipeline.
+    The closed-form pure-qubit geometry gives a coarse start grid
+    (maximize_grid points per angle).  From its best cell a Gauss-Newton
+    solve of the saturation equations Q12 = 0, Q22 = omega Q11 reaches
+    T = R = 1, which certifies the global maximum since T <= R = 1 for a
+    pure qubit; where the maximized angles cannot reach that set, simplex
+    refinement from the same cell takes over.  R needs no maximization: it
+    is 1 at every regular configuration.  Both are evaluated through the
+    ordinary pipeline at the final angles.
     """
     n = spec.maximize_grid
     names = spec.maximize_over
     fixed = tuple((name, float(bound[name])) for name in _ANGLE_SPANS if name not in names)
+    if "beta" in names and "phi" in names:
+        # the geometry reads beta and phi only through beta - phi, and on
+        # the shared [0, 2 pi] grid their differences are the beta values
+        # again, so beta alone spans both
+        names = tuple(name for name in names if name != "phi")
+        fixed += (("phi", 0.0),)
     l1 = float(bound.get("lambda1", 0.0))
     l2 = float(bound.get("lambda2", 0.0))
-    results: dict[str, float | None] = {}
-    if "T" in spec.outputs:
-        omega = 10.0 ** float(bound[spec.weight.axis])
-        grid = _angle_grid(names, n, fixed, l1)
-        t_score = grid.abs_u / (grid.q22 + omega * grid.q11)  # T / (2 sqrt(omega))
-        start = np.unravel_index(int(np.argmax(t_score)), t_score.shape)
-        x = _refine(names, n, fixed, l1, start, omega)
-        results["T"] = t_measure(_refined_geometry(names, x, fixed, l1, l2), np.diag([1.0, omega]))
-    if "R" in spec.outputs:
-        results["R"] = _max_r(names, n, fixed, l1, l2)
-    outputs = {name: results.get(name) for name in spec.outputs}
+    omega = 10.0 ** float(bound[spec.weight.axis])
+    grid = _angle_grid(names, n, fixed, l1)
+    t_score = grid.abs_u / (grid.q22 + omega * grid.q11)  # T / (2 sqrt(omega))
+    start = np.unravel_index(int(np.argmax(t_score)), t_score.shape)
+    x0 = np.array([np.linspace(*_ANGLE_SPANS[name], n)[i] for name, i in zip(names, start)])
+    x = _saturate(names, fixed, l1, omega, x0)
+    if x is None:
+        x = _refine(names, fixed, l1, omega, x0)
+    geometry = _refined_geometry(names, x, fixed, l1, l2)
+    results = {"T": t_measure(geometry, np.diag([1.0, omega])), "R": quantumness_R(geometry)}
     return ResultRow(
         axis_values=tuple(float(bound[ax.name]) for ax in spec.axes),
-        outputs=outputs,
+        outputs={name: results[name] for name in spec.outputs},
         flags=(),
     )
 

@@ -7,6 +7,7 @@ from qmb.errors import DerivativeNotTraceless, NonHermitianInput, SingularQFIM, 
 from qmb.geometry import (
     RANK_TOL,
     _gell_mann,
+    _qfim_inverse,
     compute_geometry,
     geometry_from_matrices,
     quantumness_R,
@@ -102,6 +103,24 @@ class TestComputeGeometry:
             compute_geometry(rho, [derivs[0], derivs[1] + 0.1j * np.eye(3)])
         with pytest.raises(DerivativeNotTraceless):
             compute_geometry(rho, [derivs[0], derivs[1] + 0.1 * np.eye(3)])
+
+    def test_decomposes_rho_and_q_once_each(self, rng, monkeypatch):
+        # validation, the SLDs, the tangent rank and the inverses of Q all
+        # read one eigh of rho and one eigh of Q
+        calls = []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+
+            def counted(*a, _fn=fn, _name=name, **k):
+                calls.append(_name)
+                return _fn(*a, **k)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rho, derivs = random_model(rng, 3, 2)
+        g = compute_geometry(rho, derivs)
+        quantumness_R(g)
+        assert calls == ["eigh", "eigh", "eigvalsh"]  # rho, Q, then R's own spectrum
+        assert _qfim_inverse(g)[0] is _qfim_inverse(g, pseudo_inverse=True)[0]
 
 
 class TestRldQfim:

@@ -7,11 +7,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmb
 from qmb import sweep
 from qmb.cli import main as cli_main
-from qmb.errors import InvalidSpec, UnknownPreset
+from qmb.errors import InvalidSpec, SingularQFIM, UnknownPreset
+from qmb.geometry import quantumness_R, t_measure
+from qmb.models import tunable_qubit_pure_geometry_grid
+from qmb.neldermead import nelder_mead
 from qmb.sweep import (
     Axis,
     SweepSpec,
@@ -340,38 +345,127 @@ class TestFigurePresets:
             assert row.outputs["R"] == pytest.approx(1.0, abs=1e-8)
             assert row.outputs["T"] == pytest.approx(1.0, abs=1e-8)
 
-    def test_fig1_thread_count_does_not_change_results(self):
-        # serial runs on cold and on warm angle-grid and R caches give the same rows
+    def test_fig1_cold_and_warm_grid_cache_give_same_rows(self):
         spec = replace(figure_preset("fig1", {"count": 3}), maximize_grid=9)
         sweep._angle_grid.cache_clear()
-        sweep._max_r.cache_clear()
         rows1 = run_sweep(spec)
-        cold = sweep._angle_grid.cache_info(), sweep._max_r.cache_info()
+        cold = sweep._angle_grid.cache_info()
         rows2 = run_sweep(spec)
-        # the second run builds no grid and refines no R: both come from the caches
-        warm = sweep._angle_grid.cache_info(), sweep._max_r.cache_info()
-        assert [w.misses for w in warm] == [c.misses for c in cold]
-        assert all(w.hits > c.hits for w, c in zip(warm, cold))
+        # the second run builds no grid: it comes from the cache
+        warm = sweep._angle_grid.cache_info()
+        assert warm.misses == cold.misses == 1
+        assert warm.hits > cold.hits
         assert rows1 == rows2
 
-    def test_fig1_refines_r_once_per_grid(self, monkeypatch):
-        # R does not read the weight: k rows make k refinements of T and
-        # one of R
-        calls = []
-        real = sweep.nelder_mead
+    @pytest.mark.parametrize(
+        "axis", [None, Axis("omega_log10", -3.0, 3.0, 601)], ids=["preset", "601_weights"]
+    )
+    def test_fig1_saturates_without_fallback(self, monkeypatch, axis):
+        # Gauss-Newton reaches the certificate T = R = 1 at every weight,
+        # so the simplex fallback never runs
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("simplex fallback taken")
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sweep, "nelder_mead", counting)
-        spec = replace(figure_preset("fig1", {"count": 4}), maximize_grid=5)
-        sweep._angle_grid.cache_clear()
-        sweep._max_r.cache_clear()
+        monkeypatch.setattr(sweep, "nelder_mead", no_fallback)
+        spec = figure_preset("fig1")
+        if axis is not None:
+            spec = replace(spec, axes=(axis,))
         rows = run_sweep(spec)
-        assert len(rows) == 4
-        assert len(calls) == 5
-        assert len({row.outputs["R"] for row in rows}) == 1
+        assert len(rows) == spec.axes[0].count
+        for row in rows:
+            assert abs(row.outputs["T"] - 1.0) <= 1e-12
+            assert abs(row.outputs["R"] - 1.0) <= 1e-12
+
+    @settings(max_examples=25)
+    @given(
+        omega_log10=st.floats(-3.0, 3.0),
+        l1=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_fig1_saturates_at_any_weight_and_parameter(self, omega_log10, l1):
+        spec = replace(
+            figure_preset("fig1"),
+            fixed={"lambda1": l1},
+            axes=(Axis("omega_log10", omega_log10, -omega_log10, 2),),
+        )
+        for row in run_sweep(spec):
+            assert abs(row.outputs["T"] - 1.0) <= 1e-12
+            assert abs(row.outputs["R"] - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "subset",
+        [
+            ("gamma", "theta", "phi"),
+            ("alpha", "beta"),
+            ("theta",),
+            ("beta", "phi"),
+            ("alpha", "theta", "phi"),
+        ],
+        ids="-".join,
+    )
+    def test_angle_subsets_match_simplex_oracle(self, subset):
+        # where the maximized angles cannot reach T = 1 the simplex fallback
+        # runs; either way T is no worse than the full-grid simplex search,
+        # and R, now read at the T maximizer, matches its separate maximum
+        rng = np.random.default_rng(sum(map(len, subset)))
+        spans = sweep._ANGLE_SPANS
+        for _ in range(2):
+            fixed = {name: float(rng.uniform(*spans[name])) for name in spans if name not in subset}
+            l1 = float(rng.uniform(0.0, math.pi))
+            lo, hi = rng.uniform(-2.0, 2.0, size=2)
+            spec = replace(
+                figure_preset("fig1"),
+                maximize_over=subset,
+                fixed={**fixed, "lambda1": l1},
+                axes=(Axis("omega_log10", lo, hi, 2),),
+            )
+            for row in run_sweep(spec):
+                t_oracle, r_oracle = _simplex_oracle(subset, fixed, l1, 10.0 ** row.axis_values[0])
+                assert row.outputs["T"] >= t_oracle - 1e-9
+                assert abs(row.outputs["R"] - r_oracle) <= 1e-9
+
+
+def _simplex_oracle(names, fixed, l1, omega, n=17):
+    """The earlier fig1 maximization: a grid over every maximized angle
+    (beta and phi both), simplex refinement of T from its best cell, and a
+    separate grid-plus-simplex maximization of R; both evaluated through
+    the ordinary pipeline."""
+    spans = sweep._ANGLE_SPANS
+    axes = np.meshgrid(
+        *[np.linspace(*spans[name], n) for name in names], indexing="ij", sparse=True
+    )
+    angle = {**fixed, **dict(zip(names, axes))}
+    q11, q12, q22, u12 = tunable_qubit_pure_geometry_grid(*(angle[name] for name in spans), l1)
+    det_q = q11 * q22 - q12 * q12
+    regular = det_q > 1e-6 * np.maximum(q11 * q22, 1e-300)
+    abs_u = np.where(regular, np.abs(u12), 0.0)
+
+    def refined_geometry(score, objective):
+        idx = np.unravel_index(int(np.argmax(score)), score.shape)
+        x0 = np.array([np.linspace(*spans[name], n)[i] for name, i in zip(names, idx)])
+        point = dict(fixed)
+
+        def negated(x):
+            point.update(zip(names, x))
+            a, b, c, u = tunable_qubit_pure_geometry_grid(*(point[name] for name in spans), l1)
+            det = a * c - b * b
+            return -objective(a, c, u, det) if det > 1e-6 * max(a * c, 1e-300) else 0.0
+
+        x, _, _ = nelder_mead(negated, x0, step=0.08, max_iter=1200)
+        return sweep._refined_geometry(names, x, tuple(fixed.items()), l1, 0.0)
+
+    t_score = abs_u / (np.where(regular, q22, 1.0) + omega * q11)
+    g_t = refined_geometry(
+        t_score, lambda a, c, u, det: 2 * math.sqrt(omega) * abs(u) / (c + omega * a)
+    )
+    r_score = abs_u / np.sqrt(np.where(regular, det_q, 1.0))
+    g_r = refined_geometry(r_score, lambda a, c, u, det: abs(u) / math.sqrt(det))
+    try:
+        r_value = quantumness_R(g_r)
+    except SingularQFIM:
+        # the R search can drift onto a near-singular QFIM, where the
+        # pipeline refuses R; the pure-qubit value there is 1
+        r_value = 1.0
+    return t_measure(g_t, np.diag([1.0, omega])), r_value
 
 
 class TestMaximizeValidation:

@@ -17,23 +17,30 @@ an iterative simplex ladder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import HierarchyViolation, SingularQFIM, SingularState
+from .errors import HierarchyViolation, SingularState
 from .geometry import (
     InformationGeometry,
     NormalSpaceBasis,
+    _frame,
+    _normal_spaces,
+    _rld_matrix,
+    _spectral_radius,
+    _weight_and_root,
     _WeightFrame,
     _weight_frame,
     compute_geometry,
     quantumness_R,
-    rld_qfim,
-    tangent_normal_decomposition,
+    subset,
+    take,
+    uhlmann_axial,
 )
-from .linalg import SUPPORT_TOL, require_weight, trace_norm, tracenorm_antisym
+from .linalg import SUPPORT_TOL, density_spectrum, dot, require_weight, trace_norm
+from .linalg import tracenorm_antisym
 from .models import ModelPoint
 from .neldermead import nelder_mead
 
@@ -102,13 +109,20 @@ def c_sld(g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = Fals
 def c_rld(j: np.ndarray, w_mat: np.ndarray) -> float:
     """RLD scalar bound Tr[W Re J^-1] + ||W Im J^-1||_1."""
     j = np.asarray(j, dtype=complex)
-    w_mat = require_weight(w_mat, j.shape[0])
-    vals = np.linalg.eigvalsh(j)
-    if vals[0] <= 1e-12 * max(vals[-1], 1.0):
+    value, singular = _c_rld(j, require_weight(w_mat, j.shape[0]))
+    if singular:
         raise SingularState("RLD QFIM is singular")
-    jinv = np.linalg.inv(j)
-    jinv = 0.5 * (jinv + jinv.conj().T)
-    return float(np.trace(w_mat @ jinv.real)) + trace_norm(w_mat @ jinv.imag)
+    return float(value)
+
+
+def _c_rld(j: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C_RLD per point and where J is singular (the value there is void)."""
+    vals = np.linalg.eigvalsh(j)
+    singular = vals[..., 0] <= 1e-12 * np.maximum(vals[..., -1], 1.0)
+    jinv = np.linalg.inv(np.where(singular[..., None, None], np.eye(j.shape[-1]), j))
+    jinv = 0.5 * (jinv + jinv.swapaxes(-1, -2).conj())
+    value = np.trace(w_mat @ jinv.real, axis1=-2, axis2=-1) + trace_norm(w_mat @ jinv.imag)
+    return value, singular
 
 
 def c_t_bound(g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = False) -> float:
@@ -149,7 +163,8 @@ class _TangentSetup:
     """The per-point pieces of the tangent objective, in the variable
     B = K sqrt(W): the weight frame (its core is the K = 0 value of the
     antisymmetric part, its C_SLD the constant term), the d x m coupling
-    sqrt(W) Q^-1 S and the normal-space Gram matrix P."""
+    sqrt(W) Q^-1 S and the normal-space Gram matrix P; for one point or a
+    batch stacked along a leading axis."""
 
     frame: _WeightFrame
     left: np.ndarray
@@ -166,24 +181,25 @@ def _tangent_setup(
 
 
 def _objective(setup: _TangentSetup, smoothing: float = 0.0) -> Callable[[np.ndarray], float]:
-    d, m = setup.left.shape
+    """The objective of one point's K (flattened), or of a batch's K (B, m, d)."""
+    shape = setup.left.shape[:-2] + setup.left.shape[:-3:-1]  # (..., m, d)
     sqrt_w, core, base = setup.frame.sqrt_w, setup.frame.core, setup.frame.c_sld
     left = setup.left
     gram_re, gram_im = setup.gram.real, setup.gram.imag
     mu = float(smoothing)
 
-    def objective(k_flat: np.ndarray) -> float:
+    def objective(k: np.ndarray) -> float:
         # Conjugating K -> K sqrt(W) folds both sqrt(W) factors into the
         # quadratic terms, halving the matmul count per evaluation.
-        b = np.asarray(k_flat, dtype=float).reshape(m, d) @ sqrt_w
+        b = np.asarray(k, dtype=float).reshape(shape) @ sqrt_w
         cross = left @ b
-        im_z = core + b.T @ (gram_im @ b) + cross - cross.T
-        pen = float(np.sum(b * (gram_re @ b)))
+        im_z = core + b.swapaxes(-1, -2) @ (gram_im @ b) + cross - cross.swapaxes(-1, -2)
+        pen = (b * (gram_re @ b)).sum(axis=(-2, -1))
         if mu > 0.0:
             val = base + pen + _tracenorm_antisym_smoothed(im_z, mu)
         else:
             val = base + pen + tracenorm_antisym(im_z)
-        return val if np.isfinite(val) else 1e300
+        return np.where(np.isfinite(val), val, 1e300)[()]
 
     return objective
 
@@ -219,44 +235,49 @@ def holevo_tangent_min(
     returned value never exceeds the K = 0 objective, so it always sits
     between C_SLD and C_T.
     """
-    setup = _tangent_setup(g, basis, w_mat)
-    d, m = setup.left.shape
-    if m == 0:
-        return HolevoSolution(
-            k_matrix=np.zeros((0, d)),
-            value=_objective(setup)(np.zeros(0)),
-            iterations=0,
-            converged=True,
-            restarts_used=0,
-        )
-    if m == 1 and d in (2, 3):
-        return _holevo_exact(setup)
-    return _holevo_simplex(setup, opts or HolevoOptions())
+    opts = opts or HolevoOptions()
+    return _holevo_solutions(take(_tangent_setup(g, basis, w_mat), None), opts, [opts.seed])[0]
 
 
-def _shrink(q: float, p: float, weight: float, s2: float) -> float:
-    """The minimizer tau in [0, q] of weight tau^2 / s2 + 2 sqrt(p^2 + (q - tau)^2)."""
-    if q == 0.0:
-        return 0.0
-    tau = min(q, s2 / weight)
-    if p == 0.0:
-        return tau
+def _holevo_solutions(setup: _TangentSetup, opts: HolevoOptions, seeds: Sequence) -> list:
+    """The minima of a batch of tangent setups that share the normal-space
+    size m, one seed per point for the simplex ladder."""
+    d, m = setup.left.shape[-2:]
+    if m == 0:  # K = 0, where the objective is C_T
+        empty = np.zeros((0, d))
+        return [HolevoSolution(empty, v, 0, True, 0) for v in setup.frame.c_t.tolist()]
+    if m == 1 and d in (2, 3):  # two evaluations: K = 0 (C_T) and the optimum
+        values, ks = _holevo_exact(setup)
+        return [HolevoSolution(k[None], v, 2, True, 0) for v, k in zip(values.tolist(), ks)]
+    return [_holevo_simplex(take(setup, i), replace(opts, seed=s)) for i, s in enumerate(seeds)]
+
+
+def _shrink(q, p, weight, s2):
+    """The minimizer tau in [0, q] of weight tau^2 / s2 + 2 sqrt(p^2 + (q - tau)^2),
+    elementwise over arrays."""
+    q, p, weight, s2 = np.broadcast_arrays(*(np.asarray(x, float) for x in (q, p, weight, s2)))
+    tau = np.where(q == 0.0, 0.0, np.minimum(q, s2 / weight))
     # The stationarity condition h(tau) = weight tau - s2 u / sqrt(p^2 + u^2)
     # = 0, u = q - tau, is increasing and convex on [0, q] with h(0) < 0, and
     # h >= 0 at the start.  Newton steps therefore fall monotonically onto
-    # the root; they stop once a step no longer moves tau down.
-    while True:
-        u = q - tau
-        r = float(np.hypot(p, u))
-        h = weight * tau - s2 * u / r
-        step = h / (weight + s2 * (p / r) ** 2 / r)
-        nxt = max(tau - step, 0.0)
-        if not nxt < tau:
-            return tau
-        tau = nxt
+    # the root; each point stops once a step no longer moves its tau down.
+    active = np.flatnonzero((q != 0.0) & (p != 0.0))
+    tau, flat = tau.ravel(), [x.ravel() for x in (q, p, weight, s2)]
+    while active.size:
+        q_a, p_a, weight_a, s2_a = (x[active] for x in flat)
+        tau_a = tau[active]
+        u = q_a - tau_a
+        r = np.hypot(p_a, u)
+        h = weight_a * tau_a - s2_a * u / r
+        step = h / (weight_a + s2_a * (p_a / r) ** 2 / r)
+        nxt = np.maximum(tau_a - step, 0.0)
+        moving = nxt < tau_a
+        active = active[moving]
+        tau[active] = nxt[moving]
+    return tau.reshape(q.shape)[()]
 
 
-def _holevo_exact(setup: _TangentSetup) -> HolevoSolution:
+def _holevo_exact(setup: _TangentSetup) -> tuple[np.ndarray, np.ndarray]:
     """Exact minimum for a one-dimensional normal space and d in {2, 3}.
 
     With b = K sqrt(W), s = sqrt(W) Q^-1 S and c the axial part of the core
@@ -271,39 +292,35 @@ def _holevo_exact(setup: _TangentSetup) -> HolevoSolution:
 
     For p = 0 (always when d = 2) this is Suzuki's two-parameter formula:
     C_H = C_T - |s|^2 / P when q P >= |s|^2, else C_SLD + P q^2 / |s|^2.
+
+    Runs over a batch (leading axis) and returns the values and the K rows
+    (B, d); where the optimum does not beat K = 0 it is K = 0 at C_T.
     """
-    core, s = setup.frame.core, setup.left[:, 0]
-    d = core.shape[0]
-    weight = float(setup.gram.real[0, 0])
-    s2 = float(s @ s)
+    core, s = setup.frame.core, setup.left[..., 0]
+    d = core.shape[-1]
+    weight = setup.gram.real[..., 0, 0]
+    s2 = dot(s, s)
     if d == 2:
-        c = float(core[0, 1])
-        q, p = abs(c), 0.0
+        c = core[..., 0, 1]
+        q, p = np.abs(c), 0.0
     else:
-        c = np.array([core[1, 2], -core[0, 2], core[0, 1]])
-        c_range = c - s * (float(c @ s) / s2) if s2 > 0.0 else np.zeros(3)
-        q = float(np.linalg.norm(c_range))
-        p = float(np.linalg.norm(c - c_range))
+        c = uhlmann_axial(core)
+        along = (dot(c, s) / np.where(s2 > 0.0, s2, 1.0))[..., None]
+        c_range = np.where((s2 > 0.0)[..., None], c - s * along, 0.0)
+        q = np.sqrt(dot(c_range, c_range))
+        p = np.sqrt(dot(c - c_range, c - c_range))
     tau = _shrink(q, p, weight, s2)
-    if tau == 0.0:
-        b = np.zeros(d)
-    elif d == 2:
-        b = -np.copysign(tau, c) * np.array([-s[1], s[0]]) / s2
-    else:
-        b = np.cross(-tau * c_range / q, s) / s2
-    k = np.linalg.solve(setup.frame.sqrt_w, b)
-    objective = _objective(setup)
-    value_at_zero = objective(np.zeros(d))
-    value = objective(k)
-    if value > value_at_zero:
-        value, k = value_at_zero, np.zeros(d)
-    return HolevoSolution(
-        k_matrix=k.reshape(1, d),
-        value=value,
-        iterations=2,  # objective evaluations: K = 0 and the optimum
-        converged=True,
-        restarts_used=0,
-    )
+    moved = (tau != 0.0)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if d == 2:
+            b = -np.copysign(tau, c)[..., None] * np.stack([-s[..., 1], s[..., 0]], axis=-1)
+        else:
+            b = np.cross(-tau[..., None] * c_range / q[..., None], s)
+        b = np.where(moved, b / s2[..., None], 0.0)
+    k = np.linalg.solve(setup.frame.sqrt_w, b[..., None])[..., 0]
+    value = _objective(setup)(k)
+    worse = value > setup.frame.c_t
+    return np.where(worse, setup.frame.c_t, value), np.where(worse[..., None], 0.0, k)
 
 
 def _holevo_simplex(setup: _TangentSetup, opts: HolevoOptions) -> HolevoSolution:
@@ -411,63 +428,64 @@ def full_report(
     (or pseudo-inverse values when that mode is enabled) instead of raising,
     so parameter sweeps stay total.  A hierarchy violation among computed
     values raises HierarchyViolation: that is a bug signal, not physics.
+    This is `batch_reports` on a batch of one.
     """
     opts = opts or ReportOptions()
-    g = geometry
-    if g is None:
-        g = compute_geometry(point.rho, point.derivs, support_tol=opts.support_tol)
-    flags: set[str] = set()
-    try:
-        frame = _weight_frame(g, w_mat, opts.pseudo_inverse)
-    except SingularQFIM:
-        frame = None
+    g = geometry or compute_geometry(point.rho, point.derivs, support_tol=opts.support_tol)
+    w_mat, sqrt_w = _weight_and_root(w_mat, g.n_params)
+    one = InformationGeometry(g.qfim[None], g.uhlmann[None], np.asarray(g.slds)[None], None)
+    one.__dict__["_qfim_eigh"] = tuple(x[None] for x in g._qfim_eigh)
+    rho, derivs = np.asarray(point.rho)[None], np.asarray(point.derivs)[None]
+    return next(batch_reports(rho, derivs, one, w_mat[None], sqrt_w[None], opts, [opts.holevo.seed]))
 
-    c_rld_val = None
+
+def batch_reports(
+    rho: np.ndarray, derivs: np.ndarray, g: InformationGeometry, w_mat: np.ndarray,
+    sqrt_w: np.ndarray, opts: ReportOptions, seeds: Sequence,
+) -> Iterator[BoundsReport]:
+    """`full_report` for a batch: states (B, n, n), derivatives (B, d, n, n),
+    their batch geometry, validated weights and roots (B, d, d) and one
+    Holevo seed per point.  Every stage runs stacked; singular and
+    pseudo-inverse QFIMs and missing RLD bounds are masks that become the
+    flags.  Only the simplex ladder (m >= 2 or d >= 4) runs point by point.
+    The reports are built as they are read."""
+    frame = _frame(g, w_mat, sqrt_w)
+    ill = frame.used_pseudo
+    null = ill & ((g._qfim_eigh[0][:, -1] <= 0.0) | (not opts.pseudo_inverse))
+    c_rld, no_rld = [None] * len(rho), np.zeros(len(rho), bool)
     if opts.compute_rld:
-        try:
-            j = rld_qfim(point.rho, point.derivs, check=False)
-            c_rld_val = c_rld(j, w_mat)
-        except SingularState:
-            flags.add(FLAG_RLD_UNAVAILABLE)
-
-    if frame is None:
-        flags.add(FLAG_SINGULAR_QFIM)
-        return BoundsReport(
-            c_sld=None,
-            c_rld=c_rld_val,
-            c_t=None,
-            c_r=None,
-            c_h=None,
-            r_value=None,
-            t_value=None,
-            holevo=None,
-            flags=frozenset(flags),
-        )
-
-    if frame.used_pseudo:
-        flags |= {FLAG_SINGULAR_QFIM, FLAG_PSEUDO_INVERSE}
-    r_val = quantumness_R(g, opts.pseudo_inverse)
-
-    holevo = None
-    c_h_val = None
-    if opts.compute_holevo and not frame.used_pseudo:
-        basis = tangent_normal_decomposition(point.rho, g)
-        holevo = holevo_tangent_min(g, basis, frame, opts.holevo)
-        c_h_val = holevo.value
-        if not holevo.converged:
+        no_rld = density_spectrum(rho, check=False)[1][:, 0] <= 1e-10  # rank deficient
+        full_rank = np.where(no_rld[:, None, None], np.eye(rho.shape[-1]), rho)
+        values, singular = _c_rld(_rld_matrix(full_rank, derivs), w_mat)
+        no_rld |= singular
+        c_rld = [None if missing else v for missing, v in zip(no_rld.tolist(), values.tolist())]
+    holevo = [None] * len(rho)
+    regular = np.flatnonzero(~ill)
+    if opts.compute_holevo and regular.size:
+        if np.size(g.slds) == 0:
+            raise ValueError("geometry must carry SLD operators")
+        sel = subset(regular, len(rho))
+        for rows, basis in _normal_spaces(rho[sel], g.slds[sel]):
+            rows = regular[rows]
+            setup = _tangent_setup(g, basis, take(frame, subset(rows, len(rho))))
+            sols = _holevo_solutions(setup, opts.holevo, [seeds[i] for i in rows])
+            for i, sol in zip(rows, sols):
+                holevo[i] = sol
+    r_val = _spectral_radius(g)
+    with np.errstate(divide="ignore", invalid="ignore"):  # T of a zero Q: a null row
+        columns = [frame.c_sld, frame.c_t, (1.0 + r_val) * frame.c_sld, r_val, frame.t_value]
+    columns += [null, ill, no_rld]
+    for sol, c_rld_i, (c_s, c_t, c_r, r, t, is_null, is_ill, rld_missing) in zip(
+        holevo, c_rld, zip(*(column.tolist() for column in columns))
+    ):
+        flags = {FLAG_RLD_UNAVAILABLE} if rld_missing else set()
+        if is_ill:
+            flags |= {FLAG_SINGULAR_QFIM} if is_null else {FLAG_SINGULAR_QFIM, FLAG_PSEUDO_INVERSE}
+        if sol is not None and not sol.converged:
             flags.add(FLAG_HOLEVO_NOT_CONVERGED)
-
-    report = BoundsReport(
-        c_sld=frame.c_sld,
-        c_rld=c_rld_val,
-        c_t=frame.c_t,
-        c_r=(1.0 + r_val) * frame.c_sld,
-        c_h=c_h_val,
-        r_value=r_val,
-        t_value=frame.t_value,
-        holevo=holevo,
-        flags=frozenset(flags),
-    )
-    if not frame.used_pseudo:
-        _check_hierarchy(report)
-    return report
+        if is_null:
+            c_s = c_t = c_r = r = t = None
+        report = BoundsReport(c_s, c_rld_i, c_t, c_r, sol and sol.value, r, t, sol, frozenset(flags))
+        if not is_ill:
+            _check_hierarchy(report)
+        yield report

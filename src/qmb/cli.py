@@ -16,7 +16,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .bounds import HolevoOptions
 from .errors import QmbError
 from .sweep import (
     Axis,
@@ -142,7 +141,6 @@ def _build_spec(args: argparse.Namespace, axes: tuple[Axis, ...]) -> SweepSpec:
         weight=_parse_weight(args.weight),
         seed=args.seed,
         pseudo_inverse=args.pseudo_inverse,
-        holevo=HolevoOptions(seed=args.seed),
     )
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -29,7 +29,9 @@ RANK_TOL = 1e-9
 
 @dataclass(frozen=True)
 class InformationGeometry:
-    """SLD QFIM, mean Uhlmann curvature, the SLDs, and the tangent-space rank."""
+    """SLD QFIM, mean Uhlmann curvature, the SLDs, and the tangent-space rank,
+    of one point or of a batch stacked along a leading axis (then ``slds`` is
+    one (B, d, n, n) array and ``tangent_dim`` an integer array)."""
 
     qfim: np.ndarray
     uhlmann: np.ndarray
@@ -38,7 +40,7 @@ class InformationGeometry:
 
     @property
     def n_params(self) -> int:
-        return self.qfim.shape[0]
+        return self.qfim.shape[-1]
 
     @cached_property
     def _qfim_eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -46,25 +48,21 @@ class InformationGeometry:
         return np.linalg.eigh(np.asarray(self.qfim, dtype=float))
 
     @cached_property
-    def _qfim_inverses(self) -> tuple[np.ndarray, np.ndarray, bool]:
+    def _qfim_inverses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(Q^-1, Q^-1/2, ill) from the cached eigenpairs, computed once.
 
         ``ill`` says that Q has a nonpositive eigenvalue or a condition
         number above COND_LIMIT; the inverses are then rank-revealing
         pseudo-inverses that drop eigenvalues below RANK_TOL times the
-        largest.  Raises SingularQFIM when Q has no positive eigenvalue.
+        largest, and are 0 when Q has no positive eigenvalue.
         """
         w, v = self._qfim_eigh
-        top = w[-1] if w.size else 0.0
-        if top <= 0.0:
-            raise SingularQFIM("QFIM has no positive eigenvalues")
-        ill = bool(w[0] <= 0.0 or top / w[0] > COND_LIMIT)
-        if ill:
-            keep = w > RANK_TOL * top
-            inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-        else:
-            inv_w = 1.0 / w
-        return (v * inv_w) @ v.T, (v * np.sqrt(inv_w)) @ v.T, ill
+        top, low = w[..., -1:], w[..., :1]
+        ill = ((low <= 0.0) | (top / np.where(low > 0.0, low, 1.0) > COND_LIMIT))[..., 0]
+        keep = (w > 0.0) & ((w > RANK_TOL * top) | ~ill[..., None])
+        inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+        vt = v.swapaxes(-1, -2)
+        return (v * inv_w[..., None, :]) @ vt, (v * np.sqrt(inv_w)[..., None, :]) @ vt, ill
 
 
 @dataclass(frozen=True)
@@ -107,9 +105,9 @@ def _geometry(
     the tangent rank at relative tolerance ``rank_tol`` and fills the
     geometry's cached eigenpairs."""
     w, v = np.linalg.eigh(q)
-    top = w[-1] if w.size else 0.0
-    rank = int(np.sum(w > rank_tol * top)) if top > 0 else 0
-    g = InformationGeometry(q, u, slds, rank)
+    top = w[..., -1:]
+    rank = np.where(top[..., 0] > 0, np.sum(w > rank_tol * top, axis=-1), 0)
+    g = InformationGeometry(q, u, slds, rank if rank.ndim else int(rank))
     g.__dict__["_qfim_eigh"] = (w, v)  # the cached_property slot
     return g
 
@@ -127,25 +125,30 @@ def compute_geometry(
     tangent dimension is the rank of Q at relative tolerance ``rank_tol``
     (adjustable for sensitivity studies near singular lines).  rho is
     decomposed once, and with ``check`` validated against that spectrum.
+    A batch of states (B, n, n) with derivatives (B, d, n, n) gives the
+    batch geometry from one stacked decomposition each of rho and Q; each
+    state is checked as it would be alone.
     """
-    d = len(derivs)
-    if d < 1:
+    derivs = np.asarray(derivs)
+    if derivs.ndim < 3 or derivs.shape[-3] < 1:
         raise ValueError("need at least one parameter derivative")
+    d = derivs.shape[-3]
     w, v = state_eigensystem(rho, check)
     if check:
-        derivs = [require_derivative(dr) for dr in derivs]
-    slds = tuple(sld_in_eigenbasis(w, v, dr, support_tol) for dr in derivs)
-    gram = np.empty((d, d), dtype=complex)
+        derivs = require_derivative(derivs)
+    # one parameter (and pair) at a time keeps a batch's temporaries at (B, n, n)
+    slds = [sld_in_eigenbasis(w, v, derivs[..., k, :, :], support_tol) for k in range(d)]
     rho_l = [np.asarray(rho, dtype=complex) @ l for l in slds]
+    gram = np.empty(np.shape(rho)[:-2] + (d, d), dtype=complex)
     for a in range(d):
         for b in range(a, d):
-            gram[a, b] = np.trace(rho_l[a] @ slds[b])
-            if b > a:
-                gram[b, a] = np.conj(gram[a, b])
-    q = 0.5 * (gram.real + gram.real.T)
-    u = 0.5 * (gram.imag - gram.imag.T)
-    np.fill_diagonal(u, 0.0)
-    return _geometry(q, u, slds, rank_tol)
+            gram[..., a, b] = np.trace(rho_l[a] @ slds[b], axis1=-2, axis2=-1)
+            gram[..., b, a] = np.conj(gram[..., a, b])
+    slds = np.stack(slds, axis=-3)
+    q = 0.5 * (gram.real + gram.real.swapaxes(-1, -2))
+    u = 0.5 * (gram.imag - gram.imag.swapaxes(-1, -2))
+    u[..., range(d), range(d)] = 0.0
+    return _geometry(q, u, tuple(slds) if slds.ndim == 3 else slds, rank_tol)
 
 
 def rld_qfim(rho: np.ndarray, derivs: Sequence[np.ndarray], check: bool = True) -> np.ndarray:
@@ -157,23 +160,32 @@ def rld_qfim(rho: np.ndarray, derivs: Sequence[np.ndarray], check: bool = True) 
     """
     rho, w = density_spectrum(rho, check=check)
     if check:
-        derivs = [require_hermitian(dr, "drho") for dr in derivs]
+        derivs = require_hermitian(derivs, "drho")
     require_full_rank(w)
-    n = rho.shape[0]
-    ls = np.linalg.solve(rho, np.hstack(derivs)).reshape(n, -1, n).transpose(1, 0, 2)
-    j = np.einsum("aij,bij->ab", rho @ ls, ls.conj())
-    return 0.5 * (j + j.conj().T)
+    return _rld_matrix(rho, np.asarray(derivs))
+
+
+def _rld_matrix(rho: np.ndarray, derivs: np.ndarray) -> np.ndarray:
+    """J for full-rank states rho (..., n, n) with derivatives (..., d, n, n)."""
+    n, d = rho.shape[-1], derivs.shape[-3]
+    stacked = derivs.swapaxes(-3, -2).reshape(derivs.shape[:-3] + (n, d * n))
+    ls = np.linalg.solve(rho, stacked).reshape(derivs.shape[:-3] + (n, d, n)).swapaxes(-3, -2)
+    j = np.einsum("...aij,...bij->...ab", rho[..., None, :, :] @ ls, ls.conj())
+    return 0.5 * (j + j.swapaxes(-1, -2).conj())
 
 
 def _qfim_inverse(
     g: InformationGeometry, pseudo_inverse: bool = False
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """(Q^-1, Q^-1/2, used_pseudo) with the singularity policy applied to
-    the geometry's cached inverses: an ill-conditioned Q raises
-    SingularQFIM unless ``pseudo_inverse`` allows the pseudo-inverses."""
+    the geometry's cached inverses: a Q without positive eigenvalues raises
+    SingularQFIM, and so does an ill-conditioned one unless
+    ``pseudo_inverse`` allows the pseudo-inverses."""
     qinv, qinv_sqrt, ill = g._qfim_inverses
+    w = g._qfim_eigh[0]
+    if w[-1] <= 0.0:
+        raise SingularQFIM("QFIM has no positive eigenvalues")
     if ill and not pseudo_inverse:
-        w = g._qfim_eigh[0]
         raise SingularQFIM(
             f"QFIM condition number exceeds {COND_LIMIT:.1e} "
             f"(eigenvalues {w[0]:.3e} .. {w[-1]:.3e})"
@@ -209,25 +221,38 @@ class _WeightFrame:
         return self.c_sld + self.core_norm
 
 
-def _weight_frame(
-    g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = False
-) -> _WeightFrame:
-    w_mat = require_weight(w_mat, g.n_params)
-    qinv, _, used_pseudo = _qfim_inverse(g, pseudo_inverse)
-    sqrt_w = spd_sqrt(w_mat)
+def _weight_and_root(w_mat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The validated weight (or stack of weights) and its square root."""
+    w_mat = require_weight(w_mat, d)
+    return w_mat, spd_sqrt(w_mat)
+
+
+def _frame(g: InformationGeometry, w_mat: np.ndarray, sqrt_w: np.ndarray) -> _WeightFrame:
+    """The weight frame at validated (W, sqrt W), one per point of a batch,
+    on the geometry's inverses as they are (pseudo-inverses where Q is ill);
+    the caller applies the singularity policy."""
+    qinv, _, ill = g._qfim_inverses
     return _WeightFrame(
         w_mat=w_mat,
         sqrt_w=sqrt_w,
         qinv=qinv,
         core=sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w,
-        c_sld=float(np.trace(w_mat @ qinv)),
-        used_pseudo=used_pseudo,
+        c_sld=np.trace(w_mat @ qinv, axis1=-2, axis2=-1),
+        used_pseudo=ill,
     )
 
 
+def _weight_frame(
+    g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = False
+) -> _WeightFrame:
+    w_mat, sqrt_w = _weight_and_root(w_mat, g.n_params)
+    _qfim_inverse(g, pseudo_inverse)
+    return _frame(g, w_mat, sqrt_w)
+
+
 def uhlmann_axial(u: np.ndarray) -> np.ndarray:
-    """The vector (U_23, -U_13, U_12) of a 3x3 antisymmetric matrix."""
-    return np.array([u[1, 2], -u[0, 2], u[0, 1]])
+    """The vector (U_23, -U_13, U_12) of a 3x3 antisymmetric matrix (or a stack)."""
+    return np.stack([u[..., 1, 2], -u[..., 0, 2], u[..., 0, 1]], axis=-1)
 
 
 def quantumness_R(g: InformationGeometry, pseudo_inverse: bool = False) -> float:
@@ -237,10 +262,15 @@ def quantumness_R(g: InformationGeometry, pseudo_inverse: bool = False) -> float
     d in {2, 3} it equals sqrt(det U / det Q) and sqrt(u^T Q u / det Q)
     (u the axial vector of U).
     """
-    _, qinv_sqrt, _ = _qfim_inverse(g, pseudo_inverse)
-    herm = 1j * (qinv_sqrt @ g.uhlmann @ qinv_sqrt)
-    vals = np.linalg.eigvalsh(hermitian_part(herm))
-    return float(np.max(np.abs(vals))) if vals.size else 0.0
+    _qfim_inverse(g, pseudo_inverse)
+    return float(_spectral_radius(g))
+
+
+def _spectral_radius(g: InformationGeometry) -> np.ndarray:
+    """max |eig(i Q^-1/2 U Q^-1/2)| per point, on the inverses as they are."""
+    qinv_sqrt = g._qfim_inverses[1]
+    vals = np.linalg.eigvalsh(hermitian_part(1j * (qinv_sqrt @ g.uhlmann @ qinv_sqrt)))
+    return np.max(np.abs(vals), axis=-1, initial=0.0)
 
 
 def t_measure(g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = False) -> float:
@@ -394,75 +424,63 @@ def tangent_normal_decomposition(
         raise ValueError("geometry must carry SLD operators")
     _qfim_inverse(g, pseudo_inverse)  # singularity policy
     rho = np.asarray(rho, dtype=complex)
-    n = rho.shape[0]
+    ((_, basis),) = _normal_spaces(rho[None], np.asarray(g.slds)[None], tol)
+    return take(basis, 0)
+
+
+def _normal_spaces(rho: np.ndarray, slds: np.ndarray, tol: float = RANK_TOL) -> list:
+    """The normal-space bases of a batch of states (B, n, n) with SLDs
+    (B, d, n, n), as `tangent_normal_decomposition` builds one, grouped by
+    size: (rows, basis with those rows stacked along a leading axis)."""
+    n = rho.shape[-1]
     _, traces, products = _gell_mann(n)
-    flat_rho = rho.ravel()
-    means = (traces @ flat_rho).real
-    s = (products @ flat_rho).reshape(len(means), -1) - np.outer(means, means)
+    flat_rho = rho.reshape(len(rho), n * n, 1)
+    means = (traces @ flat_rho)[..., 0].real
+    s = (products @ flat_rho).reshape(means.shape + (-1,))
+    s -= means[:, :, None] * means[:, None, :]
     s_re = s.real
-    l = 0.5 * (np.reshape(g.slds, (len(g.slds), -1)) @ traces.T).real
+    l = 0.5 * (slds.reshape(slds.shape[:2] + (-1,)) @ traces.T).real
 
     # Orthonormalize the tangent span first so projection works even when
     # the SLD Gram matrix is (near) singular.
-    tw, tv = np.linalg.eigh(l @ s_re @ l.T)
-    keep = (tw > tol * max(tw[-1], 0.0)) & (tw > 0)
-    frame = (tv[:, keep] / np.sqrt(tw[keep])).T @ l
-    cand = np.eye(len(means)) - frame.T @ (frame @ s_re)
+    tw, tv = np.linalg.eigh(l @ s_re @ l.swapaxes(-1, -2))
+    keep = ((tw > tol * np.maximum(tw[:, -1:], 0.0)) & (tw > 0))[:, None, :]
+    frame = np.where(keep, tv / np.sqrt(np.where(keep, tw[:, None, :], 1.0)), 0.0)
+    frame = frame.swapaxes(-1, -2) @ l
+    cand = np.eye(len(traces)) - frame.swapaxes(-1, -2) @ (frame @ s_re)
 
-    w, v = np.linalg.eigh(cand.T @ s_re @ cand)
+    w, v = np.linalg.eigh(cand.swapaxes(-1, -2) @ s_re @ cand)
     # The cut is against the scale of the form itself, not the projected
     # maximum, which would keep pure roundoff when the normal space is empty.
-    raw_scale = float(np.max(np.diag(s_re)))
-    kept = np.flatnonzero(w > tol * raw_scale)[::-1] if raw_scale > 0 else np.zeros(0, int)
-    vecs = v[:, kept]
-    pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(kept))]
-    coeffs = cand @ (vecs * (np.where(pivot < 0, -1.0, 1.0) / np.sqrt(w[kept])))
-    sv = s @ coeffs
-    gram = coeffs.T @ sv
-    return NormalSpaceBasis(
-        coeffs=coeffs,
-        means=means,
-        gram=0.5 * (gram + gram.conj().T),
-        coupling=(l @ sv).imag,
-    )
+    raw_scale = np.max(np.diagonal(s_re, axis1=-2, axis2=-1), axis=-1)
+    sizes = np.where(raw_scale > 0, np.sum(w > tol * raw_scale[:, None], axis=-1), 0)
+    groups = []
+    for size in sorted(set(sizes.tolist())):  # (np.unique would import numpy.ma)
+        rows = np.flatnonzero(sizes == size)
+        sel = subset(rows, len(sizes))
+        vecs, kept = v[sel, :, ::-1][..., :size], w[sel, None, ::-1][..., :size]
+        pivot = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[:, None, :], axis=-2)
+        coeffs = cand[sel] @ (vecs * (np.where(pivot < 0, -1.0, 1.0) / np.sqrt(kept)))
+        sv = s[sel] @ coeffs
+        gram = coeffs.swapaxes(-1, -2) @ sv
+        gram = 0.5 * (gram + gram.swapaxes(-1, -2).conj())
+        groups.append((rows, NormalSpaceBasis(coeffs, means[sel], gram, (l[sel] @ sv).imag)))
+    return groups
 
 
-def singular_values_pairing(
-    g: InformationGeometry, w_mat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of sqrt(W) Q^-1 U Q^-1 sqrt(W): direct SVD vs pairing.
+def subset(rows: np.ndarray, total: int) -> np.ndarray | slice:
+    """An index for ``rows`` of a batch of ``total``: a slice, so a view
+    and no copy, when the rows are all of them."""
+    return slice(None) if len(rows) == total else rows
 
-    The pairing expression multiplies each canonical-block singular value
-    mu_k of the conjugated U by the two eigenvalues d_i d_j of sqrt(W) Q^-1
-    acting on that block; it is exact only when the conjugated U is
-    block-canonical in the eigenbasis of sqrt(W) Q^-1 (returned second, for
-    tests that construct such aligned inputs).
-    """
-    q, u = g.qfim, g.uhlmann
-    frame = _weight_frame(g, w_mat)
-    direct = np.sort(np.linalg.svd(frame.core, compute_uv=False))[::-1]
-    a = frame.sqrt_w @ frame.qinv
-    av, avec = np.linalg.eigh(0.5 * (a + a.T))
-    u_tilde = avec.T @ u @ avec
-    paired = []
-    used = set()
-    d = q.shape[0]
-    for i in range(d):
-        if i in used:
-            continue
-        row = np.abs(u_tilde[i])
-        row[list(used) + [i]] = 0.0
-        j = int(np.argmax(row))
-        mu = abs(u_tilde[i, j])
-        if mu > 0:
-            paired.extend([av[i] * av[j] * mu] * 2)
-            used.update((i, j))
-        else:
-            paired.append(0.0)
-            used.add(i)
-    paired = np.abs(np.array(paired, dtype=float))
-    paired = np.sort(np.concatenate([paired, np.zeros(max(0, d - paired.size))]))[::-1][:d]
-    return direct, paired
+
+def take(batch, rows):
+    """The given rows (an index, a slice or None for a new axis) of a batch
+    held in a dataclass of arrays, nested dataclasses included."""
+    return type(batch)(*(
+        take(v, rows) if is_dataclass(v) else v[rows]
+        for v in (getattr(batch, f.name) for f in fields(batch))
+    ))
 
 
 __all__ = [
@@ -479,5 +497,4 @@ __all__ = [
     "weight_transform",
     "tangent_normal_decomposition",
     "uhlmann_axial",
-    "singular_values_pairing",
 ]

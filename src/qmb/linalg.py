@@ -1,7 +1,10 @@
 """Dense complex-matrix primitives for Hermitian operators.
 
-Everything here works on plain ``numpy`` arrays (square, n <= 8 in practice).
-All decompositions are exact dense methods; no iterative estimators.
+Everything here works on plain ``numpy`` arrays (square, n <= 8 in practice):
+one matrix, or a stack of them along leading axes, decomposed by one stacked
+LAPACK call.  A stack is validated matrix by matrix, and the first failing
+matrix in C order raises the error it would raise alone.  All decompositions
+are exact dense methods; no iterative estimators.
 """
 
 from __future__ import annotations
@@ -16,22 +19,44 @@ DENSITY_EIG_FLOOR = -1e-12
 SUPPORT_TOL = 1e-10
 
 
+def raise_first_failure(*checks) -> None:
+    """Raise for the first entry (C order) failing a check: ``checks`` are
+    (mask, make_error) pairs in the order one entry is checked, the masks
+    broadcast together, and ``make_error(i)`` builds flat entry i's error."""
+    if any(mask.any() for mask, _ in checks):
+        bad = np.array([m.ravel() for m in np.broadcast_arrays(*(mask for mask, _ in checks))])
+        i = int(np.argmax(bad.any(axis=0)))
+        raise checks[int(np.argmax(bad[:, i]))][1](i)
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, rounded as ``np.dot`` rounds one pair."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """Return (A + A^dag) / 2."""
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.swapaxes(-1, -2).conj())
+
+
+def _hermitian_checks(h: np.ndarray, name: str) -> tuple:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise NonHermitianInput(f"{name} must be a square matrix, got shape {h.shape}")
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    scale = 1.0 + np.max(np.abs(h), axis=(-2, -1), initial=0.0)
+    with np.errstate(invalid="ignore"):
+        defect = np.max(np.abs(h - h.swapaxes(-1, -2).conj()), axis=(-2, -1), initial=0.0)
+    return (
+        (~finite, lambda i: NonHermitianInput(f"{name} has non-finite entries")),
+        (defect > HERMITICITY_TOL * scale,
+         lambda i: NonHermitianInput(f"{name} is not Hermitian: defect {defect.flat[i]:.3e}")),
+    )
 
 
 def require_hermitian(h: np.ndarray, name: str = "operator") -> np.ndarray:
     """Validate the Hermiticity invariant and return the input as complex."""
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise NonHermitianInput(f"{name} must be a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise NonHermitianInput(f"{name} has non-finite entries")
-    scale = 1.0 + np.max(np.abs(h), initial=0.0)
-    defect = np.max(np.abs(h - h.conj().T), initial=0.0)
-    if defect > HERMITICITY_TOL * scale:
-        raise NonHermitianInput(f"{name} is not Hermitian: defect {defect:.3e}")
+    raise_first_failure(*_hermitian_checks(h, name))
     return h
 
 
@@ -42,15 +67,15 @@ def require_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
 
 def _require_unit_trace(rho: np.ndarray, name: str) -> np.ndarray:
     rho = require_hermitian(rho, name)
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-        raise NonHermitianInput(f"{name} has trace {tr!r}, expected 1")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    raise_first_failure((np.abs(tr - 1.0) > DENSITY_TRACE_TOL, lambda i: NonHermitianInput(
+        f"{name} has trace {tr.flat[i]!r}, expected 1")))
     return rho
 
 
-def _require_eig_floor(lowest: float, name: str) -> None:
-    if lowest < DENSITY_EIG_FLOOR:
-        raise NonHermitianInput(f"{name} has negative eigenvalue {lowest:.3e}")
+def _require_eig_floor(lowest: np.ndarray, name: str) -> None:
+    raise_first_failure((lowest < DENSITY_EIG_FLOOR, lambda i: NonHermitianInput(
+        f"{name} has negative eigenvalue {np.ravel(lowest)[i]:.3e}")))
 
 
 def density_spectrum(
@@ -61,7 +86,7 @@ def density_spectrum(
     rho = _require_unit_trace(rho, name) if check else np.asarray(rho, dtype=complex)
     w = np.linalg.eigvalsh(rho)
     if check:
-        _require_eig_floor(w[0], name)
+        _require_eig_floor(w[..., 0], name)
     return rho, w
 
 
@@ -72,19 +97,12 @@ def eig_hermitian(h: np.ndarray, check: bool = True) -> tuple[np.ndarray, np.nda
     columns with a deterministic phase: the largest-magnitude component of
     each eigenvector (lowest index on ties) is made real and positive.
     """
-    if check:
-        h = require_hermitian(h)
+    h = require_hermitian(h) if check else np.asarray(h)
     w, v = np.linalg.eigh(hermitian_part(h))
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    v = v[:, order]
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            col *= np.conj(pivot) / abs(pivot)
-    return w, v
+    w, v = w[..., ::-1], v[..., ::-1]
+    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    mag = np.hypot(pivot.real, pivot.imag)  # as abs() rounds a complex scalar
+    return w, v * np.where(mag > 0, pivot.conj() / np.where(mag > 0, mag, 1.0), 1.0)
 
 
 def state_eigensystem(rho: np.ndarray, check: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -97,7 +115,7 @@ def state_eigensystem(rho: np.ndarray, check: bool = False) -> tuple[np.ndarray,
         rho = _require_unit_trace(rho, "rho")
     w, v = eig_hermitian(rho, check=False)
     if check:
-        _require_eig_floor(w[-1], "rho")
+        _require_eig_floor(w[..., -1], "rho")
     return np.clip(w, 0.0, None), v
 
 
@@ -106,7 +124,7 @@ def trace_norm(a: np.ndarray) -> float:
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0.0
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+    return np.sum(np.linalg.svd(a, compute_uv=False), axis=-1)
 
 
 def op_norm_inf(a: np.ndarray) -> float:
@@ -125,22 +143,22 @@ def op_norm_inf(a: np.ndarray) -> float:
 
 def tracenorm_antisym(m: np.ndarray) -> float:
     """Trace norm of a real antisymmetric matrix (closed form for d <= 3)."""
-    d = m.shape[0]
+    d = m.shape[-1]
     if d == 1:
-        return 0.0
+        return np.zeros(m.shape[:-2])[()]
     if d == 2:
-        return 2.0 * abs(float(m[0, 1]))
+        return 2.0 * np.abs(m[..., 0, 1])
     if d == 3:
-        return 2.0 * float(np.hypot(np.hypot(m[1, 2], m[0, 2]), m[0, 1]))
+        return 2.0 * np.hypot(np.hypot(m[..., 1, 2], m[..., 0, 2]), m[..., 0, 1])
     return trace_norm(m)
 
 
 def require_derivative(drho: np.ndarray) -> np.ndarray:
     """Validate a state derivative: Hermitian and traceless."""
-    drho = require_hermitian(drho, "drho")
-    tr = np.trace(drho)
-    if abs(tr) > 1e-10:
-        raise DerivativeNotTraceless(f"Tr drho = {tr!r}, expected 0")
+    drho = np.asarray(drho, dtype=complex)
+    tr = np.trace(drho, axis1=-2, axis2=-1)
+    raise_first_failure(*_hermitian_checks(drho, "drho"), (np.abs(tr) > 1e-10, lambda i: (
+        DerivativeNotTraceless(f"Tr drho = {tr.flat[i]!r}, expected 0"))))
     return drho
 
 
@@ -151,12 +169,12 @@ def sld_in_eigenbasis(
     derivatives of one state share a single decomposition."""
     if support_tol <= 0:
         raise ValueError("support_tol must be positive")
-    m = v.conj().T @ drho @ v
-    denom = w[:, None] + w[None, :]
+    vh = v.swapaxes(-1, -2).conj()
+    m = vh @ drho @ v
+    denom = w[..., :, None] + w[..., None, :]
     keep = denom > support_tol
-    coeff = np.zeros_like(m)
-    coeff[keep] = 2.0 * m[keep] / denom[keep]
-    return hermitian_part(v @ coeff @ v.conj().T)
+    coeff = np.where(keep, 2.0 * m / np.where(keep, denom, 1.0), 0.0)
+    return hermitian_part(v @ coeff @ vh)
 
 
 def sld_solve(
@@ -195,22 +213,26 @@ def rld_solve(rho: np.ndarray, drho: np.ndarray, check: bool = True) -> np.ndarr
 def spd_sqrt(w_mat: np.ndarray) -> np.ndarray:
     """Spectral square root of a symmetric positive definite matrix."""
     vals, vecs = np.linalg.eigh(np.asarray(w_mat, dtype=float))
-    if vals[0] <= 1e-12:
-        raise ValueError(f"matrix is not positive definite (min eigenvalue {vals[0]:.3e})")
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    raise_first_failure((vals[..., 0] <= 1e-12, lambda i: ValueError(
+        f"matrix is not positive definite (min eigenvalue {vals[..., 0].flat[i]:.3e})")))
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
 def require_weight(w_mat: np.ndarray, d: int | None = None) -> np.ndarray:
     """Validate a positive definite symmetric weight matrix."""
     w_mat = np.asarray(w_mat, dtype=float)
-    if w_mat.ndim != 2 or w_mat.shape[0] != w_mat.shape[1]:
+    if w_mat.ndim < 2 or w_mat.shape[-1] != w_mat.shape[-2]:
         raise ValueError(f"weight matrix must be square, got shape {w_mat.shape}")
-    if d is not None and w_mat.shape[0] != d:
-        raise ValueError(f"weight matrix has dimension {w_mat.shape[0]}, expected {d}")
-    if not np.all(np.isfinite(w_mat)):
-        raise ValueError("weight matrix has non-finite entries")
-    if np.max(np.abs(w_mat - w_mat.T), initial=0.0) > 1e-10 * (1 + np.max(np.abs(w_mat))):
-        raise ValueError("weight matrix must be symmetric")
-    if np.linalg.eigvalsh(w_mat)[0] <= 1e-12:
-        raise ValueError("weight matrix must be positive definite")
-    return 0.5 * (w_mat + w_mat.T)
+    if d is not None and w_mat.shape[-1] != d:
+        raise ValueError(f"weight matrix has dimension {w_mat.shape[-1]}, expected {d}")
+    finite = np.isfinite(w_mat).all(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):
+        asym = np.max(np.abs(w_mat - w_mat.swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+        scale = 1.0 + np.max(np.abs(w_mat), axis=(-2, -1), initial=0.0)
+    raise_first_failure(
+        (~finite, lambda i: ValueError("weight matrix has non-finite entries")),
+        (asym > 1e-10 * scale, lambda i: ValueError("weight matrix must be symmetric")),
+    )
+    raise_first_failure((np.linalg.eigvalsh(w_mat)[..., 0] <= 1e-12,
+                         lambda i: ValueError("weight matrix must be positive definite")))
+    return 0.5 * (w_mat + w_mat.swapaxes(-1, -2))

@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import StepTooLarge
-from .linalg import hermitian_part
+from .linalg import dot, hermitian_part, raise_first_failure
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -61,23 +61,45 @@ def su2_generators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
+def _vec(*parts) -> np.ndarray:
+    """Components broadcast together and stacked along a new last axis."""
+    if not any(np.ndim(p) for p in parts):
+        return np.array(parts)
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+
+
+def _mat(x) -> np.ndarray:
+    """A scalar or a batch of scalars, shaped to scale (stacked) matrices."""
+    return np.asarray(x)[..., None, None]
+
+
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(Stacked) matrix times (stacked) vector."""
+    return (m @ v[..., None])[..., 0]
+
+
 def rotation_about_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    c, s = np.cos(angle), np.sin(angle)
+    zero, one = np.zeros_like(c), np.ones_like(c)
+    return _vec(c, -s, zero, s, c, zero, zero, zero, one).reshape(np.shape(c) + (3, 3))
 
 
 def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix about a unit axis."""
     n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
-    k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    n = n / np.sqrt(dot(n, n))[..., None]
+    zero = np.zeros(n.shape[:-1])
+    k = _vec(zero, -n[..., 2], n[..., 1], n[..., 2], zero, -n[..., 0], -n[..., 1], n[..., 0], zero)
+    k = k.reshape(n.shape[:-1] + (3, 3))
+    return np.eye(3) + _mat(np.sin(angle)) * k + _mat(1.0 - np.cos(angle)) * (k @ k)
 
 
 def expm_generator(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(-i t H) for Hermitian H via spectral decomposition."""
+    """exp(-i t H) for Hermitian H (or a stack of them) via one spectral
+    decomposition."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
+    phases = np.exp(-1j * np.asarray(t)[..., None] * w)
+    return (v * phases[..., None, :]) @ v.swapaxes(-1, -2).conj()
 
 
 @dataclass(frozen=True)
@@ -105,25 +127,31 @@ class ModelPoint:
 
 
 def model_config(model_id: str, **constants: float) -> ModelConfig:
+    """A validated config.  A constant may be an array of values, one per
+    row of a batch (constants broadcast together); each row is checked as
+    a config of scalars would be, and the first failing row raises."""
     if model_id not in MODEL_IDS:
         raise ValueError(f"unknown model {model_id!r}; expected one of {MODEL_IDS}")
-    for key, val in constants.items():
-        if not math.isfinite(float(val)):
-            raise ValueError(f"constant {key}={val!r} is not finite")
-    constants = {k: float(v) for k, v in constants.items()}
+    constants = {k: np.asarray(v, float) if np.ndim(v) else float(v) for k, v in constants.items()}
+    shape = np.broadcast_shapes(*(np.shape(v) for v in constants.values()))
+    raise_first_failure(*(
+        (~np.isfinite(val), lambda i, k=k, v=val: ValueError(
+            f"constant {k}={float(np.broadcast_to(v, shape).flat[i])!r} is not finite"))
+        for k, val in constants.items()
+    ))
     if model_id == "tunable_qubit":
         missing = {"gamma", "theta", "phi"} - constants.keys()
         if missing:
             raise ValueError(f"tunable_qubit requires constants {sorted(missing)}")
-        r0 = tunable_qubit_r0(constants)
-        if r0 @ r0 > 1.0 + 1e-12:
-            raise ValueError(f"Bloch vector norm {np.linalg.norm(r0)!r} exceeds 1")
+        r0 = np.broadcast_to(tunable_qubit_r0(constants), shape + (3,))
+        raise_first_failure((dot(r0, r0) > 1.0 + 1e-12, lambda i: ValueError(
+            f"Bloch vector norm {np.linalg.norm(r0.reshape(-1, 3)[i])!r} exceeds 1")))
     else:
         missing = {"alpha", "beta", "t"} - constants.keys()
         if missing:
             raise ValueError(f"{model_id} requires constants {sorted(missing)}")
-        if constants["t"] <= 0:
-            raise ValueError("evolution time t must be positive")
+        raise_first_failure((np.broadcast_to(constants["t"] <= 0, shape),
+                             lambda i: ValueError("evolution time t must be positive")))
     return ModelConfig(model_id, constants)
 
 
@@ -133,63 +161,24 @@ def tunable_qubit_r0(constants: Mapping[str, float]) -> np.ndarray:
         if not {"alpha", "beta"} <= constants.keys():
             raise ValueError("pure-state form needs both alpha and beta")
         a, b = constants["alpha"], constants["beta"]
-        return np.array([math.sin(a) * math.cos(b), math.sin(a) * math.sin(b), math.cos(a)])
+        return _vec(np.sin(a) * np.cos(b), np.sin(a) * np.sin(b), np.cos(a))
     try:
-        return np.array([constants["r_x"], constants["r_y"], constants["r_z"]], dtype=float)
+        return _vec(constants["r_x"], constants["r_y"], constants["r_z"]).astype(float)
     except KeyError as exc:
         raise ValueError("tunable_qubit requires r_x, r_y, r_z (or alpha, beta)") from exc
 
 
-def _bloch_closed_form(
-    r0: np.ndarray, gamma: float, theta: float, phi: float, l1: float, l2: float
-) -> np.ndarray:
-    """`tunable_qubit_bloch` from closed-form components (a test oracle)."""
-    # Closed-form components in terms of xi, eps and the in-plane projections
-    # A(e) = r_y cos(xi+e) + r_x sin(xi+e), B(e) = r_x cos(xi+e) - r_y sin(xi+e).
-    rx, ry, rz = r0
-    xi = 2.0 * l1 - phi
-    eps = 2.0 * l2 + phi
-    k1 = math.sin(gamma) * math.sin(theta)
-    k2 = math.sin(gamma) * math.cos(theta)
-    cg = math.cos(gamma)
-    sg2 = math.sin(gamma) ** 2
-
-    def a_of(e: float) -> float:
-        return ry * math.cos(xi + e) + rx * math.sin(xi + e)
-
-    def b_of(e: float) -> float:
-        return rx * math.cos(xi + e) - ry * math.sin(xi + e)
-
-    ce, se = math.cos(eps), math.sin(eps)
-    rxp = (
-        -2.0 * k2 * cg * a_of(eps)
-        + (1.0 - 2.0 * k2 * k2) * b_of(eps)
-        + 2.0 * k1 * k1 * se * a_of(0.0)
-        + 2.0 * k1 * rz * (k2 * ce + cg * se)
-    )
-    ryp = (
-        cg * cg * a_of(eps)
-        + 2.0 * k2 * cg * b_of(eps)
-        + 2.0 * k1 * rz * (k2 * se - cg * ce)
-        - sg2 * (ce * a_of(0.0) + math.cos(2.0 * theta) * se * b_of(0.0))
-    )
-    rzp = (1.0 - 2.0 * k1 * k1) * rz + 2.0 * k1 * (cg * a_of(0.0) + k2 * b_of(0.0))
-    return np.array([rxp, ryp, rzp])
-
-
 def _rotation_axis(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [math.cos(phi) * math.sin(theta), math.sin(phi) * math.sin(theta), math.cos(theta)]
-    )
+    return _vec(np.cos(phi) * np.sin(theta), np.sin(phi) * np.sin(theta), np.cos(theta))
 
 
 def tunable_qubit_bloch(cfg: ModelConfig, l1: float, l2: float) -> np.ndarray:
     """Transformed Bloch vector Rz(2 l2) R_n(2 gamma) Rz(2 l1) r0, by
     composing the rotation matrices.
 
-    This route, `_bloch_closed_form` and the vector that
-    `_tunable_qubit_bloch_derivs` returns are three evaluations of the same
-    vector; the tests hold them to agree.
+    This route, the vector that `_tunable_qubit_bloch_derivs` returns and a
+    closed form in the tests are three evaluations of the same vector; the
+    tests hold them to agree.
     """
     c = cfg.constants
     gamma, theta, phi = c["gamma"], c["theta"], c["phi"]
@@ -204,7 +193,8 @@ def tunable_qubit_bloch(cfg: ModelConfig, l1: float, l2: float) -> np.ndarray:
 def _tunable_qubit_bloch_derivs(
     cfg: ModelConfig, l1: float, l2: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r, d1 r, d2 r) with the derivatives taken analytically.
+    """(r, d1 r, d2 r) with the derivatives taken analytically, over the
+    leading axes that the constants and (l1, l2) broadcast to.
 
     d Rz(2 l)/d l = 2 [z x] Rz(2 l), so each derivative is a rotated cross
     product; no finite differences are involved.
@@ -216,11 +206,18 @@ def _tunable_qubit_bloch_derivs(
     rz1 = rotation_about_z(2.0 * l1)
     rz2 = rotation_about_z(2.0 * l2)
     zhat = np.array([0.0, 0.0, 1.0])
-    w = rz1 @ r0
-    r = rz2 @ (rot_v @ w)
-    d1 = rz2 @ (rot_v @ (2.0 * np.cross(zhat, w)))
+    w = _apply(rz1, r0)
+    r = _apply(rz2, _apply(rot_v, w))
+    d1 = _apply(rz2, _apply(rot_v, 2.0 * np.cross(zhat, w)))
     d2 = 2.0 * np.cross(zhat, r)
     return r, d1, d2
+
+
+def _bloch_state(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho = (I + r.sigma) / 2 and its derivatives (dr_k.sigma) / 2 from the
+    Bloch vector r (..., 3) and its derivatives dr (..., d, 3)."""
+    rho = hermitian_part(0.5 * (np.eye(2) + _dot_j(r, PAULI)))
+    return rho, hermitian_part(0.5 * _dot_j(dr, PAULI))
 
 
 def bloch_geometry(
@@ -261,24 +258,20 @@ def tunable_qubit_point(cfg: ModelConfig, params: Sequence[float]) -> ModelPoint
     """
     l1, l2 = (float(x) for x in params)
     r, d1, d2 = _tunable_qubit_bloch_derivs(cfg, l1, l2)
-    eye = np.eye(2, dtype=complex)
-    rho = 0.5 * (eye + sum(r[k] * PAULI[k] for k in range(3)))
-    derivs = tuple(hermitian_part(0.5 * sum(dv[k] * PAULI[k] for k in range(3))) for dv in (d1, d2))
-    slds = tuple(hermitian_part(sum(dv[k] * PAULI[k] for k in range(3))) for dv in (d1, d2))
-    q, u = bloch_geometry(r, (d1, d2))
+    rho, derivs = _bloch_state(r, np.stack([d1, d2]))
     return ModelPoint(
         params=(l1, l2),
-        rho=hermitian_part(rho),
-        derivs=derivs,
-        analytic_geometry=(q, u),
-        analytic_slds=slds,
+        rho=rho,
+        derivs=tuple(derivs),
+        analytic_geometry=bloch_geometry(r, (d1, d2)),
+        analytic_slds=tuple(2.0 * derivs),
     )
 
 
 def _su2_qubit_axes(b: float, theta: float, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    s, c = math.sin(b * t / 2.0), math.cos(b * t / 2.0)
-    n_theta = np.array([math.cos(theta), 0.0, math.sin(theta)])
-    n1 = np.array([c * math.sin(theta), -s, -c * math.cos(theta)])
+    s, c = np.sin(b * t / 2.0), np.cos(b * t / 2.0)
+    n_theta = _vec(np.cos(theta), 0.0, np.sin(theta))
+    n1 = _vec(c * np.sin(theta), -s, -c * np.cos(theta))
     n2 = np.cross(n_theta, n1)
     return n_theta, n1, n2
 
@@ -286,37 +279,46 @@ def _su2_qubit_axes(b: float, theta: float, t: float) -> tuple[np.ndarray, np.nd
 def _su2_qutrit_axes(
     b: float, theta: float, phi: float, t: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    s, c = math.sin(b * t / 2.0), math.cos(b * t / 2.0)
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    n_theta = np.array([ct * cp, ct * sp, st])
-    n1 = np.array([s * sp + c * st * cp, -s * cp + c * st * sp, -c * ct])
-    n2 = np.array([c * sp - s * st * cp, -c * cp - s * st * sp, s * ct])
+    s, c = np.sin(b * t / 2.0), np.cos(b * t / 2.0)
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
+    n_theta = _vec(ct * cp, ct * sp, st)
+    n1 = _vec(s * sp + c * st * cp, -s * cp + c * st * sp, -c * ct)
+    n2 = _vec(c * sp - s * st * cp, -c * cp - s * st * sp, s * ct)
     return n_theta, n1, n2
 
 
 def _dot_j(vec: np.ndarray, js: Sequence[np.ndarray]) -> np.ndarray:
-    return vec[0] * js[0] + vec[1] * js[1] + vec[2] * js[2]
+    """sum_k vec_k J_k for vectors (..., 3)."""
+    return _mat(vec[..., 0]) * js[0] + _mat(vec[..., 1]) * js[1] + _mat(vec[..., 2]) * js[2]
 
 
-def _unitary_point(
-    psi0: np.ndarray,
-    hamiltonian_dir: np.ndarray,
-    b: float,
-    t: float,
-    js: Sequence[np.ndarray],
-    generators: Sequence[np.ndarray],
-) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Evolved state, exact derivatives, and pure-state SLDs from generators."""
-    u = expm_generator(b * _dot_j(hamiltonian_dir, js), t)
-    rho0 = np.outer(psi0, psi0.conj())
-    rho = hermitian_part(u @ rho0 @ u.conj().T)
-    derivs = []
-    for gen in generators:
-        commutator = gen @ rho0 - rho0 @ gen
-        derivs.append(hermitian_part(u @ (1j * commutator) @ u.conj().T))
-    slds = tuple(2.0 * dr for dr in derivs)
-    return rho, tuple(derivs), slds
+def _su2_state(cfg: ModelConfig, params: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The evolved pure state (..., n, n), its exact derivatives (..., d, n, n)
+    and the initial-frame generators (..., d, n, n) of an SU(2) model, over
+    the leading axes of ``params`` (..., d) and the constants."""
+    c = cfg.constants
+    alpha, beta, t = c["alpha"], c["beta"], c["t"]
+    b, theta = params[..., 0], params[..., 1]
+    s = np.sin(b * t / 2.0)
+    if cfg.model_id == "su2_qutrit":
+        js = su2_generators(3)
+        psi0 = _vec(np.cos(alpha / 2.0), 0.0, np.sin(alpha / 2.0) * np.exp(1j * beta))
+        axes = _su2_qutrit_axes(b, theta, params[..., 2], t)
+        scales = (-t, 2.0 * s, 2.0 * np.cos(theta) * s)
+    else:
+        js = tuple(0.5 * p for p in PAULI)
+        psi0 = _vec(np.cos(alpha / 2.0), np.sin(alpha / 2.0) * np.exp(1j * beta))
+        axes = _su2_qubit_axes(b, theta, t)
+        scales = (-t, 2.0 * s)
+    gens = np.broadcast_arrays(*(_mat(k) * _dot_j(n, js) for k, n in zip(scales, axes)))
+    gens = np.stack(gens, axis=-3)
+    u = expm_generator(_mat(b) * _dot_j(axes[0], js), t)
+    uh = u.swapaxes(-1, -2).conj()
+    rho0 = psi0[..., :, None] * psi0[..., None, :].conj()
+    rho = hermitian_part(u @ rho0 @ uh)
+    derivs = [hermitian_part(u @ (1j * (g @ rho0 - rho0 @ g)) @ uh) for g in np.moveaxis(gens, -3, 0)]
+    return rho, np.stack(derivs, axis=-3), gens
 
 
 def su2_qubit_point(cfg: ModelConfig, b: float, theta: float) -> ModelPoint:
@@ -324,12 +326,9 @@ def su2_qubit_point(cfg: ModelConfig, b: float, theta: float) -> ModelPoint:
     c = cfg.constants
     alpha, beta, t = c["alpha"], c["beta"], c["t"]
     b, theta = float(b), float(theta)
-    js = tuple(0.5 * p for p in PAULI)
-    psi0 = np.array([math.cos(alpha / 2.0), math.sin(alpha / 2.0) * np.exp(1j * beta)])
+    rho, derivs, gens = _su2_state(cfg, np.array([b, theta]))
     n_theta, n1, n2 = _su2_qubit_axes(b, theta, t)
     s = math.sin(b * t / 2.0)
-    gens = (-t * _dot_j(n_theta, js), 2.0 * s * _dot_j(n1, js))
-    rho, derivs, slds = _unitary_point(psi0, n_theta, b, t, js, gens)
     r0 = np.array(
         [math.sin(alpha) * math.cos(beta), math.sin(alpha) * math.sin(beta), math.cos(alpha)]
     )
@@ -342,37 +341,26 @@ def su2_qubit_point(cfg: ModelConfig, b: float, theta: float) -> ModelPoint:
     return ModelPoint(
         params=(b, theta),
         rho=rho,
-        derivs=derivs,
+        derivs=tuple(derivs),
         analytic_geometry=(q, u),
-        analytic_slds=slds,
-        generators=gens,
+        analytic_slds=tuple(2.0 * derivs),
+        generators=tuple(gens),
     )
 
 
 def su2_qutrit_point(cfg: ModelConfig, b: float, theta: float, phi: float) -> ModelPoint:
     """SU(2) qutrit (spin-1) under H = B J_n with n = (ct cp, ct sp, st)."""
     c = cfg.constants
-    alpha, beta, t = c["alpha"], c["beta"], c["t"]
     b, theta, phi = float(b), float(theta), float(phi)
-    js = su2_generators(3)
-    psi0 = np.array([math.cos(alpha / 2.0), 0.0, math.sin(alpha / 2.0) * np.exp(1j * beta)])
-    n_theta, n1, n2 = _su2_qutrit_axes(b, theta, phi, t)
-    s = math.sin(b * t / 2.0)
-    ct = math.cos(theta)
-    gens = (
-        -t * _dot_j(n_theta, js),
-        2.0 * s * _dot_j(n1, js),
-        2.0 * ct * s * _dot_j(n2, js),
-    )
-    rho, derivs, slds = _unitary_point(psi0, n_theta, b, t, js, gens)
-    q, u = _su2_qutrit_closed_geometry(alpha, beta, b, theta, phi, t)
+    rho, derivs, gens = _su2_state(cfg, np.array([b, theta, phi]))
+    q, u = _su2_qutrit_closed_geometry(c["alpha"], c["beta"], b, theta, phi, c["t"])
     return ModelPoint(
         params=(b, theta, phi),
         rho=rho,
-        derivs=derivs,
+        derivs=tuple(derivs),
         analytic_geometry=(q, u),
-        analytic_slds=slds,
-        generators=gens,
+        analytic_slds=tuple(2.0 * derivs),
+        generators=tuple(gens),
     )
 
 
@@ -405,6 +393,16 @@ def _su2_qutrit_closed_geometry(
     u[1, 2] = -4.0 * ca * s**2 * math.sin(2.0 * theta)
     u -= u.T
     return q, u
+
+
+def model_arrays(cfg: ModelConfig, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The states (..., n, n) and their derivatives (..., d, n, n) over the
+    leading axes of ``params`` (..., d) and the constants: the batch form of
+    `model_point`, which adds the closed-form oracles for one point."""
+    if cfg.model_id == "tunable_qubit":
+        r, d1, d2 = _tunable_qubit_bloch_derivs(cfg, params[..., 0], params[..., 1])
+        return _bloch_state(r, np.stack([d1, d2], axis=-2))
+    return _su2_state(cfg, params)[:2]
 
 
 def model_point(cfg: ModelConfig, params: Sequence[float]) -> ModelPoint:

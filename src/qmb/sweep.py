@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -11,22 +10,25 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .bounds import HolevoOptions, ReportOptions, full_report
+from .bounds import BoundsReport, HolevoOptions, ReportOptions, batch_reports
 from .errors import InvalidSpec, UnknownPreset
-from .geometry import InformationGeometry, compute_geometry, quantumness_R, t_measure
+from .geometry import _weight_and_root, compute_geometry
 from .linalg import require_weight
 from .models import (
     MODEL_IDS,
     PARAM_NAMES,
     ModelConfig,
+    model_arrays,
     model_config,
-    model_point,
     tunable_qubit_pure_geometry_grid,
 )
 from .neldermead import nelder_mead
 
 CANONICAL_OUTPUTS = ("c_sld", "c_rld", "c_t", "c_r", "c_h", "R", "T", "gap_h", "gap_t", "gap_r")
 MAX_SWEEP_POINTS = 10**7
+# Grid points per stacked batch: enough to spread NumPy's per-call overhead
+# thin, few enough that a stage's arrays stay well under a megabyte.
+_CHUNK = 1024
 
 FLAG_R_ABOVE_ONE = "RAboveOne"
 
@@ -132,7 +134,7 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
     outputs = canonical_outputs(spec.outputs)
     if spec.weight.kind not in ("identity", "diag", "full", "qfim", "diag_log_axis"):
         raise InvalidSpec(f"unknown weight kind {spec.weight.kind!r}")
-    if spec.weight.kind == "diag_log_axis" and spec.weight.axis not in axis_names:
+    if spec.weight.kind == "diag_log_axis" and spec.weight.axis not in {*axis_names, *spec.fixed}:
         raise InvalidSpec("diag_log_axis weight needs a matching axis name")
     if spec.weight.kind in ("diag", "full"):
         # a fixed weight is checked once here, not at every point
@@ -143,7 +145,7 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
                 f"{spec.weight.kind} weight needs {size} values, got {len(spec.weight.values)}"
             )
         try:
-            require_weight(_resolve_weight(spec, d, {}, None), d)
+            require_weight(_weight_matrices(spec, d), d)
         except ValueError as exc:
             raise InvalidSpec(f"{spec.weight.kind} weight: {exc}") from exc
     if spec.maximize_over:
@@ -179,12 +181,17 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
                 f"maximization grid has {spec.maximize_grid}^{len(names)} points, "
                 f"above the {MAX_SWEEP_POINTS} guard"
             )
+    # the names a point binds, checked once on an empty batch
+    names = set(spec.fixed) | set(axis_names) | set(spec.maximize_over)
+    _bind_values(spec.model_id, {name: np.zeros(0) for name in names - {spec.weight.axis}})
     return replace(spec, outputs=outputs)
 
 
-def _bind_values(model_id: str, bound: dict[str, float]) -> tuple[ModelConfig, tuple[float, ...]]:
-    """Split bound names into model parameters and constants, resolving the
-    derived names xi (-> lambda1 given phi), r_xy, and r2 (given r_z)."""
+def _bind_values(model_id: str, bound: dict[str, np.ndarray]) -> tuple[ModelConfig, np.ndarray]:
+    """Split bound names, each holding one value per row of a batch, into
+    the model parameters (rows, d) and a config of constants, resolving the
+    derived names xi (-> lambda1 given phi), r_xy, and r2 (given r_z).  The
+    first row with an invalid value raises, as it would alone."""
     values = dict(bound)
     if model_id == "tunable_qubit":
         if "xi" in values:
@@ -201,10 +208,14 @@ def _bind_values(model_id: str, bound: dict[str, float]) -> tuple[ModelConfig, t
             if r_z is None:
                 raise InvalidSpec("binding 'r2' requires 'r_z'")
             planar = r2 - r_z * r_z
-            if planar < -1e-12:
-                raise InvalidSpec(f"r2={r2!r} is below r_z^2")
-            values["r_x"] = values["r_y"] = math.sqrt(max(planar, 0.0) / 2.0)
-    params = tuple(float(values.pop(name, 0.0)) for name in PARAM_NAMES[model_id])
+            below = planar < -1e-12
+            if below.any():  # rows before the first bad one raise their own errors first
+                first = int(np.argmax(below))
+                _bind_values(model_id, {k: v[:first] for k, v in bound.items()})
+                raise InvalidSpec(f"r2={float(r2[first])!r} is below r_z^2")
+            values["r_x"] = values["r_y"] = np.sqrt(np.maximum(planar, 0.0) / 2.0)
+    rows = len(next(iter(values.values()), ()))
+    params = np.stack([values.pop(name, np.zeros(rows)) for name in PARAM_NAMES[model_id]], -1)
     unknown = set(values) - _ALLOWED_CONSTANTS[model_id]
     if unknown:
         raise InvalidSpec(f"unknown names for {model_id}: {sorted(unknown)}")
@@ -215,9 +226,9 @@ def _bind_values(model_id: str, bound: dict[str, float]) -> tuple[ModelConfig, t
     return cfg, params
 
 
-def _resolve_weight(
-    spec: SweepSpec, d: int, bound: Mapping[str, float], qfim: np.ndarray | None
-) -> np.ndarray:
+def _weight_matrices(spec: SweepSpec, d: int, bound: Mapping = None, qfim=None) -> np.ndarray:
+    """W of a fixed weight kind (d, d), or W per row (rows, d, d) for the
+    kinds that read the row's QFIM or axis value."""
     w = spec.weight
     if w.kind == "identity":
         return np.eye(d)
@@ -226,13 +237,13 @@ def _resolve_weight(
     if w.kind == "full":
         return np.asarray(w.values, dtype=float).reshape(d, d)
     if w.kind == "qfim":
-        if qfim is None:
-            raise InvalidSpec("qfim weight needs a computable QFIM")
-        return qfim / qfim[0, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return qfim / qfim[:, :1, :1]
     if w.kind == "diag_log_axis":
         if d != 2:
             raise InvalidSpec("diag_log_axis weight is two-parameter only")
-        return np.diag([1.0, 10.0 ** float(bound[w.axis])])
+        omega = [10.0 ** v for v in bound[w.axis].tolist()]  # as the fig1 search rounds it
+        return np.stack(np.broadcast_arrays(1.0, 0.0, 0.0, omega), axis=-1).reshape(-1, 2, 2)
     raise InvalidSpec(f"unknown weight kind {w.kind!r}")
 
 
@@ -242,47 +253,52 @@ def _gap(c_x: float | None, c_s: float | None) -> float | None:
     return (c_x - c_s) / c_s
 
 
-def _evaluate_point(spec: SweepSpec, bound: dict[str, float], index: int) -> ResultRow:
-    model_bound = {k: v for k, v in bound.items() if k != spec.weight.axis}
-    cfg, params = _bind_values(spec.model_id, model_bound)
-    point = model_point(cfg, params)
-    geometry = compute_geometry(point.rho, point.derivs)
-    w_mat = _resolve_weight(spec, cfg.n_params, bound, geometry.qfim)
-    axis_values = tuple(float(bound[ax.name]) for ax in spec.axes)
-    if spec.weight.kind == "qfim" and np.linalg.eigvalsh(w_mat)[0] <= 1e-12:
-        # singular QFIM cannot serve as a weight; emit a flagged null row
-        return ResultRow(
-            axis_values=axis_values,
-            outputs={name: None for name in spec.outputs},
-            flags=("SingularQFIM",),
-        )
-    opts = ReportOptions(
-        holevo=replace(spec.holevo, seed=(spec.seed, index)),
-        pseudo_inverse=spec.pseudo_inverse,
-        compute_rld="c_rld" in spec.outputs,
-        compute_holevo=("c_h" in spec.outputs or "gap_h" in spec.outputs),
-    )
-    report = full_report(point, w_mat, opts, geometry=geometry)
-    flags = set(report.flags)
-    if report.r_value is not None and report.r_value > 1.0 + 1e-9:
-        flags.add(FLAG_R_ABOVE_ONE)
-    values: dict[str, float | None] = {
-        "c_sld": report.c_sld,
-        "c_rld": report.c_rld,
-        "c_t": report.c_t,
-        "c_r": report.c_r,
-        "c_h": report.c_h,
-        "R": report.r_value,
-        "T": report.t_value,
-        "gap_h": _gap(report.c_h, report.c_sld),
-        "gap_t": _gap(report.c_t, report.c_sld),
-        "gap_r": _gap(report.c_r, report.c_sld),
-    }
-    return ResultRow(
-        axis_values=axis_values,
-        outputs={name: values[name] for name in spec.outputs},
-        flags=tuple(sorted(flags)),
-    )
+# output name -> BoundsReport field, for the outputs a report holds directly
+_REPORT_FIELDS = {"c_sld": "c_sld", "c_rld": "c_rld", "c_t": "c_t", "c_r": "c_r", "c_h": "c_h",
+                  "R": "r_value", "T": "t_value"}
+
+
+def _row(spec: SweepSpec, axis_values: tuple, report: BoundsReport | None) -> ResultRow:
+    """A sweep row from its point's report; None stands for a singular QFIM
+    weight, a flagged null row."""
+    if report is None:
+        return ResultRow(axis_values, dict.fromkeys(spec.outputs), ("SingularQFIM",))
+    values = {name: getattr(report, attr) for name, attr in _REPORT_FIELDS.items()}
+    values.update({f"gap_{b}": _gap(values[f"c_{b}"], report.c_sld) for b in "htr"})
+    above_one = report.r_value is not None and report.r_value > 1.0 + 1e-9
+    flags = report.flags | {FLAG_R_ABOVE_ONE} if above_one else report.flags
+    outputs = {name: values[name] for name in spec.outputs}
+    return ResultRow(axis_values, outputs, tuple(sorted(flags)))
+
+
+def _evaluate_chunk(spec: SweepSpec, bound: dict, index: np.ndarray, weight) -> list[ResultRow]:
+    """The rows at grid indices ``index`` as one batch; each name in
+    ``bound`` holds one value per row.  ``weight`` is the fixed (W, sqrt W),
+    validated once per sweep, or None for a kind that varies by row."""
+    rows, d = len(index), len(PARAM_NAMES[spec.model_id])
+    values = {**{k: np.full(rows, float(v)) for k, v in spec.fixed.items()}, **bound}
+    model_values = {k: v for k, v in values.items() if k != spec.weight.axis}
+    cfg, params = _bind_values(spec.model_id, model_values)
+    rho, derivs = model_arrays(cfg, params)
+    geometry = compute_geometry(rho, derivs)
+    void = np.zeros(rows, bool)  # a singular QFIM cannot serve as a weight
+    if weight is None:
+        w_mat = _weight_matrices(spec, d, values, geometry.qfim)
+        if spec.weight.kind == "qfim":
+            void = ~np.isfinite(w_mat).all(axis=(-2, -1))
+            w_mat = np.where(void[:, None, None], np.eye(d), w_mat)
+            void |= np.linalg.eigvalsh(w_mat)[:, 0] <= 1e-12
+            w_mat = np.where(void[:, None, None], np.eye(d), w_mat)
+        weight = _weight_and_root(w_mat, d)
+    opts = ReportOptions(spec.holevo, pseudo_inverse=spec.pseudo_inverse,
+                         compute_rld="c_rld" in spec.outputs,
+                         compute_holevo=("c_h" in spec.outputs or "gap_h" in spec.outputs))
+    w_mat, sqrt_w = (np.broadcast_to(x, (rows, d, d)) for x in weight)
+    seeds = [(spec.seed, i) for i in index.tolist()]
+    reports = batch_reports(rho, derivs, geometry, w_mat, sqrt_w, opts, seeds)
+    axis_rows = zip(*(bound[ax.name].tolist() for ax in spec.axes)) if spec.axes else [()] * rows
+    voids = void.tolist()
+    return [_row(spec, tuple(a), None if v else r) for a, r, v in zip(axis_rows, reports, voids)]
 
 
 def _regular(q11, q12, q22):
@@ -439,23 +455,9 @@ def _refine(
     return x
 
 
-def _refined_geometry(
-    names: tuple[str, ...],
-    x: np.ndarray,
-    fixed: tuple[tuple[str, float], ...],
-    l1: float,
-    l2: float,
-) -> InformationGeometry:
-    """The ordinary pipeline's geometry at refined angles."""
-    angles = {**dict(fixed), **{name: float(v) for name, v in zip(names, x)}}
-    cfg, params = _bind_values("tunable_qubit", {**angles, "lambda1": l1, "lambda2": l2})
-    pt = model_point(cfg, params)
-    return compute_geometry(pt.rho, pt.derivs)
-
-
-def _maximize_point(spec: SweepSpec, bound: dict[str, float], index: int) -> ResultRow:
-    """Maximize T over pure-state and rotation angles at one weight, and
-    report R at the maximizing angles.
+def _witness(spec: SweepSpec, bound: dict[str, float]) -> dict[str, float]:
+    """The angles that maximize T over the maximized names at one row's
+    weight, with the other angles as bound.
 
     The closed-form pure-qubit geometry gives a coarse start grid
     (maximize_grid points per angle).  From its best cell a Gauss-Newton
@@ -463,8 +465,8 @@ def _maximize_point(spec: SweepSpec, bound: dict[str, float], index: int) -> Res
     T = R = 1, which certifies the global maximum since T <= R = 1 for a
     pure qubit; where the maximized angles cannot reach that set, simplex
     refinement from the same cell takes over.  R needs no maximization: it
-    is 1 at every regular configuration.  Both are evaluated through the
-    ordinary pipeline at the final angles.
+    is 1 at every regular configuration.  The sweep evaluates both through
+    the ordinary pipeline at these angles.
     """
     n = spec.maximize_grid
     names = spec.maximize_over
@@ -476,7 +478,6 @@ def _maximize_point(spec: SweepSpec, bound: dict[str, float], index: int) -> Res
         names = tuple(name for name in names if name != "phi")
         fixed += (("phi", 0.0),)
     l1 = float(bound.get("lambda1", 0.0))
-    l2 = float(bound.get("lambda2", 0.0))
     omega = 10.0 ** float(bound[spec.weight.axis])
     grid = _angle_grid(names, n, fixed, l1)
     t_score = grid.abs_u / (grid.q22 + omega * grid.q11)  # T / (2 sqrt(omega))
@@ -485,38 +486,50 @@ def _maximize_point(spec: SweepSpec, bound: dict[str, float], index: int) -> Res
     x = _saturate(names, fixed, l1, omega, x0)
     if x is None:
         x = _refine(names, fixed, l1, omega, x0)
-    geometry = _refined_geometry(names, x, fixed, l1, l2)
-    results = {"T": t_measure(geometry, np.diag([1.0, omega])), "R": quantumness_R(geometry)}
-    return ResultRow(
-        axis_values=tuple(float(bound[ax.name]) for ax in spec.axes),
-        outputs={name: results[name] for name in spec.outputs},
-        flags=(),
-    )
+    return {**dict(fixed), **dict(zip(names, map(float, x)))}
 
 
 def run_point(spec: SweepSpec) -> ResultRow:
-    """Evaluate a fully bound spec (no axes) as a single row."""
+    """Evaluate a fully bound spec (no axes) as a single row: a batch of one."""
     spec = validate_spec(replace(spec, axes=()))
-    return _evaluate_point(spec, dict(spec.fixed), 0)
+    return _evaluate_chunk(spec, {}, np.zeros(1, int), _fixed_weight(spec))[0]
+
+
+def _fixed_weight(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray] | None:
+    """A weight that does not vary by row, validated and square-rooted."""
+    if spec.weight.kind in ("qfim", "diag_log_axis"):
+        return None
+    d = len(PARAM_NAMES[spec.model_id])
+    return _weight_and_root(_weight_matrices(spec, d), d)
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
-    """Evaluate the grid serially in row-major axis order.
+    """Evaluate the grid in row-major axis order.
 
-    Each row derives its own optimizer seed from its index, so a row is
-    reproducible on its own.  Physics flags never abort the sweep.
+    The points are evaluated in chunks of _CHUNK rows, each one stacked
+    batch through every stage; a maximization sweep first finds each row's
+    maximizing angles.  Each row derives its own optimizer seed from its
+    index, so a row is reproducible on its own.  Physics flags never abort
+    the sweep.
     ``threads`` is kept only because the benchmark scripts in perfbench/
     still pass ``threads=1``; any other value raises InvalidSpec.
     """
     if threads != 1:
         raise InvalidSpec("sweeps run serially; threads must be 1")
     spec = validate_spec(spec)
-    evaluate = _maximize_point if spec.maximize_over else _evaluate_point
-    rows = []
-    for index, combo in enumerate(itertools.product(*(ax.values() for ax in spec.axes))):
-        bound = dict(spec.fixed)
-        bound.update({ax.name: float(v) for ax, v in zip(spec.axes, combo)})
-        rows.append(evaluate(spec, bound, index))
+    grids = [ax.values() for ax in spec.axes]
+    total = math.prod(len(values) for values in grids)
+    weight = _fixed_weight(spec)
+    rows: list[ResultRow] = []
+    for start in range(0, total, _CHUNK):
+        index = np.arange(start, min(start + _CHUNK, total))
+        cells = np.unravel_index(index, [len(values) for values in grids]) if grids else ()
+        bound = {ax.name: values[i] for ax, values, i in zip(spec.axes, grids, cells)}
+        if spec.maximize_over:  # each row's maximizing angles, then the batch
+            points = zip(*(v.tolist() for v in bound.values()))
+            witnesses = [_witness(spec, {**spec.fixed, **dict(zip(bound, p))}) for p in points]
+            bound.update({name: np.array([w[name] for w in witnesses]) for name in _ANGLE_SPANS})
+        rows += _evaluate_chunk(spec, bound, index, weight)
     return rows
 
 
@@ -573,9 +586,6 @@ def figure_preset(name: str, config: Mapping[str, float] | None = None) -> Sweep
     cfg = dict(config or {})
     count = int(cfg.pop("count", 0))
     seed = int(cfg.pop("seed", 0))
-    # Grid presets face tiny convex subproblems (m d <= 3 variables), so a
-    # light restart budget is enough and keeps full grids fast.
-    grid_opts = HolevoOptions(restarts=2, max_iter=2000)
 
     def counted(default: int) -> int:
         return count if count >= 2 else default
@@ -619,7 +629,6 @@ def figure_preset(name: str, config: Mapping[str, float] | None = None) -> Sweep
             weight=WeightSpec(kind="identity"),
             outputs=("gap_h", "gap_t", "gap_r"),
             seed=seed,
-            holevo=grid_opts,
         )
     if name in ("fig3a", "fig3b"):
         if cfg:
@@ -643,7 +652,6 @@ def figure_preset(name: str, config: Mapping[str, float] | None = None) -> Sweep
             weight=WeightSpec(kind="identity"),
             outputs=("gap_h", "gap_t", "gap_r"),
             seed=seed,
-            holevo=grid_opts,
         )
     if name == "fig4":
         if cfg:
@@ -658,7 +666,6 @@ def figure_preset(name: str, config: Mapping[str, float] | None = None) -> Sweep
             weight=WeightSpec(kind="identity"),
             outputs=("gap_h", "gap_t", "gap_r"),
             seed=seed,
-            holevo=grid_opts,
         )
     if name == "fig5":
         if cfg:
@@ -673,6 +680,5 @@ def figure_preset(name: str, config: Mapping[str, float] | None = None) -> Sweep
             weight=WeightSpec(kind="identity"),
             outputs=("T", "gap_h", "gap_t"),
             seed=seed,
-            holevo=grid_opts,
         )
     raise UnknownPreset(f"unknown preset {name!r}; expected fig1, fig2, fig3a, fig3b, fig4, fig5")

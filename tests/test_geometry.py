@@ -8,11 +8,11 @@ from qmb.geometry import (
     RANK_TOL,
     _gell_mann,
     _qfim_inverse,
+    _weight_frame,
     compute_geometry,
     geometry_from_matrices,
     quantumness_R,
     rld_qfim,
-    singular_values_pairing,
     t_measure,
     t_saturation_analysis,
     tangent_normal_decomposition,
@@ -619,6 +619,42 @@ def test_normal_space_properties(seed, n, d, kind):
         assert np.array_equal(op, op.conj().T)
         for sld in g.slds:
             assert abs(np.real(np.trace(rho @ sld @ op))) <= 1e-9 * scale
+
+
+def singular_values_pairing(g, w_mat):
+    """Singular values of sqrt(W) Q^-1 U Q^-1 sqrt(W): direct SVD vs pairing.
+
+    The pairing expression multiplies each canonical-block singular value
+    mu_k of the conjugated U by the two eigenvalues d_i d_j of sqrt(W) Q^-1
+    acting on that block; it is exact only when the conjugated U is
+    block-canonical in the eigenbasis of sqrt(W) Q^-1 (returned second), as
+    the aligned inputs of the test below are.
+    """
+    q, u = g.qfim, g.uhlmann
+    frame = _weight_frame(g, w_mat)
+    direct = np.sort(np.linalg.svd(frame.core, compute_uv=False))[::-1]
+    a = frame.sqrt_w @ frame.qinv
+    av, avec = np.linalg.eigh(0.5 * (a + a.T))
+    u_tilde = avec.T @ u @ avec
+    paired = []
+    used = set()
+    d = q.shape[0]
+    for i in range(d):
+        if i in used:
+            continue
+        row = np.abs(u_tilde[i])
+        row[list(used) + [i]] = 0.0
+        j = int(np.argmax(row))
+        mu = abs(u_tilde[i, j])
+        if mu > 0:
+            paired.extend([av[i] * av[j] * mu] * 2)
+            used.update((i, j))
+        else:
+            paired.append(0.0)
+            used.add(i)
+    paired = np.abs(np.array(paired, dtype=float))
+    paired = np.sort(np.concatenate([paired, np.zeros(max(0, d - paired.size))]))[::-1][:d]
+    return direct, paired
 
 
 class TestSingularValuePairing:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from qmb.errors import StepTooLarge
 from qmb.models import (
     PAULI,
-    _bloch_closed_form,
     _tunable_qubit_bloch_derivs,
     expm_generator,
     generator_geometry,
@@ -20,6 +21,43 @@ from qmb.models import (
     tunable_qubit_pure_geometry_grid,
     unitary_generator,
 )
+
+
+def _bloch_closed_form(
+    r0: np.ndarray, gamma: float, theta: float, phi: float, l1: float, l2: float
+) -> np.ndarray:
+    """`tunable_qubit_bloch` from closed-form components."""
+    # Closed-form components in terms of xi, eps and the in-plane projections
+    # A(e) = r_y cos(xi+e) + r_x sin(xi+e), B(e) = r_x cos(xi+e) - r_y sin(xi+e).
+    rx, ry, rz = r0
+    xi = 2.0 * l1 - phi
+    eps = 2.0 * l2 + phi
+    k1 = math.sin(gamma) * math.sin(theta)
+    k2 = math.sin(gamma) * math.cos(theta)
+    cg = math.cos(gamma)
+    sg2 = math.sin(gamma) ** 2
+
+    def a_of(e: float) -> float:
+        return ry * math.cos(xi + e) + rx * math.sin(xi + e)
+
+    def b_of(e: float) -> float:
+        return rx * math.cos(xi + e) - ry * math.sin(xi + e)
+
+    ce, se = math.cos(eps), math.sin(eps)
+    rxp = (
+        -2.0 * k2 * cg * a_of(eps)
+        + (1.0 - 2.0 * k2 * k2) * b_of(eps)
+        + 2.0 * k1 * k1 * se * a_of(0.0)
+        + 2.0 * k1 * rz * (k2 * ce + cg * se)
+    )
+    ryp = (
+        cg * cg * a_of(eps)
+        + 2.0 * k2 * cg * b_of(eps)
+        + 2.0 * k1 * rz * (k2 * se - cg * ce)
+        - sg2 * (ce * a_of(0.0) + math.cos(2.0 * theta) * se * b_of(0.0))
+    )
+    rzp = (1.0 - 2.0 * k1 * k1) * rz + 2.0 * k1 * (cg * a_of(0.0) + k2 * b_of(0.0))
+    return np.array([rxp, ryp, rzp])
 
 
 def pure_point_geometry(alpha, beta, gamma, theta, phi, l1, l2):

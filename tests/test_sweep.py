@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -11,13 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmb
-from qmb import sweep
+from qmb import bounds, sweep
+from qmb.bounds import ReportOptions, full_report
 from qmb.cli import main as cli_main
 from qmb.errors import InvalidSpec, SingularQFIM, UnknownPreset
-from qmb.geometry import quantumness_R, t_measure
-from qmb.models import tunable_qubit_pure_geometry_grid
+from qmb.geometry import compute_geometry, quantumness_R, t_measure
+from qmb.models import PARAM_NAMES, model_config, model_point, tunable_qubit_pure_geometry_grid
 from qmb.neldermead import nelder_mead
 from qmb.sweep import (
+    CANONICAL_OUTPUTS,
     Axis,
     SweepSpec,
     WeightSpec,
@@ -316,6 +319,32 @@ class TestFigurePresets:
             assert len(rows) == 9
             assert any(not r.flags for r in rows)
 
+    def test_presets_never_reach_the_simplex_ladder(self, monkeypatch):
+        # every preset point has a normal space of at most one direction
+        # (qubits: n = 2; the pure qutrit: m = 1), so no Holevo option
+        # budget applies to them
+        def no_ladder(*args, **kwargs):
+            raise AssertionError("simplex ladder reached")
+
+        monkeypatch.setattr(bounds, "_holevo_simplex", no_ladder)
+        for name in ("fig2", "fig3a", "fig3b", "fig4", "fig5"):
+            config = {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}
+            rows = run_sweep(figure_preset(name, {**config, "count": 6}))
+            assert len(rows) == 36
+            assert not any("HolevoNotConverged" in row.flags for row in rows)
+
+    def test_fig1_singular_rows_flagged_not_fatal(self):
+        # with theta = 0 the two encodings commute and det Q = 0 at every
+        # angle: each row is a flagged null row, and the sweep goes on
+        spec = replace(
+            figure_preset("fig1", {"count": 2}),
+            fixed={"theta": 0.0},
+            maximize_over=("alpha", "beta", "gamma", "phi"),
+        )
+        rows = run_sweep(spec)
+        assert [row.flags for row in rows] == [("SingularQFIM",)] * 2
+        assert all(value is None for row in rows for value in row.outputs.values())
+
     def test_fig1_symmetric_configuration_saturates(self):
         # with optimization disabled and a symmetric pure configuration
         # (diagonal Q with equal entries), T at omega = 1 equals R
@@ -451,7 +480,9 @@ def _simplex_oracle(names, fixed, l1, omega, n=17):
             return -objective(a, c, u, det) if det > 1e-6 * max(a * c, 1e-300) else 0.0
 
         x, _, _ = nelder_mead(negated, x0, step=0.08, max_iter=1200)
-        return sweep._refined_geometry(names, x, tuple(fixed.items()), l1, 0.0)
+        angles = {**fixed, **dict(zip(names, map(float, x)))}
+        pt = model_point(model_config("tunable_qubit", **angles), (l1, 0.0))
+        return compute_geometry(pt.rho, pt.derivs)
 
     t_score = abs_u / (np.where(regular, q22, 1.0) + omega * q11)
     g_t = refined_geometry(
@@ -672,3 +703,202 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "c_sld" in proc.stdout
+
+
+def _serial_bind(model_id, bound):
+    """The earlier binding of one point's names to a config and parameters."""
+    values = dict(bound)
+    if model_id == "tunable_qubit":
+        if "xi" in values:
+            values["lambda1"] = 0.5 * (values.pop("xi") + values["phi"])
+        if "r_xy" in values:
+            v = values.pop("r_xy")
+            values["r_x"] = values["r_y"] = v
+        if "r2" in values:
+            r2 = values.pop("r2")
+            r_z = values["r_z"]
+            values["r_x"] = values["r_y"] = math.sqrt(max(r2 - r_z * r_z, 0.0) / 2.0)
+    params = tuple(float(values.pop(name, 0.0)) for name in PARAM_NAMES[model_id])
+    return model_config(model_id, **values), params
+
+
+def _serial_oracle(spec, bound, index):
+    """The earlier sweep evaluation, one point at a time through
+    model_point, compute_geometry and full_report (identity weight, as the
+    presets use); returns the row and cond(Q) at the point."""
+    model_bound = {k: v for k, v in bound.items() if k != spec.weight.axis}
+    cfg, params = _serial_bind(spec.model_id, model_bound)
+    point = model_point(cfg, params)
+    geometry = compute_geometry(point.rho, point.derivs)
+    assert spec.weight.kind == "identity"
+    w_mat = np.eye(cfg.n_params)
+    axis_values = tuple(float(bound[ax.name]) for ax in spec.axes)
+    opts = ReportOptions(
+        holevo=replace(spec.holevo, seed=(spec.seed, index)),
+        pseudo_inverse=spec.pseudo_inverse,
+        compute_rld="c_rld" in spec.outputs,
+        compute_holevo=("c_h" in spec.outputs or "gap_h" in spec.outputs),
+    )
+    report = full_report(point, w_mat, opts, geometry=geometry)
+    flags = set(report.flags)
+    if report.r_value is not None and report.r_value > 1.0 + 1e-9:
+        flags.add("RAboveOne")
+
+    def gap(c_x):
+        return None if c_x is None or report.c_sld is None else (c_x - report.c_sld) / report.c_sld
+
+    values = {
+        "c_sld": report.c_sld,
+        "c_rld": report.c_rld,
+        "c_t": report.c_t,
+        "c_r": report.c_r,
+        "c_h": report.c_h,
+        "R": report.r_value,
+        "T": report.t_value,
+        "gap_h": gap(report.c_h),
+        "gap_t": gap(report.c_t),
+        "gap_r": gap(report.c_r),
+    }
+    row = sweep.ResultRow(
+        axis_values=axis_values,
+        outputs={name: values[name] for name in spec.outputs},
+        flags=tuple(sorted(flags)),
+    )
+    return row, float(np.linalg.cond(geometry.qfim))
+
+
+def _assert_rows_close(got, want, rel, cond=0.0):
+    assert got.axis_values == want.axis_values
+    assert got.flags == want.flags
+    assert got.outputs.keys() == want.outputs.keys()
+    for name, value in want.outputs.items():
+        if value is None:
+            assert got.outputs[name] is None, name
+        else:
+            assert abs(got.outputs[name] - value) <= (rel + 1e-16 * cond) * abs(value), name
+
+
+def _property_spec(model_id, kind, pseudo_inverse, span, rng):
+    """A small grid over one model whose first axis crosses a singular
+    line at its middle point: gamma = 0 (commuting encodings) for the
+    tunable qubit, B t = 2 pi (no theta information) for the SU(2) models."""
+    if model_id == "tunable_qubit":
+        r = rng.normal(size=3)
+        r *= rng.uniform(0.2, 0.95) / np.linalg.norm(r)
+        fixed = {
+            "theta": rng.uniform(0.3, 2.8), "phi": rng.uniform(0.0, 6.0),
+            "lambda2": rng.uniform(0.0, 1.0), "r_x": r[0], "r_y": r[1], "r_z": r[2],
+        }
+        axes = [Axis("gamma", -span, span, 3), Axis("lambda1", 0.1, 1.3, 2)]
+    else:
+        fixed = {"alpha": rng.uniform(0.3, 2.8), "beta": rng.uniform(0.0, 6.0), "t": 1.0}
+        if model_id == "su2_qutrit":
+            fixed["phi"] = rng.uniform(0.0, 1.0)
+        axes = [Axis("B", 2 * math.pi - span, 2 * math.pi + span, 3), Axis("theta", 0.2, 1.2, 2)]
+    d = len(PARAM_NAMES[model_id])
+    if kind == "diag":
+        weight = WeightSpec("diag", tuple(rng.uniform(0.5, 2.0, d)))
+    elif kind == "full":
+        a = rng.normal(size=(d, d))
+        weight = WeightSpec("full", tuple((a @ a.T + d * np.eye(d)).ravel()))
+    elif kind == "diag_log_axis":
+        axes.append(Axis("omega_log10", -1.0, 1.0, 2))
+        weight = WeightSpec(kind, axis="omega_log10")
+    else:
+        weight = WeightSpec(kind)
+    return SweepSpec(
+        model_id, fixed=fixed, axes=tuple(axes), weight=weight, pseudo_inverse=pseudo_inverse
+    )
+
+
+class TestChunkedSweep:
+    """The chunked sweep against the earlier one-point-at-a-time path and
+    against its own batch of one."""
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3a", "fig3b", "fig4", "fig5"])
+    def test_matches_serial_oracle(self, name):
+        # batched sums may round differently, and conditioning amplifies that
+        config = {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}
+        spec = validate_spec(figure_preset(name, {**config, "count": 12}))
+        rows = run_sweep(spec)
+        combos = itertools.product(*(ax.values() for ax in spec.axes))
+        for index, (row, combo) in enumerate(zip(rows, combos, strict=True)):
+            bound = {**spec.fixed, **{ax.name: float(v) for ax, v in zip(spec.axes, combo)}}
+            want, cond = _serial_oracle(spec, bound, index)
+            _assert_rows_close(row, want, 1e-12, cond)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model_id=st.sampled_from(sorted(PARAM_NAMES)),
+        kind=st.sampled_from(["identity", "diag", "full", "qfim", "diag_log_axis"]),
+        pseudo_inverse=st.booleans(),
+        span=st.floats(0.05, 0.6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_rows_equal_batch_of_one(self, model_id, kind, pseudo_inverse, span, seed):
+        if kind == "diag_log_axis" and model_id == "su2_qutrit":
+            kind = "identity"  # the log-axis weight is two-parameter only
+        spec = _property_spec(model_id, kind, pseudo_inverse, span, np.random.default_rng(seed))
+        rows = run_sweep(spec)
+        assert len(rows) == math.prod(ax.count for ax in spec.axes)
+        assert spec.outputs == CANONICAL_OUTPUTS
+        assert any("SingularQFIM" in row.flags for row in rows)  # the singular line
+        for row in rows:
+            bound = dict(zip((ax.name for ax in spec.axes), row.axis_values))
+            point = run_point(replace(spec, fixed={**spec.fixed, **bound}))
+            _assert_rows_close(row, replace(point, axis_values=row.axis_values), 1e-14)
+
+    @pytest.mark.parametrize("pseudo_inverse", [False, True])
+    def test_zero_qfim_is_a_null_row(self, pseudo_inverse):
+        # a maximally mixed probe carries no information: Q = 0 has no
+        # pseudo-inverse either, so both modes give flagged null rows
+        fixed = {"gamma": 0.7, "theta": 1.0, "phi": 0.0, "r_x": 0.0, "r_y": 0.0, "r_z": 0.0}
+        spec = SweepSpec("tunable_qubit", fixed=fixed, axes=(Axis("lambda1", 0.0, 1.0, 2),),
+                         pseudo_inverse=pseudo_inverse)
+        for row in run_sweep(spec) + [run_point(replace(spec, fixed={**fixed, "lambda1": 0.1}))]:
+            assert row.flags == ("RldUnavailable", "SingularQFIM")
+            assert all(value is None for value in row.outputs.values())
+
+    def test_chunk_boundary(self, monkeypatch):
+        spec = small_spec(
+            fixed={k: v for k, v in MIXED_QUBIT.items() if k != "lambda1"},
+            axes=(Axis("lambda1", 0.0, 0.4, 3), Axis("lambda2", 0.0, 0.3, 2)),
+            weight=WeightSpec("qfim"),
+            outputs=CANONICAL_OUTPUTS,
+        )
+        whole = run_sweep(spec)
+        monkeypatch.setattr(sweep, "_CHUNK", 5)
+        chunked = run_sweep(spec)
+        assert len(chunked) == sweep._CHUNK + 1
+        for got, want in zip(chunked, whole, strict=True):
+            _assert_rows_close(got, want, 1e-14)
+
+    @pytest.mark.parametrize(
+        "fixed, axes, message",
+        [
+            (
+                {"r_z": 0.5},
+                (Axis("r2", 0.6, 0.1, 3), Axis("phi", 0.0, 1.0, 2)),
+                "r2=0.1 is below r_z^2",
+            ),
+            (
+                {"phi": 0.0, "r_y": 0.3, "r_z": 0.3},
+                (Axis("lambda2", 0.0, 1.0, 2), Axis("r_x", 0.5, 1.1, 4)),
+                "Bloch vector norm np.float64(1.1789826122551597) exceeds 1",
+            ),
+            (
+                # the first row is too long; a later one has r2 below r_z^2
+                {"r_z": 0.5},
+                (Axis("r2", 1.2, 0.1, 4), Axis("phi", 0.0, 1.0, 2)),
+                "Bloch vector norm np.float64(1.0954451150103321) exceeds 1",
+            ),
+        ],
+        ids=["r2_below_rz2", "bloch_norm_above_1", "first_row_first"],
+    )
+    def test_invalid_row_raises_as_serial(self, fixed, axes, message):
+        # the messages are the ones the one-point-at-a-time sweep raised
+        base = {"gamma": 0.7, "theta": 1.5, "lambda1": 0.0}
+        spec = SweepSpec("tunable_qubit", fixed={**base, **fixed}, axes=axes)
+        with pytest.raises(InvalidSpec) as info:
+            run_sweep(spec)
+        assert str(info.value) == message

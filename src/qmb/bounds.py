@@ -11,14 +11,16 @@ coupling matrices.  The cross term is the antisymmetrized form: expanding
 Tr[rho X_mu X_nu] for X = L Q^-1 + P K gives Q^-1 S K - (Q^-1 S K)^T in the
 imaginary part, which keeps the objective equal to the Holevo functional of
 the actual operator tuple (and hence convex in K).  For a one-dimensional
-normal space and d <= 3 the minimum has a closed form; every other case runs
-an iterative simplex ladder.
+normal space and d <= 3 the minimum has a closed form.  Every other case
+maximizes the concave Lagrangian dual by Newton steps, which brackets C_H
+between a primal value and a dual lower bound; a row whose bracket is wider
+than HOLEVO_GAP_TOL (relative) carries HolevoNotConverged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -42,7 +44,6 @@ from .geometry import (
 from .linalg import SUPPORT_TOL, density_spectrum, dot, require_weight, trace_norm
 from .linalg import tracenorm_antisym
 from .models import ModelPoint
-from .neldermead import nelder_mead
 
 FLAG_SINGULAR_QFIM = "SingularQFIM"
 FLAG_PSEUDO_INVERSE = "PseudoInverseUsed"
@@ -50,32 +51,30 @@ FLAG_RLD_UNAVAILABLE = "RldUnavailable"
 FLAG_HOLEVO_NOT_CONVERGED = "HolevoNotConverged"
 
 HIERARCHY_SLACK = 1e-7
-
-
-@dataclass(frozen=True)
-class HolevoOptions:
-    """Minimizer controls: evaluation budget per start, relative convergence
-    tolerance across a restart round, and number of seeded restarts."""
-
-    max_iter: int = 5000
-    tol: float = 1e-9
-    restarts: int = 8
-    seed: int | tuple[int, ...] = 0
-    max_rounds: int = 4
+# A Holevo value counts as converged when its dual lower bound lies within
+# this relative distance below it.
+HOLEVO_GAP_TOL = 1e-9
+# Cap on the Newton steps of one dual solve; a handful close the gap.
+_DUAL_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
 class HolevoSolution:
+    """The Holevo value, the K attaining it, and a certified lower bound,
+    lower <= C_H <= value; ``iterations`` counts objective or dual evaluations."""
+
     k_matrix: np.ndarray
     value: float
+    lower: float
     iterations: int
-    converged: bool
-    restarts_used: int
+
+    @property
+    def converged(self) -> bool:
+        return self.value - self.lower <= HOLEVO_GAP_TOL * self.value
 
 
 @dataclass(frozen=True)
 class ReportOptions:
-    holevo: HolevoOptions = field(default_factory=HolevoOptions)
     support_tol: float = SUPPORT_TOL
     pseudo_inverse: bool = False
     compute_rld: bool = True
@@ -145,19 +144,6 @@ def holevo_pure_qubit_closed_form(g: InformationGeometry, w_mat: np.ndarray) -> 
     return float(np.trace(prod)) + 2.0 * float(np.sqrt(det))
 
 
-def _tracenorm_antisym_smoothed(m: np.ndarray, mu: float) -> float:
-    """sum_k sqrt(sigma_k^2 + mu^2) over singular-value pairs of a real
-    antisymmetric matrix; smooth in the entries, -> trace norm as mu -> 0."""
-    d = m.shape[0]
-    if d == 2:
-        return 2.0 * float(np.sqrt(m[0, 1] ** 2 + mu * mu))
-    if d == 3:
-        s2 = m[0, 1] ** 2 + m[0, 2] ** 2 + m[1, 2] ** 2
-        return 2.0 * float(np.sqrt(s2 + mu * mu))
-    sv = np.linalg.svd(m, compute_uv=False)[::2]
-    return 2.0 * float(np.sum(np.sqrt(sv * sv + mu * mu)))
-
-
 @dataclass(frozen=True)
 class _TangentSetup:
     """The per-point pieces of the tangent objective, in the variable
@@ -180,13 +166,12 @@ def _tangent_setup(
     )
 
 
-def _objective(setup: _TangentSetup, smoothing: float = 0.0) -> Callable[[np.ndarray], float]:
+def _objective(setup: _TangentSetup) -> Callable[[np.ndarray], float]:
     """The objective of one point's K (flattened), or of a batch's K (B, m, d)."""
     shape = setup.left.shape[:-2] + setup.left.shape[:-3:-1]  # (..., m, d)
     sqrt_w, core, base = setup.frame.sqrt_w, setup.frame.core, setup.frame.c_sld
     left = setup.left
     gram_re, gram_im = setup.gram.real, setup.gram.imag
-    mu = float(smoothing)
 
     def objective(k: np.ndarray) -> float:
         # Conjugating K -> K sqrt(W) folds both sqrt(W) factors into the
@@ -194,62 +179,45 @@ def _objective(setup: _TangentSetup, smoothing: float = 0.0) -> Callable[[np.nda
         b = np.asarray(k, dtype=float).reshape(shape) @ sqrt_w
         cross = left @ b
         im_z = core + b.swapaxes(-1, -2) @ (gram_im @ b) + cross - cross.swapaxes(-1, -2)
-        pen = (b * (gram_re @ b)).sum(axis=(-2, -1))
-        if mu > 0.0:
-            val = base + pen + _tracenorm_antisym_smoothed(im_z, mu)
-        else:
-            val = base + pen + tracenorm_antisym(im_z)
+        val = base + (b * (gram_re @ b)).sum(axis=(-2, -1)) + tracenorm_antisym(im_z)
         return np.where(np.isfinite(val), val, 1e300)[()]
 
     return objective
 
 
 def tangent_objective(
-    g: InformationGeometry,
-    basis: NormalSpaceBasis,
-    w_mat: np.ndarray,
-    smoothing: float = 0.0,
+    g: InformationGeometry, basis: NormalSpaceBasis, w_mat: np.ndarray
 ) -> Callable[[np.ndarray], float]:
-    """The Holevo objective as a function of the flattened K matrix.
-
-    A positive ``smoothing`` replaces the trace norm by its smooth
-    sqrt(sigma^2 + mu^2) envelope; the minimizer anneals this to polish past
-    the kink, but reported values always use the exact (mu = 0) objective.
-    """
-    return _objective(_tangent_setup(g, basis, w_mat), smoothing)
+    """The Holevo objective as a function of the flattened K matrix."""
+    return _objective(_tangent_setup(g, basis, w_mat))
 
 
 def holevo_tangent_min(
-    g: InformationGeometry,
-    basis: NormalSpaceBasis,
-    w_mat: np.ndarray | _WeightFrame,
-    opts: HolevoOptions | None = None,
+    g: InformationGeometry, basis: NormalSpaceBasis, w_mat: np.ndarray | _WeightFrame
 ) -> HolevoSolution:
     """Minimize the tangent-space Holevo objective over K.
 
     ``w_mat`` is the weight matrix, or the weight frame that ``full_report``
     already built from it.  An empty normal space leaves only K = 0.  A
     one-dimensional normal space with d <= 3 parameters has an exact minimum
-    (``_holevo_exact``).  Every other case runs the simplex ladder
-    (``_holevo_simplex``), the only path that ``opts`` affects.  The
-    returned value never exceeds the K = 0 objective, so it always sits
-    between C_SLD and C_T.
+    (``_holevo_exact``).  Every other case solves the Lagrangian dual
+    (``_holevo_dual``).  The returned value never exceeds the K = 0
+    objective, so it always sits between C_SLD and C_T.
     """
-    opts = opts or HolevoOptions()
-    return _holevo_solutions(take(_tangent_setup(g, basis, w_mat), None), opts, [opts.seed])[0]
+    return _holevo_solutions(take(_tangent_setup(g, basis, w_mat), None))[0]
 
 
-def _holevo_solutions(setup: _TangentSetup, opts: HolevoOptions, seeds: Sequence) -> list:
+def _holevo_solutions(setup: _TangentSetup) -> list:
     """The minima of a batch of tangent setups that share the normal-space
-    size m, one seed per point for the simplex ladder."""
+    size m; only the dual solve runs point by point."""
     d, m = setup.left.shape[-2:]
     if m == 0:  # K = 0, where the objective is C_T
         empty = np.zeros((0, d))
-        return [HolevoSolution(empty, v, 0, True, 0) for v in setup.frame.c_t.tolist()]
+        return [HolevoSolution(empty, v, v, 0) for v in setup.frame.c_t.tolist()]
     if m == 1 and d in (2, 3):  # two evaluations: K = 0 (C_T) and the optimum
         values, ks = _holevo_exact(setup)
-        return [HolevoSolution(k[None], v, 2, True, 0) for v, k in zip(values.tolist(), ks)]
-    return [_holevo_simplex(take(setup, i), replace(opts, seed=s)) for i, s in enumerate(seeds)]
+        return [HolevoSolution(k[None], v, v, 2) for v, k in zip(values.tolist(), ks)]
+    return [_holevo_dual(take(setup, i)) for i in range(len(setup.left))]
 
 
 def _shrink(q, p, weight, s2):
@@ -323,79 +291,118 @@ def _holevo_exact(setup: _TangentSetup) -> tuple[np.ndarray, np.ndarray]:
     return np.where(worse, setup.frame.c_t, value), np.where(worse[..., None], 0.0, k)
 
 
-def _holevo_simplex(setup: _TangentSetup, opts: HolevoOptions) -> HolevoSolution:
-    """Simplex-ladder minimum for any normal space of size m >= 1.
+def _holevo_dual(setup: _TangentSetup) -> HolevoSolution:
+    """Certified minimum for any normal space of size m >= 1, one point.
 
-    Simplex descent from K = 0 and from seeded random perturbations of
-    scale 0.1 ||Q^-1||, keeping the best vertex; converged when a full
-    restart round improves the value by less than the relative tolerance.
+    ||A||_1 = max <Y, A> over antisymmetric Y with ||Y||_op <= 1, and the
+    objective is convex in b = K sqrt(W), so (Albarelli, Friel & Datta,
+    PRL 123, 200503, 2019) C_H = max_Y g(Y) with the concave
+    g(Y) = C_SLD + <Y, core> - gamma^T H^+ gamma, H = I_d (x) Re P + Y (x) Im P,
+    gamma = vec(left^T Y).  Its inner minimizer x* = vec(b*) = -H^+ gamma is
+    a primal point, so each iterate brackets C_H between g and the objective
+    at x*.  Newton steps in the entries y_a of Y above the diagonal (gradient
+    <E_a, Im Z(x*)>, Hessian -2 U H^+ U^T, u_a = gamma_a + H_a x*) maximize
+    the quadratic model over the feasible set, with backtracking on g.
     """
-    d, m = setup.left.shape
-    objective = _objective(setup)
-    value_at_zero = objective(np.zeros(m * d))
-    scale = 0.1 * float(np.max(np.abs(np.linalg.eigvalsh(setup.frame.qinv))))
-    rng = np.random.default_rng(opts.seed)
-    nvar = m * d
-    best_x = np.zeros(nvar)
-    best_f = value_at_zero
-    total_evals = 0
-    restarts_used = 0
-    converged = False
+    frame, left, gram = setup.frame, setup.left, setup.gram
+    d, m = left.shape
+    rows, cols = np.triu_indices(d, 1)
+    basis = np.zeros((len(rows), d, d))
+    basis[np.arange(len(rows)), rows, cols] = 1.0
+    basis -= basis.swapaxes(-1, -2)
+    h_0 = np.kron(np.eye(d), gram.real)
+    h_y = np.stack([np.kron(e, gram.imag) for e in basis])
+    gamma_y = (left.T @ basis).swapaxes(-1, -2).reshape(len(basis), d * m)
+    core_y = np.einsum("aij,ij->a", basis, frame.core)
+    objective, from_b = _objective(setup), np.linalg.inv(frame.sqrt_w)
 
-    def attempt(x0: np.ndarray, step: float, count_restart: bool) -> None:
-        nonlocal best_x, best_f, total_evals, restarts_used
-        x, f, ev = nelder_mead(objective, x0, step=step, max_iter=opts.max_iter)
-        total_evals += ev
-        if count_restart:
-            restarts_used += 1
-        if f < best_f:
-            best_f, best_x = f, x
+    def dual(y: np.ndarray) -> tuple:
+        """g(y), x*(y), and the gradient and negated Hessian of g at y."""
+        gamma = y @ gamma_y
+        w, v = np.linalg.eigh(h_0 + np.tensordot(y, h_y, 1))
+        keep, proj = w > 1e-12 * w[-1], v.T @ gamma
+        if np.any(np.abs(proj[~keep]) > 1e-9 * np.linalg.norm(gamma)):
+            return -np.inf, None, None, None  # gamma outside the range of H
+        inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+        x = -v @ (inv * proj)
+        u = (gamma_y + h_y @ x) @ v
+        grad = core_y + 2.0 * (gamma_y @ x) + (h_y @ x) @ x
+        return frame.c_sld + y @ core_y + gamma @ x, x, grad, 2.0 * (u * inv) @ u.T
 
-    for round_idx in range(opts.max_rounds):
-        round_before = best_f
-        # the simplex scale anneals between rounds: the first round explores
-        # at the characteristic 0.1 ||Q^-1|| scale, later rounds rebuild a
-        # fresh (smaller) simplex around the incumbent, which un-sticks the
-        # descent at the trace-norm kink
-        round_scale = max(scale * 0.25**round_idx, 1e-10 * max(scale, 1.0))
-        if round_idx == 0:
-            attempt(np.zeros(nvar), round_scale, count_restart=False)
-            n_perturb = opts.restarts
-        else:
-            n_perturb = min(2, opts.restarts)
-        for _ in range(n_perturb):
-            attempt(best_x + rng.normal(size=nvar) * round_scale, round_scale, True)
-        for _ in range(3):
-            before = best_f
-            attempt(best_x, round_scale, count_restart=False)
-            if before - best_f <= opts.tol * max(abs(best_f), 1e-30):
-                break
-        if round_before - best_f <= opts.tol * max(abs(best_f), 1e-30):
-            converged = True
+    y = np.zeros(len(basis))
+    g, x, grad, hess = dual(y)
+    value, lower, k_best, evals, gap = float(frame.c_t), float(g), np.zeros((m, d)), 1, np.inf
+    for steps in range(_DUAL_MAX_ITER + 1):
+        k = x.reshape(d, m).T @ from_b
+        primal = float(objective(k))
+        if primal < value:
+            value, k_best = primal, k
+        lower = max(lower, float(g))
+        # steps go on past the tolerance for as long as they narrow the bracket
+        if not 0.0 < value - lower < gap or steps == _DUAL_MAX_ITER:
             break
-    if value_at_zero - best_f > opts.tol * max(abs(best_f), 1e-30):
-        # smoothing-ladder polish: anneal the kink away, then re-score the
-        # result with the exact objective (the reported value stays a true
-        # upper bound)
-        kink_scale = max(abs(best_f), 1e-6)
-        for mu_rel in (1e-3, 1e-5, 1e-7, 1e-9):
-            smooth_obj = _objective(setup, smoothing=mu_rel * kink_scale)
-            x, _, ev = nelder_mead(
-                smooth_obj, best_x, step=max(np.sqrt(mu_rel) * scale, 1e-9), max_iter=opts.max_iter
-            )
-            total_evals += ev
-            f_exact = objective(x)
-            if f_exact < best_f:
-                best_f, best_x = f_exact, x
-    if best_f > value_at_zero:
-        best_f, best_x = value_at_zero, np.zeros(nvar)
-    return HolevoSolution(
-        k_matrix=best_x.reshape(m, d),
-        value=best_f,
-        iterations=total_evals,
-        converged=converged,
-        restarts_used=restarts_used,
-    )
+        gap = value - lower
+        z = _ball_step(y, grad, hess) if d <= 3 else _clipped_step(y, grad, hess, basis)
+        # near the optimum g is flat to rounding while x* still converges, so
+        # a step that loses no more than rounding is taken
+        t = 1.0
+        for _ in range(34):
+            trial = dual(y + t * (z - y))
+            evals += 1
+            if trial[0] >= g - 1e-14 * abs(g):
+                break
+            t *= 0.5
+        else:
+            break  # no ascent left along the step
+        y, (g, x, grad, hess) = y + t * (z - y), trial
+    # at the optimum rounding can put g a few ulps above the primal value
+    return HolevoSolution(k_best, value, min(lower, value), evals)
+
+
+def _ball_step(y, grad, hess):
+    """For d <= 3, where ||Y||_op = |y|: the maximizer over |z| <= 1 of the
+    model grad.(z - y) - (z - y).hess.(z - y) / 2.  That is the Newton point,
+    or if that is unbounded or outside the ball (a boundary optimum),
+    z(lam) = (hess + lam I)^-1 (grad + hess y) at the root of |z(lam)| = 1."""
+    a, q = np.linalg.eigh(hess)
+    a = np.maximum(a, 0.0)
+    flat = a <= 1e-12 * a[-1]
+    slope, c = q.T @ grad, q.T @ (grad + hess @ y)
+    if not np.any(flat & (np.abs(slope) > 1e-14 * np.max(np.abs(c)))):
+        z = y + q @ np.where(flat, 0.0, slope / np.where(flat, 1.0, a))
+        if z @ z <= 1.0:
+            return z
+    # |z(lam)| >= 1 here, and 1 / |z(lam)| - 1 is increasing and concave,
+    # so Newton steps on it rise monotonically onto the root
+    lam = max(0.0, float(np.max(np.abs(c) - a)))
+    for _ in range(100):
+        den = np.where(a + lam > 0.0, a + lam, np.inf)
+        zc = c / den
+        norm, curve = np.sqrt(zc @ zc), zc @ (zc / den)
+        nxt = lam + (norm - 1.0) * norm * norm / curve if curve > 0.0 else lam
+        if norm <= 1.0 or not nxt > lam:
+            break
+        lam = nxt
+    z = q @ zc
+    return z / max(1.0, np.sqrt(z @ z))
+
+
+def _clipped_step(y, grad, hess, basis):
+    """The model maximizer of `_ball_step` over ||Y||_op <= 1 for d >= 4, by
+    up to 200 accelerated projected-gradient steps from y; the projection
+    clips the eigenvalues of iY to [-1, 1]."""
+    rows, cols = np.triu_indices(basis.shape[-1], 1)
+    rate = 1.0 / max(np.linalg.eigvalsh(hess)[-1], 1e-12 * np.max(np.abs(grad)), 1e-300)
+    z = prev = y
+    t = 1.0
+    for _ in range(200):
+        t, t_prev = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t)), t
+        v = z + (t_prev - 1.0) / t * (z - prev)
+        w, u = np.linalg.eigh(1j * np.tensordot(v + rate * (grad - hess @ (v - y)), basis, 1))
+        prev, z = z, (-1j * (u * np.clip(w, -1.0, 1.0)) @ u.conj().T).real[rows, cols]
+        if np.max(np.abs(z - prev)) <= 1e-13:
+            break
+    return z
 
 
 def _check_hierarchy(report: BoundsReport) -> None:
@@ -436,19 +443,18 @@ def full_report(
     one = InformationGeometry(g.qfim[None], g.uhlmann[None], np.asarray(g.slds)[None], None)
     one.__dict__["_qfim_eigh"] = tuple(x[None] for x in g._qfim_eigh)
     rho, derivs = np.asarray(point.rho)[None], np.asarray(point.derivs)[None]
-    return next(batch_reports(rho, derivs, one, w_mat[None], sqrt_w[None], opts, [opts.holevo.seed]))
+    return next(batch_reports(rho, derivs, one, w_mat[None], sqrt_w[None], opts))
 
 
 def batch_reports(
     rho: np.ndarray, derivs: np.ndarray, g: InformationGeometry, w_mat: np.ndarray,
-    sqrt_w: np.ndarray, opts: ReportOptions, seeds: Sequence,
+    sqrt_w: np.ndarray, opts: ReportOptions,
 ) -> Iterator[BoundsReport]:
     """`full_report` for a batch: states (B, n, n), derivatives (B, d, n, n),
-    their batch geometry, validated weights and roots (B, d, d) and one
-    Holevo seed per point.  Every stage runs stacked; singular and
-    pseudo-inverse QFIMs and missing RLD bounds are masks that become the
-    flags.  Only the simplex ladder (m >= 2 or d >= 4) runs point by point.
-    The reports are built as they are read."""
+    their batch geometry and validated weights and roots (B, d, d).  Every
+    stage runs stacked; singular and pseudo-inverse QFIMs and missing RLD
+    bounds are masks that become the flags.  Only the dual solve (m >= 2 or
+    d >= 4) runs point by point.  The reports are built as they are read."""
     frame = _frame(g, w_mat, sqrt_w)
     ill = frame.used_pseudo
     null = ill & ((g._qfim_eigh[0][:, -1] <= 0.0) | (not opts.pseudo_inverse))
@@ -468,8 +474,7 @@ def batch_reports(
         for rows, basis in _normal_spaces(rho[sel], g.slds[sel]):
             rows = regular[rows]
             setup = _tangent_setup(g, basis, take(frame, subset(rows, len(rho))))
-            sols = _holevo_solutions(setup, opts.holevo, [seeds[i] for i in rows])
-            for i, sol in zip(rows, sols):
+            for i, sol in zip(rows, _holevo_solutions(setup)):
                 holevo[i] = sol
     r_val = _spectral_radius(g)
     with np.errstate(divide="ignore", invalid="ignore"):  # T of a zero Q: a null row

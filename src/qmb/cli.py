@@ -85,9 +85,9 @@ def _read_config(path: str) -> dict[str, list[str]]:
 
 # Config-file keys per command; a preset fixes its own model and weight.
 _CONFIG_KEYS = {
-    "compute": ("model", "set", "weight", "seed", "out"),
-    "sweep": ("model", "set", "axis", "weight", "seed", "out"),
-    "preset": ("set", "seed", "out"),
+    "compute": ("model", "set", "weight", "out"),
+    "sweep": ("model", "set", "axis", "weight", "out"),
+    "preset": ("set", "out"),
 }
 
 
@@ -104,7 +104,6 @@ def _add_common(parser: argparse.ArgumentParser, command: str) -> None:
                             help="add a linear sweep axis (repeatable)")
     parser.add_argument("--out", help="output path (stdout if omitted)")
     parser.add_argument("--format", default="csv", choices=("csv", "json"))
-    parser.add_argument("--seed", type=int, help="Holevo restart seed (default 0)")
     parser.add_argument("--pseudo-inverse", action="store_true",
                         help="rank-truncated inverses on singular QFIM lines (flagged)")
     parser.add_argument("--config", help="flat key=value config file; flags take precedence")
@@ -125,8 +124,6 @@ def _apply_config(args: argparse.Namespace) -> None:
     if args.command == "sweep" and not args.axis:
         args.axis = entries.get("axis", [])
     args.set = entries.get("set", []) + args.set
-    if args.seed is None:
-        args.seed = int(entries.get("seed", [0])[-1])
     if args.out is None:
         args.out = entries.get("out", [None])[-1]
 
@@ -139,7 +136,6 @@ def _build_spec(args: argparse.Namespace, axes: tuple[Axis, ...]) -> SweepSpec:
         fixed=_parse_set(args.set),
         axes=axes,
         weight=_parse_weight(args.weight),
-        seed=args.seed,
         pseudo_inverse=args.pseudo_inverse,
     )
 
@@ -171,9 +167,7 @@ def main(argv: list[str] | None = None) -> int:
             spec = _build_spec(args, axes=axes)
             rows = run_sweep(spec)
         else:
-            overrides = _parse_set(args.set)
-            overrides["seed"] = args.seed
-            spec = figure_preset(args.name, overrides)
+            spec = figure_preset(args.name, _parse_set(args.set))
             if args.pseudo_inverse:
                 spec = replace(spec, pseudo_inverse=True)
             rows = run_sweep(spec)

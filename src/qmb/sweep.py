@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .bounds import BoundsReport, HolevoOptions, ReportOptions, batch_reports
+from .bounds import BoundsReport, ReportOptions, batch_reports
 from .errors import InvalidSpec, UnknownPreset
 from .geometry import _weight_and_root, compute_geometry
 from .linalg import require_weight
@@ -86,9 +86,7 @@ class SweepSpec:
     axes: tuple[Axis, ...] = ()
     weight: WeightSpec = field(default_factory=WeightSpec)
     outputs: tuple[str, ...] = CANONICAL_OUTPUTS
-    seed: int = 0
     pseudo_inverse: bool = False
-    holevo: HolevoOptions = field(default_factory=HolevoOptions)
     maximize_over: tuple[str, ...] = ()
     maximize_grid: int = 17
 
@@ -226,9 +224,9 @@ def _bind_values(model_id: str, bound: dict[str, np.ndarray]) -> tuple[ModelConf
     return cfg, params
 
 
-def _weight_matrices(spec: SweepSpec, d: int, bound: Mapping = None, qfim=None) -> np.ndarray:
+def _weight_matrices(spec: SweepSpec, d: int, bound: Mapping = None) -> np.ndarray:
     """W of a fixed weight kind (d, d), or W per row (rows, d, d) for the
-    kinds that read the row's QFIM or axis value."""
+    kind that reads the row's axis value; `_qfim_weight` builds the qfim kind."""
     w = spec.weight
     if w.kind == "identity":
         return np.eye(d)
@@ -236,9 +234,6 @@ def _weight_matrices(spec: SweepSpec, d: int, bound: Mapping = None, qfim=None) 
         return np.diag(np.asarray(w.values, dtype=float))
     if w.kind == "full":
         return np.asarray(w.values, dtype=float).reshape(d, d)
-    if w.kind == "qfim":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return qfim / qfim[:, :1, :1]
     if w.kind == "diag_log_axis":
         if d != 2:
             raise InvalidSpec("diag_log_axis weight is two-parameter only")
@@ -271,34 +266,45 @@ def _row(spec: SweepSpec, axis_values: tuple, report: BoundsReport | None) -> Re
     return ResultRow(axis_values, outputs, tuple(sorted(flags)))
 
 
-def _evaluate_chunk(spec: SweepSpec, bound: dict, index: np.ndarray, weight) -> list[ResultRow]:
-    """The rows at grid indices ``index`` as one batch; each name in
-    ``bound`` holds one value per row.  ``weight`` is the fixed (W, sqrt W),
-    validated once per sweep, or None for a kind that varies by row."""
-    rows, d = len(index), len(PARAM_NAMES[spec.model_id])
+def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int, weight) -> list[ResultRow]:
+    """``rows`` rows as one batch; each name in ``bound`` holds one value
+    per row.  ``weight`` is the fixed (W, sqrt W), validated once per sweep,
+    or None for a kind that varies by row."""
+    d = len(PARAM_NAMES[spec.model_id])
     values = {**{k: np.full(rows, float(v)) for k, v in spec.fixed.items()}, **bound}
     model_values = {k: v for k, v in values.items() if k != spec.weight.axis}
     cfg, params = _bind_values(spec.model_id, model_values)
     rho, derivs = model_arrays(cfg, params)
     geometry = compute_geometry(rho, derivs)
-    void = np.zeros(rows, bool)  # a singular QFIM cannot serve as a weight
-    if weight is None:
-        w_mat = _weight_matrices(spec, d, values, geometry.qfim)
-        if spec.weight.kind == "qfim":
-            void = ~np.isfinite(w_mat).all(axis=(-2, -1))
-            w_mat = np.where(void[:, None, None], np.eye(d), w_mat)
-            void |= np.linalg.eigvalsh(w_mat)[:, 0] <= 1e-12
-            w_mat = np.where(void[:, None, None], np.eye(d), w_mat)
-        weight = _weight_and_root(w_mat, d)
-    opts = ReportOptions(spec.holevo, pseudo_inverse=spec.pseudo_inverse,
+    void = np.zeros(rows, bool)
+    if spec.weight.kind == "qfim":
+        weight, void = _qfim_weight(geometry)
+    elif weight is None:
+        weight = _weight_and_root(_weight_matrices(spec, d, values), d)
+    opts = ReportOptions(pseudo_inverse=spec.pseudo_inverse,
                          compute_rld="c_rld" in spec.outputs,
                          compute_holevo=("c_h" in spec.outputs or "gap_h" in spec.outputs))
     w_mat, sqrt_w = (np.broadcast_to(x, (rows, d, d)) for x in weight)
-    seeds = [(spec.seed, i) for i in index.tolist()]
-    reports = batch_reports(rho, derivs, geometry, w_mat, sqrt_w, opts, seeds)
+    reports = batch_reports(rho, derivs, geometry, w_mat, sqrt_w, opts)
     axis_rows = zip(*(bound[ax.name].tolist() for ax in spec.axes)) if spec.axes else [()] * rows
     voids = void.tolist()
     return [_row(spec, tuple(a), None if v else r) for a, r, v in zip(axis_rows, reports, voids)]
+
+
+def _qfim_weight(geometry) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """(W, sqrt W) for W = Q / Q_11 per row, from the geometry's one
+    eigendecomposition Q = V diag(q) V^T: sqrt W = V sqrt(q / Q_11) V^T.  A
+    singular QFIM cannot serve as a weight: rows where W is not finite or
+    has lambda_min(W) <= 1e-12 are void, and carry the identity."""
+    q_vals, q_vecs = geometry._qfim_eigh
+    q11 = geometry.qfim[:, :1, :1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_mat, w_vals = geometry.qfim / q11, q_vals / q11[:, 0]
+    void = ~np.isfinite(w_mat).all(axis=(-2, -1)) | ~(w_vals[:, 0] > 1e-12)
+    roots = np.sqrt(np.where(void[:, None], 1.0, w_vals))
+    sqrt_w = (q_vecs * roots[:, None, :]) @ q_vecs.swapaxes(-1, -2)
+    eye = np.eye(q_vals.shape[-1])
+    return tuple(np.where(void[:, None, None], eye, x) for x in (w_mat, sqrt_w)), void
 
 
 def _regular(q11, q12, q22):
@@ -492,7 +498,7 @@ def _witness(spec: SweepSpec, bound: dict[str, float]) -> dict[str, float]:
 def run_point(spec: SweepSpec) -> ResultRow:
     """Evaluate a fully bound spec (no axes) as a single row: a batch of one."""
     spec = validate_spec(replace(spec, axes=()))
-    return _evaluate_chunk(spec, {}, np.zeros(1, int), _fixed_weight(spec))[0]
+    return _evaluate_chunk(spec, {}, 1, _fixed_weight(spec))[0]
 
 
 def _fixed_weight(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray] | None:
@@ -508,9 +514,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
 
     The points are evaluated in chunks of _CHUNK rows, each one stacked
     batch through every stage; a maximization sweep first finds each row's
-    maximizing angles.  Each row derives its own optimizer seed from its
-    index, so a row is reproducible on its own.  Physics flags never abort
-    the sweep.
+    maximizing angles.  Physics flags never abort the sweep.
     ``threads`` is kept only because the benchmark scripts in perfbench/
     still pass ``threads=1``; any other value raises InvalidSpec.
     """
@@ -529,7 +533,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
             points = zip(*(v.tolist() for v in bound.values()))
             witnesses = [_witness(spec, {**spec.fixed, **dict(zip(bound, p))}) for p in points]
             bound.update({name: np.array([w[name] for w in witnesses]) for name in _ANGLE_SPANS})
-        rows += _evaluate_chunk(spec, bound, index, weight)
+        rows += _evaluate_chunk(spec, bound, len(index), weight)
     return rows
 
 
@@ -545,7 +549,7 @@ def _format_value(v: float | None) -> str:
 
 def emit(rows: Iterable[ResultRow], fmt: str, out: str | TextIO, spec: SweepSpec) -> None:
     """Write rows as CSV or JSON to a path or an open text stream;
-    byte-deterministic for a fixed seed."""
+    byte-deterministic for a fixed spec."""
     cols = columns(spec)
     out_names = canonical_outputs(spec.outputs)
     if fmt == "csv":
@@ -585,7 +589,9 @@ def figure_preset(name: str, config: Mapping[str, float] | None = None) -> Sweep
     """
     cfg = dict(config or {})
     count = int(cfg.pop("count", 0))
-    seed = int(cfg.pop("seed", 0))
+    # No solver is seeded; a "seed" key is still accepted and ignored because
+    # the benchmark workloads in perfbench/ pass one.
+    cfg.pop("seed", None)
 
     def counted(default: int) -> int:
         return count if count >= 2 else default
@@ -599,7 +605,6 @@ def figure_preset(name: str, config: Mapping[str, float] | None = None) -> Sweep
             axes=(Axis("omega_log10", -2.0, 2.0, counted(33)),),
             weight=WeightSpec(kind="diag_log_axis", axis="omega_log10"),
             outputs=("R", "T"),
-            seed=seed,
             maximize_over=("alpha", "beta", "gamma", "theta", "phi"),
         )
     if name == "fig2":
@@ -628,7 +633,6 @@ def figure_preset(name: str, config: Mapping[str, float] | None = None) -> Sweep
             ),
             weight=WeightSpec(kind="identity"),
             outputs=("gap_h", "gap_t", "gap_r"),
-            seed=seed,
         )
     if name in ("fig3a", "fig3b"):
         if cfg:
@@ -651,7 +655,6 @@ def figure_preset(name: str, config: Mapping[str, float] | None = None) -> Sweep
             axes=(first, Axis("phi", 0.0, 2.0 * math.pi, counted(48))),
             weight=WeightSpec(kind="identity"),
             outputs=("gap_h", "gap_t", "gap_r"),
-            seed=seed,
         )
     if name == "fig4":
         if cfg:
@@ -665,7 +668,6 @@ def figure_preset(name: str, config: Mapping[str, float] | None = None) -> Sweep
             ),
             weight=WeightSpec(kind="identity"),
             outputs=("gap_h", "gap_t", "gap_r"),
-            seed=seed,
         )
     if name == "fig5":
         if cfg:
@@ -679,6 +681,5 @@ def figure_preset(name: str, config: Mapping[str, float] | None = None) -> Sweep
             ),
             weight=WeightSpec(kind="identity"),
             outputs=("T", "gap_h", "gap_t"),
-            seed=seed,
         )
     raise UnknownPreset(f"unknown preset {name!r}; expected fig1, fig2, fig3a, fig3b, fig4, fig5")

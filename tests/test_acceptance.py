@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from qmb.bounds import HolevoOptions, ReportOptions, c_sld, full_report, holevo_tangent_min
+from qmb.bounds import ReportOptions, c_sld, full_report, holevo_tangent_min
 from qmb.geometry import (
     compute_geometry,
     geometry_from_matrices,
@@ -133,12 +133,7 @@ def test_criterion_03_purity_identity():
 
 def test_criterion_04_hierarchy_suite():
     rng = np.random.default_rng(404)
-    # a light optimizer budget still returns a genuine Holevo-functional
-    # value (any K gives one), so the chain ordering is fully exercised
-    opts = ReportOptions(
-        holevo=HolevoOptions(restarts=1, max_iter=300, max_rounds=1, tol=1e-6),
-        compute_rld=False,
-    )
+    opts = ReportOptions(compute_rld=False)
     violations = 0
     cases = [(n, d) for n in (2, 3) for d in (2, 3) if d <= n * n - 1]
     for k in range(500):

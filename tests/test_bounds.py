@@ -2,13 +2,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qmb.bounds as bounds
 from qmb.bounds import (
+    HOLEVO_GAP_TOL,
     BoundsReport,
-    HolevoOptions,
     ReportOptions,
     _check_hierarchy,
-    _holevo_simplex,
+    _holevo_dual,
+    _objective,
     _shrink,
     _tangent_setup,
     c_r_bound,
@@ -124,6 +128,61 @@ def holevo_direct_oracle(rho, derivs, w_mat, seed=0, starts=8, max_iter=40000):
         x, f, _ = nelder_mead(objective, x, step=0.02, max_iter=max_iter, f_tol_rel=1e-14)
         best = min(best, f)
     return best
+
+
+def holevo_ladder(setup, max_iter=5000, tol=1e-9, restarts=8, seed=0, max_rounds=4):
+    """The Nelder-Mead ladder the dual solve replaced: simplex descent from
+    K = 0 and from seeded random perturbations of scale 0.1 ||Q^-1||, rounds
+    at a shrinking scale until one improves the value by less than ``tol``
+    (relative), then a polish on the trace norm smoothed to
+    sum sqrt(sigma^2 + mu^2), each result scored with the exact objective.
+    Any K gives an upper bound, so this is a one-sided oracle."""
+    d, m = setup.left.shape
+    objective = _objective(setup)
+
+    def smoothed(mu):
+        def value(k):
+            b = k.reshape(m, d) @ setup.frame.sqrt_w
+            cross = setup.left @ b
+            im_z = setup.frame.core + b.T @ (setup.gram.imag @ b) + cross - cross.T
+            sv = np.linalg.svd(im_z, compute_uv=False)[::2]  # singular values come in pairs
+            return float(setup.frame.c_sld + np.sum(b * (setup.gram.real @ b))
+                         + 2.0 * np.sum(np.sqrt(sv * sv + mu * mu)))
+        return value
+
+    scale = 0.1 * float(np.max(np.abs(np.linalg.eigvalsh(setup.frame.qinv))))
+    rng = np.random.default_rng(seed)
+    best_x, best_f = np.zeros(m * d), float(objective(np.zeros(m * d)))
+    at_zero = best_f
+
+    def attempt(x0, step):
+        nonlocal best_x, best_f
+        x, f, _ = nelder_mead(objective, x0, step=step, max_iter=max_iter)
+        if f < best_f:
+            best_f, best_x = f, x
+
+    for round_idx in range(max_rounds):
+        round_before = best_f
+        round_scale = max(scale * 0.25**round_idx, 1e-10 * max(scale, 1.0))
+        if round_idx == 0:
+            attempt(np.zeros(m * d), round_scale)
+        for _ in range(restarts if round_idx == 0 else min(2, restarts)):
+            attempt(best_x + rng.normal(size=m * d) * round_scale, round_scale)
+        for _ in range(3):
+            before = best_f
+            attempt(best_x, round_scale)
+            if before - best_f <= tol * abs(best_f):
+                break
+        if round_before - best_f <= tol * abs(best_f):
+            break
+    if at_zero - best_f > tol * abs(best_f):
+        for mu_rel in (1e-3, 1e-5, 1e-7, 1e-9):
+            x, _, _ = nelder_mead(smoothed(mu_rel * max(abs(best_f), 1e-6)), best_x,
+                                  step=max(np.sqrt(mu_rel) * scale, 1e-9), max_iter=max_iter)
+            f = float(objective(x))
+            if f < best_f:
+                best_f, best_x = f, x
+    return best_f
 
 
 class TestScalarBounds:
@@ -333,8 +392,7 @@ class TestHolevoTangentMin:
             g = compute_geometry(rho, derivs)
             basis = tangent_normal_decomposition(rho, g)
             w = random_spd(rng, 2)
-            opts = HolevoOptions(restarts=2, max_iter=800)
-            sol = holevo_tangent_min(g, basis, w, opts)
+            sol = holevo_tangent_min(g, basis, w)
             objective = tangent_objective(g, basis, w)
             assert sol.value <= objective(np.zeros(basis.size * 2)) + 1e-12
             assert sol.value == pytest.approx(objective(sol.k_matrix.ravel()), rel=1e-10)
@@ -365,7 +423,7 @@ class TestHolevoTangentMin:
         g = compute_geometry(rho, derivs)
         basis = tangent_normal_decomposition(rho, g)
         w = random_spd(rng, 3)
-        sol = holevo_tangent_min(g, basis, w, HolevoOptions(tol=1e-11, max_rounds=8))
+        sol = holevo_tangent_min(g, basis, w)
         direct = holevo_direct_oracle(rho, derivs, w, seed=7, starts=4, max_iter=20000)
         assert sol.value <= direct * (1 + 1e-6)
         assert sol.value >= c_sld(g, w) - 1e-9
@@ -400,14 +458,13 @@ class TestHolevoExact:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_agrees_with_ladder(self, rng, kind):
-        ladder_opts = HolevoOptions(restarts=1, max_rounds=2)
         for _ in range(100):
             rho, g, basis, w = one_dim_normal_space(rng, kind)
             sol = holevo_tangent_min(g, basis, w)
-            ladder = _holevo_simplex(_tangent_setup(g, basis, w), ladder_opts)
+            ladder = holevo_ladder(_tangent_setup(g, basis, w), restarts=1, max_rounds=2)
             assert sol.converged
-            assert sol.value <= ladder.value
-            assert sol.value == pytest.approx(ladder.value, rel=1e-10)
+            assert sol.value <= ladder
+            assert sol.value == pytest.approx(ladder, rel=1e-10)
             objective = tangent_objective(g, basis, w)
             assert objective(sol.k_matrix.ravel()) == pytest.approx(sol.value, rel=1e-12)
 
@@ -456,6 +513,47 @@ class TestHolevoExact:
         want = c_sld(g, w) + weight * tau**2 / s2 + 2.0 * np.hypot(p, q - tau)
         assert sol.value == pytest.approx(want, rel=1e-12)
         assert c_sld(g, w) < sol.value < c_t_bound(g, w)
+
+
+class TestHolevoDual:
+    """The dual solve with its certificate, against the exact m = 1 path
+    and, one-sidedly, against the ladder it replaced."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_exact_on_one_dim_normal_space(self, rng, kind):
+        # an independent check of Suzuki's formula and of the d = 3 root;
+        # boundary optima (pure qutrits) need the ball-constrained step
+        for _ in range(100):
+            rho, g, basis, w = one_dim_normal_space(rng, kind)
+            exact = holevo_tangent_min(g, basis, w)
+            sol = _holevo_dual(_tangent_setup(g, basis, w))
+            assert sol.value == pytest.approx(exact.value, rel=1e-12)
+            assert sol.value - sol.lower <= 1e-12 * sol.value
+
+    def test_full_rank_models_certified_below_ladder(self, rng):
+        # four random weighted full-rank models at each (n, d), m = 6, 5, 12
+        for n, d in ((3, 2), (3, 3), (4, 3)):
+            for _ in range(4):
+                rho, derivs = random_model(rng, n, d)
+                g = compute_geometry(rho, derivs)
+                basis = tangent_normal_decomposition(rho, g)
+                setup = _tangent_setup(g, basis, random_spd(rng, d))
+                sol = _holevo_dual(setup)
+                assert sol.value - sol.lower <= HOLEVO_GAP_TOL * sol.value
+                assert sol.value <= holevo_ladder(setup, restarts=1, max_rounds=2) + 1e-12
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4]), d=st.sampled_from([2, 3]))
+    def test_bracket_properties(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        rho, derivs = random_model(rng, n, d)
+        g = compute_geometry(rho, derivs)
+        basis = tangent_normal_decomposition(rho, g)
+        assert basis.size >= 2
+        w = random_spd(rng, d)
+        sol = holevo_tangent_min(g, basis, w)
+        assert c_sld(g, w) - 1e-9 <= sol.lower <= sol.value <= c_t_bound(g, w)
+        assert 0.0 <= sol.value - sol.lower <= HOLEVO_GAP_TOL * sol.value
 
 
 class TestFullReport:
@@ -557,16 +655,12 @@ class TestFullReport:
         assert quantumness_R(g) == pytest.approx(quantumness_R(wt.rotated), abs=1e-10)
         basis = tangent_normal_decomposition(rho, g)
         basis_rot = tangent_normal_decomposition(rho, wt.rotated)
-        opts = HolevoOptions(tol=1e-12, restarts=6, max_rounds=10, max_iter=8000)
-        sol = holevo_tangent_min(g, basis, w, opts)
-        sol_rot = holevo_tangent_min(wt.rotated, basis_rot, wt.diagonal_weight, opts)
+        sol = holevo_tangent_min(g, basis, w)
+        sol_rot = holevo_tangent_min(wt.rotated, basis_rot, wt.diagonal_weight)
         assert sol.value == pytest.approx(sol_rot.value, rel=1e-8)
 
     def test_hierarchy_random_models(self, rng):
-        opts = ReportOptions(
-            holevo=HolevoOptions(restarts=1, max_iter=400, max_rounds=2, tol=1e-6),
-            compute_rld=False,
-        )
+        opts = ReportOptions(compute_rld=False)
         from qmb.models import ModelPoint
 
         for _ in range(40):
@@ -580,20 +674,34 @@ class TestFullReport:
             assert report.c_sld - 1e-9 <= report.c_h <= report.c_t + eps
             assert report.c_t <= report.c_r + eps <= 2 * report.c_sld + 2 * eps
 
-    def test_non_convergence_is_flagged_not_fatal(self, rng):
+    def test_non_convergence_is_flagged_not_fatal(self, rng, monkeypatch):
+        # one Newton step leaves the dual short of the tolerance: the row
+        # keeps its primal value, inside its certified bracket, and a flag
         from qmb.models import ModelPoint
 
+        monkeypatch.setattr(bounds, "_DUAL_MAX_ITER", 1)
         rho, derivs = random_model(rng, 3, 3)
         point = ModelPoint(params=(0.0, 0.0, 0.0), rho=rho, derivs=tuple(derivs))
-        opts = ReportOptions(
-            holevo=HolevoOptions(restarts=1, max_iter=120, max_rounds=1, tol=1e-15),
-            compute_rld=False,
-        )
-        report = full_report(point, np.eye(3), opts)
-        assert report.c_h is not None
-        assert report.c_sld - 1e-9 <= report.c_h <= report.c_t + 1e-7 * report.c_sld
-        if not report.holevo.converged:
-            assert "HolevoNotConverged" in report.flags
+        report = full_report(point, np.eye(3), ReportOptions(compute_rld=False))
+        sol = report.holevo
+        assert report.c_h == sol.value
+        assert report.c_sld - 1e-9 <= sol.lower <= sol.value <= report.c_t
+        unconverged = sol.value - sol.lower > HOLEVO_GAP_TOL * sol.value
+        assert unconverged
+        assert ("HolevoNotConverged" in report.flags) == unconverged
+
+    def test_four_parameters_certified_or_flagged(self, rng):
+        # d = 4 projects its steps and carries no gap guarantee: the report
+        # holds a value in its bracket and flags a gap above tolerance
+        from qmb.models import ModelPoint
+
+        rho, derivs = random_model(rng, 3, 4)
+        point = ModelPoint(params=(0.0,) * 4, rho=rho, derivs=tuple(derivs))
+        report = full_report(point, random_spd(rng, 4), ReportOptions(compute_rld=False))
+        sol = report.holevo
+        assert report.c_sld - 1e-9 <= sol.lower <= sol.value == report.c_h <= report.c_t
+        unconverged = sol.value - sol.lower > HOLEVO_GAP_TOL * sol.value
+        assert ("HolevoNotConverged" in report.flags) == unconverged
 
     def test_hierarchy_violation_detection(self):
         bad = BoundsReport(

@@ -242,7 +242,7 @@ class TestEmit:
         assert path.read_text().count("\n") == 5
 
     def test_csv_determinism(self, tmp_path):
-        spec = small_spec(axes=(Axis("lambda2", 0.0, 0.7, 3),), seed=5)
+        spec = small_spec(axes=(Axis("lambda2", 0.0, 0.7, 3),))
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         emit(run_sweep(spec), "csv", str(a), validate_spec(spec))
@@ -319,14 +319,14 @@ class TestFigurePresets:
             assert len(rows) == 9
             assert any(not r.flags for r in rows)
 
-    def test_presets_never_reach_the_simplex_ladder(self, monkeypatch):
+    def test_presets_never_reach_the_dual_solve(self, monkeypatch):
         # every preset point has a normal space of at most one direction
-        # (qubits: n = 2; the pure qutrit: m = 1), so no Holevo option
-        # budget applies to them
-        def no_ladder(*args, **kwargs):
-            raise AssertionError("simplex ladder reached")
+        # (qubits: n = 2; the pure qutrit: m = 1), so the closed forms
+        # serve every preset row
+        def no_dual(*args, **kwargs):
+            raise AssertionError("dual solve reached")
 
-        monkeypatch.setattr(bounds, "_holevo_simplex", no_ladder)
+        monkeypatch.setattr(bounds, "_holevo_dual", no_dual)
         for name in ("fig2", "fig3a", "fig3b", "fig4", "fig5"):
             config = {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}
             rows = run_sweep(figure_preset(name, {**config, "count": 6}))
@@ -575,7 +575,7 @@ class TestCli:
         out = tmp_path / "sweep.csv"
         args = [
             "sweep", "--model", "tunable_qubit",
-            "--axis", "lambda2=0:0.3:2", "--out", str(out), "--seed", "3",
+            "--axis", "lambda2=0:0.3:2", "--out", str(out),
         ]
         for key, val in MIXED_QUBIT.items():
             args += ["--set", f"{key}={val}"]
@@ -635,15 +635,15 @@ class TestCli:
 
         monkeypatch.setattr("qmb.cli.run_point", spy)
         cfg = tmp_path / "point.conf"
-        lines = ["model=su2_qubit", "seed=5", "weight=diag:1,2"]
+        lines = ["model=su2_qubit", "weight=diag:1,2"]
         lines += [f"set={k}={v}" for k, v in
                   {"alpha": 1.0, "beta": 0.0, "t": 2.0, "B": 1.0, "theta": 0.3}.items()]
         cfg.write_text("\n".join(lines) + "\n")
-        assert cli_main(["compute", "--config", str(cfg), "--seed", "0", "--weight", "identity"]) == 0
+        assert cli_main(["compute", "--config", str(cfg), "--weight", "identity", "--set", "B=0.5"]) == 0
         assert cli_main(["compute", "--config", str(cfg)]) == 0
         explicit, from_config = specs
-        assert (explicit.seed, explicit.weight) == (0, WeightSpec(kind="identity"))
-        assert (from_config.seed, from_config.weight) == (5, WeightSpec(kind="diag", values=(1.0, 2.0)))
+        assert (explicit.fixed["B"], explicit.weight) == (0.5, WeightSpec(kind="identity"))
+        assert (from_config.fixed["B"], from_config.weight) == (1.0, WeightSpec(kind="diag", values=(1.0, 2.0)))
 
     def test_threads_flag_rejected(self, capsys):
         args = ["sweep", "--model", "tunable_qubit", "--axis", "lambda2=0:0.3:2",
@@ -655,10 +655,19 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compute", "preset"])
+    def test_seed_flag_rejected(self, capsys, command):
+        # no solver is seeded, so there is no seed to set
+        argv = ["compute", "--model", "su2_qutrit"] if command == "compute" else ["preset", "fig4"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, entry", [
         ("compute", "format=json"), ("compute", "pseudo-inverse=1"), ("compute", "seeed=3"),
-        ("compute", "threads=2"), ("compute", "axis=B=0:1:2"),
-        ("preset", "model=su2_qutrit"), ("preset", "weight=diag:1,100"),
+        ("compute", "threads=2"), ("compute", "axis=B=0:1:2"), ("compute", "seed=5"),
+        ("preset", "model=su2_qutrit"), ("preset", "weight=diag:1,100"), ("preset", "seed=4"),
     ])
     def test_unknown_config_key_returns_error(self, tmp_path, capsys, command, entry):
         if command == "compute":
@@ -683,10 +692,10 @@ class TestCli:
 
     def test_preset_config_keys(self, tmp_path, capsys):
         cfg = tmp_path / "preset.conf"
-        cfg.write_text("set=count=2\nseed=4\n")
+        cfg.write_text(f"set=count=2\nout={tmp_path / 'from_config.csv'}\n")
         assert cli_main(["preset", "fig4", "--config", str(cfg)]) == 0
-        from_config = capsys.readouterr().out
-        assert cli_main(["preset", "fig4", "--set", "count=2", "--seed", "4"]) == 0
+        from_config = (tmp_path / "from_config.csv").read_text()
+        assert cli_main(["preset", "fig4", "--set", "count=2"]) == 0
         assert capsys.readouterr().out == from_config
         assert from_config.count("\n") == 5
 
@@ -722,7 +731,7 @@ def _serial_bind(model_id, bound):
     return model_config(model_id, **values), params
 
 
-def _serial_oracle(spec, bound, index):
+def _serial_oracle(spec, bound):
     """The earlier sweep evaluation, one point at a time through
     model_point, compute_geometry and full_report (identity weight, as the
     presets use); returns the row and cond(Q) at the point."""
@@ -734,7 +743,6 @@ def _serial_oracle(spec, bound, index):
     w_mat = np.eye(cfg.n_params)
     axis_values = tuple(float(bound[ax.name]) for ax in spec.axes)
     opts = ReportOptions(
-        holevo=replace(spec.holevo, seed=(spec.seed, index)),
         pseudo_inverse=spec.pseudo_inverse,
         compute_rld="c_rld" in spec.outputs,
         compute_holevo=("c_h" in spec.outputs or "gap_h" in spec.outputs),
@@ -822,9 +830,9 @@ class TestChunkedSweep:
         spec = validate_spec(figure_preset(name, {**config, "count": 12}))
         rows = run_sweep(spec)
         combos = itertools.product(*(ax.values() for ax in spec.axes))
-        for index, (row, combo) in enumerate(zip(rows, combos, strict=True)):
+        for row, combo in zip(rows, combos, strict=True):
             bound = {**spec.fixed, **{ax.name: float(v) for ax, v in zip(spec.axes, combo)}}
-            want, cond = _serial_oracle(spec, bound, index)
+            want, cond = _serial_oracle(spec, bound)
             _assert_rows_close(row, want, 1e-12, cond)
 
     @settings(max_examples=40, deadline=None)

@@ -237,9 +237,15 @@ def _weight_matrices(spec: SweepSpec, d: int, bound: Mapping = None) -> np.ndarr
     if w.kind == "diag_log_axis":
         if d != 2:
             raise InvalidSpec("diag_log_axis weight is two-parameter only")
-        omega = [10.0 ** v for v in bound[w.axis].tolist()]  # as the fig1 search rounds it
+        omega = _omegas(bound[w.axis])
         return np.stack(np.broadcast_arrays(1.0, 0.0, 0.0, omega), axis=-1).reshape(-1, 2, 2)
     raise InvalidSpec(f"unknown weight kind {w.kind!r}")
+
+
+def _omegas(log10_values: np.ndarray) -> np.ndarray:
+    """omega = 10**v per row, rounded as Python's float power rounds it, so
+    that the weight and the maximizing angles read the same omega."""
+    return np.array([10.0 ** v for v in log10_values.tolist()])
 
 
 def _gap(c_x: float | None, c_s: float | None) -> float | None:
@@ -272,6 +278,8 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int, weight) -> list[Res
     or None for a kind that varies by row."""
     d = len(PARAM_NAMES[spec.model_id])
     values = {**{k: np.full(rows, float(v)) for k, v in spec.fixed.items()}, **bound}
+    if spec.maximize_over:  # each row's maximizing angles, then the batch
+        values.update(_witnesses(spec, values, rows))
     model_values = {k: v for k, v in values.items() if k != spec.weight.axis}
     cfg, params = _bind_values(spec.model_id, model_values)
     rho, derivs = model_arrays(cfg, params)
@@ -370,12 +378,13 @@ _DAMPING = 0.5 ** np.arange(21)
 def _saturation_residual(
     names: tuple[str, ...],
     fixed: tuple[tuple[str, float], ...],
-    l1: float,
-    omega: float,
+    l1: float | np.ndarray,
+    omega: float | np.ndarray,
     xs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The residual g at each row of ``xs`` (angles in ``names`` order) and
-    |g|^2, which is inf off the regular set.
+    |g|^2, which is inf off the regular set; ``l1`` and ``omega`` are one
+    value, or one per row.
 
     On the regular set of a pure qubit |U12| = sqrt(det Q), so with
     f1 = Q12 / sqrt(Q11 Q22) and f2 = log(Q22 / (omega Q11)),
@@ -495,8 +504,68 @@ def _witness(spec: SweepSpec, bound: dict[str, float]) -> dict[str, float]:
     return {**dict(fixed), **dict(zip(names, map(float, x)))}
 
 
+def _saturating_angles(
+    names: tuple[str, ...], values: dict[str, np.ndarray], l1: np.ndarray, omega: np.ndarray
+) -> dict[str, np.ndarray] | None:
+    """Closed-form angles with T = R = 1 at each row's omega, or None when
+    the maximized ``names`` cannot take them.
+
+    At theta = pi/2 and gamma = pi/4 the pure-qubit geometry is
+    Q11 = 4 sin^2 alpha, Q12 = -4 sin alpha cos alpha sin delta and
+    Q22 = 4 (1 - sin^2 alpha sin^2 delta), with delta = beta - phi + 2 l1.
+    The saturation equations Q12 = 0, Q22 = omega Q11 hold at alpha = pi/2,
+    cos delta = sqrt(omega) for omega <= 1, and at delta = 0,
+    sin alpha = 1 / sqrt(omega) for omega >= 1.  delta is solved for beta
+    when beta is maximized (phi = 0 if phi is maximized too), else for phi.
+    Rows whose alpha would leave its span (omega above about 1e6) are NaN.
+    """
+    free = set(names)
+    if not ({"alpha", "gamma", "theta"} <= free and free & {"beta", "phi"}):
+        return None
+    low = omega <= 1.0
+    alpha = np.where(low, 0.5 * math.pi, np.arcsin(1.0 / np.sqrt(np.maximum(omega, 1.0))))
+    delta = np.where(low, np.arccos(np.sqrt(np.minimum(omega, 1.0))), 0.0)
+    if "beta" in free:
+        phi = np.zeros_like(omega) if "phi" in free else values["phi"]
+        beta = np.mod(delta + phi - 2.0 * l1, 2.0 * math.pi)
+    else:
+        beta = values["beta"]
+        phi = np.mod(beta + 2.0 * l1 - delta, 2.0 * math.pi)
+    return {
+        "alpha": np.where(alpha >= _ANGLE_SPANS["alpha"][0], alpha, np.nan),
+        "beta": beta,
+        "gamma": np.full_like(omega, 0.25 * math.pi),
+        "theta": np.full_like(omega, 0.5 * math.pi),
+        "phi": phi,
+    }
+
+
+def _witnesses(spec: SweepSpec, values: dict[str, np.ndarray], rows: int) -> dict[str, np.ndarray]:
+    """The five angles of ``rows`` rows, the maximized ones at their
+    maximizing values; each name in ``values`` holds one value per row.
+
+    Closed-form saturating angles serve every row where one stacked residual
+    certifies T = R = 1; the other rows, and every row of an angle subset
+    that cannot take the closed form, go through `_witness`.
+    """
+    omega = _omegas(values[spec.weight.axis])
+    l1 = values.get("lambda1", np.zeros(rows))
+    xs = np.empty((len(_ANGLE_SPANS), rows))
+    certified = np.zeros(rows, bool)
+    angles = _saturating_angles(spec.maximize_over, values, l1, omega)
+    if angles is not None:
+        xs = np.stack([angles[name] for name in _ANGLE_SPANS])
+        _, norm2 = _saturation_residual(tuple(_ANGLE_SPANS), (), l1, omega, xs.T)
+        certified = norm2 <= _CERTIFICATE_TOL**2
+    for i in np.flatnonzero(~certified).tolist():
+        witness = _witness(spec, {name: v[i] for name, v in values.items()})
+        xs[:, i] = [witness[name] for name in _ANGLE_SPANS]
+    return dict(zip(_ANGLE_SPANS, xs))
+
+
 def run_point(spec: SweepSpec) -> ResultRow:
-    """Evaluate a fully bound spec (no axes) as a single row: a batch of one."""
+    """Evaluate a spec without axes as a single row, a batch of one; its
+    maximized angles, if any, are found as in a sweep."""
     spec = validate_spec(replace(spec, axes=()))
     return _evaluate_chunk(spec, {}, 1, _fixed_weight(spec))[0]
 
@@ -514,7 +583,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
 
     The points are evaluated in chunks of _CHUNK rows, each one stacked
     batch through every stage; a maximization sweep first finds each row's
-    maximizing angles.  Physics flags never abort the sweep.
+    maximizing angles (`_witnesses`).  Physics flags never abort the sweep.
     ``threads`` is kept only because the benchmark scripts in perfbench/
     still pass ``threads=1``; any other value raises InvalidSpec.
     """
@@ -529,10 +598,6 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
         index = np.arange(start, min(start + _CHUNK, total))
         cells = np.unravel_index(index, [len(values) for values in grids]) if grids else ()
         bound = {ax.name: values[i] for ax, values, i in zip(spec.axes, grids, cells)}
-        if spec.maximize_over:  # each row's maximizing angles, then the batch
-            points = zip(*(v.tolist() for v in bound.values()))
-            witnesses = [_witness(spec, {**spec.fixed, **dict(zip(bound, p))}) for p in points]
-            bound.update({name: np.array([w[name] for w in witnesses]) for name in _ANGLE_SPANS})
         rows += _evaluate_chunk(spec, bound, len(index), weight)
     return rows
 

@@ -375,7 +375,14 @@ class TestFigurePresets:
             assert row.outputs["T"] == pytest.approx(1.0, abs=1e-8)
 
     def test_fig1_cold_and_warm_grid_cache_give_same_rows(self):
-        spec = replace(figure_preset("fig1", {"count": 3}), maximize_grid=9)
+        # the full fig1 angle set takes closed-form angles and builds no
+        # grid, so this maximizes a subset that still starts from one
+        spec = replace(
+            figure_preset("fig1", {"count": 3}),
+            maximize_grid=9,
+            maximize_over=("gamma", "theta", "phi"),
+            fixed={"alpha": 1.1, "beta": 0.4},
+        )
         sweep._angle_grid.cache_clear()
         rows1 = run_sweep(spec)
         cold = sweep._angle_grid.cache_info()
@@ -451,6 +458,91 @@ class TestFigurePresets:
                 t_oracle, r_oracle = _simplex_oracle(subset, fixed, l1, 10.0 ** row.axis_values[0])
                 assert row.outputs["T"] >= t_oracle - 1e-9
                 assert abs(row.outputs["R"] - r_oracle) <= 1e-9
+
+
+    @pytest.mark.parametrize(
+        "axis", [None, Axis("omega_log10", -3.0, 3.0, 601)], ids=["preset", "601_weights"]
+    )
+    def test_fig1_builds_no_grid_and_runs_no_simplex(self, monkeypatch, axis):
+        # every fig1 row takes the closed-form saturating angles
+        def unreachable(*args, **kwargs):
+            raise AssertionError("grid path taken")
+
+        monkeypatch.setattr(sweep, "_angle_grid", unreachable)
+        monkeypatch.setattr(sweep, "nelder_mead", unreachable)
+        spec = figure_preset("fig1")
+        if axis is not None:
+            spec = replace(spec, axes=(axis,))
+        rows = run_sweep(spec)
+        assert len(rows) == spec.axes[0].count
+        for row in rows:
+            assert abs(row.outputs["T"] - 1.0) <= 1e-12
+            assert abs(row.outputs["R"] - 1.0) <= 1e-12
+            assert row.flags == ()
+
+    def test_closed_form_matches_grid_path_on_601_weights(self, monkeypatch):
+        spec = replace(figure_preset("fig1"), axes=(Axis("omega_log10", -3.0, 3.0, 601),))
+        rows = run_sweep(spec)
+        _assert_matches_grid_path(monkeypatch, spec, rows)
+
+    @settings(max_examples=15, deadline=None)
+    @given(l1=st.floats(-2.0 * math.pi, 2.0 * math.pi), maximized=st.sampled_from(
+        [("alpha", "beta", "gamma", "theta", "phi"), ("alpha", "beta", "gamma", "theta"),
+         ("alpha", "gamma", "theta", "phi")]))
+    def test_closed_form_matches_grid_path_at_any_parameter(self, l1, maximized):
+        # a beta or phi left out of the maximized set is fixed at 0.7
+        fixed = {"lambda1": l1, **{name: 0.7 for name in ("beta", "phi") if name not in maximized}}
+        spec = replace(
+            figure_preset("fig1"),
+            fixed=fixed,
+            maximize_over=maximized,
+            axes=(Axis("omega_log10", -4.0, 4.0, 9),),
+        )
+        rows = run_sweep(spec)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _assert_matches_grid_path(monkeypatch, spec, rows)
+
+    def test_weights_beyond_alpha_span_take_grid_path(self, monkeypatch):
+        # above omega ~ 1e6 the closed-form alpha = arcsin(omega^-1/2) falls
+        # below its span, so those rows, and only those, run `_witness`,
+        # whose code and output are those of the grid-only sweep
+        spec = replace(figure_preset("fig1"), axes=(Axis("omega_log10", 5.0, 8.0, 4),))
+        seen = []
+        witness = sweep._witness
+
+        def counted(spec, bound):
+            seen.append(float(bound["omega_log10"]))
+            return witness(spec, bound)
+
+        monkeypatch.setattr(sweep, "_witness", counted)
+        rows = run_sweep(spec)
+        assert seen == [7.0, 8.0]
+        monkeypatch.setattr(sweep, "_saturating_angles", lambda *args: None)
+        grid_rows = run_sweep(spec)
+        assert rows[2:] == grid_rows[2:]
+        for row in rows:
+            assert abs(row.outputs["T"] - 1.0) <= 1e-12
+            assert abs(row.outputs["R"] - 1.0) <= 1e-12
+
+    def test_maximization_without_axes_is_one_row(self):
+        # the weight axis value comes from fixed; run_point maximizes too
+        spec = replace(figure_preset("fig1"), axes=(), fixed={"omega_log10": 0.5})
+        rows = run_sweep(spec)
+        assert len(rows) == 1
+        assert run_point(spec) == rows[0]
+        assert abs(rows[0].outputs["T"] - 1.0) <= 1e-12
+
+
+def _assert_matches_grid_path(monkeypatch, spec, rows):
+    """``rows`` against the same sweep with the closed-form angles turned
+    off, so that every row runs `_witness` (start grid, Gauss-Newton, then
+    simplex refinement): R and T agree within 1e-12."""
+    monkeypatch.setattr(sweep, "_saturating_angles", lambda *args: None)
+    for got, want in zip(rows, run_sweep(spec), strict=True):
+        assert got.axis_values == want.axis_values
+        assert got.flags == want.flags
+        for name in ("R", "T"):
+            assert abs(got.outputs[name] - want.outputs[name]) <= 1e-12, name
 
 
 def _simplex_oracle(names, fixed, l1, omega, n=17):
@@ -789,7 +881,14 @@ def _assert_rows_close(got, want, rel, cond=0.0):
 def _property_spec(model_id, kind, pseudo_inverse, span, rng):
     """A small grid over one model whose first axis crosses a singular
     line at its middle point: gamma = 0 (commuting encodings) for the
-    tunable qubit, B t = 2 pi (no theta information) for the SU(2) models."""
+    tunable qubit, B t = 2 pi (no theta information) for the SU(2) models.
+    "fig1" is the fig1 maximization instead (the weight kind is its own):
+    closed-form angles up to omega ~ 1e6, the grid path above, no singular
+    line."""
+    if model_id == "fig1":
+        axes = (Axis("lambda1", 0.1, 1.3, 2), Axis("omega_log10", -3.0, 3.0 + 10.0 * span, 3))
+        return replace(figure_preset("fig1"), fixed={"lambda2": rng.uniform(0.0, 1.0)},
+                       axes=axes, pseudo_inverse=pseudo_inverse)
     if model_id == "tunable_qubit":
         r = rng.normal(size=3)
         r *= rng.uniform(0.2, 0.95) / np.linalg.norm(r)
@@ -837,7 +936,7 @@ class TestChunkedSweep:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        model_id=st.sampled_from(sorted(PARAM_NAMES)),
+        model_id=st.sampled_from([*sorted(PARAM_NAMES), "fig1"]),
         kind=st.sampled_from(["identity", "diag", "full", "qfim", "diag_log_axis"]),
         pseudo_inverse=st.booleans(),
         span=st.floats(0.05, 0.6),
@@ -849,8 +948,11 @@ class TestChunkedSweep:
         spec = _property_spec(model_id, kind, pseudo_inverse, span, np.random.default_rng(seed))
         rows = run_sweep(spec)
         assert len(rows) == math.prod(ax.count for ax in spec.axes)
-        assert spec.outputs == CANONICAL_OUTPUTS
-        assert any("SingularQFIM" in row.flags for row in rows)  # the singular line
+        if spec.maximize_over:
+            assert spec.outputs == ("R", "T")
+        else:
+            assert spec.outputs == CANONICAL_OUTPUTS
+            assert any("SingularQFIM" in row.flags for row in rows)  # the singular line
         for row in rows:
             bound = dict(zip((ax.name for ax in spec.axes), row.axis_values))
             point = run_point(replace(spec, fixed={**spec.fixed, **bound}))

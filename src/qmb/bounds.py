@@ -19,8 +19,8 @@ than HOLEVO_GAP_TOL (relative) carries HolevoNotConverged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import astuple, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .geometry import (
     take,
     uhlmann_axial,
 )
-from .linalg import SUPPORT_TOL, density_spectrum, dot, require_weight, trace_norm
+from .linalg import SUPPORT_TOL, dot, raise_first_failure, require_weight, trace_norm
 from .linalg import tracenorm_antisym
 from .models import ModelPoint
 
@@ -60,8 +60,8 @@ _DUAL_MAX_ITER = 50
 
 @dataclass(frozen=True)
 class HolevoSolution:
-    """The Holevo value, the K attaining it, and a certified lower bound,
-    lower <= C_H <= value; ``iterations`` counts objective or dual evaluations."""
+    """The Holevo value, the K attaining it, a certified lower bound (lower <= C_H <=
+    value) and the objective or dual evaluations; arrays along a leading axis for a batch."""
 
     k_matrix: np.ndarray
     value: float
@@ -71,6 +71,10 @@ class HolevoSolution:
     @property
     def converged(self) -> bool:
         return self.value - self.lower <= HOLEVO_GAP_TOL * self.value
+
+    def at(self, i: int) -> HolevoSolution:
+        scalars = (x.item(i) for x in (self.value, self.lower, self.iterations))
+        return HolevoSolution(self.k_matrix[i], *scalars)
 
 
 @dataclass(frozen=True)
@@ -204,20 +208,21 @@ def holevo_tangent_min(
     (``_holevo_dual``).  The returned value never exceeds the K = 0
     objective, so it always sits between C_SLD and C_T.
     """
-    return _holevo_solutions(take(_tangent_setup(g, basis, w_mat), None))[0]
+    return _holevo_solutions(take(_tangent_setup(g, basis, w_mat), None)).at(0)
 
 
-def _holevo_solutions(setup: _TangentSetup) -> list:
+def _holevo_solutions(setup: _TangentSetup) -> HolevoSolution:
     """The minima of a batch of tangent setups that share the normal-space
-    size m; only the dual solve runs point by point."""
+    size m, as one batch of solutions; only the dual solve runs point by point."""
     d, m = setup.left.shape[-2:]
     if m == 0:  # K = 0, where the objective is C_T
-        empty = np.zeros((0, d))
-        return [HolevoSolution(empty, v, v, 0) for v in setup.frame.c_t.tolist()]
+        c_t = setup.frame.c_t
+        return HolevoSolution(np.zeros((len(c_t), 0, d)), c_t, c_t, np.zeros(len(c_t), int))
     if m == 1 and d in (2, 3):  # two evaluations: K = 0 (C_T) and the optimum
         values, ks = _holevo_exact(setup)
-        return [HolevoSolution(k[None], v, v, 2) for v, k in zip(values.tolist(), ks)]
-    return [_holevo_dual(take(setup, i)) for i in range(len(setup.left))]
+        return HolevoSolution(ks[:, None], values, values, np.full(len(values), 2))
+    sols = [astuple(_holevo_dual(take(setup, i))) for i in range(len(setup.left))]
+    return HolevoSolution(*map(np.array, zip(*sols)))  # stacked field by field
 
 
 def _shrink(q, p, weight, s2):
@@ -282,8 +287,9 @@ def _holevo_exact(setup: _TangentSetup) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         if d == 2:
             b = -np.copysign(tau, c)[..., None] * np.stack([-s[..., 1], s[..., 0]], axis=-1)
-        else:
-            b = np.cross(-tau[..., None] * c_range / q[..., None], s)
+        else:  # x cross s as the axial vector of x s^T - s x^T; np.cross is 3x slower here
+            x = -tau[..., None] * c_range / q[..., None]
+            b = uhlmann_axial(x[..., :, None] * s[..., None, :] - s[..., :, None] * x[..., None, :])
         b = np.where(moved, b / s2[..., None], 0.0)
     k = np.linalg.solve(setup.frame.sqrt_w, b[..., None])[..., 0]
     value = _objective(setup)(k)
@@ -405,22 +411,27 @@ def _clipped_step(y, grad, hess, basis):
     return z
 
 
-def _check_hierarchy(report: BoundsReport) -> None:
-    c_s, c_h, c_t_val, c_r_val = report.c_sld, report.c_h, report.c_t, report.c_r
-    if c_s is None or c_t_val is None or c_r_val is None:
+def _check_hierarchy(report, rows=...) -> None:
+    """Raise HierarchyViolation for the first point off C_SLD <= C_H <= C_T <= C_R <= 2 C_SLD.
+    ``report`` is a `BoundsReport` or a batch's columns, with ``rows`` selecting the points
+    to check; a C_H of None leaves out its two links."""
+    fields = report if isinstance(report, dict) else vars(report)
+    values = {k: fields[k] if fields[k] is None else np.asarray(fields[k], dtype=float)[rows]
+              for k in ("c_sld", "c_h", "c_t", "c_r")}
+    c_s, c_h, c_t, c_r = values.values()
+    if c_s is None or c_t is None or c_r is None:
         return
     eps = HIERARCHY_SLACK * c_s
     chain = [
         (c_h is None or c_h >= c_s - 1e-9, "C_H < C_SLD"),
-        (c_h is None or c_h <= c_t_val + eps, "C_H > C_T"),
-        (c_t_val <= c_r_val + eps, "C_T > C_R"),
-        (c_r_val <= 2.0 * c_s + eps, "C_R > 2 C_SLD"),
+        (c_h is None or c_h <= c_t + eps, "C_H > C_T"),
+        (c_t <= c_r + eps, "C_T > C_R"),
+        (c_r <= 2.0 * c_s + eps, "C_R > 2 C_SLD"),
     ]
-    for ok, label in chain:
-        if not ok:
-            raise HierarchyViolation(
-                f"{label}: c_sld={c_s!r} c_h={c_h!r} c_t={c_t_val!r} c_r={c_r_val!r}"
-            )
+    if not all(ok is True or ok.all() for ok, _ in chain):
+        raise_first_failure(*((~np.asarray(ok), lambda i, label=label: HierarchyViolation(
+            f"{label}: " + " ".join(f"{k}={v if v is None else v.item(i)!r}"
+                                    for k, v in values.items()))) for ok, label in chain))
 
 
 def full_report(
@@ -440,57 +451,69 @@ def full_report(
     opts = opts or ReportOptions()
     g = geometry or compute_geometry(point.rho, point.derivs, support_tol=opts.support_tol)
     w_mat, sqrt_w = _weight_and_root(w_mat, g.n_params)
-    one = InformationGeometry(g.qfim[None], g.uhlmann[None], np.asarray(g.slds)[None], None)
-    one.__dict__["_qfim_eigh"] = tuple(x[None] for x in g._qfim_eigh)
+    one = InformationGeometry(*(v if v is None else np.asarray(v)[None] for v in (
+        g.qfim, g.uhlmann, g.slds, g.tangent_dim, g.rho_spectrum)))
+    one.__dict__.update({k: tuple(x[None] for x in getattr(g, k))  # the cached decompositions
+                         for k in ("_qfim_eigh", "_qfim_inverses")})
     rho, derivs = np.asarray(point.rho)[None], np.asarray(point.derivs)[None]
-    return next(batch_reports(rho, derivs, one, w_mat[None], sqrt_w[None], opts))
+    cols = batch_reports(rho, derivs, one, w_mat[None], sqrt_w[None], opts)
+    sol = cols["holevo"][0][1].at(0) if cols["holevo"] else None
+    names = ("c_sld", "c_t", "c_r", "R", "T")
+    c_s, c_t, c_r, r, t = (None if cols["null"][0] else cols[k].item(0) for k in names)
+    c_rld = None if cols["c_rld"] is None or cols["no_rld"][0] else cols["c_rld"].item(0)
+    flags = frozenset(name for name, mask in cols["flags"].items() if mask[0])
+    return BoundsReport(c_s, c_rld, c_t, c_r, sol and sol.value, r, t, sol, flags)
 
 
 def batch_reports(
     rho: np.ndarray, derivs: np.ndarray, g: InformationGeometry, w_mat: np.ndarray,
     sqrt_w: np.ndarray, opts: ReportOptions,
-) -> Iterator[BoundsReport]:
-    """`full_report` for a batch: states (B, n, n), derivatives (B, d, n, n),
-    their batch geometry and validated weights and roots (B, d, d).  Every
-    stage runs stacked; singular and pseudo-inverse QFIMs and missing RLD
-    bounds are masks that become the flags.  Only the dual solve (m >= 2 or
-    d >= 4) runs point by point.  The reports are built as they are read."""
+) -> dict:
+    """`full_report` for a batch of states (B, n, n), derivatives (B, d, n, n),
+    their geometry and validated weights and roots (B, d, d), as columns:
+    c_sld, c_rld, c_t, c_r, c_h with its certified lower bound, R and T
+    (c_rld, c_h, lower None when not computed), the masks null, ill, no_rld
+    and not_converged, each flag's mask, and the rows of each normal-space
+    size with their solutions ("holevo").  Only the dual solve runs point by
+    point.  A pure state whose tangent space fills the 2(n - 1) directions
+    of pure states has no normal space (Matsumoto, J. Phys. A 35, 3111, 2002)."""
     frame = _frame(g, w_mat, sqrt_w)
     ill = frame.used_pseudo
     null = ill & ((g._qfim_eigh[0][:, -1] <= 0.0) | (not opts.pseudo_inverse))
-    c_rld, no_rld = [None] * len(rho), np.zeros(len(rho), bool)
-    if opts.compute_rld:
-        no_rld = density_spectrum(rho, check=False)[1][:, 0] <= 1e-10  # rank deficient
-        full_rank = np.where(no_rld[:, None, None], np.eye(rho.shape[-1]), rho)
-        values, singular = _c_rld(_rld_matrix(full_rank, derivs), w_mat)
-        no_rld |= singular
-        c_rld = [None if missing else v for missing, v in zip(no_rld.tolist(), values.tolist())]
-    holevo = [None] * len(rho)
-    regular = np.flatnonzero(~ill)
-    if opts.compute_holevo and regular.size:
-        if np.size(g.slds) == 0:
-            raise ValueError("geometry must carry SLD operators")
-        sel = subset(regular, len(rho))
-        for rows, basis in _normal_spaces(rho[sel], g.slds[sel]):
-            rows = regular[rows]
-            setup = _tangent_setup(g, basis, take(frame, subset(rows, len(rho))))
-            for i, sol in zip(rows, _holevo_solutions(setup)):
-                holevo[i] = sol
-    r_val = _spectral_radius(g)
     with np.errstate(divide="ignore", invalid="ignore"):  # T of a zero Q: a null row
-        columns = [frame.c_sld, frame.c_t, (1.0 + r_val) * frame.c_sld, r_val, frame.t_value]
-    columns += [null, ill, no_rld]
-    for sol, c_rld_i, (c_s, c_t, c_r, r, t, is_null, is_ill, rld_missing) in zip(
-        holevo, c_rld, zip(*(column.tolist() for column in columns))
-    ):
-        flags = {FLAG_RLD_UNAVAILABLE} if rld_missing else set()
-        if is_ill:
-            flags |= {FLAG_SINGULAR_QFIM} if is_null else {FLAG_SINGULAR_QFIM, FLAG_PSEUDO_INVERSE}
-        if sol is not None and not sol.converged:
-            flags.add(FLAG_HOLEVO_NOT_CONVERGED)
-        if is_null:
-            c_s = c_t = c_r = r = t = None
-        report = BoundsReport(c_s, c_rld_i, c_t, c_r, sol and sol.value, r, t, sol, frozenset(flags))
-        if not is_ill:
-            _check_hierarchy(report)
-        yield report
+        c_t, t_value = frame.c_t, frame.t_value
+    c_rld, no_rld = None, np.zeros(len(rho), bool)
+    if opts.compute_rld:
+        spectrum = np.linalg.eigvalsh(rho) if g.rho_spectrum is None else g.rho_spectrum
+        no_rld = np.min(spectrum, axis=-1) <= 1e-10  # rank deficient
+        full_rank = np.where(no_rld[:, None, None], np.eye(rho.shape[-1]), rho)
+        c_rld, singular = _c_rld(_rld_matrix(full_rank, derivs), w_mat)
+        no_rld |= singular
+    c_h, lower, not_converged, groups = None, None, np.zeros(len(rho), bool), []
+    if opts.compute_holevo:
+        pure = ~ill & (g.tangent_dim == 2 * (rho.shape[-1] - 1))
+        pure &= False if g.rho_spectrum is None else g.rho_spectrum[:, 1] <= 1e-10
+        if pure.any():  # K = 0 at C_T
+            rows = np.flatnonzero(pure)
+            k = np.zeros((len(rows), 0, g.n_params))
+            groups.append((rows, HolevoSolution(k, c_t[rows], c_t[rows], np.zeros(len(rows), int))))
+        regular = np.flatnonzero(~ill & ~pure)
+        if regular.size:
+            if np.size(g.slds) == 0:
+                raise ValueError("geometry must carry SLD operators")
+            sel = subset(regular, len(rho))
+            for rows, basis in _normal_spaces(rho[sel], g.slds[sel]):
+                rows = regular[rows]
+                setup = _tangent_setup(g, basis, take(frame, subset(rows, len(rho))))
+                groups.append((rows, _holevo_solutions(setup)))
+        c_h, lower = np.full((2, len(rho)), np.nan)
+        for rows, sol in groups:
+            c_h[rows], lower[rows], not_converged[rows] = sol.value, sol.lower, ~sol.converged
+    r_val = _spectral_radius(g)
+    flags = {FLAG_RLD_UNAVAILABLE: no_rld, FLAG_SINGULAR_QFIM: ill,
+             FLAG_PSEUDO_INVERSE: ill & ~null, FLAG_HOLEVO_NOT_CONVERGED: not_converged}
+    cols = dict(c_sld=frame.c_sld, c_rld=c_rld, c_t=c_t, c_r=(1.0 + r_val) * frame.c_sld, c_h=c_h,
+                lower=lower, R=r_val, T=t_value, null=null, ill=ill, no_rld=no_rld,
+                not_converged=not_converged, flags=flags, holevo=groups)
+    _check_hierarchy(cols, ~ill)
+    return cols

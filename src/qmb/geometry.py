@@ -29,14 +29,15 @@ RANK_TOL = 1e-9
 
 @dataclass(frozen=True)
 class InformationGeometry:
-    """SLD QFIM, mean Uhlmann curvature, the SLDs, and the tangent-space rank,
-    of one point or of a batch stacked along a leading axis (then ``slds`` is
-    one (B, d, n, n) array and ``tangent_dim`` an integer array)."""
+    """SLD QFIM, mean Uhlmann curvature, the SLDs, the tangent-space rank and the
+    descending spectrum of rho (if known), of one point or of a batch stacked along
+    a leading axis (then ``slds`` is (B, d, n, n), ``tangent_dim`` an integer array)."""
 
     qfim: np.ndarray
     uhlmann: np.ndarray
     slds: tuple[np.ndarray, ...]
     tangent_dim: int
+    rho_spectrum: np.ndarray | None = None
 
     @property
     def n_params(self) -> int:
@@ -99,7 +100,7 @@ def geometry_from_matrices(
 
 
 def _geometry(
-    q: np.ndarray, u: np.ndarray, slds: tuple[np.ndarray, ...], rank_tol: float = RANK_TOL
+    q: np.ndarray, u: np.ndarray, slds: tuple, rank_tol: float = RANK_TOL, rho_spectrum=None
 ) -> InformationGeometry:
     """The geometry of (Q, U, SLDs); the one eigendecomposition of Q gives
     the tangent rank at relative tolerance ``rank_tol`` and fills the
@@ -107,7 +108,7 @@ def _geometry(
     w, v = np.linalg.eigh(q)
     top = w[..., -1:]
     rank = np.where(top[..., 0] > 0, np.sum(w > rank_tol * top, axis=-1), 0)
-    g = InformationGeometry(q, u, slds, rank if rank.ndim else int(rank))
+    g = InformationGeometry(q, u, slds, rank if rank.ndim else int(rank), rho_spectrum)
     g.__dict__["_qfim_eigh"] = (w, v)  # the cached_property slot
     return g
 
@@ -148,7 +149,7 @@ def compute_geometry(
     q = 0.5 * (gram.real + gram.real.swapaxes(-1, -2))
     u = 0.5 * (gram.imag - gram.imag.swapaxes(-1, -2))
     u[..., range(d), range(d)] = 0.0
-    return _geometry(q, u, tuple(slds) if slds.ndim == 3 else slds, rank_tol)
+    return _geometry(q, u, tuple(slds) if slds.ndim == 3 else slds, rank_tol, w)
 
 
 def rld_qfim(rho: np.ndarray, derivs: Sequence[np.ndarray], check: bool = True) -> np.ndarray:
@@ -216,7 +217,7 @@ class _WeightFrame:
     def t_value(self) -> float:
         return self.core_norm / self.c_sld
 
-    @property
+    @cached_property
     def c_t(self) -> float:
         return self.c_sld + self.core_norm
 

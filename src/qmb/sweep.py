@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .bounds import BoundsReport, ReportOptions, batch_reports
+from .bounds import FLAG_SINGULAR_QFIM, ReportOptions, batch_reports
 from .errors import InvalidSpec, UnknownPreset
 from .geometry import _weight_and_root, compute_geometry
 from .linalg import require_weight
@@ -248,30 +248,6 @@ def _omegas(log10_values: np.ndarray) -> np.ndarray:
     return np.array([10.0 ** v for v in log10_values.tolist()])
 
 
-def _gap(c_x: float | None, c_s: float | None) -> float | None:
-    if c_x is None or c_s is None:
-        return None
-    return (c_x - c_s) / c_s
-
-
-# output name -> BoundsReport field, for the outputs a report holds directly
-_REPORT_FIELDS = {"c_sld": "c_sld", "c_rld": "c_rld", "c_t": "c_t", "c_r": "c_r", "c_h": "c_h",
-                  "R": "r_value", "T": "t_value"}
-
-
-def _row(spec: SweepSpec, axis_values: tuple, report: BoundsReport | None) -> ResultRow:
-    """A sweep row from its point's report; None stands for a singular QFIM
-    weight, a flagged null row."""
-    if report is None:
-        return ResultRow(axis_values, dict.fromkeys(spec.outputs), ("SingularQFIM",))
-    values = {name: getattr(report, attr) for name, attr in _REPORT_FIELDS.items()}
-    values.update({f"gap_{b}": _gap(values[f"c_{b}"], report.c_sld) for b in "htr"})
-    above_one = report.r_value is not None and report.r_value > 1.0 + 1e-9
-    flags = report.flags | {FLAG_R_ABOVE_ONE} if above_one else report.flags
-    outputs = {name: values[name] for name in spec.outputs}
-    return ResultRow(axis_values, outputs, tuple(sorted(flags)))
-
-
 def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int, weight) -> list[ResultRow]:
     """``rows`` rows as one batch; each name in ``bound`` holds one value
     per row.  ``weight`` is the fixed (W, sqrt W), validated once per sweep,
@@ -289,14 +265,25 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int, weight) -> list[Res
         weight, void = _qfim_weight(geometry)
     elif weight is None:
         weight = _weight_and_root(_weight_matrices(spec, d, values), d)
-    opts = ReportOptions(pseudo_inverse=spec.pseudo_inverse,
-                         compute_rld="c_rld" in spec.outputs,
-                         compute_holevo=("c_h" in spec.outputs or "gap_h" in spec.outputs))
+    opts = ReportOptions(pseudo_inverse=spec.pseudo_inverse, compute_rld="c_rld" in spec.outputs,
+                         compute_holevo="c_h" in spec.outputs or "gap_h" in spec.outputs)
     w_mat, sqrt_w = (np.broadcast_to(x, (rows, d, d)) for x in weight)
-    reports = batch_reports(rho, derivs, geometry, w_mat, sqrt_w, opts)
+    cols = batch_reports(rho, derivs, geometry, w_mat, sqrt_w, opts)
+    c_s, missing = cols["c_sld"], {"c_rld": cols["no_rld"], "c_h": cols["ill"]}
+    outputs = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for name in spec.outputs:  # a gap is void where its bound is
+            base = "c" + name[3:] if name.startswith("gap_") else name
+            value = cols[base] if base == name else (cols[base] - c_s) / c_s
+            gone = missing.get(base, cols["null"]) | void
+            outputs.append(np.where(gone, None, value).tolist() if gone.any() else value.tolist())
+        masks = {**cols["flags"], FLAG_R_ABOVE_ONE: ~cols["null"] & (cols["R"] > 1.0 + 1e-9)}
+    codes = np.where(void, -1, np.stack(list(masks.values()), -1) @ (1 << np.arange(len(masks))))
+    flags = {code: tuple(sorted(name for bit, name in enumerate(masks) if code >> bit & 1))
+             if code >= 0 else (FLAG_SINGULAR_QFIM,) for code in set(codes.tolist())}
     axis_rows = zip(*(bound[ax.name].tolist() for ax in spec.axes)) if spec.axes else [()] * rows
-    voids = void.tolist()
-    return [_row(spec, tuple(a), None if v else r) for a, r, v in zip(axis_rows, reports, voids)]
+    return [ResultRow(a, dict(zip(spec.outputs, v)), flags[f])
+            for a, v, f in zip(axis_rows, zip(*outputs), codes.tolist())]
 
 
 def _qfim_weight(geometry) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
@@ -606,35 +593,24 @@ def columns(spec: SweepSpec) -> list[str]:
     return [ax.name for ax in spec.axes] + list(canonical_outputs(spec.outputs)) + ["flags"]
 
 
-def _format_value(v: float | None) -> str:
-    if v is None:
-        return ""
-    return format(float(v), ".12g")
-
-
 def emit(rows: Iterable[ResultRow], fmt: str, out: str | TextIO, spec: SweepSpec) -> None:
     """Write rows as CSV or JSON to a path or an open text stream;
-    byte-deterministic for a fixed spec."""
+    byte-deterministic for a fixed spec.  A CSV line is one %-template; a
+    row with a void value is written cell by cell, void cells empty."""
     cols = columns(spec)
     out_names = canonical_outputs(spec.outputs)
     if fmt == "csv":
+        template = ",".join(["%.12g"] * (len(cols) - 1) + ["%s"])
         lines = [",".join(cols)]
         for row in rows:
-            cells = [_format_value(v) for v in row.axis_values]
-            cells += [_format_value(row.outputs.get(name)) for name in out_names]
-            cells.append(";".join(row.flags))
-            lines.append(",".join(cells))
+            values = (*row.axis_values, *map(row.outputs.get, out_names), ";".join(row.flags))
+            lines.append(template % values if None not in values else ",".join(
+                ["" if v is None else "%.12g" % v for v in values[:-1]] + [values[-1]]))
         payload = "\n".join(lines) + "\n"
     elif fmt == "json":
-        records = []
-        for row in rows:
-            rec: dict[str, object] = {}
-            for ax, v in zip(spec.axes, row.axis_values):
-                rec[ax.name] = v
-            for name in out_names:
-                rec[name] = row.outputs.get(name)
-            rec["flags"] = list(row.flags)
-            records.append(rec)
+        records = [{**dict(zip(cols, row.axis_values)),
+                    **{name: row.outputs.get(name) for name in out_names},
+                    "flags": list(row.flags)} for row in rows]
         payload = json.dumps(records, indent=1) + "\n"
     else:
         raise InvalidSpec(f"unknown output format {fmt!r}")

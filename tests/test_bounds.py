@@ -15,6 +15,7 @@ from qmb.bounds import (
     _objective,
     _shrink,
     _tangent_setup,
+    batch_reports,
     c_r_bound,
     c_rld,
     c_sld,
@@ -26,6 +27,7 @@ from qmb.bounds import (
 )
 from qmb.errors import HierarchyViolation, SingularState
 from qmb.geometry import (
+    _normal_spaces,
     compute_geometry,
     geometry_from_matrices,
     quantumness_R,
@@ -35,7 +37,13 @@ from qmb.geometry import (
     weight_transform,
 )
 from qmb.linalg import spd_sqrt, tracenorm_antisym
-from qmb.models import model_config, su2_qubit_point, su2_qutrit_point, tunable_qubit_point
+from qmb.models import (
+    model_arrays,
+    model_config,
+    su2_qubit_point,
+    su2_qutrit_point,
+    tunable_qubit_point,
+)
 from qmb.neldermead import nelder_mead
 
 from conftest import random_model, random_pure_model, random_spd
@@ -710,3 +718,93 @@ class TestFullReport:
         )
         with pytest.raises(HierarchyViolation):
             _check_hierarchy(bad)
+
+    def test_hierarchy_violation_raised_by_full_report(self, monkeypatch):
+        # one point is a batch of one: its chain is checked like a chunk's
+        point = su2_qubit_point(model_config("su2_qubit", alpha=1.0, beta=0.3, t=1.0), 0.8, 0.4)
+        report = full_report(point, np.eye(2))
+        monkeypatch.setattr(bounds, "_spectral_radius", lambda g: np.full(len(g.qfim), 1.5))
+        with pytest.raises(HierarchyViolation) as info:
+            full_report(point, np.eye(2))
+        c_s = report.c_sld
+        assert str(info.value) == (f"C_R > 2 C_SLD: c_sld={c_s!r} c_h={report.c_h!r} "
+                                   f"c_t={report.c_t!r} c_r={2.5 * c_s!r}")
+
+
+def _normal_space_sizes(rho, g):
+    sizes = np.empty(len(rho), int)
+    for rows, basis in _normal_spaces(rho, g.slds):
+        sizes[rows] = basis.coeffs.shape[-1]
+    return sizes
+
+
+class TestPureStateShortcut:
+    """A pure state whose tangent space fills the 2(n - 1) directions of the
+    pure states has no normal space (Matsumoto 2002); batch_reports skips
+    building it for those rows, and only for those."""
+
+    @staticmethod
+    def _assert_shortcut_rows_are_the_empty_ones(monkeypatch, rho, derivs):
+        """The rows batch_reports sends to _normal_spaces are exactly the
+        regular rows whose normal space is not empty; returns the geometry,
+        the sizes and the ill mask for further checks."""
+        g = compute_geometry(rho, derivs)
+        ill = g._qfim_inverses[2]
+        sizes = _normal_space_sizes(rho, g)
+        sent = []
+
+        def recorded(rho_rows, slds_rows):
+            sent.append(rho_rows)
+            return _normal_spaces(rho_rows, slds_rows)
+
+        monkeypatch.setattr(bounds, "_normal_spaces", recorded)
+        d = derivs.shape[-3]
+        eye = np.broadcast_to(np.eye(d), (len(rho), d, d))
+        cols = batch_reports(rho, derivs, g, eye, eye, ReportOptions(compute_rld=False))
+        monkeypatch.undo()
+        assert len(sent) <= 1
+        got = sent[0] if sent else rho[:0]
+        np.testing.assert_array_equal(got, rho[~ill & (sizes > 0)])
+        empty = ~ill & (sizes == 0)
+        np.testing.assert_array_equal(cols["c_h"][empty], cols["c_t"][empty])
+        np.testing.assert_array_equal(cols["lower"][empty], cols["c_t"][empty])
+        return g, sizes, ill
+
+    def test_su2_qubit_grid_crossing_the_singular_line(self, monkeypatch):
+        # B t = 2 pi carries no theta information: approaching it, cond(Q)
+        # grows as the inverse square of the offset, through (1e9, 1e12]
+        # (tangent rank 1, a one-direction normal space) into ill rows
+        offsets = np.concatenate([-np.logspace(-2.0, -7.5, 23), [0.0], np.logspace(-7.5, -2.0, 23)])
+        params = np.stack(np.broadcast_arrays(2.0 * np.pi + offsets[:, None], [[0.3, 0.9]]), -1)
+        cfg = model_config("su2_qubit", alpha=1.0, beta=0.3, t=1.0)
+        rho, derivs = (x.reshape((-1,) + x.shape[2:]) for x in model_arrays(cfg, params))
+        g, sizes, ill = self._assert_shortcut_rows_are_the_empty_ones(monkeypatch, rho, derivs)
+        q = np.linalg.eigvalsh(g.qfim)
+        cond = q[:, -1] / np.maximum(q[:, 0], 1e-300)
+        near = (cond > 1e9) & (cond <= 1e12)
+        assert near.sum() >= 4 and not ill[near].any() and (sizes[near] == 1).all()
+        assert ill.sum() >= 4 and (~ill & (sizes == 0)).sum() >= 40
+
+    @pytest.mark.parametrize("radius", [1.0, 1.0 - 1e-12, 1.0 - 1e-8])
+    def test_tunable_qubit_probes_near_pure(self, monkeypatch, radius):
+        # rank 1 up to 1e-10: |r| = 1 - 1e-12 takes the shortcut, while
+        # 1 - 1e-8 is mixed enough to keep a one-direction normal space
+        r = radius * np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+        cfg = model_config("tunable_qubit", gamma=0.7, theta=1.1, phi=0.4,
+                           r_x=r[0], r_y=r[1], r_z=r[2])
+        params = np.stack(np.broadcast_arrays(np.linspace(0.1, 1.3, 7), 0.2), -1)
+        rho, derivs = model_arrays(cfg, params)
+        _, sizes, ill = self._assert_shortcut_rows_are_the_empty_ones(monkeypatch, rho, derivs)
+        assert not ill.any()
+        assert (sizes == (1 if radius == 1.0 - 1e-8 else 0)).all()
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 4), (3, 3)])
+    def test_random_pure_models(self, monkeypatch, rng, n, d):
+        # (3, 3) leaves one direction of the pure states out of the tangent
+        # space, so it keeps its normal space
+        models = [random_pure_model(rng, n, d) for _ in range(12)]
+        rho = np.stack([m[0] for m in models])
+        derivs = np.stack([np.stack(m[1]) for m in models])
+        _, sizes, ill = self._assert_shortcut_rows_are_the_empty_ones(monkeypatch, rho, derivs)
+        assert not ill.any()
+        assert (sizes == 2 * (n - 1) - d).all()

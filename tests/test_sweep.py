@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ import qmb
 from qmb import bounds, sweep
 from qmb.bounds import ReportOptions, full_report
 from qmb.cli import main as cli_main
-from qmb.errors import InvalidSpec, SingularQFIM, UnknownPreset
+from qmb.errors import HierarchyViolation, InvalidSpec, SingularQFIM, UnknownPreset
 from qmb.geometry import compute_geometry, quantumness_R, t_measure
 from qmb.models import PARAM_NAMES, model_config, model_point, tunable_qubit_pure_geometry_grid
 from qmb.neldermead import nelder_mead
@@ -42,6 +43,55 @@ MIXED_QUBIT = {
     "gamma": math.pi / 4, "theta": math.pi / 2, "phi": 0.35,
     "r_x": 0.3, "r_y": 0.2, "r_z": 0.5, "lambda1": 0.525,
 }
+
+
+# Cells that exercise the number formatting: signed zeros, infinities, nan,
+# subnormals and the extremes of the exponent range, next to ordinary floats.
+_CELL_VALUES = st.one_of(
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.225073858507201e-308,
+                     1.7976931348623157e308, -1e-300, 1e16, 123456789012.5, 1e-5, 0.1]),
+)
+_FLAG_NAMES = st.one_of(
+    st.sampled_from(["SingularQFIM", "PseudoInverseUsed", "RldUnavailable",
+                     "HolevoNotConverged", "RAboveOne"]),
+    st.text(alphabet="a%s,;", max_size=4),
+)
+
+
+def _format_value(v):
+    if v is None:
+        return ""
+    return format(float(v), ".12g")
+
+
+def _per_cell_csv(rows, spec):
+    """The earlier CSV writer, one format call per cell, kept as the oracle
+    of emit's %-template lines."""
+    cols = columns(spec)
+    out_names = canonical_outputs(spec.outputs)
+    lines = [",".join(cols)]
+    for row in rows:
+        cells = [_format_value(v) for v in row.axis_values]
+        cells += [_format_value(row.outputs.get(name)) for name in out_names]
+        cells.append(";".join(row.flags))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _per_record_json(rows, spec):
+    """The earlier JSON writer, one record built key by key."""
+    records = []
+    for row in rows:
+        rec = {}
+        for ax, v in zip(spec.axes, row.axis_values):
+            rec[ax.name] = v
+        for name in canonical_outputs(spec.outputs):
+            rec[name] = row.outputs.get(name)
+        rec["flags"] = list(row.flags)
+        records.append(rec)
+    return json.dumps(records, indent=1) + "\n"
 
 
 def small_spec(**kw):
@@ -267,6 +317,25 @@ class TestEmit:
         with pytest.raises(InvalidSpec):
             emit([], "xml", str(tmp_path / "x"), validate_spec(spec))
 
+    @settings(max_examples=300)
+    @given(
+        cells=st.lists(st.lists(_CELL_VALUES, min_size=5, max_size=5), min_size=1, max_size=6),
+        flags=st.lists(st.lists(_FLAG_NAMES, max_size=4).map(tuple), min_size=6, max_size=6),
+    )
+    def test_csv_and_json_match_per_cell_writer(self, cells, flags):
+        # two axes and three outputs per row; the outputs map is ordered
+        # differently from the canonical outputs, as emit reads it by name
+        spec = replace(small_spec(outputs=("c_t", "R", "c_sld")),
+                       axes=(Axis("lambda1", 0.0, 1.0, 2), Axis("lambda2", 0.0, 1.0, 2)))
+        rows = [
+            sweep.ResultRow(tuple(v[:2]), {"R": v[3], "c_sld": v[2], "c_t": v[4]}, f)
+            for v, f in zip(cells, flags)
+        ]
+        for fmt, oracle in (("csv", _per_cell_csv), ("json", _per_record_json)):
+            out = io.StringIO()
+            emit(rows, fmt, out, spec)
+            assert out.getvalue() == oracle(rows, spec)
+
 
 class TestFigurePresets:
     def test_unknown_preset(self):
@@ -322,16 +391,30 @@ class TestFigurePresets:
     def test_presets_never_reach_the_dual_solve(self, monkeypatch):
         # every preset point has a normal space of at most one direction
         # (qubits: n = 2; the pure qutrit: m = 1), so the closed forms
-        # serve every preset row
+        # serve every preset row; the pure qubit of fig4 fills its tangent
+        # space (m = 0) and builds no normal space at all
         def no_dual(*args, **kwargs):
             raise AssertionError("dual solve reached")
 
+        calls = []
+        normal_spaces = bounds._normal_spaces
+
+        def counted(rho, slds):
+            calls.append(len(rho))
+            return normal_spaces(rho, slds)
+
         monkeypatch.setattr(bounds, "_holevo_dual", no_dual)
+        monkeypatch.setattr(bounds, "_normal_spaces", counted)
         for name in ("fig2", "fig3a", "fig3b", "fig4", "fig5"):
             config = {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}
+            calls.clear()
             rows = run_sweep(figure_preset(name, {**config, "count": 6}))
             assert len(rows) == 36
             assert not any("HolevoNotConverged" in row.flags for row in rows)
+            if name == "fig4":
+                assert calls == []
+            if name == "fig5":
+                assert sum(calls) == 36
 
     def test_fig1_singular_rows_flagged_not_fatal(self):
         # with theta = 0 the two encodings commute and det Q = 0 at every
@@ -397,8 +480,9 @@ class TestFigurePresets:
         "axis", [None, Axis("omega_log10", -3.0, 3.0, 601)], ids=["preset", "601_weights"]
     )
     def test_fig1_saturates_without_fallback(self, monkeypatch, axis):
-        # Gauss-Newton reaches the certificate T = R = 1 at every weight,
-        # so the simplex fallback never runs
+        # every row takes the closed-form saturating angles, which the
+        # stacked residual certifies at T = R = 1, so no row reaches the
+        # simplex fallback
         def no_fallback(*args, **kwargs):
             raise AssertionError("simplex fallback taken")
 
@@ -982,6 +1066,25 @@ class TestChunkedSweep:
         assert len(chunked) == sweep._CHUNK + 1
         for got, want in zip(chunked, whole, strict=True):
             _assert_rows_close(got, want, 1e-14)
+
+    def test_hierarchy_violation_names_the_first_bad_row(self, monkeypatch):
+        # one check per chunk: row 2 leaves the chain at its last link and
+        # row 5 at an earlier one, and row 2 is the one reported
+        spec = small_spec(axes=(Axis("lambda2", 0.0, 0.7, 8),))
+        good = run_sweep(spec)
+        radius = bounds._spectral_radius
+
+        def broken(g):
+            r = radius(g).copy()
+            r[[2, 5]] = 1.5, -0.9  # C_R > 2 C_SLD at row 2; C_T > C_R at row 5
+            return r
+
+        monkeypatch.setattr(bounds, "_spectral_radius", broken)
+        with pytest.raises(HierarchyViolation) as info:
+            run_sweep(spec)
+        out = good[2].outputs
+        assert str(info.value) == (f"C_R > 2 C_SLD: c_sld={out['c_sld']!r} c_h={out['c_h']!r} "
+                                   f"c_t={out['c_t']!r} c_r={2.5 * out['c_sld']!r}")
 
     @pytest.mark.parametrize(
         "fixed, axes, message",

@@ -475,64 +475,3 @@ def generator_geometry(
                 u[l, k] = -u[k, l]
     return q, u
 
-
-def tunable_qubit_pure_geometry_grid(
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    gamma: np.ndarray,
-    theta: np.ndarray,
-    phi: np.ndarray,
-    l1: float = 0.0,
-    l2: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form (Q11, Q12, Q22, U12) over broadcastable pure-state angle grids.
-
-    Same geometry as `tunable_qubit_point` restricted to |r0| = 1, evaluated
-    without constructing density matrices or Bloch vectors; used by the
-    weight-asymmetry figure preset, which maximizes over a large angle grid.
-    Sparse (``np.meshgrid(..., sparse=True)``) inputs cost one trig call per
-    axis value; all four outputs share the broadcast shape of the inputs,
-    and scalar inputs give 0-d results.
-
-    Derivation.  Write w = Rz(2 l1) r0, r = Rz(2 l2) R_n(2 gamma) w,
-    d1 = Rz(2 l2) R_n(2 gamma) (2 z x w) and d2 = 2 z x r (see
-    `_tunable_qubit_bloch_derivs`).  Rotations preserve dot products and
-    Rz fixes z-components, so with |r| = |w| = 1:
-
-    * Q11 = |d1|^2 = 4 |z x w|^2 = 4 (1 - w_z^2) = 4 sin^2 alpha;
-    * Q22 = |d2|^2 = 4 (1 - r_z^2);
-    * Q12 = d1.d2 = 2 z.(r x d1) = 4 z.R_n(z - w_z w)
-      = 4 ((R_n z)_z - cos(alpha) r_z), using w x (z x w) = z - w_z w;
-    * U12 = r.(d1 x d2) = 2 (r_z (r.d1) - |r|^2 (d1)_z) = -2 (d1)_z, because
-      the path is tangent to the sphere (r.d1 = 0).
-
-    Every z-component is z.R_n(v) = v_z c + (n x v)_z s + n_z (n.v)(1 - c)
-    with c = cos 2gamma, s = sin 2gamma and n = (sin theta cos phi,
-    sin theta sin phi, cos theta).  w has azimuth beta + 2 l1, so only
-    delta = beta + 2 l1 - phi enters:
-
-        r_z = ca c + st sa sd s + ct (st sa cd + ct ca)(1 - c)
-        Q12 = 4 (c + ct^2 (1 - c) - ca r_z)
-        U12 = -4 st sa (cd s - ct sd (1 - c))
-
-    (ca = cos alpha, sd = sin delta, ...).  Rz(2 l2) changes no
-    z-component and no dot product, so l2 cancels and is accepted only to
-    keep the signature of the model parameters.
-    """
-    del l2  # cancels; see the derivation above
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    st, ct = np.sin(theta), np.cos(theta)
-    two_gamma = np.multiply(2.0, gamma)
-    c2g, s2g = np.cos(two_gamma), np.sin(two_gamma)
-    one_m_c2g = 1.0 - c2g
-    delta = np.subtract(beta, phi) + 2.0 * l1
-    sd, cd = np.sin(delta), np.cos(delta)
-    st_sa = st * sa
-    r_z = ca * c2g + st_sa * sd * s2g + ct * (st_sa * cd + ct * ca) * one_m_c2g
-    q22 = 4.0 * (1.0 - r_z * r_z)
-    q12 = 4.0 * (c2g + ct * ct * one_m_c2g - ca * r_z)
-    u12 = -4.0 * st_sa * (cd * s2g - ct * sd * one_m_c2g)
-    q11 = 4.0 * sa * sa
-    if np.shape(q11) != np.shape(u12):  # alpha alone spans fewer axes
-        q11 = np.broadcast_to(q11, np.shape(u12))
-    return q11, q12, q22, u12

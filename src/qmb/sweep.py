@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -14,15 +13,7 @@ from .bounds import FLAG_SINGULAR_QFIM, ReportOptions, batch_reports
 from .errors import InvalidSpec, UnknownPreset
 from .geometry import _weight_and_root, compute_geometry
 from .linalg import require_weight
-from .models import (
-    MODEL_IDS,
-    PARAM_NAMES,
-    ModelConfig,
-    model_arrays,
-    model_config,
-    tunable_qubit_pure_geometry_grid,
-)
-from .neldermead import nelder_mead
+from .models import MODEL_IDS, PARAM_NAMES, ModelConfig, model_arrays, model_config
 
 CANONICAL_OUTPUTS = ("c_sld", "c_rld", "c_t", "c_r", "c_h", "R", "T", "gap_h", "gap_t", "gap_r")
 MAX_SWEEP_POINTS = 10**7
@@ -31,6 +22,11 @@ MAX_SWEEP_POINTS = 10**7
 _CHUNK = 1024
 
 FLAG_R_ABOVE_ONE = "RAboveOne"
+FLAG_NOT_SATURATED = "NotSaturated"
+# A maximized row is certified where the pipeline's T reaches R = 1 of a
+# pure qubit to within this margin, the one a saturation residual
+# |g| <= 1e-7 gives (|g|^2 / 2 = -log T).
+_SATURATION_TOL = 5e-15
 
 _ALLOWED_CONSTANTS = {
     "tunable_qubit": {"r_x", "r_y", "r_z", "alpha", "beta", "gamma", "theta", "phi"},
@@ -38,15 +34,8 @@ _ALLOWED_CONSTANTS = {
     "su2_qutrit": {"alpha", "beta", "t"},
 }
 
-# Angles of the pure tunable-qubit probe and rotation, with the span each
-# is maximized over (in the argument order of the pure-state geometry).
-_ANGLE_SPANS = {
-    "alpha": (1e-3, math.pi - 1e-3),
-    "beta": (0.0, 2.0 * math.pi),
-    "gamma": (1e-3, math.pi - 1e-3),
-    "theta": (1e-3, math.pi - 1e-3),
-    "phi": (0.0, 2.0 * math.pi),
-}
+# Angles of the pure tunable-qubit probe and rotation.
+_ANGLES = ("alpha", "beta", "gamma", "theta", "phi")
 # Names that describe the probe other than through (alpha, beta), or set
 # lambda1 through phi; the maximized probe is pure and lambda1 is direct.
 _NON_ANGLE_PROBE_NAMES = {"r_x", "r_y", "r_z", "r_xy", "r2", "xi"}
@@ -88,7 +77,6 @@ class SweepSpec:
     outputs: tuple[str, ...] = CANONICAL_OUTPUTS
     pseudo_inverse: bool = False
     maximize_over: tuple[str, ...] = ()
-    maximize_grid: int = 17
 
 
 @dataclass(frozen=True)
@@ -132,8 +120,8 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
     outputs = canonical_outputs(spec.outputs)
     if spec.weight.kind not in ("identity", "diag", "full", "qfim", "diag_log_axis"):
         raise InvalidSpec(f"unknown weight kind {spec.weight.kind!r}")
-    if spec.weight.kind == "diag_log_axis" and spec.weight.axis not in {*axis_names, *spec.fixed}:
-        raise InvalidSpec("diag_log_axis weight needs a matching axis name")
+    if spec.weight.kind == "diag_log_axis":
+        _check_log_axis(spec)
     if spec.weight.kind in ("diag", "full"):
         # a fixed weight is checked once here, not at every point
         d = len(PARAM_NAMES[spec.model_id])
@@ -154,35 +142,50 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         if spec.weight.kind != "diag_log_axis":
             raise InvalidSpec("maximization sweeps expect the diag_log_axis weight")
         names = spec.maximize_over
-        unknown = set(names) - set(_ANGLE_SPANS)
-        if unknown:
-            raise InvalidSpec(f"cannot maximize over {sorted(unknown)}")
         if len(set(names)) != len(names):
             raise InvalidSpec("duplicate maximized names")
+        if not {"alpha", "gamma", "theta"} < set(names) <= set(_ANGLES):
+            raise InvalidSpec(
+                f"cannot maximize over {sorted(names)}; the supported sets are alpha, gamma "
+                "and theta with beta, phi or both"
+            )
         bound_names = set(spec.fixed) | set(axis_names)
         if set(names) & bound_names:
             raise InvalidSpec(f"maximized names also fixed: {sorted(set(names) & bound_names)}")
         if bound_names & _NON_ANGLE_PROBE_NAMES:
-            # the grid maximizes a pure probe (alpha, beta) at the given
-            # lambda1; these names would evaluate a different model
+            # the maximized probe is pure, set by (alpha, beta), at the
+            # given lambda1; these names would evaluate a different model
             raise InvalidSpec(
                 f"maximization cannot take {sorted(bound_names & _NON_ANGLE_PROBE_NAMES)}; "
                 "set the probe by alpha and beta and the parameter by lambda1"
             )
-        unbound = set(_ANGLE_SPANS) - set(names) - bound_names
+        unbound = set(_ANGLES) - set(names) - bound_names
         if unbound:
             raise InvalidSpec(f"angles neither maximized nor fixed: {sorted(unbound)}")
-        if spec.maximize_grid < 2:
-            raise InvalidSpec(f"maximize_grid needs >= 2, got {spec.maximize_grid}")
-        if spec.maximize_grid ** len(names) > MAX_SWEEP_POINTS:
-            raise InvalidSpec(
-                f"maximization grid has {spec.maximize_grid}^{len(names)} points, "
-                f"above the {MAX_SWEEP_POINTS} guard"
-            )
     # the names a point binds, checked once on an empty batch
     names = set(spec.fixed) | set(axis_names) | set(spec.maximize_over)
     _bind_values(spec.model_id, {name: np.zeros(0) for name in names - {spec.weight.axis}})
     return replace(spec, outputs=outputs)
+
+
+def _check_log_axis(spec: SweepSpec) -> None:
+    """The diag_log_axis weight's axis is swept or fixed, and omega = 10**v
+    is finite and above 1e-12 at its value, or at both endpoints of its
+    axis, which bound every row."""
+    name = spec.weight.axis
+    axis = next((ax for ax in spec.axes if ax.name == name), None)
+    if axis is None and name not in spec.fixed:
+        raise InvalidSpec("diag_log_axis weight needs a matching axis name")
+    for v in (axis.start, axis.stop) if axis else (spec.fixed[name],):
+        try:
+            omega = float(_omegas(np.array([v], dtype=float))[0])
+        except OverflowError:
+            omega = math.inf
+        if not (math.isfinite(omega) and omega > 1e-12):
+            raise InvalidSpec(
+                f"diag_log_axis weight: {name}={v!r} gives omega={omega!r}; "
+                "omega must be finite and above 1e-12"
+            )
 
 
 def _bind_values(model_id: str, bound: dict[str, np.ndarray]) -> tuple[ModelConfig, np.ndarray]:
@@ -254,8 +257,9 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int, weight) -> list[Res
     or None for a kind that varies by row."""
     d = len(PARAM_NAMES[spec.model_id])
     values = {**{k: np.full(rows, float(v)) for k, v in spec.fixed.items()}, **bound}
-    if spec.maximize_over:  # each row's maximizing angles, then the batch
-        values.update(_witnesses(spec, values, rows))
+    if spec.maximize_over:  # each row's saturating angles, then the batch
+        omega = _omegas(values[spec.weight.axis])
+        values.update(_saturating_angles(spec.maximize_over, values, omega))
     model_values = {k: v for k, v in values.items() if k != spec.weight.axis}
     cfg, params = _bind_values(spec.model_id, model_values)
     rho, derivs = model_arrays(cfg, params)
@@ -278,6 +282,8 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int, weight) -> list[Res
             gone = missing.get(base, cols["null"]) | void
             outputs.append(np.where(gone, None, value).tolist() if gone.any() else value.tolist())
         masks = {**cols["flags"], FLAG_R_ABOVE_ONE: ~cols["null"] & (cols["R"] > 1.0 + 1e-9)}
+        if spec.maximize_over:
+            masks[FLAG_NOT_SATURATED] = ~cols["null"] & ~(cols["T"] >= 1.0 - _SATURATION_TOL)
     codes = np.where(void, -1, np.stack(list(masks.values()), -1) @ (1 << np.arange(len(masks))))
     flags = {code: tuple(sorted(name for bit, name in enumerate(masks) if code >> bit & 1))
              if code >= 0 else (FLAG_SINGULAR_QFIM,) for code in set(codes.tolist())}
@@ -302,252 +308,40 @@ def _qfim_weight(geometry) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     return tuple(np.where(void[:, None, None], eye, x) for x in (w_mat, sqrt_w)), void
 
 
-def _regular(q11, q12, q22):
-    """Whether Q is regular enough to keep.
-
-    Configurations with a (near-)singular QFIM carry no information about
-    one direction; they are excluded rather than chasing noise in the
-    ratio |u| / sqrt(det Q).  Works on grids and on scalars alike.
-    """
-    return q11 * q22 - q12 * q12 > 1e-6 * np.maximum(q11 * q22, 1e-300)
-
-
-def _pure_geometry(names, values, fixed, l1):
-    """Closed-form (Q11, Q12, Q22, U12) with the angles ``names`` at
-    ``values`` (scalars or broadcastable arrays) and the rest at ``fixed``."""
-    angle = {**dict(fixed), **dict(zip(names, values))}
-    return tunable_qubit_pure_geometry_grid(*(angle[name] for name in _ANGLE_SPANS), l1)
-
-
-@dataclass(frozen=True)
-class _AngleGrid:
-    """The weight-free parts of the maximization start grid.
-
-    ``abs_u`` is |U12| and ``q22`` is Q22, except at configurations with a
-    (near-)singular QFIM, where they are 0 and 1: there T is 0 at every
-    weight.
-    """
-
-    q11: np.ndarray
-    q22: np.ndarray
-    abs_u: np.ndarray
-
-
-@functools.lru_cache(maxsize=2)
-def _angle_grid(
-    names: tuple[str, ...], n: int, fixed: tuple[tuple[str, float], ...], l1: float
-) -> _AngleGrid:
-    """Closed-form pure-qubit geometry on the coarse angle grid.
-
-    The grid does not depend on the weight axis, so one build serves every
-    sweep row with the same fixed angles; cached builds are read-only.
-    """
-    axes = np.meshgrid(
-        *[np.linspace(*_ANGLE_SPANS[name], n) for name in names], indexing="ij", sparse=True
-    )
-    q11, q12, q22, u12 = _pure_geometry(names, axes, fixed, l1)
-    regular = _regular(q11, q12, q22)
-    grid = _AngleGrid(
-        q11=q11, q22=np.where(regular, q22, 1.0), abs_u=np.where(regular, np.abs(u12), 0.0)
-    )
-    grid.q22.flags.writeable = grid.abs_u.flags.writeable = False
-    return grid
-
-
-# Gauss-Newton on the saturation residual: |g|^2 / 2 = -log T, so stopping at
-# |g| <= 1e-7 leaves T within 5e-15 of its upper bound R = 1.
-_CERTIFICATE_TOL = 1e-7
-_GN_MAX_STEPS = 40
-_FD_STEP = 1e-6
-_DAMPING = 0.5 ** np.arange(21)
-
-
-def _saturation_residual(
-    names: tuple[str, ...],
-    fixed: tuple[tuple[str, float], ...],
-    l1: float | np.ndarray,
-    omega: float | np.ndarray,
-    xs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The residual g at each row of ``xs`` (angles in ``names`` order) and
-    |g|^2, which is inf off the regular set; ``l1`` and ``omega`` are one
-    value, or one per row.
-
-    On the regular set of a pure qubit |U12| = sqrt(det Q), so with
-    f1 = Q12 / sqrt(Q11 Q22) and f2 = log(Q22 / (omega Q11)),
-    T[diag(1, omega)] = sqrt(1 - f1^2) / cosh(f2 / 2).  The residual
-    g = (sgn f1 sqrt(-log(1 - f1^2)), sgn f2 sqrt(2 log cosh(f2 / 2)))
-    vanishes exactly where T = R = 1 and has |g|^2 / 2 = -log T; both
-    logarithms are taken through log1p so that g stays accurate near 0.
-    """
-    q11, q12, q22, _ = _pure_geometry(names, xs.T, fixed, l1)
-    regular = _regular(q11, q12, q22)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f1 = q12 / np.sqrt(q11 * q22)
-        f2 = np.log(q22 / (omega * q11))
-        g = np.stack(
-            [
-                np.sign(f1) * np.sqrt(-np.log1p(-f1 * f1)),
-                np.sign(f2) * np.sqrt(2.0 * np.log1p(2.0 * np.sinh(0.25 * f2) ** 2)),
-            ],
-            axis=-1,
-        )
-    return g, np.where(regular, np.sum(g * g, axis=-1), np.inf)
-
-
-def _saturate(
-    names: tuple[str, ...],
-    fixed: tuple[tuple[str, float], ...],
-    l1: float,
-    omega: float,
-    x0: np.ndarray,
-) -> np.ndarray | None:
-    """Damped Gauss-Newton on the saturation residual from ``x0``.
-
-    Central-difference Jacobians, minimum-norm least-squares steps and a
-    backtracking line search on |g|^2; bounded angles are clipped to their
-    spans and periodic ones wrapped.  Returns the angles once
-    |g| <= _CERTIFICATE_TOL, where T = R = 1 certifies the global maximum,
-    or None when the iteration stalls.
-    """
-    k = len(names)
-    lo, hi = np.array([_ANGLE_SPANS[name] for name in names]).T
-    periodic = np.array([name in ("beta", "phi") for name in names])
-    probes = _FD_STEP * np.vstack([np.eye(k), -np.eye(k)])
-    g, norm2 = _saturation_residual(names, fixed, l1, omega, x0[None])
-    x, g, norm2 = x0, g[0], norm2[0]
-    if not np.isfinite(norm2):  # a start off the regular set
-        return None
-    for _ in range(_GN_MAX_STEPS):
-        if norm2 <= _CERTIFICATE_TOL**2:
-            return x
-        g_probe, _ = _saturation_residual(names, fixed, l1, omega, x + probes)
-        jac = (g_probe[:k] - g_probe[k:]).T / (2.0 * _FD_STEP)
-        if not np.all(np.isfinite(jac)):
-            return None
-        step = np.linalg.lstsq(jac, -g, rcond=None)[0]
-        trials = x + _DAMPING[:, None] * step
-        trials = np.where(periodic, np.mod(trials, 2.0 * math.pi), np.clip(trials, lo, hi))
-        g_trial, norm2_trial = _saturation_residual(names, fixed, l1, omega, trials)
-        accepted = np.flatnonzero(norm2_trial <= (1.0 - 1e-4 * _DAMPING) * norm2)
-        if accepted.size == 0:
-            return None
-        i = accepted[0]
-        x, g, norm2 = trials[i], g_trial[i], norm2_trial[i]
-    return None
-
-
-def _refine(
-    names: tuple[str, ...],
-    fixed: tuple[tuple[str, float], ...],
-    l1: float,
-    omega: float,
-    x0: np.ndarray,
-) -> np.ndarray:
-    """Simplex refinement of T at W = diag(1, omega) from ``x0``; returns
-    the refined angles."""
-
-    def negated(x: np.ndarray) -> float:
-        q11, q12, q22, u12 = _pure_geometry(names, x, fixed, l1)
-        if not _regular(q11, q12, q22):
-            return 0.0
-        return -2.0 * math.sqrt(omega) * abs(u12) / (q22 + omega * q11)
-
-    x, _, _ = nelder_mead(negated, x0, step=0.08, max_iter=1200)
-    return x
-
-
-def _witness(spec: SweepSpec, bound: dict[str, float]) -> dict[str, float]:
-    """The angles that maximize T over the maximized names at one row's
-    weight, with the other angles as bound.
-
-    The closed-form pure-qubit geometry gives a coarse start grid
-    (maximize_grid points per angle).  From its best cell a Gauss-Newton
-    solve of the saturation equations Q12 = 0, Q22 = omega Q11 reaches
-    T = R = 1, which certifies the global maximum since T <= R = 1 for a
-    pure qubit; where the maximized angles cannot reach that set, simplex
-    refinement from the same cell takes over.  R needs no maximization: it
-    is 1 at every regular configuration.  The sweep evaluates both through
-    the ordinary pipeline at these angles.
-    """
-    n = spec.maximize_grid
-    names = spec.maximize_over
-    fixed = tuple((name, float(bound[name])) for name in _ANGLE_SPANS if name not in names)
-    if "beta" in names and "phi" in names:
-        # the geometry reads beta and phi only through beta - phi, and on
-        # the shared [0, 2 pi] grid their differences are the beta values
-        # again, so beta alone spans both
-        names = tuple(name for name in names if name != "phi")
-        fixed += (("phi", 0.0),)
-    l1 = float(bound.get("lambda1", 0.0))
-    omega = 10.0 ** float(bound[spec.weight.axis])
-    grid = _angle_grid(names, n, fixed, l1)
-    t_score = grid.abs_u / (grid.q22 + omega * grid.q11)  # T / (2 sqrt(omega))
-    start = np.unravel_index(int(np.argmax(t_score)), t_score.shape)
-    x0 = np.array([np.linspace(*_ANGLE_SPANS[name], n)[i] for name, i in zip(names, start)])
-    x = _saturate(names, fixed, l1, omega, x0)
-    if x is None:
-        x = _refine(names, fixed, l1, omega, x0)
-    return {**dict(fixed), **dict(zip(names, map(float, x)))}
-
-
 def _saturating_angles(
-    names: tuple[str, ...], values: dict[str, np.ndarray], l1: np.ndarray, omega: np.ndarray
-) -> dict[str, np.ndarray] | None:
-    """Closed-form angles with T = R = 1 at each row's omega, or None when
-    the maximized ``names`` cannot take them.
+    names: tuple[str, ...], values: dict[str, np.ndarray], omega: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The five angles with T = R = 1 at each row's omega, the ones not in
+    ``names`` as bound in ``values``.
 
-    At theta = pi/2 and gamma = pi/4 the pure-qubit geometry is
-    Q11 = 4 sin^2 alpha, Q12 = -4 sin alpha cos alpha sin delta and
+    A pure qubit has T <= R = 1, with equality exactly where Q12 = 0 and
+    Q22 = omega Q11 (W proportional to Q), so these angles hold the global
+    maximum of T.  At theta = pi/2 and gamma = pi/4 the pure-qubit geometry
+    is Q11 = 4 sin^2 alpha, Q12 = -4 sin alpha cos alpha sin delta and
     Q22 = 4 (1 - sin^2 alpha sin^2 delta), with delta = beta - phi + 2 l1.
-    The saturation equations Q12 = 0, Q22 = omega Q11 hold at alpha = pi/2,
-    cos delta = sqrt(omega) for omega <= 1, and at delta = 0,
-    sin alpha = 1 / sqrt(omega) for omega >= 1.  delta is solved for beta
-    when beta is maximized (phi = 0 if phi is maximized too), else for phi.
-    Rows whose alpha would leave its span (omega above about 1e6) are NaN.
+    Both equations hold at alpha = pi/2, cos delta = sqrt(omega) for
+    omega <= 1, and at delta = 0, sin alpha = 1 / sqrt(omega) for
+    omega >= 1.  delta is solved for beta when beta is maximized (phi = 0
+    if phi is maximized too), else for phi.  The sweep certifies each row
+    on the T its pipeline computes at these angles.
     """
-    free = set(names)
-    if not ({"alpha", "gamma", "theta"} <= free and free & {"beta", "phi"}):
-        return None
+    l1 = values.get("lambda1", np.zeros_like(omega))
     low = omega <= 1.0
     alpha = np.where(low, 0.5 * math.pi, np.arcsin(1.0 / np.sqrt(np.maximum(omega, 1.0))))
     delta = np.where(low, np.arccos(np.sqrt(np.minimum(omega, 1.0))), 0.0)
-    if "beta" in free:
-        phi = np.zeros_like(omega) if "phi" in free else values["phi"]
+    if "beta" in names:
+        phi = np.zeros_like(omega) if "phi" in names else values["phi"]
         beta = np.mod(delta + phi - 2.0 * l1, 2.0 * math.pi)
     else:
         beta = values["beta"]
         phi = np.mod(beta + 2.0 * l1 - delta, 2.0 * math.pi)
     return {
-        "alpha": np.where(alpha >= _ANGLE_SPANS["alpha"][0], alpha, np.nan),
+        "alpha": alpha,
         "beta": beta,
         "gamma": np.full_like(omega, 0.25 * math.pi),
         "theta": np.full_like(omega, 0.5 * math.pi),
         "phi": phi,
     }
-
-
-def _witnesses(spec: SweepSpec, values: dict[str, np.ndarray], rows: int) -> dict[str, np.ndarray]:
-    """The five angles of ``rows`` rows, the maximized ones at their
-    maximizing values; each name in ``values`` holds one value per row.
-
-    Closed-form saturating angles serve every row where one stacked residual
-    certifies T = R = 1; the other rows, and every row of an angle subset
-    that cannot take the closed form, go through `_witness`.
-    """
-    omega = _omegas(values[spec.weight.axis])
-    l1 = values.get("lambda1", np.zeros(rows))
-    xs = np.empty((len(_ANGLE_SPANS), rows))
-    certified = np.zeros(rows, bool)
-    angles = _saturating_angles(spec.maximize_over, values, l1, omega)
-    if angles is not None:
-        xs = np.stack([angles[name] for name in _ANGLE_SPANS])
-        _, norm2 = _saturation_residual(tuple(_ANGLE_SPANS), (), l1, omega, xs.T)
-        certified = norm2 <= _CERTIFICATE_TOL**2
-    for i in np.flatnonzero(~certified).tolist():
-        witness = _witness(spec, {name: v[i] for name, v in values.items()})
-        xs[:, i] = [witness[name] for name in _ANGLE_SPANS]
-    return dict(zip(_ANGLE_SPANS, xs))
 
 
 def run_point(spec: SweepSpec) -> ResultRow:
@@ -569,8 +363,9 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
     """Evaluate the grid in row-major axis order.
 
     The points are evaluated in chunks of _CHUNK rows, each one stacked
-    batch through every stage; a maximization sweep first finds each row's
-    maximizing angles (`_witnesses`).  Physics flags never abort the sweep.
+    batch through every stage; a maximization sweep first takes each row's
+    saturating angles (`_saturating_angles`) and flags a row whose T falls
+    short of 1 NotSaturated.  Physics flags never abort the sweep.
     ``threads`` is kept only because the benchmark scripts in perfbench/
     still pass ``threads=1``; any other value raises InvalidSpec.
     """

@@ -1,6 +1,9 @@
-"""Shared generators for randomized property tests (all explicitly seeded)."""
+"""Shared generators for randomized property tests (all explicitly seeded),
+and oracles that several test modules share."""
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -81,6 +84,156 @@ def random_antisymmetric(rng: np.random.Generator, d: int, rank: int | None = No
         u = np.real(-1j * (vecs * w) @ vecs.conj().T)
         u = 0.5 * (u - u.T)
     return u
+
+
+def tunable_qubit_pure_geometry_grid(
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    gamma: np.ndarray,
+    theta: np.ndarray,
+    phi: np.ndarray,
+    l1: float = 0.0,
+    l2: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form (Q11, Q12, Q22, U12) over broadcastable pure-state angle grids.
+
+    Same geometry as `tunable_qubit_point` restricted to |r0| = 1, evaluated
+    without constructing density matrices or Bloch vectors; the fig1
+    maximization oracle in tests/test_sweep.py searches an angle grid with it.
+    Sparse (``np.meshgrid(..., sparse=True)``) inputs cost one trig call per
+    axis value; all four outputs share the broadcast shape of the inputs,
+    and scalar inputs give 0-d results.
+
+    Derivation.  Write w = Rz(2 l1) r0, r = Rz(2 l2) R_n(2 gamma) w,
+    d1 = Rz(2 l2) R_n(2 gamma) (2 z x w) and d2 = 2 z x r (see
+    `_tunable_qubit_bloch_derivs`).  Rotations preserve dot products and
+    Rz fixes z-components, so with |r| = |w| = 1:
+
+    * Q11 = |d1|^2 = 4 |z x w|^2 = 4 (1 - w_z^2) = 4 sin^2 alpha;
+    * Q22 = |d2|^2 = 4 (1 - r_z^2);
+    * Q12 = d1.d2 = 2 z.(r x d1) = 4 z.R_n(z - w_z w)
+      = 4 ((R_n z)_z - cos(alpha) r_z), using w x (z x w) = z - w_z w;
+    * U12 = r.(d1 x d2) = 2 (r_z (r.d1) - |r|^2 (d1)_z) = -2 (d1)_z, because
+      the path is tangent to the sphere (r.d1 = 0).
+
+    Every z-component is z.R_n(v) = v_z c + (n x v)_z s + n_z (n.v)(1 - c)
+    with c = cos 2gamma, s = sin 2gamma and n = (sin theta cos phi,
+    sin theta sin phi, cos theta).  w has azimuth beta + 2 l1, so only
+    delta = beta + 2 l1 - phi enters:
+
+        r_z = ca c + st sa sd s + ct (st sa cd + ct ca)(1 - c)
+        Q12 = 4 (c + ct^2 (1 - c) - ca r_z)
+        U12 = -4 st sa (cd s - ct sd (1 - c))
+
+    (ca = cos alpha, sd = sin delta, ...).  Rz(2 l2) changes no
+    z-component and no dot product, so l2 cancels and is accepted only to
+    keep the signature of the model parameters.
+    """
+    del l2  # cancels; see the derivation above
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    st, ct = np.sin(theta), np.cos(theta)
+    two_gamma = np.multiply(2.0, gamma)
+    c2g, s2g = np.cos(two_gamma), np.sin(two_gamma)
+    one_m_c2g = 1.0 - c2g
+    delta = np.subtract(beta, phi) + 2.0 * l1
+    sd, cd = np.sin(delta), np.cos(delta)
+    st_sa = st * sa
+    r_z = ca * c2g + st_sa * sd * s2g + ct * (st_sa * cd + ct * ca) * one_m_c2g
+    q22 = 4.0 * (1.0 - r_z * r_z)
+    q12 = 4.0 * (c2g + ct * ct * one_m_c2g - ca * r_z)
+    u12 = -4.0 * st_sa * (cd * s2g - ct * sd * one_m_c2g)
+    q11 = 4.0 * sa * sa
+    if np.shape(q11) != np.shape(u12):  # alpha alone spans fewer axes
+        q11 = np.broadcast_to(q11, np.shape(u12))
+    return q11, q12, q22, u12
+
+
+# A compact deterministic Nelder-Mead simplex minimizer: the search of the
+# Holevo-ladder oracle (tests/test_bounds.py) and of the fig1 oracle
+# (tests/test_sweep.py).  The simplex is one (n + 1, n) array; the
+# ordering stays in plain Python.
+def nelder_mead(
+    fn: Callable[[np.ndarray], float],
+    x0: np.ndarray,
+    step: float = 0.1,
+    max_iter: int = 5000,
+    f_tol_rel: float = 1e-13,
+    x_tol: float = 1e-12,
+) -> tuple[np.ndarray, float, int]:
+    """Minimize ``fn`` from ``x0``; returns (x_best, f_best, evaluations).
+
+    The initial simplex offsets each coordinate by ``step``.  Termination:
+    the simplex function values agree to ``f_tol_rel`` relative to the best
+    value, or the vertices collapse to within ``x_tol``, or the evaluation
+    budget runs out.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    if n == 0:
+        return x0, float(fn(x0)), 1
+    if step == 0:
+        step = 0.1
+    verts = np.tile(x0, (n + 1, 1))
+    verts[np.arange(1, n + 1), np.arange(n)] += step
+    pairs = sorted(zip([float(fn(v)) for v in verts], range(n + 1)))
+    order = [i for _, i in pairs]
+    vals = {i: f for f, i in pairs}
+    evals = n + 1
+
+    while evals < max_iter:
+        best_i, worst_i = order[0], order[-1]
+        f_best, f_worst = vals[best_i], vals[worst_i]
+        if f_worst - f_best <= f_tol_rel * (abs(f_best) + 1e-300):
+            break
+        if float(np.max(np.abs(verts - verts[best_i]))) <= x_tol:
+            break
+        centroid = (np.sum(verts, axis=0) - verts[worst_i]) / n
+
+        def replace_worst(x: np.ndarray, f: float) -> None:
+            verts[worst_i] = x
+            vals[worst_i] = f
+            order.pop()
+            lo, hi = 0, len(order)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if vals[order[mid]] <= f:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            order.insert(lo, worst_i)
+
+        reflected = centroid + (centroid - verts[worst_i])
+        f_ref = float(fn(reflected))
+        evals += 1
+        if f_ref < f_best:
+            expanded = centroid + 2.0 * (reflected - centroid)
+            f_exp = float(fn(expanded))
+            evals += 1
+            if f_exp < f_ref:
+                replace_worst(expanded, f_exp)
+            else:
+                replace_worst(reflected, f_ref)
+        elif f_ref < vals[order[-2]]:
+            replace_worst(reflected, f_ref)
+        else:
+            if f_ref < f_worst:
+                contracted = centroid + 0.5 * (reflected - centroid)
+            else:
+                contracted = centroid + 0.5 * (verts[worst_i] - centroid)
+            f_con = float(fn(contracted))
+            evals += 1
+            if f_con < min(f_ref, f_worst):
+                replace_worst(contracted, f_con)
+            else:
+                vbest = verts[order[0]]
+                for i in order[1:]:
+                    verts[i] = vbest + 0.5 * (verts[i] - vbest)
+                    vals[i] = float(fn(verts[i]))
+                evals += n
+                order = sorted(order, key=vals.__getitem__)
+
+    best_i = order[0]
+    return verts[best_i].copy(), vals[best_i], evals
 
 
 @pytest.fixture

@@ -44,9 +44,8 @@ from qmb.models import (
     su2_qutrit_point,
     tunable_qubit_point,
 )
-from qmb.neldermead import nelder_mead
 
-from conftest import random_model, random_pure_model, random_spd
+from conftest import nelder_mead, random_model, random_pure_model, random_spd
 
 
 def tq_point(r0=(0.3, 0.2, 0.5), phi=0.35, l1=0.525, l2=0.0):

@@ -18,9 +18,10 @@ from qmb.models import (
     su2_qutrit_point,
     tunable_qubit_bloch,
     tunable_qubit_point,
-    tunable_qubit_pure_geometry_grid,
     unitary_generator,
 )
+
+from conftest import tunable_qubit_pure_geometry_grid
 
 
 def _bloch_closed_form(

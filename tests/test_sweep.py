@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,8 +19,7 @@ from qmb.bounds import ReportOptions, full_report
 from qmb.cli import main as cli_main
 from qmb.errors import HierarchyViolation, InvalidSpec, SingularQFIM, UnknownPreset
 from qmb.geometry import compute_geometry, quantumness_R, t_measure
-from qmb.models import PARAM_NAMES, model_config, model_point, tunable_qubit_pure_geometry_grid
-from qmb.neldermead import nelder_mead
+from qmb.models import PARAM_NAMES, model_config, model_point
 from qmb.sweep import (
     CANONICAL_OUTPUTS,
     Axis,
@@ -33,6 +33,8 @@ from qmb.sweep import (
     run_sweep,
     validate_spec,
 )
+
+from conftest import nelder_mead, tunable_qubit_pure_geometry_grid
 
 ANCHOR = {
     "alpha": math.pi / 4, "beta": 0.0, "t": 1.0,
@@ -156,6 +158,24 @@ class TestSpecValidation:
     def test_rejects_invalid_fixed_weight(self, weight):
         with pytest.raises(InvalidSpec):
             validate_spec(small_spec(weight=weight))
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            (replace(figure_preset("fig1"), axes=(), fixed={"omega_log10": -12.0}),
+             "omega_log10=-12.0 "),
+            (replace(figure_preset("fig1"), axes=(), fixed={"omega_log10": 400.0}),
+             "omega_log10=400.0 "),
+            (small_spec(axes=(Axis("w", -13.0, 0.0, 3),),
+                        weight=WeightSpec(kind="diag_log_axis", axis="w")), "w=-13.0 "),
+        ],
+        ids=["fig1_omega_1e-12", "fig1_overflow", "mixed_axis_below_1e-12"],
+    )
+    def test_rejects_log_axis_weight_out_of_range(self, spec, named):
+        # omega = 10**v must be finite and above 1e-12 at a fixed value and
+        # at both ends of a swept axis; the error names the axis and value
+        with pytest.raises(InvalidSpec, match=re.escape(named)):
+            run_sweep(spec)
 
 
 class TestRunPoint:
@@ -417,13 +437,10 @@ class TestFigurePresets:
                 assert sum(calls) == 36
 
     def test_fig1_singular_rows_flagged_not_fatal(self):
-        # with theta = 0 the two encodings commute and det Q = 0 at every
-        # angle: each row is a flagged null row, and the sweep goes on
-        spec = replace(
-            figure_preset("fig1", {"count": 2}),
-            fixed={"theta": 0.0},
-            maximize_over=("alpha", "beta", "gamma", "phi"),
-        )
+        # at the saturating angles Q = diag(4 / omega, 4) for omega >= 1, so
+        # cond(Q) = omega: above 1e12 each row is a flagged null row, and
+        # the sweep goes on
+        spec = replace(figure_preset("fig1"), axes=(Axis("omega_log10", 12.5, 13.0, 2),))
         rows = run_sweep(spec)
         assert [row.flags for row in rows] == [("SingularQFIM",)] * 2
         assert all(value is None for row in rows for value in row.outputs.values())
@@ -457,36 +474,12 @@ class TestFigurePresets:
             assert row.outputs["R"] == pytest.approx(1.0, abs=1e-8)
             assert row.outputs["T"] == pytest.approx(1.0, abs=1e-8)
 
-    def test_fig1_cold_and_warm_grid_cache_give_same_rows(self):
-        # the full fig1 angle set takes closed-form angles and builds no
-        # grid, so this maximizes a subset that still starts from one
-        spec = replace(
-            figure_preset("fig1", {"count": 3}),
-            maximize_grid=9,
-            maximize_over=("gamma", "theta", "phi"),
-            fixed={"alpha": 1.1, "beta": 0.4},
-        )
-        sweep._angle_grid.cache_clear()
-        rows1 = run_sweep(spec)
-        cold = sweep._angle_grid.cache_info()
-        rows2 = run_sweep(spec)
-        # the second run builds no grid: it comes from the cache
-        warm = sweep._angle_grid.cache_info()
-        assert warm.misses == cold.misses == 1
-        assert warm.hits > cold.hits
-        assert rows1 == rows2
-
     @pytest.mark.parametrize(
         "axis", [None, Axis("omega_log10", -3.0, 3.0, 601)], ids=["preset", "601_weights"]
     )
-    def test_fig1_saturates_without_fallback(self, monkeypatch, axis):
-        # every row takes the closed-form saturating angles, which the
-        # stacked residual certifies at T = R = 1, so no row reaches the
-        # simplex fallback
-        def no_fallback(*args, **kwargs):
-            raise AssertionError("simplex fallback taken")
-
-        monkeypatch.setattr(sweep, "nelder_mead", no_fallback)
+    def test_fig1_saturates_without_fallback(self, axis):
+        # every row takes the closed-form saturating angles, and the
+        # pipeline's T certifies each one at T = R = 1: no row is flagged
         spec = figure_preset("fig1")
         if axis is not None:
             spec = replace(spec, axes=(axis,))
@@ -495,6 +488,7 @@ class TestFigurePresets:
         for row in rows:
             assert abs(row.outputs["T"] - 1.0) <= 1e-12
             assert abs(row.outputs["R"] - 1.0) <= 1e-12
+            assert row.flags == ()
 
     @settings(max_examples=25)
     @given(
@@ -511,63 +505,9 @@ class TestFigurePresets:
             assert abs(row.outputs["T"] - 1.0) <= 1e-12
             assert abs(row.outputs["R"] - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize(
-        "subset",
-        [
-            ("gamma", "theta", "phi"),
-            ("alpha", "beta"),
-            ("theta",),
-            ("beta", "phi"),
-            ("alpha", "theta", "phi"),
-        ],
-        ids="-".join,
-    )
-    def test_angle_subsets_match_simplex_oracle(self, subset):
-        # where the maximized angles cannot reach T = 1 the simplex fallback
-        # runs; either way T is no worse than the full-grid simplex search,
-        # and R, now read at the T maximizer, matches its separate maximum
-        rng = np.random.default_rng(sum(map(len, subset)))
-        spans = sweep._ANGLE_SPANS
-        for _ in range(2):
-            fixed = {name: float(rng.uniform(*spans[name])) for name in spans if name not in subset}
-            l1 = float(rng.uniform(0.0, math.pi))
-            lo, hi = rng.uniform(-2.0, 2.0, size=2)
-            spec = replace(
-                figure_preset("fig1"),
-                maximize_over=subset,
-                fixed={**fixed, "lambda1": l1},
-                axes=(Axis("omega_log10", lo, hi, 2),),
-            )
-            for row in run_sweep(spec):
-                t_oracle, r_oracle = _simplex_oracle(subset, fixed, l1, 10.0 ** row.axis_values[0])
-                assert row.outputs["T"] >= t_oracle - 1e-9
-                assert abs(row.outputs["R"] - r_oracle) <= 1e-9
-
-
-    @pytest.mark.parametrize(
-        "axis", [None, Axis("omega_log10", -3.0, 3.0, 601)], ids=["preset", "601_weights"]
-    )
-    def test_fig1_builds_no_grid_and_runs_no_simplex(self, monkeypatch, axis):
-        # every fig1 row takes the closed-form saturating angles
-        def unreachable(*args, **kwargs):
-            raise AssertionError("grid path taken")
-
-        monkeypatch.setattr(sweep, "_angle_grid", unreachable)
-        monkeypatch.setattr(sweep, "nelder_mead", unreachable)
-        spec = figure_preset("fig1")
-        if axis is not None:
-            spec = replace(spec, axes=(axis,))
-        rows = run_sweep(spec)
-        assert len(rows) == spec.axes[0].count
-        for row in rows:
-            assert abs(row.outputs["T"] - 1.0) <= 1e-12
-            assert abs(row.outputs["R"] - 1.0) <= 1e-12
-            assert row.flags == ()
-
-    def test_closed_form_matches_grid_path_on_601_weights(self, monkeypatch):
-        spec = replace(figure_preset("fig1"), axes=(Axis("omega_log10", -3.0, 3.0, 601),))
-        rows = run_sweep(spec)
-        _assert_matches_grid_path(monkeypatch, spec, rows)
+    def test_closed_form_matches_grid_path_across_weights(self):
+        spec = replace(figure_preset("fig1"), axes=(Axis("omega_log10", -3.0, 3.0, 7),))
+        _assert_matches_simplex_oracle(spec, run_sweep(spec))
 
     @settings(max_examples=15, deadline=None)
     @given(l1=st.floats(-2.0 * math.pi, 2.0 * math.pi), maximized=st.sampled_from(
@@ -580,33 +520,44 @@ class TestFigurePresets:
             figure_preset("fig1"),
             fixed=fixed,
             maximize_over=maximized,
-            axes=(Axis("omega_log10", -4.0, 4.0, 9),),
+            axes=(Axis("omega_log10", -4.0, 4.0, 3),),
         )
+        _assert_matches_simplex_oracle(spec, run_sweep(spec))
+
+    def test_closed_form_serves_extreme_weights(self):
+        # cond(Q) = max(omega, 1 / omega) at the saturating angles, so the
+        # closed form serves every omega up to the 1e12 limit; below
+        # omega ~ 1e-9.7, Q22 = 4 (1 - r_z^2) cancels, so a certificate
+        # computed from it would fail rows whose T and R are 1
+        for v in (6.5, -6.5, 8.0, 10.0, -9.7, -10.5, -11.5, 11.9, -11.9):
+            row = run_point(replace(figure_preset("fig1"), axes=(), fixed={"omega_log10": v}))
+            assert row.flags == (), v
+            assert abs(row.outputs["T"] - 1.0) <= 1e-12, v
+            assert abs(row.outputs["R"] - 1.0) <= 1e-12, v
+
+    def test_unsaturated_rows_flagged_not_dropped(self, monkeypatch):
+        # angles off the saturation set (gamma != pi/4) fail the certificate
+        # T >= 1 - 5e-15: each row is flagged NotSaturated and keeps the T
+        # the pipeline computes at those angles, and the sweep completes
+        saturating = sweep._saturating_angles
+
+        def off_saturation(names, values, omega):
+            return {**saturating(names, values, omega), "gamma": np.full_like(omega, 0.3)}
+
+        monkeypatch.setattr(sweep, "_saturating_angles", off_saturation)
+        spec = replace(figure_preset("fig1"), axes=(Axis("omega_log10", -2.0, 2.0, 5),))
         rows = run_sweep(spec)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            _assert_matches_grid_path(monkeypatch, spec, rows)
-
-    def test_weights_beyond_alpha_span_take_grid_path(self, monkeypatch):
-        # above omega ~ 1e6 the closed-form alpha = arcsin(omega^-1/2) falls
-        # below its span, so those rows, and only those, run `_witness`,
-        # whose code and output are those of the grid-only sweep
-        spec = replace(figure_preset("fig1"), axes=(Axis("omega_log10", 5.0, 8.0, 4),))
-        seen = []
-        witness = sweep._witness
-
-        def counted(spec, bound):
-            seen.append(float(bound["omega_log10"]))
-            return witness(spec, bound)
-
-        monkeypatch.setattr(sweep, "_witness", counted)
-        rows = run_sweep(spec)
-        assert seen == [7.0, 8.0]
-        monkeypatch.setattr(sweep, "_saturating_angles", lambda *args: None)
-        grid_rows = run_sweep(spec)
-        assert rows[2:] == grid_rows[2:]
-        for row in rows:
-            assert abs(row.outputs["T"] - 1.0) <= 1e-12
-            assert abs(row.outputs["R"] - 1.0) <= 1e-12
+        assert len(rows) == 5
+        omega = np.array([10.0 ** row.axis_values[0] for row in rows])
+        angles = off_saturation(spec.maximize_over, {}, omega)
+        for i, row in enumerate(rows):
+            assert row.flags == ("NotSaturated",)
+            assert row.outputs["T"] < 1.0 - 1e-3
+            fixed = {name: float(v[i]) for name, v in angles.items()}
+            plain = run_point(replace(spec, maximize_over=(),
+                                      fixed={**fixed, "omega_log10": row.axis_values[0]}))
+            assert plain.flags == ()
+            assert row.outputs == pytest.approx(plain.outputs, rel=1e-14)
 
     def test_maximization_without_axes_is_one_row(self):
         # the weight axis value comes from fixed; run_point maximizes too
@@ -617,16 +568,27 @@ class TestFigurePresets:
         assert abs(rows[0].outputs["T"] - 1.0) <= 1e-12
 
 
-def _assert_matches_grid_path(monkeypatch, spec, rows):
-    """``rows`` against the same sweep with the closed-form angles turned
-    off, so that every row runs `_witness` (start grid, Gauss-Newton, then
-    simplex refinement): R and T agree within 1e-12."""
-    monkeypatch.setattr(sweep, "_saturating_angles", lambda *args: None)
-    for got, want in zip(rows, run_sweep(spec), strict=True):
-        assert got.axis_values == want.axis_values
-        assert got.flags == want.flags
-        for name in ("R", "T"):
-            assert abs(got.outputs[name] - want.outputs[name]) <= 1e-12, name
+def _assert_matches_simplex_oracle(spec, rows):
+    """Unflagged ``rows`` of a maximization sweep against `_simplex_oracle`
+    at each row's weight: T no lower and R equal, within 1e-9."""
+    fixed = {name: v for name, v in spec.fixed.items() if name in _ORACLE_SPANS}
+    l1 = spec.fixed.get("lambda1", 0.0)
+    for row in rows:
+        omega = 10.0 ** row.axis_values[0]
+        t_oracle, r_oracle = _simplex_oracle(spec.maximize_over, fixed, l1, omega)
+        assert row.flags == ()
+        assert row.outputs["T"] >= t_oracle - 1e-9
+        assert abs(row.outputs["R"] - r_oracle) <= 1e-9
+
+
+# The span `_simplex_oracle` searches each angle over.
+_ORACLE_SPANS = {
+    "alpha": (1e-3, math.pi - 1e-3),
+    "beta": (0.0, 2.0 * math.pi),
+    "gamma": (1e-3, math.pi - 1e-3),
+    "theta": (1e-3, math.pi - 1e-3),
+    "phi": (0.0, 2.0 * math.pi),
+}
 
 
 def _simplex_oracle(names, fixed, l1, omega, n=17):
@@ -634,7 +596,7 @@ def _simplex_oracle(names, fixed, l1, omega, n=17):
     (beta and phi both), simplex refinement of T from its best cell, and a
     separate grid-plus-simplex maximization of R; both evaluated through
     the ordinary pipeline."""
-    spans = sweep._ANGLE_SPANS
+    spans = _ORACLE_SPANS
     axes = np.meshgrid(
         *[np.linspace(*spans[name], n) for name in names], indexing="ij", sparse=True
     )
@@ -677,40 +639,50 @@ def _simplex_oracle(names, fixed, l1, omega, n=17):
 
 class TestMaximizeValidation:
     def test_rejects_bloch_components(self):
-        spec = replace(
-            figure_preset("fig1"),
-            fixed={"r_x": 0.3, "r_y": 0.0, "r_z": 0.0},
-            maximize_over=("gamma", "theta", "phi"),
-        )
-        with pytest.raises(InvalidSpec, match="r_x"):
+        spec = replace(figure_preset("fig1"), fixed={"r_x": 0.3, "r_y": 0.0, "r_z": 0.0})
+        with pytest.raises(InvalidSpec, match="maximization cannot take .*r_x"):
             validate_spec(spec)
 
     @pytest.mark.parametrize("name", ["r_xy", "r2", "xi"])
     def test_rejects_derived_probe_names(self, name):
-        spec = replace(
-            figure_preset("fig1"),
-            fixed={name: 0.3, "alpha": 1.0, "beta": 0.0},
-            maximize_over=("gamma", "theta", "phi"),
-        )
-        with pytest.raises(InvalidSpec, match=name):
+        spec = replace(figure_preset("fig1"), fixed={name: 0.3})
+        with pytest.raises(InvalidSpec, match=f"maximization cannot take .*{name}"):
             validate_spec(spec)
 
     def test_rejects_unbound_angle(self):
-        spec = replace(
-            figure_preset("fig1"),
-            fixed={"alpha": 1.0},
-            maximize_over=("gamma", "theta", "phi"),
-        )
-        with pytest.raises(InvalidSpec, match="beta"):
+        spec = replace(figure_preset("fig1"), maximize_over=("alpha", "gamma", "theta", "phi"))
+        with pytest.raises(InvalidSpec, match=r"neither maximized nor fixed: \['beta'\]"):
             validate_spec(spec)
 
     def test_accepts_fixed_probe(self):
         spec = replace(
             figure_preset("fig1"),
-            fixed={"alpha": 1.0, "beta": 0.0},
-            maximize_over=("gamma", "theta", "phi"),
+            fixed={"beta": 0.0},
+            maximize_over=("alpha", "gamma", "theta", "phi"),
         )
         validate_spec(spec)
+
+    @pytest.mark.parametrize(
+        "subset",
+        [
+            ("gamma", "theta", "phi"),
+            ("alpha", "beta"),
+            ("theta",),
+            ("beta", "phi"),
+            ("alpha", "theta", "phi"),
+            ("alpha", "beta", "gamma", "phi"),
+        ],
+        ids="-".join,
+    )
+    def test_unsupported_subsets_rejected(self, subset):
+        # the closed-form saturating angles need alpha, gamma and theta
+        # free, and beta or phi; the other angles are fixed here, so only
+        # the set itself is at fault
+        fixed = {name: 0.5 for name in ("alpha", "beta", "gamma", "theta", "phi")
+                 if name not in subset}
+        spec = replace(figure_preset("fig1"), fixed=fixed, maximize_over=subset)
+        with pytest.raises(InvalidSpec, match="supported sets are alpha, gamma and theta"):
+            validate_spec(spec)
 
     def test_rejects_angle_both_maximized_and_fixed(self):
         spec = replace(figure_preset("fig1"), fixed={"gamma": 0.5})
@@ -721,18 +693,6 @@ class TestMaximizeValidation:
         spec = replace(figure_preset("fig1"), weight=WeightSpec(kind="identity"))
         with pytest.raises(InvalidSpec):
             validate_spec(spec)
-
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_rejects_degenerate_grid(self, n):
-        with pytest.raises(InvalidSpec, match="maximize_grid"):
-            validate_spec(replace(figure_preset("fig1"), maximize_grid=n))
-
-    def test_rejects_oversized_grid(self):
-        # 200^5 = 3.2e11 grid points; only validated, never built
-        with pytest.raises(InvalidSpec, match="guard"):
-            validate_spec(replace(figure_preset("fig1"), maximize_grid=200))
-        # 25^5 is just below the guard
-        validate_spec(replace(figure_preset("fig1"), maximize_grid=25))
 
 
 class TestCli:

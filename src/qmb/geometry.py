@@ -18,6 +18,7 @@ from .linalg import (
     require_hermitian,
     require_weight,
     sld_in_eigenbasis,
+    small_matmul,
     spd_sqrt,
     state_eigensystem,
     tracenorm_antisym,
@@ -139,11 +140,11 @@ def compute_geometry(
         derivs = require_derivative(derivs)
     # one parameter (and pair) at a time keeps a batch's temporaries at (B, n, n)
     slds = [sld_in_eigenbasis(w, v, derivs[..., k, :, :], support_tol) for k in range(d)]
-    rho_l = [np.asarray(rho, dtype=complex) @ l for l in slds]
+    rho_l = [small_matmul(np.asarray(rho, dtype=complex), l) for l in slds]
     gram = np.empty(np.shape(rho)[:-2] + (d, d), dtype=complex)
     for a in range(d):
-        for b in range(a, d):
-            gram[..., a, b] = np.trace(rho_l[a] @ slds[b], axis1=-2, axis2=-1)
+        for b in range(a, d):  # Tr[X Y] = sum_ij X_ij Y_ji, with no product
+            gram[..., a, b] = (rho_l[a] * slds[b].swapaxes(-1, -2)).sum(axis=(-2, -1))
             gram[..., b, a] = np.conj(gram[..., a, b])
     slds = np.stack(slds, axis=-3)
     q = 0.5 * (gram.real + gram.real.swapaxes(-1, -2))
@@ -223,8 +224,9 @@ class _WeightFrame:
 
 
 def _weight_and_root(w_mat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The validated weight (or stack of weights) and its square root."""
-    w_mat = require_weight(w_mat, d)
+    """The validated weight (or stack of weights) and its square root, from
+    one decomposition: the root's ``eigh`` also tests definiteness."""
+    w_mat = require_weight(w_mat, d, definite=False)
     return w_mat, spd_sqrt(w_mat)
 
 
@@ -259,18 +261,25 @@ def uhlmann_axial(u: np.ndarray) -> np.ndarray:
 def quantumness_R(g: InformationGeometry, pseudo_inverse: bool = False) -> float:
     """Weight-independent incompatibility R, the spectral radius of i Q^-1 U.
 
-    Evaluated through the Hermitian similarity i Q^-1/2 U Q^-1/2.  For
-    d in {2, 3} it equals sqrt(det U / det Q) and sqrt(u^T Q u / det Q)
-    (u the axial vector of U).
+    Evaluated through the Hermitian similarity i Q^-1/2 U Q^-1/2, as half
+    the closed-form trace norm of the real antisymmetric Q^-1/2 U Q^-1/2 for
+    d <= 3.  For d in {2, 3} it equals sqrt(det U / det Q) and
+    sqrt(u^T Q u / det Q) (u the axial vector of U).
     """
     _qfim_inverse(g, pseudo_inverse)
     return float(_spectral_radius(g))
 
 
 def _spectral_radius(g: InformationGeometry) -> np.ndarray:
-    """max |eig(i Q^-1/2 U Q^-1/2)| per point, on the inverses as they are."""
+    """max |eig(i A)| per point, A = Q^-1/2 U Q^-1/2 on the inverses as they
+    are.  A is real antisymmetric, so for d <= 3 the spectrum of i A is
+    {+-|A_12|} or {0, +-|axial(A)|}: R is half the closed-form trace norm
+    of A.  Larger d takes a stacked eigvalsh."""
     qinv_sqrt = g._qfim_inverses[1]
-    vals = np.linalg.eigvalsh(hermitian_part(1j * (qinv_sqrt @ g.uhlmann @ qinv_sqrt)))
+    a = qinv_sqrt @ g.uhlmann @ qinv_sqrt
+    if g.n_params <= 3:
+        return 0.5 * tracenorm_antisym(0.5 * (a - a.swapaxes(-1, -2)))
+    vals = np.linalg.eigvalsh(hermitian_part(1j * a))
     return np.max(np.abs(vals), axis=-1, initial=0.0)
 
 

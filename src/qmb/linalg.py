@@ -1,10 +1,11 @@
 """Dense complex-matrix primitives for Hermitian operators.
 
 Everything here works on plain ``numpy`` arrays (square, n <= 8 in practice):
-one matrix, or a stack of them along leading axes, decomposed by one stacked
-LAPACK call.  A stack is validated matrix by matrix, and the first failing
-matrix in C order raises the error it would raise alone.  All decompositions
-are exact dense methods; no iterative estimators.
+one matrix, or a stack of them along leading axes.  A stack is decomposed by
+one stacked LAPACK call, and a stack of products is formed by `small_matmul`
+as broadcast multiply-adds.  A stack is validated matrix by matrix, and the
+first failing matrix in C order raises the error it would raise alone.  All decompositions are exact dense methods; no iterative
+estimators.
 """
 
 from __future__ import annotations
@@ -32,6 +33,21 @@ def raise_first_failure(*checks) -> None:
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a . b over the last axis, rounded as ``np.dot`` rounds one pair."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for (stacks of) n x n matrices, broadcast as ``@`` broadcasts.
+
+    The product is n broadcast multiply-adds over the inner index: for
+    the 2x2 and 3x3 matrices of the models a stacked complex ``@`` costs
+    several times as much per matrix.  The form never depends on the
+    stack, so each matrix is rounded the same way whatever stack holds it.
+    """
+    n = a.shape[-1]
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, n):
+        out = out + a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    return out
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -170,11 +186,11 @@ def sld_in_eigenbasis(
     if support_tol <= 0:
         raise ValueError("support_tol must be positive")
     vh = v.swapaxes(-1, -2).conj()
-    m = vh @ drho @ v
+    m = small_matmul(small_matmul(vh, drho), v)
     denom = w[..., :, None] + w[..., None, :]
     keep = denom > support_tol
     coeff = np.where(keep, 2.0 * m / np.where(keep, denom, 1.0), 0.0)
-    return hermitian_part(v @ coeff @ vh)
+    return hermitian_part(small_matmul(small_matmul(v, coeff), vh))
 
 
 def sld_solve(
@@ -210,16 +226,22 @@ def rld_solve(rho: np.ndarray, drho: np.ndarray, check: bool = True) -> np.ndarr
     return np.linalg.solve(rho, np.asarray(drho, dtype=complex))
 
 
+WEIGHT_NOT_DEFINITE = "weight matrix must be positive definite"
+
+
 def spd_sqrt(w_mat: np.ndarray) -> np.ndarray:
-    """Spectral square root of a symmetric positive definite matrix."""
+    """Spectral square root of a symmetric positive definite weight matrix
+    (or a stack); its eigh also tests definiteness, at the 1e-12 that
+    `require_weight` applies."""
     vals, vecs = np.linalg.eigh(np.asarray(w_mat, dtype=float))
-    raise_first_failure((vals[..., 0] <= 1e-12, lambda i: ValueError(
-        f"matrix is not positive definite (min eigenvalue {vals[..., 0].flat[i]:.3e})")))
+    raise_first_failure((vals[..., 0] <= 1e-12, lambda i: ValueError(WEIGHT_NOT_DEFINITE)))
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
-def require_weight(w_mat: np.ndarray, d: int | None = None) -> np.ndarray:
-    """Validate a positive definite symmetric weight matrix."""
+def require_weight(w_mat: np.ndarray, d: int | None = None, definite: bool = True) -> np.ndarray:
+    """Validate a positive definite symmetric weight matrix and return its
+    symmetric part.  With ``definite`` False, definiteness is left to
+    `spd_sqrt`, for a caller that takes the root anyway."""
     w_mat = np.asarray(w_mat, dtype=float)
     if w_mat.ndim < 2 or w_mat.shape[-1] != w_mat.shape[-2]:
         raise ValueError(f"weight matrix must be square, got shape {w_mat.shape}")
@@ -233,6 +255,7 @@ def require_weight(w_mat: np.ndarray, d: int | None = None) -> np.ndarray:
         (~finite, lambda i: ValueError("weight matrix has non-finite entries")),
         (asym > 1e-10 * scale, lambda i: ValueError("weight matrix must be symmetric")),
     )
-    raise_first_failure((np.linalg.eigvalsh(w_mat)[..., 0] <= 1e-12,
-                         lambda i: ValueError("weight matrix must be positive definite")))
+    if definite:
+        raise_first_failure((np.linalg.eigvalsh(w_mat)[..., 0] <= 1e-12,
+                             lambda i: ValueError(WEIGHT_NOT_DEFINITE)))
     return 0.5 * (w_mat + w_mat.swapaxes(-1, -2))

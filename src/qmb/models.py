@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import StepTooLarge
-from .linalg import dot, hermitian_part, raise_first_failure
+from .linalg import dot, hermitian_part, raise_first_failure, small_matmul
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -99,7 +99,7 @@ def expm_generator(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     decomposition."""
     w, v = np.linalg.eigh(h)
     phases = np.exp(-1j * np.asarray(t)[..., None] * w)
-    return (v * phases[..., None, :]) @ v.swapaxes(-1, -2).conj()
+    return small_matmul(v * phases[..., None, :], v.swapaxes(-1, -2).conj())
 
 
 @dataclass(frozen=True)
@@ -316,8 +316,13 @@ def _su2_state(cfg: ModelConfig, params: np.ndarray) -> tuple[np.ndarray, ...]:
     u = expm_generator(_mat(b) * _dot_j(axes[0], js), t)
     uh = u.swapaxes(-1, -2).conj()
     rho0 = psi0[..., :, None] * psi0[..., None, :].conj()
-    rho = hermitian_part(u @ rho0 @ uh)
-    derivs = [hermitian_part(u @ (1j * (g @ rho0 - rho0 @ g)) @ uh) for g in np.moveaxis(gens, -3, 0)]
+
+    def conjugate(x):  # u x u^dag
+        return hermitian_part(small_matmul(small_matmul(u, x), uh))
+
+    rho = conjugate(rho0)
+    derivs = [conjugate(1j * (small_matmul(g, rho0) - small_matmul(rho0, g)))
+              for g in np.moveaxis(gens, -3, 0)]
     return rho, np.stack(derivs, axis=-3), gens
 
 

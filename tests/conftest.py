@@ -9,6 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from qmb import bounds, geometry, models, sweep
+from qmb.geometry import RANK_TOL, _geometry
+from qmb.linalg import SUPPORT_TOL, hermitian_part, require_derivative, state_eigensystem
+from qmb.models import (
+    PAULI,
+    _dot_j,
+    _mat,
+    _su2_qubit_axes,
+    _su2_qutrit_axes,
+    _vec,
+    su2_generators,
+)
+
 # Property tests draw the same examples on every run and have no deadline,
 # so the suite stays reproducible on slow or shared machines.
 settings.register_profile("qmb", derandomize=True, deadline=None, database=None)
@@ -234,6 +247,81 @@ def nelder_mead(
 
     best_i = order[0]
     return verts[best_i].copy(), vals[best_i], evals
+
+
+# The per-row arithmetic before the tiny-matrix kernels: every stacked
+# complex product a plain `@`, the Gram entries as traces of products, and R
+# from a stacked eigvalsh.  `use_matmul_oracle` routes a sweep through it,
+# so the kernels' rounding can be held to a tolerance.
+def matmul_su2_state(cfg, params):
+    """`models._su2_state` with `@` products and a plain-`@` expm."""
+    c = cfg.constants
+    alpha, beta, t = c["alpha"], c["beta"], c["t"]
+    b, theta = params[..., 0], params[..., 1]
+    s = np.sin(b * t / 2.0)
+    if cfg.model_id == "su2_qutrit":
+        js = su2_generators(3)
+        psi0 = _vec(np.cos(alpha / 2.0), 0.0, np.sin(alpha / 2.0) * np.exp(1j * beta))
+        axes = _su2_qutrit_axes(b, theta, params[..., 2], t)
+        scales = (-t, 2.0 * s, 2.0 * np.cos(theta) * s)
+    else:
+        js = tuple(0.5 * p for p in PAULI)
+        psi0 = _vec(np.cos(alpha / 2.0), np.sin(alpha / 2.0) * np.exp(1j * beta))
+        axes = _su2_qubit_axes(b, theta, t)
+        scales = (-t, 2.0 * s)
+    gens = np.broadcast_arrays(*(_mat(k) * _dot_j(n, js) for k, n in zip(scales, axes)))
+    gens = np.stack(gens, axis=-3)
+    w, v = np.linalg.eigh(_mat(b) * _dot_j(axes[0], js))
+    u = (v * np.exp(-1j * np.asarray(t)[..., None] * w)[..., None, :]) @ v.swapaxes(-1, -2).conj()
+    uh = u.swapaxes(-1, -2).conj()
+    rho0 = psi0[..., :, None] * psi0[..., None, :].conj()
+    rho = hermitian_part(u @ rho0 @ uh)
+    derivs = [hermitian_part(u @ (1j * (g @ rho0 - rho0 @ g)) @ uh) for g in np.moveaxis(gens, -3, 0)]
+    return rho, np.stack(derivs, axis=-3), gens
+
+
+def matmul_compute_geometry(rho, derivs, support_tol=SUPPORT_TOL, check=True, rank_tol=RANK_TOL):
+    """`geometry.compute_geometry` with `@` SLDs and traces of `@` products."""
+    derivs = np.asarray(derivs)
+    d = derivs.shape[-3]
+    w, v = state_eigensystem(rho, check)
+    if check:
+        derivs = require_derivative(derivs)
+    vh = v.swapaxes(-1, -2).conj()
+    denom = w[..., :, None] + w[..., None, :]
+    keep = denom > support_tol
+    slds = []
+    for k in range(d):
+        m = vh @ derivs[..., k, :, :] @ v
+        coeff = np.where(keep, 2.0 * m / np.where(keep, denom, 1.0), 0.0)
+        slds.append(hermitian_part(v @ coeff @ vh))
+    rho_l = [np.asarray(rho, dtype=complex) @ l for l in slds]
+    gram = np.empty(np.shape(rho)[:-2] + (d, d), dtype=complex)
+    for a in range(d):
+        for b in range(a, d):
+            gram[..., a, b] = np.trace(rho_l[a] @ slds[b], axis1=-2, axis2=-1)
+            gram[..., b, a] = np.conj(gram[..., a, b])
+    slds = np.stack(slds, axis=-3)
+    q = 0.5 * (gram.real + gram.real.swapaxes(-1, -2))
+    u = 0.5 * (gram.imag - gram.imag.swapaxes(-1, -2))
+    u[..., range(d), range(d)] = 0.0
+    return _geometry(q, u, tuple(slds) if slds.ndim == 3 else slds, rank_tol, w)
+
+
+def eigvalsh_spectral_radius(g):
+    """`geometry._spectral_radius` by a stacked eigvalsh for every d."""
+    qinv_sqrt = g._qfim_inverses[1]
+    vals = np.linalg.eigvalsh(hermitian_part(1j * (qinv_sqrt @ g.uhlmann @ qinv_sqrt)))
+    return np.max(np.abs(vals), axis=-1, initial=0.0)
+
+
+def use_matmul_oracle(monkeypatch) -> None:
+    """Route `run_sweep` and the one-point functions through the oracles above."""
+    monkeypatch.setattr(models, "_su2_state", matmul_su2_state)
+    for module in (sweep, bounds):
+        monkeypatch.setattr(module, "compute_geometry", matmul_compute_geometry)
+    for module in (geometry, bounds):
+        monkeypatch.setattr(module, "_spectral_radius", eigvalsh_spectral_radius)
 
 
 @pytest.fixture

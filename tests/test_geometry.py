@@ -7,7 +7,10 @@ from qmb.errors import DerivativeNotTraceless, NonHermitianInput, SingularQFIM, 
 from qmb.geometry import (
     RANK_TOL,
     _gell_mann,
+    _geometry,
     _qfim_inverse,
+    _spectral_radius,
+    _weight_and_root,
     _weight_frame,
     compute_geometry,
     geometry_from_matrices,
@@ -23,6 +26,7 @@ from qmb.linalg import hermitian_part, rld_solve, sld_solve
 from qmb.models import model_config, su2_qutrit_point, tunable_qubit_point
 
 from conftest import (
+    eigvalsh_spectral_radius,
     random_antisymmetric,
     random_model,
     random_pure_model,
@@ -106,7 +110,8 @@ class TestComputeGeometry:
 
     def test_decomposes_rho_and_q_once_each(self, rng, monkeypatch):
         # validation, the SLDs, the tangent rank and the inverses of Q all
-        # read one eigh of rho and one eigh of Q
+        # read one eigh of rho and one eigh of Q; R is closed form for
+        # d <= 3 and takes its own spectrum above
         calls = []
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             fn = getattr(np.linalg, name)
@@ -116,11 +121,13 @@ class TestComputeGeometry:
                 return _fn(*a, **k)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        rho, derivs = random_model(rng, 3, 2)
-        g = compute_geometry(rho, derivs)
-        quantumness_R(g)
-        assert calls == ["eigh", "eigh", "eigvalsh"]  # rho, Q, then R's own spectrum
-        assert _qfim_inverse(g)[0] is _qfim_inverse(g, pseudo_inverse=True)[0]
+        for d, expected in ((2, ["eigh", "eigh"]), (4, ["eigh", "eigh", "eigvalsh"])):
+            calls.clear()
+            rho, derivs = random_model(rng, 3, d)
+            g = compute_geometry(rho, derivs)
+            quantumness_R(g)
+            assert calls == expected, d
+            assert _qfim_inverse(g)[0] is _qfim_inverse(g, pseudo_inverse=True)[0]
 
 
 class TestRldQfim:
@@ -241,6 +248,47 @@ class TestQuantumness:
             closed = np.sqrt(max(ax @ q @ ax, 0.0) / np.linalg.det(q))
         r = quantumness_R(g)
         assert abs(r - closed) <= 1e-9 * max(1.0, r)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_closed_form_matches_eigvalsh(self, rng, d):
+        # one stack: full-rank Q, an ill-conditioned Q whose pseudo-inverse
+        # drops an eigenvalue (d >= 2), a singular PSD Q and the zero Q
+        spectra = [rng.uniform(0.1, 3.0, d) for _ in range(4)]
+        if d >= 2:
+            spectra += [np.r_[1e-14, rng.uniform(0.5, 2.0, d - 1)],
+                        np.r_[0.0, rng.uniform(0.5, 2.0, d - 1)]]
+        spectra.append(np.zeros(d))
+        qs = []
+        for w in spectra:
+            v = np.linalg.qr(rng.normal(size=(d, d)))[0]
+            qs.append((v * w) @ v.T)
+        q = np.array(qs)
+        u = np.array([random_antisymmetric(rng, d) for _ in qs])
+        g = _geometry(0.5 * (q + q.swapaxes(-1, -2)), u, ())
+        got, want = _spectral_radius(g), eigvalsh_spectral_radius(g)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+        assert got[-1] == 0.0
+        if d >= 2:
+            assert g._qfim_inverses[2][-3:].all()  # the pseudo-inverse rows
+
+
+class TestWeightRoot:
+    def test_one_eigh_per_weight(self, rng, monkeypatch):
+        # definiteness is read from the eigh the root needs
+        calls = []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+        for w in (random_spd(rng, 3), np.array([random_spd(rng, 2) for _ in range(5)])):
+            calls.clear()
+            w_mat, root = _weight_and_root(w, w.shape[-1])
+            assert calls == ["eigh"]
+            assert np.allclose(root @ root, w_mat, rtol=0, atol=1e-12 * np.max(np.abs(w)))
+        with pytest.raises(ValueError, match="^weight matrix must be positive definite$"):
+            _weight_and_root(np.array([np.eye(2), np.diag([1.0, 1e-13])]), 2)
+        with pytest.raises(ValueError, match="^weight matrix must be symmetric$"):
+            _weight_and_root(np.array([np.diag([1.0, -1.0]), [[1.0, 0.5], [0.0, 1.0]]]), 2)
 
 
 class TestTMeasure:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmb.errors import DerivativeNotTraceless, NonHermitianInput, SingularState
 from qmb.linalg import (
@@ -8,6 +10,7 @@ from qmb.linalg import (
     require_density,
     rld_solve,
     sld_solve,
+    small_matmul,
     trace_norm,
 )
 
@@ -167,3 +170,28 @@ class TestDensityValidation:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NonHermitianInput):
             require_density(np.diag([1.2, -0.2]).astype(complex))
+
+
+class TestSmallMatmul:
+    @given(
+        n=st.integers(1, 5),
+        batch=st.integers(1, 4),
+        d=st.integers(1, 3),
+        dtype=st.sampled_from([float, complex]),
+        nested=st.booleans(),
+        swap=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_matmul_and_is_batch_invariant(self, n, batch, d, dtype, nested, swap, seed):
+        # (n, n) with (B, n, n), or (B, 1, n, n) with (B, d, n, n), in either order
+        rng = np.random.default_rng(seed)
+        shapes = [(batch, 1, n, n), (batch, d, n, n)] if nested else [(n, n), (batch, n, n)]
+        a, b = (rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0)
+                for shape in (shapes[::-1] if swap else shapes))
+        got, want = small_matmul(a, b), np.matmul(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(got - want)) <= 8 * n * eps * np.max(np.abs(a)) * np.max(np.abs(b))
+        a_rows, b_rows = (np.broadcast_to(x, got.shape) for x in (a, b))
+        for index in np.ndindex(got.shape[:-2]):
+            assert np.array_equal(got[index], small_matmul(a_rows[index], b_rows[index]))

@@ -34,7 +34,12 @@ from qmb.sweep import (
     validate_spec,
 )
 
-from conftest import nelder_mead, tunable_qubit_pure_geometry_grid
+from conftest import (
+    matmul_compute_geometry,
+    nelder_mead,
+    tunable_qubit_pure_geometry_grid,
+    use_matmul_oracle,
+)
 
 ANCHOR = {
     "alpha": math.pi / 4, "beta": 0.0, "t": 1.0,
@@ -435,6 +440,19 @@ class TestFigurePresets:
                 assert calls == []
             if name == "fig5":
                 assert sum(calls) == 36
+
+    def test_fig1_decomposes_three_times_per_chunk(self, monkeypatch):
+        # one stacked eigh each of rho, Q and W; R is closed form, and W's
+        # definiteness comes from the eigh its root needs
+        calls = []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+        spec = validate_spec(figure_preset("fig1"))
+        calls.clear()
+        assert len(run_sweep(spec)) == 33
+        assert calls == ["eigh"] * 3
 
     def test_fig1_singular_rows_flagged_not_fatal(self):
         # at the saturating angles Q = diag(4 / omega, 4) for omega >= 1, so
@@ -977,6 +995,41 @@ class TestChunkedSweep:
             bound = {**spec.fixed, **{ax.name: float(v) for ax, v in zip(spec.axes, combo)}}
             want, cond = _serial_oracle(spec, bound)
             _assert_rows_close(row, want, 1e-12, cond)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3a", "fig3b", "fig4", "fig5"])
+    def test_kernels_match_matmul_oracle(self, name, monkeypatch):
+        # the tiny-matrix kernels and the closed-form R round differently
+        # from the plain `@` chain and eigvalsh; conditioning amplifies that
+        config = {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}
+        spec = replace(validate_spec(figure_preset(name, {**config, "count": 12})),
+                       outputs=("c_sld", "c_rld", "c_t", "c_r", "c_h", "R", "T"))
+        rows = run_sweep(spec)
+        use_matmul_oracle(monkeypatch)
+        qfims = []
+
+        def recorded(*args, **kwargs):
+            g = matmul_compute_geometry(*args, **kwargs)
+            qfims.append(g.qfim)
+            return g
+
+        monkeypatch.setattr(sweep, "compute_geometry", recorded)
+        want = run_sweep(spec)
+        conds = np.linalg.cond(np.concatenate(qfims))
+        for got, ref, cond in zip(rows, want, conds, strict=True):
+            _assert_rows_close(got, ref, 1e-12, cond)
+
+    @pytest.mark.parametrize("lambda_2", [5e-11, 1e-10, 1.5e-10, 2e-10, 2.5e-10, 1e-9])
+    def test_pure_mixed_line_agrees(self, lambda_2):
+        # rho's second eigenvalue lambda_2 straddles both places the pure
+        # states are told apart: the shortcut (lambda_2 <= 1e-10) and the
+        # normal-space cut (m = 0 up to about 2e-10); every path gives C_H = C_T
+        r = 1.0 - 2.0 * lambda_2
+        r_xy = math.sqrt((r * r - 0.4**2) / 2.0)
+        fixed = {"gamma": math.pi / 4, "theta": math.pi / 2, "phi": 0.0, "lambda1": 0.3,
+                 "lambda2": 0.0, "r_x": r_xy, "r_y": r_xy, "r_z": 0.4}
+        row = run_point(SweepSpec("tunable_qubit", fixed=fixed, outputs=("c_sld", "c_t", "c_h")))
+        assert row.outputs["c_h"] == row.outputs["c_t"]
+        assert row.flags == ()
 
     @settings(max_examples=40, deadline=None)
     @given(

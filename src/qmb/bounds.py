@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import HierarchyViolation, SingularState
+from .errors import HierarchyViolation, InvalidInput, SingularState
 from .geometry import (
     InformationGeometry,
     NormalSpaceBasis,
@@ -41,7 +41,7 @@ from .geometry import (
     take,
     uhlmann_axial,
 )
-from .linalg import SUPPORT_TOL, dot, raise_first_failure, require_weight, trace_norm
+from .linalg import SUPPORT_TOL, dot, raise_first_failure, trace_norm
 from .linalg import tracenorm_antisym
 from .models import ModelPoint
 
@@ -79,7 +79,6 @@ class HolevoSolution:
 
 @dataclass(frozen=True)
 class ReportOptions:
-    support_tol: float = SUPPORT_TOL
     pseudo_inverse: bool = False
     compute_rld: bool = True
     compute_holevo: bool = True
@@ -112,7 +111,7 @@ def c_sld(g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = Fals
 def c_rld(j: np.ndarray, w_mat: np.ndarray) -> float:
     """RLD scalar bound Tr[W Re J^-1] + ||W Im J^-1||_1."""
     j = np.asarray(j, dtype=complex)
-    value, singular = _c_rld(j, require_weight(w_mat, j.shape[0]))
+    value, singular = _c_rld(j, _weight_and_root(w_mat, j.shape[0])[0])
     if singular:
         raise SingularState("RLD QFIM is singular")
     return float(value)
@@ -141,7 +140,7 @@ def c_r_bound(g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = 
 def holevo_pure_qubit_closed_form(g: InformationGeometry, w_mat: np.ndarray) -> float:
     """Pure-qubit two-parameter Holevo bound, Tr[W Q^-1] + 2 sqrt(det[W Q^-1])."""
     if g.n_params != 2:
-        raise ValueError("closed form is specific to two-parameter models")
+        raise InvalidInput("closed form is specific to two-parameter models")
     frame = _weight_frame(g, w_mat)
     prod = frame.w_mat @ frame.qinv
     det = max(float(np.linalg.det(prod)), 0.0)
@@ -449,7 +448,7 @@ def full_report(
     This is `batch_reports` on a batch of one.
     """
     opts = opts or ReportOptions()
-    g = geometry or compute_geometry(point.rho, point.derivs, support_tol=opts.support_tol)
+    g = geometry or compute_geometry(point.rho, point.derivs)
     w_mat, sqrt_w = _weight_and_root(w_mat, g.n_params)
     one = InformationGeometry(*(v if v is None else np.asarray(v)[None] for v in (
         g.qfim, g.uhlmann, g.slds, g.tangent_dim, g.rho_spectrum)))
@@ -485,14 +484,14 @@ def batch_reports(
     c_rld, no_rld = None, np.zeros(len(rho), bool)
     if opts.compute_rld:
         spectrum = np.linalg.eigvalsh(rho) if g.rho_spectrum is None else g.rho_spectrum
-        no_rld = np.min(spectrum, axis=-1) <= 1e-10  # rank deficient
+        no_rld = np.min(spectrum, axis=-1) <= SUPPORT_TOL  # rank deficient
         full_rank = np.where(no_rld[:, None, None], np.eye(rho.shape[-1]), rho)
         c_rld, singular = _c_rld(_rld_matrix(full_rank, derivs), w_mat)
         no_rld |= singular
     c_h, lower, not_converged, groups = None, None, np.zeros(len(rho), bool), []
     if opts.compute_holevo:
         pure = ~ill & (g.tangent_dim == 2 * (rho.shape[-1] - 1))
-        pure &= False if g.rho_spectrum is None else g.rho_spectrum[:, 1] <= 1e-10
+        pure &= False if g.rho_spectrum is None else g.rho_spectrum[:, 1] <= SUPPORT_TOL
         if pure.any():  # K = 0 at C_T
             rows = np.flatnonzero(pure)
             k = np.zeros((len(rows), 0, g.n_params))
@@ -500,7 +499,7 @@ def batch_reports(
         regular = np.flatnonzero(~ill & ~pure)
         if regular.size:
             if np.size(g.slds) == 0:
-                raise ValueError("geometry must carry SLD operators")
+                raise InvalidInput("geometry must carry SLD operators")
             sel = subset(regular, len(rho))
             for rows, basis in _normal_spaces(rho[sel], g.slds[sel]):
                 rows = regular[rows]

@@ -5,6 +5,10 @@ class QmbError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidInput(QmbError, ValueError):
+    """An argument to a library function is malformed or out of range."""
+
+
 class NonHermitianInput(QmbError):
     """An operator expected to be Hermitian is not, beyond tolerance."""
 

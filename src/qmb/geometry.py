@@ -8,9 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SingularQFIM
+from .errors import InvalidInput, SingularQFIM
 from .linalg import (
-    SUPPORT_TOL,
     density_spectrum,
     hermitian_part,
     require_derivative,
@@ -100,32 +99,25 @@ def geometry_from_matrices(
     return _geometry(0.5 * (q + q.T), 0.5 * (u - u.T), tuple(np.asarray(s) for s in slds))
 
 
-def _geometry(
-    q: np.ndarray, u: np.ndarray, slds: tuple, rank_tol: float = RANK_TOL, rho_spectrum=None
-) -> InformationGeometry:
+def _geometry(q: np.ndarray, u: np.ndarray, slds: tuple, rho_spectrum=None) -> InformationGeometry:
     """The geometry of (Q, U, SLDs); the one eigendecomposition of Q gives
-    the tangent rank at relative tolerance ``rank_tol`` and fills the
+    the tangent rank at relative tolerance RANK_TOL and fills the
     geometry's cached eigenpairs."""
     w, v = np.linalg.eigh(q)
     top = w[..., -1:]
-    rank = np.where(top[..., 0] > 0, np.sum(w > rank_tol * top, axis=-1), 0)
+    rank = np.where(top[..., 0] > 0, np.sum(w > RANK_TOL * top, axis=-1), 0)
     g = InformationGeometry(q, u, slds, rank if rank.ndim else int(rank), rho_spectrum)
     g.__dict__["_qfim_eigh"] = (w, v)  # the cached_property slot
     return g
 
 
 def compute_geometry(
-    rho: np.ndarray,
-    derivs: Sequence[np.ndarray],
-    support_tol: float = SUPPORT_TOL,
-    check: bool = True,
-    rank_tol: float = RANK_TOL,
+    rho: np.ndarray, derivs: Sequence[np.ndarray], check: bool = True
 ) -> InformationGeometry:
     """SLD-route geometry from a state and its parameter derivatives.
 
     Q_munu = Re Tr[rho L_mu L_nu], U_munu = Im Tr[rho L_mu L_nu]; the
-    tangent dimension is the rank of Q at relative tolerance ``rank_tol``
-    (adjustable for sensitivity studies near singular lines).  rho is
+    tangent dimension is the rank of Q at relative tolerance RANK_TOL.  rho is
     decomposed once, and with ``check`` validated against that spectrum.
     A batch of states (B, n, n) with derivatives (B, d, n, n) gives the
     batch geometry from one stacked decomposition each of rho and Q; each
@@ -133,13 +125,13 @@ def compute_geometry(
     """
     derivs = np.asarray(derivs)
     if derivs.ndim < 3 or derivs.shape[-3] < 1:
-        raise ValueError("need at least one parameter derivative")
+        raise InvalidInput("need at least one parameter derivative")
     d = derivs.shape[-3]
     w, v = state_eigensystem(rho, check)
     if check:
         derivs = require_derivative(derivs)
     # one parameter (and pair) at a time keeps a batch's temporaries at (B, n, n)
-    slds = [sld_in_eigenbasis(w, v, derivs[..., k, :, :], support_tol) for k in range(d)]
+    slds = [sld_in_eigenbasis(w, v, derivs[..., k, :, :]) for k in range(d)]
     rho_l = [small_matmul(np.asarray(rho, dtype=complex), l) for l in slds]
     gram = np.empty(np.shape(rho)[:-2] + (d, d), dtype=complex)
     for a in range(d):
@@ -150,7 +142,7 @@ def compute_geometry(
     q = 0.5 * (gram.real + gram.real.swapaxes(-1, -2))
     u = 0.5 * (gram.imag - gram.imag.swapaxes(-1, -2))
     u[..., range(d), range(d)] = 0.0
-    return _geometry(q, u, tuple(slds) if slds.ndim == 3 else slds, rank_tol, w)
+    return _geometry(q, u, tuple(slds) if slds.ndim == 3 else slds, w)
 
 
 def rld_qfim(rho: np.ndarray, derivs: Sequence[np.ndarray], check: bool = True) -> np.ndarray:
@@ -226,7 +218,7 @@ class _WeightFrame:
 def _weight_and_root(w_mat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The validated weight (or stack of weights) and its square root, from
     one decomposition: the root's ``eigh`` also tests definiteness."""
-    w_mat = require_weight(w_mat, d, definite=False)
+    w_mat = require_weight(w_mat, d)
     return w_mat, spd_sqrt(w_mat)
 
 
@@ -288,11 +280,11 @@ def t_measure(g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = 
     return _weight_frame(g, w_mat, pseudo_inverse).t_value
 
 
-def _rank_antisym(u: np.ndarray, tol: float = RANK_TOL) -> int:
+def _rank_antisym(u: np.ndarray) -> int:
     sv = np.linalg.svd(u, compute_uv=False)
     if sv.size == 0 or sv[0] <= 0:
         return 0
-    return int(np.sum(sv > tol * sv[0]))
+    return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
 def t_saturation_analysis(g: InformationGeometry, w_mat: np.ndarray) -> TSaturationReport:
@@ -341,7 +333,7 @@ def weight_transform(g: InformationGeometry, w_mat: np.ndarray) -> WeightTransfo
     T is invariant: T[D, PQP^T, PUP^T] = T[W, Q, U].  Diagonal inputs pass
     through unchanged (P = I), keeping the trivial case exact.
     """
-    w_mat = require_weight(w_mat, g.n_params)
+    w_mat = _weight_and_root(w_mat, g.n_params)[0]
     d = g.n_params
     if np.count_nonzero(w_mat - np.diag(np.diag(w_mat))) == 0:
         return WeightTransform(rotated=g, diagonal_weight=w_mat.copy(), rotation=np.eye(d))
@@ -414,7 +406,6 @@ class NormalSpaceBasis:
 def tangent_normal_decomposition(
     rho: np.ndarray,
     g: InformationGeometry,
-    tol: float = RANK_TOL,
     pseudo_inverse: bool = False,
 ) -> NormalSpaceBasis:
     """Orthonormal basis of the SLD normal space at rho.
@@ -423,22 +414,20 @@ def tangent_normal_decomposition(
     basis.  With S = Tr[rho G_a G_b] - Tr[rho G_a] Tr[rho G_b], the inner
     product Re Tr[rho (AB + BA)] / 2 is x^T Re S y, Im Tr[rho A B] is x^T Im S y,
     and SLD i has coefficients Tr[L_i G_a] / 2.  The SLD span is projected out
-    under Re S, and directions whose Gram eigenvalue falls below ``tol`` times
+    under Re S, and directions whose Gram eigenvalue falls below RANK_TOL times
     the largest diagonal of Re S are discarded.  Those satisfy rho P = 0, so
     they add nothing to the Holevo objective; dropping them keeps the Gram
     matrix invertible.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not g.slds:
-        raise ValueError("geometry must carry SLD operators")
+        raise InvalidInput("geometry must carry SLD operators")
     _qfim_inverse(g, pseudo_inverse)  # singularity policy
     rho = np.asarray(rho, dtype=complex)
-    ((_, basis),) = _normal_spaces(rho[None], np.asarray(g.slds)[None], tol)
+    ((_, basis),) = _normal_spaces(rho[None], np.asarray(g.slds)[None])
     return take(basis, 0)
 
 
-def _normal_spaces(rho: np.ndarray, slds: np.ndarray, tol: float = RANK_TOL) -> list:
+def _normal_spaces(rho: np.ndarray, slds: np.ndarray) -> list:
     """The normal-space bases of a batch of states (B, n, n) with SLDs
     (B, d, n, n), as `tangent_normal_decomposition` builds one, grouped by
     size: (rows, basis with those rows stacked along a leading axis)."""
@@ -454,7 +443,7 @@ def _normal_spaces(rho: np.ndarray, slds: np.ndarray, tol: float = RANK_TOL) -> 
     # Orthonormalize the tangent span first so projection works even when
     # the SLD Gram matrix is (near) singular.
     tw, tv = np.linalg.eigh(l @ s_re @ l.swapaxes(-1, -2))
-    keep = ((tw > tol * np.maximum(tw[:, -1:], 0.0)) & (tw > 0))[:, None, :]
+    keep = ((tw > RANK_TOL * np.maximum(tw[:, -1:], 0.0)) & (tw > 0))[:, None, :]
     frame = np.where(keep, tv / np.sqrt(np.where(keep, tw[:, None, :], 1.0)), 0.0)
     frame = frame.swapaxes(-1, -2) @ l
     cand = np.eye(len(traces)) - frame.swapaxes(-1, -2) @ (frame @ s_re)
@@ -463,7 +452,7 @@ def _normal_spaces(rho: np.ndarray, slds: np.ndarray, tol: float = RANK_TOL) -> 
     # The cut is against the scale of the form itself, not the projected
     # maximum, which would keep pure roundoff when the normal space is empty.
     raw_scale = np.max(np.diagonal(s_re, axis1=-2, axis2=-1), axis=-1)
-    sizes = np.where(raw_scale > 0, np.sum(w > tol * raw_scale[:, None], axis=-1), 0)
+    sizes = np.where(raw_scale > 0, np.sum(w > RANK_TOL * raw_scale[:, None], axis=-1), 0)
     groups = []
     for size in sorted(set(sizes.tolist())):  # (np.unique would import numpy.ma)
         rows = np.flatnonzero(sizes == size)

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DerivativeNotTraceless, NonHermitianInput, SingularState
+from .errors import DerivativeNotTraceless, InvalidInput, NonHermitianInput, SingularState
 
 HERMITICITY_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-12
 DENSITY_EIG_FLOOR = -1e-12
+# An eigenvalue of rho at or below SUPPORT_TOL is zero; a weight matrix whose
+# smallest eigenvalue is at or below WEIGHT_FLOOR is not positive definite.
 SUPPORT_TOL = 1e-10
+WEIGHT_FLOOR = 1e-12
 
 
 def raise_first_failure(*checks) -> None:
@@ -178,42 +181,34 @@ def require_derivative(drho: np.ndarray) -> np.ndarray:
     return drho
 
 
-def sld_in_eigenbasis(
-    w: np.ndarray, v: np.ndarray, drho: np.ndarray, support_tol: float
-) -> np.ndarray:
+def sld_in_eigenbasis(w: np.ndarray, v: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """The SLD of ``drho`` given the eigensystem (w, v) of rho, so several
     derivatives of one state share a single decomposition."""
-    if support_tol <= 0:
-        raise ValueError("support_tol must be positive")
     vh = v.swapaxes(-1, -2).conj()
     m = small_matmul(small_matmul(vh, drho), v)
     denom = w[..., :, None] + w[..., None, :]
-    keep = denom > support_tol
+    keep = denom > SUPPORT_TOL
     coeff = np.where(keep, 2.0 * m / np.where(keep, denom, 1.0), 0.0)
     return hermitian_part(small_matmul(small_matmul(v, coeff), vh))
 
 
-def sld_solve(
-    rho: np.ndarray,
-    drho: np.ndarray,
-    support_tol: float = SUPPORT_TOL,
-    check: bool = True,
-) -> np.ndarray:
+def sld_solve(rho: np.ndarray, drho: np.ndarray, check: bool = True) -> np.ndarray:
     """Symmetric logarithmic derivative L solving d_rho = (L rho + rho L) / 2.
 
     In the eigenbasis of rho, L_ij = 2 (drho)_ij / (p_i + p_j) on the
-    support (p_i + p_j > support_tol) and 0 elsewhere; the kernel-sector
+    support (p_i + p_j > SUPPORT_TOL) and 0 elsewhere; the kernel-sector
     choice makes Tr[rho L^2] minimal and matches the pure-state SLD.
     """
     w, v = state_eigensystem(rho, check)
     if check:
         drho = require_derivative(drho)
-    return sld_in_eigenbasis(w, v, drho, support_tol)
+    return sld_in_eigenbasis(w, v, drho)
 
 
 def require_full_rank(w: np.ndarray) -> None:
-    """Raise SingularState unless the RLD exists: ascending spectrum w > 1e-10."""
-    if w[0] <= 1e-10:
+    """Raise SingularState unless the RLD exists: the ascending spectrum w
+    has no eigenvalue at or below SUPPORT_TOL."""
+    if w[0] <= SUPPORT_TOL:
         raise SingularState(f"rho is rank deficient (min eigenvalue {w[0]:.3e}); RLD undefined")
 
 
@@ -231,31 +226,27 @@ WEIGHT_NOT_DEFINITE = "weight matrix must be positive definite"
 
 def spd_sqrt(w_mat: np.ndarray) -> np.ndarray:
     """Spectral square root of a symmetric positive definite weight matrix
-    (or a stack); its eigh also tests definiteness, at the 1e-12 that
-    `require_weight` applies."""
+    (or a stack); its eigh also tests definiteness: a weight whose smallest
+    eigenvalue is at or below WEIGHT_FLOOR is not definite."""
     vals, vecs = np.linalg.eigh(np.asarray(w_mat, dtype=float))
-    raise_first_failure((vals[..., 0] <= 1e-12, lambda i: ValueError(WEIGHT_NOT_DEFINITE)))
+    raise_first_failure((vals[..., 0] <= WEIGHT_FLOOR, lambda i: InvalidInput(WEIGHT_NOT_DEFINITE)))
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
-def require_weight(w_mat: np.ndarray, d: int | None = None, definite: bool = True) -> np.ndarray:
-    """Validate a positive definite symmetric weight matrix and return its
-    symmetric part.  With ``definite`` False, definiteness is left to
-    `spd_sqrt`, for a caller that takes the root anyway."""
+def require_weight(w_mat: np.ndarray, d: int | None = None) -> np.ndarray:
+    """Validate the shape, finiteness and symmetry of a weight matrix and
+    return its symmetric part; definiteness is left to `spd_sqrt`."""
     w_mat = np.asarray(w_mat, dtype=float)
     if w_mat.ndim < 2 or w_mat.shape[-1] != w_mat.shape[-2]:
-        raise ValueError(f"weight matrix must be square, got shape {w_mat.shape}")
+        raise InvalidInput(f"weight matrix must be square, got shape {w_mat.shape}")
     if d is not None and w_mat.shape[-1] != d:
-        raise ValueError(f"weight matrix has dimension {w_mat.shape[-1]}, expected {d}")
+        raise InvalidInput(f"weight matrix has dimension {w_mat.shape[-1]}, expected {d}")
     finite = np.isfinite(w_mat).all(axis=(-2, -1))
     with np.errstate(invalid="ignore"):
         asym = np.max(np.abs(w_mat - w_mat.swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
         scale = 1.0 + np.max(np.abs(w_mat), axis=(-2, -1), initial=0.0)
     raise_first_failure(
-        (~finite, lambda i: ValueError("weight matrix has non-finite entries")),
-        (asym > 1e-10 * scale, lambda i: ValueError("weight matrix must be symmetric")),
+        (~finite, lambda i: InvalidInput("weight matrix has non-finite entries")),
+        (asym > 1e-10 * scale, lambda i: InvalidInput("weight matrix must be symmetric")),
     )
-    if definite:
-        raise_first_failure((np.linalg.eigvalsh(w_mat)[..., 0] <= 1e-12,
-                             lambda i: ValueError(WEIGHT_NOT_DEFINITE)))
     return 0.5 * (w_mat + w_mat.swapaxes(-1, -2))

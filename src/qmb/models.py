@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import StepTooLarge
+from .errors import InvalidInput, StepTooLarge
 from .linalg import dot, hermitian_part, raise_first_failure, small_matmul
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -131,27 +131,27 @@ def model_config(model_id: str, **constants: float) -> ModelConfig:
     row of a batch (constants broadcast together); each row is checked as
     a config of scalars would be, and the first failing row raises."""
     if model_id not in MODEL_IDS:
-        raise ValueError(f"unknown model {model_id!r}; expected one of {MODEL_IDS}")
+        raise InvalidInput(f"unknown model {model_id!r}; expected one of {MODEL_IDS}")
     constants = {k: np.asarray(v, float) if np.ndim(v) else float(v) for k, v in constants.items()}
     shape = np.broadcast_shapes(*(np.shape(v) for v in constants.values()))
     raise_first_failure(*(
-        (~np.isfinite(val), lambda i, k=k, v=val: ValueError(
+        (~np.isfinite(val), lambda i, k=k, v=val: InvalidInput(
             f"constant {k}={float(np.broadcast_to(v, shape).flat[i])!r} is not finite"))
         for k, val in constants.items()
     ))
     if model_id == "tunable_qubit":
         missing = {"gamma", "theta", "phi"} - constants.keys()
         if missing:
-            raise ValueError(f"tunable_qubit requires constants {sorted(missing)}")
+            raise InvalidInput(f"tunable_qubit requires constants {sorted(missing)}")
         r0 = np.broadcast_to(tunable_qubit_r0(constants), shape + (3,))
-        raise_first_failure((dot(r0, r0) > 1.0 + 1e-12, lambda i: ValueError(
+        raise_first_failure((dot(r0, r0) > 1.0 + 1e-12, lambda i: InvalidInput(
             f"Bloch vector norm {np.linalg.norm(r0.reshape(-1, 3)[i])!r} exceeds 1")))
     else:
         missing = {"alpha", "beta", "t"} - constants.keys()
         if missing:
-            raise ValueError(f"{model_id} requires constants {sorted(missing)}")
+            raise InvalidInput(f"{model_id} requires constants {sorted(missing)}")
         raise_first_failure((np.broadcast_to(constants["t"] <= 0, shape),
-                             lambda i: ValueError("evolution time t must be positive")))
+                             lambda i: InvalidInput("evolution time t must be positive")))
     return ModelConfig(model_id, constants)
 
 
@@ -159,13 +159,13 @@ def tunable_qubit_r0(constants: Mapping[str, float]) -> np.ndarray:
     """Initial Bloch vector, either explicit (r_x, r_y, r_z) or pure-state (alpha, beta)."""
     if "alpha" in constants or "beta" in constants:
         if not {"alpha", "beta"} <= constants.keys():
-            raise ValueError("pure-state form needs both alpha and beta")
+            raise InvalidInput("pure-state form needs both alpha and beta")
         a, b = constants["alpha"], constants["beta"]
         return _vec(np.sin(a) * np.cos(b), np.sin(a) * np.sin(b), np.cos(a))
     try:
         return _vec(constants["r_x"], constants["r_y"], constants["r_z"]).astype(float)
     except KeyError as exc:
-        raise ValueError("tunable_qubit requires r_x, r_y, r_z (or alpha, beta)") from exc
+        raise InvalidInput("tunable_qubit requires r_x, r_y, r_z (or alpha, beta)") from exc
 
 
 def _rotation_axis(theta: float, phi: float) -> np.ndarray:
@@ -220,14 +220,12 @@ def _bloch_state(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return rho, hermitian_part(0.5 * _dot_j(dr, PAULI))
 
 
-def bloch_geometry(
-    r: np.ndarray, derivs: Sequence[np.ndarray], tangency_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
+def bloch_geometry(r: np.ndarray, derivs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """QFIM and Uhlmann matrix of a qubit state from its Bloch vector path.
 
     Q_ij = di.dj + (r.di)(r.dj)/(1-|r|^2), U_ij = r.(di x dj).  At |r| = 1
     the radial term is 0/0; rotations keep r.di = 0 exactly, so the term is
-    defined as 0 whenever |r.di| < tangency_tol.
+    defined as 0 whenever |r.di| < 1e-10.
     """
     d = len(derivs)
     rr = float(r @ r)
@@ -240,8 +238,8 @@ def bloch_geometry(
             val = float(derivs[i] @ derivs[j])
             if purity_gap > 1e-12:
                 val += radial[i] * radial[j] / purity_gap
-            elif abs(radial[i]) >= tangency_tol or abs(radial[j]) >= tangency_tol:
-                raise ValueError("pure-state limit needs tangential derivatives")
+            elif abs(radial[i]) >= 1e-10 or abs(radial[j]) >= 1e-10:
+                raise InvalidInput("pure-state limit needs tangential derivatives")
             q[i, j] = q[j, i] = val
     for i in range(d):
         for j in range(i + 1, d):
@@ -418,7 +416,7 @@ def model_point(cfg: ModelConfig, params: Sequence[float]) -> ModelPoint:
         return su2_qubit_point(cfg, *params)
     if cfg.model_id == "su2_qutrit":
         return su2_qutrit_point(cfg, *params)
-    raise ValueError(f"unknown model {cfg.model_id!r}")
+    raise InvalidInput(f"unknown model {cfg.model_id!r}")
 
 
 def unitary_generator(
@@ -435,7 +433,7 @@ def unitary_generator(
     is available as a diagnostic via ``full_output``.
     """
     if h <= 0:
-        raise ValueError("step h must be positive")
+        raise InvalidInput("step h must be positive")
     u0 = u_path(x)
     d_one = (u_path(x + h) - u_path(x - h)) / (2.0 * h)
     d_two = (u_path(x + 2.0 * h) - u_path(x - 2.0 * h)) / (4.0 * h)
@@ -465,7 +463,7 @@ def generator_geometry(
     psi = np.asarray(psi0, dtype=complex)
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"psi0 must be unit norm, got {norm!r}")
+        raise InvalidInput(f"psi0 must be unit norm, got {norm!r}")
     d = len(gens)
     applied = [g @ psi for g in gens]
     means = np.array([np.real(psi.conj() @ v) for v in applied])

@@ -12,7 +12,7 @@ import numpy as np
 from .bounds import FLAG_SINGULAR_QFIM, ReportOptions, batch_reports
 from .errors import InvalidSpec, UnknownPreset
 from .geometry import _weight_and_root, compute_geometry
-from .linalg import require_weight
+from .linalg import WEIGHT_FLOOR
 from .models import MODEL_IDS, PARAM_NAMES, ModelConfig, model_arrays, model_config
 
 CANONICAL_OUTPUTS = ("c_sld", "c_rld", "c_t", "c_r", "c_h", "R", "T", "gap_h", "gap_t", "gap_r")
@@ -123,7 +123,7 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
     if spec.weight.kind == "diag_log_axis":
         _check_log_axis(spec)
     if spec.weight.kind in ("diag", "full"):
-        # a fixed weight is checked once here, not at every point
+        # a fixed weight is checked here, before any row is built
         d = len(PARAM_NAMES[spec.model_id])
         size = d if spec.weight.kind == "diag" else d * d
         if len(spec.weight.values) != size:
@@ -131,7 +131,7 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
                 f"{spec.weight.kind} weight needs {size} values, got {len(spec.weight.values)}"
             )
         try:
-            require_weight(_weight_matrices(spec, d), d)
+            _weight_and_root(_weight_matrices(spec, d), d)
         except ValueError as exc:
             raise InvalidSpec(f"{spec.weight.kind} weight: {exc}") from exc
     if spec.maximize_over:
@@ -169,9 +169,11 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
 
 
 def _check_log_axis(spec: SweepSpec) -> None:
-    """The diag_log_axis weight's axis is swept or fixed, and omega = 10**v
-    is finite and above 1e-12 at its value, or at both endpoints of its
-    axis, which bound every row."""
+    """The diag_log_axis weight is two-parameter, its axis is swept or fixed,
+    and omega = 10**v is finite and above WEIGHT_FLOOR at its value, or at
+    both endpoints of its axis, which bound every row."""
+    if len(PARAM_NAMES[spec.model_id]) != 2:
+        raise InvalidSpec("diag_log_axis weight is two-parameter only")
     name = spec.weight.axis
     axis = next((ax for ax in spec.axes if ax.name == name), None)
     if axis is None and name not in spec.fixed:
@@ -181,10 +183,10 @@ def _check_log_axis(spec: SweepSpec) -> None:
             omega = float(_omegas(np.array([v], dtype=float))[0])
         except OverflowError:
             omega = math.inf
-        if not (math.isfinite(omega) and omega > 1e-12):
+        if not (math.isfinite(omega) and omega > WEIGHT_FLOOR):
             raise InvalidSpec(
                 f"diag_log_axis weight: {name}={v!r} gives omega={omega!r}; "
-                "omega must be finite and above 1e-12"
+                f"omega must be finite and above {WEIGHT_FLOOR:g}"
             )
 
 
@@ -238,8 +240,6 @@ def _weight_matrices(spec: SweepSpec, d: int, bound: Mapping = None) -> np.ndarr
     if w.kind == "full":
         return np.asarray(w.values, dtype=float).reshape(d, d)
     if w.kind == "diag_log_axis":
-        if d != 2:
-            raise InvalidSpec("diag_log_axis weight is two-parameter only")
         omega = _omegas(bound[w.axis])
         return np.stack(np.broadcast_arrays(1.0, 0.0, 0.0, omega), axis=-1).reshape(-1, 2, 2)
     raise InvalidSpec(f"unknown weight kind {w.kind!r}")
@@ -251,10 +251,9 @@ def _omegas(log10_values: np.ndarray) -> np.ndarray:
     return np.array([10.0 ** v for v in log10_values.tolist()])
 
 
-def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int, weight) -> list[ResultRow]:
+def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> list[ResultRow]:
     """``rows`` rows as one batch; each name in ``bound`` holds one value
-    per row.  ``weight`` is the fixed (W, sqrt W), validated once per sweep,
-    or None for a kind that varies by row."""
+    per row.  A fixed weight is validated and square-rooted once per chunk."""
     d = len(PARAM_NAMES[spec.model_id])
     values = {**{k: np.full(rows, float(v)) for k, v in spec.fixed.items()}, **bound}
     if spec.maximize_over:  # each row's saturating angles, then the batch
@@ -267,7 +266,7 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int, weight) -> list[Res
     void = np.zeros(rows, bool)
     if spec.weight.kind == "qfim":
         weight, void = _qfim_weight(geometry)
-    elif weight is None:
+    else:
         weight = _weight_and_root(_weight_matrices(spec, d, values), d)
     opts = ReportOptions(pseudo_inverse=spec.pseudo_inverse, compute_rld="c_rld" in spec.outputs,
                          compute_holevo="c_h" in spec.outputs or "gap_h" in spec.outputs)
@@ -296,12 +295,12 @@ def _qfim_weight(geometry) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """(W, sqrt W) for W = Q / Q_11 per row, from the geometry's one
     eigendecomposition Q = V diag(q) V^T: sqrt W = V sqrt(q / Q_11) V^T.  A
     singular QFIM cannot serve as a weight: rows where W is not finite or
-    has lambda_min(W) <= 1e-12 are void, and carry the identity."""
+    has lambda_min(W) <= WEIGHT_FLOOR are void, and carry the identity."""
     q_vals, q_vecs = geometry._qfim_eigh
     q11 = geometry.qfim[:, :1, :1]
     with np.errstate(divide="ignore", invalid="ignore"):
         w_mat, w_vals = geometry.qfim / q11, q_vals / q11[:, 0]
-    void = ~np.isfinite(w_mat).all(axis=(-2, -1)) | ~(w_vals[:, 0] > 1e-12)
+    void = ~np.isfinite(w_mat).all(axis=(-2, -1)) | ~(w_vals[:, 0] > WEIGHT_FLOOR)
     roots = np.sqrt(np.where(void[:, None], 1.0, w_vals))
     sqrt_w = (q_vecs * roots[:, None, :]) @ q_vecs.swapaxes(-1, -2)
     eye = np.eye(q_vals.shape[-1])
@@ -348,15 +347,7 @@ def run_point(spec: SweepSpec) -> ResultRow:
     """Evaluate a spec without axes as a single row, a batch of one; its
     maximized angles, if any, are found as in a sweep."""
     spec = validate_spec(replace(spec, axes=()))
-    return _evaluate_chunk(spec, {}, 1, _fixed_weight(spec))[0]
-
-
-def _fixed_weight(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray] | None:
-    """A weight that does not vary by row, validated and square-rooted."""
-    if spec.weight.kind in ("qfim", "diag_log_axis"):
-        return None
-    d = len(PARAM_NAMES[spec.model_id])
-    return _weight_and_root(_weight_matrices(spec, d), d)
+    return _evaluate_chunk(spec, {}, 1)[0]
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
@@ -374,13 +365,12 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
     spec = validate_spec(spec)
     grids = [ax.values() for ax in spec.axes]
     total = math.prod(len(values) for values in grids)
-    weight = _fixed_weight(spec)
     rows: list[ResultRow] = []
     for start in range(0, total, _CHUNK):
         index = np.arange(start, min(start + _CHUNK, total))
         cells = np.unravel_index(index, [len(values) for values in grids]) if grids else ()
         bound = {ax.name: values[i] for ax, values, i in zip(spec.axes, grids, cells)}
-        rows += _evaluate_chunk(spec, bound, len(index), weight)
+        rows += _evaluate_chunk(spec, bound, len(index))
     return rows
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import settings
 
 from qmb import bounds, geometry, models, sweep
-from qmb.geometry import RANK_TOL, _geometry
+from qmb.geometry import _geometry
 from qmb.linalg import SUPPORT_TOL, hermitian_part, require_derivative, state_eigensystem
 from qmb.models import (
     PAULI,
@@ -280,7 +280,7 @@ def matmul_su2_state(cfg, params):
     return rho, np.stack(derivs, axis=-3), gens
 
 
-def matmul_compute_geometry(rho, derivs, support_tol=SUPPORT_TOL, check=True, rank_tol=RANK_TOL):
+def matmul_compute_geometry(rho, derivs, check=True):
     """`geometry.compute_geometry` with `@` SLDs and traces of `@` products."""
     derivs = np.asarray(derivs)
     d = derivs.shape[-3]
@@ -289,7 +289,7 @@ def matmul_compute_geometry(rho, derivs, support_tol=SUPPORT_TOL, check=True, ra
         derivs = require_derivative(derivs)
     vh = v.swapaxes(-1, -2).conj()
     denom = w[..., :, None] + w[..., None, :]
-    keep = denom > support_tol
+    keep = denom > SUPPORT_TOL
     slds = []
     for k in range(d):
         m = vh @ derivs[..., k, :, :] @ v
@@ -305,7 +305,7 @@ def matmul_compute_geometry(rho, derivs, support_tol=SUPPORT_TOL, check=True, ra
     q = 0.5 * (gram.real + gram.real.swapaxes(-1, -2))
     u = 0.5 * (gram.imag - gram.imag.swapaxes(-1, -2))
     u[..., range(d), range(d)] = 0.0
-    return _geometry(q, u, tuple(slds) if slds.ndim == 3 else slds, rank_tol, w)
+    return _geometry(q, u, tuple(slds) if slds.ndim == 3 else slds, w)
 
 
 def eigvalsh_spectral_radius(g):

@@ -481,13 +481,6 @@ class TestNormalSpace:
                 overlap = np.real(np.trace(derivs[nu] @ x))
                 assert overlap == pytest.approx(1.0 if mu == nu else 0.0, abs=1e-8)
 
-    def test_rejects_nonpositive_tol(self):
-        pt = tq_point()
-        g = compute_geometry(pt.rho, pt.derivs)
-        for tol in (0.0, -1e-9):
-            with pytest.raises(ValueError, match="tol must be positive"):
-                tangent_normal_decomposition(pt.rho, g, tol=tol)
-
     def test_rejects_geometry_without_slds(self):
         pt = tq_point()
         g = compute_geometry(pt.rho, pt.derivs)

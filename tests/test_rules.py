@@ -1,0 +1,127 @@
+"""Each degeneracy rule flips exactly at its constant, and malformed library
+input raises an error that is both a QmbError and a ValueError."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qmb.bounds import FLAG_RLD_UNAVAILABLE, ReportOptions, full_report
+from qmb.errors import QmbError, SingularQFIM, SingularState
+from qmb.geometry import (
+    COND_LIMIT,
+    _geometry,
+    compute_geometry,
+    geometry_from_matrices,
+    quantumness_R,
+    rld_qfim,
+)
+from qmb.linalg import SUPPORT_TOL, WEIGHT_FLOOR, require_weight, spd_sqrt
+from qmb.models import ModelPoint, generator_geometry, model_config
+from qmb.sweep import _qfim_weight, figure_preset, validate_spec
+
+from conftest import random_traceless_hermitian
+
+# A value 1% to either side of a rule's constant, as a multiple of it.
+SIDE = st.sampled_from([0.99, 1.01])
+
+
+def _rotation(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+@settings(max_examples=40)
+@given(angle=st.floats(0.0, 2.0 * math.pi), side=SIDE)
+def test_weight_floor(angle, side):
+    lam = WEIGHT_FLOOR * side
+    rot = _rotation(angle)
+    w_mat = rot @ np.diag([lam, 1.0]) @ rot.T
+    if lam <= WEIGHT_FLOOR:
+        with pytest.raises(ValueError, match="positive definite"):
+            spd_sqrt(w_mat)
+    else:
+        root = spd_sqrt(w_mat)
+        assert np.allclose(root @ root, w_mat, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("v", [-12.0 - 1e-3, -12.0 + 1e-3])
+def test_log_axis_weight_floor(v):
+    spec = replace(figure_preset("fig1"), axes=(), fixed={"omega_log10": v})
+    if 10.0 ** v > WEIGHT_FLOOR:
+        assert validate_spec(spec).weight.kind == "diag_log_axis"
+    else:
+        with pytest.raises(QmbError, match="omega must be finite and above 1e-12"):
+            validate_spec(spec)
+
+
+@settings(max_examples=40)
+@given(angle=st.floats(0.25 * math.pi, 0.5 * math.pi), side=SIDE)
+def test_qfim_weight_floor(angle, side):
+    # Q = R diag(lam, 1) R^T has Q_11 = lam c^2 + s^2, so the ratio
+    # k = lam / Q_11 asks for lam = k s^2 / (1 - k c^2)
+    k = WEIGHT_FLOOR * side
+    c, s = math.cos(angle), math.sin(angle)
+    lam = k * s * s / (1.0 - k * c * c)
+    rot = _rotation(angle)
+    q = rot @ np.diag([lam, 1.0]) @ rot.T
+    q = 0.5 * (q + q.T)
+    g = _geometry(q[None], np.zeros((1, 2, 2)), ())
+    _, void = _qfim_weight(g)
+    assert void.tolist() == [k <= WEIGHT_FLOOR]
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**16), side=SIDE)
+def test_support_tol(seed, side):
+    rng = np.random.default_rng(seed)
+    low = SUPPORT_TOL * side
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    unitary = np.linalg.qr(a)[0]
+    p = rng.uniform(0.2, 0.8)
+    spectrum = np.array([p * (1.0 - low), (1.0 - p) * (1.0 - low), low])
+    rho = (unitary * spectrum) @ unitary.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    derivs = np.array([random_traceless_hermitian(rng, 3) for _ in range(2)])
+    report = full_report(ModelPoint((0.0, 0.0), rho, tuple(derivs)), np.eye(2),
+                         ReportOptions(compute_holevo=False))
+    deficient = low <= SUPPORT_TOL
+    assert (FLAG_RLD_UNAVAILABLE in report.flags) == deficient
+    if deficient:
+        with pytest.raises(SingularState):
+            rld_qfim(rho, derivs)
+    else:
+        assert np.all(np.isfinite(rld_qfim(rho, derivs)))
+
+
+@settings(max_examples=20)
+@given(side=SIDE, u=st.floats(0.1, 2.0))
+def test_cond_limit(side, u):
+    c = COND_LIMIT * side
+    g = geometry_from_matrices(np.diag([1.0, 1.0 / c]), [[0.0, u], [-u, 0.0]])
+    if c > COND_LIMIT:
+        with pytest.raises(SingularQFIM, match="condition number"):
+            quantumness_R(g)
+    else:
+        assert math.isfinite(quantumness_R(g))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: spd_sqrt(np.diag([1.0, -1.0])),
+        lambda: require_weight(np.ones((2, 3))),
+        lambda: compute_geometry(np.eye(2) / 2, np.zeros((0, 2, 2))),
+        lambda: model_config("su2_qubit", alpha=0.1, beta=0.0),
+        lambda: generator_geometry(np.array([1.0, 1.0]), [np.eye(2)]),
+    ],
+    ids=["weight_not_definite", "weight_not_square", "no_derivatives", "missing_constant",
+         "psi0_not_normalized"],
+)
+def test_input_errors_are_qmb_errors(call):
+    with pytest.raises(QmbError) as info:
+        call()
+    assert isinstance(info.value, ValueError)

@@ -182,6 +182,18 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec, match=re.escape(named)):
             run_sweep(spec)
 
+    def test_rejects_log_axis_weight_on_three_parameters(self, monkeypatch):
+        # refused while the spec is checked, before any model is built
+        def no_model(*args, **kwargs):
+            raise AssertionError("model built")
+
+        monkeypatch.setattr(sweep, "model_arrays", no_model)
+        spec = SweepSpec("su2_qutrit", fixed=ANCHOR, axes=(Axis("w", -1.0, 1.0, 3),),
+                         weight=WeightSpec(kind="diag_log_axis", axis="w"))
+        for check in (validate_spec, run_sweep):
+            with pytest.raises(InvalidSpec, match="^diag_log_axis weight is two-parameter only$"):
+                check(spec)
+
 
 class TestRunPoint:
     def test_qutrit_anchor(self):

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import HierarchyViolation, InvalidInput, SingularState
 from .geometry import (
+    COND_LIMIT,
     InformationGeometry,
     NormalSpaceBasis,
     _frame,
@@ -118,9 +119,10 @@ def c_rld(j: np.ndarray, w_mat: np.ndarray) -> float:
 
 
 def _c_rld(j: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C_RLD per point and where J is singular (the value there is void)."""
+    """C_RLD per point and where J is singular, its condition number at or
+    above COND_LIMIT (the value there is void)."""
     vals = np.linalg.eigvalsh(j)
-    singular = vals[..., 0] <= 1e-12 * np.maximum(vals[..., -1], 1.0)
+    singular = vals[..., 0] <= vals[..., -1] / COND_LIMIT
     jinv = np.linalg.inv(np.where(singular[..., None, None], np.eye(j.shape[-1]), j))
     jinv = 0.5 * (jinv + jinv.swapaxes(-1, -2).conj())
     value = np.trace(w_mat @ jinv.real, axis1=-2, axis2=-1) + trace_norm(w_mat @ jinv.imag)

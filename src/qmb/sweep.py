@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -84,6 +87,63 @@ class ResultRow:
     axis_values: tuple[float, ...]
     outputs: Mapping[str, float | None]
     flags: tuple[str, ...]
+
+
+class _Chunk(NamedTuple):
+    """Consecutive rows as columns: each row's axis values then outputs as
+    one float array (rows, columns) with its void mask (None where no cell
+    is void), and each row's flag code, a key of ``flags``, which holds each
+    distinct flag tuple once."""
+
+    values: np.ndarray
+    void: np.ndarray | None
+    codes: np.ndarray
+    flags: dict[int, tuple[str, ...]]
+
+    def cells(self, rows: slice = slice(None)) -> list[list]:
+        """Each row's cells as Python floats, None where void."""
+        values = self.values if self.void is None else np.where(self.void, None, self.values)
+        return values[rows].tolist()
+
+
+def _chunk_of(rows: Iterable[ResultRow], n_axes: int, outputs: tuple[str, ...]) -> _Chunk:
+    """Rows as one chunk; a missing output is void."""
+    rows, index = list(rows), {}
+    cells = np.array([[*r.axis_values, *map(r.outputs.get, outputs)] for r in rows], object)
+    cells = cells.reshape(len(rows), n_axes + len(outputs))
+    void = np.equal(cells, None)
+    codes = [index.setdefault(r.flags, len(index)) for r in rows]
+    return _Chunk(np.where(void, 0.0, cells).astype(float), void if void.any() else None,
+                  np.array(codes, int), {code: flags for flags, code in index.items()})
+
+
+class SweepResult(Sequence):
+    """A sweep's rows, held as the column chunks the pipeline computed: a
+    read-only sequence of ResultRow, each row built when it is read."""
+
+    def __init__(self, n_axes: int, outputs: tuple[str, ...], chunks: list[_Chunk]) -> None:
+        self.n_axes, self.outputs, self.chunks = n_axes, outputs, chunks
+        self._ends = list(itertools.accumulate(len(c.codes) for c in chunks))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i: int) -> ResultRow:
+        i = range(len(self))[i]  # a negative index counts from the end
+        k = bisect.bisect_right(self._ends, i)
+        i -= self._ends[k - 1] if k else 0
+        return next(self._rows(self.chunks[k], slice(i, i + 1)))
+
+    def __iter__(self) -> Iterator[ResultRow]:
+        return itertools.chain.from_iterable(map(self._rows, self.chunks))
+
+    def __add__(self, other: Iterable[ResultRow]) -> list[ResultRow]:
+        return [*self, *other]
+
+    def _rows(self, chunk: _Chunk, rows: slice = slice(None)) -> Iterator[ResultRow]:
+        n = self.n_axes
+        for cells, code in zip(chunk.cells(rows), chunk.codes[rows].tolist()):
+            yield ResultRow(tuple(cells[:n]), dict(zip(self.outputs, cells[n:])), chunk.flags[code])
 
 
 def canonical_outputs(requested: Sequence[str]) -> tuple[str, ...]:
@@ -251,7 +311,7 @@ def _omegas(log10_values: np.ndarray) -> np.ndarray:
     return np.array([10.0 ** v for v in log10_values.tolist()])
 
 
-def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> list[ResultRow]:
+def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> _Chunk:
     """``rows`` rows as one batch; each name in ``bound`` holds one value
     per row.  A fixed weight is validated and square-rooted once per chunk."""
     d = len(PARAM_NAMES[spec.model_id])
@@ -273,22 +333,20 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> list[ResultRow]:
     w_mat, sqrt_w = (np.broadcast_to(x, (rows, d, d)) for x in weight)
     cols = batch_reports(rho, derivs, geometry, w_mat, sqrt_w, opts)
     c_s, missing = cols["c_sld"], {"c_rld": cols["no_rld"], "c_h": cols["ill"]}
-    outputs = []
+    cells, gone = [bound[ax.name] for ax in spec.axes], [np.zeros(rows, bool)] * len(spec.axes)
     with np.errstate(divide="ignore", invalid="ignore"):
         for name in spec.outputs:  # a gap is void where its bound is
             base = "c" + name[3:] if name.startswith("gap_") else name
-            value = cols[base] if base == name else (cols[base] - c_s) / c_s
-            gone = missing.get(base, cols["null"]) | void
-            outputs.append(np.where(gone, None, value).tolist() if gone.any() else value.tolist())
+            cells.append(cols[base] if base == name else (cols[base] - c_s) / c_s)
+            gone.append(missing.get(base, cols["null"]) | void)
         masks = {**cols["flags"], FLAG_R_ABOVE_ONE: ~cols["null"] & (cols["R"] > 1.0 + 1e-9)}
         if spec.maximize_over:
             masks[FLAG_NOT_SATURATED] = ~cols["null"] & ~(cols["T"] >= 1.0 - _SATURATION_TOL)
     codes = np.where(void, -1, np.stack(list(masks.values()), -1) @ (1 << np.arange(len(masks))))
     flags = {code: tuple(sorted(name for bit, name in enumerate(masks) if code >> bit & 1))
              if code >= 0 else (FLAG_SINGULAR_QFIM,) for code in set(codes.tolist())}
-    axis_rows = zip(*(bound[ax.name].tolist() for ax in spec.axes)) if spec.axes else [()] * rows
-    return [ResultRow(a, dict(zip(spec.outputs, v)), flags[f])
-            for a, v, f in zip(axis_rows, zip(*outputs), codes.tolist())]
+    gone = np.stack(gone, -1)
+    return _Chunk(np.stack(cells, -1), gone if gone.any() else None, codes, flags)
 
 
 def _qfim_weight(geometry) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
@@ -346,32 +404,31 @@ def _saturating_angles(
 def run_point(spec: SweepSpec) -> ResultRow:
     """Evaluate a spec without axes as a single row, a batch of one; its
     maximized angles, if any, are found as in a sweep."""
-    spec = validate_spec(replace(spec, axes=()))
-    return _evaluate_chunk(spec, {}, 1)[0]
+    return run_sweep(replace(spec, axes=()))[0]
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> list[ResultRow]:
+def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Evaluate the grid in row-major axis order.
 
     The points are evaluated in chunks of _CHUNK rows, each one stacked
-    batch through every stage; a maximization sweep first takes each row's
-    saturating angles (`_saturating_angles`) and flags a row whose T falls
-    short of 1 NotSaturated.  Physics flags never abort the sweep.
-    ``threads`` is kept only because the benchmark scripts in perfbench/
-    still pass ``threads=1``; any other value raises InvalidSpec.
+    batch through every stage and kept as its columns; a maximization sweep
+    first takes each row's saturating angles (`_saturating_angles`) and
+    flags a row whose T falls short of 1 NotSaturated.  Physics flags never
+    abort the sweep.  ``threads`` stays only for the benchmark scripts in
+    perfbench/, which pass ``threads=1``; any other value raises InvalidSpec.
     """
     if threads != 1:
         raise InvalidSpec("sweeps run serially; threads must be 1")
     spec = validate_spec(spec)
     grids = [ax.values() for ax in spec.axes]
     total = math.prod(len(values) for values in grids)
-    rows: list[ResultRow] = []
+    chunks = []
     for start in range(0, total, _CHUNK):
         index = np.arange(start, min(start + _CHUNK, total))
         cells = np.unravel_index(index, [len(values) for values in grids]) if grids else ()
         bound = {ax.name: values[i] for ax, values, i in zip(spec.axes, grids, cells)}
-        rows += _evaluate_chunk(spec, bound, len(index))
-    return rows
+        chunks.append(_evaluate_chunk(spec, bound, len(index)))
+    return SweepResult(len(spec.axes), spec.outputs, chunks)
 
 
 def columns(spec: SweepSpec) -> list[str]:
@@ -380,30 +437,47 @@ def columns(spec: SweepSpec) -> list[str]:
 
 def emit(rows: Iterable[ResultRow], fmt: str, out: str | TextIO, spec: SweepSpec) -> None:
     """Write rows as CSV or JSON to a path or an open text stream;
-    byte-deterministic for a fixed spec.  A CSV line is one %-template; a
-    row with a void value is written cell by cell, void cells empty."""
+    byte-deterministic for a fixed spec.  Both formats read the rows as
+    column chunks; any other iterable of ResultRow becomes one chunk first."""
     cols = columns(spec)
     out_names = canonical_outputs(spec.outputs)
+    n_axes = len(spec.axes)
+    if not (isinstance(rows, SweepResult) and (rows.n_axes, rows.outputs) == (n_axes, out_names)):
+        rows = SweepResult(n_axes, out_names, [_chunk_of(rows, n_axes, out_names)])
     if fmt == "csv":
-        template = ",".join(["%.12g"] * (len(cols) - 1) + ["%s"])
-        lines = [",".join(cols)]
-        for row in rows:
-            values = (*row.axis_values, *map(row.outputs.get, out_names), ";".join(row.flags))
-            lines.append(template % values if None not in values else ",".join(
-                ["" if v is None else "%.12g" % v for v in values[:-1]] + [values[-1]]))
-        payload = "\n".join(lines) + "\n"
+        head = "%.12g," * (len(cols) - 1)
+        pieces = itertools.chain([",".join(cols) + "\n"], (_csv_text(c, head) for c in rows.chunks))
     elif fmt == "json":
-        records = [{**dict(zip(cols, row.axis_values)),
-                    **{name: row.outputs.get(name) for name in out_names},
-                    "flags": list(row.flags)} for row in rows]
-        payload = json.dumps(records, indent=1) + "\n"
+        records = [dict(zip(cols, cells), flags=list(c.flags[code])) for c in rows.chunks
+                   for cells, code in zip(c.cells(), c.codes.tolist())]
+        pieces = [json.dumps(records, indent=1) + "\n"]
     else:
         raise InvalidSpec(f"unknown output format {fmt!r}")
     if isinstance(out, str):
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
+            handle.writelines(pieces)
     else:
-        out.write(payload)
+        out.writelines(pieces)
+
+
+def _csv_text(chunk: _Chunk, head: str) -> str:
+    """The chunk's CSV lines.  A run of rows with no void cell is one
+    %-operation on a template of ``head`` and the row's flags per row; a row
+    with a void cell is written cell by cell, its void cells empty."""
+    joined = {code: ";".join(flags) for code, flags in chunk.flags.items()}
+    lines = {code: head + flags.replace("%", "%%") + "\n" for code, flags in joined.items()}
+    codes = chunk.codes.tolist()
+    breaks = [] if chunk.void is None else np.flatnonzero(chunk.void.any(-1)).tolist()
+    text, start = [], 0
+    for stop in breaks + [len(codes)]:
+        template = "".join([lines[code] for code in codes[start:stop]])
+        text.append(template % tuple(chunk.values[start:stop].ravel().tolist()))
+        if stop < len(codes):
+            cells = zip(chunk.values[stop].tolist(), chunk.void[stop].tolist())
+            cells = ["" if gone else "%.12g" % v for v, gone in cells]
+            text.append(",".join(cells) + f",{joined[codes[stop]]}\n")
+        start = stop + 1
+    return "".join(text)
 
 
 def figure_preset(name: str, config: Mapping[str, float] | None = None) -> SweepSpec:
@@ -413,6 +487,9 @@ def figure_preset(name: str, config: Mapping[str, float] | None = None) -> Sweep
     ``config`` (the repository's reproduction recipe uses r_y=0.2, r_z=0.4).
     ``config`` may also override per-preset grid counts via ``count``.
     """
+    names = ("fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5")
+    if name not in names:
+        raise UnknownPreset(f"unknown preset {name!r}; expected {', '.join(names)}")
     cfg = dict(config or {})
     count = int(cfg.pop("count", 0))
     # No solver is seeded; a "seed" key is still accepted and ignored because
@@ -422,17 +499,7 @@ def figure_preset(name: str, config: Mapping[str, float] | None = None) -> Sweep
     def counted(default: int) -> int:
         return count if count >= 2 else default
 
-    if name == "fig1":
-        if cfg:
-            raise InvalidSpec(f"fig1 takes no extra config, got {sorted(cfg)}")
-        return SweepSpec(
-            model_id="tunable_qubit",
-            fixed={},
-            axes=(Axis("omega_log10", -2.0, 2.0, counted(33)),),
-            weight=WeightSpec(kind="diag_log_axis", axis="omega_log10"),
-            outputs=("R", "T"),
-            maximize_over=("alpha", "beta", "gamma", "theta", "phi"),
-        )
+    bloch = {}
     if name == "fig2":
         missing = {"r_y", "r_z"} - cfg.keys()
         if missing:
@@ -440,72 +507,29 @@ def figure_preset(name: str, config: Mapping[str, float] | None = None) -> Sweep
                 f"fig2 requires explicit Bloch components {sorted(missing)} "
                 "(no silent defaults; the documented reproduction uses r_y=0.2, r_z=0.4)"
             )
-        fixed = {
-            "gamma": math.pi / 4.0,
-            "theta": math.pi / 2.0,
-            "phi": 0.0,
-            "lambda2": 0.0,
-            "r_y": float(cfg.pop("r_y")),
-            "r_z": float(cfg.pop("r_z")),
-        }
-        if cfg:
-            raise InvalidSpec(f"unknown fig2 config keys {sorted(cfg)}")
-        return SweepSpec(
-            model_id="tunable_qubit",
-            fixed=fixed,
-            axes=(
-                Axis("r_x", 0.05, 0.85, counted(64)),
-                Axis("xi", 0.0, 2.0 * math.pi, counted(64)),
-            ),
-            weight=WeightSpec(kind="identity"),
-            outputs=("gap_h", "gap_t", "gap_r"),
-        )
+        bloch = {key: float(cfg.pop(key)) for key in ("r_y", "r_z")}
+    if cfg:
+        raise InvalidSpec(f"unknown {name} config keys {sorted(cfg)}")
+    gaps, planar = ("gap_h", "gap_t", "gap_r"), {"gamma": math.pi / 4.0, "theta": math.pi / 2.0}
+    if name == "fig1":
+        return SweepSpec("tunable_qubit", axes=(Axis("omega_log10", -2.0, 2.0, counted(33)),),
+                         weight=WeightSpec(kind="diag_log_axis", axis="omega_log10"),
+                         outputs=("R", "T"), maximize_over=_ANGLES)
+    if name == "fig2":
+        return SweepSpec("tunable_qubit", {**planar, "phi": 0.0, "lambda2": 0.0, **bloch},
+                         (Axis("r_x", 0.05, 0.85, counted(64)),
+                          Axis("xi", 0.0, 2.0 * math.pi, counted(64))), outputs=gaps)
     if name in ("fig3a", "fig3b"):
-        if cfg:
-            raise InvalidSpec(f"unknown {name} config keys {sorted(cfg)}")
+        first = (Axis("r_xy", 0.02, 0.60, counted(48)) if name == "fig3a"
+                 else Axis("r2", 0.02, 0.95, counted(48)))
         r_z = 0.5 if name == "fig3a" else 0.1
-        first = (
-            Axis("r_xy", 0.02, 0.60, counted(48))
-            if name == "fig3a"
-            else Axis("r2", 0.02, 0.95, counted(48))
-        )
-        return SweepSpec(
-            model_id="tunable_qubit",
-            fixed={
-                "gamma": math.pi / 4.0,
-                "theta": math.pi / 2.0,
-                "r_z": r_z,
-                "lambda1": 0.0,
-                "lambda2": 0.0,
-            },
-            axes=(first, Axis("phi", 0.0, 2.0 * math.pi, counted(48))),
-            weight=WeightSpec(kind="identity"),
-            outputs=("gap_h", "gap_t", "gap_r"),
-        )
+        return SweepSpec("tunable_qubit", {**planar, "r_z": r_z, "lambda1": 0.0, "lambda2": 0.0},
+                         (first, Axis("phi", 0.0, 2.0 * math.pi, counted(48))), outputs=gaps)
     if name == "fig4":
-        if cfg:
-            raise InvalidSpec(f"unknown fig4 config keys {sorted(cfg)}")
-        return SweepSpec(
-            model_id="su2_qubit",
-            fixed={"alpha": math.pi / 2.0, "beta": 0.0, "t": 5.0},
-            axes=(
-                Axis("theta", 0.10, 1.45, counted(48)),
-                Axis("B", 0.15, 1.10, counted(48)),
-            ),
-            weight=WeightSpec(kind="identity"),
-            outputs=("gap_h", "gap_t", "gap_r"),
-        )
-    if name == "fig5":
-        if cfg:
-            raise InvalidSpec(f"unknown fig5 config keys {sorted(cfg)}")
-        return SweepSpec(
-            model_id="su2_qutrit",
-            fixed={"alpha": math.pi / 4.0, "beta": 0.0, "t": 1.0, "phi": 0.0},
-            axes=(
-                Axis("theta", -0.6, 0.6, counted(17)),
-                Axis("B", math.pi - 1.2, math.pi + 1.2, counted(17)),
-            ),
-            weight=WeightSpec(kind="identity"),
-            outputs=("T", "gap_h", "gap_t"),
-        )
-    raise UnknownPreset(f"unknown preset {name!r}; expected fig1, fig2, fig3a, fig3b, fig4, fig5")
+        return SweepSpec("su2_qubit", {"alpha": math.pi / 2.0, "beta": 0.0, "t": 5.0},
+                         (Axis("theta", 0.10, 1.45, counted(48)),
+                          Axis("B", 0.15, 1.10, counted(48))), outputs=gaps)
+    return SweepSpec("su2_qutrit", {"alpha": math.pi / 4.0, "beta": 0.0, "t": 1.0, "phi": 0.0},
+                     (Axis("theta", -0.6, 0.6, counted(17)),
+                      Axis("B", math.pi - 1.2, math.pi + 1.2, counted(17))),
+                     outputs=("T", "gap_h", "gap_t"))

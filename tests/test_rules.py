@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmb.bounds import FLAG_RLD_UNAVAILABLE, ReportOptions, full_report
+from qmb.bounds import FLAG_RLD_UNAVAILABLE, ReportOptions, c_rld, full_report
 from qmb.errors import QmbError, SingularQFIM, SingularState
 from qmb.geometry import (
     COND_LIMIT,
@@ -107,6 +107,26 @@ def test_cond_limit(side, u):
             quantumness_R(g)
     else:
         assert math.isfinite(quantumness_R(g))
+
+
+@settings(max_examples=40)
+@given(angle=st.floats(0.0, 2.0 * math.pi), scale=st.sampled_from([1e-3, 1.0, 1e3]), side=SIDE)
+def test_rld_cond_limit(angle, scale, side):
+    # J = u diag(scale, scale * side / COND_LIMIT) u^dag with a complex unitary u
+    c, s = math.cos(angle), math.sin(angle) * np.exp(0.7j)
+    u = np.array([[c, -s.conjugate()], [s, c]])
+    j = u @ np.diag([scale, scale * side / COND_LIMIT]) @ u.conj().T
+    if side < 1.0:
+        with pytest.raises(SingularState, match="RLD QFIM is singular"):
+            c_rld(j, np.eye(2))
+    else:
+        assert math.isfinite(c_rld(j, np.eye(2)))
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-6, 1e6])
+def test_rld_cut_is_relative(scale):
+    # a well-conditioned J is regular at any scale: C_RLD = 2 / scale at J = scale I
+    assert c_rld(scale * np.eye(2), np.eye(2)) == pytest.approx(2.0 / scale, rel=1e-12)
 
 
 @pytest.mark.parametrize(

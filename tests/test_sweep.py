@@ -373,6 +373,47 @@ class TestEmit:
             emit(rows, fmt, out, spec)
             assert out.getvalue() == oracle(rows, spec)
 
+    @pytest.mark.parametrize("case", ["fig4_two_chunks", "fig1_singular_rows", "pure_no_rld"])
+    def test_sweep_result_matches_per_cell_writer(self, case):
+        if case == "fig4_two_chunks":  # 1089 rows: a full chunk, then a short one
+            spec = figure_preset("fig4", {"count": 33})
+        elif case == "fig1_singular_rows":  # omega >= 1e12 rows are void, between valid ones
+            spec = replace(figure_preset("fig1"), axes=(
+                Axis("lambda1", 0.0, 0.5, 3), Axis("omega_log10", 11.0, 13.0, 5)))
+        else:  # a pure state voids c_rld alone
+            spec = SweepSpec("su2_qubit", fixed={"alpha": 1.0, "beta": 0.0, "t": 2.0, "theta": 0.3},
+                             axes=(Axis("B", 0.5, 1.0, 3),))
+        rows = run_sweep(spec)
+        listed = list(rows)
+        assert len(rows) == len(listed) == math.prod(ax.count for ax in spec.axes)
+        assert rows[0] == listed[0] and rows[-1] == listed[-1]
+        assert [rows[i] for i in range(-len(rows), len(rows))] == listed + listed
+        assert listed[-1].axis_values == tuple(ax.stop for ax in spec.axes)
+        voids = [name for row in listed for name, v in row.outputs.items() if v is None]
+        if case == "fig1_singular_rows":
+            assert [row.flags for row in listed[2:5]] == [("SingularQFIM",)] * 3
+            assert listed[5].outputs["T"] is not None
+        assert bool(voids) == (case != "fig4_two_chunks")
+        for fmt, oracle in (("csv", _per_cell_csv), ("json", _per_record_json)):
+            out = io.StringIO()
+            emit(rows, fmt, out, spec)
+            assert out.getvalue() == oracle(listed, spec)
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+
+    def test_benchmark_call_forms(self, tmp_path):
+        # the benchmark worker calls run_sweep(spec, threads=1), then emit
+        # with a path given as a str
+        spec = figure_preset("fig5", {"count": 3})
+        result = run_sweep(spec, threads=1)
+        assert isinstance(result, qmb.SweepResult)
+        path = tmp_path / "fig5.csv"
+        emit(result, "csv", str(path), spec)
+        out = io.StringIO()
+        emit(result, "csv", out, spec)
+        assert path.read_bytes() == out.getvalue().encode()
+        assert out.getvalue().count("\n") == 10
+
 
 class TestFigurePresets:
     def test_unknown_preset(self):

@@ -10,7 +10,11 @@ import numpy as np
 
 from .errors import InvalidInput, SingularQFIM
 from .linalg import (
+    SUPPORT_TOL,
+    _require_eig_floor,
+    _require_unit_trace,
     density_spectrum,
+    dot,
     hermitian_part,
     require_derivative,
     require_full_rank,
@@ -25,6 +29,9 @@ from .linalg import (
 
 COND_LIMIT = 1e12
 RANK_TOL = 1e-9
+# How far above the RANK_TOL cut a two-parameter qubit row must sit to take
+# the closed-form normal direction (see `_normal_spaces`).
+_QUBIT_MARGIN = 10.0
 
 
 @dataclass(frozen=True)
@@ -123,26 +130,103 @@ def compute_geometry(
     batch geometry from one stacked decomposition each of rho and Q; each
     state is checked as it would be alone.
     """
-    derivs = np.asarray(derivs)
-    if derivs.ndim < 3 or derivs.shape[-3] < 1:
-        raise InvalidInput("need at least one parameter derivative")
-    d = derivs.shape[-3]
+    derivs = _need_derivatives(derivs)
     w, v = state_eigensystem(rho, check)
     if check:
         derivs = require_derivative(derivs)
-    # one parameter (and pair) at a time keeps a batch's temporaries at (B, n, n)
-    slds = [sld_in_eigenbasis(w, v, derivs[..., k, :, :]) for k in range(d)]
-    rho_l = [small_matmul(np.asarray(rho, dtype=complex), l) for l in slds]
+    # one parameter at a time keeps a batch's temporaries at (B, n, n)
+    slds = [sld_in_eigenbasis(w, v, derivs[..., k, :, :]) for k in range(derivs.shape[-3])]
+    q, u = _sld_gram(np.asarray(rho, dtype=complex), slds)
+    slds = np.stack(slds, axis=-3)
+    return _geometry(q, u, tuple(slds) if slds.ndim == 3 else slds, w)
+
+
+def _need_derivatives(derivs) -> np.ndarray:
+    derivs = np.asarray(derivs)
+    if derivs.ndim < 3 or derivs.shape[-3] < 1:
+        raise InvalidInput("need at least one parameter derivative")
+    return derivs
+
+
+def _sld_gram(rho: np.ndarray, slds: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, U) as the real and imaginary parts of Tr[rho L_a L_b], from the
+    SLDs one parameter at a time."""
+    d = len(slds)
+    rho_l = [small_matmul(rho, l) for l in slds]
     gram = np.empty(np.shape(rho)[:-2] + (d, d), dtype=complex)
     for a in range(d):
         for b in range(a, d):  # Tr[X Y] = sum_ij X_ij Y_ji, with no product
             gram[..., a, b] = (rho_l[a] * slds[b].swapaxes(-1, -2)).sum(axis=(-2, -1))
             gram[..., b, a] = np.conj(gram[..., a, b])
-    slds = np.stack(slds, axis=-3)
     q = 0.5 * (gram.real + gram.real.swapaxes(-1, -2))
     u = 0.5 * (gram.imag - gram.imag.swapaxes(-1, -2))
     u[..., range(d), range(d)] = 0.0
-    return _geometry(q, u, tuple(slds) if slds.ndim == 3 else slds, w)
+    return q, u
+
+
+def model_geometry(
+    rho: np.ndarray, derivs: np.ndarray, pure: bool, bloch: tuple | None
+) -> InformationGeometry:
+    """The geometry of a batch of states (B, n, n) with derivatives
+    (B, d, n, n), taking what the model knows about them (the fields of
+    `models.ModelArrays`); without that, `compute_geometry`.  Each route
+    validates the states and derivatives as `compute_geometry` does, with
+    rho's eigenvalue floor read in closed form for n = 2.
+
+    * ``pure``: L_i = 2 d_i rho solves the SLD equation exactly, with no
+      block off the support (Matsumoto, J. Phys. A 35, 3111, 2002), and the
+      spectrum is (1, 0, ...): rho is not decomposed.
+    * ``bloch`` = (r, d r) of a qubit: L_i = a_i I + b_i.sigma with
+      a_i = -(r.d_i r) / (1 - |r|^2) and b_i = d_i r - a_i r, Q_ij = d_i r.d_j r
+      + (r.d_i r)(r.d_j r) / (1 - |r|^2) and U_ij = r.(d_i r x d_j r), with
+      the spectrum (1 +- |r|) / 2.  Where (1 - |r|) / 2 + (1 - |r|) / 2 is at
+      or below SUPPORT_TOL, the L's entry on the lower eigenvector is 0, as
+      `sld_in_eigenbasis` has it.
+    """
+    if not pure and bloch is None:
+        return compute_geometry(rho, derivs)
+    derivs = _need_derivatives(derivs)
+    rho = _require_unit_trace(rho, "rho")
+    n = rho.shape[-1]
+    if n == 2:  # the eigenvalues are (Tr rho +- |r|) / 2
+        radius = np.hypot((rho[..., 0, 0] - rho[..., 1, 1]).real, 2.0 * np.abs(rho[..., 0, 1]))
+        lowest = 0.5 * (np.trace(rho, axis1=-2, axis2=-1).real - radius)
+    else:
+        lowest = np.linalg.eigvalsh(rho)[..., 0]
+    _require_eig_floor(lowest, "rho")
+    derivs = require_derivative(derivs)
+    if pure:
+        slds = 2.0 * derivs
+        spectrum = np.zeros(rho.shape[:-1])
+        spectrum[..., 0] = 1.0
+        q, u = _sld_gram(rho, np.moveaxis(slds, -3, 0))
+        return _geometry(q, u, slds, spectrum)
+    return _bloch_geometry(*bloch)
+
+
+def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
+    """The qubit route of `model_geometry`, from r (B, 3) and d r (B, d, 3)."""
+    radius = np.sqrt(dot(r, r))
+    radial = dot(dr, r[..., None, :])  # r.d_i r
+    # b_i = d_i r - k (r.d_i r) r and Q_ij = d_i r.d_j r - k (r.d_i r)(r.d_j r),
+    # with a_i = k r.d_i r on the support and k = -1 / (1 - |r|^2); the cut
+    # drops the lower eigenvector's term s_i^2 / (1 - |r|), s_i = r.d_i r / |r|
+    cut = 1.0 - radius <= SUPPORT_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kr = np.where(cut, (1.0 + 2.0 * radius) / (2.0 * radius**2 * (1.0 + radius)),
+                      -1.0 / ((1.0 - radius) * (1.0 + radius)))[..., None] * radial
+        a = np.where(cut[..., None], radial / (2.0 * radius * (1.0 + radius))[..., None], kr)
+    b = dr - kr[..., None] * r[..., None, :]
+    q = dr @ dr.swapaxes(-1, -2) - kr[..., :, None] * radial[..., None, :]
+    u = np.zeros(q.shape)
+    for i, j in zip(*np.triu_indices(dr.shape[-2], 1)):
+        u[..., i, j] = dot(r, np.cross(dr[..., i, :], dr[..., j, :]))
+        u[..., j, i] = -u[..., i, j]
+    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
+    slds = np.stack([a + bz, bx - 1j * by, bx + 1j * by, a - bz], axis=-1)
+    spectrum = np.stack([0.5 + 0.5 * radius, np.maximum(0.5 - 0.5 * radius, 0.0)], axis=-1)
+    return _geometry(0.5 * (q + q.swapaxes(-1, -2)), u, slds.reshape(b.shape[:-1] + (2, 2)),
+                     spectrum)
 
 
 def rld_qfim(rho: np.ndarray, derivs: Sequence[np.ndarray], check: bool = True) -> np.ndarray:
@@ -430,23 +514,62 @@ def tangent_normal_decomposition(
 def _normal_spaces(rho: np.ndarray, slds: np.ndarray) -> list:
     """The normal-space bases of a batch of states (B, n, n) with SLDs
     (B, d, n, n), as `tangent_normal_decomposition` builds one, grouped by
-    size: (rows, basis with those rows stacked along a leading axis)."""
+    size: (rows, basis with those rows stacked along a leading axis).
+
+    For a qubit with two parameters, where the Gell-Mann basis is the Pauli
+    matrices, Re S = I - r r^T (r the Bloch vector) and the SLD coefficients
+    are the Bloch parts b_i of L_i = a_i I + b_i.sigma, the one normal
+    direction is (I - r r^T)^-1 (b_1 x b_2), normalized under Re S.  Rows
+    where 1 - |r|^2 or the tangent Gram's det / trace^2 comes within
+    _QUBIT_MARGIN of the RANK_TOL cut take the eigendecompositions instead,
+    which draw the line between sizes; so do all other (n, d)."""
     n = rho.shape[-1]
     _, traces, products = _gell_mann(n)
     flat_rho = rho.reshape(len(rho), n * n, 1)
     means = (traces @ flat_rho)[..., 0].real
     s = (products @ flat_rho).reshape(means.shape + (-1,))
     s -= means[:, :, None] * means[:, None, :]
-    s_re = s.real
     l = 0.5 * (slds.reshape(slds.shape[:2] + (-1,)) @ traces.T).real
+    closed = np.zeros(len(rho), bool)
+    if (n, l.shape[1]) == (2, 2):
+        gram = l @ s.real @ l.swapaxes(-1, -2)
+        det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+        trace = gram[:, 0, 0] + gram[:, 1, 1]
+        gap = 1.0 - dot(means, means)
+        cut = _QUBIT_MARGIN * RANK_TOL
+        closed = (gap > cut) & (det > cut * trace * trace)
+    groups = []
+    if closed.any():
+        rows = np.flatnonzero(closed)
+        sel = subset(rows, len(rho))
+        r, b = means[sel], l[sel]
+        normal = np.cross(b[:, 0], b[:, 1])
+        along = dot(r, normal) / gap[sel]
+        x = normal + r * along[:, None]  # (I - r r^T)^-1 (b_1 x b_2)
+        x /= np.sqrt(dot(normal, normal) + dot(r, normal) * along)[:, None]  # sqrt(x^T Re S x)
+        # Re S x is along b_1 x b_2: the eigenvector whose sign the eigen route pivots
+        pivot = np.take_along_axis(normal, np.argmax(np.abs(normal), axis=-1)[:, None], axis=-1)
+        x *= np.where(pivot < 0, -1.0, 1.0)
+        groups.append((rows, _basis(x[..., None], means[sel], s[sel], b)))
+    if not closed.all():
+        general = np.flatnonzero(~closed)
+        sel = subset(general, len(rho))
+        groups += [(general[rows], basis)
+                   for rows, basis in _eigen_normal_spaces(means[sel], s[sel], l[sel])]
+    return groups
 
+
+def _eigen_normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray) -> list:
+    """`_normal_spaces` by eigendecompositions, from rho's Gell-Mann means,
+    the form S and the SLD coefficients l (B, d, n^2 - 1)."""
+    s_re = s.real
     # Orthonormalize the tangent span first so projection works even when
     # the SLD Gram matrix is (near) singular.
     tw, tv = np.linalg.eigh(l @ s_re @ l.swapaxes(-1, -2))
     keep = ((tw > RANK_TOL * np.maximum(tw[:, -1:], 0.0)) & (tw > 0))[:, None, :]
     frame = np.where(keep, tv / np.sqrt(np.where(keep, tw[:, None, :], 1.0)), 0.0)
     frame = frame.swapaxes(-1, -2) @ l
-    cand = np.eye(len(traces)) - frame.swapaxes(-1, -2) @ (frame @ s_re)
+    cand = np.eye(s.shape[-1]) - frame.swapaxes(-1, -2) @ (frame @ s_re)
 
     w, v = np.linalg.eigh(cand.swapaxes(-1, -2) @ s_re @ cand)
     # The cut is against the scale of the form itself, not the projected
@@ -460,11 +583,17 @@ def _normal_spaces(rho: np.ndarray, slds: np.ndarray) -> list:
         vecs, kept = v[sel, :, ::-1][..., :size], w[sel, None, ::-1][..., :size]
         pivot = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[:, None, :], axis=-2)
         coeffs = cand[sel] @ (vecs * (np.where(pivot < 0, -1.0, 1.0) / np.sqrt(kept)))
-        sv = s[sel] @ coeffs
-        gram = coeffs.swapaxes(-1, -2) @ sv
-        gram = 0.5 * (gram + gram.swapaxes(-1, -2).conj())
-        groups.append((rows, NormalSpaceBasis(coeffs, means[sel], gram, (l[sel] @ sv).imag)))
+        groups.append((rows, _basis(coeffs, means[sel], s[sel], l[sel])))
     return groups
+
+
+def _basis(coeffs: np.ndarray, means: np.ndarray, s: np.ndarray, l: np.ndarray) -> NormalSpaceBasis:
+    """The stacked basis of the given coefficients (B, n^2 - 1, m), with its
+    Gram and coupling matrices."""
+    sv = s @ coeffs
+    gram = coeffs.swapaxes(-1, -2) @ sv
+    gram = 0.5 * (gram + gram.swapaxes(-1, -2).conj())
+    return NormalSpaceBasis(coeffs, means, gram, (l @ sv).imag)
 
 
 def subset(rows: np.ndarray, total: int) -> np.ndarray | slice:

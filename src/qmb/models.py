@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,12 +94,17 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + _mat(np.sin(angle)) * k + _mat(1.0 - np.cos(angle)) * (k @ k)
 
 
-def expm_generator(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(-i t H) for Hermitian H (or a stack of them) via one spectral
-    decomposition."""
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * np.asarray(t)[..., None] * w)
-    return small_matmul(v * phases[..., None, :], v.swapaxes(-1, -2).conj())
+def _su2_exp(nj: np.ndarray, x) -> np.ndarray:
+    """exp(-i x n.J) in closed form, from n.J (..., dim, dim) of a unit axis n
+    in the spin-1/2 (dim 2) or spin-1 (dim 3) representation.  Spin 1/2 is
+    cos(x/2) I - i sin(x/2) n.sigma with n.sigma = 2 n.J; spin 1, where
+    (n.J)^3 = n.J, is I - i sin(x) n.J - (1 - cos x) (n.J)^2, with
+    1 - cos x written 2 sin^2(x/2) to stay accurate at small x."""
+    half = np.asarray(x) / 2.0
+    if nj.shape[-1] == 2:
+        return _mat(np.cos(half)) * np.eye(2) - 2j * _mat(np.sin(half)) * nj
+    return (np.eye(3) - 1j * _mat(np.sin(x)) * nj
+            - _mat(2.0 * np.sin(half) ** 2) * small_matmul(nj, nj))
 
 
 @dataclass(frozen=True)
@@ -311,7 +316,7 @@ def _su2_state(cfg: ModelConfig, params: np.ndarray) -> tuple[np.ndarray, ...]:
         scales = (-t, 2.0 * s)
     gens = np.broadcast_arrays(*(_mat(k) * _dot_j(n, js) for k, n in zip(scales, axes)))
     gens = np.stack(gens, axis=-3)
-    u = expm_generator(_mat(b) * _dot_j(axes[0], js), t)
+    u = _su2_exp(_dot_j(axes[0], js), b * t)
     uh = u.swapaxes(-1, -2).conj()
     rho0 = psi0[..., :, None] * psi0[..., None, :].conj()
 
@@ -398,14 +403,30 @@ def _su2_qutrit_closed_geometry(
     return q, u
 
 
-def model_arrays(cfg: ModelConfig, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The states (..., n, n) and their derivatives (..., d, n, n) over the
-    leading axes of ``params`` (..., d) and the constants: the batch form of
-    `model_point`, which adds the closed-form oracles for one point."""
+class ModelArrays(NamedTuple):
+    """A batch of states (..., n, n) and their derivatives (..., d, n, n),
+    with what the model knows about them: ``pure`` when every state is pure
+    by construction, and, for a qubit given by its Bloch vector, ``bloch``
+    = (r (..., 3), d r (..., d, 3))."""
+
+    rho: np.ndarray
+    derivs: np.ndarray
+    pure: bool
+    bloch: tuple[np.ndarray, np.ndarray] | None
+
+
+def model_arrays(cfg: ModelConfig, params: np.ndarray) -> ModelArrays:
+    """The states and derivatives over the leading axes of ``params``
+    (..., d) and the constants: the batch form of `model_point`, which adds
+    the closed-form oracles for one point.  The SU(2) models and the tunable
+    qubit given (alpha, beta) are pure; the tunable qubit given (r_x, r_y,
+    r_z) hands over its Bloch data."""
     if cfg.model_id == "tunable_qubit":
         r, d1, d2 = _tunable_qubit_bloch_derivs(cfg, params[..., 0], params[..., 1])
-        return _bloch_state(r, np.stack([d1, d2], axis=-2))
-    return _su2_state(cfg, params)[:2]
+        dr = np.stack([d1, d2], axis=-2)
+        pure = "alpha" in cfg.constants
+        return ModelArrays(*_bloch_state(r, dr), pure, None if pure else (r, dr))
+    return ModelArrays(*_su2_state(cfg, params)[:2], True, None)
 
 
 def model_point(cfg: ModelConfig, params: Sequence[float]) -> ModelPoint:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bounds import FLAG_SINGULAR_QFIM, ReportOptions, batch_reports
 from .errors import InvalidSpec, UnknownPreset
-from .geometry import _weight_and_root, compute_geometry
+from .geometry import _weight_and_root, model_geometry
 from .linalg import WEIGHT_FLOOR
 from .models import MODEL_IDS, PARAM_NAMES, ModelConfig, model_arrays, model_config
 
@@ -321,8 +321,8 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> _Chunk:
         values.update(_saturating_angles(spec.maximize_over, values, omega))
     model_values = {k: v for k, v in values.items() if k != spec.weight.axis}
     cfg, params = _bind_values(spec.model_id, model_values)
-    rho, derivs = model_arrays(cfg, params)
-    geometry = compute_geometry(rho, derivs)
+    arrays = model_arrays(cfg, params)
+    geometry = model_geometry(*arrays)
     void = np.zeros(rows, bool)
     if spec.weight.kind == "qfim":
         weight, void = _qfim_weight(geometry)
@@ -331,7 +331,7 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> _Chunk:
     opts = ReportOptions(pseudo_inverse=spec.pseudo_inverse, compute_rld="c_rld" in spec.outputs,
                          compute_holevo="c_h" in spec.outputs or "gap_h" in spec.outputs)
     w_mat, sqrt_w = (np.broadcast_to(x, (rows, d, d)) for x in weight)
-    cols = batch_reports(rho, derivs, geometry, w_mat, sqrt_w, opts)
+    cols = batch_reports(arrays.rho, arrays.derivs, geometry, w_mat, sqrt_w, opts)
     c_s, missing = cols["c_sld"], {"c_rld": cols["no_rld"], "c_h": cols["ill"]}
     cells, gone = [bound[ax.name] for ax in spec.axes], [np.zeros(rows, bool)] * len(spec.axes)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -448,9 +448,7 @@ def emit(rows: Iterable[ResultRow], fmt: str, out: str | TextIO, spec: SweepSpec
         head = "%.12g," * (len(cols) - 1)
         pieces = itertools.chain([",".join(cols) + "\n"], (_csv_text(c, head) for c in rows.chunks))
     elif fmt == "json":
-        records = [dict(zip(cols, cells), flags=list(c.flags[code])) for c in rows.chunks
-                   for cells, code in zip(c.cells(), c.codes.tolist())]
-        pieces = [json.dumps(records, indent=1) + "\n"]
+        pieces = _json_text(rows.chunks, cols)
     else:
         raise InvalidSpec(f"unknown output format {fmt!r}")
     if isinstance(out, str):
@@ -458,6 +456,19 @@ def emit(rows: Iterable[ResultRow], fmt: str, out: str | TextIO, spec: SweepSpec
             handle.writelines(pieces)
     else:
         out.writelines(pieces)
+
+
+def _json_text(chunks: list[_Chunk], cols: list[str]) -> Iterator[str]:
+    """The bytes of ``json.dumps(records, indent=1)`` over every row, written
+    chunk by chunk: "[", each chunk's records, then "]"."""
+    opening = "[\n"
+    for chunk in chunks:
+        records = [dict(zip(cols, cells), flags=list(chunk.flags[code]))
+                   for cells, code in zip(chunk.cells(), chunk.codes.tolist())]
+        if records:  # the list's items, between its "[\n" and "\n]"
+            yield opening + json.dumps(records, indent=1)[2:-2]
+            opening = ",\n"
+    yield "[]\n" if opening == "[\n" else "\n]\n"
 
 
 def _csv_text(chunk: _Chunk, head: str) -> str:

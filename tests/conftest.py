@@ -249,12 +249,23 @@ def nelder_mead(
     return verts[best_i].copy(), vals[best_i], evals
 
 
-# The per-row arithmetic before the tiny-matrix kernels: every stacked
-# complex product a plain `@`, the Gram entries as traces of products, and R
-# from a stacked eigvalsh.  `use_matmul_oracle` routes a sweep through it,
-# so the kernels' rounding can be held to a tolerance.
+def expm_generator(h: np.ndarray, t=1.0) -> np.ndarray:
+    """exp(-i t H) for Hermitian H (or a stack of them) via one spectral
+    decomposition: the oracle of the models' closed-form SU(2) exponential."""
+    w, v = np.linalg.eigh(h)
+    phases = np.exp(-1j * np.asarray(t)[..., None] * w)
+    return (v * phases[..., None, :]) @ v.swapaxes(-1, -2).conj()
+
+
+# The per-row arithmetic before the tiny-matrix kernels and the structure-
+# aware geometry: every stacked complex product a plain `@`, the SU(2)
+# exponential by eigh, the SLDs of every model from rho's decomposition, the
+# Gram entries as traces of products, every normal space by
+# eigendecompositions, and R from a stacked eigvalsh.  `use_matmul_oracle`
+# routes a sweep through it, so the kernels' and the closed forms' rounding
+# can be held to a tolerance.
 def matmul_su2_state(cfg, params):
-    """`models._su2_state` with `@` products and a plain-`@` expm."""
+    """`models._su2_state` with `@` products and the eigh exponential."""
     c = cfg.constants
     alpha, beta, t = c["alpha"], c["beta"], c["t"]
     b, theta = params[..., 0], params[..., 1]
@@ -271,8 +282,7 @@ def matmul_su2_state(cfg, params):
         scales = (-t, 2.0 * s)
     gens = np.broadcast_arrays(*(_mat(k) * _dot_j(n, js) for k, n in zip(scales, axes)))
     gens = np.stack(gens, axis=-3)
-    w, v = np.linalg.eigh(_mat(b) * _dot_j(axes[0], js))
-    u = (v * np.exp(-1j * np.asarray(t)[..., None] * w)[..., None, :]) @ v.swapaxes(-1, -2).conj()
+    u = expm_generator(_mat(b) * _dot_j(axes[0], js), t)
     uh = u.swapaxes(-1, -2).conj()
     rho0 = psi0[..., :, None] * psi0[..., None, :].conj()
     rho = hermitian_part(u @ rho0 @ uh)
@@ -308,6 +318,12 @@ def matmul_compute_geometry(rho, derivs, check=True):
     return _geometry(q, u, tuple(slds) if slds.ndim == 3 else slds, w)
 
 
+def matmul_model_geometry(rho, derivs, pure, bloch):
+    """`geometry.model_geometry` ignoring what the model knows: every batch
+    through `matmul_compute_geometry`."""
+    return matmul_compute_geometry(rho, derivs)
+
+
 def eigvalsh_spectral_radius(g):
     """`geometry._spectral_radius` by a stacked eigvalsh for every d."""
     qinv_sqrt = g._qfim_inverses[1]
@@ -316,10 +332,13 @@ def eigvalsh_spectral_radius(g):
 
 
 def use_matmul_oracle(monkeypatch) -> None:
-    """Route `run_sweep` and the one-point functions through the oracles above."""
+    """Route `run_sweep` and the one-point functions through the oracles
+    above; an infinite margin sends every qubit row of `_normal_spaces`
+    through the eigendecompositions."""
     monkeypatch.setattr(models, "_su2_state", matmul_su2_state)
-    for module in (sweep, bounds):
-        monkeypatch.setattr(module, "compute_geometry", matmul_compute_geometry)
+    monkeypatch.setattr(sweep, "model_geometry", matmul_model_geometry)
+    monkeypatch.setattr(bounds, "compute_geometry", matmul_compute_geometry)
+    monkeypatch.setattr(geometry, "_QUBIT_MARGIN", np.inf)
     for module in (geometry, bounds):
         monkeypatch.setattr(module, "_spectral_radius", eigvalsh_spectral_radius)
 

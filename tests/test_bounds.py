@@ -776,7 +776,7 @@ class TestPureStateShortcut:
         offsets = np.concatenate([-np.logspace(-2.0, -7.5, 23), [0.0], np.logspace(-7.5, -2.0, 23)])
         params = np.stack(np.broadcast_arrays(2.0 * np.pi + offsets[:, None], [[0.3, 0.9]]), -1)
         cfg = model_config("su2_qubit", alpha=1.0, beta=0.3, t=1.0)
-        rho, derivs = (x.reshape((-1,) + x.shape[2:]) for x in model_arrays(cfg, params))
+        rho, derivs = (x.reshape((-1,) + x.shape[2:]) for x in model_arrays(cfg, params)[:2])
         g, sizes, ill = self._assert_shortcut_rows_are_the_empty_ones(monkeypatch, rho, derivs)
         q = np.linalg.eigvalsh(g.qfim)
         cond = q[:, -1] / np.maximum(q[:, 0], 1e-300)
@@ -792,7 +792,7 @@ class TestPureStateShortcut:
         cfg = model_config("tunable_qubit", gamma=0.7, theta=1.1, phi=0.4,
                            r_x=r[0], r_y=r[1], r_z=r[2])
         params = np.stack(np.broadcast_arrays(np.linspace(0.1, 1.3, 7), 0.2), -1)
-        rho, derivs = model_arrays(cfg, params)
+        rho, derivs = model_arrays(cfg, params)[:2]
         _, sizes, ill = self._assert_shortcut_rows_are_the_empty_ones(monkeypatch, rho, derivs)
         assert not ill.any()
         assert (sizes == (1 if radius == 1.0 - 1e-8 else 0)).all()

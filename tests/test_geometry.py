@@ -3,27 +3,31 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from qmb import geometry
 from qmb.errors import DerivativeNotTraceless, NonHermitianInput, SingularQFIM, SingularState
 from qmb.geometry import (
     RANK_TOL,
     _gell_mann,
     _geometry,
+    _normal_spaces,
     _qfim_inverse,
     _spectral_radius,
     _weight_and_root,
     _weight_frame,
     compute_geometry,
     geometry_from_matrices,
+    model_geometry,
     quantumness_R,
     rld_qfim,
     t_measure,
     t_saturation_analysis,
+    take,
     tangent_normal_decomposition,
     uhlmann_axial,
     weight_transform,
 )
 from qmb.linalg import hermitian_part, rld_solve, sld_solve
-from qmb.models import model_config, su2_qutrit_point, tunable_qubit_point
+from qmb.models import PAULI, model_config, su2_qutrit_point, tunable_qubit_point
 
 from conftest import (
     eigvalsh_spectral_radius,
@@ -32,6 +36,7 @@ from conftest import (
     random_pure_model,
     random_rank_deficient_model,
     random_spd,
+    random_traceless_hermitian,
 )
 
 
@@ -107,6 +112,33 @@ class TestComputeGeometry:
             compute_geometry(rho, [derivs[0], derivs[1] + 0.1j * np.eye(3)])
         with pytest.raises(DerivativeNotTraceless):
             compute_geometry(rho, [derivs[0], derivs[1] + 0.1 * np.eye(3)])
+
+    @pytest.mark.parametrize("route", ["pure_qubit", "pure_qutrit", "bloch"])
+    def test_model_geometry_validates_as_compute_geometry(self, rng, route):
+        # each route raises what compute_geometry raises, first failing row
+        # first; the floor of a 2x2 state is read in closed form
+        n = 3 if route == "pure_qutrit" else 2
+        rho, derivs = random_pure_model(rng, n, 2)
+        rho, derivs = np.stack([rho, rho]), np.stack([np.stack(derivs)] * 2)
+        r, dr = np.array([[0.0, 0.0, 1.0]] * 2), np.zeros((2, 2, 3))
+        known = (False, (r, dr)) if route == "bloch" else (True, None)
+
+        def second(batch, row):  # the batch with its second row replaced
+            return np.stack([batch[0], row])
+
+        bad = {
+            "trace": (second(rho, 2.0 * rho[1]), derivs),
+            "negative eigenvalue": (second(rho, (1.0 + 1e-6) * rho[1] - 1e-6 * np.eye(n) / n),
+                                    derivs),
+            "drho is not Hermitian": (rho, second(derivs, derivs[1] + 0.1j * np.eye(n))),
+            "Tr drho": (rho, second(derivs, derivs[1] + 0.1 * np.eye(n))),
+        }
+        for match, (states, ds) in bad.items():
+            with pytest.raises(Exception, match=match) as want:
+                compute_geometry(states, ds)
+            with pytest.raises(type(want.value), match=match) as got:
+                model_geometry(states, ds, *known)
+            assert str(got.value) == str(want.value)
 
     def test_decomposes_rho_and_q_once_each(self, rng, monkeypatch):
         # validation, the SLDs, the tangent rank and the inverses of Q all
@@ -451,6 +483,51 @@ class TestNormalSpace:
         # the only surviving coupling is to the third parameter direction
         assert np.abs(basis.coupling[2, 0]) == pytest.approx(2 * np.sqrt(2), abs=1e-8)
         assert np.max(np.abs(basis.coupling[:2, 0])) <= 1e-8
+
+    @given(radius=st.floats(0.0, 0.999), seed=st.integers(0, 2**16))
+    def test_qubit_closed_form_matches_eigen_route(self, radius, seed):
+        # the closed-form direction (I - r r^T)^-1 (b_1 x b_2) of a two-parameter
+        # qubit against the eigendecompositions (an infinite margin sends every
+        # row there), sign included; the rows of one batch span many radii.
+        # (Nearer the pure states, random derivatives give the SLDs radial
+        # parts of order 1 / (1 - |r|^2), and the eigendecompositions' own
+        # rounding of about 1e-16 cond(Q) reaches the RANK_TOL cut.)
+        rng = np.random.default_rng(seed)
+        def bloch(r):  # (I + r.sigma) / 2
+            return 0.5 * (np.eye(2) + sum(c * p for c, p in zip(r, PAULI)))
+
+        rho, slds = [], []
+        for scale in np.linspace(0.0, 1.0, 8):
+            v = rng.normal(size=3)
+            state = bloch(scale * radius * v / np.linalg.norm(v))
+            derivs = [random_traceless_hermitian(rng, 2) for _ in range(2)]
+            rho.append(state)
+            slds.append(compute_geometry(state, np.stack(derivs)).slds)
+        # rows the margin keeps from the closed form: a rank-1 tangent space,
+        # and a near-pure state (tangent derivatives) whose direction falls
+        # under the RANK_TOL cut
+        rho.append(bloch(0.5 * radius * v / np.linalg.norm(v)))
+        slds.append(compute_geometry(rho[-1], np.stack([derivs[0], 2.0 * derivs[0]])).slds)
+        r = (1.0 - 1e-10) * v / np.linalg.norm(v)
+        rho.append(bloch(r))
+        tangent = [bloch(np.cross(r, rng.normal(size=3))) - bloch(np.zeros(3)) for _ in range(2)]
+        slds.append(compute_geometry(rho[-1], np.stack(tangent)).slds)
+        rho, slds = np.stack(rho), np.stack(slds)
+        got = _normal_spaces(rho, slds)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(geometry, "_QUBIT_MARGIN", np.inf)
+            want = _normal_spaces(rho, slds)
+
+        def by_row(groups):
+            return {int(i): take(basis, k) for rows, basis in groups for k, i in enumerate(rows)}
+
+        got, want = by_row(got), by_row(want)
+        assert got.keys() == want.keys() == set(range(len(rho)))
+        for i, basis in got.items():
+            assert basis.size == want[i].size
+            for name in ("coeffs", "gram", "coupling"):
+                np.testing.assert_allclose(getattr(basis, name), getattr(want[i], name),
+                                           rtol=0, atol=1e-11)
 
     def test_invariants_random_models(self, rng):
         for n, d in ((2, 2), (3, 2), (3, 3)):

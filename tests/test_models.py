@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from qmb.errors import StepTooLarge
 from qmb.models import (
     PAULI,
+    _su2_exp,
     _tunable_qubit_bloch_derivs,
-    expm_generator,
     generator_geometry,
     model_config,
     model_point,
@@ -21,7 +21,7 @@ from qmb.models import (
     unitary_generator,
 )
 
-from conftest import tunable_qubit_pure_geometry_grid
+from conftest import expm_generator, tunable_qubit_pure_geometry_grid
 
 
 def _bloch_closed_form(
@@ -321,6 +321,31 @@ class TestSu2Qutrit:
         qb, ub = pb.analytic_geometry
         assert np.max(np.abs(qa - qb)) <= 1e-12
         assert np.max(np.abs(ua - ub)) <= 1e-12
+
+
+class TestSu2Exponential:
+    """The closed-form SU(2) exponential against the spectral one."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("x", [0.0, np.pi, 2.0 * np.pi])
+    def test_special_angles(self, dim, x):
+        js = su2_generators(dim)
+        for axis in np.eye(3):
+            nj = sum(a * j for a, j in zip(axis, js))
+            assert np.max(np.abs(_su2_exp(nj, x) - expm_generator(nj, x))) <= 1e-13
+
+    @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
+           scale=st.floats(1e-9, 20.0))
+    def test_random_axes(self, dim, seed, scale):
+        # a stack of random unit axes and angles up to 20
+        rng = np.random.default_rng(seed)
+        axes = rng.normal(size=(8, 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        x = scale * rng.uniform(-1.0, 1.0, size=8)
+        nj = sum(axes[:, k, None, None] * j for k, j in enumerate(su2_generators(dim)))
+        got = _su2_exp(nj, x)
+        assert np.max(np.abs(got - expm_generator(nj, x))) <= 1e-13
+        assert np.max(np.abs(got @ got.conj().swapaxes(-1, -2) - np.eye(dim))) <= 1e-13
 
 
 class TestUnitaryGenerator:

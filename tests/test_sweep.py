@@ -35,7 +35,7 @@ from qmb.sweep import (
 )
 
 from conftest import (
-    matmul_compute_geometry,
+    matmul_model_geometry,
     nelder_mead,
     tunable_qubit_pure_geometry_grid,
     use_matmul_oracle,
@@ -377,9 +377,11 @@ class TestEmit:
     def test_sweep_result_matches_per_cell_writer(self, case):
         if case == "fig4_two_chunks":  # 1089 rows: a full chunk, then a short one
             spec = figure_preset("fig4", {"count": 33})
-        elif case == "fig1_singular_rows":  # omega >= 1e12 rows are void, between valid ones
+        elif case == "fig1_singular_rows":  # omega > 1e12 rows are void, between valid ones
+            # (cond(Q) = omega, so omega = 1e12 itself sits on COND_LIMIT to
+            # within an ulp, and the grid steps around it)
             spec = replace(figure_preset("fig1"), axes=(
-                Axis("lambda1", 0.0, 0.5, 3), Axis("omega_log10", 11.0, 13.0, 5)))
+                Axis("lambda1", 0.0, 0.5, 3), Axis("omega_log10", 11.25, 13.25, 5)))
         else:  # a pure state voids c_rld alone
             spec = SweepSpec("su2_qubit", fixed={"alpha": 1.0, "beta": 0.0, "t": 2.0, "theta": 0.3},
                              axes=(Axis("B", 0.5, 1.0, 3),))
@@ -400,6 +402,25 @@ class TestEmit:
             assert out.getvalue() == oracle(listed, spec)
         with pytest.raises(IndexError):
             rows[len(rows)]
+
+    def test_json_written_chunk_by_chunk(self):
+        # each chunk's records are encoded and written on their own, so a
+        # big sweep never holds its whole JSON text
+        spec = figure_preset("fig4", {"count": 33})
+        rows = run_sweep(spec)
+        writes = []
+
+        class Recorder(io.StringIO):
+            def writelines(self, pieces):
+                for piece in pieces:
+                    writes.append(len(piece))
+                    self.write(piece)
+
+        out = Recorder()
+        emit(rows, "json", out, spec)
+        assert len(rows.chunks) == 2 and len(writes) == 3
+        assert out.getvalue() == _per_record_json(list(rows), spec)
+        assert writes[-1] == len("\n]\n")
 
     def test_benchmark_call_forms(self, tmp_path):
         # the benchmark worker calls run_sweep(spec, threads=1), then emit
@@ -494,18 +515,22 @@ class TestFigurePresets:
             if name == "fig5":
                 assert sum(calls) == 36
 
-    def test_fig1_decomposes_three_times_per_chunk(self, monkeypatch):
-        # one stacked eigh each of rho, Q and W; R is closed form, and W's
-        # definiteness comes from the eigh its root needs
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig4"])
+    def test_decomposes_twice_per_chunk(self, name, monkeypatch):
+        # one stacked eigh each of Q and W: the pure states (fig1, fig4) and
+        # the mixed qubit (fig2) are never decomposed, the SU(2) exponential
+        # and the qubit's normal direction are closed form, R is closed form,
+        # and W's definiteness comes from the eigh its root needs
         calls = []
-        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
-            fn = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name,
-                                lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
-        spec = validate_spec(figure_preset("fig1"))
+        for fn_name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+            fn = getattr(np.linalg, fn_name)
+            monkeypatch.setattr(np.linalg, fn_name, lambda *a, _fn=fn, _name=fn_name, **k: (
+                calls.append(_name) or _fn(*a, **k)))
+        spec = validate_spec(figure_preset(name, {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}))
         calls.clear()
-        assert len(run_sweep(spec)) == 33
-        assert calls == ["eigh"] * 3
+        rows = len(run_sweep(spec))
+        assert rows == {"fig1": 33, "fig2": 4096, "fig4": 2304}[name]
+        assert calls == ["eigh"] * 2 * -(-rows // sweep._CHUNK)
 
     def test_fig1_singular_rows_flagged_not_fatal(self):
         # at the saturating angles Q = diag(4 / omega, 4) for omega >= 1, so
@@ -1050,26 +1075,14 @@ class TestChunkedSweep:
             _assert_rows_close(row, want, 1e-12, cond)
 
     @pytest.mark.parametrize("name", ["fig2", "fig3a", "fig3b", "fig4", "fig5"])
-    def test_kernels_match_matmul_oracle(self, name, monkeypatch):
-        # the tiny-matrix kernels and the closed-form R round differently
-        # from the plain `@` chain and eigvalsh; conditioning amplifies that
+    def test_kernels_match_matmul_oracle(self, name):
+        # the tiny-matrix kernels, the closed-form R and the routes that use
+        # what the models know round differently from the plain `@` chain,
+        # eigvalsh and rho's decomposition; conditioning amplifies that
         config = {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}
         spec = replace(validate_spec(figure_preset(name, {**config, "count": 12})),
                        outputs=("c_sld", "c_rld", "c_t", "c_r", "c_h", "R", "T"))
-        rows = run_sweep(spec)
-        use_matmul_oracle(monkeypatch)
-        qfims = []
-
-        def recorded(*args, **kwargs):
-            g = matmul_compute_geometry(*args, **kwargs)
-            qfims.append(g.qfim)
-            return g
-
-        monkeypatch.setattr(sweep, "compute_geometry", recorded)
-        want = run_sweep(spec)
-        conds = np.linalg.cond(np.concatenate(qfims))
-        for got, ref, cond in zip(rows, want, conds, strict=True):
-            _assert_rows_close(got, ref, 1e-12, cond)
+        _assert_sweep_matches_oracle(spec)
 
     @pytest.mark.parametrize("lambda_2", [5e-11, 1e-10, 1.5e-10, 2e-10, 2.5e-10, 1e-9])
     def test_pure_mixed_line_agrees(self, lambda_2):
@@ -1181,3 +1194,97 @@ class TestChunkedSweep:
         with pytest.raises(InvalidSpec) as info:
             run_sweep(spec)
         assert str(info.value) == message
+
+
+def _assert_sweep_matches_oracle(spec):
+    """Every row of ``spec``'s sweep within (1e-12 + 1e-16 cond(Q)) |v| of the
+    sweep through `use_matmul_oracle`, with identical flags; returns the rows."""
+    rows = run_sweep(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        use_matmul_oracle(patch)
+        qfims = []
+
+        def recorded(*args, **kwargs):
+            g = matmul_model_geometry(*args, **kwargs)
+            qfims.append(g.qfim)
+            return g
+
+        patch.setattr(sweep, "model_geometry", recorded)
+        want = run_sweep(spec)
+    conds = np.linalg.cond(np.concatenate(qfims))
+    for got, ref, cond in zip(rows, want, conds, strict=True):
+        _assert_rows_close(got, ref, 1e-12, cond)
+    return rows
+
+
+class TestStructuredRoutes:
+    """The pure route, the mixed-qubit route and the qubit's closed-form
+    normal direction against the SLD route kept in tests/conftest.py."""
+
+    ROUTE_OUTPUTS = ("c_sld", "c_rld", "c_t", "c_r", "c_h", "R", "T")
+
+    def test_fig1_matches_oracle(self):
+        # the maximized rows are pure by construction; omega = 1e12 exactly
+        # sits on COND_LIMIT to within an ulp, so the singular end steps past it
+        spec = figure_preset("fig1", {"count": 12})
+        _assert_sweep_matches_oracle(spec)
+        spec = replace(spec, axes=(Axis("lambda1", 0.0, 0.5, 3), Axis("omega_log10", 10.5, 13.5, 4)))
+        flags = [row.flags for row in _assert_sweep_matches_oracle(spec)]
+        assert flags == [(), (), ("SingularQFIM",), ("SingularQFIM",)] * 3
+
+    @pytest.mark.parametrize("model_id", ["su2_qubit", "su2_qutrit"])
+    def test_singular_line_matches_oracle(self, model_id):
+        # B t = 2 pi carries no theta information: the grid of
+        # test_su2_qubit_grid_crossing_the_singular_line closes in on it from
+        # both sides, through the ill-conditioned rows (one-direction normal
+        # spaces of a pure state) into the singular ones
+        offsets = np.concatenate([-np.logspace(-2.0, -7.5, 23), [0.0], np.logspace(-7.5, -2.0, 23)])
+        fixed = {"alpha": 1.0, "beta": 0.3, "t": 1.0}
+        if model_id == "su2_qutrit":
+            fixed["phi"] = 0.4
+        flags = []
+        for b in 2.0 * math.pi + offsets:
+            spec = SweepSpec(model_id, fixed={**fixed, "B": float(b)},
+                             axes=(Axis("theta", 0.3, 0.9, 2),), outputs=self.ROUTE_OUTPUTS)
+            flags += [row.flags for row in _assert_sweep_matches_oracle(spec)]
+        assert flags.count(("RldUnavailable", "SingularQFIM")) >= 4
+        assert flags.count(("RldUnavailable",)) >= 40
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        radius=st.sampled_from([1.0, 1.0 - 1e-12]),
+        polar=st.floats(0.3, 2.8), theta=st.floats(0.3, 2.8), gamma=st.floats(0.3, 1.2),
+        angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=3),
+    )
+    def test_near_pure_probes_match_oracle(self, radius, polar, theta, gamma, angles):
+        # rho's lower eigenvalue is at most 5e-13: the qubit route's SLD
+        # drops its support term, Re S is singular to within it, and every
+        # row takes the pure-state shortcut C_H = C_T.  The probe's polar
+        # angle, theta and gamma stay away from 0 and pi, the model's
+        # singular lines, where Q's small eigenvalue carries rounding of
+        # about 1e-15 cond(Q) on either route
+        azimuth, phi, lambda2 = angles
+        r = radius * np.array([math.sin(polar) * math.cos(azimuth),
+                               math.sin(polar) * math.sin(azimuth), math.cos(polar)])
+        fixed = {"gamma": gamma, "theta": theta, "phi": phi, "lambda2": lambda2,
+                 "r_x": r[0], "r_y": r[1], "r_z": r[2]}
+        spec = SweepSpec("tunable_qubit", fixed=fixed, outputs=self.ROUTE_OUTPUTS,
+                         axes=(Axis("lambda1", 0.1, 1.3, 7),))
+        for row in _assert_sweep_matches_oracle(spec):
+            assert row.outputs["c_h"] == row.outputs["c_t"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(lambda_2=st.floats(5e-11, 1e-9), lambda_1=st.floats(0.0, math.pi),
+           phi=st.floats(0.0, 2.0 * math.pi))
+    def test_pure_mixed_band_matches_oracle(self, lambda_2, lambda_1, phi):
+        # the band of test_pure_mixed_line_agrees; c_rld is left out because
+        # lambda_2 = 1e-10 puts rho's lower eigenvalue on SUPPORT_TOL itself,
+        # where RldUnavailable follows the last bit
+        r = 1.0 - 2.0 * lambda_2
+        r_xy = math.sqrt((r * r - 0.4**2) / 2.0)
+        fixed = {"gamma": math.pi / 4, "theta": math.pi / 2, "phi": phi, "lambda2": 0.0,
+                 "lambda1": lambda_1, "r_x": r_xy, "r_y": r_xy, "r_z": 0.4}
+        spec = SweepSpec("tunable_qubit", fixed=fixed,
+                         outputs=tuple(name for name in self.ROUTE_OUTPUTS if name != "c_rld"))
+        row, = _assert_sweep_matches_oracle(spec)
+        assert row.outputs["c_h"] == row.outputs["c_t"]

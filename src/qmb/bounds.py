@@ -33,6 +33,7 @@ from .geometry import (
     _normal_spaces,
     _rld_matrix,
     _spectral_radius,
+    _vector_normal_spaces,
     _weight_and_root,
     _WeightFrame,
     _weight_frame,
@@ -453,7 +454,7 @@ def full_report(
     g = geometry or compute_geometry(point.rho, point.derivs)
     w_mat, sqrt_w = _weight_and_root(w_mat, g.n_params)
     one = InformationGeometry(*(v if v is None else np.asarray(v)[None] for v in (
-        g.qfim, g.uhlmann, g.slds, g.tangent_dim, g.rho_spectrum)))
+        g.qfim, g.uhlmann, g.slds, g.tangent_dim, g.rho_spectrum, g.psi)))
     one.__dict__.update({k: tuple(x[None] for x in getattr(g, k))  # the cached decompositions
                          for k in ("_qfim_eigh", "_qfim_inverses")})
     rho, derivs = np.asarray(point.rho)[None], np.asarray(point.derivs)[None]
@@ -467,7 +468,7 @@ def full_report(
 
 
 def batch_reports(
-    rho: np.ndarray, derivs: np.ndarray, g: InformationGeometry, w_mat: np.ndarray,
+    rho: np.ndarray | None, derivs: np.ndarray | None, g: InformationGeometry, w_mat: np.ndarray,
     sqrt_w: np.ndarray, opts: ReportOptions,
 ) -> dict:
     """`full_report` for a batch of states (B, n, n), derivatives (B, d, n, n),
@@ -476,24 +477,30 @@ def batch_reports(
     (c_rld, c_h, lower None when not computed), the masks null, ill, no_rld
     and not_converged, each flag's mask, and the rows of each normal-space
     size with their solutions ("holevo").  Only the dual solve runs point by
-    point.  A pure state whose tangent space fills the 2(n - 1) directions
-    of pure states has no normal space (Matsumoto, J. Phys. A 35, 3111, 2002)."""
+    point.  A geometry of pure states given as vectors (``g.psi``) needs
+    neither rho nor derivs: such a state has no RLD bound, and its normal
+    space is built from the vectors.  A pure state whose tangent space fills
+    the 2(n - 1) directions of pure states has no normal space (Matsumoto,
+    J. Phys. A 35, 3111, 2002)."""
     frame = _frame(g, w_mat, sqrt_w)
-    ill = frame.used_pseudo
+    ill, points = frame.used_pseudo, len(w_mat)
     null = ill & ((g._qfim_eigh[0][:, -1] <= 0.0) | (not opts.pseudo_inverse))
     with np.errstate(divide="ignore", invalid="ignore"):  # T of a zero Q: a null row
         c_t, t_value = frame.c_t, frame.t_value
-    c_rld, no_rld = None, np.zeros(len(rho), bool)
+    c_rld, no_rld = None, np.zeros(points, bool)
     if opts.compute_rld:
         spectrum = np.linalg.eigvalsh(rho) if g.rho_spectrum is None else g.rho_spectrum
         no_rld = np.min(spectrum, axis=-1) <= SUPPORT_TOL  # rank deficient
-        full_rank = np.where(no_rld[:, None, None], np.eye(rho.shape[-1]), rho)
-        c_rld, singular = _c_rld(_rld_matrix(full_rank, derivs), w_mat)
-        no_rld |= singular
-    c_h, lower, not_converged, groups = None, None, np.zeros(len(rho), bool), []
+        c_rld = np.full(points, np.nan)
+        if not no_rld.all():
+            full_rank = np.where(no_rld[:, None, None], np.eye(rho.shape[-1]), rho)
+            c_rld, singular = _c_rld(_rld_matrix(full_rank, derivs), w_mat)
+            no_rld |= singular
+    c_h, lower, not_converged, groups = None, None, np.zeros(points, bool), []
     if opts.compute_holevo:
-        pure = ~ill & (g.tangent_dim == 2 * (rho.shape[-1] - 1))
-        pure &= False if g.rho_spectrum is None else g.rho_spectrum[:, 1] <= SUPPORT_TOL
+        spectrum = g.rho_spectrum
+        pure = ~ill & (False if spectrum is None else (
+            (g.tangent_dim == 2 * (spectrum.shape[-1] - 1)) & (spectrum[:, 1] <= SUPPORT_TOL)))
         if pure.any():  # K = 0 at C_T
             rows = np.flatnonzero(pure)
             k = np.zeros((len(rows), 0, g.n_params))
@@ -502,12 +509,17 @@ def batch_reports(
         if regular.size:
             if np.size(g.slds) == 0:
                 raise InvalidInput("geometry must carry SLD operators")
-            sel = subset(regular, len(rho))
-            for rows, basis in _normal_spaces(rho[sel], g.slds[sel]):
+            sel = subset(regular, points)
+            if g.psi is None:
+                spaces = _normal_spaces(rho[sel], g.slds[sel])
+            else:
+                spaces = _vector_normal_spaces(g.psi[sel], g.slds[sel],
+                                               tuple(x[sel] for x in g._qfim_eigh))
+            for rows, basis in spaces:
                 rows = regular[rows]
-                setup = _tangent_setup(g, basis, take(frame, subset(rows, len(rho))))
+                setup = _tangent_setup(g, basis, take(frame, subset(rows, points)))
                 groups.append((rows, _holevo_solutions(setup)))
-        c_h, lower = np.full((2, len(rho)), np.nan)
+        c_h, lower = np.full((2, points), np.nan)
         for rows, sol in groups:
             c_h[rows], lower[rows], not_converged[rows] = sol.value, sol.lower, ~sol.converged
     r_val = _spectral_radius(g)

@@ -19,6 +19,7 @@ from .linalg import (
     require_derivative,
     require_full_rank,
     require_hermitian,
+    require_pure_state,
     require_weight,
     sld_in_eigenbasis,
     small_matmul,
@@ -38,13 +39,16 @@ _QUBIT_MARGIN = 10.0
 class InformationGeometry:
     """SLD QFIM, mean Uhlmann curvature, the SLDs, the tangent-space rank and the
     descending spectrum of rho (if known), of one point or of a batch stacked along
-    a leading axis (then ``slds`` is (B, d, n, n), ``tangent_dim`` an integer array)."""
+    a leading axis (then ``slds`` is (B, d, n, n), ``tangent_dim`` an integer array).
+    A batch of pure states given as vectors carries them in ``psi`` (B, n), and
+    ``slds`` then holds the vectors L_k psi (B, d, n)."""
 
     qfim: np.ndarray
     uhlmann: np.ndarray
     slds: tuple[np.ndarray, ...]
     tangent_dim: int
     rho_spectrum: np.ndarray | None = None
+    psi: np.ndarray | None = None
 
     @property
     def n_params(self) -> int:
@@ -106,16 +110,23 @@ def geometry_from_matrices(
     return _geometry(0.5 * (q + q.T), 0.5 * (u - u.T), tuple(np.asarray(s) for s in slds))
 
 
-def _geometry(q: np.ndarray, u: np.ndarray, slds: tuple, rho_spectrum=None) -> InformationGeometry:
+def _geometry(q: np.ndarray, u: np.ndarray, slds: tuple, rho_spectrum=None,
+              psi=None) -> InformationGeometry:
     """The geometry of (Q, U, SLDs); the one eigendecomposition of Q gives
     the tangent rank at relative tolerance RANK_TOL and fills the
     geometry's cached eigenpairs."""
     w, v = np.linalg.eigh(q)
-    top = w[..., -1:]
-    rank = np.where(top[..., 0] > 0, np.sum(w > RANK_TOL * top, axis=-1), 0)
-    g = InformationGeometry(q, u, slds, rank if rank.ndim else int(rank), rho_spectrum)
+    rank = np.sum(_tangent_mask(w), axis=-1)
+    g = InformationGeometry(q, u, slds, rank if rank.ndim else int(rank), rho_spectrum, psi)
     g.__dict__["_qfim_eigh"] = (w, v)  # the cached_property slot
     return g
+
+
+def _tangent_mask(w: np.ndarray) -> np.ndarray:
+    """The eigenvalues of Q (ascending) that span the tangent space: those
+    above RANK_TOL times the largest, none where Q has no positive one."""
+    top = w[..., -1:]
+    return (w > RANK_TOL * top) & (top > 0)
 
 
 def compute_geometry(
@@ -158,50 +169,59 @@ def _sld_gram(rho: np.ndarray, slds: Sequence[np.ndarray]) -> tuple[np.ndarray, 
         for b in range(a, d):  # Tr[X Y] = sum_ij X_ij Y_ji, with no product
             gram[..., a, b] = (rho_l[a] * slds[b].swapaxes(-1, -2)).sum(axis=(-2, -1))
             gram[..., b, a] = np.conj(gram[..., a, b])
+    return _split_gram(gram)
+
+
+def _split_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, U), the symmetric real and antisymmetric imaginary parts of the
+    Gram matrix Q + iU of the SLDs."""
     q = 0.5 * (gram.real + gram.real.swapaxes(-1, -2))
     u = 0.5 * (gram.imag - gram.imag.swapaxes(-1, -2))
+    d = gram.shape[-1]
     u[..., range(d), range(d)] = 0.0
     return q, u
 
 
 def model_geometry(
-    rho: np.ndarray, derivs: np.ndarray, pure: bool, bloch: tuple | None
+    rho: np.ndarray | None, derivs: np.ndarray | None, pure: tuple | None, bloch: tuple | None
 ) -> InformationGeometry:
-    """The geometry of a batch of states (B, n, n) with derivatives
-    (B, d, n, n), taking what the model knows about them (the fields of
-    `models.ModelArrays`); without that, `compute_geometry`.  Each route
-    validates the states and derivatives as `compute_geometry` does, with
-    rho's eigenvalue floor read in closed form for n = 2.
+    """The geometry of a batch of states, taking what the model knows about
+    them (the fields of `models.ModelArrays`); without that, `compute_geometry`
+    of the states (B, n, n) and derivatives (B, d, n, n).  Each route
+    validates its input as `compute_geometry` does, in the form it has.
 
-    * ``pure``: L_i = 2 d_i rho solves the SLD equation exactly, with no
-      block off the support (Matsumoto, J. Phys. A 35, 3111, 2002), and the
-      spectrum is (1, 0, ...): rho is not decomposed.
+    * ``pure`` = (psi, l): Q + iU = <l_a|l_b> (Matsumoto, J. Phys. A 35,
+      3111, 2002), and the spectrum is (1, 0, ...); see `_vector_geometry`.
     * ``bloch`` = (r, d r) of a qubit: L_i = a_i I + b_i.sigma with
       a_i = -(r.d_i r) / (1 - |r|^2) and b_i = d_i r - a_i r, Q_ij = d_i r.d_j r
       + (r.d_i r)(r.d_j r) / (1 - |r|^2) and U_ij = r.(d_i r x d_j r), with
-      the spectrum (1 +- |r|) / 2.  Where (1 - |r|) / 2 + (1 - |r|) / 2 is at
-      or below SUPPORT_TOL, the L's entry on the lower eigenvector is 0, as
-      `sld_in_eigenbasis` has it.
+      the spectrum (1 +- |r|) / 2, which also gives rho's eigenvalue floor.
+      Where (1 - |r|) / 2 + (1 - |r|) / 2 is at or below SUPPORT_TOL, the
+      L's entry on the lower eigenvector is 0, as `sld_in_eigenbasis` has it.
     """
-    if not pure and bloch is None:
+    if pure is not None:
+        return _vector_geometry(*pure)
+    if bloch is None:
         return compute_geometry(rho, derivs)
     derivs = _need_derivatives(derivs)
     rho = _require_unit_trace(rho, "rho")
-    n = rho.shape[-1]
-    if n == 2:  # the eigenvalues are (Tr rho +- |r|) / 2
-        radius = np.hypot((rho[..., 0, 0] - rho[..., 1, 1]).real, 2.0 * np.abs(rho[..., 0, 1]))
-        lowest = 0.5 * (np.trace(rho, axis1=-2, axis2=-1).real - radius)
-    else:
-        lowest = np.linalg.eigvalsh(rho)[..., 0]
-    _require_eig_floor(lowest, "rho")
-    derivs = require_derivative(derivs)
-    if pure:
-        slds = 2.0 * derivs
-        spectrum = np.zeros(rho.shape[:-1])
-        spectrum[..., 0] = 1.0
-        q, u = _sld_gram(rho, np.moveaxis(slds, -3, 0))
-        return _geometry(q, u, slds, spectrum)
+    # the eigenvalues of a 2x2 state are (Tr rho +- |r|) / 2
+    radius = np.hypot((rho[..., 0, 0] - rho[..., 1, 1]).real, 2.0 * np.abs(rho[..., 0, 1]))
+    _require_eig_floor(0.5 * (np.trace(rho, axis1=-2, axis2=-1).real - radius), "rho")
+    require_derivative(derivs)
     return _bloch_geometry(*bloch)
+
+
+def _vector_geometry(psi: np.ndarray, ells: np.ndarray) -> InformationGeometry:
+    """The geometry of pure states psi (B, n) from the vectors l_k = L_k psi
+    (B, d, n) of their SLDs: Tr[rho L_a L_b] = <l_a|l_b>, so Q and U are the
+    real and imaginary parts of one Gram matrix, and rho = psi psi^dag is
+    never formed.  `require_pure_state` checks the vectors."""
+    psi, ells = require_pure_state(psi, ells)
+    q, u = _split_gram((ells.conj()[..., :, None, :] * ells[..., None, :, :]).sum(-1))
+    spectrum = np.zeros(psi.shape)
+    spectrum[..., 0] = 1.0
+    return _geometry(q, u, ells, spectrum, psi)
 
 
 def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
@@ -466,7 +486,9 @@ class NormalSpaceBasis:
     Direction j is P_j = sum_a coeffs[a, j] (G_a - c_a) in the Gell-Mann basis,
     c_a = Tr[rho G_a] (``means``), so Tr[rho P_j] = 0.  ``gram`` is the complex
     matrix Tr[rho P_i P_j] (its real part is the identity by orthonormality)
-    and ``coupling`` is Im Tr[rho L_i P_j]."""
+    and ``coupling`` is Im Tr[rho L_i P_j].  For pure states given as
+    vectors (`_vector_normal_spaces`), ``coeffs`` holds the vectors P_j psi
+    as columns and ``means`` holds psi; ``ops`` reads the Gell-Mann form."""
 
     coeffs: np.ndarray
     means: np.ndarray
@@ -566,7 +588,7 @@ def _eigen_normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray) -> lis
     # Orthonormalize the tangent span first so projection works even when
     # the SLD Gram matrix is (near) singular.
     tw, tv = np.linalg.eigh(l @ s_re @ l.swapaxes(-1, -2))
-    keep = ((tw > RANK_TOL * np.maximum(tw[:, -1:], 0.0)) & (tw > 0))[:, None, :]
+    keep = _tangent_mask(tw)[:, None, :]
     frame = np.where(keep, tv / np.sqrt(np.where(keep, tw[:, None, :], 1.0)), 0.0)
     frame = frame.swapaxes(-1, -2) @ l
     cand = np.eye(s.shape[-1]) - frame.swapaxes(-1, -2) @ (frame @ s_re)
@@ -584,6 +606,44 @@ def _eigen_normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray) -> lis
         pivot = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[:, None, :], axis=-2)
         coeffs = cand[sel] @ (vecs * (np.where(pivot < 0, -1.0, 1.0) / np.sqrt(kept)))
         groups.append((rows, _basis(coeffs, means[sel], s[sel], l[sel])))
+    return groups
+
+
+def _vector_normal_spaces(psi: np.ndarray, ells: np.ndarray, qfim_eigh: tuple) -> list:
+    """`_normal_spaces` of pure states psi (B, n) given with l_k = L_k psi
+    (B, d, n) and the eigendecomposition of Q, grouped the same way.
+
+    Tr[rho X Y] = <X psi|Y psi> for a pure state, so a direction P of the
+    normal space is its vector p = P psi: p lies in the real 2(n - 1)
+    dimensions orthogonal to psi and i psi (Tr[rho P] = 0) and is orthogonal
+    to every l_k under Re<.|.>, which leaves m = 2(n - 1) - tangent_dim.  In
+    the real form v -> (Re v, Im v), the basis is the top m eigenvectors of
+    one stacked eigh of the projector that removes psi, i psi and the
+    tangent frame, the frame read from Q's eigenpairs with the RANK_TOL cut;
+    then gram = <p_i|p_j> and coupling = Im <l_i|p_j>.  Each basis holds
+    the vectors p (B, n, m) as its ``coeffs`` and psi as its ``means``."""
+    n = psi.shape[-1]
+
+    def real(z):  # (..., n) complex -> (..., 2n) real
+        return np.concatenate([z.real, z.imag], axis=-1)
+
+    w, v = qfim_eigh
+    keep = _tangent_mask(w)
+    sizes = np.maximum(2 * (n - 1) - np.sum(keep, axis=-1), 0)
+    scale = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+    frame = (v * scale[:, None, :]).swapaxes(-1, -2) @ real(ells)  # orthonormal rows
+    removed = np.concatenate([real(psi)[:, None], real(1j * psi)[:, None], frame], axis=-2)
+    _, vecs = np.linalg.eigh(np.eye(2 * n) - removed.swapaxes(-1, -2) @ removed)
+    groups = []
+    for size in sorted(set(sizes.tolist())):
+        rows = np.flatnonzero(sizes == size)
+        sel = subset(rows, len(sizes))
+        top = vecs[sel, :, 2 * n - size:]
+        p = top[:, :n] + 1j * top[:, n:]
+        gram = p.conj().swapaxes(-1, -2) @ p
+        gram = 0.5 * (gram + gram.swapaxes(-1, -2).conj())
+        coupling = (ells[sel].conj() @ p).imag
+        groups.append((rows, NormalSpaceBasis(p, psi[sel], gram, coupling)))
     return groups
 
 

@@ -181,6 +181,29 @@ def require_derivative(drho: np.ndarray) -> np.ndarray:
     return drho
 
 
+def require_pure_state(psi: np.ndarray, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate pure states psi (..., n) given with the vectors
+    l_k = L_k psi (..., d, n) of their SLDs, as `require_density` and
+    `require_derivative` validate rho = psi psi^dag and its derivatives:
+    finite entries, Tr rho = |psi|^2 = 1, and Tr d_k rho = <psi|l_k> / 2 = 0.
+    Hermiticity and the eigenvalue floor hold by construction."""
+    psi, ells = np.asarray(psi, dtype=complex), np.asarray(ells, dtype=complex)
+    if ells.ndim < 2 or ells.shape[-2] < 1:
+        raise InvalidInput("need at least one parameter derivative")
+    raise_first_failure((~np.isfinite(psi).all(axis=-1), lambda i: NonHermitianInput(
+        "rho has non-finite entries")))
+    tr = (psi.conj() * psi).sum(axis=-1).real
+    raise_first_failure((np.abs(tr - 1.0) > DENSITY_TRACE_TOL, lambda i: NonHermitianInput(
+        f"rho has trace {tr.flat[i]!r}, expected 1")))
+    tr_d = 0.5 * (psi.conj()[..., None, :] * ells).sum(axis=-1)
+    raise_first_failure(
+        (~np.isfinite(ells).all(axis=-1),
+         lambda i: NonHermitianInput("drho has non-finite entries")),
+        (np.abs(tr_d) > 1e-10,
+         lambda i: DerivativeNotTraceless(f"Tr drho = {tr_d.flat[i]!r}, expected 0")))
+    return psi, ells
+
+
 def sld_in_eigenbasis(w: np.ndarray, v: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """The SLD of ``drho`` given the eigensystem (w, v) of rho, so several
     derivatives of one state share a single decomposition."""

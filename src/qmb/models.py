@@ -296,27 +296,29 @@ def _dot_j(vec: np.ndarray, js: Sequence[np.ndarray]) -> np.ndarray:
     return _mat(vec[..., 0]) * js[0] + _mat(vec[..., 1]) * js[1] + _mat(vec[..., 2]) * js[2]
 
 
-def _su2_state(cfg: ModelConfig, params: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The evolved pure state (..., n, n), its exact derivatives (..., d, n, n)
-    and the initial-frame generators (..., d, n, n) of an SU(2) model, over
-    the leading axes of ``params`` (..., d) and the constants."""
+def _su2_frame(cfg: ModelConfig, params: np.ndarray) -> tuple:
+    """(psi0, spin matrices, generator axes, generator scales) of an SU(2)
+    model: its initial-frame generators are H_k = scale_k n_k.J."""
     c = cfg.constants
     alpha, beta, t = c["alpha"], c["beta"], c["t"]
     b, theta = params[..., 0], params[..., 1]
     s = np.sin(b * t / 2.0)
     if cfg.model_id == "su2_qutrit":
-        js = su2_generators(3)
         psi0 = _vec(np.cos(alpha / 2.0), 0.0, np.sin(alpha / 2.0) * np.exp(1j * beta))
         axes = _su2_qutrit_axes(b, theta, params[..., 2], t)
-        scales = (-t, 2.0 * s, 2.0 * np.cos(theta) * s)
-    else:
-        js = tuple(0.5 * p for p in PAULI)
-        psi0 = _vec(np.cos(alpha / 2.0), np.sin(alpha / 2.0) * np.exp(1j * beta))
-        axes = _su2_qubit_axes(b, theta, t)
-        scales = (-t, 2.0 * s)
+        return psi0, su2_generators(3), axes, (-t, 2.0 * s, 2.0 * np.cos(theta) * s)
+    psi0 = _vec(np.cos(alpha / 2.0), np.sin(alpha / 2.0) * np.exp(1j * beta))
+    return psi0, tuple(0.5 * p for p in PAULI), _su2_qubit_axes(b, theta, t)[:2], (-t, 2.0 * s)
+
+
+def _su2_state(cfg: ModelConfig, params: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The evolved pure state (..., n, n), its exact derivatives (..., d, n, n)
+    and the initial-frame generators (..., d, n, n) of an SU(2) model, over
+    the leading axes of ``params`` (..., d) and the constants."""
+    psi0, js, axes, scales = _su2_frame(cfg, params)
     gens = np.broadcast_arrays(*(_mat(k) * _dot_j(n, js) for k, n in zip(scales, axes)))
     gens = np.stack(gens, axis=-3)
-    u = _su2_exp(_dot_j(axes[0], js), b * t)
+    u = _su2_exp(_dot_j(axes[0], js), params[..., 0] * cfg.constants["t"])
     uh = u.swapaxes(-1, -2).conj()
     rho0 = psi0[..., :, None] * psi0[..., None, :].conj()
 
@@ -327,6 +329,22 @@ def _su2_state(cfg: ModelConfig, params: np.ndarray) -> tuple[np.ndarray, ...]:
     derivs = [conjugate(1j * (small_matmul(g, rho0) - small_matmul(rho0, g)))
               for g in np.moveaxis(gens, -3, 0)]
     return rho, np.stack(derivs, axis=-3), gens
+
+
+def _pure_vectors(psi0, js, axes, scales) -> tuple[np.ndarray, np.ndarray]:
+    """psi0 (..., n) and l_k = L_k psi0 = 2i (H_k - <H_k>) psi0 (..., d, n)
+    for initial-frame generators H_k = scale_k n_k.J, the SLDs of the pure
+    state in its initial frame.  Every product is a broadcast multiply-add,
+    so a row rounds the same way in any batch."""
+    js = np.stack(js)
+    jpsi = (js * psi0[..., None, None, :]).sum(-1)  # J_c psi0, (..., 3, n)
+    mean = (psi0.conj()[..., None, :] * jpsi).sum(-1).real  # <J_c>
+    centered = jpsi - mean[..., None] * psi0[..., None, :]
+    n_k = np.stack(np.broadcast_arrays(*axes), axis=-2)  # (..., d, 3)
+    ells = (n_k[..., None] * centered[..., None, :, :]).sum(-2)
+    scales = np.stack(np.broadcast_arrays(*scales), axis=-1)
+    ells = (2j * scales)[..., None] * ells
+    return np.broadcast_to(psi0, ells.shape[:-2] + psi0.shape[-1:]), ells
 
 
 def su2_qubit_point(cfg: ModelConfig, b: float, theta: float) -> ModelPoint:
@@ -404,29 +422,43 @@ def _su2_qutrit_closed_geometry(
 
 
 class ModelArrays(NamedTuple):
-    """A batch of states (..., n, n) and their derivatives (..., d, n, n),
-    with what the model knows about them: ``pure`` when every state is pure
-    by construction, and, for a qubit given by its Bloch vector, ``bloch``
-    = (r (..., 3), d r (..., d, 3))."""
+    """A batch of states as the model knows them.  A state pure by
+    construction is ``pure`` = (psi0 (..., n), l (..., d, n)), its initial
+    state and the vectors l_k = L_k psi0 of its SLDs in the initial frame,
+    with no density matrix (rho and derivs are None); any other state is
+    rho (..., n, n) with its derivatives (..., d, n, n), and, for a qubit
+    given by its Bloch vector, ``bloch`` = (r (..., 3), d r (..., d, 3))."""
 
-    rho: np.ndarray
-    derivs: np.ndarray
-    pure: bool
+    rho: np.ndarray | None
+    derivs: np.ndarray | None
+    pure: tuple[np.ndarray, np.ndarray] | None
     bloch: tuple[np.ndarray, np.ndarray] | None
 
 
 def model_arrays(cfg: ModelConfig, params: np.ndarray) -> ModelArrays:
-    """The states and derivatives over the leading axes of ``params``
-    (..., d) and the constants: the batch form of `model_point`, which adds
-    the closed-form oracles for one point.  The SU(2) models and the tunable
-    qubit given (alpha, beta) are pure; the tunable qubit given (r_x, r_y,
-    r_z) hands over its Bloch data."""
-    if cfg.model_id == "tunable_qubit":
-        r, d1, d2 = _tunable_qubit_bloch_derivs(cfg, params[..., 0], params[..., 1])
-        dr = np.stack([d1, d2], axis=-2)
-        pure = "alpha" in cfg.constants
-        return ModelArrays(*_bloch_state(r, dr), pure, None if pure else (r, dr))
-    return ModelArrays(*_su2_state(cfg, params)[:2], True, None)
+    """The states over the leading axes of ``params`` (..., d) and the
+    constants: the batch form of `model_point`, which adds the closed-form
+    oracles for one point.  The SU(2) models and the tunable qubit given
+    (alpha, beta) are pure, and need no evolution operator: Q + iU is the
+    Gram matrix <l_a|l_b>, which the evolution leaves unchanged.  The
+    tunable qubit's evolution exp(-i l2 Z) exp(-i gamma n.sigma)
+    exp(-i l1 Z) has the initial-frame generators H_1 = -Z and
+    H_2 = -(M^T z).sigma, M = R_n(2 gamma) Rz(2 l1).  The tunable qubit given
+    (r_x, r_y, r_z) hands over its Bloch data."""
+    c = cfg.constants
+    if cfg.model_id != "tunable_qubit":
+        return ModelArrays(None, None, _pure_vectors(*_su2_frame(cfg, params)), None)
+    l1 = params[..., 0]
+    if "alpha" in c:
+        a, b = c["alpha"], c["beta"]
+        psi0 = _vec(np.cos(a / 2.0), np.sin(a / 2.0) * np.exp(1j * b))
+        rot_v = rotation_about_axis(_rotation_axis(c["theta"], c["phi"]), 2.0 * c["gamma"])
+        m_z = _apply(rotation_about_z(2.0 * l1).swapaxes(-1, -2), rot_v[..., 2, :])  # M^T z
+        axes = (np.array([0.0, 0.0, 1.0]), m_z)
+        return ModelArrays(None, None, _pure_vectors(psi0, PAULI, axes, (-1.0, -1.0)), None)
+    r, d1, d2 = _tunable_qubit_bloch_derivs(cfg, l1, params[..., 1])
+    dr = np.stack([d1, d2], axis=-2)
+    return ModelArrays(*_bloch_state(r, dr), None, (r, dr))
 
 
 def model_point(cfg: ModelConfig, params: Sequence[float]) -> ModelPoint:

@@ -137,9 +137,6 @@ class SweepResult(Sequence):
     def __iter__(self) -> Iterator[ResultRow]:
         return itertools.chain.from_iterable(map(self._rows, self.chunks))
 
-    def __add__(self, other: Iterable[ResultRow]) -> list[ResultRow]:
-        return [*self, *other]
-
     def _rows(self, chunk: _Chunk, rows: slice = slice(None)) -> Iterator[ResultRow]:
         n = self.n_axes
         for cells, code in zip(chunk.cells(rows), chunk.codes[rows].tolist()):
@@ -460,35 +457,72 @@ def emit(rows: Iterable[ResultRow], fmt: str, out: str | TextIO, spec: SweepSpec
 
 def _json_text(chunks: list[_Chunk], cols: list[str]) -> Iterator[str]:
     """The bytes of ``json.dumps(records, indent=1)`` over every row, written
-    chunk by chunk: "[", each chunk's records, then "]"."""
+    chunk by chunk: "[", each chunk's records, then "]".  A record is a
+    %-template of its flags; a finite cell is written by float.__repr__, as
+    json writes a float, once per distinct value in the chunk (a grid's
+    axis values repeat).  A row with a void or non-finite cell is encoded by
+    json on its own."""
+    head = " {\n" + "".join(f"  {_escaped(json.dumps(c))}: %s,\n" for c in cols[:-1])
     opening = "[\n"
     for chunk in chunks:
-        records = [dict(zip(cols, cells), flags=list(chunk.flags[code]))
-                   for cells, code in zip(chunk.cells(), chunk.codes.tolist())]
-        if records:  # the list's items, between its "[\n" and "\n]"
-            yield opening + json.dumps(records, indent=1)[2:-2]
-            opening = ",\n"
+        if not len(chunk.codes):
+            continue
+        templates = {code: head + _escaped(json.dumps([{"flags": list(flags)}], indent=1)[5:-2])
+                     for code, flags in chunk.flags.items()}  # " {\n" + cells + '  "flags": ... }'
+        bits, where = np.unique(chunk.values.ravel().view(np.int64), return_inverse=True)
+        cells = np.array([float.__repr__(v) for v in bits.view(float).tolist()], object)
+        cells = cells[where].reshape(chunk.values.shape)
+        odd = ~np.isfinite(chunk.values).all(-1)
+        if chunk.void is not None:
+            odd |= chunk.void.any(-1)
+
+        def alone(i):
+            record = dict(zip(cols, chunk.cells(slice(i, i + 1))[0]),
+                          flags=list(chunk.flags[chunk.codes[i]]))
+            return json.dumps([record], indent=1)[2:-2]
+
+        odd = np.flatnonzero(odd).tolist()
+        yield opening + _filled(cells, chunk.codes, templates, odd, alone, ",\n")
+        opening = ",\n"
     yield "[]\n" if opening == "[\n" else "\n]\n"
 
 
 def _csv_text(chunk: _Chunk, head: str) -> str:
-    """The chunk's CSV lines.  A run of rows with no void cell is one
-    %-operation on a template of ``head`` and the row's flags per row; a row
-    with a void cell is written cell by cell, its void cells empty."""
+    """The chunk's CSV lines.  A line is a %-template of ``head`` and its
+    flags; a row with a void cell is written cell by cell, its void cells
+    empty."""
     joined = {code: ";".join(flags) for code, flags in chunk.flags.items()}
-    lines = {code: head + flags.replace("%", "%%") + "\n" for code, flags in joined.items()}
-    codes = chunk.codes.tolist()
+    lines = {code: head + _escaped(flags) + "\n" for code, flags in joined.items()}
     breaks = [] if chunk.void is None else np.flatnonzero(chunk.void.any(-1)).tolist()
-    text, start = [], 0
+
+    def alone(i):
+        cells = zip(chunk.values[i].tolist(), chunk.void[i].tolist())
+        cells = ["" if gone else "%.12g" % v for v, gone in cells]
+        return ",".join(cells) + f",{joined[chunk.codes[i]]}\n"
+
+    return _filled(chunk.values, chunk.codes, lines, breaks, alone, "")
+
+
+def _escaped(text: str) -> str:
+    """``text`` as a literal part of a %-template."""
+    return text.replace("%", "%%")
+
+
+def _filled(cells: np.ndarray, codes: np.ndarray, templates: dict, breaks: list[int], alone,
+            sep: str) -> str:
+    """Rows of ``cells`` (rows, columns) with flag ``codes`` as text joined by
+    ``sep``: each run of rows between the ``breaks`` is one %-operation on
+    its rows' templates (by flag code); each break row is ``alone(row)``."""
+    codes = codes.tolist()
+    pieces, start = [], 0
     for stop in breaks + [len(codes)]:
-        template = "".join([lines[code] for code in codes[start:stop]])
-        text.append(template % tuple(chunk.values[start:stop].ravel().tolist()))
+        if stop > start:
+            template = sep.join([templates[code] for code in codes[start:stop]])
+            pieces.append(template % tuple(cells[start:stop].ravel().tolist()))
         if stop < len(codes):
-            cells = zip(chunk.values[stop].tolist(), chunk.void[stop].tolist())
-            cells = ["" if gone else "%.12g" % v for v, gone in cells]
-            text.append(",".join(cells) + f",{joined[codes[stop]]}\n")
+            pieces.append(alone(stop))
         start = stop + 1
-    return "".join(text)
+    return sep.join(pieces)
 
 
 def figure_preset(name: str, config: Mapping[str, float] | None = None) -> SweepSpec:

@@ -14,10 +14,13 @@ from qmb.geometry import _geometry
 from qmb.linalg import SUPPORT_TOL, hermitian_part, require_derivative, state_eigensystem
 from qmb.models import (
     PAULI,
+    ModelArrays,
+    _bloch_state,
     _dot_j,
     _mat,
     _su2_qubit_axes,
     _su2_qutrit_axes,
+    _tunable_qubit_bloch_derivs,
     _vec,
     su2_generators,
 )
@@ -60,6 +63,14 @@ def random_pure_model(
         dpsi -= psi * np.real(np.vdot(psi, dpsi))  # keeps the norm fixed
         derivs.append(np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj()))
     return np.outer(psi, psi.conj()), derivs
+
+
+def pure_model_vectors(rho: np.ndarray, derivs) -> tuple[np.ndarray, np.ndarray]:
+    """A pure state psi psi^dag with derivatives (..., d, n, n) as the vectors
+    of the vector route: psi (..., n), the top eigenvector of rho, and
+    l_k = L_k psi = 2 d_k rho psi (..., d, n)."""
+    psi = np.linalg.eigh(rho)[1][..., -1]
+    return psi, 2.0 * (np.asarray(derivs) @ psi[..., None, :, None])[..., 0]
 
 
 def random_rank_deficient_model(
@@ -257,13 +268,14 @@ def expm_generator(h: np.ndarray, t=1.0) -> np.ndarray:
     return (v * phases[..., None, :]) @ v.swapaxes(-1, -2).conj()
 
 
-# The per-row arithmetic before the tiny-matrix kernels and the structure-
-# aware geometry: every stacked complex product a plain `@`, the SU(2)
-# exponential by eigh, the SLDs of every model from rho's decomposition, the
-# Gram entries as traces of products, every normal space by
-# eigendecompositions, and R from a stacked eigvalsh.  `use_matmul_oracle`
-# routes a sweep through it, so the kernels' and the closed forms' rounding
-# can be held to a tolerance.
+# The per-row arithmetic before the tiny-matrix kernels, the structure-
+# aware geometry and the pure states as vectors: every state a density
+# matrix, every stacked complex product a plain `@`, the SU(2) exponential by
+# eigh, the SLDs of every model from rho's decomposition, the Gram entries as
+# traces of products, every normal space by eigendecompositions in the
+# Gell-Mann basis, and R from a stacked eigvalsh.  `use_matmul_oracle` routes
+# a sweep through it, so the kernels' and the closed forms' rounding can be
+# held to a tolerance.
 def matmul_su2_state(cfg, params):
     """`models._su2_state` with `@` products and the eigh exponential."""
     c = cfg.constants
@@ -288,6 +300,15 @@ def matmul_su2_state(cfg, params):
     rho = hermitian_part(u @ rho0 @ uh)
     derivs = [hermitian_part(u @ (1j * (g @ rho0 - rho0 @ g)) @ uh) for g in np.moveaxis(gens, -3, 0)]
     return rho, np.stack(derivs, axis=-3), gens
+
+
+def matrix_model_arrays(cfg, params):
+    """`models.model_arrays` with every state a density matrix: the SU(2)
+    models by `matmul_su2_state`, the tunable qubit by `_bloch_state`."""
+    if cfg.model_id != "tunable_qubit":
+        return ModelArrays(*matmul_su2_state(cfg, params)[:2], None, None)
+    r, d1, d2 = _tunable_qubit_bloch_derivs(cfg, params[..., 0], params[..., 1])
+    return ModelArrays(*_bloch_state(r, np.stack([d1, d2], axis=-2)), None, None)
 
 
 def matmul_compute_geometry(rho, derivs, check=True):
@@ -336,6 +357,7 @@ def use_matmul_oracle(monkeypatch) -> None:
     above; an infinite margin sends every qubit row of `_normal_spaces`
     through the eigendecompositions."""
     monkeypatch.setattr(models, "_su2_state", matmul_su2_state)
+    monkeypatch.setattr(sweep, "model_arrays", matrix_model_arrays)
     monkeypatch.setattr(sweep, "model_geometry", matmul_model_geometry)
     monkeypatch.setattr(bounds, "compute_geometry", matmul_compute_geometry)
     monkeypatch.setattr(geometry, "_QUBIT_MARGIN", np.inf)

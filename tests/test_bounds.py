@@ -28,8 +28,10 @@ from qmb.bounds import (
 from qmb.errors import HierarchyViolation, SingularState
 from qmb.geometry import (
     _normal_spaces,
+    _vector_normal_spaces,
     compute_geometry,
     geometry_from_matrices,
+    model_geometry,
     quantumness_R,
     rld_qfim,
     t_measure,
@@ -38,6 +40,7 @@ from qmb.geometry import (
 )
 from qmb.linalg import spd_sqrt, tracenorm_antisym
 from qmb.models import (
+    _su2_state,
     model_arrays,
     model_config,
     su2_qubit_point,
@@ -772,17 +775,43 @@ class TestPureStateShortcut:
     def test_su2_qubit_grid_crossing_the_singular_line(self, monkeypatch):
         # B t = 2 pi carries no theta information: approaching it, cond(Q)
         # grows as the inverse square of the offset, through (1e9, 1e12]
-        # (tangent rank 1, a one-direction normal space) into ill rows
+        # (tangent rank 1, a one-direction normal space) into ill rows.  The
+        # density matrices come from the matrix path that model_point keeps;
+        # the model's vectors draw the same lines and send the same rows to
+        # the vector normal space
         offsets = np.concatenate([-np.logspace(-2.0, -7.5, 23), [0.0], np.logspace(-7.5, -2.0, 23)])
         params = np.stack(np.broadcast_arrays(2.0 * np.pi + offsets[:, None], [[0.3, 0.9]]), -1)
         cfg = model_config("su2_qubit", alpha=1.0, beta=0.3, t=1.0)
-        rho, derivs = (x.reshape((-1,) + x.shape[2:]) for x in model_arrays(cfg, params)[:2])
+        rho, derivs = (x.reshape((-1,) + x.shape[2:]) for x in _su2_state(cfg, params)[:2])
         g, sizes, ill = self._assert_shortcut_rows_are_the_empty_ones(monkeypatch, rho, derivs)
         q = np.linalg.eigvalsh(g.qfim)
         cond = q[:, -1] / np.maximum(q[:, 0], 1e-300)
         near = (cond > 1e9) & (cond <= 1e12)
         assert near.sum() >= 4 and not ill[near].any() and (sizes[near] == 1).all()
         assert ill.sum() >= 4 and (~ill & (sizes == 0)).sum() >= 40
+
+        psi, ells = (x.reshape((-1,) + x.shape[2:]) for x in model_arrays(cfg, params).pure)
+        g = model_geometry(None, None, (psi, ells), None)
+        np.testing.assert_array_equal(g._qfim_inverses[2], ill)
+        sent = []
+
+        def recorded(psi_rows, ells_rows, qfim_eigh):
+            groups = _vector_normal_spaces(psi_rows, ells_rows, qfim_eigh)
+            sizes = [(rows.tolist(), basis.coeffs.shape[-1]) for rows, basis in groups]
+            sent.append((psi_rows, sizes))
+            return groups
+
+        monkeypatch.setattr(bounds, "_vector_normal_spaces", recorded)
+        eye = np.broadcast_to(np.eye(2), (len(psi), 2, 2))
+        cols = batch_reports(None, None, g, eye, eye, ReportOptions())
+        monkeypatch.undo()
+        ((got, groups),) = sent
+        regular = ~ill & (sizes > 0)
+        np.testing.assert_array_equal(got, psi[regular])
+        assert groups == [(list(range(regular.sum())), 1)]
+        assert cols["no_rld"].all()
+        empty = ~ill & (sizes == 0)
+        np.testing.assert_array_equal(cols["c_h"][empty], cols["c_t"][empty])
 
     @pytest.mark.parametrize("radius", [1.0, 1.0 - 1e-12, 1.0 - 1e-8])
     def test_tunable_qubit_probes_near_pure(self, monkeypatch, radius):

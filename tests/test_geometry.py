@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmb import geometry
+from qmb.bounds import HOLEVO_GAP_TOL, ReportOptions, batch_reports
 from qmb.errors import DerivativeNotTraceless, NonHermitianInput, SingularQFIM, SingularState
 from qmb.geometry import (
     RANK_TOL,
@@ -12,6 +15,7 @@ from qmb.geometry import (
     _normal_spaces,
     _qfim_inverse,
     _spectral_radius,
+    _vector_normal_spaces,
     _weight_and_root,
     _weight_frame,
     compute_geometry,
@@ -31,6 +35,7 @@ from qmb.models import PAULI, model_config, su2_qutrit_point, tunable_qubit_poin
 
 from conftest import (
     eigvalsh_spectral_radius,
+    pure_model_vectors,
     random_antisymmetric,
     random_model,
     random_pure_model,
@@ -38,6 +43,15 @@ from conftest import (
     random_spd,
     random_traceless_hermitian,
 )
+
+
+def _assert_same_message(got, want):
+    """Equal messages, their numbers to 1e-12: the vector route rounds them
+    in its own order."""
+    number = r"np\.\w+\(([^)]*)\)"
+    assert re.sub(number, "#", str(got)) == re.sub(number, "#", str(want))
+    for a, b in zip(re.findall(number, str(got)), re.findall(number, str(want)), strict=True):
+        assert complex(a) == pytest.approx(complex(b), abs=1e-12)
 
 
 def tq_point(r0=(0.3, 0.2, 0.5), phi=0.35, l1=0.525, l2=0.0):
@@ -116,29 +130,43 @@ class TestComputeGeometry:
     @pytest.mark.parametrize("route", ["pure_qubit", "pure_qutrit", "bloch"])
     def test_model_geometry_validates_as_compute_geometry(self, rng, route):
         # each route raises what compute_geometry raises, first failing row
-        # first; the floor of a 2x2 state is read in closed form
+        # first; the floor of a 2x2 state is read in closed form.  A pure
+        # state given as vectors is checked in that form, where a
+        # non-Hermitian drho or a negative eigenvalue cannot arise
         n = 3 if route == "pure_qutrit" else 2
         rho, derivs = random_pure_model(rng, n, 2)
         rho, derivs = np.stack([rho, rho]), np.stack([np.stack(derivs)] * 2)
-        r, dr = np.array([[0.0, 0.0, 1.0]] * 2), np.zeros((2, 2, 3))
-        known = (False, (r, dr)) if route == "bloch" else (True, None)
 
         def second(batch, row):  # the batch with its second row replaced
             return np.stack([batch[0], row])
 
-        bad = {
-            "trace": (second(rho, 2.0 * rho[1]), derivs),
-            "negative eigenvalue": (second(rho, (1.0 + 1e-6) * rho[1] - 1e-6 * np.eye(n) / n),
-                                    derivs),
-            "drho is not Hermitian": (rho, second(derivs, derivs[1] + 0.1j * np.eye(n))),
-            "Tr drho": (rho, second(derivs, derivs[1] + 0.1 * np.eye(n))),
+        bad = {  # a derivative with a trace is d(psi + 0.05 t psi)/dt's
+            "trace": (second(rho, 4.0 * rho[1]), derivs),
+            "Tr drho": (rho, second(derivs, derivs[1] + 0.1 * rho[1])),
         }
+        if route == "bloch":
+            r, dr = np.array([[0.0, 0.0, 1.0]] * 2), np.zeros((2, 2, 3))
+            bad.update({
+                "negative eigenvalue": (second(rho, (1.0 + 1e-6) * rho[1] - 1e-6 * np.eye(n) / n),
+                                        derivs),
+                "drho is not Hermitian": (rho, second(derivs, derivs[1] + 0.1j * np.eye(n))),
+            })
         for match, (states, ds) in bad.items():
             with pytest.raises(Exception, match=match) as want:
                 compute_geometry(states, ds)
+            if route == "bloch":
+                with pytest.raises(type(want.value), match=match) as got:
+                    model_geometry(states, ds, None, (r, dr))
+                assert str(got.value) == str(want.value)
+                continue
+            psi, ells = pure_model_vectors(rho, derivs)
+            if match == "trace":
+                psi = second(psi, 2.0 * psi[1])
+            else:
+                ells = second(ells, ells[1] + 0.2 * psi[1])
             with pytest.raises(type(want.value), match=match) as got:
-                model_geometry(states, ds, *known)
-            assert str(got.value) == str(want.value)
+                model_geometry(None, None, (psi, ells), None)
+            _assert_same_message(got.value, want.value)
 
     def test_decomposes_rho_and_q_once_each(self, rng, monkeypatch):
         # validation, the SLDs, the tangent rank and the inverses of Q all
@@ -737,6 +765,43 @@ def test_normal_space_properties(seed, n, d, kind):
         assert np.array_equal(op, op.conj().T)
         for sld in g.slds:
             assert abs(np.real(np.trace(rho @ sld @ op))) <= 1e-9 * scale
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]), data=st.data())
+def test_vector_normal_space_matches_gell_mann_route(seed, n, data):
+    # random pure states with d <= 2(n - 1): the vectors' normal space and
+    # the Gell-Mann route's on rho = psi psi^dag, L = 2 d rho have the same
+    # size, their gram and coupling agree up to the orthogonal map
+    # O_ij = Re <P_i psi|p_j> between the bases, and so do the Holevo values
+    d = data.draw(st.integers(1, 2 * (n - 1)), label="d")
+    rng = np.random.default_rng(seed)
+    rho, derivs = random_pure_model(rng, n, d)
+    psi, ells = pure_model_vectors(rho, np.stack(derivs))
+    want_g = compute_geometry(rho[None], np.stack(derivs)[None])
+    got_g = model_geometry(None, None, (psi[None], ells[None]), None)
+    assume(not want_g._qfim_inverses[2][0] and np.linalg.cond(want_g.qfim[0]) < 1e8)
+    scale = np.max(np.abs(want_g.qfim))
+    for name in ("qfim", "uhlmann"):
+        np.testing.assert_allclose(getattr(got_g, name), getattr(want_g, name), rtol=0,
+                                   atol=1e-13 * scale)
+    ((_, want),) = _normal_spaces(rho[None], want_g.slds)
+    ((_, got),) = _vector_normal_spaces(got_g.psi, got_g.slds, got_g._qfim_eigh)
+    want, got = take(want, 0), take(got, 0)
+    assert got.size == want.size == 2 * (n - 1) - d
+    o = (np.reshape([op @ psi for op in want.ops], (want.size, n)).conj() @ got.coeffs).real
+    tol = 1e-12 * max(1.0, np.sqrt(scale))
+    np.testing.assert_allclose(o.T @ o, np.eye(got.size), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.gram, o.T @ want.gram @ o, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.coupling, want.coupling @ o, rtol=0, atol=tol)
+    if d == 1:  # the dual solve takes two parameters or more
+        return
+    w_mat, sqrt_w = _weight_and_root(random_spd(rng, d)[None], d)
+    opts = ReportOptions(compute_rld=False)
+    got_c = batch_reports(None, None, got_g, w_mat, sqrt_w, opts)
+    want_c = batch_reports(rho[None], np.stack(derivs)[None], want_g, w_mat, sqrt_w, opts)
+    assert not got_c["not_converged"][0] and not want_c["not_converged"][0]
+    assert got_c["c_h"][0] == pytest.approx(want_c["c_h"][0], rel=HOLEVO_GAP_TOL)
 
 
 def singular_values_pairing(g, w_mat):

@@ -491,46 +491,60 @@ class TestFigurePresets:
         # every preset point has a normal space of at most one direction
         # (qubits: n = 2; the pure qutrit: m = 1), so the closed forms
         # serve every preset row; the pure qubit of fig4 fills its tangent
-        # space (m = 0) and builds no normal space at all
+        # space (m = 0) and builds no normal space at all, and the pure
+        # qutrit of fig5 builds its normal spaces from vectors
         def no_dual(*args, **kwargs):
             raise AssertionError("dual solve reached")
 
-        calls = []
-        normal_spaces = bounds._normal_spaces
-
-        def counted(rho, slds):
-            calls.append(len(rho))
-            return normal_spaces(rho, slds)
-
+        calls = {"_normal_spaces": [], "_vector_normal_spaces": []}
+        for fn_name, counts in calls.items():
+            monkeypatch.setattr(bounds, fn_name, lambda *a, _fn=getattr(bounds, fn_name),
+                                _counts=counts: _counts.append(len(a[0])) or _fn(*a))
         monkeypatch.setattr(bounds, "_holevo_dual", no_dual)
-        monkeypatch.setattr(bounds, "_normal_spaces", counted)
         for name in ("fig2", "fig3a", "fig3b", "fig4", "fig5"):
             config = {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}
-            calls.clear()
+            for counts in calls.values():
+                counts.clear()
             rows = run_sweep(figure_preset(name, {**config, "count": 6}))
             assert len(rows) == 36
             assert not any("HolevoNotConverged" in row.flags for row in rows)
             if name == "fig4":
-                assert calls == []
-            if name == "fig5":
-                assert sum(calls) == 36
+                assert calls == {"_normal_spaces": [], "_vector_normal_spaces": []}
+            elif name == "fig5":
+                assert calls == {"_normal_spaces": [], "_vector_normal_spaces": [36]}
+            else:
+                assert calls["_vector_normal_spaces"] == [] and sum(calls["_normal_spaces"]) > 0
 
-    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig4"])
-    def test_decomposes_twice_per_chunk(self, name, monkeypatch):
-        # one stacked eigh each of Q and W: the pure states (fig1, fig4) and
-        # the mixed qubit (fig2) are never decomposed, the SU(2) exponential
-        # and the qubit's normal direction are closed form, R is closed form,
-        # and W's definiteness comes from the eigh its root needs
+    @staticmethod
+    def _eigen_calls(spec, monkeypatch) -> tuple[int, list]:
+        """The rows of ``spec``'s sweep and the eigen-family calls it makes."""
         calls = []
         for fn_name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
             fn = getattr(np.linalg, fn_name)
             monkeypatch.setattr(np.linalg, fn_name, lambda *a, _fn=fn, _name=fn_name, **k: (
                 calls.append(_name) or _fn(*a, **k)))
-        spec = validate_spec(figure_preset(name, {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}))
+        spec = validate_spec(spec)
         calls.clear()
-        rows = len(run_sweep(spec))
+        return len(run_sweep(spec)), calls
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig4"])
+    def test_decomposes_twice_per_chunk(self, name, monkeypatch):
+        # one stacked eigh each of Q and W: the pure states (fig1, fig4) are
+        # vectors and the mixed qubit (fig2) is never decomposed, the
+        # qubit's normal direction is closed form, R is closed form, and W's
+        # definiteness comes from the eigh its root needs
+        spec = figure_preset(name, {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {})
+        rows, calls = self._eigen_calls(spec, monkeypatch)
         assert rows == {"fig1": 33, "fig2": 4096, "fig4": 2304}[name]
         assert calls == ["eigh"] * 2 * -(-rows // sweep._CHUNK)
+
+    def test_fig5_decomposes_three_times_per_chunk(self, monkeypatch):
+        # the pure qutrit is a vector: one stacked eigh each of Q, W and the
+        # projector onto its normal space, which takes the place of rho's
+        # eigenvalue floor and the Gell-Mann route's two
+        rows, calls = self._eigen_calls(figure_preset("fig5", {"count": 40}), monkeypatch)
+        assert rows == 1600
+        assert calls == ["eigh"] * 3 * 2
 
     def test_fig1_singular_rows_flagged_not_fatal(self):
         # at the saturating angles Q = diag(4 / omega, 4) for omega >= 1, so
@@ -1128,7 +1142,7 @@ class TestChunkedSweep:
         fixed = {"gamma": 0.7, "theta": 1.0, "phi": 0.0, "r_x": 0.0, "r_y": 0.0, "r_z": 0.0}
         spec = SweepSpec("tunable_qubit", fixed=fixed, axes=(Axis("lambda1", 0.0, 1.0, 2),),
                          pseudo_inverse=pseudo_inverse)
-        for row in run_sweep(spec) + [run_point(replace(spec, fixed={**fixed, "lambda1": 0.1}))]:
+        for row in [*run_sweep(spec), run_point(replace(spec, fixed={**fixed, "lambda1": 0.1}))]:
             assert row.flags == ("RldUnavailable", "SingularQFIM")
             assert all(value is None for value in row.outputs.values())
 
@@ -1218,8 +1232,9 @@ def _assert_sweep_matches_oracle(spec):
 
 
 class TestStructuredRoutes:
-    """The pure route, the mixed-qubit route and the qubit's closed-form
-    normal direction against the SLD route kept in tests/conftest.py."""
+    """The pure states as vectors, the mixed-qubit route and the qubit's
+    closed-form normal direction against the density-matrix SLD route kept
+    in tests/conftest.py."""
 
     ROUTE_OUTPUTS = ("c_sld", "c_rld", "c_t", "c_r", "c_h", "R", "T")
 

@@ -15,9 +15,7 @@ from .bounds import (
     c_sld,
     c_t_bound,
     full_report,
-    holevo_pure_qubit_closed_form,
     holevo_tangent_min,
-    tangent_objective,
 )
 from .errors import (
     DerivativeNotTraceless,
@@ -45,13 +43,7 @@ from .geometry import (
     tangent_normal_decomposition,
     weight_transform,
 )
-from .linalg import (
-    eig_hermitian,
-    op_norm_inf,
-    rld_solve,
-    sld_solve,
-    trace_norm,
-)
+from .linalg import rld_solve, sld_solve
 from .models import (
     ModelConfig,
     ModelPoint,
@@ -59,10 +51,6 @@ from .models import (
     model_config,
     model_point,
     su2_generators,
-    su2_qubit_point,
-    su2_qutrit_point,
-    tunable_qubit_bloch,
-    tunable_qubit_point,
     unitary_generator,
 )
 from .sweep import (
@@ -109,17 +97,14 @@ __all__ = [
     "c_sld",
     "c_t_bound",
     "compute_geometry",
-    "eig_hermitian",
     "emit",
     "figure_preset",
     "full_report",
     "generator_geometry",
     "geometry_from_matrices",
-    "holevo_pure_qubit_closed_form",
     "holevo_tangent_min",
     "model_config",
     "model_point",
-    "op_norm_inf",
     "quantumness_R",
     "rld_qfim",
     "rld_solve",
@@ -127,15 +112,9 @@ __all__ = [
     "run_sweep",
     "sld_solve",
     "su2_generators",
-    "su2_qubit_point",
-    "su2_qutrit_point",
     "t_measure",
     "t_saturation_analysis",
     "tangent_normal_decomposition",
-    "tangent_objective",
-    "trace_norm",
-    "tunable_qubit_bloch",
-    "tunable_qubit_point",
     "unitary_generator",
     "weight_transform",
 ]

@@ -140,16 +140,6 @@ def c_r_bound(g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = 
     return (1.0 + quantumness_R(g, pseudo_inverse)) * c_sld(g, w_mat, pseudo_inverse)
 
 
-def holevo_pure_qubit_closed_form(g: InformationGeometry, w_mat: np.ndarray) -> float:
-    """Pure-qubit two-parameter Holevo bound, Tr[W Q^-1] + 2 sqrt(det[W Q^-1])."""
-    if g.n_params != 2:
-        raise InvalidInput("closed form is specific to two-parameter models")
-    frame = _weight_frame(g, w_mat)
-    prod = frame.w_mat @ frame.qinv
-    det = max(float(np.linalg.det(prod)), 0.0)
-    return float(np.trace(prod)) + 2.0 * float(np.sqrt(det))
-
-
 @dataclass(frozen=True)
 class _TangentSetup:
     """The per-point pieces of the tangent objective, in the variable
@@ -163,10 +153,7 @@ class _TangentSetup:
     gram: np.ndarray
 
 
-def _tangent_setup(
-    g: InformationGeometry, basis: NormalSpaceBasis, w_mat: np.ndarray | _WeightFrame
-) -> _TangentSetup:
-    frame = w_mat if isinstance(w_mat, _WeightFrame) else _weight_frame(g, w_mat)
+def _tangent_setup(basis: NormalSpaceBasis, frame: _WeightFrame) -> _TangentSetup:
     return _TangentSetup(
         frame=frame, left=frame.sqrt_w @ frame.qinv @ basis.coupling, gram=basis.gram
     )
@@ -191,35 +178,29 @@ def _objective(setup: _TangentSetup) -> Callable[[np.ndarray], float]:
     return objective
 
 
-def tangent_objective(
-    g: InformationGeometry, basis: NormalSpaceBasis, w_mat: np.ndarray
-) -> Callable[[np.ndarray], float]:
-    """The Holevo objective as a function of the flattened K matrix."""
-    return _objective(_tangent_setup(g, basis, w_mat))
-
-
 def holevo_tangent_min(
-    g: InformationGeometry, basis: NormalSpaceBasis, w_mat: np.ndarray | _WeightFrame
+    g: InformationGeometry, basis: NormalSpaceBasis, w_mat: np.ndarray
 ) -> HolevoSolution:
     """Minimize the tangent-space Holevo objective over K.
 
-    ``w_mat`` is the weight matrix, or the weight frame that ``full_report``
-    already built from it.  An empty normal space leaves only K = 0.  A
+    An empty normal space, or a single parameter, leaves only K = 0.  A
     one-dimensional normal space with d <= 3 parameters has an exact minimum
     (``_holevo_exact``).  Every other case solves the Lagrangian dual
     (``_holevo_dual``).  The returned value never exceeds the K = 0
     objective, so it always sits between C_SLD and C_T.
     """
-    return _holevo_solutions(take(_tangent_setup(g, basis, w_mat), None)).at(0)
+    return _holevo_solutions(take(_tangent_setup(basis, _weight_frame(g, w_mat)), None)).at(0)
 
 
 def _holevo_solutions(setup: _TangentSetup) -> HolevoSolution:
     """The minima of a batch of tangent setups that share the normal-space
     size m, as one batch of solutions; only the dual solve runs point by point."""
     d, m = setup.left.shape[-2:]
-    if m == 0:  # K = 0, where the objective is C_T
+    # K = 0, where the objective is C_T; with one parameter the antisymmetric
+    # part vanishes, so C_H = C_T = C_SLD
+    if m == 0 or d == 1:
         c_t = setup.frame.c_t
-        return HolevoSolution(np.zeros((len(c_t), 0, d)), c_t, c_t, np.zeros(len(c_t), int))
+        return HolevoSolution(np.zeros((len(c_t), m, d)), c_t, c_t, np.zeros(len(c_t), int))
     if m == 1 and d in (2, 3):  # two evaluations: K = 0 (C_T) and the optimum
         values, ks = _holevo_exact(setup)
         return HolevoSolution(ks[:, None], values, values, np.full(len(values), 2))
@@ -517,7 +498,7 @@ def batch_reports(
                                                tuple(x[sel] for x in g._qfim_eigh))
             for rows, basis in spaces:
                 rows = regular[rows]
-                setup = _tangent_setup(g, basis, take(frame, subset(rows, points)))
+                setup = _tangent_setup(basis, take(frame, subset(rows, points)))
                 groups.append((rows, _holevo_solutions(setup)))
         c_h, lower = np.full((2, points), np.nan)
         for rows, sol in groups:

@@ -129,22 +129,19 @@ def _tangent_mask(w: np.ndarray) -> np.ndarray:
     return (w > RANK_TOL * top) & (top > 0)
 
 
-def compute_geometry(
-    rho: np.ndarray, derivs: Sequence[np.ndarray], check: bool = True
-) -> InformationGeometry:
+def compute_geometry(rho: np.ndarray, derivs: Sequence[np.ndarray]) -> InformationGeometry:
     """SLD-route geometry from a state and its parameter derivatives.
 
     Q_munu = Re Tr[rho L_mu L_nu], U_munu = Im Tr[rho L_mu L_nu]; the
     tangent dimension is the rank of Q at relative tolerance RANK_TOL.  rho is
-    decomposed once, and with ``check`` validated against that spectrum.
+    decomposed once, and validated against that spectrum.
     A batch of states (B, n, n) with derivatives (B, d, n, n) gives the
     batch geometry from one stacked decomposition each of rho and Q; each
     state is checked as it would be alone.
     """
     derivs = _need_derivatives(derivs)
-    w, v = state_eigensystem(rho, check)
-    if check:
-        derivs = require_derivative(derivs)
+    w, v = state_eigensystem(rho)
+    derivs = require_derivative(derivs)
     # one parameter at a time keeps a batch's temporaries at (B, n, n)
     slds = [sld_in_eigenbasis(w, v, derivs[..., k, :, :]) for k in range(derivs.shape[-3])]
     q, u = _sld_gram(np.asarray(rho, dtype=complex), slds)
@@ -249,18 +246,17 @@ def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
                      spectrum)
 
 
-def rld_qfim(rho: np.ndarray, derivs: Sequence[np.ndarray], check: bool = True) -> np.ndarray:
+def rld_qfim(rho: np.ndarray, derivs: Sequence[np.ndarray]) -> np.ndarray:
     """RLD quantum Fisher information J_munu = Tr[rho L^R_mu L^R_nu^dag].
 
     Defined for full-rank states only; raises SingularState otherwise.  The
     state is validated and its spectrum taken once, and one factorization
     of rho solves rho L^R_mu = d_mu rho for every derivative.
     """
-    rho, w = density_spectrum(rho, check=check)
-    if check:
-        derivs = require_hermitian(derivs, "drho")
+    rho, w = density_spectrum(rho)
+    derivs = require_hermitian(derivs, "drho")
     require_full_rank(w)
-    return _rld_matrix(rho, np.asarray(derivs))
+    return _rld_matrix(rho, derivs)
 
 
 def _rld_matrix(rho: np.ndarray, derivs: np.ndarray) -> np.ndarray:

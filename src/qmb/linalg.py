@@ -97,15 +97,12 @@ def _require_eig_floor(lowest: np.ndarray, name: str) -> None:
         f"{name} has negative eigenvalue {np.ravel(lowest)[i]:.3e}")))
 
 
-def density_spectrum(
-    rho: np.ndarray, name: str = "rho", check: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """rho as a complex array and its ascending eigenvalues from one eigvalsh;
-    with ``check``, validated against them as ``require_density`` does."""
-    rho = _require_unit_trace(rho, name) if check else np.asarray(rho, dtype=complex)
+def density_spectrum(rho: np.ndarray, name: str = "rho") -> tuple[np.ndarray, np.ndarray]:
+    """rho as a complex array and its ascending eigenvalues from one eigvalsh,
+    validated against them as ``require_density`` does."""
+    rho = _require_unit_trace(rho, name)
     w = np.linalg.eigvalsh(rho)
-    if check:
-        _require_eig_floor(w[..., 0], name)
+    _require_eig_floor(w[..., 0], name)
     return rho, w
 
 
@@ -124,17 +121,14 @@ def eig_hermitian(h: np.ndarray, check: bool = True) -> tuple[np.ndarray, np.nda
     return w, v * np.where(mag > 0, pivot.conj() / np.where(mag > 0, mag, 1.0), 1.0)
 
 
-def state_eigensystem(rho: np.ndarray, check: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def state_eigensystem(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition of a density matrix, tiny negatives clamped to 0.
 
-    With ``check``, rho is validated as ``require_density`` does, against
-    the spectrum of this same decomposition.
+    rho is validated as ``require_density`` does, against the spectrum of
+    this same decomposition.
     """
-    if check:
-        rho = _require_unit_trace(rho, "rho")
-    w, v = eig_hermitian(rho, check=False)
-    if check:
-        _require_eig_floor(w[..., -1], "rho")
+    w, v = eig_hermitian(_require_unit_trace(rho, "rho"), check=False)
+    _require_eig_floor(w[..., -1], "rho")
     return np.clip(w, 0.0, None), v
 
 
@@ -144,20 +138,6 @@ def trace_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return np.sum(np.linalg.svd(a, compute_uv=False), axis=-1)
-
-
-def op_norm_inf(a: np.ndarray) -> float:
-    """Spectral radius, the maximum |eigenvalue| of the matrix.
-
-    This is the norm appearing in the quantumness measure; its arguments
-    (i Q^-1 U and friends) are similar to Hermitian matrices, so the
-    spectrum is real and the value agrees with the Hermitian-route
-    evaluation.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
 def tracenorm_antisym(m: np.ndarray) -> float:
@@ -215,17 +195,15 @@ def sld_in_eigenbasis(w: np.ndarray, v: np.ndarray, drho: np.ndarray) -> np.ndar
     return hermitian_part(small_matmul(small_matmul(v, coeff), vh))
 
 
-def sld_solve(rho: np.ndarray, drho: np.ndarray, check: bool = True) -> np.ndarray:
+def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative L solving d_rho = (L rho + rho L) / 2.
 
     In the eigenbasis of rho, L_ij = 2 (drho)_ij / (p_i + p_j) on the
     support (p_i + p_j > SUPPORT_TOL) and 0 elsewhere; the kernel-sector
     choice makes Tr[rho L^2] minimal and matches the pure-state SLD.
     """
-    w, v = state_eigensystem(rho, check)
-    if check:
-        drho = require_derivative(drho)
-    return sld_in_eigenbasis(w, v, drho)
+    w, v = state_eigensystem(rho)
+    return sld_in_eigenbasis(w, v, require_derivative(drho))
 
 
 def require_full_rank(w: np.ndarray) -> None:
@@ -235,13 +213,12 @@ def require_full_rank(w: np.ndarray) -> None:
         raise SingularState(f"rho is rank deficient (min eigenvalue {w[0]:.3e}); RLD undefined")
 
 
-def rld_solve(rho: np.ndarray, drho: np.ndarray, check: bool = True) -> np.ndarray:
+def rld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Right logarithmic derivative L^R = rho^-1 drho (full-rank rho only)."""
-    rho, w = density_spectrum(rho, check=check)
-    if check:
-        drho = require_hermitian(drho, "drho")
+    rho, w = density_spectrum(rho)
+    drho = require_hermitian(drho, "drho")
     require_full_rank(w)
-    return np.linalg.solve(rho, np.asarray(drho, dtype=complex))
+    return np.linalg.solve(rho, drho)
 
 
 WEIGHT_NOT_DEFINITE = "weight matrix must be positive definite"

@@ -1,8 +1,11 @@
 """Parameterized state families: tunable two-parameter qubit and SU(2) qubit/qutrit.
 
-Each model produces the density matrix, its exact parameter derivatives, and
-its closed-form QFIM and Uhlmann curvature, which the tests hold against the
-SLD route.
+Each model is written down once.  `model_arrays` gives a batch of states in
+the form the geometry reads them (vectors for a pure state, the Bloch vector
+for a mixed qubit), and `model_point` gives one point's density matrix and
+exact parameter derivatives from the same definitions.  The closed-form QFIM
+and Uhlmann curvature that the tests hold the SLD route against live in
+tests/conftest.py.
 
 Conventions worth spelling out once:
 
@@ -21,14 +24,14 @@ Conventions worth spelling out once:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidInput, StepTooLarge
-from .linalg import dot, hermitian_part, raise_first_failure, small_matmul
+from .geometry import _split_gram
+from .linalg import dot, hermitian_part, raise_first_failure, require_pure_state, small_matmul
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -121,14 +124,11 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ModelPoint:
-    """A model evaluated at one parameter vector."""
+    """A state and its parameter derivatives at one parameter vector."""
 
     params: tuple[float, ...]
     rho: np.ndarray
     derivs: tuple[np.ndarray, ...]
-    analytic_geometry: tuple[np.ndarray, np.ndarray] | None = None
-    analytic_slds: tuple[np.ndarray, ...] | None = None
-    generators: tuple[np.ndarray, ...] | None = None
 
 
 def model_config(model_id: str, **constants: float) -> ModelConfig:
@@ -177,24 +177,6 @@ def _rotation_axis(theta: float, phi: float) -> np.ndarray:
     return _vec(np.cos(phi) * np.sin(theta), np.sin(phi) * np.sin(theta), np.cos(theta))
 
 
-def tunable_qubit_bloch(cfg: ModelConfig, l1: float, l2: float) -> np.ndarray:
-    """Transformed Bloch vector Rz(2 l2) R_n(2 gamma) Rz(2 l1) r0, by
-    composing the rotation matrices.
-
-    This route, the vector that `_tunable_qubit_bloch_derivs` returns and a
-    closed form in the tests are three evaluations of the same vector; the
-    tests hold them to agree.
-    """
-    c = cfg.constants
-    gamma, theta, phi = c["gamma"], c["theta"], c["phi"]
-    return (
-        rotation_about_z(2.0 * l2)
-        @ rotation_about_axis(_rotation_axis(theta, phi), 2.0 * gamma)
-        @ rotation_about_z(2.0 * l1)
-        @ tunable_qubit_r0(c)
-    )
-
-
 def _tunable_qubit_bloch_derivs(
     cfg: ModelConfig, l1: float, l2: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,58 +207,10 @@ def _bloch_state(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return rho, hermitian_part(0.5 * _dot_j(dr, PAULI))
 
 
-def bloch_geometry(r: np.ndarray, derivs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """QFIM and Uhlmann matrix of a qubit state from its Bloch vector path.
-
-    Q_ij = di.dj + (r.di)(r.dj)/(1-|r|^2), U_ij = r.(di x dj).  At |r| = 1
-    the radial term is 0/0; rotations keep r.di = 0 exactly, so the term is
-    defined as 0 whenever |r.di| < 1e-10.
-    """
-    d = len(derivs)
-    rr = float(r @ r)
-    radial = np.array([float(r @ dv) for dv in derivs])
-    q = np.empty((d, d))
-    u = np.zeros((d, d))
-    purity_gap = 1.0 - rr
-    for i in range(d):
-        for j in range(i, d):
-            val = float(derivs[i] @ derivs[j])
-            if purity_gap > 1e-12:
-                val += radial[i] * radial[j] / purity_gap
-            elif abs(radial[i]) >= 1e-10 or abs(radial[j]) >= 1e-10:
-                raise InvalidInput("pure-state limit needs tangential derivatives")
-            q[i, j] = q[j, i] = val
-    for i in range(d):
-        for j in range(i + 1, d):
-            u[i, j] = float(r @ np.cross(derivs[i], derivs[j]))
-            u[j, i] = -u[i, j]
-    return q, u
-
-
-def tunable_qubit_point(cfg: ModelConfig, params: Sequence[float]) -> ModelPoint:
-    """Tunable-qubit model point: state, exact derivatives, analytic (Q, U), SLDs.
-
-    The analytic SLDs are L_i = (d_i r).sigma, which solves the defining
-    equation exactly because the Bloch path is an isometry (r.dr = 0).
-    """
-    l1, l2 = (float(x) for x in params)
-    r, d1, d2 = _tunable_qubit_bloch_derivs(cfg, l1, l2)
-    rho, derivs = _bloch_state(r, np.stack([d1, d2]))
-    return ModelPoint(
-        params=(l1, l2),
-        rho=rho,
-        derivs=tuple(derivs),
-        analytic_geometry=bloch_geometry(r, (d1, d2)),
-        analytic_slds=tuple(2.0 * derivs),
-    )
-
-
-def _su2_qubit_axes(b: float, theta: float, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _su2_qubit_axes(b: float, theta: float, t: float) -> tuple[np.ndarray, np.ndarray]:
     s, c = np.sin(b * t / 2.0), np.cos(b * t / 2.0)
     n_theta = _vec(np.cos(theta), 0.0, np.sin(theta))
-    n1 = _vec(c * np.sin(theta), -s, -c * np.cos(theta))
-    n2 = np.cross(n_theta, n1)
-    return n_theta, n1, n2
+    return n_theta, _vec(c * np.sin(theta), -s, -c * np.cos(theta))
 
 
 def _su2_qutrit_axes(
@@ -308,27 +242,20 @@ def _su2_frame(cfg: ModelConfig, params: np.ndarray) -> tuple:
         axes = _su2_qutrit_axes(b, theta, params[..., 2], t)
         return psi0, su2_generators(3), axes, (-t, 2.0 * s, 2.0 * np.cos(theta) * s)
     psi0 = _vec(np.cos(alpha / 2.0), np.sin(alpha / 2.0) * np.exp(1j * beta))
-    return psi0, tuple(0.5 * p for p in PAULI), _su2_qubit_axes(b, theta, t)[:2], (-t, 2.0 * s)
+    return psi0, tuple(0.5 * p for p in PAULI), _su2_qubit_axes(b, theta, t), (-t, 2.0 * s)
 
 
-def _su2_state(cfg: ModelConfig, params: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The evolved pure state (..., n, n), its exact derivatives (..., d, n, n)
-    and the initial-frame generators (..., d, n, n) of an SU(2) model, over
-    the leading axes of ``params`` (..., d) and the constants."""
+def _su2_state(cfg: ModelConfig, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The evolved pure state rho = psi psi^dag (..., n, n) and its exact
+    derivatives (..., d, n, n) of an SU(2) model, over the leading axes of
+    ``params`` (..., d) and the constants: psi = U psi0, and with the
+    vectors l_k of `_pure_vectors`, d_k rho = (U l_k psi^dag + psi (U l_k)^dag) / 2."""
     psi0, js, axes, scales = _su2_frame(cfg, params)
-    gens = np.broadcast_arrays(*(_mat(k) * _dot_j(n, js) for k, n in zip(scales, axes)))
-    gens = np.stack(gens, axis=-3)
+    psi0, ells = _pure_vectors(psi0, js, axes, scales)
     u = _su2_exp(_dot_j(axes[0], js), params[..., 0] * cfg.constants["t"])
-    uh = u.swapaxes(-1, -2).conj()
-    rho0 = psi0[..., :, None] * psi0[..., None, :].conj()
-
-    def conjugate(x):  # u x u^dag
-        return hermitian_part(small_matmul(small_matmul(u, x), uh))
-
-    rho = conjugate(rho0)
-    derivs = [conjugate(1j * (small_matmul(g, rho0) - small_matmul(rho0, g)))
-              for g in np.moveaxis(gens, -3, 0)]
-    return rho, np.stack(derivs, axis=-3), gens
+    psi, moved = _apply(u, psi0), _apply(u[..., None, :, :], ells)
+    rho = hermitian_part(psi[..., :, None] * psi[..., None, :].conj())
+    return rho, hermitian_part(moved[..., :, None] * psi[..., None, None, :].conj())
 
 
 def _pure_vectors(psi0, js, axes, scales) -> tuple[np.ndarray, np.ndarray]:
@@ -347,80 +274,6 @@ def _pure_vectors(psi0, js, axes, scales) -> tuple[np.ndarray, np.ndarray]:
     return np.broadcast_to(psi0, ells.shape[:-2] + psi0.shape[-1:]), ells
 
 
-def su2_qubit_point(cfg: ModelConfig, b: float, theta: float) -> ModelPoint:
-    """SU(2) qubit under H = B (cos(theta) Jx + sin(theta) Jz), pure probe."""
-    c = cfg.constants
-    alpha, beta, t = c["alpha"], c["beta"], c["t"]
-    b, theta = float(b), float(theta)
-    rho, derivs, gens = _su2_state(cfg, np.array([b, theta]))
-    n_theta, n1, n2 = _su2_qubit_axes(b, theta, t)
-    s = math.sin(b * t / 2.0)
-    r0 = np.array(
-        [math.sin(alpha) * math.cos(beta), math.sin(alpha) * math.sin(beta), math.cos(alpha)]
-    )
-    q = np.empty((2, 2))
-    q[0, 0] = t**2 * (1.0 - (n_theta @ r0) ** 2)
-    q[1, 1] = 4.0 * s**2 * (1.0 - (n1 @ r0) ** 2)
-    q[0, 1] = q[1, 0] = 2.0 * t * s * (n1 @ r0) * (n_theta @ r0)
-    u_theta_b = 2.0 * t * s * (n2 @ r0)
-    u = np.array([[0.0, -u_theta_b], [u_theta_b, 0.0]])
-    return ModelPoint(
-        params=(b, theta),
-        rho=rho,
-        derivs=tuple(derivs),
-        analytic_geometry=(q, u),
-        analytic_slds=tuple(2.0 * derivs),
-        generators=tuple(gens),
-    )
-
-
-def su2_qutrit_point(cfg: ModelConfig, b: float, theta: float, phi: float) -> ModelPoint:
-    """SU(2) qutrit (spin-1) under H = B J_n with n = (ct cp, ct sp, st)."""
-    c = cfg.constants
-    b, theta, phi = float(b), float(theta), float(phi)
-    rho, derivs, gens = _su2_state(cfg, np.array([b, theta, phi]))
-    q, u = _su2_qutrit_closed_geometry(c["alpha"], c["beta"], b, theta, phi, c["t"])
-    return ModelPoint(
-        params=(b, theta, phi),
-        rho=rho,
-        derivs=tuple(derivs),
-        analytic_geometry=(q, u),
-        analytic_slds=tuple(2.0 * derivs),
-        generators=tuple(gens),
-    )
-
-
-def _su2_qutrit_closed_geometry(
-    alpha: float, beta: float, b: float, theta: float, phi: float, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    x = math.sin(alpha) * math.cos(beta - 2.0 * phi)
-    y = math.sin(alpha) * math.sin(beta - 2.0 * phi)
-    s, c = math.sin(b * t / 2.0), math.cos(b * t / 2.0)
-    s_bt, c_bt = math.sin(b * t), math.cos(b * t)
-    c2a = math.cos(2.0 * alpha)
-    ct, st = math.cos(theta), math.sin(theta)
-    q = np.empty((3, 3))
-    q[0, 0] = 2.0 * t**2 * (1.0 - st**2 * c2a + ct**2 * x)
-    q[1, 1] = 8.0 * s**2 * (
-        1.0 - c**2 * c2a * ct**2 + (c**2 * st**2 - s**2) * x - s_bt * st * y
-    )
-    q[2, 2] = 8.0 * ct**2 * s**2 * (
-        1.0 - s**2 * c2a * ct**2 - (c**2 - st**2 * s**2) * x + s_bt * st * y
-    )
-    q[0, 1] = q[1, 0] = 4.0 * t * ct * s * (s * y - c * st * (c2a + x))
-    q[0, 2] = q[2, 0] = 4.0 * t * ct**2 * s * (s * st * (c2a + x) + c * y)
-    q[1, 2] = q[2, 1] = 4.0 * ct * s**2 * (
-        s_bt * (c2a * ct**2 - (st**2 + 1.0) * x) - 2.0 * c_bt * st * y
-    )
-    ca = math.cos(alpha)
-    u = np.zeros((3, 3))
-    u[0, 1] = 4.0 * t * ca * ct * s**2
-    u[0, 2] = 2.0 * t * ca * ct**2 * s_bt
-    u[1, 2] = -4.0 * ca * s**2 * math.sin(2.0 * theta)
-    u -= u.T
-    return q, u
-
-
 class ModelArrays(NamedTuple):
     """A batch of states as the model knows them.  A state pure by
     construction is ``pure`` = (psi0 (..., n), l (..., d, n)), its initial
@@ -437,10 +290,10 @@ class ModelArrays(NamedTuple):
 
 def model_arrays(cfg: ModelConfig, params: np.ndarray) -> ModelArrays:
     """The states over the leading axes of ``params`` (..., d) and the
-    constants: the batch form of `model_point`, which adds the closed-form
-    oracles for one point.  The SU(2) models and the tunable qubit given
-    (alpha, beta) are pure, and need no evolution operator: Q + iU is the
-    Gram matrix <l_a|l_b>, which the evolution leaves unchanged.  The
+    constants: the batch form of `model_point`.  The SU(2) models and the
+    tunable qubit given (alpha, beta) are pure, and need no evolution
+    operator: Q + iU is the Gram matrix <l_a|l_b>, which the evolution
+    leaves unchanged.  The
     tunable qubit's evolution exp(-i l2 Z) exp(-i gamma n.sigma)
     exp(-i l1 Z) has the initial-frame generators H_1 = -Z and
     H_2 = -(M^T z).sigma, M = R_n(2 gamma) Rz(2 l1).  The tunable qubit given
@@ -462,14 +315,20 @@ def model_arrays(cfg: ModelConfig, params: np.ndarray) -> ModelArrays:
 
 
 def model_point(cfg: ModelConfig, params: Sequence[float]) -> ModelPoint:
-    """Dispatch to the model family named in the config."""
+    """The state and its exact derivatives at one parameter vector, with as
+    many parameters as the model names (`PARAM_NAMES`)."""
+    if cfg.model_id not in MODEL_IDS:
+        raise InvalidInput(f"unknown model {cfg.model_id!r}")
+    values = np.asarray(params, dtype=float)
+    if values.shape != (cfg.n_params,):
+        raise InvalidInput(f"{cfg.model_id} takes the parameters {PARAM_NAMES[cfg.model_id]}, "
+                           f"got an array of shape {values.shape}")
     if cfg.model_id == "tunable_qubit":
-        return tunable_qubit_point(cfg, params)
-    if cfg.model_id == "su2_qubit":
-        return su2_qubit_point(cfg, *params)
-    if cfg.model_id == "su2_qutrit":
-        return su2_qutrit_point(cfg, *params)
-    raise InvalidInput(f"unknown model {cfg.model_id!r}")
+        r, d1, d2 = _tunable_qubit_bloch_derivs(cfg, *values.tolist())
+        rho, derivs = _bloch_state(r, np.stack([d1, d2]))
+    else:
+        rho, derivs = _su2_state(cfg, values)
+    return ModelPoint(tuple(values.tolist()), rho, tuple(derivs))
 
 
 def unitary_generator(
@@ -508,26 +367,11 @@ def unitary_generator(
 def generator_geometry(
     psi0: np.ndarray, gens: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pure-state QFIM and Uhlmann matrix from translation generators.
-
-    Q_kl = 2 <{H_k, H_l}> - 4 <H_k><H_l> and U_kl = -2i <[H_k, H_l]>,
-    expectations in psi0.
-    """
+    """Pure-state QFIM and Uhlmann matrix from translation generators: the
+    real and imaginary parts of the Gram matrix <l_a|l_b> of the vectors
+    l_k = 2i (H_k - <H_k>) psi0, checked by `require_pure_state`."""
     psi = np.asarray(psi0, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
-        raise InvalidInput(f"psi0 must be unit norm, got {norm!r}")
-    d = len(gens)
-    applied = [g @ psi for g in gens]
-    means = np.array([np.real(psi.conj() @ v) for v in applied])
-    q = np.empty((d, d))
-    u = np.zeros((d, d))
-    for k in range(d):
-        for l in range(k, d):
-            second = complex(applied[k].conj() @ applied[l])
-            q[k, l] = q[l, k] = 4.0 * second.real - 4.0 * means[k] * means[l]
-            if l > k:
-                u[k, l] = 4.0 * second.imag
-                u[l, k] = -u[k, l]
-    return q, u
-
+    applied = np.asarray(gens, dtype=complex).reshape((-1,) + 2 * psi.shape) @ psi
+    centered = applied - (psi.conj() @ applied.T).real[:, None] * psi
+    _, ells = require_pure_state(psi, 2j * centered)
+    return _split_gram(ells.conj() @ ells.T)

@@ -1,8 +1,10 @@
 """Shared generators for randomized property tests (all explicitly seeded),
-and oracles that several test modules share."""
+and oracles that several test modules share: among them the closed-form
+geometry of the models and the closed-form bounds the library is held to."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import settings
 
 from qmb import bounds, geometry, models, sweep
-from qmb.geometry import _geometry
+from qmb.errors import InvalidInput
+from qmb.geometry import _bloch_geometry, _geometry, _weight_frame
 from qmb.linalg import SUPPORT_TOL, hermitian_part, require_derivative, state_eigensystem
 from qmb.models import (
     PAULI,
@@ -18,11 +21,16 @@ from qmb.models import (
     _bloch_state,
     _dot_j,
     _mat,
+    _rotation_axis,
+    _su2_frame,
     _su2_qubit_axes,
     _su2_qutrit_axes,
     _tunable_qubit_bloch_derivs,
     _vec,
+    rotation_about_axis,
+    rotation_about_z,
     su2_generators,
+    tunable_qubit_r0,
 )
 
 # Property tests draw the same examples on every run and have no deadline,
@@ -110,6 +118,131 @@ def random_antisymmetric(rng: np.random.Generator, d: int, rank: int | None = No
     return u
 
 
+def tunable_qubit_bloch(cfg, l1: float, l2: float) -> np.ndarray:
+    """Transformed Bloch vector Rz(2 l2) R_n(2 gamma) Rz(2 l1) r0, by
+    composing the rotation matrices.
+
+    This route, the vector that `models._tunable_qubit_bloch_derivs` returns
+    and a closed form in tests/test_models.py are three evaluations of the
+    same vector; the tests hold them to agree.
+    """
+    c = cfg.constants
+    gamma, theta, phi = c["gamma"], c["theta"], c["phi"]
+    return (
+        rotation_about_z(2.0 * l2)
+        @ rotation_about_axis(_rotation_axis(theta, phi), 2.0 * gamma)
+        @ rotation_about_z(2.0 * l1)
+        @ tunable_qubit_r0(c)
+    )
+
+
+def su2_initial_generators(cfg, params) -> tuple[np.ndarray, ...]:
+    """The initial-frame generators H_k = scale_k n_k.J of an SU(2) model at
+    one parameter vector, from `models._su2_frame`; the exact derivatives
+    are d_k rho = U (i [H_k, rho0]) U^dag."""
+    _, js, axes, scales = _su2_frame(cfg, np.asarray(params, dtype=float))
+    return tuple(k * _dot_j(n, js) for k, n in zip(scales, axes))
+
+
+def su2_qubit_geometry(cfg, params) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (Q, U) of the SU(2) qubit under H = B (cos(theta) Jx +
+    sin(theta) Jz) with the pure probe (alpha, beta), at params (B, theta)."""
+    c = cfg.constants
+    alpha, beta, t = c["alpha"], c["beta"], c["t"]
+    b, theta = (float(x) for x in params)
+    n_theta, n1 = _su2_qubit_axes(b, theta, t)
+    n2 = np.cross(n_theta, n1)
+    s = math.sin(b * t / 2.0)
+    r0 = np.array(
+        [math.sin(alpha) * math.cos(beta), math.sin(alpha) * math.sin(beta), math.cos(alpha)]
+    )
+    q = np.empty((2, 2))
+    q[0, 0] = t**2 * (1.0 - (n_theta @ r0) ** 2)
+    q[1, 1] = 4.0 * s**2 * (1.0 - (n1 @ r0) ** 2)
+    q[0, 1] = q[1, 0] = 2.0 * t * s * (n1 @ r0) * (n_theta @ r0)
+    u_theta_b = 2.0 * t * s * (n2 @ r0)
+    return q, np.array([[0.0, -u_theta_b], [u_theta_b, 0.0]])
+
+
+def su2_qutrit_geometry(cfg, params) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (Q, U) of the SU(2) qutrit (spin 1) under H = B J_n,
+    n = (ct cp, ct sp, st), with the pure probe (alpha, beta), at params
+    (B, theta, phi)."""
+    c = cfg.constants
+    alpha, beta, t = c["alpha"], c["beta"], c["t"]
+    b, theta, phi = (float(x) for x in params)
+    x = math.sin(alpha) * math.cos(beta - 2.0 * phi)
+    y = math.sin(alpha) * math.sin(beta - 2.0 * phi)
+    s, c = math.sin(b * t / 2.0), math.cos(b * t / 2.0)
+    s_bt, c_bt = math.sin(b * t), math.cos(b * t)
+    c2a = math.cos(2.0 * alpha)
+    ct, st = math.cos(theta), math.sin(theta)
+    q = np.empty((3, 3))
+    q[0, 0] = 2.0 * t**2 * (1.0 - st**2 * c2a + ct**2 * x)
+    q[1, 1] = 8.0 * s**2 * (
+        1.0 - c**2 * c2a * ct**2 + (c**2 * st**2 - s**2) * x - s_bt * st * y
+    )
+    q[2, 2] = 8.0 * ct**2 * s**2 * (
+        1.0 - s**2 * c2a * ct**2 - (c**2 - st**2 * s**2) * x + s_bt * st * y
+    )
+    q[0, 1] = q[1, 0] = 4.0 * t * ct * s * (s * y - c * st * (c2a + x))
+    q[0, 2] = q[2, 0] = 4.0 * t * ct**2 * s * (s * st * (c2a + x) + c * y)
+    q[1, 2] = q[2, 1] = 4.0 * ct * s**2 * (
+        s_bt * (c2a * ct**2 - (st**2 + 1.0) * x) - 2.0 * c_bt * st * y
+    )
+    ca = math.cos(alpha)
+    u = np.zeros((3, 3))
+    u[0, 1] = 4.0 * t * ca * ct * s**2
+    u[0, 2] = 2.0 * t * ca * ct**2 * s_bt
+    u[1, 2] = -4.0 * ca * s**2 * math.sin(2.0 * theta)
+    u -= u.T
+    return q, u
+
+
+def analytic_geometry(cfg, params) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form (Q, U) of a model point: the SU(2) formulas above, and
+    for the tunable qubit Q_ij = d_i r.d_j r + (r.d_i r)(r.d_j r)/(1 - |r|^2),
+    U_ij = r.(d_i r x d_j r) from its Bloch path (`geometry._bloch_geometry`)."""
+    if cfg.model_id == "su2_qubit":
+        return su2_qubit_geometry(cfg, params)
+    if cfg.model_id == "su2_qutrit":
+        return su2_qutrit_geometry(cfg, params)
+    r, d1, d2 = _tunable_qubit_bloch_derivs(cfg, *(float(x) for x in params))
+    g = _bloch_geometry(r, np.stack([d1, d2]))
+    return g.qfim, g.uhlmann
+
+
+def holevo_pure_qubit_closed_form(g, w_mat: np.ndarray) -> float:
+    """Pure-qubit two-parameter Holevo bound, Tr[W Q^-1] + 2 sqrt(det[W Q^-1])."""
+    if g.n_params != 2:
+        raise InvalidInput("closed form is specific to two-parameter models")
+    frame = _weight_frame(g, w_mat)
+    prod = frame.w_mat @ frame.qinv
+    det = max(float(np.linalg.det(prod)), 0.0)
+    return float(np.trace(prod)) + 2.0 * float(np.sqrt(det))
+
+
+def op_norm_inf(a: np.ndarray) -> float:
+    """Spectral radius, the maximum |eigenvalue| of the matrix: the norm of
+    the quantumness R = ||i Q^-1 U||, whose arguments are similar to
+    Hermitian matrices, so the spectrum is real."""
+    a = np.asarray(a, dtype=complex)
+    if a.size == 0:
+        return 0.0
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def tangent_setup(g, basis, w_mat: np.ndarray):
+    """The per-point pieces of the Holevo objective (`bounds._TangentSetup`)
+    at the weight matrix ``w_mat``."""
+    return bounds._tangent_setup(basis, _weight_frame(g, w_mat))
+
+
+def tangent_objective(g, basis, w_mat: np.ndarray) -> Callable[[np.ndarray], float]:
+    """The Holevo objective of `bounds` as a function of the flattened K matrix."""
+    return bounds._objective(tangent_setup(g, basis, w_mat))
+
+
 def tunable_qubit_pure_geometry_grid(
     alpha: np.ndarray,
     beta: np.ndarray,
@@ -121,9 +254,10 @@ def tunable_qubit_pure_geometry_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form (Q11, Q12, Q22, U12) over broadcastable pure-state angle grids.
 
-    Same geometry as `tunable_qubit_point` restricted to |r0| = 1, evaluated
-    without constructing density matrices or Bloch vectors; the fig1
-    maximization oracle in tests/test_sweep.py searches an angle grid with it.
+    Same geometry as `analytic_geometry` of the tunable qubit restricted to
+    |r0| = 1, evaluated without constructing density matrices or Bloch
+    vectors; the fig1 maximization oracle in tests/test_sweep.py searches an
+    angle grid with it.
     Sparse (``np.meshgrid(..., sparse=True)``) inputs cost one trig call per
     axis value; all four outputs share the broadcast shape of the inputs,
     and scalar inputs give 0-d results.
@@ -277,7 +411,8 @@ def expm_generator(h: np.ndarray, t=1.0) -> np.ndarray:
 # a sweep through it, so the kernels' and the closed forms' rounding can be
 # held to a tolerance.
 def matmul_su2_state(cfg, params):
-    """`models._su2_state` with `@` products and the eigh exponential."""
+    """`models._su2_state` through the generators: d_k rho = U (i [H_k, rho0]) U^dag,
+    with `@` products and the eigh exponential."""
     c = cfg.constants
     alpha, beta, t = c["alpha"], c["beta"], c["t"]
     b, theta = params[..., 0], params[..., 1]
@@ -299,25 +434,23 @@ def matmul_su2_state(cfg, params):
     rho0 = psi0[..., :, None] * psi0[..., None, :].conj()
     rho = hermitian_part(u @ rho0 @ uh)
     derivs = [hermitian_part(u @ (1j * (g @ rho0 - rho0 @ g)) @ uh) for g in np.moveaxis(gens, -3, 0)]
-    return rho, np.stack(derivs, axis=-3), gens
+    return rho, np.stack(derivs, axis=-3)
 
 
 def matrix_model_arrays(cfg, params):
     """`models.model_arrays` with every state a density matrix: the SU(2)
     models by `matmul_su2_state`, the tunable qubit by `_bloch_state`."""
     if cfg.model_id != "tunable_qubit":
-        return ModelArrays(*matmul_su2_state(cfg, params)[:2], None, None)
+        return ModelArrays(*matmul_su2_state(cfg, params), None, None)
     r, d1, d2 = _tunable_qubit_bloch_derivs(cfg, params[..., 0], params[..., 1])
     return ModelArrays(*_bloch_state(r, np.stack([d1, d2], axis=-2)), None, None)
 
 
-def matmul_compute_geometry(rho, derivs, check=True):
+def matmul_compute_geometry(rho, derivs):
     """`geometry.compute_geometry` with `@` SLDs and traces of `@` products."""
-    derivs = np.asarray(derivs)
-    d = derivs.shape[-3]
-    w, v = state_eigensystem(rho, check)
-    if check:
-        derivs = require_derivative(derivs)
+    d = np.shape(derivs)[-3]
+    w, v = state_eigensystem(rho)
+    derivs = require_derivative(derivs)
     vh = v.swapaxes(-1, -2).conj()
     denom = w[..., :, None] + w[..., None, :]
     keep = denom > SUPPORT_TOL

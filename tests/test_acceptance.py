@@ -18,16 +18,10 @@ from qmb.geometry import (
     t_measure,
     tangent_normal_decomposition,
 )
-from qmb.models import (
-    ModelPoint,
-    model_config,
-    su2_qubit_point,
-    su2_qutrit_point,
-    tunable_qubit_point,
-)
+from qmb.models import ModelPoint, model_config, model_point
 from qmb.sweep import Axis, figure_preset, run_sweep
 
-from conftest import random_antisymmetric, random_model, random_spd
+from conftest import analytic_geometry, random_antisymmetric, random_model, random_spd
 
 
 def _passline(num: int, text: str) -> None:
@@ -48,7 +42,7 @@ def _fd_derivs(point_fn, params, h_rel=1e-5):
 
 def test_criterion_01_qutrit_holevo_anchor():
     cfg = model_config("su2_qutrit", alpha=math.pi / 4, beta=0.0, t=1.0)
-    pt = su2_qutrit_point(cfg, math.pi, 0.0, 0.0)
+    pt = model_point(cfg, (math.pi, 0.0, 0.0))
     g = compute_geometry(pt.rho, pt.derivs)
     basis = tangent_normal_decomposition(pt.rho, g)
     start = time.perf_counter()
@@ -76,7 +70,7 @@ def test_criterion_02_pure_qubit_closed_form():
             theta=rng.uniform(0.1, math.pi - 0.1),
             phi=rng.uniform(0.0, 2 * math.pi),
         )
-        pt = tunable_qubit_point(cfg, rng.uniform(-1.5, 1.5, size=2))
+        pt = model_point(cfg, rng.uniform(-1.5, 1.5, size=2))
         g = compute_geometry(pt.rho, pt.derivs)
         w_eigs = np.linalg.eigvalsh(g.qfim)
         if w_eigs[0] <= 0 or w_eigs[-1] / w_eigs[0] > 1e10:
@@ -109,7 +103,7 @@ def test_criterion_03_purity_identity():
             gamma=math.pi / 4, theta=math.pi / 2,
             phi=rng.uniform(0.0, 2 * math.pi),
         )
-        pt = tunable_qubit_point(cfg, rng.uniform(-1.5, 1.5, size=2))
+        pt = model_point(cfg, rng.uniform(-1.5, 1.5, size=2))
         g = compute_geometry(pt.rho, pt.derivs)
         w_eigs = np.linalg.eigvalsh(g.qfim)
         if w_eigs[0] <= 0 or w_eigs[-1] / w_eigs[0] > 1e5:
@@ -210,7 +204,7 @@ def test_criterion_07_qutrit_determinants():
     worst_u = 0.0
     for theta in thetas:
         for b in bs:
-            pt = su2_qutrit_point(cfg, b, theta, 0.0)
+            pt = model_point(cfg, (b, theta, 0.0))
             g = compute_geometry(pt.rho, pt.derivs)
             det_q = float(np.linalg.det(g.qfim))
             closed = 64.0 * math.cos(theta) ** 2 * math.sin(b / 2.0) ** 4
@@ -226,11 +220,12 @@ def test_criterion_08_dual_path_geometry():
     rng = np.random.default_rng(808)
     worst = 0.0
 
-    def check(pt, point_fn, params):
+    def check(cfg, params):
         nonlocal worst
-        fd = _fd_derivs(point_fn, params)
-        g = compute_geometry(pt.rho, fd, check=False)
-        qa, ua = pt.analytic_geometry
+        pt = model_point(cfg, params)
+        fd = _fd_derivs(lambda p: model_point(cfg, p), params)
+        g = compute_geometry(pt.rho, fd)
+        qa, ua = analytic_geometry(cfg, params)
         err = max(np.max(np.abs(g.qfim - qa)), np.max(np.abs(g.uhlmann - ua)))
         worst = max(worst, err)
         assert err <= 1e-6
@@ -245,9 +240,7 @@ def test_criterion_08_dual_path_geometry():
             gamma=rng.uniform(0.1, 1.4), theta=rng.uniform(0.2, 2.9),
             phi=rng.uniform(0.0, 2 * math.pi),
         )
-        lam = rng.uniform(-1.5, 1.5, size=2)
-        check(tunable_qubit_point(cfg, lam),
-              lambda p, c=cfg: tunable_qubit_point(c, p), lam)
+        check(cfg, rng.uniform(-1.5, 1.5, size=2))
 
     for _ in range(100):
         cfg = model_config(
@@ -255,9 +248,7 @@ def test_criterion_08_dual_path_geometry():
             alpha=rng.uniform(0.2, 2.9), beta=rng.uniform(0.0, 2 * math.pi),
             t=rng.uniform(0.5, 5.0),
         )
-        params = [rng.uniform(0.2, 2.0), rng.uniform(-1.3, 1.3)]
-        check(su2_qubit_point(cfg, *params),
-              lambda p, c=cfg: su2_qubit_point(c, *p), params)
+        check(cfg, [rng.uniform(0.2, 2.0), rng.uniform(-1.3, 1.3)])
 
     for _ in range(100):
         cfg = model_config(
@@ -265,9 +256,7 @@ def test_criterion_08_dual_path_geometry():
             alpha=rng.uniform(0.3, 2.8), beta=rng.uniform(0.0, 2 * math.pi),
             t=rng.uniform(0.5, 2.0),
         )
-        params = [rng.uniform(0.3, 2.5), rng.uniform(-1.2, 1.2), rng.uniform(-1.0, 1.0)]
-        check(su2_qutrit_point(cfg, *params),
-              lambda p, c=cfg: su2_qutrit_point(c, *p), params)
+        check(cfg, [rng.uniform(0.3, 2.5), rng.uniform(-1.2, 1.2), rng.uniform(-1.0, 1.0)])
 
     _passline(8, f"analytic (Q, U) vs finite-difference SLD pipeline on 100 points "
                  f"per model (worst abs err {worst:.1e} <= 1e-6)")

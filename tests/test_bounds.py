@@ -14,16 +14,13 @@ from qmb.bounds import (
     _holevo_dual,
     _objective,
     _shrink,
-    _tangent_setup,
     batch_reports,
     c_r_bound,
     c_rld,
     c_sld,
     c_t_bound,
     full_report,
-    holevo_pure_qubit_closed_form,
     holevo_tangent_min,
-    tangent_objective,
 )
 from qmb.errors import HierarchyViolation, SingularState
 from qmb.geometry import (
@@ -39,16 +36,17 @@ from qmb.geometry import (
     weight_transform,
 )
 from qmb.linalg import spd_sqrt, tracenorm_antisym
-from qmb.models import (
-    _su2_state,
-    model_arrays,
-    model_config,
-    su2_qubit_point,
-    su2_qutrit_point,
-    tunable_qubit_point,
-)
+from qmb.models import _su2_state, model_arrays, model_config, model_point
 
-from conftest import nelder_mead, random_model, random_pure_model, random_spd
+from conftest import (
+    holevo_pure_qubit_closed_form,
+    nelder_mead,
+    random_model,
+    random_pure_model,
+    random_spd,
+    tangent_objective,
+    tangent_setup,
+)
 
 
 def tq_point(r0=(0.3, 0.2, 0.5), phi=0.35, l1=0.525, l2=0.0):
@@ -57,7 +55,7 @@ def tq_point(r0=(0.3, 0.2, 0.5), phi=0.35, l1=0.525, l2=0.0):
         r_x=r0[0], r_y=r0[1], r_z=r0[2],
         gamma=np.pi / 4, theta=np.pi / 2, phi=phi,
     )
-    return tunable_qubit_point(cfg, (l1, l2))
+    return model_point(cfg, (l1, l2))
 
 
 def classical_model(rng, n=3, d=2):
@@ -254,7 +252,7 @@ class TestScalarBounds:
                 gamma=rng.uniform(0.2, 1.4), theta=rng.uniform(0.2, 2.9),
                 phi=rng.uniform(0, 2 * np.pi),
             )
-            pt = tunable_qubit_point(cfg, (0.0, 0.0))
+            pt = model_point(cfg, (0.0, 0.0))
             g = compute_geometry(pt.rho, pt.derivs)
             if np.linalg.cond(g.qfim) > 1e8:
                 continue
@@ -284,7 +282,7 @@ class TestPureQubitClosedForm:
         cfg = model_config(
             "tunable_qubit", alpha=1.1, beta=0.3, gamma=0.6, theta=1.1, phi=0.4
         )
-        pt = tunable_qubit_point(cfg, (0.2, 0.1))
+        pt = model_point(cfg, (0.2, 0.1))
         g = compute_geometry(pt.rho, pt.derivs)
         basis = tangent_normal_decomposition(pt.rho, g)
         sol = holevo_tangent_min(g, basis, np.eye(2))
@@ -350,7 +348,7 @@ class TestTangentObjective:
 class TestHolevoTangentMin:
     def test_qutrit_anchor(self):
         cfg = model_config("su2_qutrit", alpha=np.pi / 4, beta=0.0, t=1.0)
-        pt = su2_qutrit_point(cfg, np.pi, 0.0, 0.0)
+        pt = model_point(cfg, (np.pi, 0.0, 0.0))
         g = compute_geometry(pt.rho, pt.derivs)
         basis = tangent_normal_decomposition(pt.rho, g)
         sol = holevo_tangent_min(g, basis, np.eye(3))
@@ -366,18 +364,17 @@ class TestHolevoTangentMin:
         assert sol.value == pytest.approx(c_sld(g, np.eye(2)), rel=1e-9)
 
     def test_weight_frame_equals_weight_matrix(self, rng):
-        # passing the frame built from W gives the very floats W gives
-        from qmb.geometry import _weight_frame
-
+        # full_report solves on the weight frame it built from W, and gives
+        # the very floats holevo_tangent_min gives from W
         qutrit = model_config("su2_qutrit", alpha=np.pi / 4, beta=0.0, t=1.0)
         qubit = model_config("su2_qubit", alpha=np.pi / 2, beta=0.0, t=5.0)
         # m = 1 with d = 2 and d = 3, and m = 0
-        for pt in (tq_point(), su2_qutrit_point(qutrit, 2.9, 0.2, 0.0), su2_qubit_point(qubit, 0.8, 0.6)):
+        for pt in (tq_point(), model_point(qutrit, (2.9, 0.2, 0.0)), model_point(qubit, (0.8, 0.6))):
             g = compute_geometry(pt.rho, pt.derivs)
             basis = tangent_normal_decomposition(pt.rho, g)
             w = random_spd(rng, g.n_params)
             by_matrix = holevo_tangent_min(g, basis, w)
-            by_frame = holevo_tangent_min(g, basis, _weight_frame(g, w))
+            by_frame = full_report(pt, w, ReportOptions(compute_rld=False), geometry=g).holevo
             assert by_frame.value == by_matrix.value
             assert np.array_equal(by_frame.k_matrix, by_matrix.k_matrix)
 
@@ -385,7 +382,7 @@ class TestHolevoTangentMin:
         cfg = model_config(
             "tunable_qubit", alpha=0.9, beta=0.2, gamma=np.pi / 4, theta=np.pi / 2, phi=0.3
         )
-        pt = tunable_qubit_point(cfg, (0.4, 0.0))
+        pt = model_point(cfg, (0.4, 0.0))
         g = compute_geometry(pt.rho, pt.derivs)
         basis = tangent_normal_decomposition(pt.rho, g)
         assert basis.size == 0
@@ -471,7 +468,7 @@ class TestHolevoExact:
         for _ in range(100):
             rho, g, basis, w = one_dim_normal_space(rng, kind)
             sol = holevo_tangent_min(g, basis, w)
-            ladder = holevo_ladder(_tangent_setup(g, basis, w), restarts=1, max_rounds=2)
+            ladder = holevo_ladder(tangent_setup(g, basis, w), restarts=1, max_rounds=2)
             assert sol.converged
             assert sol.value <= ladder
             assert sol.value == pytest.approx(ladder, rel=1e-10)
@@ -482,7 +479,7 @@ class TestHolevoExact:
         branches = set()
         for _ in range(20):
             rho, g, basis, w = one_dim_normal_space(rng, "mixed_qubit")
-            setup = _tangent_setup(g, basis, w)
+            setup = tangent_setup(g, basis, w)
             s2 = float(setup.left[:, 0] @ setup.left[:, 0])
             weight = basis.gram.real[0, 0]
             q, _ = axial_split(setup)
@@ -510,7 +507,7 @@ class TestHolevoExact:
 
     def test_interior_root(self, rng):
         rho, g, basis, w = one_dim_normal_space(rng, "pure_qutrit")
-        setup = _tangent_setup(g, basis, w)
+        setup = tangent_setup(g, basis, w)
         s2 = float(setup.left[:, 0] @ setup.left[:, 0])
         weight = basis.gram.real[0, 0]
         q, p = axial_split(setup)
@@ -536,7 +533,7 @@ class TestHolevoDual:
         for _ in range(100):
             rho, g, basis, w = one_dim_normal_space(rng, kind)
             exact = holevo_tangent_min(g, basis, w)
-            sol = _holevo_dual(_tangent_setup(g, basis, w))
+            sol = _holevo_dual(tangent_setup(g, basis, w))
             assert sol.value == pytest.approx(exact.value, rel=1e-12)
             assert sol.value - sol.lower <= 1e-12 * sol.value
 
@@ -547,7 +544,7 @@ class TestHolevoDual:
                 rho, derivs = random_model(rng, n, d)
                 g = compute_geometry(rho, derivs)
                 basis = tangent_normal_decomposition(rho, g)
-                setup = _tangent_setup(g, basis, random_spd(rng, d))
+                setup = tangent_setup(g, basis, random_spd(rng, d))
                 sol = _holevo_dual(setup)
                 assert sol.value - sol.lower <= HOLEVO_GAP_TOL * sol.value
                 assert sol.value <= holevo_ladder(setup, restarts=1, max_rounds=2) + 1e-12
@@ -610,7 +607,7 @@ class TestFullReport:
 
     def test_su2_qubit_strict_r_t_separation(self):
         cfg = model_config("su2_qubit", alpha=np.pi / 2, beta=0.0, t=5.0)
-        pt = su2_qubit_point(cfg, 0.8, 0.6)
+        pt = model_point(cfg, (0.8, 0.6))
         report = full_report(pt, np.eye(2))
         assert report.c_r > report.c_t
 
@@ -626,7 +623,7 @@ class TestFullReport:
                 geometry, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
             )
         cfg = model_config("su2_qutrit", alpha=np.pi / 4, beta=0.0, t=1.0)
-        for pt, w in ((tq_point(), np.diag([1.0, 2.0])), (su2_qutrit_point(cfg, 2.9, 0.2, 0.0), np.eye(3))):
+        for pt, w in ((tq_point(), np.diag([1.0, 2.0])), (model_point(cfg, (2.9, 0.2, 0.0)), np.eye(3))):
             calls.clear()
             report = full_report(pt, w, ReportOptions(compute_rld=False))
             assert report.c_h is not None
@@ -634,7 +631,7 @@ class TestFullReport:
 
     def test_pure_state_flags_rld(self):
         cfg = model_config("su2_qubit", alpha=np.pi / 2, beta=0.0, t=5.0)
-        pt = su2_qubit_point(cfg, 0.8, 0.6)
+        pt = model_point(cfg, (0.8, 0.6))
         report = full_report(pt, np.eye(2))
         assert "RldUnavailable" in report.flags
         assert report.c_rld is None
@@ -684,6 +681,25 @@ class TestFullReport:
             assert report.c_sld - 1e-9 <= report.c_h <= report.c_t + eps
             assert report.c_t <= report.c_r + eps <= 2 * report.c_sld + 2 * eps
 
+    @pytest.mark.parametrize("make", [random_model, random_pure_model])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_parameter_models(self, rng, make, n):
+        # with d = 1 the antisymmetric part vanishes: C_H = C_SLD = C_T at K = 0
+        from qmb.models import ModelPoint
+
+        for _ in range(5):
+            rho, derivs = make(rng, n, 1)
+            w = random_spd(rng, 1)
+            report = full_report(ModelPoint((0.0,), rho, tuple(derivs)), w)
+            assert report.c_h == report.c_sld == report.c_t
+            assert report.t_value == 0.0 and report.holevo.converged
+            m = report.holevo.k_matrix.shape[0]
+            assert report.holevo.k_matrix.shape == (m, 1) and not report.holevo.k_matrix.any()
+            assert m == (n * n - 2 if make is random_model else 2 * n - 3)
+            g = compute_geometry(rho, derivs)
+            sol = holevo_tangent_min(g, tangent_normal_decomposition(rho, g), w)
+            assert sol.value == report.c_h
+
     def test_non_convergence_is_flagged_not_fatal(self, rng, monkeypatch):
         # one Newton step leaves the dual short of the tolerance: the row
         # keeps its primal value, inside its certified bracket, and a flag
@@ -723,7 +739,7 @@ class TestFullReport:
 
     def test_hierarchy_violation_raised_by_full_report(self, monkeypatch):
         # one point is a batch of one: its chain is checked like a chunk's
-        point = su2_qubit_point(model_config("su2_qubit", alpha=1.0, beta=0.3, t=1.0), 0.8, 0.4)
+        point = model_point(model_config("su2_qubit", alpha=1.0, beta=0.3, t=1.0), (0.8, 0.4))
         report = full_report(point, np.eye(2))
         monkeypatch.setattr(bounds, "_spectral_radius", lambda g: np.full(len(g.qfim), 1.5))
         with pytest.raises(HierarchyViolation) as info:
@@ -782,7 +798,7 @@ class TestPureStateShortcut:
         offsets = np.concatenate([-np.logspace(-2.0, -7.5, 23), [0.0], np.logspace(-7.5, -2.0, 23)])
         params = np.stack(np.broadcast_arrays(2.0 * np.pi + offsets[:, None], [[0.3, 0.9]]), -1)
         cfg = model_config("su2_qubit", alpha=1.0, beta=0.3, t=1.0)
-        rho, derivs = (x.reshape((-1,) + x.shape[2:]) for x in _su2_state(cfg, params)[:2])
+        rho, derivs = (x.reshape((-1,) + x.shape[2:]) for x in _su2_state(cfg, params))
         g, sizes, ill = self._assert_shortcut_rows_are_the_empty_ones(monkeypatch, rho, derivs)
         q = np.linalg.eigvalsh(g.qfim)
         cond = q[:, -1] / np.maximum(q[:, 0], 1e-300)

@@ -31,9 +31,10 @@ from qmb.geometry import (
     weight_transform,
 )
 from qmb.linalg import hermitian_part, rld_solve, sld_solve
-from qmb.models import PAULI, model_config, su2_qutrit_point, tunable_qubit_point
+from qmb.models import PAULI, model_config, model_point
 
 from conftest import (
+    analytic_geometry,
     eigvalsh_spectral_radius,
     pure_model_vectors,
     random_antisymmetric,
@@ -54,13 +55,16 @@ def _assert_same_message(got, want):
         assert complex(a) == pytest.approx(complex(b), abs=1e-12)
 
 
-def tq_point(r0=(0.3, 0.2, 0.5), phi=0.35, l1=0.525, l2=0.0):
-    cfg = model_config(
+def tq_config(r0=(0.3, 0.2, 0.5), phi=0.35):
+    return model_config(
         "tunable_qubit",
         r_x=r0[0], r_y=r0[1], r_z=r0[2],
         gamma=np.pi / 4, theta=np.pi / 2, phi=phi,
     )
-    return tunable_qubit_point(cfg, (l1, l2))
+
+
+def tq_point(r0=(0.3, 0.2, 0.5), phi=0.35, l1=0.525, l2=0.0):
+    return model_point(tq_config(r0, phi), (l1, l2))
 
 
 def random_valid_geometry(rng, d, max_r=0.95):
@@ -76,7 +80,7 @@ class TestComputeGeometry:
     def test_matches_analytic_special_angles(self):
         pt = tq_point()
         g = compute_geometry(pt.rho, pt.derivs)
-        qa, ua = pt.analytic_geometry
+        qa, ua = analytic_geometry(tq_config(), pt.params)
         assert np.max(np.abs(g.qfim - qa)) <= 1e-8
         assert np.max(np.abs(g.uhlmann - ua)) <= 1e-8
         assert g.tangent_dim == 2
@@ -106,15 +110,14 @@ class TestComputeGeometry:
             assert np.max(np.abs(np.diag(g.uhlmann))) == 0.0
 
     @pytest.mark.parametrize("make", [random_model, random_pure_model])
-    @pytest.mark.parametrize("check", [True, False])
-    def test_slds_equal_single_solves(self, rng, make, check):
+    def test_slds_equal_single_solves(self, rng, make):
         # one eigensystem of rho serves every derivative, with the same result
         for n, d in ((2, 2), (3, 3), (4, 3)):
             for _ in range(10):
                 rho, derivs = make(rng, n, d)
-                g = compute_geometry(rho, derivs, check=check)
+                g = compute_geometry(rho, derivs)
                 for sld, dr in zip(g.slds, derivs):
-                    assert np.array_equal(sld, sld_solve(rho, dr, check=check))
+                    assert np.array_equal(sld, sld_solve(rho, dr))
 
     def test_rejects_invalid_state_and_derivatives(self, rng):
         rho, derivs = random_model(rng, 3, 2)
@@ -217,23 +220,21 @@ class TestRldQfim:
         cfg = model_config(
             "tunable_qubit", alpha=0.7, beta=0.1, gamma=np.pi / 4, theta=np.pi / 2, phi=0.0
         )
-        pt = tunable_qubit_point(cfg, (0.2, 0.0))
+        pt = model_point(cfg, (0.2, 0.0))
         with pytest.raises(SingularState):
             rld_qfim(pt.rho, pt.derivs)
 
-    @pytest.mark.parametrize("check", [True, False])
-    def test_matches_per_derivative_solves(self, rng, check):
+    def test_matches_per_derivative_solves(self, rng):
         # one spectrum and one factorization of rho serve every derivative
         for n, d in ((2, 1), (2, 2), (3, 2), (3, 3), (4, 3)):
             for _ in range(5):
                 rho, derivs = random_model(rng, n, d)
-                ls = [rld_solve(rho, dr, check=check) for dr in derivs]
+                ls = [rld_solve(rho, dr) for dr in derivs]
                 want = np.array([[np.trace(rho @ la @ lb.conj().T) for lb in ls] for la in ls])
-                got = rld_qfim(rho, derivs, check=check)
+                got = rld_qfim(rho, derivs)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("check", [True, False])
-    def test_rank_deficient_states_rejected(self, rng, check):
+    def test_rank_deficient_states_rejected(self, rng):
         for rho, derivs in (
             random_pure_model(rng, 2, 2),
             random_pure_model(rng, 3, 3),
@@ -241,7 +242,7 @@ class TestRldQfim:
             random_rank_deficient_model(rng, 4, 3, 3),
         ):
             with pytest.raises(SingularState):
-                rld_qfim(rho, derivs, check=check)
+                rld_qfim(rho, derivs)
 
     def test_one_decomposition_per_call(self, rng, monkeypatch):
         rho, derivs = random_model(rng, 3, 3)
@@ -495,14 +496,14 @@ class TestNormalSpace:
         cfg = model_config(
             "tunable_qubit", alpha=0.9, beta=0.2, gamma=np.pi / 4, theta=np.pi / 2, phi=0.3
         )
-        pt = tunable_qubit_point(cfg, (0.4, 0.0))
+        pt = model_point(cfg, (0.4, 0.0))
         g = compute_geometry(pt.rho, pt.derivs)
         basis = tangent_normal_decomposition(pt.rho, g)
         assert basis.size == 0
 
     def test_qutrit_anchor_structure(self):
         cfg = model_config("su2_qutrit", alpha=np.pi / 4, beta=0.0, t=1.0)
-        pt = su2_qutrit_point(cfg, np.pi, 0.0, 0.0)
+        pt = model_point(cfg, (np.pi, 0.0, 0.0))
         g = compute_geometry(pt.rho, pt.derivs)
         basis = tangent_normal_decomposition(pt.rho, g)
         assert g.tangent_dim == 3
@@ -724,7 +725,7 @@ class TestNormalSpaceOracle:
 
     def test_presets_exact(self):
         cfg = model_config("su2_qutrit", alpha=np.pi / 4, beta=0.0, t=1.0)
-        for pt in (su2_qutrit_point(cfg, np.pi + 0.3, 0.2, 0.0), tq_point()):
+        for pt in (model_point(cfg, (np.pi + 0.3, 0.2, 0.0)), tq_point()):
             _assert_matches_oracle(pt.rho, compute_geometry(pt.rho, pt.derivs), exact=True)
 
     def test_collapsed_tangent_space(self):
@@ -794,8 +795,6 @@ def test_vector_normal_space_matches_gell_mann_route(seed, n, data):
     np.testing.assert_allclose(o.T @ o, np.eye(got.size), rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.gram, o.T @ want.gram @ o, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.coupling, want.coupling @ o, rtol=0, atol=tol)
-    if d == 1:  # the dual solve takes two parameters or more
-        return
     w_mat, sqrt_w = _weight_and_root(random_spd(rng, d)[None], d)
     opts = ReportOptions(compute_rld=False)
     got_c = batch_reports(None, None, got_g, w_mat, sqrt_w, opts)

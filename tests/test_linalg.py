@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qmb.errors import DerivativeNotTraceless, NonHermitianInput, SingularState
 from qmb.linalg import (
     eig_hermitian,
-    op_norm_inf,
     require_density,
     rld_solve,
     sld_solve,
@@ -14,7 +13,7 @@ from qmb.linalg import (
     trace_norm,
 )
 
-from conftest import random_density, random_traceless_hermitian
+from conftest import op_norm_inf, random_density, random_traceless_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 

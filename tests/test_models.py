@@ -5,23 +5,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qmb.errors import StepTooLarge
+from qmb.errors import NonHermitianInput, StepTooLarge
 from qmb.models import (
     PAULI,
     _su2_exp,
+    _su2_state,
     _tunable_qubit_bloch_derivs,
     generator_geometry,
     model_config,
     model_point,
     su2_generators,
-    su2_qubit_point,
-    su2_qutrit_point,
-    tunable_qubit_bloch,
-    tunable_qubit_point,
     unitary_generator,
 )
 
-from conftest import expm_generator, tunable_qubit_pure_geometry_grid
+from conftest import (
+    analytic_geometry,
+    expm_generator,
+    matmul_su2_state,
+    su2_initial_generators,
+    tunable_qubit_bloch,
+    tunable_qubit_pure_geometry_grid,
+)
 
 
 def _bloch_closed_form(
@@ -62,11 +66,11 @@ def _bloch_closed_form(
 
 
 def pure_point_geometry(alpha, beta, gamma, theta, phi, l1, l2):
-    """Analytic (Q, U) of the pure tunable qubit through the per-point model."""
+    """Analytic (Q, U) of the pure tunable qubit from its Bloch path at one point."""
     cfg = model_config(
         "tunable_qubit", alpha=alpha, beta=beta, gamma=gamma, theta=theta, phi=phi
     )
-    return tunable_qubit_point(cfg, (l1, l2)).analytic_geometry
+    return analytic_geometry(cfg, (l1, l2))
 
 
 def tq_config(r0=(0.3, 0.2, 0.5), gamma=np.pi / 4, theta=np.pi / 2, phi=0.35):
@@ -151,10 +155,10 @@ class TestTunableQubitPoint:
         cfg = tq_config()
         for _ in range(10):
             lam = rng.uniform(-1.5, 1.5, size=2)
-            pt = tunable_qubit_point(cfg, lam)
+            pt = model_point(cfg, lam)
             assert abs(np.trace(pt.rho) - 1) <= 1e-12
             assert np.min(np.linalg.eigvalsh(pt.rho)) >= -1e-12
-            fd = fd_rho_derivs(lambda p: tunable_qubit_point(cfg, p), lam)
+            fd = fd_rho_derivs(lambda p: model_point(cfg, p), lam)
             for got, ref in zip(pt.derivs, fd):
                 assert np.max(np.abs(got - ref)) <= 1e-6
                 assert abs(np.trace(got)) <= 1e-10
@@ -163,8 +167,7 @@ class TestTunableQubitPoint:
         r0 = (0.3, 0.2, 0.5)
         phi, l1 = 0.35, 0.525
         xi = 2 * l1 - phi
-        pt = tunable_qubit_point(tq_config(r0), (l1, 0.0))
-        q, u = pt.analytic_geometry
+        q, u = analytic_geometry(tq_config(r0), (l1, 0.0))
         rx, ry, rz = r0
         assert q[0, 0] == pytest.approx(4 * (rx**2 + ry**2), abs=1e-12)
         assert q[0, 1] == pytest.approx(
@@ -184,23 +187,23 @@ class TestTunableQubitPoint:
         for _ in range(25):
             r0 = rng.normal(size=3)
             r0 *= rng.uniform(0.2, 0.95) / np.linalg.norm(r0)
-            pt = tunable_qubit_point(tq_config(tuple(r0), phi=rng.uniform(0, 2 * np.pi)),
+            q, u = analytic_geometry(tq_config(tuple(r0), phi=rng.uniform(0, 2 * np.pi)),
                                      rng.uniform(-1, 1, size=2))
-            q, u = pt.analytic_geometry
             det_q = np.linalg.det(q)
             det_u = np.linalg.det(u)
             assert det_u == pytest.approx(float(r0 @ r0) * det_q, rel=1e-10, abs=1e-14)
 
     def test_commuting_encodings(self):
-        pt = tunable_qubit_point(tq_config(gamma=0.0), (0.4, 0.2))
-        q, u = pt.analytic_geometry
+        q, u = analytic_geometry(tq_config(gamma=0.0), (0.4, 0.2))
         assert abs(u[0, 1]) <= 1e-12
         assert abs(np.linalg.det(q)) <= 1e-12
 
     def test_analytic_slds_solve_defining_equation(self, rng):
+        # L_i = (d_i r).sigma = 2 d_i rho, since the Bloch path is an isometry (r.dr = 0)
         for l2 in (0.0, 0.4):
-            pt = tunable_qubit_point(tq_config(), (0.525, l2))
-            for l_op, dr in zip(pt.analytic_slds, pt.derivs):
+            pt = model_point(tq_config(), (0.525, l2))
+            for dr in pt.derivs:
+                l_op = 2.0 * dr
                 resid = 0.5 * (l_op @ pt.rho + pt.rho @ l_op) - dr
                 assert np.max(np.abs(resid)) <= 1e-12
 
@@ -208,30 +211,26 @@ class TestTunableQubitPoint:
         cfg = model_config(
             "tunable_qubit", alpha=1.1, beta=0.4, gamma=np.pi / 4, theta=np.pi / 2, phi=0.2
         )
-        pt = tunable_qubit_point(cfg, (0.3, 0.1))
-        q, u = pt.analytic_geometry
+        q, u = analytic_geometry(cfg, (0.3, 0.1))
         assert np.linalg.det(q) == pytest.approx(np.linalg.det(u), rel=1e-9)
 
 
 class TestSu2Qubit:
     def test_aligned_state_has_no_b_information(self):
         cfg = model_config("su2_qubit", alpha=np.pi / 2, beta=0.0, t=5.0)
-        pt = su2_qubit_point(cfg, 1.0, 0.0)
-        q, _ = pt.analytic_geometry
+        q, _ = analytic_geometry(cfg, (1.0, 0.0))
         assert abs(q[0, 0]) <= 1e-12
 
     def test_full_period_kills_theta_information(self):
         cfg = model_config("su2_qubit", alpha=0.8, beta=0.3, t=5.0)
         b = 2 * np.pi / 5.0
-        pt = su2_qubit_point(cfg, b, 0.7)
-        q, _ = pt.analytic_geometry
+        q, _ = analytic_geometry(cfg, (b, 0.7))
         assert abs(q[1, 1]) <= 1e-12
 
     def test_uhlmann_entry_closed_form(self):
         alpha, beta, t = 0.9, 0.4, 5.0
         b, theta = 1.3, 0.7
-        pt = su2_qubit_point(model_config("su2_qubit", alpha=alpha, beta=beta, t=t), b, theta)
-        _, u = pt.analytic_geometry
+        _, u = analytic_geometry(model_config("su2_qubit", alpha=alpha, beta=beta, t=t), (b, theta))
         s, c = np.sin(b * t / 2), np.cos(b * t / 2)
         n2 = np.array([s * np.sin(theta), c, -s * np.cos(theta)])
         r0 = np.array([np.sin(alpha) * np.cos(beta), np.sin(alpha) * np.sin(beta), np.cos(alpha)])
@@ -241,10 +240,10 @@ class TestSu2Qubit:
         from qmb.geometry import compute_geometry
 
         cfg = model_config("su2_qubit", alpha=np.pi / 2, beta=0.0, t=5.0)
-        pt = su2_qubit_point(cfg, 1.3, 0.7)
-        fd = fd_rho_derivs(lambda p: su2_qubit_point(cfg, *p), [1.3, 0.7])
-        g = compute_geometry(pt.rho, fd, check=False)
-        qa, ua = pt.analytic_geometry
+        pt = model_point(cfg, (1.3, 0.7))
+        fd = fd_rho_derivs(lambda p: model_point(cfg, p), [1.3, 0.7])
+        g = compute_geometry(pt.rho, fd)
+        qa, ua = analytic_geometry(cfg, (1.3, 0.7))
         assert np.max(np.abs(g.qfim - qa)) <= 1e-6
         assert np.max(np.abs(g.uhlmann - ua)) <= 1e-6
 
@@ -254,17 +253,17 @@ class TestSu2Qubit:
             t = rng.uniform(0.5, 5.0)
             b, theta = rng.uniform(0.2, 2.0), rng.uniform(-1.3, 1.3)
             cfg = model_config("su2_qubit", alpha=alpha, beta=beta, t=t)
-            pt = su2_qubit_point(cfg, b, theta)
             psi0 = np.array([np.cos(alpha / 2), np.sin(alpha / 2) * np.exp(1j * beta)])
-            q, u = generator_geometry(psi0, pt.generators)
-            qa, ua = pt.analytic_geometry
+            q, u = generator_geometry(psi0, su2_initial_generators(cfg, (b, theta)))
+            qa, ua = analytic_geometry(cfg, (b, theta))
             assert np.max(np.abs(q - qa)) <= 1e-8
             assert np.max(np.abs(u - ua)) <= 1e-8
 
     def test_analytic_slds_solve_defining_equation(self):
         cfg = model_config("su2_qubit", alpha=0.9, beta=0.4, t=5.0)
-        pt = su2_qubit_point(cfg, 1.3, 0.7)
-        for l_op, dr in zip(pt.analytic_slds, pt.derivs):
+        pt = model_point(cfg, (1.3, 0.7))
+        for dr in pt.derivs:  # a pure state's SLDs are L_i = 2 d_i rho
+            l_op = 2.0 * dr
             resid = 0.5 * (l_op @ pt.rho + pt.rho @ l_op) - dr
             assert np.max(np.abs(resid)) <= 1e-12
 
@@ -276,8 +275,7 @@ class TestSu2Qutrit:
             b = rng.uniform(0.5, 5.5)
             theta = rng.uniform(-1.2, 1.2)
             phi = rng.uniform(-1.0, 1.0)
-            pt = su2_qutrit_point(cfg, b, theta, phi)
-            q, u = pt.analytic_geometry
+            q, u = analytic_geometry(cfg, (b, theta, phi))
             expected = 64 * 1.0 * np.cos(theta) ** 2 * np.sin(b / 2) ** 4 * np.sin(np.pi / 2) ** 2
             assert np.linalg.det(q) == pytest.approx(expected, rel=1e-8)
             assert abs(np.linalg.det(u)) <= 1e-10
@@ -288,39 +286,53 @@ class TestSu2Qutrit:
             t = rng.uniform(0.5, 2.0)
             b, theta, phi = rng.uniform(0.3, 2.5), rng.uniform(-1.2, 1.2), rng.uniform(-1, 1)
             cfg = model_config("su2_qutrit", alpha=alpha, beta=beta, t=t)
-            pt = su2_qutrit_point(cfg, b, theta, phi)
             psi0 = np.array([np.cos(alpha / 2), 0.0, np.sin(alpha / 2) * np.exp(1j * beta)])
-            q, u = generator_geometry(psi0, pt.generators)
-            qa, ua = pt.analytic_geometry
+            q, u = generator_geometry(psi0, su2_initial_generators(cfg, (b, theta, phi)))
+            qa, ua = analytic_geometry(cfg, (b, theta, phi))
             scale = max(1.0, np.max(np.abs(qa)))
             assert np.max(np.abs(q - qa)) <= 1e-8 * scale
             assert np.max(np.abs(u - ua)) <= 1e-8 * scale
 
     def test_anchor_slds_solve_defining_equation(self):
         cfg = model_config("su2_qutrit", alpha=np.pi / 4, beta=0.0, t=1.0)
-        pt = su2_qutrit_point(cfg, np.pi, 0.0, 0.0)
-        for l_op, dr in zip(pt.analytic_slds, pt.derivs):
+        pt = model_point(cfg, (np.pi, 0.0, 0.0))
+        for dr in pt.derivs:  # a pure state's SLDs are L_i = 2 d_i rho
+            l_op = 2.0 * dr
             resid = 0.5 * (l_op @ pt.rho + pt.rho @ l_op) - dr
             assert np.max(np.abs(resid)) <= 1e-8
 
     def test_derivatives_match_finite_differences(self, rng):
         cfg = model_config("su2_qutrit", alpha=0.9, beta=0.4, t=1.7)
         params = [1.1, 0.5, 0.3]
-        pt = su2_qutrit_point(cfg, *params)
-        fd = fd_rho_derivs(lambda p: su2_qutrit_point(cfg, *p), params)
+        pt = model_point(cfg, params)
+        fd = fd_rho_derivs(lambda p: model_point(cfg, p), params)
         for got, ref in zip(pt.derivs, fd):
             assert np.max(np.abs(got - ref)) <= 1e-6
 
     def test_beta_periodicity(self):
         a = model_config("su2_qutrit", alpha=0.9, beta=0.4, t=1.7)
         b = model_config("su2_qutrit", alpha=0.9, beta=0.4 + 2 * np.pi, t=1.7)
-        pa = su2_qutrit_point(a, 1.1, 0.5, 0.3)
-        pb = su2_qutrit_point(b, 1.1, 0.5, 0.3)
+        pa = model_point(a, (1.1, 0.5, 0.3))
+        pb = model_point(b, (1.1, 0.5, 0.3))
         assert np.max(np.abs(pa.rho - pb.rho)) <= 1e-12
-        qa, ua = pa.analytic_geometry
-        qb, ub = pb.analytic_geometry
+        qa, ua = analytic_geometry(a, (1.1, 0.5, 0.3))
+        qb, ub = analytic_geometry(b, (1.1, 0.5, 0.3))
         assert np.max(np.abs(qa - qb)) <= 1e-12
         assert np.max(np.abs(ua - ub)) <= 1e-12
+
+
+class TestSu2State:
+    def test_matches_generator_oracle(self, rng):
+        # psi = U psi0 with d_k rho = (U l_k psi^dag + psi (U l_k)^dag) / 2,
+        # against d_k rho = U (i [H_k, rho0]) U^dag with the eigh exponential
+        for model_id, d in (("su2_qubit", 2), ("su2_qutrit", 3)):
+            for _ in range(20):
+                cfg = model_config(model_id, alpha=rng.uniform(0.0, np.pi),
+                                   beta=rng.uniform(0.0, 2 * np.pi), t=rng.uniform(0.2, 5.0))
+                params = rng.uniform(-3.0, 3.0, size=(16, d))
+                for got, want in zip(_su2_state(cfg, params), matmul_su2_state(cfg, params)):
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 class TestSu2Exponential:
@@ -359,7 +371,7 @@ class TestUnitaryGenerator:
         # H_model = -U^dag [i (dU) U^dag] U
         alpha, beta, t, b, theta = 0.9, 0.4, 5.0, 1.3, 0.7
         cfg = model_config("su2_qubit", alpha=alpha, beta=beta, t=t)
-        pt = su2_qubit_point(cfg, b, theta)
+        gens = su2_initial_generators(cfg, (b, theta))
         js = [p / 2 for p in PAULI]
 
         def u_of(th):
@@ -368,12 +380,12 @@ class TestUnitaryGenerator:
 
         gen_fd = unitary_generator(u_of, theta)
         u0 = u_of(theta)
-        assert np.max(np.abs(-u0.conj().T @ gen_fd @ u0 - pt.generators[1])) <= 1e-6
+        assert np.max(np.abs(-u0.conj().T @ gen_fd @ u0 - gens[1])) <= 1e-6
 
     def test_su2_qutrit_phi_generator_conjugation(self):
         alpha, beta, t, b, theta, phi = 0.9, 0.0, 1.7, 1.1, 0.5, 0.3
         cfg = model_config("su2_qutrit", alpha=alpha, beta=beta, t=t)
-        pt = su2_qutrit_point(cfg, b, theta, phi)
+        gens = su2_initial_generators(cfg, (b, theta, phi))
         js = su2_generators(3)
 
         def u_of(p):
@@ -382,7 +394,7 @@ class TestUnitaryGenerator:
 
         gen_fd = unitary_generator(u_of, phi)
         u0 = u_of(phi)
-        assert np.max(np.abs(-u0.conj().T @ gen_fd @ u0 - pt.generators[2])) <= 1e-6
+        assert np.max(np.abs(-u0.conj().T @ gen_fd @ u0 - gens[2])) <= 1e-6
 
     def test_hermiticity_defect_diagnostic(self):
         sz = PAULI[2]
@@ -404,6 +416,14 @@ class TestGeneratorGeometry:
         assert q[0, 0] == pytest.approx(4.0, abs=1e-12)
         assert u[0, 0] == 0.0
 
+    def test_unnormalized_psi0_rejected_as_pure_state(self):
+        # psi0 is checked as the pure-state route checks its vectors, with
+        # |psi0|^2 = Tr rho; the generators may be any Hermitian matrices
+        with pytest.raises(NonHermitianInput, match="rho has trace"):
+            generator_geometry(np.array([1.0, 1.0]), [np.eye(2)])
+        with pytest.raises(ValueError, match="at least one parameter derivative"):
+            generator_geometry(np.array([1.0, 0.0]), [])
+
     def test_commuting_generators(self):
         psi = np.array([np.cos(0.4), np.sin(0.4) * np.exp(0.3j)])
         sz = PAULI[2]
@@ -422,7 +442,7 @@ class TestPureGeometryGrid:
             cfg = model_config(
                 "tunable_qubit", alpha=alpha, beta=beta, gamma=gamma, theta=theta, phi=phi
             )
-            q, u = tunable_qubit_point(cfg, (0.0, 0.0)).analytic_geometry
+            q, u = analytic_geometry(cfg, (0.0, 0.0))
             assert float(q11) == pytest.approx(q[0, 0], abs=1e-10)
             assert float(q12) == pytest.approx(q[0, 1], abs=1e-10)
             assert float(q22) == pytest.approx(q[1, 1], abs=1e-10)

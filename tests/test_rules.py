@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmb.bounds import FLAG_RLD_UNAVAILABLE, ReportOptions, c_rld, full_report
-from qmb.errors import QmbError, SingularQFIM, SingularState
+from qmb.errors import InvalidInput, QmbError, SingularQFIM, SingularState
 from qmb.geometry import (
     COND_LIMIT,
     _geometry,
@@ -20,7 +20,7 @@ from qmb.geometry import (
     rld_qfim,
 )
 from qmb.linalg import SUPPORT_TOL, WEIGHT_FLOOR, require_weight, spd_sqrt
-from qmb.models import ModelPoint, generator_geometry, model_config
+from qmb.models import PARAM_NAMES, ModelPoint, generator_geometry, model_config, model_point
 from qmb.sweep import _qfim_weight, figure_preset, validate_spec
 
 from conftest import random_traceless_hermitian
@@ -136,12 +136,33 @@ def test_rld_cut_is_relative(scale):
         lambda: require_weight(np.ones((2, 3))),
         lambda: compute_geometry(np.eye(2) / 2, np.zeros((0, 2, 2))),
         lambda: model_config("su2_qubit", alpha=0.1, beta=0.0),
-        lambda: generator_geometry(np.array([1.0, 1.0]), [np.eye(2)]),
+        lambda: generator_geometry(np.array([1.0, 0.0]), []),
+        lambda: model_point(model_config("su2_qubit", alpha=0.1, beta=0.0, t=1.0), (0.5,)),
     ],
     ids=["weight_not_definite", "weight_not_square", "no_derivatives", "missing_constant",
-         "psi0_not_normalized"],
+         "no_generators", "wrong_parameter_count"],
 )
 def test_input_errors_are_qmb_errors(call):
     with pytest.raises(QmbError) as info:
         call()
     assert isinstance(info.value, ValueError)
+
+
+_CONSTANTS = {
+    "tunable_qubit": {"r_x": 0.1, "r_y": 0.2, "r_z": 0.3, "gamma": 0.4, "theta": 0.5, "phi": 0.6},
+    "su2_qubit": {"alpha": 0.7, "beta": 0.1, "t": 2.0},
+    "su2_qutrit": {"alpha": 0.7, "beta": 0.1, "t": 2.0},
+}
+
+
+@pytest.mark.parametrize("model_id", sorted(_CONSTANTS))
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_parameter_count(model_id, offset):
+    # a model point takes exactly as many parameters as the model names
+    cfg = model_config(model_id, **_CONSTANTS[model_id])
+    params = np.linspace(0.1, 0.9, len(PARAM_NAMES[model_id]) + offset)
+    if offset:
+        with pytest.raises(InvalidInput, match=f"{model_id} takes the parameters"):
+            model_point(cfg, params)
+    else:
+        assert model_point(cfg, params).params == tuple(params)

@@ -29,7 +29,9 @@ from .geometry import (
     COND_LIMIT,
     InformationGeometry,
     NormalSpaceBasis,
+    _bloch_coordinates,
     _frame,
+    _gell_mann_coordinates,
     _normal_spaces,
     _rld_matrix,
     _spectral_radius,
@@ -406,7 +408,7 @@ def _check_hierarchy(report, rows=...) -> None:
         return
     eps = HIERARCHY_SLACK * c_s
     chain = [
-        (c_h is None or c_h >= c_s - 1e-9, "C_H < C_SLD"),
+        (c_h is None or c_h >= c_s - eps, "C_H < C_SLD"),
         (c_h is None or c_h <= c_t + eps, "C_H > C_T"),
         (c_t <= c_r + eps, "C_T > C_R"),
         (c_r <= 2.0 * c_s + eps, "C_R > 2 C_SLD"),
@@ -435,7 +437,7 @@ def full_report(
     g = geometry or compute_geometry(point.rho, point.derivs)
     w_mat, sqrt_w = _weight_and_root(w_mat, g.n_params)
     one = InformationGeometry(*(v if v is None else np.asarray(v)[None] for v in (
-        g.qfim, g.uhlmann, g.slds, g.tangent_dim, g.rho_spectrum, g.psi)))
+        g.qfim, g.uhlmann, g.slds, g.tangent_dim, g.rho_spectrum, g.psi, g.r)))
     one.__dict__.update({k: tuple(x[None] for x in getattr(g, k))  # the cached decompositions
                          for k in ("_qfim_eigh", "_qfim_inverses")})
     rho, derivs = np.asarray(point.rho)[None], np.asarray(point.derivs)[None]
@@ -460,7 +462,9 @@ def batch_reports(
     size with their solutions ("holevo").  Only the dual solve runs point by
     point.  A geometry of pure states given as vectors (``g.psi``) needs
     neither rho nor derivs: such a state has no RLD bound, and its normal
-    space is built from the vectors.  A pure state whose tangent space fills
+    space is built from the vectors.  A geometry of qubits given by Bloch
+    vectors (``g.r``) builds its normal space from them, and needs rho and
+    derivs for the RLD bound alone.  A pure state whose tangent space fills
     the 2(n - 1) directions of pure states has no normal space (Matsumoto,
     J. Phys. A 35, 3111, 2002)."""
     frame = _frame(g, w_mat, sqrt_w)
@@ -491,11 +495,13 @@ def batch_reports(
             if np.size(g.slds) == 0:
                 raise InvalidInput("geometry must carry SLD operators")
             sel = subset(regular, points)
-            if g.psi is None:
-                spaces = _normal_spaces(rho[sel], g.slds[sel])
-            else:
+            if g.psi is not None:
                 spaces = _vector_normal_spaces(g.psi[sel], g.slds[sel],
                                                tuple(x[sel] for x in g._qfim_eigh))
+            elif g.r is not None:
+                spaces = _normal_spaces(*_bloch_coordinates(g.r[sel], g.slds[sel]))
+            else:
+                spaces = _normal_spaces(*_gell_mann_coordinates(rho[sel], g.slds[sel]))
             for rows, basis in spaces:
                 rows = regular[rows]
                 setup = _tangent_setup(basis, take(frame, subset(rows, points)))

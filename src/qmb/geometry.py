@@ -11,11 +11,10 @@ import numpy as np
 from .errors import InvalidInput, SingularQFIM
 from .linalg import (
     SUPPORT_TOL,
-    _require_eig_floor,
-    _require_unit_trace,
     density_spectrum,
     dot,
     hermitian_part,
+    require_bloch_state,
     require_derivative,
     require_full_rank,
     require_hermitian,
@@ -41,7 +40,9 @@ class InformationGeometry:
     descending spectrum of rho (if known), of one point or of a batch stacked along
     a leading axis (then ``slds`` is (B, d, n, n), ``tangent_dim`` an integer array).
     A batch of pure states given as vectors carries them in ``psi`` (B, n), and
-    ``slds`` then holds the vectors L_k psi (B, d, n)."""
+    ``slds`` then holds the vectors L_k psi (B, d, n).  A batch of qubits given
+    by Bloch vectors carries them in ``r`` (B, 3), and ``slds`` then holds the
+    Bloch parts b_k of L_k = a_k I + b_k.sigma (B, d, 3)."""
 
     qfim: np.ndarray
     uhlmann: np.ndarray
@@ -49,6 +50,7 @@ class InformationGeometry:
     tangent_dim: int
     rho_spectrum: np.ndarray | None = None
     psi: np.ndarray | None = None
+    r: np.ndarray | None = None
 
     @property
     def n_params(self) -> int:
@@ -111,13 +113,13 @@ def geometry_from_matrices(
 
 
 def _geometry(q: np.ndarray, u: np.ndarray, slds: tuple, rho_spectrum=None,
-              psi=None) -> InformationGeometry:
+              psi=None, r=None) -> InformationGeometry:
     """The geometry of (Q, U, SLDs); the one eigendecomposition of Q gives
     the tangent rank at relative tolerance RANK_TOL and fills the
     geometry's cached eigenpairs."""
     w, v = np.linalg.eigh(q)
     rank = np.sum(_tangent_mask(w), axis=-1)
-    g = InformationGeometry(q, u, slds, rank if rank.ndim else int(rank), rho_spectrum, psi)
+    g = InformationGeometry(q, u, slds, rank if rank.ndim else int(rank), rho_spectrum, psi, r)
     g.__dict__["_qfim_eigh"] = (w, v)  # the cached_property slot
     return g
 
@@ -185,28 +187,24 @@ def model_geometry(
     """The geometry of a batch of states, taking what the model knows about
     them (the fields of `models.ModelArrays`); without that, `compute_geometry`
     of the states (B, n, n) and derivatives (B, d, n, n).  Each route
-    validates its input as `compute_geometry` does, in the form it has.
+    validates its input as `compute_geometry` does, in the form it has, and
+    builds no density matrix.
 
     * ``pure`` = (psi, l): Q + iU = <l_a|l_b> (Matsumoto, J. Phys. A 35,
       3111, 2002), and the spectrum is (1, 0, ...); see `_vector_geometry`.
-    * ``bloch`` = (r, d r) of a qubit: L_i = a_i I + b_i.sigma with
-      a_i = -(r.d_i r) / (1 - |r|^2) and b_i = d_i r - a_i r, Q_ij = d_i r.d_j r
-      + (r.d_i r)(r.d_j r) / (1 - |r|^2) and U_ij = r.(d_i r x d_j r), with
-      the spectrum (1 +- |r|) / 2, which also gives rho's eigenvalue floor.
-      Where (1 - |r|) / 2 + (1 - |r|) / 2 is at or below SUPPORT_TOL, the
-      L's entry on the lower eigenvector is 0, as `sld_in_eigenbasis` has it.
+    * ``bloch`` = (r, d r) of a qubit, checked by `require_bloch_state`:
+      L_i = a_i I + b_i.sigma with a_i = -(r.d_i r) / (1 - |r|^2) and
+      b_i = d_i r - a_i r, Q_ij = d_i r.d_j r + (r.d_i r)(r.d_j r) / (1 - |r|^2)
+      and U_ij = r.(d_i r x d_j r), with the spectrum (1 +- |r|) / 2; see
+      `_bloch_geometry`.  Where (1 - |r|) / 2 + (1 - |r|) / 2 is at or below
+      SUPPORT_TOL, the L's entry on the lower eigenvector is 0, as
+      `sld_in_eigenbasis` has it.
     """
     if pure is not None:
         return _vector_geometry(*pure)
-    if bloch is None:
-        return compute_geometry(rho, derivs)
-    derivs = _need_derivatives(derivs)
-    rho = _require_unit_trace(rho, "rho")
-    # the eigenvalues of a 2x2 state are (Tr rho +- |r|) / 2
-    radius = np.hypot((rho[..., 0, 0] - rho[..., 1, 1]).real, 2.0 * np.abs(rho[..., 0, 1]))
-    _require_eig_floor(0.5 * (np.trace(rho, axis1=-2, axis2=-1).real - radius), "rho")
-    require_derivative(derivs)
-    return _bloch_geometry(*bloch)
+    if bloch is not None:
+        return _bloch_geometry(*bloch)
+    return compute_geometry(rho, derivs)
 
 
 def _vector_geometry(psi: np.ndarray, ells: np.ndarray) -> InformationGeometry:
@@ -222,8 +220,9 @@ def _vector_geometry(psi: np.ndarray, ells: np.ndarray) -> InformationGeometry:
 
 
 def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
-    """The qubit route of `model_geometry`, from r (B, 3) and d r (B, d, 3)."""
-    radius = np.sqrt(dot(r, r))
+    """The qubit route of `model_geometry`, from r (B, 3) and d r (B, d, 3):
+    the geometry carries r and, as its ``slds``, the Bloch parts b (B, d, 3)."""
+    r, dr, radius = require_bloch_state(r, dr)
     radial = dot(dr, r[..., None, :])  # r.d_i r
     # b_i = d_i r - k (r.d_i r) r and Q_ij = d_i r.d_j r - k (r.d_i r)(r.d_j r),
     # with a_i = k r.d_i r on the support and k = -1 / (1 - |r|^2); the cut
@@ -232,18 +231,17 @@ def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
     with np.errstate(divide="ignore", invalid="ignore"):
         kr = np.where(cut, (1.0 + 2.0 * radius) / (2.0 * radius**2 * (1.0 + radius)),
                       -1.0 / ((1.0 - radius) * (1.0 + radius)))[..., None] * radial
-        a = np.where(cut[..., None], radial / (2.0 * radius * (1.0 + radius))[..., None], kr)
     b = dr - kr[..., None] * r[..., None, :]
     q = dr @ dr.swapaxes(-1, -2) - kr[..., :, None] * radial[..., None, :]
-    u = np.zeros(q.shape)
-    for i, j in zip(*np.triu_indices(dr.shape[-2], 1)):
-        u[..., i, j] = dot(r, np.cross(dr[..., i, :], dr[..., j, :]))
-        u[..., j, i] = -u[..., i, j]
-    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
-    slds = np.stack([a + bz, bx - 1j * by, bx + 1j * by, a - bz], axis=-1)
+    x, y, z = dr[..., 0], dr[..., 1], dr[..., 2]
+
+    def wedge(f, g):  # f_i g_j - g_i f_j over the parameter pairs (i, j)
+        return f[..., :, None] * g[..., None, :] - g[..., :, None] * f[..., None, :]
+
+    cross = np.stack([wedge(y, z), wedge(z, x), wedge(x, y)], axis=-1)  # d_i r x d_j r
+    u = dot(r[..., None, None, :], cross)
     spectrum = np.stack([0.5 + 0.5 * radius, np.maximum(0.5 - 0.5 * radius, 0.0)], axis=-1)
-    return _geometry(0.5 * (q + q.swapaxes(-1, -2)), u, slds.reshape(b.shape[:-1] + (2, 2)),
-                     spectrum)
+    return _geometry(0.5 * (q + q.swapaxes(-1, -2)), u, b, spectrum, r=r)
 
 
 def rld_qfim(rho: np.ndarray, derivs: Sequence[np.ndarray]) -> np.ndarray:
@@ -525,14 +523,40 @@ def tangent_normal_decomposition(
         raise InvalidInput("geometry must carry SLD operators")
     _qfim_inverse(g, pseudo_inverse)  # singularity policy
     rho = np.asarray(rho, dtype=complex)
-    ((_, basis),) = _normal_spaces(rho[None], np.asarray(g.slds)[None])
+    ((_, basis),) = _normal_spaces(*_gell_mann_coordinates(rho[None], np.asarray(g.slds)[None]))
     return take(basis, 0)
 
 
-def _normal_spaces(rho: np.ndarray, slds: np.ndarray) -> list:
-    """The normal-space bases of a batch of states (B, n, n) with SLDs
-    (B, d, n, n), as `tangent_normal_decomposition` builds one, grouped by
-    size: (rows, basis with those rows stacked along a leading axis).
+def _gell_mann_coordinates(rho: np.ndarray, slds: np.ndarray) -> tuple:
+    """The Gell-Mann coordinates that `_normal_spaces` reads, of states
+    (B, n, n) with SLDs (B, d, n, n): rho's means c_a = Tr[rho G_a] (B, n^2 - 1),
+    the form S_ab = Tr[rho G_a G_b] - c_a c_b and the SLD coefficients
+    Tr[L_i G_a] / 2 (B, d, n^2 - 1)."""
+    n = rho.shape[-1]
+    _, traces, products = _gell_mann(n)
+    flat_rho = rho.reshape(len(rho), n * n, 1)
+    means = (traces @ flat_rho)[..., 0].real
+    s = (products @ flat_rho).reshape(means.shape + (-1,))
+    s -= means[:, :, None] * means[:, None, :]
+    return means, s, 0.5 * (slds.reshape(slds.shape[:2] + (-1,)) @ traces.T).real
+
+
+def _bloch_coordinates(r: np.ndarray, b: np.ndarray) -> tuple:
+    """`_gell_mann_coordinates` of qubits given by Bloch vectors r (B, 3) with
+    the Bloch parts b (B, d, 3) of their SLDs, where the Gell-Mann basis is
+    the Pauli matrices: the means are r, S_ab = delta_ab - r_a r_b
+    + i eps_abc r_c, and the SLD coefficients are b."""
+    im = np.zeros(r.shape + (3,))
+    im[:, 0, 1], im[:, 1, 2], im[:, 2, 0] = r[:, 2], r[:, 0], r[:, 1]
+    s = np.eye(3) - r[:, :, None] * r[:, None, :] + 1j * (im - im.swapaxes(-1, -2))
+    return r, s, b
+
+
+def _normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray) -> list:
+    """The normal-space bases of a batch of states given by their Gell-Mann
+    coordinates (`_gell_mann_coordinates`), as `tangent_normal_decomposition`
+    builds one, grouped by size: (rows, basis with those rows stacked along
+    a leading axis).
 
     For a qubit with two parameters, where the Gell-Mann basis is the Pauli
     matrices, Re S = I - r r^T (r the Bloch vector) and the SLD coefficients
@@ -541,15 +565,8 @@ def _normal_spaces(rho: np.ndarray, slds: np.ndarray) -> list:
     where 1 - |r|^2 or the tangent Gram's det / trace^2 comes within
     _QUBIT_MARGIN of the RANK_TOL cut take the eigendecompositions instead,
     which draw the line between sizes; so do all other (n, d)."""
-    n = rho.shape[-1]
-    _, traces, products = _gell_mann(n)
-    flat_rho = rho.reshape(len(rho), n * n, 1)
-    means = (traces @ flat_rho)[..., 0].real
-    s = (products @ flat_rho).reshape(means.shape + (-1,))
-    s -= means[:, :, None] * means[:, None, :]
-    l = 0.5 * (slds.reshape(slds.shape[:2] + (-1,)) @ traces.T).real
-    closed = np.zeros(len(rho), bool)
-    if (n, l.shape[1]) == (2, 2):
+    closed = np.zeros(len(means), bool)
+    if l.shape[1:] == (2, 3):
         gram = l @ s.real @ l.swapaxes(-1, -2)
         det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
         trace = gram[:, 0, 0] + gram[:, 1, 1]
@@ -559,19 +576,22 @@ def _normal_spaces(rho: np.ndarray, slds: np.ndarray) -> list:
     groups = []
     if closed.any():
         rows = np.flatnonzero(closed)
-        sel = subset(rows, len(rho))
+        sel = subset(rows, len(means))
         r, b = means[sel], l[sel]
-        normal = np.cross(b[:, 0], b[:, 1])
+        b1, b2 = b[:, 0], b[:, 1]
+        normal = np.stack([b1[:, 1] * b2[:, 2] - b1[:, 2] * b2[:, 1],
+                           b1[:, 2] * b2[:, 0] - b1[:, 0] * b2[:, 2],
+                           b1[:, 0] * b2[:, 1] - b1[:, 1] * b2[:, 0]], axis=-1)  # b_1 x b_2
         along = dot(r, normal) / gap[sel]
         x = normal + r * along[:, None]  # (I - r r^T)^-1 (b_1 x b_2)
         x /= np.sqrt(dot(normal, normal) + dot(r, normal) * along)[:, None]  # sqrt(x^T Re S x)
         # Re S x is along b_1 x b_2: the eigenvector whose sign the eigen route pivots
         pivot = np.take_along_axis(normal, np.argmax(np.abs(normal), axis=-1)[:, None], axis=-1)
         x *= np.where(pivot < 0, -1.0, 1.0)
-        groups.append((rows, _basis(x[..., None], means[sel], s[sel], b)))
+        groups.append((rows, _basis(x[..., None], r, s[sel], b)))
     if not closed.all():
         general = np.flatnonzero(~closed)
-        sel = subset(general, len(rho))
+        sel = subset(general, len(means))
         groups += [(general[rows], basis)
                    for rows, basis in _eigen_normal_spaces(means[sel], s[sel], l[sel])]
     return groups

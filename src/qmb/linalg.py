@@ -184,6 +184,27 @@ def require_pure_state(psi: np.ndarray, ells: np.ndarray) -> tuple[np.ndarray, n
     return psi, ells
 
 
+def require_bloch_state(
+    r: np.ndarray, dr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate qubit states given by Bloch vectors r (..., 3) with their
+    derivatives d r (..., d, 3), as `require_density` and `require_derivative`
+    validate rho = (I + r.sigma) / 2 and d_k rho = d_k r.sigma / 2: finite
+    entries, and the lower eigenvalue (1 - |r|) / 2 above the floor.  Unit
+    trace, Hermiticity and traceless derivatives hold by construction.
+    Returns r, d r and |r|."""
+    r, dr = np.asarray(r, dtype=float), np.asarray(dr, dtype=float)
+    if dr.ndim < 2 or dr.shape[-2] < 1:
+        raise InvalidInput("need at least one parameter derivative")
+    raise_first_failure((~np.isfinite(r).all(axis=-1), lambda i: NonHermitianInput(
+        "rho has non-finite entries")))
+    radius = np.sqrt(dot(r, r))
+    _require_eig_floor(0.5 * (1.0 - radius), "rho")
+    raise_first_failure((~np.isfinite(dr).all(axis=(-2, -1)), lambda i: NonHermitianInput(
+        "drho has non-finite entries")))
+    return r, dr, radius
+
+
 def sld_in_eigenbasis(w: np.ndarray, v: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """The SLD of ``drho`` given the eigensystem (w, v) of rho, so several
     derivatives of one state share a single decomposition."""

@@ -184,7 +184,7 @@ def _tunable_qubit_bloch_derivs(
     leading axes that the constants and (l1, l2) broadcast to.
 
     d Rz(2 l)/d l = 2 [z x] Rz(2 l), so each derivative is a rotated cross
-    product; no finite differences are involved.
+    product z x v = (-v_y, v_x, 0); no finite differences are involved.
     """
     c = cfg.constants
     r0 = tunable_qubit_r0(c)
@@ -192,11 +192,14 @@ def _tunable_qubit_bloch_derivs(
     rot_v = rotation_about_axis(_rotation_axis(theta, phi), 2.0 * gamma)
     rz1 = rotation_about_z(2.0 * l1)
     rz2 = rotation_about_z(2.0 * l2)
-    zhat = np.array([0.0, 0.0, 1.0])
+
+    def z_cross(v):
+        return _vec(-v[..., 1], v[..., 0], np.zeros(v.shape[:-1]))
+
     w = _apply(rz1, r0)
     r = _apply(rz2, _apply(rot_v, w))
-    d1 = _apply(rz2, _apply(rot_v, 2.0 * np.cross(zhat, w)))
-    d2 = 2.0 * np.cross(zhat, r)
+    d1 = _apply(rz2, _apply(rot_v, 2.0 * z_cross(w)))
+    d2 = 2.0 * z_cross(r)
     return r, d1, d2
 
 
@@ -275,12 +278,14 @@ def _pure_vectors(psi0, js, axes, scales) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ModelArrays(NamedTuple):
-    """A batch of states as the model knows them.  A state pure by
-    construction is ``pure`` = (psi0 (..., n), l (..., d, n)), its initial
-    state and the vectors l_k = L_k psi0 of its SLDs in the initial frame,
-    with no density matrix (rho and derivs are None); any other state is
-    rho (..., n, n) with its derivatives (..., d, n, n), and, for a qubit
-    given by its Bloch vector, ``bloch`` = (r (..., 3), d r (..., d, 3))."""
+    """A batch of states as the model knows them, with no density matrix
+    where the model knows more (rho and derivs are then None).  A state pure
+    by construction is ``pure`` = (psi0 (..., n), l (..., d, n)), its initial
+    state and the vectors l_k = L_k psi0 of its SLDs in the initial frame; a
+    qubit given by its Bloch vector is ``bloch`` = (r (..., 3), d r (..., d, 3)),
+    whose rho and derivatives `_bloch_state` builds where they are needed
+    (the RLD bound); any other state is rho (..., n, n) with its derivatives
+    (..., d, n, n)."""
 
     rho: np.ndarray | None
     derivs: np.ndarray | None
@@ -297,7 +302,7 @@ def model_arrays(cfg: ModelConfig, params: np.ndarray) -> ModelArrays:
     tunable qubit's evolution exp(-i l2 Z) exp(-i gamma n.sigma)
     exp(-i l1 Z) has the initial-frame generators H_1 = -Z and
     H_2 = -(M^T z).sigma, M = R_n(2 gamma) Rz(2 l1).  The tunable qubit given
-    (r_x, r_y, r_z) hands over its Bloch data."""
+    (r_x, r_y, r_z) hands over its Bloch vector and derivatives alone."""
     c = cfg.constants
     if cfg.model_id != "tunable_qubit":
         return ModelArrays(None, None, _pure_vectors(*_su2_frame(cfg, params)), None)
@@ -310,8 +315,7 @@ def model_arrays(cfg: ModelConfig, params: np.ndarray) -> ModelArrays:
         axes = (np.array([0.0, 0.0, 1.0]), m_z)
         return ModelArrays(None, None, _pure_vectors(psi0, PAULI, axes, (-1.0, -1.0)), None)
     r, d1, d2 = _tunable_qubit_bloch_derivs(cfg, l1, params[..., 1])
-    dr = np.stack([d1, d2], axis=-2)
-    return ModelArrays(*_bloch_state(r, dr), None, (r, dr))
+    return ModelArrays(None, None, None, (r, np.stack([d1, d2], axis=-2)))
 
 
 def model_point(cfg: ModelConfig, params: Sequence[float]) -> ModelPoint:

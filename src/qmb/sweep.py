@@ -16,7 +16,7 @@ from .bounds import FLAG_SINGULAR_QFIM, ReportOptions, batch_reports
 from .errors import InvalidSpec, UnknownPreset
 from .geometry import _weight_and_root, model_geometry
 from .linalg import WEIGHT_FLOOR
-from .models import MODEL_IDS, PARAM_NAMES, ModelConfig, model_arrays, model_config
+from .models import MODEL_IDS, PARAM_NAMES, ModelConfig, _bloch_state, model_arrays, model_config
 
 CANONICAL_OUTPUTS = ("c_sld", "c_rld", "c_t", "c_r", "c_h", "R", "T", "gap_h", "gap_t", "gap_r")
 MAX_SWEEP_POINTS = 10**7
@@ -328,7 +328,10 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> _Chunk:
     opts = ReportOptions(pseudo_inverse=spec.pseudo_inverse, compute_rld="c_rld" in spec.outputs,
                          compute_holevo="c_h" in spec.outputs or "gap_h" in spec.outputs)
     w_mat, sqrt_w = (np.broadcast_to(x, (rows, d, d)) for x in weight)
-    cols = batch_reports(arrays.rho, arrays.derivs, geometry, w_mat, sqrt_w, opts)
+    rho, derivs = arrays.rho, arrays.derivs
+    if opts.compute_rld and arrays.bloch is not None:  # the RLD alone reads rho
+        rho, derivs = _bloch_state(*arrays.bloch)
+    cols = batch_reports(rho, derivs, geometry, w_mat, sqrt_w, opts)
     c_s, missing = cols["c_sld"], {"c_rld": cols["no_rld"], "c_h": cols["ill"]}
     cells, gone = [bound[ax.name] for ax in spec.axes], [np.zeros(rows, bool)] * len(spec.axes)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -13,8 +13,16 @@ from hypothesis import settings
 
 from qmb import bounds, geometry, models, sweep
 from qmb.errors import InvalidInput
-from qmb.geometry import _bloch_geometry, _geometry, _weight_frame
-from qmb.linalg import SUPPORT_TOL, hermitian_part, require_derivative, state_eigensystem
+from qmb.geometry import _bloch_geometry, _geometry, _need_derivatives, _weight_frame
+from qmb.linalg import (
+    SUPPORT_TOL,
+    _require_eig_floor,
+    _require_unit_trace,
+    dot,
+    hermitian_part,
+    require_derivative,
+    state_eigensystem,
+)
 from qmb.models import (
     PAULI,
     ModelArrays,
@@ -496,6 +504,63 @@ def use_matmul_oracle(monkeypatch) -> None:
     monkeypatch.setattr(geometry, "_QUBIT_MARGIN", np.inf)
     for module in (geometry, bounds):
         monkeypatch.setattr(module, "_spectral_radius", eigvalsh_spectral_radius)
+
+
+# The mixed-qubit route before the tunable qubit went from the model to the
+# bounds as its Bloch vector: the model handed over rho and its derivatives
+# from `_bloch_state` with the Bloch data, `model_geometry` validated the
+# matrices and built the closed-form SLD matrices L_i = a_i I + b_i.sigma,
+# and `_normal_spaces` read the Gell-Mann coordinates from rho.
+# `use_bloch_matrix_oracle` routes a sweep through it.
+def bloch_matrix_arrays(cfg, params):
+    """`models.model_arrays` with a Bloch-vector qubit's rho and derivatives."""
+    arrays = models.model_arrays(cfg, params)
+    if arrays.bloch is None:
+        return arrays
+    return ModelArrays(*_bloch_state(*arrays.bloch), None, arrays.bloch)
+
+
+def bloch_sld_geometry(r, dr):
+    """The qubit geometry from r (B, 3) and d r (B, d, 3) with the SLD
+    matrices L_i = a_i I + b_i.sigma (B, d, 2, 2) and no Bloch vector."""
+    radius = np.sqrt(dot(r, r))
+    radial = dot(dr, r[..., None, :])  # r.d_i r
+    cut = 1.0 - radius <= SUPPORT_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kr = np.where(cut, (1.0 + 2.0 * radius) / (2.0 * radius**2 * (1.0 + radius)),
+                      -1.0 / ((1.0 - radius) * (1.0 + radius)))[..., None] * radial
+        a = np.where(cut[..., None], radial / (2.0 * radius * (1.0 + radius))[..., None], kr)
+    b = dr - kr[..., None] * r[..., None, :]
+    q = dr @ dr.swapaxes(-1, -2) - kr[..., :, None] * radial[..., None, :]
+    u = np.zeros(q.shape)
+    for i, j in zip(*np.triu_indices(dr.shape[-2], 1)):
+        u[..., i, j] = dot(r, np.cross(dr[..., i, :], dr[..., j, :]))
+        u[..., j, i] = -u[..., i, j]
+    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
+    slds = np.stack([a + bz, bx - 1j * by, bx + 1j * by, a - bz], axis=-1)
+    spectrum = np.stack([0.5 + 0.5 * radius, np.maximum(0.5 - 0.5 * radius, 0.0)], axis=-1)
+    return _geometry(0.5 * (q + q.swapaxes(-1, -2)), u, slds.reshape(b.shape[:-1] + (2, 2)),
+                     spectrum)
+
+
+def bloch_matrix_geometry(rho, derivs, pure, bloch):
+    """`geometry.model_geometry` with a Bloch-vector qubit validated as the
+    matrices rho and derivs, its geometry from `bloch_sld_geometry`."""
+    if bloch is None:
+        return geometry.model_geometry(rho, derivs, pure, bloch)
+    derivs = _need_derivatives(derivs)
+    rho = _require_unit_trace(rho, "rho")
+    # the eigenvalues of a 2x2 state are (Tr rho +- |r|) / 2
+    radius = np.hypot((rho[..., 0, 0] - rho[..., 1, 1]).real, 2.0 * np.abs(rho[..., 0, 1]))
+    _require_eig_floor(0.5 * (np.trace(rho, axis1=-2, axis2=-1).real - radius), "rho")
+    require_derivative(derivs)
+    return bloch_sld_geometry(*bloch)
+
+
+def use_bloch_matrix_oracle(monkeypatch) -> None:
+    """Route `run_sweep` through the mixed-qubit route above."""
+    monkeypatch.setattr(sweep, "model_arrays", bloch_matrix_arrays)
+    monkeypatch.setattr(sweep, "model_geometry", bloch_matrix_geometry)
 
 
 @pytest.fixture

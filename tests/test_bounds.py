@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import qmb.bounds as bounds
 from qmb.bounds import (
+    HIERARCHY_SLACK,
     HOLEVO_GAP_TOL,
     BoundsReport,
     ReportOptions,
@@ -24,6 +25,7 @@ from qmb.bounds import (
 )
 from qmb.errors import HierarchyViolation, SingularState
 from qmb.geometry import (
+    _gell_mann_coordinates,
     _normal_spaces,
     _vector_normal_spaces,
     compute_geometry,
@@ -36,7 +38,7 @@ from qmb.geometry import (
     weight_transform,
 )
 from qmb.linalg import spd_sqrt, tracenorm_antisym
-from qmb.models import _su2_state, model_arrays, model_config, model_point
+from qmb.models import _bloch_state, _su2_state, model_arrays, model_config, model_point
 
 from conftest import (
     holevo_pure_qubit_closed_form,
@@ -433,7 +435,7 @@ class TestHolevoTangentMin:
         sol = holevo_tangent_min(g, basis, w)
         direct = holevo_direct_oracle(rho, derivs, w, seed=7, starts=4, max_iter=20000)
         assert sol.value <= direct * (1 + 1e-6)
-        assert sol.value >= c_sld(g, w) - 1e-9
+        assert sol.value >= c_sld(g, w) * (1.0 - 1e-9)
 
 
 def one_dim_normal_space(rng, kind):
@@ -559,7 +561,7 @@ class TestHolevoDual:
         assert basis.size >= 2
         w = random_spd(rng, d)
         sol = holevo_tangent_min(g, basis, w)
-        assert c_sld(g, w) - 1e-9 <= sol.lower <= sol.value <= c_t_bound(g, w)
+        assert c_sld(g, w) * (1.0 - 1e-9) <= sol.lower <= sol.value <= c_t_bound(g, w)
         assert 0.0 <= sol.value - sol.lower <= HOLEVO_GAP_TOL * sol.value
 
 
@@ -678,7 +680,7 @@ class TestFullReport:
             w = random_spd(rng, d)
             report = full_report(point, w, opts)
             eps = 1e-7 * report.c_sld
-            assert report.c_sld - 1e-9 <= report.c_h <= report.c_t + eps
+            assert report.c_sld * (1.0 - 1e-9) <= report.c_h <= report.c_t + eps
             assert report.c_t <= report.c_r + eps <= 2 * report.c_sld + 2 * eps
 
     @pytest.mark.parametrize("make", [random_model, random_pure_model])
@@ -711,7 +713,7 @@ class TestFullReport:
         report = full_report(point, np.eye(3), ReportOptions(compute_rld=False))
         sol = report.holevo
         assert report.c_h == sol.value
-        assert report.c_sld - 1e-9 <= sol.lower <= sol.value <= report.c_t
+        assert report.c_sld * (1.0 - 1e-9) <= sol.lower <= sol.value <= report.c_t
         unconverged = sol.value - sol.lower > HOLEVO_GAP_TOL * sol.value
         assert unconverged
         assert ("HolevoNotConverged" in report.flags) == unconverged
@@ -725,7 +727,7 @@ class TestFullReport:
         point = ModelPoint(params=(0.0,) * 4, rho=rho, derivs=tuple(derivs))
         report = full_report(point, random_spd(rng, 4), ReportOptions(compute_rld=False))
         sol = report.holevo
-        assert report.c_sld - 1e-9 <= sol.lower <= sol.value == report.c_h <= report.c_t
+        assert report.c_sld * (1.0 - 1e-9) <= sol.lower <= sol.value == report.c_h <= report.c_t
         unconverged = sol.value - sol.lower > HOLEVO_GAP_TOL * sol.value
         assert ("HolevoNotConverged" in report.flags) == unconverged
 
@@ -736,6 +738,17 @@ class TestFullReport:
         )
         with pytest.raises(HierarchyViolation):
             _check_hierarchy(bad)
+
+    def test_hierarchy_lower_link_is_relative(self):
+        # C_H >= C_SLD holds to HIERARCHY_SLACK C_SLD, as every other link
+        # does: at C_SLD = 1e-10 a C_H of 0 is a violation
+        tiny = BoundsReport(
+            c_sld=1e-10, c_rld=None, c_t=1e-10, c_r=1e-10, c_h=0.0,
+            r_value=0.0, t_value=0.0, holevo=None, flags=frozenset(),
+        )
+        with pytest.raises(HierarchyViolation, match="C_H < C_SLD"):
+            _check_hierarchy(tiny)
+        _check_hierarchy(replace(tiny, c_h=1e-10 * (1.0 - 0.5 * HIERARCHY_SLACK)))
 
     def test_hierarchy_violation_raised_by_full_report(self, monkeypatch):
         # one point is a batch of one: its chain is checked like a chunk's
@@ -751,7 +764,7 @@ class TestFullReport:
 
 def _normal_space_sizes(rho, g):
     sizes = np.empty(len(rho), int)
-    for rows, basis in _normal_spaces(rho, g.slds):
+    for rows, basis in _normal_spaces(*_gell_mann_coordinates(rho, g.slds)):
         sizes[rows] = basis.coeffs.shape[-1]
     return sizes
 
@@ -763,7 +776,7 @@ class TestPureStateShortcut:
 
     @staticmethod
     def _assert_shortcut_rows_are_the_empty_ones(monkeypatch, rho, derivs):
-        """The rows batch_reports sends to _normal_spaces are exactly the
+        """The rows batch_reports sends to the normal space are exactly the
         regular rows whose normal space is not empty; returns the geometry,
         the sizes and the ill mask for further checks."""
         g = compute_geometry(rho, derivs)
@@ -773,9 +786,9 @@ class TestPureStateShortcut:
 
         def recorded(rho_rows, slds_rows):
             sent.append(rho_rows)
-            return _normal_spaces(rho_rows, slds_rows)
+            return _gell_mann_coordinates(rho_rows, slds_rows)
 
-        monkeypatch.setattr(bounds, "_normal_spaces", recorded)
+        monkeypatch.setattr(bounds, "_gell_mann_coordinates", recorded)
         d = derivs.shape[-3]
         eye = np.broadcast_to(np.eye(d), (len(rho), d, d))
         cols = batch_reports(rho, derivs, g, eye, eye, ReportOptions(compute_rld=False))
@@ -837,7 +850,7 @@ class TestPureStateShortcut:
         cfg = model_config("tunable_qubit", gamma=0.7, theta=1.1, phi=0.4,
                            r_x=r[0], r_y=r[1], r_z=r[2])
         params = np.stack(np.broadcast_arrays(np.linspace(0.1, 1.3, 7), 0.2), -1)
-        rho, derivs = model_arrays(cfg, params)[:2]
+        rho, derivs = _bloch_state(*model_arrays(cfg, params).bloch)
         _, sizes, ill = self._assert_shortcut_rows_are_the_empty_ones(monkeypatch, rho, derivs)
         assert not ill.any()
         assert (sizes == (1 if radius == 1.0 - 1e-8 else 0)).all()

@@ -7,10 +7,17 @@ from hypothesis import strategies as st
 
 from qmb import geometry
 from qmb.bounds import HOLEVO_GAP_TOL, ReportOptions, batch_reports
-from qmb.errors import DerivativeNotTraceless, NonHermitianInput, SingularQFIM, SingularState
+from qmb.errors import (
+    DerivativeNotTraceless,
+    NonHermitianInput,
+    QmbError,
+    SingularQFIM,
+    SingularState,
+)
 from qmb.geometry import (
     RANK_TOL,
     _gell_mann,
+    _gell_mann_coordinates,
     _geometry,
     _normal_spaces,
     _qfim_inverse,
@@ -31,7 +38,7 @@ from qmb.geometry import (
     weight_transform,
 )
 from qmb.linalg import hermitian_part, rld_solve, sld_solve
-from qmb.models import PAULI, model_config, model_point
+from qmb.models import PAULI, _bloch_state, model_config, model_point
 
 from conftest import (
     analytic_geometry,
@@ -130,12 +137,11 @@ class TestComputeGeometry:
         with pytest.raises(DerivativeNotTraceless):
             compute_geometry(rho, [derivs[0], derivs[1] + 0.1 * np.eye(3)])
 
-    @pytest.mark.parametrize("route", ["pure_qubit", "pure_qutrit", "bloch"])
+    @pytest.mark.parametrize("route", ["pure_qubit", "pure_qutrit"])
     def test_model_geometry_validates_as_compute_geometry(self, rng, route):
         # each route raises what compute_geometry raises, first failing row
-        # first; the floor of a 2x2 state is read in closed form.  A pure
-        # state given as vectors is checked in that form, where a
-        # non-Hermitian drho or a negative eigenvalue cannot arise
+        # first.  A pure state given as vectors is checked in that form,
+        # where a non-Hermitian drho or a negative eigenvalue cannot arise
         n = 3 if route == "pure_qutrit" else 2
         rho, derivs = random_pure_model(rng, n, 2)
         rho, derivs = np.stack([rho, rho]), np.stack([np.stack(derivs)] * 2)
@@ -147,21 +153,9 @@ class TestComputeGeometry:
             "trace": (second(rho, 4.0 * rho[1]), derivs),
             "Tr drho": (rho, second(derivs, derivs[1] + 0.1 * rho[1])),
         }
-        if route == "bloch":
-            r, dr = np.array([[0.0, 0.0, 1.0]] * 2), np.zeros((2, 2, 3))
-            bad.update({
-                "negative eigenvalue": (second(rho, (1.0 + 1e-6) * rho[1] - 1e-6 * np.eye(n) / n),
-                                        derivs),
-                "drho is not Hermitian": (rho, second(derivs, derivs[1] + 0.1j * np.eye(n))),
-            })
         for match, (states, ds) in bad.items():
             with pytest.raises(Exception, match=match) as want:
                 compute_geometry(states, ds)
-            if route == "bloch":
-                with pytest.raises(type(want.value), match=match) as got:
-                    model_geometry(states, ds, None, (r, dr))
-                assert str(got.value) == str(want.value)
-                continue
             psi, ells = pure_model_vectors(rho, derivs)
             if match == "trace":
                 psi = second(psi, 2.0 * psi[1])
@@ -170,6 +164,40 @@ class TestComputeGeometry:
             with pytest.raises(type(want.value), match=match) as got:
                 model_geometry(None, None, (psi, ells), None)
             _assert_same_message(got.value, want.value)
+
+    def test_bloch_route_validates_as_compute_geometry(self, rng):
+        # a qubit given as (r, d r) is checked in that form: a non-finite r
+        # or d r and |r| > 1 raise what compute_geometry raises on the
+        # matching rho = (I + r.sigma) / 2 and d_k rho = d_k r.sigma / 2, the
+        # state's checks before the derivatives', first failing row first.
+        # A wrong trace, a non-Hermitian drho or a traced one cannot arise
+        r = rng.normal(size=(2, 3))
+        r *= 0.6 / np.linalg.norm(r, axis=-1, keepdims=True)
+        dr = rng.normal(size=(2, 2, 3))
+        long = r / 0.6  # |r| = 1 before scaling
+
+        def second(batch, row):  # the batch with its second row replaced
+            return np.stack([batch[0], row])
+
+        cases = {
+            "nan r": (second(r, [np.nan, 0.1, 0.2]), dr),
+            "inf r": (second(r, [0.1, np.inf, 0.2]), dr),
+            "|r| > 1": (second(r, 1.5 * long[1]), dr),
+            "nan d r": (r, second(dr, [[0.1, 0.2, 0.3], [0.4, np.nan, 0.6]])),
+            "inf d r": (r, second(dr, [[0.1, 0.2, -np.inf], [0.4, 0.5, 0.6]])),
+            "state before derivative": (second(r, 1.2 * long[1]),
+                                        second(dr, np.full((2, 3), np.nan))),
+            "first row first": (np.stack([1.2 * long[0], 1.5 * long[1]]), dr),
+            "no derivative": (r, np.zeros((2, 0, 3))),
+        }
+        for case, (states, ds) in cases.items():
+            with np.errstate(invalid="ignore"):  # inf * 0 in the Pauli sums
+                rho, derivs = _bloch_state(states, ds)
+            with pytest.raises(QmbError) as want:
+                compute_geometry(rho, derivs)
+            with pytest.raises(type(want.value)) as got:
+                model_geometry(None, None, None, (states, ds))
+            assert str(got.value) == str(want.value), case
 
     def test_decomposes_rho_and_q_once_each(self, rng, monkeypatch):
         # validation, the SLDs, the tangent rank and the inverses of Q all
@@ -542,10 +570,11 @@ class TestNormalSpace:
         tangent = [bloch(np.cross(r, rng.normal(size=3))) - bloch(np.zeros(3)) for _ in range(2)]
         slds.append(compute_geometry(rho[-1], np.stack(tangent)).slds)
         rho, slds = np.stack(rho), np.stack(slds)
-        got = _normal_spaces(rho, slds)
+        coordinates = _gell_mann_coordinates(rho, slds)
+        got = _normal_spaces(*coordinates)
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(geometry, "_QUBIT_MARGIN", np.inf)
-            want = _normal_spaces(rho, slds)
+            want = _normal_spaces(*coordinates)
 
         def by_row(groups):
             return {int(i): take(basis, k) for rows, basis in groups for k, i in enumerate(rows)}
@@ -786,7 +815,7 @@ def test_vector_normal_space_matches_gell_mann_route(seed, n, data):
     for name in ("qfim", "uhlmann"):
         np.testing.assert_allclose(getattr(got_g, name), getattr(want_g, name), rtol=0,
                                    atol=1e-13 * scale)
-    ((_, want),) = _normal_spaces(rho[None], want_g.slds)
+    ((_, want),) = _normal_spaces(*_gell_mann_coordinates(rho[None], want_g.slds))
     ((_, got),) = _vector_normal_spaces(got_g.psi, got_g.slds, got_g._qfim_eigh)
     want, got = take(want, 0), take(got, 0)
     assert got.size == want.size == 2 * (n - 1) - d

@@ -10,16 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmb.bounds import FLAG_RLD_UNAVAILABLE, ReportOptions, c_rld, full_report
-from qmb.errors import InvalidInput, QmbError, SingularQFIM, SingularState
+from qmb.errors import InvalidInput, NonHermitianInput, QmbError, SingularQFIM, SingularState
 from qmb.geometry import (
     COND_LIMIT,
     _geometry,
     compute_geometry,
     geometry_from_matrices,
+    model_geometry,
     quantumness_R,
     rld_qfim,
 )
-from qmb.linalg import SUPPORT_TOL, WEIGHT_FLOOR, require_weight, spd_sqrt
+from qmb.linalg import DENSITY_EIG_FLOOR, SUPPORT_TOL, WEIGHT_FLOOR, require_weight, spd_sqrt
 from qmb.models import PARAM_NAMES, ModelPoint, generator_geometry, model_config, model_point
 from qmb.sweep import _qfim_weight, figure_preset, validate_spec
 
@@ -95,6 +96,22 @@ def test_support_tol(seed, side):
             rld_qfim(rho, derivs)
     else:
         assert np.all(np.isfinite(rld_qfim(rho, derivs)))
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**16), side=SIDE)
+def test_bloch_eig_floor(seed, side):
+    # a qubit given as (r, d r) has the lower eigenvalue (1 - |r|) / 2, so
+    # the floor of rho's spectrum falls at |r| = 1 - 2 DENSITY_EIG_FLOOR
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=3)
+    radius = 1.0 - 2.0 * DENSITY_EIG_FLOOR * side
+    bloch = (radius * v / np.linalg.norm(v))[None], rng.normal(size=(1, 2, 3))
+    if side > 1.0:
+        with pytest.raises(NonHermitianInput, match="negative eigenvalue"):
+            model_geometry(None, None, None, bloch)
+    else:
+        assert model_geometry(None, None, None, bloch).rho_spectrum[0, 1] == 0.0
 
 
 @settings(max_examples=20)

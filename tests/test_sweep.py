@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmb
-from qmb import bounds, sweep
+from qmb import bounds, geometry, models, sweep
 from qmb.bounds import ReportOptions, full_report
 from qmb.cli import main as cli_main
 from qmb.errors import HierarchyViolation, InvalidSpec, SingularQFIM, UnknownPreset
@@ -35,9 +35,9 @@ from qmb.sweep import (
 )
 
 from conftest import (
-    matmul_model_geometry,
     nelder_mead,
     tunable_qubit_pure_geometry_grid,
+    use_bloch_matrix_oracle,
     use_matmul_oracle,
 )
 
@@ -1210,16 +1210,16 @@ class TestChunkedSweep:
         assert str(info.value) == message
 
 
-def _assert_sweep_matches_oracle(spec):
+def _assert_sweep_matches_oracle(spec, oracle=use_matmul_oracle):
     """Every row of ``spec``'s sweep within (1e-12 + 1e-16 cond(Q)) |v| of the
-    sweep through `use_matmul_oracle`, with identical flags; returns the rows."""
+    sweep through ``oracle``, with identical flags; returns the rows."""
     rows = run_sweep(spec)
     with pytest.MonkeyPatch.context() as patch:
-        use_matmul_oracle(patch)
-        qfims = []
+        oracle(patch)
+        qfims, model_geometry = [], sweep.model_geometry
 
         def recorded(*args, **kwargs):
-            g = matmul_model_geometry(*args, **kwargs)
+            g = model_geometry(*args, **kwargs)
             qfims.append(g.qfim)
             return g
 
@@ -1303,3 +1303,73 @@ class TestStructuredRoutes:
                          outputs=tuple(name for name in self.ROUTE_OUTPUTS if name != "c_rld"))
         row, = _assert_sweep_matches_oracle(spec)
         assert row.outputs["c_h"] == row.outputs["c_t"]
+
+
+class TestBlochRoute:
+    """The mixed tunable qubit carried as (r, d r) from the model to the
+    bounds, against the route that handed over rho and its derivatives and
+    built the SLD matrices and the Gell-Mann coordinates from them
+    (`use_bloch_matrix_oracle` in tests/conftest.py)."""
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3a", "fig3b"])
+    def test_presets_equal_oracle(self, name):
+        # every output, c_rld included, and every flag, to the bit
+        config = {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}
+        spec = replace(validate_spec(figure_preset(name, config)), outputs=CANONICAL_OUTPUTS)
+        got = run_sweep(spec)
+        with pytest.MonkeyPatch.context() as patch:
+            use_bloch_matrix_oracle(patch)
+            want = run_sweep(spec)
+        assert len(got.chunks) == len(want.chunks) > 1
+        for a, b in zip(got.chunks, want.chunks):
+            assert a.values.tobytes() == b.values.tobytes()
+            np.testing.assert_array_equal(a.void, b.void)
+            np.testing.assert_array_equal(a.codes, b.codes)
+            assert a.flags == b.flags
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        radius=st.one_of(st.just(1.0), st.floats(-14.0, -0.3).map(lambda e: 1.0 - 10.0**e)),
+        polar=st.floats(0.1, 3.0), theta=st.floats(1e-4, 0.5 * math.pi),
+        gamma=st.floats(0.05, 1.5),
+        angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=3),
+    )
+    def test_near_pure_rows_match_oracle(self, radius, polar, theta, gamma, angles):
+        # probes up to the pure ones and rotation axes close to z, where the
+        # two parameters nearly coincide and cond(Q) grows as 1 / theta^2:
+        # the Bloch form's S, means and SLD coefficients round differently
+        # from the Gell-Mann products of rho.  Near theta = 0 a pure probe's
+        # R = 1 carries rounding of about 1e-17 cond(Q), which can take
+        # C_R past 2 C_SLD (1 + HIERARCHY_SLACK); both routes then raise
+        # on the same link
+        azimuth, phi, lambda2 = angles
+        r = radius * np.array([math.sin(polar) * math.cos(azimuth),
+                               math.sin(polar) * math.sin(azimuth), math.cos(polar)])
+        fixed = {"gamma": gamma, "theta": theta, "phi": phi, "lambda2": lambda2,
+                 "r_x": r[0], "r_y": r[1], "r_z": r[2]}
+        spec = SweepSpec("tunable_qubit", fixed=fixed, axes=(Axis("lambda1", 0.1, 1.3, 9),))
+        try:
+            _assert_sweep_matches_oracle(spec, use_bloch_matrix_oracle)
+        except HierarchyViolation:
+            links = []
+            for route in (lambda patch: None, use_bloch_matrix_oracle):
+                with pytest.MonkeyPatch.context() as patch:
+                    route(patch)
+                    with pytest.raises(HierarchyViolation) as info:
+                        run_sweep(spec)
+                links.append(str(info.value).split(":")[0])
+            assert links == ["C_R > 2 C_SLD"] * 2
+
+    def test_matrices_only_for_the_rld(self, monkeypatch):
+        # a fig2 chunk builds neither rho nor the Gell-Mann basis; asked for
+        # c_rld, it builds rho and its derivatives once
+        calls = []
+        for module, name in ((models, "_bloch_state"), (sweep, "_bloch_state"),
+                             (geometry, "_gell_mann")):
+            monkeypatch.setattr(module, name, lambda *a, _fn=getattr(module, name), _name=name: (
+                calls.append(_name) or _fn(*a)))
+        spec = validate_spec(figure_preset("fig2", {"r_y": 0.2, "r_z": 0.4, "count": 12}))
+        assert len(run_sweep(spec)) == 144
+        assert calls == []
+        run_sweep(replace(spec, outputs=CANONICAL_OUTPUTS))
+        assert calls == ["_bloch_state"]

@@ -208,12 +208,14 @@ def model_geometry(
 
 
 def _vector_geometry(psi: np.ndarray, ells: np.ndarray) -> InformationGeometry:
-    """The geometry of pure states psi (B, n) from the vectors l_k = L_k psi
-    (B, d, n) of their SLDs: Tr[rho L_a L_b] = <l_a|l_b>, so Q and U are the
-    real and imaginary parts of one Gram matrix, and rho = psi psi^dag is
+    """The geometry of pure states psi (B, n), or one psi (n,) for every row,
+    from the vectors l_k = L_k psi (B, d, n) of their SLDs:
+    Tr[rho L_a L_b] = <l_a|l_b>, so Q and U are the real and imaginary parts
+    of one Gram matrix, formed by `small_matmul`, and rho = psi psi^dag is
     never formed.  `require_pure_state` checks the vectors."""
     psi, ells = require_pure_state(psi, ells)
-    q, u = _split_gram((ells.conj()[..., :, None, :] * ells[..., None, :, :]).sum(-1))
+    psi = np.broadcast_to(psi, ells.shape[:-2] + psi.shape[-1:])
+    q, u = _split_gram(small_matmul(ells.conj(), ells.swapaxes(-1, -2)))
     spectrum = np.zeros(psi.shape)
     spectrum[..., 0] = 1.0
     return _geometry(q, u, ells, spectrum, psi)

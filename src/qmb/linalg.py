@@ -39,12 +39,13 @@ def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for (stacks of) n x n matrices, broadcast as ``@`` broadcasts.
+    """a @ b for (stacks of) small matrices, broadcast as ``@`` broadcasts.
 
-    The product is n broadcast multiply-adds over the inner index: for
-    the 2x2 and 3x3 matrices of the models a stacked complex ``@`` costs
-    several times as much per matrix.  The form never depends on the
-    stack, so each matrix is rounded the same way whatever stack holds it.
+    The product is one broadcast multiply-add per inner index, summed in
+    index order: for the 2x2 and 3x3 matrices of the models a stacked
+    complex ``@`` costs several times as much per matrix.  The form never
+    depends on the stack, so each matrix is rounded the same way whatever
+    stack holds it.
     """
     n = a.shape[-1]
     out = a[..., :, :1] * b[..., :1, :]
@@ -166,6 +167,8 @@ def require_pure_state(psi: np.ndarray, ells: np.ndarray) -> tuple[np.ndarray, n
     l_k = L_k psi (..., d, n) of their SLDs, as `require_density` and
     `require_derivative` validate rho = psi psi^dag and its derivatives:
     finite entries, Tr rho = |psi|^2 = 1, and Tr d_k rho = <psi|l_k> / 2 = 0.
+    psi broadcasts against l's leading axes, and is checked in the shape it
+    is given: a psi (n,) shared by every row is checked once.
     Hermiticity and the eigenvalue floor hold by construction."""
     psi, ells = np.asarray(psi, dtype=complex), np.asarray(ells, dtype=complex)
     if ells.ndim < 2 or ells.shape[-2] < 1:

@@ -68,7 +68,10 @@ def _vec(*parts) -> np.ndarray:
     """Components broadcast together and stacked along a new last axis."""
     if not any(np.ndim(p) for p in parts):
         return np.array(parts)
-    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+    out = np.empty(np.broadcast(*parts).shape + (len(parts),), np.result_type(*parts))
+    for i, part in enumerate(parts):
+        out[..., i] = part
+    return out
 
 
 def _mat(x) -> np.ndarray:
@@ -132,13 +135,16 @@ class ModelPoint:
 
 
 def model_config(model_id: str, **constants: float) -> ModelConfig:
-    """A validated config.  A constant may be an array of values, one per
-    row of a batch (constants broadcast together); each row is checked as
-    a config of scalars would be, and the first failing row raises."""
+    """A validated config.  A constant is one value, or an array of values,
+    one per row of a batch; constants broadcast together, and a scalar
+    stays a scalar, one value for every row, so that what depends on it
+    alone is evaluated once.  Each row is checked as a config of scalars
+    would be, and the first failing row raises; a check reads each constant
+    in its own shape, so a scalar is checked once."""
     if model_id not in MODEL_IDS:
         raise InvalidInput(f"unknown model {model_id!r}; expected one of {MODEL_IDS}")
     constants = {k: np.asarray(v, float) if np.ndim(v) else float(v) for k, v in constants.items()}
-    shape = np.broadcast_shapes(*(np.shape(v) for v in constants.values()))
+    shape = np.broadcast(*constants.values()).shape
     raise_first_failure(*(
         (~np.isfinite(val), lambda i, k=k, v=val: InvalidInput(
             f"constant {k}={float(np.broadcast_to(v, shape).flat[i])!r} is not finite"))
@@ -148,14 +154,14 @@ def model_config(model_id: str, **constants: float) -> ModelConfig:
         missing = {"gamma", "theta", "phi"} - constants.keys()
         if missing:
             raise InvalidInput(f"tunable_qubit requires constants {sorted(missing)}")
-        r0 = np.broadcast_to(tunable_qubit_r0(constants), shape + (3,))
+        r0 = tunable_qubit_r0(constants)
         raise_first_failure((dot(r0, r0) > 1.0 + 1e-12, lambda i: InvalidInput(
             f"Bloch vector norm {np.linalg.norm(r0.reshape(-1, 3)[i])!r} exceeds 1")))
     else:
         missing = {"alpha", "beta", "t"} - constants.keys()
         if missing:
             raise InvalidInput(f"{model_id} requires constants {sorted(missing)}")
-        raise_first_failure((np.broadcast_to(constants["t"] <= 0, shape),
+        raise_first_failure((np.less_equal(constants["t"], 0.0),
                              lambda i: InvalidInput("evolution time t must be positive")))
     return ModelConfig(model_id, constants)
 
@@ -264,24 +270,26 @@ def _su2_state(cfg: ModelConfig, params: np.ndarray) -> tuple[np.ndarray, np.nda
 def _pure_vectors(psi0, js, axes, scales) -> tuple[np.ndarray, np.ndarray]:
     """psi0 (..., n) and l_k = L_k psi0 = 2i (H_k - <H_k>) psi0 (..., d, n)
     for initial-frame generators H_k = scale_k n_k.J, the SLDs of the pure
-    state in its initial frame.  Every product is a broadcast multiply-add,
-    so a row rounds the same way in any batch."""
+    state in its initial frame.  psi0 is returned as given, so a state
+    shared by every row (n,) stays one vector, and J_c psi0 and <J_c> are
+    formed once.  Every product is a broadcast multiply-add, so a row
+    rounds the same way in any batch."""
     js = np.stack(js)
     jpsi = (js * psi0[..., None, None, :]).sum(-1)  # J_c psi0, (..., 3, n)
     mean = (psi0.conj()[..., None, :] * jpsi).sum(-1).real  # <J_c>
     centered = jpsi - mean[..., None] * psi0[..., None, :]
     n_k = np.stack(np.broadcast_arrays(*axes), axis=-2)  # (..., d, 3)
-    ells = (n_k[..., None] * centered[..., None, :, :]).sum(-2)
     scales = np.stack(np.broadcast_arrays(*scales), axis=-1)
-    ells = (2j * scales)[..., None] * ells
-    return np.broadcast_to(psi0, ells.shape[:-2] + psi0.shape[-1:]), ells
+    return psi0, (2j * scales)[..., None] * small_matmul(n_k, centered)
 
 
 class ModelArrays(NamedTuple):
     """A batch of states as the model knows them, with no density matrix
     where the model knows more (rho and derivs are then None).  A state pure
     by construction is ``pure`` = (psi0 (..., n), l (..., d, n)), its initial
-    state and the vectors l_k = L_k psi0 of its SLDs in the initial frame; a
+    state and the vectors l_k = L_k psi0 of its SLDs in the initial frame
+    (psi0 broadcasts against l's leading axes, and is one vector (n,) where
+    the fixed constants alone set it); a
     qubit given by its Bloch vector is ``bloch`` = (r (..., 3), d r (..., d, 3)),
     whose rho and derivatives `_bloch_state` builds where they are needed
     (the RLD bound); any other state is rho (..., n, n) with its derivatives

@@ -221,7 +221,7 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
             raise InvalidSpec(f"angles neither maximized nor fixed: {sorted(unbound)}")
     # the names a point binds, checked once on an empty batch
     names = set(spec.fixed) | set(axis_names) | set(spec.maximize_over)
-    _bind_values(spec.model_id, {name: np.zeros(0) for name in names - {spec.weight.axis}})
+    _bind_values(spec.model_id, {name: np.zeros(0) for name in names - {spec.weight.axis}}, 0)
     return replace(spec, outputs=outputs)
 
 
@@ -237,7 +237,7 @@ def _check_log_axis(spec: SweepSpec) -> None:
         raise InvalidSpec("diag_log_axis weight needs a matching axis name")
     for v in (axis.start, axis.stop) if axis else (spec.fixed[name],):
         try:
-            omega = float(_omegas(np.array([v], dtype=float))[0])
+            omega = float(_omegas(v))
         except OverflowError:
             omega = math.inf
         if not (math.isfinite(omega) and omega > WEIGHT_FLOOR):
@@ -247,11 +247,13 @@ def _check_log_axis(spec: SweepSpec) -> None:
             )
 
 
-def _bind_values(model_id: str, bound: dict[str, np.ndarray]) -> tuple[ModelConfig, np.ndarray]:
-    """Split bound names, each holding one value per row of a batch, into
-    the model parameters (rows, d) and a config of constants, resolving the
-    derived names xi (-> lambda1 given phi), r_xy, and r2 (given r_z).  The
-    first row with an invalid value raises, as it would alone."""
+def _bind_values(model_id: str, bound: dict, rows: int) -> tuple[ModelConfig, np.ndarray]:
+    """Split bound names into the model parameters (rows, d) and a config of
+    constants, resolving the derived names xi (-> lambda1 given phi), r_xy,
+    and r2 (given r_z).  A name holds one value per row of a batch of
+    ``rows``, or one value for every row, which stays a scalar in the
+    config; only the parameters are broadcast to every row.  The first row
+    with an invalid value raises, as it would alone."""
     values = dict(bound)
     if model_id == "tunable_qubit":
         if "xi" in values:
@@ -268,14 +270,19 @@ def _bind_values(model_id: str, bound: dict[str, np.ndarray]) -> tuple[ModelConf
             if r_z is None:
                 raise InvalidSpec("binding 'r2' requires 'r_z'")
             planar = r2 - r_z * r_z
-            below = planar < -1e-12
+            below = np.broadcast_to(planar < -1e-12, (rows,))
             if below.any():  # rows before the first bad one raise their own errors first
                 first = int(np.argmax(below))
-                _bind_values(model_id, {k: v[:first] for k, v in bound.items()})
-                raise InvalidSpec(f"r2={float(r2[first])!r} is below r_z^2")
+                _bind_values(model_id, {k: np.broadcast_to(v, (rows,))[:first]
+                                        for k, v in bound.items()}, first)
+                r2 = float(np.broadcast_to(r2, (rows,))[first])
+                raise InvalidSpec(f"r2={r2!r} is below r_z^2")
             values["r_x"] = values["r_y"] = np.sqrt(np.maximum(planar, 0.0) / 2.0)
-    rows = len(next(iter(values.values()), ()))
-    params = np.stack([values.pop(name, np.zeros(rows)) for name in PARAM_NAMES[model_id]], -1)
+    names = PARAM_NAMES[model_id]
+    params = np.zeros((rows, len(names)))
+    for i, name in enumerate(names):
+        if name in values:
+            params[:, i] = values.pop(name)
     unknown = set(values) - _ALLOWED_CONSTANTS[model_id]
     if unknown:
         raise InvalidSpec(f"unknown names for {model_id}: {sorted(unknown)}")
@@ -302,22 +309,26 @@ def _weight_matrices(spec: SweepSpec, d: int, bound: Mapping = None) -> np.ndarr
     raise InvalidSpec(f"unknown weight kind {w.kind!r}")
 
 
-def _omegas(log10_values: np.ndarray) -> np.ndarray:
-    """omega = 10**v per row, rounded as Python's float power rounds it, so
-    that the weight and the maximizing angles read the same omega."""
-    return np.array([10.0 ** v for v in log10_values.tolist()])
+def _omegas(log10_values) -> np.ndarray:
+    """omega = 10**v per value, in the shape of ``log10_values`` (0-d for a
+    fixed value), rounded as Python's float power rounds it, so that the
+    weight and the maximizing angles read the same omega."""
+    v = np.asarray(log10_values, dtype=float)
+    return np.array([10.0 ** x for x in v.ravel().tolist()]).reshape(v.shape)
 
 
 def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> _Chunk:
     """``rows`` rows as one batch; each name in ``bound`` holds one value
-    per row.  A fixed weight is validated and square-rooted once per chunk."""
+    per row.  A fixed constant stays one scalar for the whole chunk, so
+    what depends on the constants alone is evaluated once per chunk, and a
+    fixed weight is validated and square-rooted once per chunk."""
     d = len(PARAM_NAMES[spec.model_id])
-    values = {**{k: np.full(rows, float(v)) for k, v in spec.fixed.items()}, **bound}
+    values = {**{k: float(v) for k, v in spec.fixed.items()}, **bound}
     if spec.maximize_over:  # each row's saturating angles, then the batch
         omega = _omegas(values[spec.weight.axis])
         values.update(_saturating_angles(spec.maximize_over, values, omega))
     model_values = {k: v for k, v in values.items() if k != spec.weight.axis}
-    cfg, params = _bind_values(spec.model_id, model_values)
+    cfg, params = _bind_values(spec.model_id, model_values, rows)
     arrays = model_arrays(cfg, params)
     geometry = model_geometry(*arrays)
     void = np.zeros(rows, bool)
@@ -369,7 +380,8 @@ def _saturating_angles(
     names: tuple[str, ...], values: dict[str, np.ndarray], omega: np.ndarray
 ) -> dict[str, np.ndarray]:
     """The five angles with T = R = 1 at each row's omega, the ones not in
-    ``names`` as bound in ``values``.
+    ``names`` as bound in ``values``; gamma and theta, and phi when it is
+    maximized with beta, are one value for every row.
 
     A pure qubit has T <= R = 1, with equality exactly where Q12 = 0 and
     Q22 = omega Q11 (W proportional to Q), so these angles hold the global
@@ -382,23 +394,18 @@ def _saturating_angles(
     if phi is maximized too), else for phi.  The sweep certifies each row
     on the T its pipeline computes at these angles.
     """
-    l1 = values.get("lambda1", np.zeros_like(omega))
+    l1 = values.get("lambda1", 0.0)
     low = omega <= 1.0
     alpha = np.where(low, 0.5 * math.pi, np.arcsin(1.0 / np.sqrt(np.maximum(omega, 1.0))))
     delta = np.where(low, np.arccos(np.sqrt(np.minimum(omega, 1.0))), 0.0)
     if "beta" in names:
-        phi = np.zeros_like(omega) if "phi" in names else values["phi"]
+        phi = 0.0 if "phi" in names else values["phi"]
         beta = np.mod(delta + phi - 2.0 * l1, 2.0 * math.pi)
     else:
         beta = values["beta"]
         phi = np.mod(beta + 2.0 * l1 - delta, 2.0 * math.pi)
-    return {
-        "alpha": alpha,
-        "beta": beta,
-        "gamma": np.full_like(omega, 0.25 * math.pi),
-        "theta": np.full_like(omega, 0.5 * math.pi),
-        "phi": phi,
-    }
+    return {"alpha": alpha, "beta": beta, "gamma": 0.25 * math.pi, "theta": 0.5 * math.pi,
+            "phi": phi}
 
 
 def run_point(spec: SweepSpec) -> ResultRow:
@@ -445,8 +452,7 @@ def emit(rows: Iterable[ResultRow], fmt: str, out: str | TextIO, spec: SweepSpec
     if not (isinstance(rows, SweepResult) and (rows.n_axes, rows.outputs) == (n_axes, out_names)):
         rows = SweepResult(n_axes, out_names, [_chunk_of(rows, n_axes, out_names)])
     if fmt == "csv":
-        head = "%.12g," * (len(cols) - 1)
-        pieces = itertools.chain([",".join(cols) + "\n"], (_csv_text(c, head) for c in rows.chunks))
+        pieces = itertools.chain([",".join(cols) + "\n"], map(_csv_text, rows.chunks))
     elif fmt == "json":
         pieces = _json_text(rows.chunks, cols)
     else:
@@ -460,72 +466,60 @@ def emit(rows: Iterable[ResultRow], fmt: str, out: str | TextIO, spec: SweepSpec
 
 def _json_text(chunks: list[_Chunk], cols: list[str]) -> Iterator[str]:
     """The bytes of ``json.dumps(records, indent=1)`` over every row, written
-    chunk by chunk: "[", each chunk's records, then "]".  A record is a
-    %-template of its flags; a finite cell is written by float.__repr__, as
-    json writes a float, once per distinct value in the chunk (a grid's
-    axis values repeat).  A row with a void or non-finite cell is encoded by
-    json on its own."""
-    head = " {\n" + "".join(f"  {_escaped(json.dumps(c))}: %s,\n" for c in cols[:-1])
-    opening = "[\n"
+    chunk by chunk: "[", each chunk's records, then "]".  Each record is the
+    key of each column before its cell, then its flags; a cell is written
+    as json writes a float (float.__repr__, NaN and +-Infinity) or null."""
+    keys = [f",\n  {json.dumps(c)}: " for c in cols[:-1]]
+    keys[0] = ",\n {" + keys[0][1:]  # each record opens with its separator
+
+    def flag_text(flags):  # ',\n  "flags": [...]\n }', the end of a record
+        return "," + json.dumps([{"flags": list(flags)}], indent=1)[4:-2]
+
+    first = True
     for chunk in chunks:
-        if not len(chunk.codes):
-            continue
-        templates = {code: head + _escaped(json.dumps([{"flags": list(flags)}], indent=1)[5:-2])
-                     for code, flags in chunk.flags.items()}  # " {\n" + cells + '  "flags": ... }'
-        bits, where = np.unique(chunk.values.ravel().view(np.int64), return_inverse=True)
-        cells = np.array([float.__repr__(v) for v in bits.view(float).tolist()], object)
-        cells = cells[where].reshape(chunk.values.shape)
-        odd = ~np.isfinite(chunk.values).all(-1)
-        if chunk.void is not None:
-            odd |= chunk.void.any(-1)
-
-        def alone(i):
-            record = dict(zip(cols, chunk.cells(slice(i, i + 1))[0]),
-                          flags=list(chunk.flags[chunk.codes[i]]))
-            return json.dumps([record], indent=1)[2:-2]
-
-        odd = np.flatnonzero(odd).tolist()
-        yield opening + _filled(cells, chunk.codes, templates, odd, alone, ",\n")
-        opening = ",\n"
-    yield "[]\n" if opening == "[\n" else "\n]\n"
+        if len(chunk.codes):
+            text = _joined(chunk, _json_floats, "null", flag_text, keys)
+            yield "[" + text[1:] if first else text  # the first separator opens the list
+            first = False
+    yield "[]\n" if first else "\n]\n"
 
 
-def _csv_text(chunk: _Chunk, head: str) -> str:
-    """The chunk's CSV lines.  A line is a %-template of ``head`` and its
-    flags; a row with a void cell is written cell by cell, its void cells
-    empty."""
-    joined = {code: ";".join(flags) for code, flags in chunk.flags.items()}
-    lines = {code: head + _escaped(flags) + "\n" for code, flags in joined.items()}
-    breaks = [] if chunk.void is None else np.flatnonzero(chunk.void.any(-1)).tolist()
-
-    def alone(i):
-        cells = zip(chunk.values[i].tolist(), chunk.void[i].tolist())
-        cells = ["" if gone else "%.12g" % v for v, gone in cells]
-        return ",".join(cells) + f",{joined[chunk.codes[i]]}\n"
-
-    return _filled(chunk.values, chunk.codes, lines, breaks, alone, "")
+def _csv_text(chunk: _Chunk) -> str:
+    """The chunk's CSV lines: each cell is its %.12g text and a comma, a
+    void cell a comma alone, and the flags end the line."""
+    return _joined(chunk, _csv_floats, ",", lambda flags: ";".join(flags) + "\n")
 
 
-def _escaped(text: str) -> str:
-    """``text`` as a literal part of a %-template."""
-    return text.replace("%", "%%")
+def _csv_floats(values: list[float]) -> list[str]:
+    """Each value as %.12g then a comma, by one %-operation."""
+    return ("%.12g,\n" * len(values) % tuple(values)).split("\n")[:-1]
 
 
-def _filled(cells: np.ndarray, codes: np.ndarray, templates: dict, breaks: list[int], alone,
-            sep: str) -> str:
-    """Rows of ``cells`` (rows, columns) with flag ``codes`` as text joined by
-    ``sep``: each run of rows between the ``breaks`` is one %-operation on
-    its rows' templates (by flag code); each break row is ``alone(row)``."""
-    codes = codes.tolist()
-    pieces, start = [], 0
-    for stop in breaks + [len(codes)]:
-        if stop > start:
-            template = sep.join([templates[code] for code in codes[start:stop]])
-            pieces.append(template % tuple(cells[start:stop].ravel().tolist()))
-        if stop < len(codes):
-            pieces.append(alone(stop))
-        start = stop + 1
-    return sep.join(pieces)
+def _json_floats(values: list[float]) -> list[str]:
+    """Each value as json writes a float, by one json encoding."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _joined(chunk: _Chunk, fmt, void: str, flag_text, keys: Sequence[str] = ()) -> str:
+    """The chunk's rows as one "".join over a table of strings: each distinct
+    bit pattern of its cells (so 0.0 and -0.0, and NaNs of different
+    payload, stay apart) as ``fmt`` writes it, once (a list of floats to a
+    list of strings), a void cell as ``void``, and each flag tuple as
+    ``flag_text(flags)``, which ends the row.  With ``keys``, keys[j]
+    precedes each cell of column j."""
+    bits, cells = np.unique(chunk.values.ravel().view(np.int64), return_inverse=True)
+    cells = cells.reshape(chunk.values.shape)
+    if chunk.void is not None:
+        cells = np.where(chunk.void, len(bits), cells)
+    codes = sorted(chunk.flags)
+    table = [*fmt(bits.view(float).tolist()), void, *keys,
+             *map(flag_text, map(chunk.flags.get, codes))]
+    if keys:
+        at = np.broadcast_to(len(bits) + 1 + np.arange(len(keys)), cells.shape)
+        cells = np.stack([at, cells], -1).reshape(len(cells), -1)
+    flags = len(bits) + 1 + len(keys) + np.searchsorted(codes, chunk.codes)
+    index = np.concatenate([cells, flags[:, None]], axis=-1)
+    return "".join(np.array(table, object)[index].ravel().tolist())
 
 
 def figure_preset(name: str, config: Mapping[str, float] | None = None) -> SweepSpec:

@@ -18,7 +18,16 @@ from qmb.geometry import (
     t_measure,
     tangent_normal_decomposition,
 )
-from qmb.models import ModelPoint, model_config, model_point
+from qmb.models import (
+    ModelPoint,
+    _dot_j,
+    _su2_exp,
+    _su2_frame,
+    generator_geometry,
+    model_config,
+    model_point,
+    unitary_generator,
+)
 from qmb.sweep import Axis, figure_preset, run_sweep
 
 from conftest import analytic_geometry, random_antisymmetric, random_model, random_spd
@@ -216,6 +225,25 @@ def test_criterion_07_qutrit_determinants():
                  f"on 32x32 grid (worst rel {worst:.1e}); |det U| <= {worst_u:.1e}")
 
 
+def _generator_route(cfg, params):
+    """(Q, U) of an SU(2) point from its translation generators: each
+    forward generator i (d_k U) U^dag by finite differences of the model's
+    evolution U = exp(-i B t n.J), taken to the initial frame
+    H_k = -U^dag [i (d_k U) U^dag] U, then the Gram matrix of psi0."""
+    params = np.asarray(params, dtype=float)
+
+    def evolution(p):
+        psi0, js, axes, _ = _su2_frame(cfg, p)
+        return psi0, _su2_exp(_dot_j(axes[0], js), p[0] * cfg.constants["t"])
+
+    psi0, u0 = evolution(params)
+    gens = []
+    for k in range(len(params)):
+        path = lambda x, k=k: evolution(np.concatenate([params[:k], [x], params[k + 1:]]))[1]
+        gens.append(-u0.conj().T @ unitary_generator(path, params[k]) @ u0)
+    return generator_geometry(psi0, gens)
+
+
 def test_criterion_08_dual_path_geometry():
     rng = np.random.default_rng(808)
     worst = 0.0
@@ -226,9 +254,13 @@ def test_criterion_08_dual_path_geometry():
         fd = _fd_derivs(lambda p: model_point(cfg, p), params)
         g = compute_geometry(pt.rho, fd)
         qa, ua = analytic_geometry(cfg, params)
-        err = max(np.max(np.abs(g.qfim - qa)), np.max(np.abs(g.uhlmann - ua)))
-        worst = max(worst, err)
-        assert err <= 1e-6
+        routes = [(g.qfim, g.uhlmann)]
+        if cfg.model_id != "tunable_qubit":  # the SU(2) models also by their generators
+            routes.append(_generator_route(cfg, params))
+        for q, u in routes:
+            err = max(np.max(np.abs(q - qa)), np.max(np.abs(u - ua)))
+            worst = max(worst, err)
+            assert err <= 1e-6
 
     for _ in range(100):
         direction = rng.normal(size=3)
@@ -259,7 +291,8 @@ def test_criterion_08_dual_path_geometry():
         check(cfg, [rng.uniform(0.3, 2.5), rng.uniform(-1.2, 1.2), rng.uniform(-1.0, 1.0)])
 
     _passline(8, f"analytic (Q, U) vs finite-difference SLD pipeline on 100 points "
-                 f"per model (worst abs err {worst:.1e} <= 1e-6)")
+                 f"per model, and vs the generator route on the SU(2) points "
+                 f"(worst abs err {worst:.1e} <= 1e-6)")
 
 
 def test_criterion_09_fig2_grid_claim():

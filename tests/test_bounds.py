@@ -819,7 +819,9 @@ class TestPureStateShortcut:
         assert near.sum() >= 4 and not ill[near].any() and (sizes[near] == 1).all()
         assert ill.sum() >= 4 and (~ill & (sizes == 0)).sum() >= 40
 
-        psi, ells = (x.reshape((-1,) + x.shape[2:]) for x in model_arrays(cfg, params).pure)
+        psi0, ells = model_arrays(cfg, params).pure  # psi0 (2,) is set by the constants alone
+        ells = ells.reshape((-1,) + ells.shape[2:])
+        psi = np.broadcast_to(psi0, ells.shape[:-2] + psi0.shape)
         g = model_geometry(None, None, (psi, ells), None)
         np.testing.assert_array_equal(g._qfim_inverses[2], ill)
         sent = []

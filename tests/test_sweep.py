@@ -60,6 +60,15 @@ _CELL_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.225073858507201e-308,
                      1.7976931348623157e308, -1e-300, 1e16, 123456789012.5, 1e-5, 0.1]),
 )
+# Bit patterns that print alike but differ: the writers format each distinct
+# bit pattern once, so these must stay apart.
+_SIGNED_ROW = [0.0, -0.0, math.nan, -math.nan,
+               np.array(0x7FF8000000000001, np.int64).view(float).item()]  # a NaN payload
+# Each chunk draws its cells from a small pool, so values repeat across rows
+# and columns, next to the signed zeros and NaNs.
+_REPEATED_CELLS = st.lists(_CELL_VALUES, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.lists(st.sampled_from(pool + _SIGNED_ROW), min_size=5, max_size=5),
+                          min_size=0, max_size=6))
 _FLAG_NAMES = st.one_of(
     st.sampled_from(["SingularQFIM", "PseudoInverseUsed", "RldUnavailable",
                      "HolevoNotConverged", "RAboveOne"]),
@@ -356,12 +365,17 @@ class TestEmit:
 
     @settings(max_examples=300)
     @given(
-        cells=st.lists(st.lists(_CELL_VALUES, min_size=5, max_size=5), min_size=1, max_size=6),
-        flags=st.lists(st.lists(_FLAG_NAMES, max_size=4).map(tuple), min_size=6, max_size=6),
+        cells=st.one_of(
+            st.lists(st.lists(_CELL_VALUES, min_size=5, max_size=5), min_size=0, max_size=6),
+            _REPEATED_CELLS),
+        flags=st.lists(st.lists(_FLAG_NAMES, max_size=4).map(tuple), min_size=7, max_size=7),
+        signed_at=st.integers(0, 6),
     )
-    def test_csv_and_json_match_per_cell_writer(self, cells, flags):
+    def test_csv_and_json_match_per_cell_writer(self, cells, flags, signed_at):
         # two axes and three outputs per row; the outputs map is ordered
-        # differently from the canonical outputs, as emit reads it by name
+        # differently from the canonical outputs, as emit reads it by name.
+        # Every chunk holds 0.0 next to -0.0 and NaNs of either sign
+        cells.insert(min(signed_at, len(cells)), _SIGNED_ROW)
         spec = replace(small_spec(outputs=("c_t", "R", "c_sld")),
                        axes=(Axis("lambda1", 0.0, 1.0, 2), Axis("lambda2", 0.0, 1.0, 2)))
         rows = [
@@ -372,6 +386,25 @@ class TestEmit:
             out = io.StringIO()
             emit(rows, fmt, out, spec)
             assert out.getvalue() == oracle(rows, spec)
+
+    def test_void_cell_sharing_a_stored_value(self):
+        # a void cell keeps a value in the chunk; the same bits in a cell
+        # that is not void are written, and the void one is not
+        spec = replace(small_spec(outputs=("R", "T")), axes=(Axis("lambda1", 0.0, 1.0, 2),))
+        values = np.array([[0.5, 2.0, -0.0], [2.0, 0.5, 2.0], [-0.0, 2.0, 0.5]])
+        void = np.array([[False, True, False], [False, False, True], [False, True, True]])
+        chunk = sweep._Chunk(values, void, np.array([0, 1, 0]), {0: (), 1: ("RAboveOne",)})
+        rows = sweep.SweepResult(1, ("R", "T"), [chunk])
+        listed = list(rows)
+        assert [row.outputs for row in listed] == [
+            {"R": None, "T": -0.0}, {"R": 0.5, "T": None}, {"R": None, "T": None}]
+        for fmt, oracle in (("csv", _per_cell_csv), ("json", _per_record_json)):
+            out = io.StringIO()
+            emit(rows, fmt, out, spec)
+            assert out.getvalue() == oracle(listed, spec)
+        out = io.StringIO()
+        emit(rows, "csv", out, spec)
+        assert out.getvalue().splitlines()[1:] == ["0.5,,-0,", "2,0.5,,RAboveOne", "-0,,,"]
 
     @pytest.mark.parametrize("case", ["fig4_two_chunks", "fig1_singular_rows", "pure_no_rld"])
     def test_sweep_result_matches_per_cell_writer(self, case):
@@ -663,7 +696,7 @@ class TestFigurePresets:
         for i, row in enumerate(rows):
             assert row.flags == ("NotSaturated",)
             assert row.outputs["T"] < 1.0 - 1e-3
-            fixed = {name: float(v[i]) for name, v in angles.items()}
+            fixed = {name: float(np.broadcast_to(v, omega.shape)[i]) for name, v in angles.items()}
             plain = run_point(replace(spec, maximize_over=(),
                                       fixed={**fixed, "omega_log10": row.axis_values[0]}))
             assert plain.flags == ()
@@ -1208,6 +1241,69 @@ class TestChunkedSweep:
         with pytest.raises(InvalidSpec) as info:
             run_sweep(spec)
         assert str(info.value) == message
+
+
+class TestRowInvariantConstants:
+    """Fixed constants stay scalars through binding and the model stage; the
+    earlier route bound each one as a full row."""
+
+    @staticmethod
+    def _compare_with_full_rows(monkeypatch, run):
+        # every chunk the sweep evaluates is evaluated again with each fixed
+        # constant bound as one value per row, and must hold the same bits
+        evaluate, compared = sweep._evaluate_chunk, []
+
+        def both(spec, bound, rows):
+            chunk = evaluate(spec, bound, rows)
+            full = {k: np.full(rows, float(v)) for k, v in spec.fixed.items()}
+            want = evaluate(spec, {**full, **bound}, rows)
+            assert chunk.values.tobytes() == want.values.tobytes()
+            assert (chunk.void is None) == (want.void is None)
+            if chunk.void is not None:
+                np.testing.assert_array_equal(chunk.void, want.void)
+            np.testing.assert_array_equal(chunk.codes, want.codes)
+            assert chunk.flags == want.flags
+            compared.append(rows)
+            return chunk
+
+        monkeypatch.setattr(sweep, "_evaluate_chunk", both)
+        run()
+        assert compared
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5"])
+    def test_presets_match_full_rows(self, name, monkeypatch):
+        config = {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}
+        spec = figure_preset(name, {**config, "count": 5})
+        self._compare_with_full_rows(monkeypatch, lambda: run_sweep(spec))
+
+    @pytest.mark.parametrize("case", ["fixed_bloch", "fixed_log_axis", "run_point_su2",
+                                      "run_point_fig1", "run_point_bloch"])
+    def test_specs_match_full_rows(self, case, monkeypatch):
+        bloch = {key: MIXED_QUBIT[key] for key in ("gamma", "theta", "phi", "r_x", "r_y", "r_z")}
+        specs = {
+            "fixed_bloch": SweepSpec("tunable_qubit", bloch, (Axis("lambda1", 0.0, 1.0, 4),
+                                                              Axis("lambda2", -0.5, 0.5, 3))),
+            "fixed_log_axis": replace(figure_preset("fig1"), fixed={"omega_log10": 0.7},
+                                      axes=(Axis("lambda1", 0.0, 0.5, 5),)),
+            "run_point_su2": SweepSpec("su2_qutrit", ANCHOR),
+            "run_point_fig1": replace(figure_preset("fig1"), axes=(), fixed={"omega_log10": -0.4}),
+            "run_point_bloch": SweepSpec("tunable_qubit", MIXED_QUBIT),
+        }
+        run = run_point if case.startswith("run_point") else run_sweep
+        self._compare_with_full_rows(monkeypatch, lambda: run(specs[case]))
+
+    @pytest.mark.parametrize("name, n", [("fig4", 2), ("fig5", 3)])
+    def test_pure_state_built_once_per_chunk(self, name, n, monkeypatch):
+        # psi0 depends on alpha and beta alone, both fixed in these presets
+        shapes, pure_vectors = [], models._pure_vectors
+
+        def recorded(psi0, *args):
+            shapes.append(psi0.shape)
+            return pure_vectors(psi0, *args)
+
+        monkeypatch.setattr(models, "_pure_vectors", recorded)
+        run_sweep(figure_preset(name, {"count": 5}))
+        assert shapes == [(n,)]
 
 
 def _assert_sweep_matches_oracle(spec, oracle=use_matmul_oracle):

@@ -25,6 +25,7 @@ Conventions worth spelling out once:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -44,6 +45,13 @@ PARAM_NAMES: dict[str, tuple[str, ...]] = {
     "tunable_qubit": ("lambda1", "lambda2"),
     "su2_qubit": ("B", "theta"),
     "su2_qutrit": ("B", "theta", "phi"),
+}
+
+# The constants each model takes: a config names no other.
+_CONSTANT_NAMES: dict[str, set[str]] = {
+    "tunable_qubit": {"r_x", "r_y", "r_z", "alpha", "beta", "gamma", "theta", "phi"},
+    "su2_qubit": {"alpha", "beta", "t"},
+    "su2_qutrit": {"alpha", "beta", "t"},
 }
 
 
@@ -124,6 +132,11 @@ class ModelConfig:
     def n_params(self) -> int:
         return len(PARAM_NAMES[self.model_id])
 
+    @cached_property
+    def _r0(self) -> np.ndarray:
+        """The tunable qubit's initial Bloch vector, for the rules and the model."""
+        return tunable_qubit_r0(self.constants)
+
 
 @dataclass(frozen=True)
 class ModelPoint:
@@ -135,48 +148,58 @@ class ModelPoint:
 
 
 def model_config(model_id: str, **constants: float) -> ModelConfig:
-    """A validated config.  A constant is one value, or an array of values,
-    one per row of a batch; constants broadcast together, and a scalar
-    stays a scalar, one value for every row, so that what depends on it
-    alone is evaluated once.  Each row is checked as a config of scalars
-    would be, and the first failing row raises; a check reads each constant
-    in its own shape, so a scalar is checked once."""
+    """A config whose names pass `_check_names` and values `_checked_config`."""
     if model_id not in MODEL_IDS:
         raise InvalidInput(f"unknown model {model_id!r}; expected one of {MODEL_IDS}")
+    _check_names(model_id, constants)
+    return _checked_config(model_id, constants)
+
+
+def _check_names(model_id: str, names, error=InvalidInput) -> None:
+    """Raise ``error`` unless the names are only the model's constants, all
+    it requires, and the tunable qubit's probe as (alpha, beta) or (r_x, r_y, r_z)."""
+    names, tunable = set(names), model_id == "tunable_qubit"
+    unknown = names - _CONSTANT_NAMES[model_id]
+    if unknown:
+        raise error(f"unknown names for {model_id}: {sorted(unknown)}")
+    missing = ({"gamma", "theta", "phi"} if tunable else {"alpha", "beta", "t"}) - names
+    if missing:
+        raise error(f"{model_id} requires constants {sorted(missing)}")
+    if tunable and len(names & {"alpha", "beta"}) == 1:
+        raise error("pure-state form needs both alpha and beta")
+    if tunable and "alpha" not in names and not {"r_x", "r_y", "r_z"} <= names:
+        raise error("tunable_qubit requires r_x, r_y, r_z (or alpha, beta)")
+
+
+def _checked_config(model_id: str, constants: Mapping, *checks, error=InvalidInput) -> ModelConfig:
+    """The config once its values hold: each finite, the tunable qubit's
+    (r_x, r_y, r_z) no longer than 1, an SU(2) model's t positive.  A
+    constant is one value, or an array of values, one per row of a batch;
+    a scalar stays a scalar, so what depends on it alone is evaluated (and
+    checked) once.  The first row failing the caller's ``checks`` ((mask,
+    make_error) pairs) or a rule raises (``error``), as a config of scalars would."""
     constants = {k: np.asarray(v, float) if np.ndim(v) else float(v) for k, v in constants.items()}
-    shape = np.broadcast(*constants.values()).shape
-    raise_first_failure(*(
-        (~np.isfinite(val), lambda i, k=k, v=val: InvalidInput(
-            f"constant {k}={float(np.broadcast_to(v, shape).flat[i])!r} is not finite"))
-        for k, val in constants.items()
-    ))
-    if model_id == "tunable_qubit":
-        missing = {"gamma", "theta", "phi"} - constants.keys()
-        if missing:
-            raise InvalidInput(f"tunable_qubit requires constants {sorted(missing)}")
-        r0 = tunable_qubit_r0(constants)
-        raise_first_failure((dot(r0, r0) > 1.0 + 1e-12, lambda i: InvalidInput(
+    cfg, shape = ModelConfig(model_id, constants), np.broadcast(*constants.values()).shape
+    rules = [(~np.isfinite(val), lambda i, k=k, v=val: error(
+        f"constant {k}={float(np.broadcast_to(v, shape).flat[i])!r} is not finite"))
+        for k, val in constants.items()]
+    if model_id != "tunable_qubit":
+        rules.append((np.less_equal(constants["t"], 0.0),
+                      lambda i: error("evolution time t must be positive")))
+    elif "alpha" not in constants:  # (alpha, beta) give a unit vector by construction
+        r0 = cfg._r0
+        rules.append((dot(r0, r0) > 1.0 + 1e-12, lambda i: error(
             f"Bloch vector norm {np.linalg.norm(r0.reshape(-1, 3)[i])!r} exceeds 1")))
-    else:
-        missing = {"alpha", "beta", "t"} - constants.keys()
-        if missing:
-            raise InvalidInput(f"{model_id} requires constants {sorted(missing)}")
-        raise_first_failure((np.less_equal(constants["t"], 0.0),
-                             lambda i: InvalidInput("evolution time t must be positive")))
-    return ModelConfig(model_id, constants)
+    raise_first_failure(*checks, *rules)
+    return cfg
 
 
 def tunable_qubit_r0(constants: Mapping[str, float]) -> np.ndarray:
-    """Initial Bloch vector, either explicit (r_x, r_y, r_z) or pure-state (alpha, beta)."""
-    if "alpha" in constants or "beta" in constants:
-        if not {"alpha", "beta"} <= constants.keys():
-            raise InvalidInput("pure-state form needs both alpha and beta")
+    """Initial Bloch vector, pure-state (alpha, beta) or explicit (r_x, r_y, r_z)."""
+    if "alpha" in constants:
         a, b = constants["alpha"], constants["beta"]
         return _vec(np.sin(a) * np.cos(b), np.sin(a) * np.sin(b), np.cos(a))
-    try:
-        return _vec(constants["r_x"], constants["r_y"], constants["r_z"]).astype(float)
-    except KeyError as exc:
-        raise InvalidInput("tunable_qubit requires r_x, r_y, r_z (or alpha, beta)") from exc
+    return _vec(constants["r_x"], constants["r_y"], constants["r_z"]).astype(float)
 
 
 def _rotation_axis(theta: float, phi: float) -> np.ndarray:
@@ -193,7 +216,7 @@ def _tunable_qubit_bloch_derivs(
     product z x v = (-v_y, v_x, 0); no finite differences are involved.
     """
     c = cfg.constants
-    r0 = tunable_qubit_r0(c)
+    r0 = cfg._r0
     gamma, theta, phi = c["gamma"], c["theta"], c["phi"]
     rot_v = rotation_about_axis(_rotation_axis(theta, phi), 2.0 * gamma)
     rz1 = rotation_about_z(2.0 * l1)

@@ -6,8 +6,10 @@ import bisect
 import itertools
 import json
 import math
+import numbers
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import NamedTuple, TextIO
 
 import numpy as np
@@ -16,7 +18,8 @@ from .bounds import FLAG_SINGULAR_QFIM, ReportOptions, batch_reports
 from .errors import InvalidSpec, UnknownPreset
 from .geometry import _weight_and_root, model_geometry
 from .linalg import WEIGHT_FLOOR
-from .models import MODEL_IDS, PARAM_NAMES, ModelConfig, _bloch_state, model_arrays, model_config
+from .models import MODEL_IDS, PARAM_NAMES, ModelConfig, _bloch_state, model_arrays
+from .models import _CONSTANT_NAMES, _check_names, _checked_config
 
 CANONICAL_OUTPUTS = ("c_sld", "c_rld", "c_t", "c_r", "c_h", "R", "T", "gap_h", "gap_t", "gap_r")
 MAX_SWEEP_POINTS = 10**7
@@ -30,12 +33,6 @@ FLAG_NOT_SATURATED = "NotSaturated"
 # pure qubit to within this margin, the one a saturation residual
 # |g| <= 1e-7 gives (|g|^2 / 2 = -log T).
 _SATURATION_TOL = 5e-15
-
-_ALLOWED_CONSTANTS = {
-    "tunable_qubit": {"r_x", "r_y", "r_z", "alpha", "beta", "gamma", "theta", "phi"},
-    "su2_qubit": {"alpha", "beta", "t"},
-    "su2_qutrit": {"alpha", "beta", "t"},
-}
 
 # Angles of the pure tunable-qubit probe and rotation.
 _ANGLES = ("alpha", "beta", "gamma", "theta", "phi")
@@ -80,6 +77,9 @@ class SweepSpec:
     outputs: tuple[str, ...] = CANONICAL_OUTPUTS
     pseudo_inverse: bool = False
     maximize_over: tuple[str, ...] = ()
+    # (report options, (W, sqrt W) of a fixed weight kind or None), set by
+    # validate_spec alone; dataclasses.replace does not copy it.
+    _shared: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -159,6 +159,8 @@ def canonical_outputs(requested: Sequence[str]) -> tuple[str, ...]:
 
 
 def validate_spec(spec: SweepSpec) -> SweepSpec:
+    """The spec, ``fixed`` a read-only mapping of floats, once every rule that
+    reads the spec alone holds; `_bind_values` checks what a row binds."""
     if spec.model_id not in MODEL_IDS:
         raise InvalidSpec(f"unknown model {spec.model_id!r}")
     axis_names = [ax.name for ax in spec.axes]
@@ -169,34 +171,47 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         raise InvalidSpec(f"axis names also fixed: {sorted(overlap)}")
     total = 1
     for ax in spec.axes:
+        if not isinstance(ax.count, numbers.Integral):
+            raise InvalidSpec(f"axis {ax.name!r} needs an integer count, got {ax.count!r}")
         if ax.count < 2:
             raise InvalidSpec(f"axis {ax.name!r} needs count >= 2, got {ax.count}")
         total *= ax.count
     if total > MAX_SWEEP_POINTS:
         raise InvalidSpec(f"sweep has {total} points, above the {MAX_SWEEP_POINTS} guard")
+    fixed = {name: float(v) for name, v in spec.fixed.items()}
+    # an axis's ends, then its values, which its step can overflow
+    ends = [(ax.name, v) for ax in spec.axes for v in (ax.start, ax.stop)]
+    grids = ((ax.name, ax.values()) for ax in spec.axes)
+    for name, values in itertools.chain(fixed.items(), ends, grids):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise InvalidSpec(f"{name}={float(np.ravel(values)[np.argmax(bad)])!r} is not finite")
     outputs = canonical_outputs(spec.outputs)
-    if spec.weight.kind not in ("identity", "diag", "full", "qfim", "diag_log_axis"):
-        raise InvalidSpec(f"unknown weight kind {spec.weight.kind!r}")
-    if spec.weight.kind == "diag_log_axis":
+    w, d = spec.weight, len(PARAM_NAMES[spec.model_id])
+    if w.kind not in ("identity", "diag", "full", "qfim", "diag_log_axis"):
+        raise InvalidSpec(f"unknown weight kind {w.kind!r}")
+    size = {"diag": d, "full": d * d}.get(w.kind, 0)
+    if len(w.values) != size:
+        raise InvalidSpec(f"{w.kind} weight needs {size} values, got {len(w.values)}")
+    if w.axis is not None and w.kind != "diag_log_axis":
+        raise InvalidSpec(f"{w.kind} weight takes no axis, got {w.axis!r}")
+    weight = None
+    if w.kind == "diag_log_axis":
         _check_log_axis(spec)
-    if spec.weight.kind in ("diag", "full"):
-        # a fixed weight is checked here, before any row is built
-        d = len(PARAM_NAMES[spec.model_id])
-        size = d if spec.weight.kind == "diag" else d * d
-        if len(spec.weight.values) != size:
-            raise InvalidSpec(
-                f"{spec.weight.kind} weight needs {size} values, got {len(spec.weight.values)}"
-            )
+    elif w.kind != "qfim":  # a fixed weight, validated and square-rooted once
+        values = np.asarray(w.values, dtype=float)
+        w_mat = (np.eye(d) if w.kind == "identity" else np.diag(values) if w.kind == "diag"
+                 else values.reshape(d, d))
         try:
-            _weight_and_root(_weight_matrices(spec, d), d)
+            weight = _weight_and_root(w_mat, d)
         except ValueError as exc:
-            raise InvalidSpec(f"{spec.weight.kind} weight: {exc}") from exc
+            raise InvalidSpec(f"{w.kind} weight: {exc}") from exc
     if spec.maximize_over:
         if spec.model_id != "tunable_qubit":
             raise InvalidSpec("per-point maximization is defined for the tunable qubit")
         if not set(outputs) <= {"R", "T"}:
             raise InvalidSpec("per-point maximization reports R and T only")
-        if spec.weight.kind != "diag_log_axis":
+        if w.kind != "diag_log_axis":
             raise InvalidSpec("maximization sweeps expect the diag_log_axis weight")
         names = spec.maximize_over
         if len(set(names)) != len(names):
@@ -219,25 +234,39 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         unbound = set(_ANGLES) - set(names) - bound_names
         if unbound:
             raise InvalidSpec(f"angles neither maximized nor fixed: {sorted(unbound)}")
-    # the names a point binds, checked once on an empty batch
-    names = set(spec.fixed) | set(axis_names) | set(spec.maximize_over)
-    _bind_values(spec.model_id, {name: np.zeros(0) for name in names - {spec.weight.axis}}, 0)
-    return replace(spec, outputs=outputs)
+    # the constants a point binds
+    names = {*fixed, *axis_names, *spec.maximize_over} - {w.axis, *PARAM_NAMES[spec.model_id]}
+    if spec.model_id == "tunable_qubit":
+        for name, needed in (("xi", "phi"), ("r2", "r_z")):
+            if name in names and needed not in names:
+                raise InvalidSpec(f"binding {name!r} requires {needed!r}")
+        if names & {"r_xy", "r2"}:
+            names |= {"r_x", "r_y"}
+        names -= {"xi", "r_xy", "r2"}
+    _check_names(spec.model_id, names, InvalidSpec)
+    options = ReportOptions(pseudo_inverse=spec.pseudo_inverse, compute_rld="c_rld" in outputs,
+                            compute_holevo="c_h" in outputs or "gap_h" in outputs)
+    valid = replace(spec, fixed=MappingProxyType(fixed), outputs=outputs)
+    object.__setattr__(valid, "_shared", (options, weight))
+    return valid
 
 
 def _check_log_axis(spec: SweepSpec) -> None:
-    """The diag_log_axis weight is two-parameter, its axis is swept or fixed,
-    and omega = 10**v is finite and above WEIGHT_FLOOR at its value, or at
-    both endpoints of its axis, which bound every row."""
+    """The diag_log_axis weight is two-parameter, its axis is swept or fixed
+    and no model name, and omega = 10**v is finite and above WEIGHT_FLOOR
+    at its value, or at both ends of its axis, which bound every row."""
     if len(PARAM_NAMES[spec.model_id]) != 2:
         raise InvalidSpec("diag_log_axis weight is two-parameter only")
     name = spec.weight.axis
     axis = next((ax for ax in spec.axes if ax.name == name), None)
     if axis is None and name not in spec.fixed:
         raise InvalidSpec("diag_log_axis weight needs a matching axis name")
+    if name in {*PARAM_NAMES[spec.model_id], *_CONSTANT_NAMES[spec.model_id], "xi", "r_xy", "r2"}:
+        raise InvalidSpec(f"diag_log_axis weight axis {name!r} is a model name; "
+                          "give the weight its own axis")
     for v in (axis.start, axis.stop) if axis else (spec.fixed[name],):
         try:
-            omega = float(_omegas(v))
+            omega = 10.0 ** float(v)
         except OverflowError:
             omega = math.inf
         if not (math.isfinite(omega) and omega > WEIGHT_FLOOR):
@@ -247,98 +276,58 @@ def _check_log_axis(spec: SweepSpec) -> None:
             )
 
 
-def _bind_values(model_id: str, bound: dict, rows: int) -> tuple[ModelConfig, np.ndarray]:
-    """Split bound names into the model parameters (rows, d) and a config of
-    constants, resolving the derived names xi (-> lambda1 given phi), r_xy,
-    and r2 (given r_z).  A name holds one value per row of a batch of
-    ``rows``, or one value for every row, which stays a scalar in the
-    config; only the parameters are broadcast to every row.  The first row
-    with an invalid value raises, as it would alone."""
-    values = dict(bound)
-    if model_id == "tunable_qubit":
-        if "xi" in values:
-            phi = values.get("phi")
-            if phi is None:
-                raise InvalidSpec("binding 'xi' requires 'phi'")
-            values["lambda1"] = 0.5 * (values.pop("xi") + phi)
-        if "r_xy" in values:
-            v = values.pop("r_xy")
-            values["r_x"] = values["r_y"] = v
-        if "r2" in values:
-            r2 = values.pop("r2")
-            r_z = values.get("r_z")
-            if r_z is None:
-                raise InvalidSpec("binding 'r2' requires 'r_z'")
-            planar = r2 - r_z * r_z
-            below = np.broadcast_to(planar < -1e-12, (rows,))
-            if below.any():  # rows before the first bad one raise their own errors first
-                first = int(np.argmax(below))
-                _bind_values(model_id, {k: np.broadcast_to(v, (rows,))[:first]
-                                        for k, v in bound.items()}, first)
-                r2 = float(np.broadcast_to(r2, (rows,))[first])
-                raise InvalidSpec(f"r2={r2!r} is below r_z^2")
-            values["r_x"] = values["r_y"] = np.sqrt(np.maximum(planar, 0.0) / 2.0)
+def _bind_values(model_id: str, values: dict, rows: int) -> tuple[ModelConfig, np.ndarray]:
+    """A validated spec's values as the model parameters (rows, d) and a
+    config of constants, with xi, r_xy and r2 resolved.  A name holds one
+    value per row, or one for every row, which stays a scalar; only the
+    parameters are broadcast.  The first row failing r2 >= r_z^2 or a rule
+    of `_checked_config` raises, as that row would alone."""
+    values, checks = dict(values), []
+    if "xi" in values:
+        values["lambda1"] = 0.5 * (values.pop("xi") + values["phi"])
+    if "r_xy" in values:
+        values["r_x"] = values["r_y"] = values.pop("r_xy")
+    if "r2" in values:
+        r2 = values.pop("r2")
+        planar = r2 - values["r_z"] * values["r_z"]
+        checks.append((planar < -1e-12, lambda i: InvalidSpec(
+            f"r2={float(np.broadcast_to(r2, (rows,))[i])!r} is below r_z^2")))
+        values["r_x"] = values["r_y"] = np.sqrt(np.maximum(planar, 0.0) / 2.0)
     names = PARAM_NAMES[model_id]
     params = np.zeros((rows, len(names)))
     for i, name in enumerate(names):
         if name in values:
             params[:, i] = values.pop(name)
-    unknown = set(values) - _ALLOWED_CONSTANTS[model_id]
-    if unknown:
-        raise InvalidSpec(f"unknown names for {model_id}: {sorted(unknown)}")
-    try:
-        cfg = model_config(model_id, **values)
-    except ValueError as exc:
-        raise InvalidSpec(str(exc)) from exc
-    return cfg, params
-
-
-def _weight_matrices(spec: SweepSpec, d: int, bound: Mapping = None) -> np.ndarray:
-    """W of a fixed weight kind (d, d), or W per row (rows, d, d) for the
-    kind that reads the row's axis value; `_qfim_weight` builds the qfim kind."""
-    w = spec.weight
-    if w.kind == "identity":
-        return np.eye(d)
-    if w.kind == "diag":
-        return np.diag(np.asarray(w.values, dtype=float))
-    if w.kind == "full":
-        return np.asarray(w.values, dtype=float).reshape(d, d)
-    if w.kind == "diag_log_axis":
-        omega = _omegas(bound[w.axis])
-        return np.stack(np.broadcast_arrays(1.0, 0.0, 0.0, omega), axis=-1).reshape(-1, 2, 2)
-    raise InvalidSpec(f"unknown weight kind {w.kind!r}")
+    return _checked_config(model_id, values, *checks, error=InvalidSpec), params
 
 
 def _omegas(log10_values) -> np.ndarray:
     """omega = 10**v per value, in the shape of ``log10_values`` (0-d for a
-    fixed value), rounded as Python's float power rounds it, so that the
-    weight and the maximizing angles read the same omega."""
+    fixed value), rounded as Python's float power rounds it, as
+    `_check_log_axis` rounds the ends of the weight's axis."""
     v = np.asarray(log10_values, dtype=float)
     return np.array([10.0 ** x for x in v.ravel().tolist()]).reshape(v.shape)
 
 
 def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> _Chunk:
-    """``rows`` rows as one batch; each name in ``bound`` holds one value
-    per row.  A fixed constant stays one scalar for the whole chunk, so
-    what depends on the constants alone is evaluated once per chunk, and a
-    fixed weight is validated and square-rooted once per chunk."""
-    d = len(PARAM_NAMES[spec.model_id])
-    values = {**{k: float(v) for k, v in spec.fixed.items()}, **bound}
-    if spec.maximize_over:  # each row's saturating angles, then the batch
-        omega = _omegas(values[spec.weight.axis])
-        values.update(_saturating_angles(spec.maximize_over, values, omega))
-    model_values = {k: v for k, v in values.items() if k != spec.weight.axis}
-    cfg, params = _bind_values(spec.model_id, model_values, rows)
+    """``rows`` rows of a validated spec as one batch; each name in
+    ``bound`` holds one value per row.  A fixed constant stays one scalar
+    for the whole chunk, so what depends on the constants alone is
+    evaluated once per chunk."""
+    (opts, weight), w = spec._shared, spec.weight
+    values, void = {**spec.fixed, **bound}, np.zeros(rows, bool)
+    if w.kind == "diag_log_axis":
+        omega = _omegas(values.pop(w.axis))
+        w_mat = np.stack(np.broadcast_arrays(1.0, 0.0, 0.0, omega), axis=-1).reshape(-1, 2, 2)
+        weight = _weight_and_root(w_mat, 2)
+        if spec.maximize_over:  # each row's saturating angles, then the batch
+            values.update(_saturating_angles(spec.maximize_over, values, omega))
+    cfg, params = _bind_values(spec.model_id, values, rows)
     arrays = model_arrays(cfg, params)
     geometry = model_geometry(*arrays)
-    void = np.zeros(rows, bool)
-    if spec.weight.kind == "qfim":
+    if w.kind == "qfim":
         weight, void = _qfim_weight(geometry)
-    else:
-        weight = _weight_and_root(_weight_matrices(spec, d, values), d)
-    opts = ReportOptions(pseudo_inverse=spec.pseudo_inverse, compute_rld="c_rld" in spec.outputs,
-                         compute_holevo="c_h" in spec.outputs or "gap_h" in spec.outputs)
-    w_mat, sqrt_w = (np.broadcast_to(x, (rows, d, d)) for x in weight)
+    w_mat, sqrt_w = (np.broadcast_to(x, (rows, *x.shape[-2:])) for x in weight)
     rho, derivs = arrays.rho, arrays.derivs
     if opts.compute_rld and arrays.bloch is not None:  # the RLD alone reads rho
         rho, derivs = _bloch_state(*arrays.bloch)
@@ -426,7 +415,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """
     if threads != 1:
         raise InvalidSpec("sweeps run serially; threads must be 1")
-    spec = validate_spec(spec)
+    if spec._shared is None:
+        spec = validate_spec(spec)
     grids = [ax.values() for ax in spec.axes]
     total = math.prod(len(values) for values in grids)
     chunks = []

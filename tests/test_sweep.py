@@ -203,6 +203,115 @@ class TestSpecValidation:
             with pytest.raises(InvalidSpec, match="^diag_log_axis weight is two-parameter only$"):
                 check(spec)
 
+    @pytest.mark.parametrize(
+        "weight, fixed, message",
+        [
+            # the model ran at lambda1 = 0 on every row, the axis read as the weight's
+            (WeightSpec("identity", axis="lambda1"), {}, "identity weight takes no axis"),
+            (WeightSpec("diag_log_axis", axis="lambda1"), {},
+             "^diag_log_axis weight axis 'lambda1' is a model name"),
+            (WeightSpec("diag_log_axis", axis="r_x"), {}, "axis 'r_x' is a model name"),
+            (WeightSpec("identity", (2.0, 1.0)), {}, r"^identity weight needs 0 values, got 2$"),
+            (WeightSpec("qfim", (2.0, 1.0)), {}, r"^qfim weight needs 0 values, got 2$"),
+            (WeightSpec("diag_log_axis", (2.0, 1.0), axis="w"), {"w": 0.5},
+             "^diag_log_axis weight needs 0 values, got 2$"),
+            (WeightSpec("diag", (2.0, 1.0), axis="lambda1"), {}, "diag weight takes no axis"),
+            (WeightSpec("full", (2.0, 0.0, 0.0, 1.0), axis="w"), {"w": 0.5},
+             "full weight takes no axis"),
+        ],
+        ids=["identity_axis", "log_axis_parameter", "log_axis_constant", "identity_values",
+             "qfim_values", "log_axis_values", "diag_axis", "full_axis"],
+    )
+    def test_rejects_weight_fields_its_kind_ignores(self, weight, fixed, message):
+        fixed = {**{k: v for k, v in MIXED_QUBIT.items() if k != "lambda1"}, **fixed}
+        spec = SweepSpec("tunable_qubit", fixed, (Axis("lambda1", 0.0, 1.0, 3),), weight=weight,
+                         outputs=("c_sld", "T"))
+        with pytest.raises(InvalidSpec, match=message):
+            run_sweep(spec)
+
+    @pytest.mark.parametrize(
+        "fixed, axis, message",
+        [
+            ({"lambda1": math.nan}, Axis("lambda2", 0.0, 1.0, 3), "^lambda1=nan is not finite$"),
+            ({}, Axis("lambda1", math.nan, 1.0, 3), "^lambda1=nan is not finite$"),
+            ({}, Axis("lambda1", 0.0, math.inf, 3), "^lambda1=inf is not finite$"),
+            pytest.param({}, Axis("lambda1", -1e308, 1.7e308, 3), "^lambda1=nan is not finite$",
+                         marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                                          "ignore:invalid:RuntimeWarning")),
+            ({"lambda1": 0.5, "gamma": -math.inf}, Axis("lambda2", 0.0, 1.0, 3),
+             "^gamma=-inf is not finite$"),
+            ({"lambda1": 0.5}, Axis("lambda2", 0.0, 1.0, 2.5),
+             r"^axis 'lambda2' needs an integer count, got 2\.5$"),
+            ({"lambda1": 0.5}, Axis("lambda2", 0.0, 1.0, "3"),
+             "^axis 'lambda2' needs an integer count, got '3'$"),
+        ],
+        ids=["fixed_parameter", "axis_start", "axis_stop", "axis_step_overflows", "fixed_constant",
+             "float_count", "str_count"],
+    )
+    def test_rejects_bad_values_before_any_model(self, fixed, axis, message, monkeypatch):
+        # a parameter raised NonHermitianInput once its model was built, and
+        # a count that is no integer a bare TypeError
+        def no_model(*args, **kwargs):
+            raise AssertionError("model built")
+
+        monkeypatch.setattr(sweep, "model_arrays", no_model)
+        base = {k: v for k, v in MIXED_QUBIT.items() if k != "lambda1"}
+        spec = SweepSpec("tunable_qubit", {**base, **fixed}, (axis,))
+        with pytest.raises(InvalidSpec, match=message):
+            run_sweep(spec)
+
+    @staticmethod
+    def _counted(monkeypatch, targets) -> dict[str, int]:
+        """Calls of each (module, name) from here on, by name."""
+        counts = {}
+        for module, name in targets:
+            counts[name] = 0
+
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "name, want",
+        [
+            # 4096 rows, 4 chunks: the names once, the values and r0 once per
+            # chunk, the fixed identity weight rooted once
+            ("fig2", {"validate_spec": 1, "_check_names": 1, "_check_log_axis": 0,
+                      "_checked_config": 4, "tunable_qubit_r0": 4, "model_config": 0,
+                      "spd_sqrt": 1, "_omegas": 0}),
+            # 33 rows, 1 chunk: the pure probe needs no r0, and the chunk
+            # reads each row's omega once, for the angles and the weight
+            ("fig1", {"validate_spec": 1, "_check_names": 1, "_check_log_axis": 1,
+                      "_checked_config": 1, "tunable_qubit_r0": 0, "model_config": 0,
+                      "spd_sqrt": 1, "_omegas": 1}),
+        ],
+    )
+    def test_each_rule_runs_once(self, name, want, monkeypatch):
+        # as the benchmark runs a preset: validated, then swept
+        counts = self._counted(monkeypatch, [
+            (sweep, "validate_spec"), (sweep, "_check_names"), (sweep, "_check_log_axis"),
+            (sweep, "_checked_config"), (models, "tunable_qubit_r0"), (models, "model_config"),
+            (geometry, "spd_sqrt"), (sweep, "_omegas"),
+        ])
+        config = {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}
+        run_sweep(sweep.validate_spec(figure_preset(name, config)))
+        assert counts == want
+
+    def test_spec_changed_after_validation_is_validated_again(self):
+        spec = replace(validate_spec(small_spec()), weight=WeightSpec("diag", (1.0, -1.0)))
+        with pytest.raises(InvalidSpec, match="positive definite"):
+            run_sweep(spec)
+
+    def test_validated_spec_is_canonical_and_frozen(self):
+        spec = validate_spec(small_spec(fixed={**MIXED_QUBIT, "lambda1": np.float32(0.5)}))
+        assert spec.outputs == ("c_sld", "c_t", "c_h", "R", "T", "gap_h", "gap_t", "gap_r")
+        assert type(spec.fixed["lambda1"]) is float
+        with pytest.raises(TypeError):
+            spec.fixed["lambda1"] = 0.1
+
 
 class TestRunPoint:
     def test_qutrit_anchor(self):
@@ -560,24 +669,28 @@ class TestFigurePresets:
         calls.clear()
         return len(run_sweep(spec)), calls
 
-    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig4"])
-    def test_decomposes_twice_per_chunk(self, name, monkeypatch):
-        # one stacked eigh each of Q and W: the pure states (fig1, fig4) are
-        # vectors and the mixed qubit (fig2) is never decomposed, the
-        # qubit's normal direction is closed form, R is closed form, and W's
-        # definiteness comes from the eigh its root needs
+    @pytest.mark.parametrize("name, per_chunk", [("fig1", 2), ("fig2", 1), ("fig4", 1)],
+                             ids=["fig1", "fig2", "fig4"])
+    def test_eigh_calls_per_chunk(self, name, per_chunk, monkeypatch):
+        # one stacked eigh of Q, and one of W where W reads each row (fig1's
+        # omega): the pure states (fig1, fig4) are vectors and the mixed
+        # qubit (fig2) is never decomposed, the qubit's normal direction is
+        # closed form, R is closed form, and W's definiteness comes from the
+        # eigh its root needs, which validate_spec takes once for the fixed
+        # identity of fig2 and fig4
         spec = figure_preset(name, {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {})
         rows, calls = self._eigen_calls(spec, monkeypatch)
         assert rows == {"fig1": 33, "fig2": 4096, "fig4": 2304}[name]
-        assert calls == ["eigh"] * 2 * -(-rows // sweep._CHUNK)
+        assert calls == ["eigh"] * per_chunk * -(-rows // sweep._CHUNK)
 
-    def test_fig5_decomposes_three_times_per_chunk(self, monkeypatch):
-        # the pure qutrit is a vector: one stacked eigh each of Q, W and the
+    def test_fig5_decomposes_twice_per_chunk(self, monkeypatch):
+        # the pure qutrit is a vector: one stacked eigh each of Q and the
         # projector onto its normal space, which takes the place of rho's
-        # eigenvalue floor and the Gell-Mann route's two
+        # eigenvalue floor and the Gell-Mann route's two; the fixed W is
+        # rooted once, by validate_spec
         rows, calls = self._eigen_calls(figure_preset("fig5", {"count": 40}), monkeypatch)
         assert rows == 1600
-        assert calls == ["eigh"] * 3 * 2
+        assert calls == ["eigh"] * 2 * 2
 
     def test_fig1_singular_rows_flagged_not_fatal(self):
         # at the saturating angles Q = diag(4 / omega, 4) for omega >= 1, so

@@ -155,42 +155,41 @@ def model_config(model_id: str, **constants: float) -> ModelConfig:
     return _checked_config(model_id, constants)
 
 
-def _check_names(model_id: str, names, error=InvalidInput) -> None:
-    """Raise ``error`` unless the names are only the model's constants, all
+def _check_names(model_id: str, names) -> None:
+    """Raise InvalidInput unless the names are only the model's constants, all
     it requires, and the tunable qubit's probe as (alpha, beta) or (r_x, r_y, r_z)."""
     names, tunable = set(names), model_id == "tunable_qubit"
     unknown = names - _CONSTANT_NAMES[model_id]
     if unknown:
-        raise error(f"unknown names for {model_id}: {sorted(unknown)}")
+        raise InvalidInput(f"unknown names for {model_id}: {sorted(unknown)}")
     missing = ({"gamma", "theta", "phi"} if tunable else {"alpha", "beta", "t"}) - names
     if missing:
-        raise error(f"{model_id} requires constants {sorted(missing)}")
+        raise InvalidInput(f"{model_id} requires constants {sorted(missing)}")
     if tunable and len(names & {"alpha", "beta"}) == 1:
-        raise error("pure-state form needs both alpha and beta")
+        raise InvalidInput("pure-state form needs both alpha and beta")
     if tunable and "alpha" not in names and not {"r_x", "r_y", "r_z"} <= names:
-        raise error("tunable_qubit requires r_x, r_y, r_z (or alpha, beta)")
+        raise InvalidInput("tunable_qubit requires r_x, r_y, r_z (or alpha, beta)")
 
 
-def _checked_config(model_id: str, constants: Mapping, *checks, error=InvalidInput) -> ModelConfig:
+def _checked_config(model_id: str, constants: Mapping) -> ModelConfig:
     """The config once its values hold: each finite, the tunable qubit's
     (r_x, r_y, r_z) no longer than 1, an SU(2) model's t positive.  A
     constant is one value, or an array of values, one per row of a batch;
     a scalar stays a scalar, so what depends on it alone is evaluated (and
-    checked) once.  The first row failing the caller's ``checks`` ((mask,
-    make_error) pairs) or a rule raises (``error``), as a config of scalars would."""
+    checked) once.  The first failing row raises, as a config of scalars would."""
     constants = {k: np.asarray(v, float) if np.ndim(v) else float(v) for k, v in constants.items()}
     cfg, shape = ModelConfig(model_id, constants), np.broadcast(*constants.values()).shape
-    rules = [(~np.isfinite(val), lambda i, k=k, v=val: error(
+    rules = [(~np.isfinite(val), lambda i, k=k, v=val: InvalidInput(
         f"constant {k}={float(np.broadcast_to(v, shape).flat[i])!r} is not finite"))
         for k, val in constants.items()]
     if model_id != "tunable_qubit":
         rules.append((np.less_equal(constants["t"], 0.0),
-                      lambda i: error("evolution time t must be positive")))
+                      lambda i: InvalidInput("evolution time t must be positive")))
     elif "alpha" not in constants:  # (alpha, beta) give a unit vector by construction
         r0 = cfg._r0
-        rules.append((dot(r0, r0) > 1.0 + 1e-12, lambda i: error(
+        rules.append((dot(r0, r0) > 1.0 + 1e-12, lambda i: InvalidInput(
             f"Bloch vector norm {np.linalg.norm(r0.reshape(-1, 3)[i])!r} exceeds 1")))
-    raise_first_failure(*checks, *rules)
+    raise_first_failure(*rules)
     return cfg
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .bounds import FLAG_SINGULAR_QFIM, ReportOptions, batch_reports
-from .errors import InvalidSpec, UnknownPreset
+from .errors import InvalidInput, InvalidSpec, UnknownPreset
 from .geometry import _weight_and_root, model_geometry
 from .linalg import WEIGHT_FLOOR
 from .models import MODEL_IDS, PARAM_NAMES, ModelConfig, _bloch_state, model_arrays
@@ -36,9 +36,11 @@ _SATURATION_TOL = 5e-15
 
 # Angles of the pure tunable-qubit probe and rotation.
 _ANGLES = ("alpha", "beta", "gamma", "theta", "phi")
+# The tunable qubit's names that `_bind_values` resolves into model names.
+_DERIVED_NAMES = {"xi", "r_xy", "r2"}
 # Names that describe the probe other than through (alpha, beta), or set
 # lambda1 through phi; the maximized probe is pure and lambda1 is direct.
-_NON_ANGLE_PROBE_NAMES = {"r_x", "r_y", "r_z", "r_xy", "r2", "xi"}
+_NON_ANGLE_PROBE_NAMES = {"r_x", "r_y", "r_z", *_DERIVED_NAMES}
 
 
 @dataclass(frozen=True)
@@ -179,13 +181,12 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
     if total > MAX_SWEEP_POINTS:
         raise InvalidSpec(f"sweep has {total} points, above the {MAX_SWEEP_POINTS} guard")
     fixed = {name: float(v) for name, v in spec.fixed.items()}
-    # an axis's ends, then its values, which its step can overflow
+    # an axis's ends, then their distance, which a finite grid's step needs finite
     ends = [(ax.name, v) for ax in spec.axes for v in (ax.start, ax.stop)]
-    grids = ((ax.name, ax.values()) for ax in spec.axes)
-    for name, values in itertools.chain(fixed.items(), ends, grids):
-        bad = ~np.isfinite(values)
-        if bad.any():
-            raise InvalidSpec(f"{name}={float(np.ravel(values)[np.argmax(bad)])!r} is not finite")
+    spans = [(f"{ax.name} stop - start", ax.stop - ax.start) for ax in spec.axes]
+    for name, v in itertools.chain(fixed.items(), ends, spans):
+        if not math.isfinite(v):
+            raise InvalidSpec(f"{name}={v!r} is not finite")
     outputs = canonical_outputs(spec.outputs)
     w, d = spec.weight, len(PARAM_NAMES[spec.model_id])
     if w.kind not in ("identity", "diag", "full", "qfim", "diag_log_axis"):
@@ -242,8 +243,11 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
                 raise InvalidSpec(f"binding {name!r} requires {needed!r}")
         if names & {"r_xy", "r2"}:
             names |= {"r_x", "r_y"}
-        names -= {"xi", "r_xy", "r2"}
-    _check_names(spec.model_id, names, InvalidSpec)
+        names -= _DERIVED_NAMES
+    try:
+        _check_names(spec.model_id, names)
+    except InvalidInput as exc:
+        raise InvalidSpec(str(exc)) from exc
     options = ReportOptions(pseudo_inverse=spec.pseudo_inverse, compute_rld="c_rld" in outputs,
                             compute_holevo="c_h" in outputs or "gap_h" in outputs)
     valid = replace(spec, fixed=MappingProxyType(fixed), outputs=outputs)
@@ -261,14 +265,15 @@ def _check_log_axis(spec: SweepSpec) -> None:
     axis = next((ax for ax in spec.axes if ax.name == name), None)
     if axis is None and name not in spec.fixed:
         raise InvalidSpec("diag_log_axis weight needs a matching axis name")
-    if name in {*PARAM_NAMES[spec.model_id], *_CONSTANT_NAMES[spec.model_id], "xi", "r_xy", "r2"}:
+    if name in {*PARAM_NAMES[spec.model_id], *_CONSTANT_NAMES[spec.model_id], *_DERIVED_NAMES}:
         raise InvalidSpec(f"diag_log_axis weight axis {name!r} is a model name; "
                           "give the weight its own axis")
-    for v in (axis.start, axis.stop) if axis else (spec.fixed[name],):
-        try:
-            omega = 10.0 ** float(v)
-        except OverflowError:
-            omega = math.inf
+    ends = (axis.start, axis.stop) if axis else (spec.fixed[name],)
+    try:
+        omegas = _omegas(ends).tolist()
+    except OverflowError:  # only the largest end can leave the float range
+        omegas = [math.inf if v == max(ends) else float(_omegas(v)) for v in ends]
+    for v, omega in zip(ends, omegas):
         if not (math.isfinite(omega) and omega > WEIGHT_FLOOR):
             raise InvalidSpec(
                 f"diag_log_axis weight: {name}={v!r} gives omega={omega!r}; "
@@ -276,13 +281,13 @@ def _check_log_axis(spec: SweepSpec) -> None:
             )
 
 
-def _bind_values(model_id: str, values: dict, rows: int) -> tuple[ModelConfig, np.ndarray]:
+def _bind_values(model_id: str, bound: dict, rows: int) -> tuple[ModelConfig, np.ndarray]:
     """A validated spec's values as the model parameters (rows, d) and a
     config of constants, with xi, r_xy and r2 resolved.  A name holds one
     value per row, or one for every row, which stays a scalar; only the
     parameters are broadcast.  The first row failing r2 >= r_z^2 or a rule
     of `_checked_config` raises, as that row would alone."""
-    values, checks = dict(values), []
+    values = dict(bound)
     if "xi" in values:
         values["lambda1"] = 0.5 * (values.pop("xi") + values["phi"])
     if "r_xy" in values:
@@ -290,21 +295,28 @@ def _bind_values(model_id: str, values: dict, rows: int) -> tuple[ModelConfig, n
     if "r2" in values:
         r2 = values.pop("r2")
         planar = r2 - values["r_z"] * values["r_z"]
-        checks.append((planar < -1e-12, lambda i: InvalidSpec(
-            f"r2={float(np.broadcast_to(r2, (rows,))[i])!r} is below r_z^2")))
+        below = np.broadcast_to(planar < -1e-12, (rows,))
+        if below.any():  # the rows before the first bad one raise their own errors first
+            first = int(np.argmax(below))
+            _bind_values(model_id, {k: np.broadcast_to(v, (rows,))[:first]
+                                    for k, v in bound.items()}, first)
+            raise InvalidSpec(f"r2={float(np.broadcast_to(r2, (rows,))[first])!r} is below r_z^2")
         values["r_x"] = values["r_y"] = np.sqrt(np.maximum(planar, 0.0) / 2.0)
     names = PARAM_NAMES[model_id]
     params = np.zeros((rows, len(names)))
     for i, name in enumerate(names):
         if name in values:
             params[:, i] = values.pop(name)
-    return _checked_config(model_id, values, *checks, error=InvalidSpec), params
+    try:
+        return _checked_config(model_id, values), params
+    except InvalidInput as exc:
+        raise InvalidSpec(str(exc)) from exc
 
 
 def _omegas(log10_values) -> np.ndarray:
     """omega = 10**v per value, in the shape of ``log10_values`` (0-d for a
-    fixed value), rounded as Python's float power rounds it, as
-    `_check_log_axis` rounds the ends of the weight's axis."""
+    fixed value), rounded as Python's float power rounds it, so that the
+    weight and the maximizing angles read the same omega."""
     v = np.asarray(log10_values, dtype=float)
     return np.array([10.0 ** x for x in v.ravel().tolist()]).reshape(v.shape)
 

@@ -235,9 +235,7 @@ class TestSpecValidation:
             ({"lambda1": math.nan}, Axis("lambda2", 0.0, 1.0, 3), "^lambda1=nan is not finite$"),
             ({}, Axis("lambda1", math.nan, 1.0, 3), "^lambda1=nan is not finite$"),
             ({}, Axis("lambda1", 0.0, math.inf, 3), "^lambda1=inf is not finite$"),
-            pytest.param({}, Axis("lambda1", -1e308, 1.7e308, 3), "^lambda1=nan is not finite$",
-                         marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                                          "ignore:invalid:RuntimeWarning")),
+            ({}, Axis("lambda1", -1e308, 1.7e308, 3), "^lambda1 stop - start=inf is not finite$"),
             ({"lambda1": 0.5, "gamma": -math.inf}, Axis("lambda2", 0.0, 1.0, 3),
              "^gamma=-inf is not finite$"),
             ({"lambda1": 0.5}, Axis("lambda2", 0.0, 1.0, 2.5),
@@ -282,11 +280,12 @@ class TestSpecValidation:
             ("fig2", {"validate_spec": 1, "_check_names": 1, "_check_log_axis": 0,
                       "_checked_config": 4, "tunable_qubit_r0": 4, "model_config": 0,
                       "spd_sqrt": 1, "_omegas": 0}),
-            # 33 rows, 1 chunk: the pure probe needs no r0, and the chunk
-            # reads each row's omega once, for the angles and the weight
+            # 33 rows, 1 chunk: the pure probe needs no r0, validation reads
+            # omega at both ends of its axis at once, and the chunk reads each
+            # row's omega once, for the angles and the weight
             ("fig1", {"validate_spec": 1, "_check_names": 1, "_check_log_axis": 1,
                       "_checked_config": 1, "tunable_qubit_r0": 0, "model_config": 0,
-                      "spd_sqrt": 1, "_omegas": 1}),
+                      "spd_sqrt": 1, "_omegas": 2}),
         ],
     )
     def test_each_rule_runs_once(self, name, want, monkeypatch):
@@ -1344,8 +1343,12 @@ class TestChunkedSweep:
                 (Axis("r2", 1.2, 0.1, 4), Axis("phi", 0.0, 1.0, 2)),
                 "Bloch vector norm np.float64(1.0954451150103321) exceeds 1",
             ),
+            (
+                # r2 and r_z both fixed: the rule reads two scalars
+                {"r_z": 0.5, "r2": 0.2}, (Axis("phi", 0.0, 1.0, 2),), "r2=0.2 is below r_z^2",
+            ),
         ],
-        ids=["r2_below_rz2", "bloch_norm_above_1", "first_row_first"],
+        ids=["r2_below_rz2", "bloch_norm_above_1", "first_row_first", "fixed_r2_below_rz2"],
     )
     def test_invalid_row_raises_as_serial(self, fixed, axes, message):
         # the messages are the ones the one-point-at-a-time sweep raised
@@ -1390,7 +1393,7 @@ class TestRowInvariantConstants:
         self._compare_with_full_rows(monkeypatch, lambda: run_sweep(spec))
 
     @pytest.mark.parametrize("case", ["fixed_bloch", "fixed_log_axis", "run_point_su2",
-                                      "run_point_fig1", "run_point_bloch"])
+                                      "run_point_fig1", "run_point_bloch", "run_point_fig3b"])
     def test_specs_match_full_rows(self, case, monkeypatch):
         bloch = {key: MIXED_QUBIT[key] for key in ("gamma", "theta", "phi", "r_x", "r_y", "r_z")}
         specs = {
@@ -1401,6 +1404,10 @@ class TestRowInvariantConstants:
             "run_point_su2": SweepSpec("su2_qutrit", ANCHOR),
             "run_point_fig1": replace(figure_preset("fig1"), axes=(), fixed={"omega_log10": -0.4}),
             "run_point_bloch": SweepSpec("tunable_qubit", MIXED_QUBIT),
+            # a fig3b row binds both r2 and r_z as fixed scalars
+            "run_point_fig3b": replace(figure_preset("fig3b"), axes=(),
+                                       fixed={**figure_preset("fig3b").fixed, "r2": 0.5,
+                                              "phi": 0.3}),
         }
         run = run_point if case.startswith("run_point") else run_sweep
         self._compare_with_full_rows(monkeypatch, lambda: run(specs[case]))

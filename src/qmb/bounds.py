@@ -35,7 +35,7 @@ from .geometry import (
     _normal_spaces,
     _rld_matrix,
     _spectral_radius,
-    _vector_normal_spaces,
+    _vector_coordinates,
     _weight_and_root,
     _WeightFrame,
     _weight_frame,
@@ -495,13 +495,11 @@ def batch_reports(
             if np.size(g.slds) == 0:
                 raise InvalidInput("geometry must carry SLD operators")
             sel = subset(regular, points)
-            if g.psi is not None:
-                spaces = _vector_normal_spaces(g.psi[sel], g.slds[sel],
-                                               tuple(x[sel] for x in g._qfim_eigh))
-            elif g.r is not None:
-                spaces = _normal_spaces(*_bloch_coordinates(g.r[sel], g.slds[sel]))
-            else:
-                spaces = _normal_spaces(*_gell_mann_coordinates(rho[sel], g.slds[sel]))
+            coordinates, state = ((_vector_coordinates, g.psi) if g.psi is not None else
+                                  (_bloch_coordinates, g.r) if g.r is not None else
+                                  (_gell_mann_coordinates, rho))
+            spaces = _normal_spaces(*coordinates(state[sel], g.slds[sel]),
+                                    tuple(x[sel] for x in g._qfim_eigh))
             for rows, basis in spaces:
                 rows = regular[rows]
                 setup = _tangent_setup(basis, take(frame, subset(rows, points)))

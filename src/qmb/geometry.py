@@ -482,9 +482,11 @@ class NormalSpaceBasis:
     Direction j is P_j = sum_a coeffs[a, j] (G_a - c_a) in the Gell-Mann basis,
     c_a = Tr[rho G_a] (``means``), so Tr[rho P_j] = 0.  ``gram`` is the complex
     matrix Tr[rho P_i P_j] (its real part is the identity by orthonormality)
-    and ``coupling`` is Im Tr[rho L_i P_j].  For pure states given as
-    vectors (`_vector_normal_spaces`), ``coeffs`` holds the vectors P_j psi
-    as columns and ``means`` holds psi; ``ops`` reads the Gell-Mann form."""
+    and ``coupling`` is Im Tr[rho L_i P_j].  ``coeffs`` and ``means`` are in
+    the coordinates of the route that built the basis: the Gell-Mann basis
+    above, the Pauli matrices of a Bloch vector, or for pure states given as
+    vectors (`_vector_coordinates`) the real form of the vectors P_j psi,
+    with psi as the means; ``ops`` reads only the Gell-Mann form."""
 
     coeffs: np.ndarray
     means: np.ndarray
@@ -525,7 +527,8 @@ def tangent_normal_decomposition(
         raise InvalidInput("geometry must carry SLD operators")
     _qfim_inverse(g, pseudo_inverse)  # singularity policy
     rho = np.asarray(rho, dtype=complex)
-    ((_, basis),) = _normal_spaces(*_gell_mann_coordinates(rho[None], np.asarray(g.slds)[None]))
+    coordinates = _gell_mann_coordinates(rho[None], np.asarray(g.slds)[None])
+    ((_, basis),) = _normal_spaces(*coordinates, tuple(x[None] for x in g._qfim_eigh))
     return take(basis, 0)
 
 
@@ -554,27 +557,46 @@ def _bloch_coordinates(r: np.ndarray, b: np.ndarray) -> tuple:
     return r, s, b
 
 
-def _normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray) -> list:
-    """The normal-space bases of a batch of states given by their Gell-Mann
-    coordinates (`_gell_mann_coordinates`), as `tangent_normal_decomposition`
-    builds one, grouped by size: (rows, basis with those rows stacked along
-    a leading axis).
+def _vector_coordinates(psi: np.ndarray, ells: np.ndarray) -> tuple:
+    """`_gell_mann_coordinates` of pure states psi (B, n) given with the
+    vectors l_k = L_k psi (B, d, n) of their SLDs, in the real form
+    v -> (Re v, Im v) of the vectors P psi.
+
+    Tr[rho X Y] = <X psi|Y psi> for a pure state, and P psi of a direction
+    with Tr[rho P] = 0 is orthogonal to psi and i psi, so the means are psi,
+    S = Pi (I + iJ) Pi, with Pi the projector that removes psi and i psi and
+    J the complex unit (Im <u|v> = u^T J v), and the SLD coefficients are
+    the l_k in the real form."""
+    n = psi.shape[-1]
+    x = np.concatenate([psi.real, psi.imag], axis=-1)  # psi, then i psi, in the real form
+    y = np.concatenate([-psi.imag, psi.real], axis=-1)
+    s = np.empty(x.shape + x.shape[-1:], complex)
+    s.real = np.eye(2 * n) - x[..., :, None] * x[..., None, :] - y[..., :, None] * y[..., None, :]
+    # J = [[0, I], [-I, 0]] commutes with Pi, so Pi J Pi = J Pi: a signed swap of row blocks
+    s.imag = np.concatenate([s.real[..., n:, :], -s.real[..., :n, :]], axis=-2)
+    return psi, s, np.concatenate([ells.real, ells.imag], axis=-1)
+
+
+def _normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray, qfim_eigh: tuple) -> list:
+    """The normal-space bases of a batch of states given by their
+    coordinates (`_gell_mann_coordinates`, `_bloch_coordinates` or
+    `_vector_coordinates`) and the eigendecomposition of their Q, as
+    `tangent_normal_decomposition` builds one, grouped by size: (rows,
+    basis with those rows stacked along a leading axis).
 
     For a qubit with two parameters, where the Gell-Mann basis is the Pauli
     matrices, Re S = I - r r^T (r the Bloch vector) and the SLD coefficients
     are the Bloch parts b_i of L_i = a_i I + b_i.sigma, the one normal
     direction is (I - r r^T)^-1 (b_1 x b_2), normalized under Re S.  Rows
-    where 1 - |r|^2 or the tangent Gram's det / trace^2 comes within
-    _QUBIT_MARGIN of the RANK_TOL cut take the eigendecompositions instead,
-    which draw the line between sizes; so do all other (n, d)."""
+    where 1 - |r|^2 or det Q / (Tr Q)^2 comes within _QUBIT_MARGIN of the
+    RANK_TOL cut take the eigendecompositions instead, which draw the line
+    between sizes; so do all other coordinates."""
     closed = np.zeros(len(means), bool)
     if l.shape[1:] == (2, 3):
-        gram = l @ s.real @ l.swapaxes(-1, -2)
-        det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
-        trace = gram[:, 0, 0] + gram[:, 1, 1]
+        w = qfim_eigh[0]
         gap = 1.0 - dot(means, means)
         cut = _QUBIT_MARGIN * RANK_TOL
-        closed = (gap > cut) & (det > cut * trace * trace)
+        closed = (gap > cut) & (w[:, 0] * w[:, 1] > cut * (w[:, 0] + w[:, 1]) ** 2)
     groups = []
     if closed.any():
         rows = np.flatnonzero(closed)
@@ -594,18 +616,20 @@ def _normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray) -> list:
     if not closed.all():
         general = np.flatnonzero(~closed)
         sel = subset(general, len(means))
+        eigh = tuple(x[sel] for x in qfim_eigh)
         groups += [(general[rows], basis)
-                   for rows, basis in _eigen_normal_spaces(means[sel], s[sel], l[sel])]
+                   for rows, basis in _eigen_normal_spaces(means[sel], s[sel], l[sel], eigh)]
     return groups
 
 
-def _eigen_normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray) -> list:
-    """`_normal_spaces` by eigendecompositions, from rho's Gell-Mann means,
-    the form S and the SLD coefficients l (B, d, n^2 - 1)."""
+def _eigen_normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray,
+                         qfim_eigh: tuple) -> list:
+    """`_normal_spaces` by eigendecompositions, from the means, the form S,
+    the SLD coefficients l (B, d, N) and Q's eigendecomposition."""
     s_re = s.real
-    # Orthonormalize the tangent span first so projection works even when
-    # the SLD Gram matrix is (near) singular.
-    tw, tv = np.linalg.eigh(l @ s_re @ l.swapaxes(-1, -2))
+    # Q = l Re S l^T, so Q's eigenpairs with the RANK_TOL cut give an
+    # orthonormal tangent frame even when Q is (near) singular.
+    tw, tv = qfim_eigh
     keep = _tangent_mask(tw)[:, None, :]
     frame = np.where(keep, tv / np.sqrt(np.where(keep, tw[:, None, :], 1.0)), 0.0)
     frame = frame.swapaxes(-1, -2) @ l
@@ -624,44 +648,6 @@ def _eigen_normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray) -> lis
         pivot = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[:, None, :], axis=-2)
         coeffs = cand[sel] @ (vecs * (np.where(pivot < 0, -1.0, 1.0) / np.sqrt(kept)))
         groups.append((rows, _basis(coeffs, means[sel], s[sel], l[sel])))
-    return groups
-
-
-def _vector_normal_spaces(psi: np.ndarray, ells: np.ndarray, qfim_eigh: tuple) -> list:
-    """`_normal_spaces` of pure states psi (B, n) given with l_k = L_k psi
-    (B, d, n) and the eigendecomposition of Q, grouped the same way.
-
-    Tr[rho X Y] = <X psi|Y psi> for a pure state, so a direction P of the
-    normal space is its vector p = P psi: p lies in the real 2(n - 1)
-    dimensions orthogonal to psi and i psi (Tr[rho P] = 0) and is orthogonal
-    to every l_k under Re<.|.>, which leaves m = 2(n - 1) - tangent_dim.  In
-    the real form v -> (Re v, Im v), the basis is the top m eigenvectors of
-    one stacked eigh of the projector that removes psi, i psi and the
-    tangent frame, the frame read from Q's eigenpairs with the RANK_TOL cut;
-    then gram = <p_i|p_j> and coupling = Im <l_i|p_j>.  Each basis holds
-    the vectors p (B, n, m) as its ``coeffs`` and psi as its ``means``."""
-    n = psi.shape[-1]
-
-    def real(z):  # (..., n) complex -> (..., 2n) real
-        return np.concatenate([z.real, z.imag], axis=-1)
-
-    w, v = qfim_eigh
-    keep = _tangent_mask(w)
-    sizes = np.maximum(2 * (n - 1) - np.sum(keep, axis=-1), 0)
-    scale = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
-    frame = (v * scale[:, None, :]).swapaxes(-1, -2) @ real(ells)  # orthonormal rows
-    removed = np.concatenate([real(psi)[:, None], real(1j * psi)[:, None], frame], axis=-2)
-    _, vecs = np.linalg.eigh(np.eye(2 * n) - removed.swapaxes(-1, -2) @ removed)
-    groups = []
-    for size in sorted(set(sizes.tolist())):
-        rows = np.flatnonzero(sizes == size)
-        sel = subset(rows, len(sizes))
-        top = vecs[sel, :, 2 * n - size:]
-        p = top[:, :n] + 1j * top[:, n:]
-        gram = p.conj().swapaxes(-1, -2) @ p
-        gram = 0.5 * (gram + gram.swapaxes(-1, -2).conj())
-        coupling = (ells[sel].conj() @ p).imag
-        groups.append((rows, NormalSpaceBasis(p, psi[sel], gram, coupling)))
     return groups
 
 

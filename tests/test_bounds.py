@@ -27,7 +27,6 @@ from qmb.errors import HierarchyViolation, SingularState
 from qmb.geometry import (
     _gell_mann_coordinates,
     _normal_spaces,
-    _vector_normal_spaces,
     compute_geometry,
     geometry_from_matrices,
     model_geometry,
@@ -631,6 +630,25 @@ class TestFullReport:
             assert report.c_h is not None
             assert sorted(calls) == ["require_weight", "spd_sqrt"]
 
+    def test_normal_space_reads_q_decomposition(self, rng, monkeypatch):
+        # Q is decomposed once, and the normal space reads its tangent frame
+        # from that eigh: a full-rank qutrit with two parameters decomposes
+        # rho, Q, W (for its root) and the (1, 8, 8) normal-space form before
+        # the dual solve, whose matrices are not stacked
+        from qmb.models import ModelPoint
+
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a, *r, **k: shapes.append(np.shape(a)) or eigh(a, *r, **k))
+        rho, derivs = random_model(rng, 3, 2)
+        report = full_report(ModelPoint((0.0, 0.0), rho, tuple(derivs)), np.diag([1.0, 2.0]),
+                             ReportOptions(compute_rld=False))
+        assert report.holevo.iterations > 0
+        stacked = [shape for shape in shapes if len(shape) == 3]
+        assert shapes[:4] == [(3, 3), (2, 2), (2, 2), (1, 8, 8)]
+        assert stacked == [(1, 8, 8)]
+
     def test_pure_state_flags_rld(self):
         cfg = model_config("su2_qubit", alpha=np.pi / 2, beta=0.0, t=5.0)
         pt = model_point(cfg, (0.8, 0.6))
@@ -764,7 +782,7 @@ class TestFullReport:
 
 def _normal_space_sizes(rho, g):
     sizes = np.empty(len(rho), int)
-    for rows, basis in _normal_spaces(*_gell_mann_coordinates(rho, g.slds)):
+    for rows, basis in _normal_spaces(*_gell_mann_coordinates(rho, g.slds), g._qfim_eigh):
         sizes[rows] = basis.coeffs.shape[-1]
     return sizes
 
@@ -807,7 +825,7 @@ class TestPureStateShortcut:
         # (tangent rank 1, a one-direction normal space) into ill rows.  The
         # density matrices come from the matrix path that model_point keeps;
         # the model's vectors draw the same lines and send the same rows to
-        # the vector normal space
+        # the normal space, in the vectors' coordinates
         offsets = np.concatenate([-np.logspace(-2.0, -7.5, 23), [0.0], np.logspace(-7.5, -2.0, 23)])
         params = np.stack(np.broadcast_arrays(2.0 * np.pi + offsets[:, None], [[0.3, 0.9]]), -1)
         cfg = model_config("su2_qubit", alpha=1.0, beta=0.3, t=1.0)
@@ -826,13 +844,13 @@ class TestPureStateShortcut:
         np.testing.assert_array_equal(g._qfim_inverses[2], ill)
         sent = []
 
-        def recorded(psi_rows, ells_rows, qfim_eigh):
-            groups = _vector_normal_spaces(psi_rows, ells_rows, qfim_eigh)
+        def recorded(psi_rows, s, l, qfim_eigh):
+            groups = _normal_spaces(psi_rows, s, l, qfim_eigh)
             sizes = [(rows.tolist(), basis.coeffs.shape[-1]) for rows, basis in groups]
             sent.append((psi_rows, sizes))
             return groups
 
-        monkeypatch.setattr(bounds, "_vector_normal_spaces", recorded)
+        monkeypatch.setattr(bounds, "_normal_spaces", recorded)
         eye = np.broadcast_to(np.eye(2), (len(psi), 2, 2))
         cols = batch_reports(None, None, g, eye, eye, ReportOptions())
         monkeypatch.undo()

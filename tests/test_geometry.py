@@ -22,7 +22,7 @@ from qmb.geometry import (
     _normal_spaces,
     _qfim_inverse,
     _spectral_radius,
-    _vector_normal_spaces,
+    _vector_coordinates,
     _weight_and_root,
     _weight_frame,
     compute_geometry,
@@ -553,28 +553,29 @@ class TestNormalSpace:
         def bloch(r):  # (I + r.sigma) / 2
             return 0.5 * (np.eye(2) + sum(c * p for c, p in zip(r, PAULI)))
 
-        rho, slds = [], []
+        rho, geometries = [], []
         for scale in np.linspace(0.0, 1.0, 8):
             v = rng.normal(size=3)
             state = bloch(scale * radius * v / np.linalg.norm(v))
             derivs = [random_traceless_hermitian(rng, 2) for _ in range(2)]
             rho.append(state)
-            slds.append(compute_geometry(state, np.stack(derivs)).slds)
+            geometries.append(compute_geometry(state, np.stack(derivs)))
         # rows the margin keeps from the closed form: a rank-1 tangent space,
         # and a near-pure state (tangent derivatives) whose direction falls
         # under the RANK_TOL cut
         rho.append(bloch(0.5 * radius * v / np.linalg.norm(v)))
-        slds.append(compute_geometry(rho[-1], np.stack([derivs[0], 2.0 * derivs[0]])).slds)
+        geometries.append(compute_geometry(rho[-1], np.stack([derivs[0], 2.0 * derivs[0]])))
         r = (1.0 - 1e-10) * v / np.linalg.norm(v)
         rho.append(bloch(r))
         tangent = [bloch(np.cross(r, rng.normal(size=3))) - bloch(np.zeros(3)) for _ in range(2)]
-        slds.append(compute_geometry(rho[-1], np.stack(tangent)).slds)
-        rho, slds = np.stack(rho), np.stack(slds)
+        geometries.append(compute_geometry(rho[-1], np.stack(tangent)))
+        rho, slds = np.stack(rho), np.stack([g.slds for g in geometries])
+        qfim_eigh = tuple(np.stack(x) for x in zip(*(g._qfim_eigh for g in geometries)))
         coordinates = _gell_mann_coordinates(rho, slds)
-        got = _normal_spaces(*coordinates)
+        got = _normal_spaces(*coordinates, qfim_eigh)
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(geometry, "_QUBIT_MARGIN", np.inf)
-            want = _normal_spaces(*coordinates)
+            want = _normal_spaces(*coordinates, qfim_eigh)
 
         def by_row(groups):
             return {int(i): take(basis, k) for rows, basis in groups for k, i in enumerate(rows)}
@@ -815,11 +816,13 @@ def test_vector_normal_space_matches_gell_mann_route(seed, n, data):
     for name in ("qfim", "uhlmann"):
         np.testing.assert_allclose(getattr(got_g, name), getattr(want_g, name), rtol=0,
                                    atol=1e-13 * scale)
-    ((_, want),) = _normal_spaces(*_gell_mann_coordinates(rho[None], want_g.slds))
-    ((_, got),) = _vector_normal_spaces(got_g.psi, got_g.slds, got_g._qfim_eigh)
+    ((_, want),) = _normal_spaces(*_gell_mann_coordinates(rho[None], want_g.slds),
+                                  want_g._qfim_eigh)
+    ((_, got),) = _normal_spaces(*_vector_coordinates(got_g.psi, got_g.slds), got_g._qfim_eigh)
     want, got = take(want, 0), take(got, 0)
     assert got.size == want.size == 2 * (n - 1) - d
-    o = (np.reshape([op @ psi for op in want.ops], (want.size, n)).conj() @ got.coeffs).real
+    p = got.coeffs[:n] + 1j * got.coeffs[n:]  # the vectors P_j psi from their real form
+    o = (np.reshape([op @ psi for op in want.ops], (want.size, n)).conj() @ p).real
     tol = 1e-12 * max(1.0, np.sqrt(scale))
     np.testing.assert_allclose(o.T @ o, np.eye(got.size), rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.gram, o.T @ want.gram @ o, rtol=0, atol=1e-12)

@@ -633,11 +633,11 @@ class TestFigurePresets:
         # (qubits: n = 2; the pure qutrit: m = 1), so the closed forms
         # serve every preset row; the pure qubit of fig4 fills its tangent
         # space (m = 0) and builds no normal space at all, and the pure
-        # qutrit of fig5 builds its normal spaces from vectors
+        # qutrit of fig5 builds its normal spaces from the vectors' coordinates
         def no_dual(*args, **kwargs):
             raise AssertionError("dual solve reached")
 
-        calls = {"_normal_spaces": [], "_vector_normal_spaces": []}
+        calls = {"_normal_spaces": [], "_vector_coordinates": []}
         for fn_name, counts in calls.items():
             monkeypatch.setattr(bounds, fn_name, lambda *a, _fn=getattr(bounds, fn_name),
                                 _counts=counts: _counts.append(len(a[0])) or _fn(*a))
@@ -650,11 +650,11 @@ class TestFigurePresets:
             assert len(rows) == 36
             assert not any("HolevoNotConverged" in row.flags for row in rows)
             if name == "fig4":
-                assert calls == {"_normal_spaces": [], "_vector_normal_spaces": []}
+                assert calls == {"_normal_spaces": [], "_vector_coordinates": []}
             elif name == "fig5":
-                assert calls == {"_normal_spaces": [], "_vector_normal_spaces": [36]}
+                assert calls == {"_normal_spaces": [36], "_vector_coordinates": [36]}
             else:
-                assert calls["_vector_normal_spaces"] == [] and sum(calls["_normal_spaces"]) > 0
+                assert calls["_vector_coordinates"] == [] and sum(calls["_normal_spaces"]) > 0
 
     @staticmethod
     def _eigen_calls(spec, monkeypatch) -> tuple[int, list]:
@@ -684,8 +684,8 @@ class TestFigurePresets:
 
     def test_fig5_decomposes_twice_per_chunk(self, monkeypatch):
         # the pure qutrit is a vector: one stacked eigh each of Q and the
-        # projector onto its normal space, which takes the place of rho's
-        # eigenvalue floor and the Gell-Mann route's two; the fixed W is
+        # normal-space form in the vectors' coordinates, whose tangent frame
+        # is read from Q's; there is no rho to decompose, and the fixed W is
         # rooted once, by validate_spec
         rows, calls = self._eigen_calls(figure_preset("fig5", {"count": 40}), monkeypatch)
         assert rows == 1600

@@ -157,7 +157,8 @@ def model_config(model_id: str, **constants: float) -> ModelConfig:
 
 def _check_names(model_id: str, names) -> None:
     """Raise InvalidInput unless the names are only the model's constants, all
-    it requires, and the tunable qubit's probe as (alpha, beta) or (r_x, r_y, r_z)."""
+    it requires, and the tunable qubit's probe as (alpha, beta) or (r_x, r_y, r_z),
+    not both."""
     names, tunable = set(names), model_id == "tunable_qubit"
     unknown = names - _CONSTANT_NAMES[model_id]
     if unknown:
@@ -165,7 +166,11 @@ def _check_names(model_id: str, names) -> None:
     missing = ({"gamma", "theta", "phi"} if tunable else {"alpha", "beta", "t"}) - names
     if missing:
         raise InvalidInput(f"{model_id} requires constants {sorted(missing)}")
-    if tunable and len(names & {"alpha", "beta"}) == 1:
+    probe, bloch = sorted(names & {"alpha", "beta"}), sorted(names & {"r_x", "r_y", "r_z"})
+    if tunable and probe and bloch:
+        raise InvalidInput(f"{probe[0]!r} and {bloch[0]!r} are both set; "
+                           f"{probe[0]!r} would override {bloch[0]!r}")
+    if tunable and len(probe) == 1:
         raise InvalidInput("pure-state form needs both alpha and beta")
     if tunable and "alpha" not in names and not {"r_x", "r_y", "r_z"} <= names:
         raise InvalidInput("tunable_qubit requires r_x, r_y, r_z (or alpha, beta)")

@@ -41,6 +41,9 @@ _DERIVED_NAMES = {"xi", "r_xy", "r2"}
 # Names that describe the probe other than through (alpha, beta), or set
 # lambda1 through phi; the maximized probe is pure and lambda1 is direct.
 _NON_ANGLE_PROBE_NAMES = {"r_x", "r_y", "r_z", *_DERIVED_NAMES}
+# (name, other): `_bind_values` would let the first replace the second's value.
+_OVERRIDES = (("xi", "lambda1"), ("r2", "r_xy"), ("r_xy", "r_x"), ("r_xy", "r_y"),
+              ("r2", "r_x"), ("r2", "r_y"))
 
 
 @dataclass(frozen=True)
@@ -180,10 +183,13 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         total *= ax.count
     if total > MAX_SWEEP_POINTS:
         raise InvalidSpec(f"sweep has {total} points, above the {MAX_SWEEP_POINTS} guard")
-    fixed = {name: float(v) for name, v in spec.fixed.items()}
+    fixed = {name: _number(name, v) for name, v in spec.fixed.items()}
+    axes = tuple(replace(ax, start=_number(f"axis {ax.name!r} start", ax.start),
+                         stop=_number(f"axis {ax.name!r} stop", ax.stop)) for ax in spec.axes)
+    spec = replace(spec, fixed=fixed, axes=axes)
     # an axis's ends, then their distance, which a finite grid's step needs finite
-    ends = [(ax.name, v) for ax in spec.axes for v in (ax.start, ax.stop)]
-    spans = [(f"{ax.name} stop - start", ax.stop - ax.start) for ax in spec.axes]
+    ends = [(ax.name, v) for ax in axes for v in (ax.start, ax.stop)]
+    spans = [(f"{ax.name} stop - start", ax.stop - ax.start) for ax in axes]
     for name, v in itertools.chain(fixed.items(), ends, spans):
         if not math.isfinite(v):
             raise InvalidSpec(f"{name}={v!r} is not finite")
@@ -200,7 +206,7 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
     if w.kind == "diag_log_axis":
         _check_log_axis(spec)
     elif w.kind != "qfim":  # a fixed weight, validated and square-rooted once
-        values = np.asarray(w.values, dtype=float)
+        values = np.array([_number(f"{w.kind} weight value", v) for v in w.values])
         w_mat = (np.eye(d) if w.kind == "identity" else np.diag(values) if w.kind == "diag"
                  else values.reshape(d, d))
         try:
@@ -236,8 +242,13 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         if unbound:
             raise InvalidSpec(f"angles neither maximized nor fixed: {sorted(unbound)}")
     # the constants a point binds
-    names = {*fixed, *axis_names, *spec.maximize_over} - {w.axis, *PARAM_NAMES[spec.model_id]}
+    bound = {*fixed, *axis_names, *spec.maximize_over} - {w.axis}
+    names = bound - set(PARAM_NAMES[spec.model_id])
     if spec.model_id == "tunable_qubit":
+        for name, other in _OVERRIDES:
+            if {name, other} <= bound:
+                raise InvalidSpec(f"{name!r} and {other!r} are both set; "
+                                  f"{name!r} would override {other!r}")
         for name, needed in (("xi", "phi"), ("r2", "r_z")):
             if name in names and needed not in names:
                 raise InvalidSpec(f"binding {name!r} requires {needed!r}")
@@ -253,6 +264,14 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
     valid = replace(spec, fixed=MappingProxyType(fixed), outputs=outputs)
     object.__setattr__(valid, "_shared", (options, weight))
     return valid
+
+
+def _number(name: str, v) -> float:
+    """float(v), or InvalidSpec naming the field that holds v."""
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise InvalidSpec(f"{name}={v!r} is not a number") from None
 
 
 def _check_log_axis(spec: SweepSpec) -> None:

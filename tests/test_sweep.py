@@ -233,6 +233,24 @@ class TestSpecValidation:
         "fixed, axis, message",
         [
             ({"lambda1": math.nan}, Axis("lambda2", 0.0, 1.0, 3), "^lambda1=nan is not finite$"),
+            ({"lambda1": 0.5, "gamma": "abc"}, Axis("lambda2", 0.0, 1.0, 3),
+             "^gamma='abc' is not a number$"),
+            ({"lambda1": 0.5, "gamma": None}, Axis("lambda2", 0.0, 1.0, 3),
+             "^gamma=None is not a number$"),
+            ({}, Axis("lambda1", "x", 1.0, 3), "^axis 'lambda1' start='x' is not a number$"),
+            ({"lambda1": 0.5}, (Axis("lambda2", 0.0, 1.0, 3), WeightSpec("diag", (1.0, "a"))),
+             "^diag weight value='a' is not a number$"),
+            # one bound name would silently replace another's value
+            ({"lambda1": 0.3}, Axis("xi", 0.0, 6.0, 3),
+             "^'xi' and 'lambda1' are both set; 'xi' would override 'lambda1'$"),
+            ({"lambda1": 0.5}, Axis("r_xy", 0.1, 0.5, 3),
+             "^'r_xy' and 'r_x' are both set; 'r_xy' would override 'r_x'$"),
+            ({"lambda1": 0.5}, Axis("r2", 0.3, 0.5, 3),
+             "^'r2' and 'r_x' are both set; 'r2' would override 'r_x'$"),
+            ({"lambda1": 0.5, "r2": 0.3}, Axis("r_xy", 0.1, 0.5, 3),
+             "^'r2' and 'r_xy' are both set; 'r2' would override 'r_xy'$"),
+            ({"lambda1": 0.5, "alpha": 1.0, "beta": 0.2}, Axis("lambda2", 0.0, 1.0, 3),
+             "^'alpha' and 'r_x' are both set; 'alpha' would override 'r_x'$"),
             ({}, Axis("lambda1", math.nan, 1.0, 3), "^lambda1=nan is not finite$"),
             ({}, Axis("lambda1", 0.0, math.inf, 3), "^lambda1=inf is not finite$"),
             ({}, Axis("lambda1", -1e308, 1.7e308, 3), "^lambda1 stop - start=inf is not finite$"),
@@ -243,18 +261,23 @@ class TestSpecValidation:
             ({"lambda1": 0.5}, Axis("lambda2", 0.0, 1.0, "3"),
              "^axis 'lambda2' needs an integer count, got '3'$"),
         ],
-        ids=["fixed_parameter", "axis_start", "axis_stop", "axis_step_overflows", "fixed_constant",
-             "float_count", "str_count"],
+        ids=["fixed_parameter", "str_constant", "none_constant", "str_axis_start",
+             "str_weight_value", "xi_over_lambda1", "r_xy_over_r_x", "r2_over_r_x",
+             "r2_over_r_xy", "alpha_over_r_x", "axis_start", "axis_stop", "axis_step_overflows",
+             "fixed_constant", "float_count", "str_count"],
     )
     def test_rejects_bad_values_before_any_model(self, fixed, axis, message, monkeypatch):
-        # a parameter raised NonHermitianInput once its model was built, and
-        # a count that is no integer a bare TypeError
+        # a parameter raised NonHermitianInput once its model was built, a
+        # count that is no integer a bare TypeError, and a value that is no
+        # number a bare ValueError or TypeError; an axis may come with the
+        # weight of its sweep
         def no_model(*args, **kwargs):
             raise AssertionError("model built")
 
         monkeypatch.setattr(sweep, "model_arrays", no_model)
         base = {k: v for k, v in MIXED_QUBIT.items() if k != "lambda1"}
-        spec = SweepSpec("tunable_qubit", {**base, **fixed}, (axis,))
+        axis, weight = axis if isinstance(axis, tuple) else (axis, WeightSpec())
+        spec = SweepSpec("tunable_qubit", {**base, **fixed}, (axis,), weight)
         with pytest.raises(InvalidSpec, match=message):
             run_sweep(spec)
 

@@ -462,9 +462,9 @@ def batch_reports(
     size with their solutions ("holevo").  Only the dual solve runs point by
     point.  A geometry of pure states given as vectors (``g.psi``) needs
     neither rho nor derivs: such a state has no RLD bound, and its normal
-    space is built from the vectors.  A geometry of qubits given by Bloch
-    vectors (``g.r``) builds its normal space from them, and needs rho and
-    derivs for the RLD bound alone.  A pure state whose tangent space fills
+    space reads the vectors' coordinates.  A geometry of qubits given by
+    Bloch vectors (``g.r``) reads theirs, and needs rho and derivs for the
+    RLD bound alone.  A pure state whose tangent space fills
     the 2(n - 1) directions of pure states has no normal space (Matsumoto,
     J. Phys. A 35, 3111, 2002)."""
     frame = _frame(g, w_mat, sqrt_w)

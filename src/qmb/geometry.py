@@ -591,12 +591,12 @@ def _normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray, qfim_eigh: t
     where 1 - |r|^2 or det Q / (Tr Q)^2 comes within _QUBIT_MARGIN of the
     RANK_TOL cut take the eigendecompositions instead, which draw the line
     between sizes; so do all other coordinates."""
-    closed = np.zeros(len(means), bool)
-    if l.shape[1:] == (2, 3):
-        w = qfim_eigh[0]
-        gap = 1.0 - dot(means, means)
-        cut = _QUBIT_MARGIN * RANK_TOL
-        closed = (gap > cut) & (w[:, 0] * w[:, 1] > cut * (w[:, 0] + w[:, 1]) ** 2)
+    if l.shape[1:] != (2, 3):
+        return _eigen_normal_spaces(means, s, l, qfim_eigh)
+    w = qfim_eigh[0]
+    gap = 1.0 - dot(means, means)
+    cut = _QUBIT_MARGIN * RANK_TOL
+    closed = (gap > cut) & (w[:, 0] * w[:, 1] > cut * (w[:, 0] + w[:, 1]) ** 2)
     groups = []
     if closed.any():
         rows = np.flatnonzero(closed)

@@ -30,11 +30,11 @@ def path(name: str) -> Path:
     return DATA / f"pinned_{name}.csv.gz"
 
 
-def sweep_grid(name: str, with_cond: bool = False) -> dict:
+def sweep_grid(name: str) -> dict:
     """The preset's sweep as arrays: ``values`` (rows, columns) with its
-    ``void`` mask, ``flags`` (one string per row) and, with ``with_cond``,
-    ``cond`` = lambda_max / lambda_min of each row's Q (inf where Q has no
-    positive lowest eigenvalue)."""
+    ``void`` mask, ``flags`` (one string per row) and ``cond``, each row's
+    lambda_max / lambda_min of Q (inf where Q has no positive lowest
+    eigenvalue), read from the geometry of each chunk."""
     spec = figure_preset(name, PRESETS[name])
     conds, model_geometry = [], sweep.model_geometry
 
@@ -45,7 +45,7 @@ def sweep_grid(name: str, with_cond: bool = False) -> dict:
             conds.append(np.where(w[:, 0] > 0.0, w[:, -1] / w[:, 0], np.inf))
         return g
 
-    sweep.model_geometry = recorded if with_cond else model_geometry
+    sweep.model_geometry = recorded
     try:
         result = run_sweep(spec)
     finally:
@@ -53,17 +53,14 @@ def sweep_grid(name: str, with_cond: bool = False) -> dict:
     values = np.concatenate([c.values for c in result.chunks])
     void = np.concatenate([np.zeros(c.values.shape, bool) if c.void is None else c.void
                            for c in result.chunks])
-    flags = [";".join(row.flags) for row in result]
-    grid = {"columns": columns(spec), "values": values, "void": void, "flags": flags}
-    if with_cond:
-        grid["cond"] = np.concatenate(conds)
-    return grid
+    return {"columns": columns(spec), "values": values, "void": void,
+            "flags": [";".join(row.flags) for row in result], "cond": np.concatenate(conds)}
 
 
 def write(name: str) -> None:
     """The preset's grid as CSV: every cell as repr(float) or empty where
     void, then the flags and cond(Q); gzipped with no timestamp."""
-    grid = sweep_grid(name, with_cond=True)
+    grid = sweep_grid(name)
     text = io.StringIO()
     out = csv.writer(text, lineterminator="\n")
     out.writerow([*grid["columns"], "cond_q"])

@@ -568,8 +568,8 @@ def _vector_coordinates(psi: np.ndarray, ells: np.ndarray) -> tuple:
     J the complex unit (Im <u|v> = u^T J v), and the SLD coefficients are
     the l_k in the real form."""
     n = psi.shape[-1]
-    x = np.concatenate([psi.real, psi.imag], axis=-1)  # psi, then i psi, in the real form
-    y = np.concatenate([-psi.imag, psi.real], axis=-1)
+    x = np.concatenate([psi.real, psi.imag], axis=-1)  # psi in the real form
+    y = np.concatenate([-psi.imag, psi.real], axis=-1)  # i psi
     s = np.empty(x.shape + x.shape[-1:], complex)
     s.real = np.eye(2 * n) - x[..., :, None] * x[..., None, :] - y[..., :, None] * y[..., None, :]
     # J = [[0, I], [-I, 0]] commutes with Pi, so Pi J Pi = J Pi: a signed swap of row blocks

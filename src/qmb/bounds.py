@@ -276,7 +276,13 @@ def _holevo_exact(setup: _TangentSetup) -> tuple[np.ndarray, np.ndarray]:
             x = -tau[..., None] * c_range / q[..., None]
             b = uhlmann_axial(x[..., :, None] * s[..., None, :] - s[..., :, None] * x[..., None, :])
         b = np.where(moved, b / s2[..., None], 0.0)
-    k = np.linalg.solve(setup.frame.sqrt_w, b[..., None])[..., 0]
+    root = setup.frame.sqrt_w
+    if d == 2:  # sqrt(W) k = b by Cramer's rule
+        adj_b = np.stack([root[..., 1, 1] * b[..., 0] - root[..., 0, 1] * b[..., 1],
+                          root[..., 0, 0] * b[..., 1] - root[..., 1, 0] * b[..., 0]], axis=-1)
+        k = adj_b / (root[..., 0, 0] * root[..., 1, 1] - root[..., 0, 1] * root[..., 1, 0])[..., None]
+    else:
+        k = np.linalg.solve(root, b[..., None])[..., 0]
     value = _objective(setup)(k)
     worse = value > setup.frame.c_t
     return np.where(worse, setup.frame.c_t, value), np.where(worse[..., None], 0.0, k)

@@ -24,6 +24,7 @@ from .linalg import (
     small_matmul,
     spd_sqrt,
     state_eigensystem,
+    sym_eigh,
     tracenorm_antisym,
 )
 
@@ -32,6 +33,7 @@ RANK_TOL = 1e-9
 # How far above the RANK_TOL cut a two-parameter qubit row must sit to take
 # the closed-form normal direction (see `_normal_spaces`).
 _QUBIT_MARGIN = 10.0
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -59,24 +61,35 @@ class InformationGeometry:
     @cached_property
     def _qfim_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and eigenvectors of Q, computed once."""
-        return np.linalg.eigh(np.asarray(self.qfim, dtype=float))
+        return sym_eigh(self.qfim)
 
     @cached_property
-    def _qfim_inverses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Q^-1, Q^-1/2, ill) from the cached eigenpairs, computed once.
+    def _qfim_inverses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(Q^-1, det Q^-1, ill, the inverse eigenvalues) from the cached
+        eigenpairs, computed once.
 
         ``ill`` says that Q has a nonpositive eigenvalue or a condition
-        number above COND_LIMIT; the inverses are then rank-revealing
-        pseudo-inverses that drop eigenvalues below RANK_TOL times the
-        largest, and are 0 when Q has no positive eigenvalue.
+        number above COND_LIMIT; the inverse is then the rank-revealing
+        pseudo-inverse that drops eigenvalues below RANK_TOL times the
+        largest, and is 0 when Q has no positive eigenvalue.  A dropped
+        eigenvalue's inverse is 0, so the determinant, the product of the
+        inverse eigenvalues, is exactly 0 on every ill row.
         """
         w, v = self._qfim_eigh
         top, low = w[..., -1:], w[..., :1]
         ill = ((low <= 0.0) | (top / np.where(low > 0.0, low, 1.0) > COND_LIMIT))[..., 0]
         keep = (w > 0.0) & ((w > RANK_TOL * top) | ~ill[..., None])
         inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-        vt = v.swapaxes(-1, -2)
-        return (v * inv_w[..., None, :]) @ vt, (v * np.sqrt(inv_w)[..., None, :]) @ vt, ill
+        scaled, vt = v * inv_w[..., None, :], v.swapaxes(-1, -2)
+        qinv = small_matmul(scaled, vt) if w.shape[-1] == 2 else scaled @ vt
+        return qinv, np.prod(inv_w, axis=-1), ill, inv_w
+
+    @cached_property
+    def _qfim_inverse_sqrt(self) -> np.ndarray:
+        """Q^-1/2 on the kept eigenvalues of `_qfim_inverses`; only R for
+        d != 2 reads it."""
+        v, inv_w = self._qfim_eigh[1], self._qfim_inverses[3]
+        return (v * np.sqrt(inv_w)[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -117,7 +130,7 @@ def _geometry(q: np.ndarray, u: np.ndarray, slds: tuple, rho_spectrum=None,
     """The geometry of (Q, U, SLDs); the one eigendecomposition of Q gives
     the tangent rank at relative tolerance RANK_TOL and fills the
     geometry's cached eigenpairs."""
-    w, v = np.linalg.eigh(q)
+    w, v = sym_eigh(q)
     rank = np.sum(_tangent_mask(w), axis=-1)
     g = InformationGeometry(q, u, slds, rank if rank.ndim else int(rank), rho_spectrum, psi, r)
     g.__dict__["_qfim_eigh"] = (w, v)  # the cached_property slot
@@ -268,23 +281,20 @@ def _rld_matrix(rho: np.ndarray, derivs: np.ndarray) -> np.ndarray:
     return 0.5 * (j + j.swapaxes(-1, -2).conj())
 
 
-def _qfim_inverse(
-    g: InformationGeometry, pseudo_inverse: bool = False
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(Q^-1, Q^-1/2, used_pseudo) with the singularity policy applied to
-    the geometry's cached inverses: a Q without positive eigenvalues raises
-    SingularQFIM, and so does an ill-conditioned one unless
-    ``pseudo_inverse`` allows the pseudo-inverses."""
-    qinv, qinv_sqrt, ill = g._qfim_inverses
+def _qfim_inverse(g: InformationGeometry, pseudo_inverse: bool = False) -> tuple:
+    """The geometry's cached `_qfim_inverses` with the singularity policy
+    applied: a Q without positive eigenvalues raises SingularQFIM, and so
+    does an ill-conditioned one unless ``pseudo_inverse`` allows the
+    pseudo-inverse."""
     w = g._qfim_eigh[0]
     if w[-1] <= 0.0:
         raise SingularQFIM("QFIM has no positive eigenvalues")
-    if ill and not pseudo_inverse:
+    if g._qfim_inverses[2] and not pseudo_inverse:
         raise SingularQFIM(
             f"QFIM condition number exceeds {COND_LIMIT:.1e} "
             f"(eigenvalues {w[0]:.3e} .. {w[-1]:.3e})"
         )
-    return qinv, qinv_sqrt, ill
+    return g._qfim_inverses
 
 
 @dataclass(frozen=True)
@@ -325,16 +335,21 @@ def _weight_and_root(w_mat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]
 def _frame(g: InformationGeometry, w_mat: np.ndarray, sqrt_w: np.ndarray) -> _WeightFrame:
     """The weight frame at validated (W, sqrt W), one per point of a batch,
     on the geometry's inverses as they are (pseudo-inverses where Q is ill);
-    the caller applies the singularity policy."""
-    qinv, _, ill = g._qfim_inverses
-    return _WeightFrame(
-        w_mat=w_mat,
-        sqrt_w=sqrt_w,
-        qinv=qinv,
-        core=sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w,
-        c_sld=np.trace(w_mat @ qinv, axis1=-2, axis2=-1),
-        used_pseudo=ill,
-    )
+    the caller applies the singularity policy.
+
+    For d = 2, A J A^T = det(A) J for every 2x2 A, J = [[0, 1], [-1, 0]], so
+    the core is U_12 det(Q^-1) det(sqrt W) J, and C_SLD = sum W o Q^-1: no
+    product of matrices is formed."""
+    qinv, det_qinv, ill = g._qfim_inverses[:3]
+    if g.n_params == 2:
+        det_sqrt_w = sqrt_w[..., 0, 0] * sqrt_w[..., 1, 1] - sqrt_w[..., 0, 1] * sqrt_w[..., 1, 0]
+        core = (g.uhlmann[..., 0, 1] * det_qinv * det_sqrt_w)[..., None, None] * _J
+        c_sld = (w_mat * qinv).sum(axis=(-2, -1))
+    else:
+        core = sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w
+        c_sld = np.trace(w_mat @ qinv, axis1=-2, axis2=-1)
+    return _WeightFrame(w_mat=w_mat, sqrt_w=sqrt_w, qinv=qinv, core=core, c_sld=c_sld,
+                        used_pseudo=ill)
 
 
 def _weight_frame(
@@ -353,21 +368,24 @@ def uhlmann_axial(u: np.ndarray) -> np.ndarray:
 def quantumness_R(g: InformationGeometry, pseudo_inverse: bool = False) -> float:
     """Weight-independent incompatibility R, the spectral radius of i Q^-1 U.
 
-    Evaluated through the Hermitian similarity i Q^-1/2 U Q^-1/2, as half
-    the closed-form trace norm of the real antisymmetric Q^-1/2 U Q^-1/2 for
-    d <= 3.  For d in {2, 3} it equals sqrt(det U / det Q) and
-    sqrt(u^T Q u / det Q) (u the axial vector of U).
+    For d = 2 it is sqrt(det U / det Q) = |U_12| sqrt(det Q^-1).  Otherwise
+    it is evaluated through the Hermitian similarity i Q^-1/2 U Q^-1/2, as
+    half the closed-form trace norm of the real antisymmetric Q^-1/2 U Q^-1/2
+    for d = 3, where it equals sqrt(u^T Q u / det Q) (u the axial vector of U).
     """
     _qfim_inverse(g, pseudo_inverse)
     return float(_spectral_radius(g))
 
 
 def _spectral_radius(g: InformationGeometry) -> np.ndarray:
-    """max |eig(i A)| per point, A = Q^-1/2 U Q^-1/2 on the inverses as they
-    are.  A is real antisymmetric, so for d <= 3 the spectrum of i A is
-    {+-|A_12|} or {0, +-|axial(A)|}: R is half the closed-form trace norm
-    of A.  Larger d takes a stacked eigvalsh."""
-    qinv_sqrt = g._qfim_inverses[1]
+    """max |eig(i Q^-1 U)| per point on the inverses as they are: for d = 2,
+    |U_12| sqrt(det Q^-1), exactly 0 where the pseudo-inverse drops an
+    eigenvalue.  Otherwise A = Q^-1/2 U Q^-1/2 is real antisymmetric, and R
+    is half the closed-form trace norm of A for d <= 3 (for d = 3 the
+    spectrum of i A is {0, +-|axial(A)|}); larger d takes a stacked eigvalsh."""
+    if g.n_params == 2:
+        return np.abs(g.uhlmann[..., 0, 1]) * np.sqrt(g._qfim_inverses[1])
+    qinv_sqrt = g._qfim_inverse_sqrt
     a = qinv_sqrt @ g.uhlmann @ qinv_sqrt
     if g.n_params <= 3:
         return 0.5 * tracenorm_antisym(0.5 * (a - a.swapaxes(-1, -2)))
@@ -408,7 +426,7 @@ def t_saturation_analysis(g: InformationGeometry, w_mat: np.ndarray) -> TSaturat
     max_omega = None
     if d == 2:
         max_omega = float(q[1, 1] / q[0, 0])
-        if abs(np.linalg.det(u)) > 0:
+        if u[0, 1] != 0.0:  # det U = U_12^2
             saturating_weight = q / q[0, 0]
             saturating_omegas = (float(q[0, 1] / q[0, 0]), float(q[1, 1] / q[0, 0]))
     off_q = np.max(np.abs(q - np.diag(np.diag(q))), initial=0.0)
@@ -437,7 +455,7 @@ def weight_transform(g: InformationGeometry, w_mat: np.ndarray) -> WeightTransfo
     d = g.n_params
     if np.count_nonzero(w_mat - np.diag(np.diag(w_mat))) == 0:
         return WeightTransform(rotated=g, diagonal_weight=w_mat.copy(), rotation=np.eye(d))
-    vals, vecs = np.linalg.eigh(w_mat)
+    vals, vecs = sym_eigh(w_mat)
     for k in range(d):
         idx = int(np.argmax(np.abs(vecs[:, k])))
         if vecs[idx, k] < 0:

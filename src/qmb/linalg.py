@@ -1,10 +1,12 @@
 """Dense complex-matrix primitives for Hermitian operators.
 
 Everything here works on plain ``numpy`` arrays (square, n <= 8 in practice):
-one matrix, or a stack of them along leading axes.  A stack is decomposed by
-one stacked LAPACK call, and a stack of products is formed by `small_matmul`
-as broadcast multiply-adds.  A stack is validated matrix by matrix, and the
-first failing matrix in C order raises the error it would raise alone.  All decompositions are exact dense methods; no iterative
+one matrix, or a stack of them along leading axes.  A stack of real
+symmetric 2x2 matrices is decomposed in closed form by `sym_eigh`; any other
+stack by one stacked LAPACK call.  A stack of products is formed by
+`small_matmul` as broadcast multiply-adds.  A stack is validated matrix by
+matrix, and the first failing matrix in C order raises the error it would
+raise alone.  All decompositions are exact dense methods; no iterative
 estimators.
 """
 
@@ -105,6 +107,45 @@ def density_spectrum(rho: np.ndarray, name: str = "rho") -> tuple[np.ndarray, np
     w = np.linalg.eigvalsh(rho)
     _require_eig_floor(w[..., 0], name)
     return rho, w
+
+
+def sym_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors (columns) of real
+    symmetric matrices (..., n, n), read from the lower triangle, as
+    ``np.linalg.eigh`` returns them.
+
+    For n = 2 the decomposition is one symmetric Schur rotation (Golub &
+    Van Loan, Matrix Computations, section 8.5, symSchur2), with no LAPACK
+    call.  Entries are first scaled by the power of two at max |a_ij|, an
+    exact scaling, so that no product overflows or underflows.  With
+    m = (p + c) / 2, h = (p - c) / 2 and rad = hypot(h, b) for [[p, b], [b, c]],
+    the eigenvalue of larger magnitude is m + rad (m >= 0) or m - rad, free
+    of cancellation, and the other is det / it.  The rotation is symSchur2's
+    t = sign(theta) / (|theta| + hypot(1, theta)), theta = (c - p) / (2 b),
+    multiplied through by |b|: up to its sign t = b / (|h| + rad), which
+    stays finite at b = 0, where a diagonal input gets exact unit vectors.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape[-2:] != (2, 2):
+        return np.linalg.eigh(a)
+    _, e = np.frexp(np.maximum(np.maximum(np.abs(a[..., 0, 0]), np.abs(a[..., 1, 0])),
+                               np.abs(a[..., 1, 1])))
+    p, b, c = (np.ldexp(a[..., i, j], -e) for i, j in ((0, 0), (1, 0), (1, 1)))
+    mean, half = 0.5 * (p + c), 0.5 * (p - c)
+    rad = np.hypot(half, b)
+    big = np.where(mean >= 0.0, mean + rad, mean - rad)
+    # big and |h| + rad are 0 only for the zero matrix, where p c - b^2 = b = 0
+    other = (p * c - b * b) / np.where(big != 0.0, big, 1.0)
+    den = np.abs(half) + rad
+    t = b / np.where(den > 0.0, den, 1.0)
+    w = np.ldexp(np.stack([np.minimum(big, other), np.maximum(big, other)], axis=-1), e[..., None])
+    cs = 1.0 / np.sqrt(1.0 + t * t)
+    sn = t * cs
+    # the upper eigenvector (x, y) is (1, t) where p >= c and (t, 1) where p < c
+    upper = half >= 0.0
+    x, y = np.where(upper, cs, sn), np.where(upper, sn, cs)
+    v = np.stack([-y, x, x, y], axis=-1)
+    return w, v.reshape(v.shape[:-1] + (2, 2))
 
 
 def eig_hermitian(h: np.ndarray, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -250,11 +291,11 @@ WEIGHT_NOT_DEFINITE = "weight matrix must be positive definite"
 
 def spd_sqrt(w_mat: np.ndarray) -> np.ndarray:
     """Spectral square root of a symmetric positive definite weight matrix
-    (or a stack); its eigh also tests definiteness: a weight whose smallest
-    eigenvalue is at or below WEIGHT_FLOOR is not definite."""
-    vals, vecs = np.linalg.eigh(np.asarray(w_mat, dtype=float))
+    (or a stack); its `sym_eigh` also tests definiteness: a weight whose
+    smallest eigenvalue is at or below WEIGHT_FLOOR is not definite."""
+    vals, vecs = sym_eigh(w_mat)
     raise_first_failure((vals[..., 0] <= WEIGHT_FLOOR, lambda i: InvalidInput(WEIGHT_NOT_DEFINITE)))
-    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.swapaxes(-1, -2)
+    return small_matmul(vecs * np.sqrt(vals)[..., None, :], vecs.swapaxes(-1, -2))
 
 
 def require_weight(w_mat: np.ndarray, d: int | None = None) -> np.ndarray:

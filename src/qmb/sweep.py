@@ -9,7 +9,6 @@ import math
 import numbers
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from types import MappingProxyType
 from typing import NamedTuple, TextIO
 
 import numpy as np
@@ -71,6 +70,26 @@ class WeightSpec:
     kind: str = "identity"
     values: tuple[float, ...] = ()
     axis: str | None = None
+
+
+class _Fixed(Mapping):
+    """The read-only ``fixed`` of a validated spec; unlike a
+    MappingProxyType, it pickles and deep-copies."""
+
+    def __init__(self, values: Mapping[str, float]) -> None:
+        self._values = dict(values)
+
+    def __getitem__(self, name: str) -> float:
+        return self._values[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __repr__(self) -> str:
+        return repr(self._values)
 
 
 @dataclass(frozen=True)
@@ -261,7 +280,7 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         raise InvalidSpec(str(exc)) from exc
     options = ReportOptions(pseudo_inverse=spec.pseudo_inverse, compute_rld="c_rld" in outputs,
                             compute_holevo="c_h" in outputs or "gap_h" in outputs)
-    valid = replace(spec, fixed=MappingProxyType(fixed), outputs=outputs)
+    valid = replace(spec, fixed=_Fixed(fixed), outputs=outputs)
     object.__setattr__(valid, "_shared", (options, weight))
     return valid
 
@@ -350,7 +369,7 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> _Chunk:
     if w.kind == "diag_log_axis":
         omega = _omegas(values.pop(w.axis))
         w_mat = np.stack(np.broadcast_arrays(1.0, 0.0, 0.0, omega), axis=-1).reshape(-1, 2, 2)
-        weight = _weight_and_root(w_mat, 2)
+        weight = w_mat, np.sqrt(w_mat)  # diagonal, omega above WEIGHT_FLOOR (validate_spec)
         if spec.maximize_over:  # each row's saturating angles, then the batch
             values.update(_saturating_angles(spec.maximize_over, values, omega))
     cfg, params = _bind_values(spec.model_id, values, rows)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qmb import bounds, geometry, models, sweep
+from qmb import bounds, geometry, linalg, models, sweep
 from qmb.errors import InvalidInput
 from qmb.geometry import _bloch_geometry, _geometry, _need_derivatives, _weight_frame
 from qmb.linalg import (
@@ -488,9 +488,32 @@ def matmul_model_geometry(rho, derivs, pure, bloch):
 
 def eigvalsh_spectral_radius(g):
     """`geometry._spectral_radius` by a stacked eigvalsh for every d."""
-    qinv_sqrt = g._qfim_inverses[1]
+    qinv_sqrt = g._qfim_inverse_sqrt
     vals = np.linalg.eigvalsh(hermitian_part(1j * (qinv_sqrt @ g.uhlmann @ qinv_sqrt)))
     return np.max(np.abs(vals), axis=-1, initial=0.0)
+
+
+def stacked_frame(g, w_mat, sqrt_w):
+    """`geometry._frame` as stacked `@` products for every d: Q^-1 from the
+    eigenpairs, the core sqrt(W) Q^-1 U Q^-1 sqrt(W) and C_SLD = Tr[W Q^-1]."""
+    v, (_, _, ill, inv_w) = g._qfim_eigh[1], g._qfim_inverses
+    qinv = (v * inv_w[..., None, :]) @ v.swapaxes(-1, -2)
+    return geometry._WeightFrame(w_mat, sqrt_w, qinv, sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w,
+                                 np.trace(w_mat @ qinv, axis1=-2, axis2=-1), ill)
+
+
+def use_lapack_oracle(monkeypatch, stacked: bool) -> None:
+    """Decompose every 2x2 Q and W by LAPACK's eigh instead of
+    `linalg.sym_eigh`; with ``stacked``, also build the weight frame and R
+    from stacked products (`stacked_frame`, `eigvalsh_spectral_radius`)
+    instead of the d = 2 determinant forms: the two-parameter path as it
+    was before the closed forms."""
+    for module in (geometry, linalg):
+        monkeypatch.setattr(module, "sym_eigh", np.linalg.eigh)
+    if stacked:
+        for module in (geometry, bounds):
+            monkeypatch.setattr(module, "_frame", stacked_frame)
+            monkeypatch.setattr(module, "_spectral_radius", eigvalsh_spectral_radius)
 
 
 def use_matmul_oracle(monkeypatch) -> None:

@@ -632,22 +632,29 @@ class TestFullReport:
 
     def test_normal_space_reads_q_decomposition(self, rng, monkeypatch):
         # Q is decomposed once, and the normal space reads its tangent frame
-        # from that eigh: a full-rank qutrit with two parameters decomposes
-        # rho, Q, W (for its root) and the (1, 8, 8) normal-space form before
-        # the dual solve, whose matrices are not stacked
+        # from that decomposition: a full-rank qutrit with two parameters
+        # decomposes rho and the (1, 8, 8) normal-space form by eigh before
+        # the dual solve, whose matrices are not stacked; Q and W (for its
+        # root) are 2x2 and take the closed form, once each
+        import qmb.geometry as geometry
+        import qmb.linalg as linalg
         from qmb.models import ModelPoint
 
-        shapes = []
-        eigh = np.linalg.eigh
+        shapes, closed = [], []
+        eigh, sym_eigh = np.linalg.eigh, linalg.sym_eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a, *r, **k: shapes.append(np.shape(a)) or eigh(a, *r, **k))
+        for module in (geometry, linalg):
+            monkeypatch.setattr(module, "sym_eigh",
+                                lambda a: closed.append(np.shape(a)) or sym_eigh(a))
         rho, derivs = random_model(rng, 3, 2)
         report = full_report(ModelPoint((0.0, 0.0), rho, tuple(derivs)), np.diag([1.0, 2.0]),
                              ReportOptions(compute_rld=False))
         assert report.holevo.iterations > 0
         stacked = [shape for shape in shapes if len(shape) == 3]
-        assert shapes[:4] == [(3, 3), (2, 2), (2, 2), (1, 8, 8)]
+        assert shapes[:2] == [(3, 3), (1, 8, 8)]
         assert stacked == [(1, 8, 8)]
+        assert closed == [(2, 2), (2, 2)]
 
     def test_pure_state_flags_rld(self):
         cfg = model_config("su2_qubit", alpha=np.pi / 2, beta=0.0, t=5.0)

@@ -1,8 +1,10 @@
+import copy
 import io
 import itertools
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmb
-from qmb import bounds, geometry, models, sweep
+from qmb import bounds, geometry, linalg, models, sweep
 from qmb.bounds import ReportOptions, full_report
 from qmb.cli import main as cli_main
 from qmb.errors import HierarchyViolation, InvalidSpec, SingularQFIM, UnknownPreset
@@ -38,6 +40,7 @@ from conftest import (
     nelder_mead,
     tunable_qubit_pure_geometry_grid,
     use_bloch_matrix_oracle,
+    use_lapack_oracle,
     use_matmul_oracle,
 )
 
@@ -305,10 +308,11 @@ class TestSpecValidation:
                       "spd_sqrt": 1, "_omegas": 0}),
             # 33 rows, 1 chunk: the pure probe needs no r0, validation reads
             # omega at both ends of its axis at once, and the chunk reads each
-            # row's omega once, for the angles and the weight
+            # row's omega once, for the angles and the weight, whose root
+            # diag(1, sqrt(omega)) needs no decomposition
             ("fig1", {"validate_spec": 1, "_check_names": 1, "_check_log_axis": 1,
                       "_checked_config": 1, "tunable_qubit_r0": 0, "model_config": 0,
-                      "spd_sqrt": 1, "_omegas": 2}),
+                      "spd_sqrt": 0, "_omegas": 2}),
         ],
     )
     def test_each_rule_runs_once(self, name, want, monkeypatch):
@@ -333,6 +337,24 @@ class TestSpecValidation:
         assert type(spec.fixed["lambda1"]) is float
         with pytest.raises(TypeError):
             spec.fixed["lambda1"] = 0.1
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5"])
+    def test_validated_spec_pickles(self, name):
+        # a validated spec round-trips through pickle and deepcopy to an
+        # equal, still validated spec that sweeps to equal chunks
+        config = {"r_y": 0.2, "r_z": 0.4, "count": 6} if name == "fig2" else {"count": 6}
+        spec = validate_spec(figure_preset(name, config))
+        want = run_sweep(spec).chunks
+        for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert copied == spec and copied._shared is not None
+            with pytest.raises(TypeError):
+                copied.fixed["lambda1"] = 0.1
+            got = run_sweep(copied).chunks
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a.values, b.values) and a.flags == b.flags
+                assert np.array_equal(a.codes, b.codes)
+                assert (a.void is None and b.void is None) or np.array_equal(a.void, b.void)
 
 
 class TestRunPoint:
@@ -680,37 +702,43 @@ class TestFigurePresets:
                 assert calls["_vector_coordinates"] == [] and sum(calls["_normal_spaces"]) > 0
 
     @staticmethod
-    def _eigen_calls(spec, monkeypatch) -> tuple[int, list]:
-        """The rows of ``spec``'s sweep and the eigen-family calls it makes."""
-        calls = []
+    def _eigen_calls(spec, monkeypatch) -> tuple[int, list, list]:
+        """The rows of ``spec``'s sweep, the LAPACK eigen-family calls it
+        makes, and the shapes `sym_eigh` is called on."""
+        calls, closed = [], []
         for fn_name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
             fn = getattr(np.linalg, fn_name)
             monkeypatch.setattr(np.linalg, fn_name, lambda *a, _fn=fn, _name=fn_name, **k: (
                 calls.append(_name) or _fn(*a, **k)))
+        sym_eigh = linalg.sym_eigh
+        for module in (geometry, linalg):
+            monkeypatch.setattr(module, "sym_eigh", lambda a: closed.append(np.shape(a)) or sym_eigh(a))
         spec = validate_spec(spec)
         calls.clear()
-        return len(run_sweep(spec)), calls
+        closed.clear()
+        return len(run_sweep(spec)), calls, closed
 
-    @pytest.mark.parametrize("name, per_chunk", [("fig1", 2), ("fig2", 1), ("fig4", 1)],
-                             ids=["fig1", "fig2", "fig4"])
-    def test_eigh_calls_per_chunk(self, name, per_chunk, monkeypatch):
-        # one stacked eigh of Q, and one of W where W reads each row (fig1's
-        # omega): the pure states (fig1, fig4) are vectors and the mixed
-        # qubit (fig2) is never decomposed, the qubit's normal direction is
-        # closed form, R is closed form, and W's definiteness comes from the
-        # eigh its root needs, which validate_spec takes once for the fixed
-        # identity of fig2 and fig4
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3a", "fig3b", "fig4"])
+    def test_eigh_calls_per_chunk(self, name, monkeypatch):
+        # no LAPACK eigen-family call: Q is 2x2 and takes one closed-form
+        # `sym_eigh` per chunk; the pure states (fig1, fig4) are vectors and
+        # the mixed qubit (fig2, fig3) is never decomposed, the qubit's normal
+        # direction is closed form, R is closed form, the fixed identity of
+        # fig2 to fig4 is rooted once, by validate_spec, and fig1's diagonal
+        # weight is rooted entry by entry
         spec = figure_preset(name, {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {})
-        rows, calls = self._eigen_calls(spec, monkeypatch)
-        assert rows == {"fig1": 33, "fig2": 4096, "fig4": 2304}[name]
-        assert calls == ["eigh"] * per_chunk * -(-rows // sweep._CHUNK)
+        rows, calls, closed = self._eigen_calls(spec, monkeypatch)
+        assert rows == {"fig1": 33, "fig2": 4096, "fig3a": 2304, "fig3b": 2304, "fig4": 2304}[name]
+        assert calls == []
+        assert closed == [(min(sweep._CHUNK, rows - start), 2, 2)
+                          for start in range(0, rows, sweep._CHUNK)]
 
     def test_fig5_decomposes_twice_per_chunk(self, monkeypatch):
         # the pure qutrit is a vector: one stacked eigh each of Q and the
         # normal-space form in the vectors' coordinates, whose tangent frame
         # is read from Q's; there is no rho to decompose, and the fixed W is
         # rooted once, by validate_spec
-        rows, calls = self._eigen_calls(figure_preset("fig5", {"count": 40}), monkeypatch)
+        rows, calls, _ = self._eigen_calls(figure_preset("fig5", {"count": 40}), monkeypatch)
         assert rows == 1600
         assert calls == ["eigh"] * 2 * 2
 
@@ -1265,6 +1293,29 @@ class TestChunkedSweep:
         spec = replace(validate_spec(figure_preset(name, {**config, "count": 12})),
                        outputs=("c_sld", "c_rld", "c_t", "c_r", "c_h", "R", "T"))
         _assert_sweep_matches_oracle(spec)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["eigh", "stacked_products"])
+    @pytest.mark.parametrize("name", ["fig2", "fig4"])
+    def test_two_parameter_closed_forms_match_lapack(self, name, stacked):
+        # the closed-form 2x2 eigenpairs, alone and with the d = 2
+        # determinant forms of the core, C_SLD and R, against LAPACK's eigh
+        # and the stacked products, at the preset's default density
+        config = {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}
+        spec = replace(validate_spec(figure_preset(name, config)),
+                       outputs=("c_sld", "c_rld", "c_t", "c_r", "c_h", "R", "T"))
+        _assert_sweep_matches_oracle(spec, lambda patch: use_lapack_oracle(patch, stacked))
+
+    @pytest.mark.parametrize("name", ["fig2", "fig4"])
+    def test_preset_rows_round_as_run_point(self, name):
+        # every stage works row by row, so a row of a full chunk rounds
+        # exactly as the same row evaluated alone
+        config = {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}
+        spec = validate_spec(figure_preset(name, config))
+        rows = run_sweep(spec)
+        for row in (rows[i] for i in range(0, len(rows), 97)):
+            bound = dict(zip((ax.name for ax in spec.axes), row.axis_values))
+            point = run_point(replace(spec, fixed={**spec.fixed, **bound}))
+            assert replace(point, axis_values=row.axis_values) == row
 
     @pytest.mark.parametrize("lambda_2", [5e-11, 1e-10, 1.5e-10, 2e-10, 2.5e-10, 1e-9])
     def test_pure_mixed_line_agrees(self, lambda_2):

@@ -33,6 +33,8 @@ from .geometry import (
     _frame,
     _gell_mann_coordinates,
     _normal_spaces,
+    _pure_closed_form,
+    _pure_normal_direction,
     _rld_matrix,
     _spectral_radius,
     _vector_coordinates,
@@ -41,6 +43,7 @@ from .geometry import (
     _weight_frame,
     compute_geometry,
     quantumness_R,
+    split_routes,
     subset,
     take,
     uhlmann_axial,
@@ -470,7 +473,9 @@ def batch_reports(
     neither rho nor derivs: such a state has no RLD bound, and its normal
     space reads the vectors' coordinates.  A geometry of qubits given by
     Bloch vectors (``g.r``) reads theirs, and needs rho and derivs for the
-    RLD bound alone.  A pure state whose tangent space fills
+    RLD bound alone.  Pure rows with one normal direction clear of the
+    RANK_TOL cut (`_pure_closed_form`) take it in closed form and build no
+    coordinates.  A pure state whose tangent space fills
     the 2(n - 1) directions of pure states has no normal space (Matsumoto,
     J. Phys. A 35, 3111, 2002)."""
     frame = _frame(g, w_mat, sqrt_w)
@@ -501,11 +506,18 @@ def batch_reports(
             if np.size(g.slds) == 0:
                 raise InvalidInput("geometry must carry SLD operators")
             sel = subset(regular, points)
-            coordinates, state = ((_vector_coordinates, g.psi) if g.psi is not None else
-                                  (_bloch_coordinates, g.r) if g.r is not None else
-                                  (_gell_mann_coordinates, rho))
-            spaces = _normal_spaces(*coordinates(state[sel], g.slds[sel]),
-                                    tuple(x[sel] for x in g._qfim_eigh))
+            eigh = tuple(x[sel] for x in g._qfim_eigh)
+            if g.psi is not None:  # the closed-form rows build no coordinates
+                psi, ells = g.psi[sel], g.slds[sel]
+                spaces = split_routes(
+                    _pure_closed_form(eigh[0], psi.shape[-1], ells.shape[-2]),
+                    lambda s: _pure_normal_direction(psi[s], ells[s], tuple(x[s] for x in eigh)),
+                    lambda s: _normal_spaces(*_vector_coordinates(psi[s], ells[s]),
+                                             tuple(x[s] for x in eigh)))
+            else:
+                coordinates, state = ((_bloch_coordinates, g.r) if g.r is not None else
+                                      (_gell_mann_coordinates, rho))
+                spaces = _normal_spaces(*coordinates(state[sel], g.slds[sel]), eigh)
             for rows, basis in spaces:
                 rows = regular[rows]
                 setup = _tangent_setup(basis, take(frame, subset(rows, points)))

@@ -30,9 +30,10 @@ from .linalg import (
 
 COND_LIMIT = 1e12
 RANK_TOL = 1e-9
-# How far above the RANK_TOL cut a two-parameter qubit row must sit to take
-# the closed-form normal direction (see `_normal_spaces`).
-_QUBIT_MARGIN = 10.0
+# How far above the RANK_TOL cut a row must sit to take a closed-form normal
+# direction (the two-parameter qubit's in `_normal_spaces`, the pure state's
+# in `_pure_closed_form`).
+_CLOSED_FORM_MARGIN = 10.0
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
@@ -606,19 +607,17 @@ def _normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray, qfim_eigh: t
     matrices, Re S = I - r r^T (r the Bloch vector) and the SLD coefficients
     are the Bloch parts b_i of L_i = a_i I + b_i.sigma, the one normal
     direction is (I - r r^T)^-1 (b_1 x b_2), normalized under Re S.  Rows
-    where 1 - |r|^2 or det Q / (Tr Q)^2 comes within _QUBIT_MARGIN of the
-    RANK_TOL cut take the eigendecompositions instead, which draw the line
-    between sizes; so do all other coordinates."""
+    where 1 - |r|^2 or det Q / (Tr Q)^2 comes within _CLOSED_FORM_MARGIN of
+    the RANK_TOL cut take the eigendecompositions instead, which draw the
+    line between sizes; so do all other coordinates."""
     if l.shape[1:] != (2, 3):
         return _eigen_normal_spaces(means, s, l, qfim_eigh)
     w = qfim_eigh[0]
     gap = 1.0 - dot(means, means)
-    cut = _QUBIT_MARGIN * RANK_TOL
+    cut = _CLOSED_FORM_MARGIN * RANK_TOL
     closed = (gap > cut) & (w[:, 0] * w[:, 1] > cut * (w[:, 0] + w[:, 1]) ** 2)
-    groups = []
-    if closed.any():
-        rows = np.flatnonzero(closed)
-        sel = subset(rows, len(means))
+
+    def closed_form(sel):
         r, b = means[sel], l[sel]
         b1, b2 = b[:, 0], b[:, 1]
         normal = np.stack([b1[:, 1] * b2[:, 2] - b1[:, 2] * b2[:, 1],
@@ -630,14 +629,64 @@ def _normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray, qfim_eigh: t
         # Re S x is along b_1 x b_2: the eigenvector whose sign the eigen route pivots
         pivot = np.take_along_axis(normal, np.argmax(np.abs(normal), axis=-1)[:, None], axis=-1)
         x *= np.where(pivot < 0, -1.0, 1.0)
-        groups.append((rows, _basis(x[..., None], r, s[sel], b)))
-    if not closed.all():
-        general = np.flatnonzero(~closed)
-        sel = subset(general, len(means))
-        eigh = tuple(x[sel] for x in qfim_eigh)
-        groups += [(general[rows], basis)
-                   for rows, basis in _eigen_normal_spaces(means[sel], s[sel], l[sel], eigh)]
+        return _basis(x[..., None], r, s[sel], b)
+
+    return split_routes(closed, closed_form, lambda sel: _eigen_normal_spaces(
+        means[sel], s[sel], l[sel], tuple(x[sel] for x in qfim_eigh)))
+
+
+def split_routes(closed: np.ndarray, closed_form, general) -> list:
+    """Normal-space groups as `_normal_spaces` gives them, for a batch split
+    by the mask ``closed``: ``closed_form(sel)`` is the basis of the rows
+    where it holds, ``general(sel)`` the groups of the others, each given
+    the index `subset` makes of its rows."""
+    groups = []
+    rows = np.flatnonzero(closed)
+    if rows.size:
+        groups.append((rows, closed_form(subset(rows, len(closed)))))
+    if rows.size < len(closed):
+        general_rows = np.flatnonzero(~closed)
+        groups += [(general_rows[r], basis)
+                   for r, basis in general(subset(general_rows, len(closed)))]
     return groups
+
+
+def _pure_closed_form(w: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The rows of pure states with n levels and d parameters, Q's
+    eigenvalues w (B, d) ascending, that `_pure_normal_direction` serves:
+    all of them where m = 2(n - 1) - d = 1 and Q's eigenvalue ratio clears
+    the RANK_TOL cut by _CLOSED_FORM_MARGIN, none otherwise."""
+    if d != 2 * (n - 1) - 1:
+        return np.zeros(len(w), bool)
+    return w[:, 0] > _CLOSED_FORM_MARGIN * RANK_TOL * w[:, -1]
+
+
+def _pure_normal_direction(psi: np.ndarray, ells: np.ndarray, qfim_eigh: tuple) -> NormalSpaceBasis:
+    """The one-direction normal spaces of pure states psi (B, n) given with
+    the vectors l_k = L_k psi (B, d, n) of their SLDs, on the rows
+    `_pure_closed_form` selects, in the coordinates of `_vector_coordinates`.
+
+    In the real form, with x = psi, y = i psi and l the rows l_k (orthogonal
+    to x and y), the normal projector P_N = I - x x^T - y y^T - l^T Q^-1 l
+    has rank one: P_N = z z^T.  z is the column of P_N with the largest
+    diagonal entry, normalized; that entry is positive, the sign the eigen
+    route's pivot gives.  So the Gram matrix is [[1]], since S z = z + i J z,
+    and the coupling is l . J z, with J z = (Im z, -Re z)."""
+    n = psi.shape[-1]
+    c = np.concatenate([psi[:, None], 1j * psi[:, None], ells], axis=1)
+    r = np.concatenate([c.real, c.imag], axis=-1)  # x, y and l in the real form
+    w, v = qfim_eigh
+    l = r[:, 2:]
+    # rows x, y and f with f^T f = l^T Q^-1 l, so P_N = I - a^T a
+    a = np.concatenate([r[:, :2], (v / np.sqrt(w)[:, None, :]).swapaxes(-1, -2) @ l], axis=1)
+    diag = 1.0 - (a * a).sum(axis=-2)
+    rows, j = np.arange(len(a)), np.argmax(diag, axis=-1)
+    z = -(a * a[rows, :, j][:, :, None]).sum(axis=-2)
+    z[rows, j] = diag[rows, j]
+    z /= np.sqrt(dot(z, z))[:, None]
+    jz = np.concatenate([z[:, n:], -z[:, :n]], axis=-1)
+    gram = np.ones((len(z), 1, 1), complex)
+    return NormalSpaceBasis(z[..., None], psi, gram, dot(l, jz[:, None, :])[..., None])
 
 
 def _eigen_normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray,

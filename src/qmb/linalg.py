@@ -128,9 +128,10 @@ def sym_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=float)
     if a.shape[-2:] != (2, 2):
         return np.linalg.eigh(a)
-    _, e = np.frexp(np.maximum(np.maximum(np.abs(a[..., 0, 0]), np.abs(a[..., 1, 0])),
-                               np.abs(a[..., 1, 1])))
-    p, b, c = (np.ldexp(a[..., i, j], -e) for i, j in ((0, 0), (1, 0), (1, 1)))
+    mag = np.abs(a)
+    _, e = np.frexp(np.maximum(np.maximum(mag[..., 0, 0], mag[..., 1, 0]), mag[..., 1, 1]))
+    scaled = np.ldexp(a, -e[..., None, None])
+    p, b, c = scaled[..., 0, 0], scaled[..., 1, 0], scaled[..., 1, 1]
     mean, half = 0.5 * (p + c), 0.5 * (p - c)
     rad = np.hypot(half, b)
     big = np.where(mean >= 0.0, mean + rad, mean - rad)
@@ -138,14 +139,20 @@ def sym_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     other = (p * c - b * b) / np.where(big != 0.0, big, 1.0)
     den = np.abs(half) + rad
     t = b / np.where(den > 0.0, den, 1.0)
-    w = np.ldexp(np.stack([np.minimum(big, other), np.maximum(big, other)], axis=-1), e[..., None])
+    w = np.empty(a.shape[:-1])
+    np.minimum(big, other, out=w[..., 0])
+    np.maximum(big, other, out=w[..., 1])
+    np.ldexp(w, e[..., None], out=w)
     cs = 1.0 / np.sqrt(1.0 + t * t)
     sn = t * cs
     # the upper eigenvector (x, y) is (1, t) where p >= c and (t, 1) where p < c
     upper = half >= 0.0
     x, y = np.where(upper, cs, sn), np.where(upper, sn, cs)
-    v = np.stack([-y, x, x, y], axis=-1)
-    return w, v.reshape(v.shape[:-1] + (2, 2))
+    v = np.empty(a.shape)
+    v[..., 0, 1] = v[..., 1, 0] = x
+    v[..., 1, 1] = y
+    np.negative(y, out=v[..., 0, 0])
+    return w, v
 
 
 def eig_hermitian(h: np.ndarray, check: bool = True) -> tuple[np.ndarray, np.ndarray]:

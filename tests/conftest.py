@@ -518,13 +518,14 @@ def use_lapack_oracle(monkeypatch, stacked: bool) -> None:
 
 def use_matmul_oracle(monkeypatch) -> None:
     """Route `run_sweep` and the one-point functions through the oracles
-    above; an infinite margin sends every qubit row of `_normal_spaces`
-    through the eigendecompositions."""
+    above; an infinite margin sends every row a closed-form normal direction
+    would take (the qubit's in `_normal_spaces`, the pure state's in
+    `batch_reports`) through the eigendecompositions."""
     monkeypatch.setattr(models, "_su2_state", matmul_su2_state)
     monkeypatch.setattr(sweep, "model_arrays", matrix_model_arrays)
     monkeypatch.setattr(sweep, "model_geometry", matmul_model_geometry)
     monkeypatch.setattr(bounds, "compute_geometry", matmul_compute_geometry)
-    monkeypatch.setattr(geometry, "_QUBIT_MARGIN", np.inf)
+    monkeypatch.setattr(geometry, "_CLOSED_FORM_MARGIN", np.inf)
     for module in (geometry, bounds):
         monkeypatch.setattr(module, "_spectral_radius", eigvalsh_spectral_radius)
 

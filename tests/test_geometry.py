@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmb import geometry
+from qmb import bounds, geometry
 from qmb.bounds import HOLEVO_GAP_TOL, ReportOptions, batch_reports
 from qmb.errors import (
     DerivativeNotTraceless,
@@ -16,10 +16,13 @@ from qmb.errors import (
 )
 from qmb.geometry import (
     RANK_TOL,
+    _eigen_normal_spaces,
     _gell_mann,
     _gell_mann_coordinates,
     _geometry,
     _normal_spaces,
+    _pure_closed_form,
+    _pure_normal_direction,
     _qfim_inverse,
     _spectral_radius,
     _vector_coordinates,
@@ -584,7 +587,7 @@ class TestNormalSpace:
         coordinates = _gell_mann_coordinates(rho, slds)
         got = _normal_spaces(*coordinates, qfim_eigh)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(geometry, "_QUBIT_MARGIN", np.inf)
+            monkeypatch.setattr(geometry, "_CLOSED_FORM_MARGIN", np.inf)
             want = _normal_spaces(*coordinates, qfim_eigh)
 
         def by_row(groups):
@@ -843,6 +846,114 @@ def test_vector_normal_space_matches_gell_mann_route(seed, n, data):
     want_c = batch_reports(rho[None], np.stack(derivs)[None], want_g, w_mat, sqrt_w, opts)
     assert not got_c["not_converged"][0] and not want_c["not_converged"][0]
     assert got_c["c_h"][0] == pytest.approx(want_c["c_h"][0], rel=HOLEVO_GAP_TOL)
+
+
+def _pure_vectors_with_spectrum(rng, spectra):
+    """Pure qutrits with three parameters (m = 1) whose Q has the given
+    eigenvalues, one row per spectrum: psi (B, 3) and l_k (B, 3, 3) built
+    from three orthonormal real-form directions orthogonal to psi and i psi
+    (u_1, i u_1, u_2), scaled by sqrt(lambda) and turned by a random rotation."""
+    psis, ells = [], []
+    for spectrum in spectra:
+        psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        psi /= np.linalg.norm(psi)
+        a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        u = np.linalg.qr(a - np.outer(psi, psi.conj() @ a))[0]
+        directions = np.stack([u[:, 0], 1j * u[:, 0], u[:, 1]])
+        rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        psis.append(psi)
+        ells.append(rotation @ (np.sqrt(spectrum)[:, None] * directions))
+    return np.stack(psis), np.stack(ells)
+
+
+class TestPureNormalDirection:
+    """The closed-form one-direction normal space of pure states given as
+    vectors (m = 2(n - 1) - d = 1) against the eigen route it replaces."""
+
+    @pytest.mark.parametrize("n, d", [(3, 3), (4, 5)])
+    def test_matches_eigen_route(self, monkeypatch, n, d):
+        rng = np.random.default_rng(n * 10 + d)
+        vectors = [pure_model_vectors(rho, np.stack(derivs))
+                   for rho, derivs in (random_pure_model(rng, n, d) for _ in range(16))]
+        psi, ells = (np.stack(x) for x in zip(*vectors))
+        g = model_geometry(None, None, (psi, ells), None)
+        w = g._qfim_eigh[0]
+        cond = w[:, -1] / w[:, 0]
+        assert _pure_closed_form(w, n, d).all()
+        got = _pure_normal_direction(psi, ells, g._qfim_eigh)
+        ((rows, want),) = _eigen_normal_spaces(*_vector_coordinates(psi, ells), g._qfim_eigh)
+        assert rows.tolist() == list(range(len(psi)))
+        assert want.coeffs.shape[-1] == got.coeffs.shape[-1] == 1
+        assert np.array_equal(got.means, psi)
+        assert np.array_equal(got.gram, np.ones((len(psi), 1, 1)))
+        np.testing.assert_allclose(got.gram, want.gram, rtol=0, atol=1e-14)
+        # the same sign on every row: the largest entry positive, as the pivot has it
+        big = np.argmax(np.abs(want.coeffs[..., 0]), axis=-1)[:, None]
+        assert (np.take_along_axis(got.coeffs[..., 0], big, axis=-1) > 0).all()
+        assert (np.take_along_axis(want.coeffs[..., 0], big, axis=-1) > 0).all()
+        tol = (1e-12 + 1e-16 * cond)[:, None, None]
+        assert np.all(np.abs(got.coeffs - want.coeffs) <= tol)
+        scale = np.max(np.abs(want.coupling), axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(got.coupling - want.coupling) <= tol * scale)
+
+        w_mat, sqrt_w = _weight_and_root(np.stack([random_spd(rng, d) for _ in psi]), d)
+        opts = ReportOptions(compute_rld=False)
+        got_h = batch_reports(None, None, g, w_mat, sqrt_w, opts)["c_h"]
+        monkeypatch.setattr(geometry, "_CLOSED_FORM_MARGIN", np.inf)
+        want_h = batch_reports(None, None, g, w_mat, sqrt_w, opts)["c_h"]
+        assert np.all(np.abs(got_h - want_h) <= (1e-12 + 1e-16 * cond) * want_h)
+
+    def test_rows_near_the_cut_keep_the_eigen_route(self, monkeypatch):
+        # Q's eigenvalue ratio just above and just below _CLOSED_FORM_MARGIN
+        # times RANK_TOL, and below RANK_TOL itself, where the cut drops a
+        # tangent direction and the eigen route finds m = 2.  The small
+        # eigenvalue sits on u_2, which U does not couple to the pair
+        # (u_1, i u_1), so R = 1 is read from the well-conditioned block: on
+        # the coupled pair, rounding at cond(Q) = 2e9 lifts R about 2e-7
+        # above 1, and the bound-chain check raises C_R > 2 C_SLD
+        cut = geometry._CLOSED_FORM_MARGIN * RANK_TOL
+        ratios = [0.5, 1.05 * cut, 0.95 * cut, 0.5 * RANK_TOL]
+        psi, ells = _pure_vectors_with_spectrum(
+            np.random.default_rng(3), [(1.0, 0.6, ratio) for ratio in ratios])
+        g = model_geometry(None, None, (psi, ells), None)
+        w = g._qfim_eigh[0]
+        np.testing.assert_allclose(w[:, 0] / w[:, -1], ratios, rtol=1e-6)
+        assert g.tangent_dim.tolist() == [3, 3, 3, 2]
+        assert _pure_closed_form(w, 3, 3).tolist() == [True, True, False, False]
+        sizes = {int(r): basis.coeffs.shape[-1] for rows, basis in _eigen_normal_spaces(
+            *_vector_coordinates(psi, ells), g._qfim_eigh) for r in rows}
+        assert sizes == {0: 1, 1: 1, 2: 1, 3: 2}
+
+        def routes():
+            """The rows batch_reports sends to the closed form and to the
+            vectors' coordinates, in the order sent."""
+            sent = {"_pure_normal_direction": [], "_normal_spaces": []}
+            for name, rows in sent.items():
+                monkeypatch.setattr(bounds, name, lambda *a, _fn=getattr(bounds, name),
+                                    _rows=rows: _rows.append(a[0]) or _fn(*a))
+            eye = np.broadcast_to(np.eye(3), (len(psi), 3, 3))
+            batch_reports(None, None, g, eye, eye, ReportOptions(compute_rld=False))
+            monkeypatch.undo()
+            return {name: np.concatenate(rows) if rows else psi[:0] for name, rows in sent.items()}
+
+        sent = routes()
+        np.testing.assert_array_equal(sent["_pure_normal_direction"], psi[:2])
+        np.testing.assert_array_equal(sent["_normal_spaces"], psi[2:])
+        # just inside the margin (cond(Q) about 1e8) the closed form still
+        # agrees with the eigen route
+        head = tuple(x[:2] for x in g._qfim_eigh)
+        got = _pure_normal_direction(psi[:2], ells[:2], head)
+        ((_, want),) = _eigen_normal_spaces(*_vector_coordinates(psi[:2], ells[:2]), head)
+        tol = (1e-12 + 1e-16 * w[:2, -1] / w[:2, 0])[:, None, None]
+        assert np.all(np.abs(got.coeffs - want.coeffs) <= tol)
+        scale = np.max(np.abs(want.coupling), axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(got.coupling - want.coupling) <= tol * scale)
+
+        monkeypatch.setattr(geometry, "_CLOSED_FORM_MARGIN", np.inf)
+        assert not _pure_closed_form(w, 3, 3).any()
+        sent = routes()
+        assert sent["_pure_normal_direction"].size == 0
+        np.testing.assert_array_equal(sent["_normal_spaces"], psi)
 
 
 def singular_values_pairing(g, w_mat):

@@ -678,11 +678,12 @@ class TestFigurePresets:
         # (qubits: n = 2; the pure qutrit: m = 1), so the closed forms
         # serve every preset row; the pure qubit of fig4 fills its tangent
         # space (m = 0) and builds no normal space at all, and the pure
-        # qutrit of fig5 builds its normal spaces from the vectors' coordinates
+        # qutrit of fig5 takes its one direction in closed form on every
+        # row, with no coordinates built for any row
         def no_dual(*args, **kwargs):
             raise AssertionError("dual solve reached")
 
-        calls = {"_normal_spaces": [], "_vector_coordinates": []}
+        calls = {"_normal_spaces": [], "_vector_coordinates": [], "_pure_normal_direction": []}
         for fn_name, counts in calls.items():
             monkeypatch.setattr(bounds, fn_name, lambda *a, _fn=getattr(bounds, fn_name),
                                 _counts=counts: _counts.append(len(a[0])) or _fn(*a))
@@ -695,21 +696,25 @@ class TestFigurePresets:
             assert len(rows) == 36
             assert not any("HolevoNotConverged" in row.flags for row in rows)
             if name == "fig4":
-                assert calls == {"_normal_spaces": [], "_vector_coordinates": []}
+                assert calls == {"_normal_spaces": [], "_vector_coordinates": [],
+                                 "_pure_normal_direction": []}
             elif name == "fig5":
-                assert calls == {"_normal_spaces": [36], "_vector_coordinates": [36]}
+                assert calls == {"_normal_spaces": [], "_vector_coordinates": [],
+                                 "_pure_normal_direction": [36]}
             else:
-                assert calls["_vector_coordinates"] == [] and sum(calls["_normal_spaces"]) > 0
+                assert calls["_vector_coordinates"] == calls["_pure_normal_direction"] == []
+                assert sum(calls["_normal_spaces"]) > 0
 
     @staticmethod
     def _eigen_calls(spec, monkeypatch) -> tuple[int, list, list]:
         """The rows of ``spec``'s sweep, the LAPACK eigen-family calls it
-        makes, and the shapes `sym_eigh` is called on."""
+        makes as (name, shape of the input), and the shapes `sym_eigh` is
+        called on."""
         calls, closed = [], []
         for fn_name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
             fn = getattr(np.linalg, fn_name)
             monkeypatch.setattr(np.linalg, fn_name, lambda *a, _fn=fn, _name=fn_name, **k: (
-                calls.append(_name) or _fn(*a, **k)))
+                calls.append((_name, np.shape(a[0]))) or _fn(*a, **k)))
         sym_eigh = linalg.sym_eigh
         for module in (geometry, linalg):
             monkeypatch.setattr(module, "sym_eigh", lambda a: closed.append(np.shape(a)) or sym_eigh(a))
@@ -733,14 +738,16 @@ class TestFigurePresets:
         assert closed == [(min(sweep._CHUNK, rows - start), 2, 2)
                           for start in range(0, rows, sweep._CHUNK)]
 
-    def test_fig5_decomposes_twice_per_chunk(self, monkeypatch):
-        # the pure qutrit is a vector: one stacked eigh each of Q and the
-        # normal-space form in the vectors' coordinates, whose tangent frame
-        # is read from Q's; there is no rho to decompose, and the fixed W is
-        # rooted once, by validate_spec
-        rows, calls, _ = self._eigen_calls(figure_preset("fig5", {"count": 40}), monkeypatch)
+    def test_fig5_decomposes_once_per_chunk(self, monkeypatch):
+        # the pure qutrit is a vector: one stacked eigh of Q per chunk, and
+        # none of a (B, 6, 6) normal-space form, since every row takes its
+        # one normal direction in closed form from Q's eigenpairs; there is
+        # no rho to decompose, and the fixed W is rooted once, by validate_spec
+        rows, calls, closed = self._eigen_calls(figure_preset("fig5", {"count": 40}), monkeypatch)
         assert rows == 1600
-        assert calls == ["eigh"] * 2 * 2
+        chunks = [(min(sweep._CHUNK, rows - start), 3, 3) for start in range(0, rows, sweep._CHUNK)]
+        assert calls == [("eigh", shape) for shape in chunks]
+        assert closed == chunks
 
     def test_fig1_singular_rows_flagged_not_fatal(self):
         # at the saturating angles Q = diag(4 / omega, 4) for omega >= 1, so

@@ -35,6 +35,7 @@ from .geometry import (
     _normal_spaces,
     _pure_closed_form,
     _pure_normal_direction,
+    _qfim_eigh_at,
     _rld_matrix,
     _spectral_radius,
     _vector_coordinates,
@@ -48,7 +49,7 @@ from .geometry import (
     take,
     uhlmann_axial,
 )
-from .linalg import SUPPORT_TOL, dot, raise_first_failure, trace_norm
+from .linalg import SUPPORT_TOL, adjugate, dot, raise_first_failure, trace_norm
 from .linalg import tracenorm_antisym
 from .models import ModelPoint
 
@@ -217,25 +218,24 @@ def _shrink(q, p, weight, s2):
     """The minimizer tau in [0, q] of weight tau^2 / s2 + 2 sqrt(p^2 + (q - tau)^2),
     elementwise over arrays."""
     q, p, weight, s2 = np.broadcast_arrays(*(np.asarray(x, float) for x in (q, p, weight, s2)))
-    tau = np.where(q == 0.0, 0.0, np.minimum(q, s2 / weight))
     # The stationarity condition h(tau) = weight tau - s2 u / sqrt(p^2 + u^2)
     # = 0, u = q - tau, is increasing and convex on [0, q] with h(0) < 0, and
-    # h >= 0 at the start.  Newton steps therefore fall monotonically onto
-    # the root; each point stops once a step no longer moves its tau down.
-    active = np.flatnonzero((q != 0.0) & (p != 0.0))
-    tau, flat = tau.ravel(), [x.ravel() for x in (q, p, weight, s2)]
-    while active.size:
-        q_a, p_a, weight_a, s2_a = (x[active] for x in flat)
-        tau_a = tau[active]
-        u = q_a - tau_a
-        r = np.hypot(p_a, u)
-        h = weight_a * tau_a - s2_a * u / r
-        step = h / (weight_a + s2_a * (p_a / r) ** 2 / r)
-        nxt = np.maximum(tau_a - step, 0.0)
-        moving = nxt < tau_a
-        active = active[moving]
-        tau[active] = nxt[moving]
-    return tau.reshape(q.shape)[()]
+    # h >= 0 at the start, since u / sqrt(p^2 + u^2) <= min(1, u / p).  Newton
+    # steps therefore fall monotonically onto the root; each point stops once
+    # a step no longer moves its tau down.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = np.minimum(q, s2 / weight)
+        tau = np.where(p > 0.0, np.minimum(tau, q * s2 / (s2 + weight * p)), tau)
+        tau = np.where(q == 0.0, 0.0, tau)
+        moving = (q != 0.0) & (p != 0.0)
+        while moving.any():
+            u = q - tau
+            r = np.hypot(p, u)
+            h = weight * tau - s2 * u / r
+            nxt = np.maximum(tau - h / (weight + s2 * (p / r) ** 2 / r), 0.0)
+            moving &= nxt < tau
+            tau = np.where(moving, nxt, tau)
+    return tau[()]
 
 
 def _holevo_exact(setup: _TangentSetup) -> tuple[np.ndarray, np.ndarray]:
@@ -284,8 +284,9 @@ def _holevo_exact(setup: _TangentSetup) -> tuple[np.ndarray, np.ndarray]:
         adj_b = np.stack([root[..., 1, 1] * b[..., 0] - root[..., 0, 1] * b[..., 1],
                           root[..., 0, 0] * b[..., 1] - root[..., 1, 0] * b[..., 0]], axis=-1)
         k = adj_b / (root[..., 0, 0] * root[..., 1, 1] - root[..., 0, 1] * root[..., 1, 0])[..., None]
-    else:
-        k = np.linalg.solve(root, b[..., None])[..., 0]
+    else:  # k = adj(sqrt W) b / det sqrt(W)
+        adj = adjugate(root)
+        k = (adj @ b[..., None])[..., 0] / dot(adj[..., 0, :], root[..., :, 0])[..., None]
     value = _objective(setup)(k)
     worse = value > setup.frame.c_t
     return np.where(worse, setup.frame.c_t, value), np.where(worse[..., None], 0.0, k)
@@ -447,8 +448,8 @@ def full_report(
     w_mat, sqrt_w = _weight_and_root(w_mat, g.n_params)
     one = InformationGeometry(*(v if v is None else np.asarray(v)[None] for v in (
         g.qfim, g.uhlmann, g.slds, g.tangent_dim, g.rho_spectrum, g.psi, g.r)))
-    one.__dict__.update({k: tuple(x[None] for x in getattr(g, k))  # the cached decompositions
-                         for k in ("_qfim_eigh", "_qfim_inverses")})
+    one.__dict__.update({k: tuple(x[None] for x in g.__dict__[k])  # the cached decompositions
+                         for k in ("_qfim_eigh", "_qfim_inverses") if k in g.__dict__})
     rho, derivs = np.asarray(point.rho)[None], np.asarray(point.derivs)[None]
     cols = batch_reports(rho, derivs, one, w_mat[None], sqrt_w[None], opts)
     sol = cols["holevo"][0][1].at(0) if cols["holevo"] else None
@@ -480,7 +481,7 @@ def batch_reports(
     J. Phys. A 35, 3111, 2002)."""
     frame = _frame(g, w_mat, sqrt_w)
     ill, points = frame.used_pseudo, len(w_mat)
-    null = ill & ((g._qfim_eigh[0][:, -1] <= 0.0) | (not opts.pseudo_inverse))
+    null = ill & (g._qfim_inverses[3] | (not opts.pseudo_inverse))
     with np.errstate(divide="ignore", invalid="ignore"):  # T of a zero Q: a null row
         c_t, t_value = frame.c_t, frame.t_value
     c_rld, no_rld = None, np.zeros(points, bool)
@@ -506,18 +507,18 @@ def batch_reports(
             if np.size(g.slds) == 0:
                 raise InvalidInput("geometry must carry SLD operators")
             sel = subset(regular, points)
-            eigh = tuple(x[sel] for x in g._qfim_eigh)
             if g.psi is not None:  # the closed-form rows build no coordinates
-                psi, ells = g.psi[sel], g.slds[sel]
+                psi, ells, inverses = g.psi[sel], g.slds[sel], g._qfim_inverses
                 spaces = split_routes(
-                    _pure_closed_form(eigh[0], psi.shape[-1], ells.shape[-2]),
-                    lambda s: _pure_normal_direction(psi[s], ells[s], tuple(x[s] for x in eigh)),
+                    _pure_closed_form(inverses, psi.shape[-1], ells.shape[-2])[sel],
+                    lambda s: _pure_normal_direction(psi[s], ells[s], inverses[5][regular[s]]),
                     lambda s: _normal_spaces(*_vector_coordinates(psi[s], ells[s]),
-                                             tuple(x[s] for x in eigh)))
+                                             _qfim_eigh_at(g, regular[s])))
             else:
                 coordinates, state = ((_bloch_coordinates, g.r) if g.r is not None else
                                       (_gell_mann_coordinates, rho))
-                spaces = _normal_spaces(*coordinates(state[sel], g.slds[sel]), eigh)
+                spaces = _normal_spaces(*coordinates(state[sel], g.slds[sel]),
+                                        _qfim_eigh_at(g, sel))
             for rows, basis in spaces:
                 rows = regular[rows]
                 setup = _tangent_setup(basis, take(frame, subset(rows, points)))

@@ -11,6 +11,7 @@ import numpy as np
 from .errors import InvalidInput, SingularQFIM
 from .linalg import (
     SUPPORT_TOL,
+    adjugate,
     density_spectrum,
     dot,
     hermitian_part,
@@ -24,6 +25,7 @@ from .linalg import (
     small_matmul,
     spd_sqrt,
     state_eigensystem,
+    sym_cholesky,
     sym_eigh,
     tracenorm_antisym,
 )
@@ -32,7 +34,7 @@ COND_LIMIT = 1e12
 RANK_TOL = 1e-9
 # How far above the RANK_TOL cut a row must sit to take a closed-form normal
 # direction (the two-parameter qubit's in `_normal_spaces`, the pure state's
-# in `_pure_closed_form`).
+# in `_pure_closed_form`) and, for d = 3, Q^-1 (`_invert`).
 _CLOSED_FORM_MARGIN = 10.0
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -65,32 +67,14 @@ class InformationGeometry:
         return sym_eigh(self.qfim)
 
     @cached_property
-    def _qfim_inverses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(Q^-1, det Q^-1, ill, the inverse eigenvalues) from the cached
-        eigenpairs, computed once.
-
-        ``ill`` says that Q has a nonpositive eigenvalue or a condition
-        number above COND_LIMIT; the inverse is then the rank-revealing
-        pseudo-inverse that drops eigenvalues below RANK_TOL times the
-        largest, and is 0 when Q has no positive eigenvalue.  A dropped
-        eigenvalue's inverse is 0, so the determinant, the product of the
-        inverse eigenvalues, is exactly 0 on every ill row.
-        """
-        w, v = self._qfim_eigh
-        top, low = w[..., -1:], w[..., :1]
-        ill = ((low <= 0.0) | (top / np.where(low > 0.0, low, 1.0) > COND_LIMIT))[..., 0]
-        keep = (w > 0.0) & ((w > RANK_TOL * top) | ~ill[..., None])
-        inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-        scaled, vt = v * inv_w[..., None, :], v.swapaxes(-1, -2)
-        qinv = small_matmul(scaled, vt) if w.shape[-1] == 2 else scaled @ vt
-        return qinv, np.prod(inv_w, axis=-1), ill, inv_w
+    def _qfim_inverses(self) -> tuple:
+        """`_invert`'s inverses of Q, computed once."""
+        return _invert(self.qfim)[0]
 
     @cached_property
-    def _qfim_inverse_sqrt(self) -> np.ndarray:
-        """Q^-1/2 on the kept eigenvalues of `_qfim_inverses`; only R for
-        d != 2 reads it."""
-        v, inv_w = self._qfim_eigh[1], self._qfim_inverses[3]
-        return (v * np.sqrt(inv_w)[..., None, :]) @ v.swapaxes(-1, -2)
+    def _adj_root_u(self) -> np.ndarray:
+        """G u (`_invert`) for d = 3, u the axial vector of U."""
+        return (self._qfim_inverses[6] @ uhlmann_axial(self.uhlmann)[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -128,14 +112,69 @@ def geometry_from_matrices(
 
 def _geometry(q: np.ndarray, u: np.ndarray, slds: tuple, rho_spectrum=None,
               psi=None, r=None) -> InformationGeometry:
-    """The geometry of (Q, U, SLDs); the one eigendecomposition of Q gives
-    the tangent rank at relative tolerance RANK_TOL and fills the
-    geometry's cached eigenpairs."""
-    w, v = sym_eigh(q)
-    rank = np.sum(_tangent_mask(w), axis=-1)
+    """The geometry of (Q, U, SLDs), its tangent rank (at relative tolerance
+    RANK_TOL) and cached inverses and eigenpairs from `_invert`."""
+    inverses, rank, eigh = _invert(q)
     g = InformationGeometry(q, u, slds, rank if rank.ndim else int(rank), rho_spectrum, psi, r)
-    g.__dict__["_qfim_eigh"] = (w, v)  # the cached_property slot
+    g.__dict__["_qfim_inverses"] = inverses  # the cached_property slots
+    if eigh is not None:
+        g.__dict__["_qfim_eigh"] = eigh
     return g
+
+
+def _invert(q: np.ndarray) -> tuple:
+    """Q's inverses (Q^-1, det Q^-1, ill, void, and for d != 2 ratio, F, and
+    for d = 3 G: F^T F = Q^-1, G^T G = adj(Q^-1)), tangent rank and, if every
+    row was decomposed, eigenpairs.  A d = 3 row is certified, full rank and
+    not ill where ratio = det Q / (Tr Q)^3 <= lambda_min / lambda_max clears
+    the RANK_TOL cut by _CLOSED_FORM_MARGIN, with Q = L L^T (`sym_cholesky`,
+    positive diagonal only where Q > 0): F = adj(L) / det L, G = L^T / det L.
+    (adj(Q) / det Q would lose det Q where Q has two small eigenvalues.)
+    Other rows take `_eigen_inverses` of their own eigendecomposition."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # ill or uncertified rows
+        if q.shape[-1] != 3:
+            w, v = sym_eigh(q)
+            return _eigen_inverses(w, v), np.sum(_tangent_mask(w), axis=-1), (w, v)
+        flat = q.reshape(-1, 3, 3)
+        low = sym_cholesky(flat)
+        det_low = low[:, 0, 0] * low[:, 1, 1] * low[:, 2, 2]
+        det = det_low * det_low
+        ratio = det / (flat[:, 0, 0] + flat[:, 1, 1] + flat[:, 2, 2]) ** 3
+        rest = ~(ratio > _CLOSED_FORM_MARGIN * RANK_TOL)  # L's diagonal is > 0, 0 or NaN
+        f = adjugate(low) / det_low[:, None, None]
+        g = low.swapaxes(-1, -2) / det_low[:, None, None]
+        inverses = (f.swapaxes(-1, -2) @ f, 1.0 / det, *np.zeros((2, len(flat)), bool), ratio, f, g)
+        rank, eigh = np.full(len(flat), 3), None
+        if rest.any():
+            w, v = sym_eigh(flat[rest])
+            for full, part in zip(inverses, _eigen_inverses(w, v)):
+                full[rest] = part
+            rank[rest] = np.sum(_tangent_mask(w), axis=-1)
+            if rest.all():
+                eigh = w.reshape(q.shape[:-1]), v.reshape(q.shape)
+    if q.ndim != 3:  # one point
+        inverses, rank = tuple(x.reshape(x.shape[1:]) for x in inverses), rank.reshape(())
+    return inverses, rank, eigh
+
+
+def _eigen_inverses(w: np.ndarray, v: np.ndarray) -> tuple:
+    """`_invert`'s inverses from Q's eigenpairs (w ascending).  ``ill`` says
+    that Q has a nonpositive eigenvalue or a condition number above
+    COND_LIMIT; Q^-1 is then the pseudo-inverse that drops eigenvalues below
+    RANK_TOL times the largest, 0 where none is positive (``void``), and
+    det Q^-1 is 0.  F = diag(sqrt(1 / w)) V^T on the kept w, G likewise on
+    their products in pairs, the eigenvalues of adj(Q^-1)."""
+    top, low = w[..., -1:], w[..., :1]
+    ill = ((low <= 0.0) | (top / np.where(low > 0.0, low, 1.0) > COND_LIMIT))[..., 0]
+    keep = (w > 0.0) & ((w > RANK_TOL * top) | ~ill[..., None])
+    inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+    scaled, vt = v * inv_w[..., None, :], v.swapaxes(-1, -2)
+    if w.shape[-1] == 2:
+        return small_matmul(scaled, vt), np.prod(inv_w, axis=-1), ill, top[..., 0] <= 0.0
+    ratio = np.where(top > 0.0, low / np.where(top > 0.0, top, 1.0), 0.0)[..., 0]
+    roots = (inv_w, inv_w[..., [1, 0, 0]] * inv_w[..., [2, 2, 1]]) if w.shape[-1] == 3 else (inv_w,)
+    return (scaled @ vt, np.prod(inv_w, axis=-1), ill, top[..., 0] <= 0.0, ratio,
+            *((v * np.sqrt(x)[..., None, :]).swapaxes(-1, -2) for x in roots))
 
 
 def _tangent_mask(w: np.ndarray) -> np.ndarray:
@@ -287,10 +326,10 @@ def _qfim_inverse(g: InformationGeometry, pseudo_inverse: bool = False) -> tuple
     applied: a Q without positive eigenvalues raises SingularQFIM, and so
     does an ill-conditioned one unless ``pseudo_inverse`` allows the
     pseudo-inverse."""
-    w = g._qfim_eigh[0]
-    if w[-1] <= 0.0:
+    if g._qfim_inverses[3]:
         raise SingularQFIM("QFIM has no positive eigenvalues")
     if g._qfim_inverses[2] and not pseudo_inverse:
+        w = g._qfim_eigh[0]
         raise SingularQFIM(
             f"QFIM condition number exceeds {COND_LIMIT:.1e} "
             f"(eigenvalues {w[0]:.3e} .. {w[-1]:.3e})"
@@ -338,17 +377,20 @@ def _frame(g: InformationGeometry, w_mat: np.ndarray, sqrt_w: np.ndarray) -> _We
     on the geometry's inverses as they are (pseudo-inverses where Q is ill);
     the caller applies the singularity policy.
 
-    For d = 2, A J A^T = det(A) J for every 2x2 A, J = [[0, 1], [-1, 0]], so
-    the core is U_12 det(Q^-1) det(sqrt W) J, and C_SLD = sum W o Q^-1: no
-    product of matrices is formed."""
+    C_SLD = sum W o Q^-1.  For d = 2, A J A^T = det(A) J for every 2x2 A,
+    J = [[0, 1], [-1, 0]], so the core is U_12 det(Q^-1) det(sqrt W) J.  For
+    d = 3, Q^-1 U Q^-1 = [adj(Q^-1) u]x (`adjugate`) = [G^T G u]x
+    (`_invert`), u the axial vector of U.  Neither forms a product with Q^-1."""
     qinv, det_qinv, ill = g._qfim_inverses[:3]
     if g.n_params == 2:
         det_sqrt_w = sqrt_w[..., 0, 0] * sqrt_w[..., 1, 1] - sqrt_w[..., 0, 1] * sqrt_w[..., 1, 0]
         core = (g.uhlmann[..., 0, 1] * det_qinv * det_sqrt_w)[..., None, None] * _J
-        c_sld = (w_mat * qinv).sum(axis=(-2, -1))
+    elif g.n_params == 3:
+        adj_u = g._qfim_inverses[6].swapaxes(-1, -2) @ g._adj_root_u[..., None]
+        core = sqrt_w @ _from_axial(adj_u[..., 0]) @ sqrt_w
     else:
         core = sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w
-        c_sld = np.trace(w_mat @ qinv, axis1=-2, axis2=-1)
+    c_sld = (w_mat * qinv).sum(axis=(-2, -1))
     return _WeightFrame(w_mat=w_mat, sqrt_w=sqrt_w, qinv=qinv, core=core, c_sld=c_sld,
                         used_pseudo=ill)
 
@@ -363,16 +405,27 @@ def _weight_frame(
 
 def uhlmann_axial(u: np.ndarray) -> np.ndarray:
     """The vector (U_23, -U_13, U_12) of a 3x3 antisymmetric matrix (or a stack)."""
-    return np.stack([u[..., 1, 2], -u[..., 0, 2], u[..., 0, 1]], axis=-1)
+    return u[..., (1, 0, 0), (2, 2, 1)] * _AXIAL_SIGNS
+
+
+_AXIAL_SIGNS = np.array([1.0, -1.0, 1.0])
+
+
+_LEVI_CIVITA = np.zeros((3, 9))  # row k, column 3 i + j: eps_ijk
+_LEVI_CIVITA[(0, 0, 1, 1, 2, 2), (5, 7, 6, 2, 1, 3)] = (1.0, -1.0, 1.0, -1.0, 1.0, -1.0)
+
+
+def _from_axial(c: np.ndarray) -> np.ndarray:
+    """The 3x3 antisymmetric matrices whose `uhlmann_axial` is c, exactly."""
+    return (c @ _LEVI_CIVITA).reshape(c.shape + (3,))
 
 
 def quantumness_R(g: InformationGeometry, pseudo_inverse: bool = False) -> float:
     """Weight-independent incompatibility R, the spectral radius of i Q^-1 U.
 
-    For d = 2 it is sqrt(det U / det Q) = |U_12| sqrt(det Q^-1).  Otherwise
-    it is evaluated through the Hermitian similarity i Q^-1/2 U Q^-1/2, as
-    half the closed-form trace norm of the real antisymmetric Q^-1/2 U Q^-1/2
-    for d = 3, where it equals sqrt(u^T Q u / det Q) (u the axial vector of U).
+    For d = 2 it is sqrt(det U / det Q) = |U_12| sqrt(det Q^-1), and for
+    d = 3 sqrt(u^T adj(Q^-1) u), u the axial vector of U.  Otherwise it is
+    evaluated through a Hermitian matrix similar to i Q^-1 U.
     """
     _qfim_inverse(g, pseudo_inverse)
     return float(_spectral_radius(g))
@@ -381,16 +434,15 @@ def quantumness_R(g: InformationGeometry, pseudo_inverse: bool = False) -> float
 def _spectral_radius(g: InformationGeometry) -> np.ndarray:
     """max |eig(i Q^-1 U)| per point on the inverses as they are: for d = 2,
     |U_12| sqrt(det Q^-1), exactly 0 where the pseudo-inverse drops an
-    eigenvalue.  Otherwise A = Q^-1/2 U Q^-1/2 is real antisymmetric, and R
-    is half the closed-form trace norm of A for d <= 3 (for d = 3 the
-    spectrum of i A is {0, +-|axial(A)|}); larger d takes a stacked eigvalsh."""
+    eigenvalue.  Otherwise that of i F U F^T (F^T F = Q^-1): for d = 3
+    {0, +-|adj(F)^T u|}, so R = |G u| (`_invert`), u the axial vector of U;
+    other d take a stacked eigvalsh."""
     if g.n_params == 2:
         return np.abs(g.uhlmann[..., 0, 1]) * np.sqrt(g._qfim_inverses[1])
-    qinv_sqrt = g._qfim_inverse_sqrt
-    a = qinv_sqrt @ g.uhlmann @ qinv_sqrt
-    if g.n_params <= 3:
-        return 0.5 * tracenorm_antisym(0.5 * (a - a.swapaxes(-1, -2)))
-    vals = np.linalg.eigvalsh(hermitian_part(1j * a))
+    if g.n_params == 3:
+        return np.sqrt(dot(g._adj_root_u, g._adj_root_u))
+    f = g._qfim_inverses[5]  # i F U F^T, F^T F = Q^-1, has the spectrum of i Q^-1 U
+    vals = np.linalg.eigvalsh(hermitian_part(1j * (f @ g.uhlmann @ f.swapaxes(-1, -2))))
     return np.max(np.abs(vals), axis=-1, initial=0.0)
 
 
@@ -651,19 +703,26 @@ def split_routes(closed: np.ndarray, closed_form, general) -> list:
     return groups
 
 
-def _pure_closed_form(w: np.ndarray, n: int, d: int) -> np.ndarray:
-    """The rows of pure states with n levels and d parameters, Q's
-    eigenvalues w (B, d) ascending, that `_pure_normal_direction` serves:
-    all of them where m = 2(n - 1) - d = 1 and Q's eigenvalue ratio clears
-    the RANK_TOL cut by _CLOSED_FORM_MARGIN, none otherwise."""
+def _pure_closed_form(inverses: tuple, n: int, d: int) -> np.ndarray:
+    """The rows of pure states with n levels and d parameters that
+    `_pure_normal_direction` serves: where m = 2(n - 1) - d = 1 and the
+    ratio of `_invert` clears the RANK_TOL cut by _CLOSED_FORM_MARGIN."""
     if d != 2 * (n - 1) - 1:
-        return np.zeros(len(w), bool)
-    return w[:, 0] > _CLOSED_FORM_MARGIN * RANK_TOL * w[:, -1]
+        return np.zeros(len(inverses[0]), bool)
+    return inverses[4] > _CLOSED_FORM_MARGIN * RANK_TOL
 
 
-def _pure_normal_direction(psi: np.ndarray, ells: np.ndarray, qfim_eigh: tuple) -> NormalSpaceBasis:
+def _qfim_eigh_at(g: InformationGeometry, rows) -> tuple:
+    """Q's eigenpairs on the given rows: cached, else of those rows alone."""
+    if "_qfim_eigh" in g.__dict__:
+        return tuple(x[rows] for x in g._qfim_eigh)
+    return sym_eigh(g.qfim[rows])
+
+
+def _pure_normal_direction(psi: np.ndarray, ells: np.ndarray, f: np.ndarray) -> NormalSpaceBasis:
     """The one-direction normal spaces of pure states psi (B, n) given with
-    the vectors l_k = L_k psi (B, d, n) of their SLDs, on the rows
+    the vectors l_k = L_k psi (B, d, n) of their SLDs and `_invert`'s F
+    (B, d, d), Q^-1 = F^T F, on the rows
     `_pure_closed_form` selects, in the coordinates of `_vector_coordinates`.
 
     In the real form, with x = psi, y = i psi and l the rows l_k (orthogonal
@@ -675,10 +734,9 @@ def _pure_normal_direction(psi: np.ndarray, ells: np.ndarray, qfim_eigh: tuple) 
     n = psi.shape[-1]
     c = np.concatenate([psi[:, None], 1j * psi[:, None], ells], axis=1)
     r = np.concatenate([c.real, c.imag], axis=-1)  # x, y and l in the real form
-    w, v = qfim_eigh
     l = r[:, 2:]
-    # rows x, y and f with f^T f = l^T Q^-1 l, so P_N = I - a^T a
-    a = np.concatenate([r[:, :2], (v / np.sqrt(w)[:, None, :]).swapaxes(-1, -2) @ l], axis=1)
+    # rows x, y and f = F l, so f^T f = l^T Q^-1 l and P_N = I - a^T a
+    a = np.concatenate([r[:, :2], f @ l], axis=1)
     diag = 1.0 - (a * a).sum(axis=-2)
     rows, j = np.arange(len(a)), np.argmax(diag, axis=-1)
     z = -(a * a[rows, :, j][:, :, None]).sum(axis=-2)

@@ -2,8 +2,9 @@
 
 Everything here works on plain ``numpy`` arrays (square, n <= 8 in practice):
 one matrix, or a stack of them along leading axes.  A stack of real
-symmetric 2x2 matrices is decomposed in closed form by `sym_eigh`; any other
-stack by one stacked LAPACK call.  A stack of products is formed by
+symmetric 2x2 matrices is decomposed in closed form by `sym_eigh`, a 3x3
+one has its adjugate and Cholesky factor in closed form, and any other stack
+is decomposed by one stacked LAPACK call.  A stack of products is formed by
 `small_matmul` as broadcast multiply-adds.  A stack is validated matrix by
 matrix, and the first failing matrix in C order raises the error it would
 raise alone.  All decompositions are exact dense methods; no iterative
@@ -153,6 +154,32 @@ def sym_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v[..., 1, 1] = y
     np.negative(y, out=v[..., 0, 0])
     return w, v
+
+
+_WRAP = np.array([0, 1, 2, 0, 1])
+
+
+def adjugate(a: np.ndarray) -> np.ndarray:
+    """adj(A) of real 3x3 matrices (..., 3, 3): column k of adj(A)^T is the
+    cross product of A's columns k + 1 and k + 2 (mod 3).  adj(A) A =
+    det(A) I, and A [u]x A^T = [adj(A)^T u]x for every A ([u]x the
+    antisymmetric matrix of the axial vector u)."""
+    e = a[..., _WRAP[:, None], _WRAP]  # e_ij = A_(i mod 3)(j mod 3): each minor is a slice
+    cof = e[..., 1:4, 1:4] * e[..., 2:5, 2:5] - e[..., 2:5, 1:4] * e[..., 1:4, 2:5]
+    return cof.swapaxes(-1, -2)
+
+
+def sym_cholesky(a: np.ndarray) -> np.ndarray:
+    """The Cholesky factor L (lower, L L^T = A) of real symmetric 3x3
+    matrices (..., 3, 3), read from the lower triangle, a column at a time.
+    L_kk^2 are the ratios of A's leading principal minors, so A > 0 exactly
+    where L's diagonal is positive (Sylvester), and det A = (L_11 L_22 L_33)^2."""
+    low = np.zeros(a.shape)
+    low[..., :, 0] = a[..., :, 0] / np.sqrt(a[..., :1, 0])
+    s = a[..., 1:, 1:] - low[..., 1:, 0, None] * low[..., None, 1:, 0]
+    low[..., 1:, 1] = s[..., :, 0] / np.sqrt(s[..., :1, 0])
+    low[..., 2, 2] = np.sqrt(s[..., 1, 1] - low[..., 2, 1] * low[..., 2, 1])
+    return low
 
 
 def eig_hermitian(h: np.ndarray, check: bool = True) -> tuple[np.ndarray, np.ndarray]:

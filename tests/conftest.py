@@ -42,8 +42,11 @@ from qmb.models import (
 )
 
 # Property tests draw the same examples on every run and have no deadline,
-# so the suite stays reproducible on slow or shared machines.
+# so the suite stays reproducible on slow or shared machines.  CI also runs
+# chosen property tests under "qmb-ci" (pytest --hypothesis-profile=qmb-ci),
+# the same with ten times the default 100 examples.
 settings.register_profile("qmb", derandomize=True, deadline=None, database=None)
+settings.register_profile("qmb-ci", settings.get_profile("qmb"), max_examples=1000)
 settings.load_profile("qmb")
 
 
@@ -487,33 +490,57 @@ def matmul_model_geometry(rho, derivs, pure, bloch):
 
 
 def eigvalsh_spectral_radius(g):
-    """`geometry._spectral_radius` by a stacked eigvalsh for every d."""
-    qinv_sqrt = g._qfim_inverse_sqrt
+    """`geometry._spectral_radius` by a stacked eigvalsh of
+    i Q^-1/2 U Q^-1/2 for every d, Q^-1/2 from Q's eigenpairs."""
+    w, v = g._qfim_eigh
+    qinv_sqrt = (v * np.sqrt(stacked_inverse(w)[0])[..., None, :]) @ v.swapaxes(-1, -2)
     vals = np.linalg.eigvalsh(hermitian_part(1j * (qinv_sqrt @ g.uhlmann @ qinv_sqrt)))
     return np.max(np.abs(vals), axis=-1, initial=0.0)
+
+
+def stacked_inverse(w):
+    """The inverse eigenvalues that `geometry._eigen_inverses` keeps (0 on the
+    others) and ill, from Q's ascending eigenvalues w."""
+    top, low = w[..., -1:], w[..., :1]
+    ill = ((low <= 0.0) | (top / np.where(low > 0.0, low, 1.0) > geometry.COND_LIMIT))[..., 0]
+    keep = (w > 0.0) & ((w > geometry.RANK_TOL * top) | ~ill[..., None])
+    return np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0), ill
 
 
 def stacked_frame(g, w_mat, sqrt_w):
     """`geometry._frame` as stacked `@` products for every d: Q^-1 from the
     eigenpairs, the core sqrt(W) Q^-1 U Q^-1 sqrt(W) and C_SLD = Tr[W Q^-1]."""
-    v, (_, _, ill, inv_w) = g._qfim_eigh[1], g._qfim_inverses
+    w, v = g._qfim_eigh
+    inv_w, ill = stacked_inverse(w)
     qinv = (v * inv_w[..., None, :]) @ v.swapaxes(-1, -2)
     return geometry._WeightFrame(w_mat, sqrt_w, qinv, sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w,
                                  np.trace(w_mat @ qinv, axis1=-2, axis2=-1), ill)
+
+
+def solve_adjugate(a):
+    """`linalg.adjugate` through LAPACK, det(A) solve(A, I): in
+    `bounds._holevo_exact` it makes the d = 3 step k = solve(sqrt W, b), as
+    it was before the cofactors, up to rounding."""
+    det = np.linalg.det(a)[..., None, None]
+    return np.linalg.solve(a, np.broadcast_to(np.eye(3), a.shape)) * det
 
 
 def use_lapack_oracle(monkeypatch, stacked: bool) -> None:
     """Decompose every 2x2 Q and W by LAPACK's eigh instead of
     `linalg.sym_eigh`; with ``stacked``, also build the weight frame and R
     from stacked products (`stacked_frame`, `eigvalsh_spectral_radius`)
-    instead of the d = 2 determinant forms: the two-parameter path as it
-    was before the closed forms."""
+    instead of the d = 2 determinant forms and the d = 3 cofactors, and take
+    the exact Holevo step's d = 3 solve from LAPACK (`solve_adjugate`): the
+    path as it was before the closed forms.  (`_invert` still certifies
+    d = 3 rows from their Cholesky factor unless _CLOSED_FORM_MARGIN is
+    infinite.)"""
     for module in (geometry, linalg):
         monkeypatch.setattr(module, "sym_eigh", np.linalg.eigh)
     if stacked:
         for module in (geometry, bounds):
             monkeypatch.setattr(module, "_frame", stacked_frame)
             monkeypatch.setattr(module, "_spectral_radius", eigvalsh_spectral_radius)
+        monkeypatch.setattr(bounds, "adjugate", solve_adjugate)
 
 
 def use_matmul_oracle(monkeypatch) -> None:

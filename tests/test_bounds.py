@@ -523,6 +523,36 @@ class TestHolevoExact:
         assert c_sld(g, w) < sol.value < c_t_bound(g, w)
 
 
+    def test_shrink_starts_above_the_root(self):
+        # u / sqrt(p^2 + u^2) <= u / p puts the root of the stationarity
+        # condition at or below q s2 / (s2 + weight p), so the start
+        # min(q, s2 / weight, q s2 / (s2 + weight p)) is an upper bound, and
+        # Newton lands within 1e-15 q of where it lands from the start
+        # min(q, s2 / weight) used before
+        rng = np.random.default_rng(11)
+        q, p, weight, s2 = (10.0 ** rng.uniform(-4.0, 4.0, 4000) for _ in range(4))
+
+        def h(tau):
+            return weight * tau - s2 * (q - tau) / np.hypot(p, q - tau)
+
+        lo, hi = np.zeros_like(q), q.copy()
+        for _ in range(200):  # h is increasing on [0, q] with h(0) < 0
+            mid = 0.5 * (lo + hi)
+            lo, hi = np.where(h(mid) < 0.0, mid, lo), np.where(h(mid) < 0.0, hi, mid)
+        start = np.minimum(np.minimum(q, s2 / weight), q * s2 / (s2 + weight * p))
+        assert np.all(start >= lo * (1.0 - 1e-15))  # above, up to the rounding of both
+        tau = np.minimum(q, s2 / weight)  # the Newton steps from the old start
+        moving = np.ones(len(q), bool)
+        while moving.any():
+            r = np.hypot(p, q - tau)
+            nxt = np.maximum(tau - h(tau) / (weight + s2 * (p / r) ** 2 / r), 0.0)
+            moving = nxt < tau
+            tau = np.where(moving, nxt, tau)
+        # relative to q, the length of the interval: a root far below q is
+        # fixed by h only to within rounding of order eps q
+        assert np.all(np.abs(_shrink(q, p, weight, s2) - tau) <= 1e-15 * q)
+
+
 class TestHolevoDual:
     """The dual solve with its certificate, against the exact m = 1 path
     and, one-sidedly, against the ladder it replaced."""

@@ -9,6 +9,7 @@ from qmb import bounds, geometry
 from qmb.bounds import HOLEVO_GAP_TOL, ReportOptions, batch_reports
 from qmb.errors import (
     DerivativeNotTraceless,
+    HierarchyViolation,
     NonHermitianInput,
     QmbError,
     SingularQFIM,
@@ -17,6 +18,7 @@ from qmb.errors import (
 from qmb.geometry import (
     RANK_TOL,
     _eigen_normal_spaces,
+    _frame,
     _gell_mann,
     _gell_mann_coordinates,
     _geometry,
@@ -879,8 +881,8 @@ class TestPureNormalDirection:
         g = model_geometry(None, None, (psi, ells), None)
         w = g._qfim_eigh[0]
         cond = w[:, -1] / w[:, 0]
-        assert _pure_closed_form(w, n, d).all()
-        got = _pure_normal_direction(psi, ells, g._qfim_eigh)
+        assert _pure_closed_form(g._qfim_inverses, n, d).all()
+        got = _pure_normal_direction(psi, ells, g._qfim_inverses[5])
         ((rows, want),) = _eigen_normal_spaces(*_vector_coordinates(psi, ells), g._qfim_eigh)
         assert rows.tolist() == list(range(len(psi)))
         assert want.coeffs.shape[-1] == got.coeffs.shape[-1] == 1
@@ -919,7 +921,7 @@ class TestPureNormalDirection:
         w = g._qfim_eigh[0]
         np.testing.assert_allclose(w[:, 0] / w[:, -1], ratios, rtol=1e-6)
         assert g.tangent_dim.tolist() == [3, 3, 3, 2]
-        assert _pure_closed_form(w, 3, 3).tolist() == [True, True, False, False]
+        assert _pure_closed_form(g._qfim_inverses, 3, 3).tolist() == [True, True, False, False]
         sizes = {int(r): basis.coeffs.shape[-1] for rows, basis in _eigen_normal_spaces(
             *_vector_coordinates(psi, ells), g._qfim_eigh) for r in rows}
         assert sizes == {0: 1, 1: 1, 2: 1, 3: 2}
@@ -942,7 +944,7 @@ class TestPureNormalDirection:
         # just inside the margin (cond(Q) about 1e8) the closed form still
         # agrees with the eigen route
         head = tuple(x[:2] for x in g._qfim_eigh)
-        got = _pure_normal_direction(psi[:2], ells[:2], head)
+        got = _pure_normal_direction(psi[:2], ells[:2], g._qfim_inverses[5][:2])
         ((_, want),) = _eigen_normal_spaces(*_vector_coordinates(psi[:2], ells[:2]), head)
         tol = (1e-12 + 1e-16 * w[:2, -1] / w[:2, 0])[:, None, None]
         assert np.all(np.abs(got.coeffs - want.coeffs) <= tol)
@@ -950,10 +952,79 @@ class TestPureNormalDirection:
         assert np.all(np.abs(got.coupling - want.coupling) <= tol * scale)
 
         monkeypatch.setattr(geometry, "_CLOSED_FORM_MARGIN", np.inf)
-        assert not _pure_closed_form(w, 3, 3).any()
+        assert not _pure_closed_form(g._qfim_inverses, 3, 3).any()
         sent = routes()
         assert sent["_pure_normal_direction"].size == 0
         np.testing.assert_array_equal(sent["_normal_spaces"], psi)
+
+
+_SPECTRA = ("one_small", "two_small", "near_the_line", "rank_two", "indefinite")
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(_SPECTRA),
+       log_cond=st.floats(0.0, 11.0), side=st.sampled_from([0.5, 0.9, 0.99, 1.01, 1.1, 1.5]))
+def test_certified_inverse_matches_eigen_route(seed, kind, log_cond, side):
+    # d = 3 rows whose Q^-1 comes from the Cholesky factor (`_invert`)
+    # against every row through eigh (an infinite margin certifies none):
+    # Q's spectrum is (1, a, 10^-log_cond), (1, (1 + a) x, x), one with
+    # det Q / (Tr Q)^3 at ``side`` times the certificate's line, rank 2, or
+    # indefinite with det Q > 0, turned and scaled at random.  The rank, ill
+    # and the flags match exactly, the rows left to eigh bit for bit, and the
+    # certified rows within (1e-12 + 1e-15 cond(Q)) |v|: the eigh route
+    # itself strays up to about 4e-16 cond(Q) |v| from a 40-digit C_SLD
+    rng = np.random.default_rng(seed)
+    a, small, line = rng.uniform(0.2, 1.0), 10.0**-log_cond, geometry._CLOSED_FORM_MARGIN * RANK_TOL
+    spectrum = np.array({"one_small": (1.0, a, small), "two_small": (1.0, (1.0 + a) * small, small),
+                         "near_the_line": (1.0, a, side * line * (1.0 + a) ** 3 / a),
+                         "rank_two": (1.0, a, 0.0), "indefinite": (-1.0, -a, 5.0)}[kind])
+    # diag(-1, -a, 5) has det Q > 0 and det Q / (Tr Q)^3 far above the line,
+    # but is not definite: one of its Cholesky pivots is not positive
+    spectrum *= 10.0 ** rng.uniform(-2.0, 2.0)
+    v = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    q = (v * spectrum) @ v.T
+    q, u = 0.5 * (q + q.T)[None], random_antisymmetric(rng, 3)[None]
+    w_mat, sqrt_w = _weight_and_root(random_spd(rng, 3)[None], 3)
+    vectors = _pure_vectors_with_spectrum(rng, [spectrum]) if kind != "indefinite" else None
+
+    def outputs():
+        g = _geometry(q, u, ())
+        frame = _frame(g, w_mat, sqrt_w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = {"qinv": frame.qinv, "core": frame.core, "c_sld": frame.c_sld,
+                   "T": frame.t_value, "R": _spectral_radius(g), "c_t": frame.c_t}
+        reports = None
+        if vectors is not None:
+            try:
+                reports = batch_reports(None, None, model_geometry(None, None, vectors, None),
+                                        w_mat, sqrt_w, ReportOptions(compute_rld=False))
+            except HierarchyViolation:  # the rounding of R at cond(Q) of 1e9 to 1e12
+                pass
+        return g, out, reports
+
+    g, got, got_reports = outputs()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_CLOSED_FORM_MARGIN", np.inf)
+        g0, want, want_reports = outputs()
+    certified = "_qfim_eigh" not in g.__dict__
+    if kind in ("rank_two", "indefinite") or (kind == "near_the_line" and side < 1.0):
+        assert not certified
+    if kind == "near_the_line" and side > 1.0:
+        assert certified
+    assert g.tangent_dim.tolist() == g0.tangent_dim.tolist()
+    for k in (2, 3):  # ill and void
+        np.testing.assert_array_equal(g._qfim_inverses[k], g0._qfim_inverses[k])
+    w = np.linalg.eigvalsh(q[0])
+    tol = 1e-12 + 1e-15 * (w[-1] / w[0] if certified else 0.0)
+    for name, value in got.items():
+        scale = np.max(np.abs(want[name]))
+        assert np.max(np.abs(value - want[name])) <= tol * scale, name
+    assert (got_reports is None) == (want_reports is None)
+    if got_reports is not None:
+        assert {k: m.tolist() for k, m in got_reports["flags"].items()} == {
+            k: m.tolist() for k, m in want_reports["flags"].items()}
+        c_h, want_h = got_reports["c_h"], want_reports["c_h"]
+        assert np.array_equal(np.isnan(c_h), np.isnan(want_h))
+        assert np.all(np.abs(c_h - want_h)[~np.isnan(c_h)] <= tol * np.abs(want_h)[~np.isnan(c_h)])
 
 
 def singular_values_pairing(g, w_mat):

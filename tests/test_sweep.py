@@ -706,48 +706,76 @@ class TestFigurePresets:
                 assert sum(calls["_normal_spaces"]) > 0
 
     @staticmethod
-    def _eigen_calls(spec, monkeypatch) -> tuple[int, list, list]:
-        """The rows of ``spec``'s sweep, the LAPACK eigen-family calls it
-        makes as (name, shape of the input), and the shapes `sym_eigh` is
+    def _record_linalg(monkeypatch) -> tuple[list, list]:
+        """Lists that fill with every public numpy.linalg call as (name,
+        shape of the first argument), and with the shapes `sym_eigh` is
         called on."""
         calls, closed = [], []
-        for fn_name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        for fn_name in np.linalg.__all__:
             fn = getattr(np.linalg, fn_name)
-            monkeypatch.setattr(np.linalg, fn_name, lambda *a, _fn=fn, _name=fn_name, **k: (
-                calls.append((_name, np.shape(a[0]))) or _fn(*a, **k)))
+            if callable(fn) and not isinstance(fn, type):  # not LinAlgError
+                monkeypatch.setattr(np.linalg, fn_name, lambda *a, _fn=fn, _name=fn_name, **k: (
+                    calls.append((_name, np.shape(a[0]))) or _fn(*a, **k)))
         sym_eigh = linalg.sym_eigh
         for module in (geometry, linalg):
             monkeypatch.setattr(module, "sym_eigh", lambda a: closed.append(np.shape(a)) or sym_eigh(a))
+        return calls, closed
+
+    def _eigen_calls(self, spec, monkeypatch) -> tuple[int, list, list]:
+        """The rows of ``spec``'s sweep and its calls (`_record_linalg`)."""
+        calls, closed = self._record_linalg(monkeypatch)
         spec = validate_spec(spec)
         calls.clear()
         closed.clear()
         return len(run_sweep(spec)), calls, closed
 
-    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3a", "fig3b", "fig4"])
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5"])
     def test_eigh_calls_per_chunk(self, name, monkeypatch):
-        # no LAPACK eigen-family call: Q is 2x2 and takes one closed-form
-        # `sym_eigh` per chunk; the pure states (fig1, fig4) are vectors and
-        # the mixed qubit (fig2, fig3) is never decomposed, the qubit's normal
-        # direction is closed form, R is closed form, the fixed identity of
-        # fig2 to fig4 is rooted once, by validate_spec, and fig1's diagonal
-        # weight is rooted entry by entry
-        spec = figure_preset(name, {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {})
-        rows, calls, closed = self._eigen_calls(spec, monkeypatch)
-        assert rows == {"fig1": 33, "fig2": 4096, "fig3a": 2304, "fig3b": 2304, "fig4": 2304}[name]
+        # no numpy.linalg call at all.  A 2x2 Q takes one closed-form
+        # `sym_eigh` per chunk; the pure states (fig1, fig4, fig5) are
+        # vectors and the mixed qubit (fig2, fig3) is never decomposed, the
+        # qubit's normal direction is closed form, R is closed form, the fixed
+        # identity of fig2 to fig5 is rooted once, by validate_spec, and
+        # fig1's diagonal weight is rooted entry by entry.  fig5's 3x3 Q is
+        # not decomposed: every row's inverse is certified from its Cholesky
+        # factor, and the exact Holevo step solves by the adjugate (count=40
+        # is two chunks)
+        config = {"fig2": {"r_y": 0.2, "r_z": 0.4}, "fig5": {"count": 40}}.get(name, {})
+        rows, calls, closed = self._eigen_calls(figure_preset(name, config), monkeypatch)
+        assert rows == {"fig1": 33, "fig2": 4096, "fig3a": 2304, "fig3b": 2304, "fig4": 2304,
+                        "fig5": 1600}[name]
         assert calls == []
-        assert closed == [(min(sweep._CHUNK, rows - start), 2, 2)
-                          for start in range(0, rows, sweep._CHUNK)]
+        assert closed == ([] if name == "fig5" else [
+            (min(sweep._CHUNK, rows - start), 2, 2) for start in range(0, rows, sweep._CHUNK)])
 
-    def test_fig5_decomposes_once_per_chunk(self, monkeypatch):
-        # the pure qutrit is a vector: one stacked eigh of Q per chunk, and
-        # none of a (B, 6, 6) normal-space form, since every row takes its
-        # one normal direction in closed form from Q's eigenpairs; there is
-        # no rho to decompose, and the fixed W is rooted once, by validate_spec
-        rows, calls, closed = self._eigen_calls(figure_preset("fig5", {"count": 40}), monkeypatch)
-        assert rows == 1600
-        chunks = [(min(sweep._CHUNK, rows - start), 3, 3) for start in range(0, rows, sweep._CHUNK)]
-        assert calls == [("eigh", shape) for shape in chunks]
-        assert closed == chunks
+    @pytest.mark.parametrize("offset, flags", [(0.0, ("SingularQFIM",)), (1e-4, ())])
+    def test_uncertified_row_alone_is_decomposed(self, monkeypatch, offset, flags):
+        # a fig5 chunk with one more row at theta = pi/2 - offset, where Q's
+        # smallest eigenvalue, about 14 offset^2, fails the certificate
+        # det Q / (Tr Q)^3 > 1e-8: at offset 0 the row is ill (a flagged
+        # null row); at 1e-4 it is regular with lambda_min / lambda_max =
+        # 5.8e-8, so its one normal direction is still closed form.  Only
+        # that row is decomposed, and every other row is bit-identical to
+        # the chunk without it
+        spec = validate_spec(figure_preset("fig5", {"count": 7}))
+        theta, b = (x.ravel() for x in np.meshgrid(*(ax.values() for ax in spec.axes),
+                                                   indexing="ij"))
+        at, rows = 10, len(theta)
+        bound = {"theta": np.insert(theta, at, math.pi / 2 - offset), "B": np.insert(b, at, b[at])}
+        calls, closed = self._record_linalg(monkeypatch)
+        chunk = sweep._evaluate_chunk(spec, bound, rows + 1)
+        assert calls == [("eigh", (1, 3, 3))]
+        assert closed == [(1, 3, 3)]
+        calls.clear()
+        alone = sweep._evaluate_chunk(spec, {"theta": theta, "B": b}, rows)
+        assert calls == []
+        assert chunk.flags[chunk.codes[at]] == flags
+        outputs = chunk.void[at, len(spec.axes):] if chunk.void is not None else np.zeros(1, bool)
+        assert outputs.all() == bool(flags)
+        others = np.arange(rows + 1) != at
+        np.testing.assert_array_equal(chunk.values[others].view(np.int64),
+                                      alone.values.view(np.int64))
+        assert [chunk.flags[c] for c in chunk.codes[others]] == [alone.flags[c] for c in alone.codes]
 
     def test_fig1_singular_rows_flagged_not_fatal(self):
         # at the saturating angles Q = diag(4 / omega, 4) for omega >= 1, so
@@ -1311,6 +1339,20 @@ class TestChunkedSweep:
         spec = replace(validate_spec(figure_preset(name, config)),
                        outputs=("c_sld", "c_rld", "c_t", "c_r", "c_h", "R", "T"))
         _assert_sweep_matches_oracle(spec, lambda patch: use_lapack_oracle(patch, stacked))
+
+    def test_three_parameter_forms_match_lapack(self):
+        # fig5 at its default density through the certified inverses, the
+        # cofactor forms of the core and R and the adjugate solve, against
+        # every row through eigh (an infinite margin), the stacked products,
+        # eigvalsh R and LAPACK's solve
+        spec = replace(validate_spec(figure_preset("fig5")),
+                       outputs=("c_sld", "c_t", "c_r", "c_h", "R", "T"))
+
+        def oracle(patch):
+            use_lapack_oracle(patch, stacked=True)
+            patch.setattr(geometry, "_CLOSED_FORM_MARGIN", np.inf)
+
+        _assert_sweep_matches_oracle(spec, oracle)
 
     @pytest.mark.parametrize("name", ["fig2", "fig4"])
     def test_preset_rows_round_as_run_point(self, name):

@@ -29,7 +29,6 @@ from .geometry import (
     COND_LIMIT,
     InformationGeometry,
     NormalSpaceBasis,
-    _bloch_coordinates,
     _frame,
     _gell_mann_coordinates,
     _normal_spaces,
@@ -68,8 +67,16 @@ _DUAL_MAX_ITER = 50
 
 @dataclass(frozen=True)
 class HolevoSolution:
-    """The Holevo value, the K attaining it, a certified lower bound (lower <= C_H <=
-    value) and the objective or dual evaluations; arrays along a leading axis for a batch."""
+    """The Holevo value, the K attaining it, a lower bound and the objective
+    or dual evaluations; arrays along a leading axis for a batch.
+
+    ``lower`` is certified (lower <= C_H <= value) by the dual solve, and by
+    a theorem where C_H = C_T at K = 0 and lower = value: an empty normal
+    space (m = 0), one parameter (d = 1), a pure state whose tangent space
+    fills the pure states' directions, and a unitarily encoded qubit given
+    by its Bloch vector (`batch_reports`).  On the exact m = 1 path
+    (`_holevo_exact`) ``lower`` is a copy of ``value``, not a certificate.
+    """
 
     k_matrix: np.ndarray
     value: float
@@ -472,16 +479,21 @@ def batch_reports(
     size with their solutions ("holevo").  Only the dual solve runs point by
     point.  A geometry of pure states given as vectors (``g.psi``) needs
     neither rho nor derivs: such a state has no RLD bound, and its normal
-    space reads the vectors' coordinates.  A geometry of qubits given by
-    Bloch vectors (``g.r``) reads theirs, and needs rho and derivs for the
-    RLD bound alone.  Pure rows with one normal direction clear of the
-    RANK_TOL cut (`_pure_closed_form`) take it in closed form and build no
-    coordinates.  A pure state whose tangent space fills
-    the 2(n - 1) directions of pure states has no normal space (Matsumoto,
-    J. Phys. A 35, 3111, 2002)."""
+    space reads the vectors' coordinates.  Pure rows with one normal
+    direction clear of the RANK_TOL cut (`_pure_closed_form`) take it in
+    closed form and build no coordinates.  Rows with C_H = C_T at K = 0
+    build no normal space: a pure state whose tangent space fills the
+    2(n - 1) directions of pure states (Matsumoto, J. Phys. A 35, 3111,
+    2002), and a unitarily encoded qubit given by its Bloch vector (``g.r``;
+    rho and derivs serve its RLD bound alone), whose SLDs d_k r.sigma are
+    orthogonal to r: its one normal direction lies along r, uncoupled, the
+    s = 0 case of Suzuki's two-parameter formula (J. Math. Phys. 57, 042201,
+    2016) that `_holevo_exact` implements."""
     frame = _frame(g, w_mat, sqrt_w)
-    ill, points = frame.used_pseudo, len(w_mat)
-    null = ill & (g._qfim_inverses[3] | (not opts.pseudo_inverse))
+    # a Q whose inverse leaves the float range is singular in floating point
+    out_of_range, points = ~np.isfinite(frame.c_sld), len(w_mat)
+    ill = frame.used_pseudo | out_of_range
+    null = ill & (g._qfim_inverses[3] | out_of_range | (not opts.pseudo_inverse))
     with np.errstate(divide="ignore", invalid="ignore"):  # T of a zero Q: a null row
         c_t, t_value = frame.c_t, frame.t_value
     c_rld, no_rld = None, np.zeros(points, bool)
@@ -496,13 +508,14 @@ def batch_reports(
     c_h, lower, not_converged, groups = None, None, np.zeros(points, bool), []
     if opts.compute_holevo:
         spectrum = g.rho_spectrum
-        pure = ~ill & (False if spectrum is None else (
-            (g.tangent_dim == 2 * (spectrum.shape[-1] - 1)) & (spectrum[:, 1] <= SUPPORT_TOL)))
-        if pure.any():  # K = 0 at C_T
-            rows = np.flatnonzero(pure)
+        fills = False if spectrum is None else (
+            (g.tangent_dim == 2 * (spectrum.shape[-1] - 1)) & (spectrum[:, 1] <= SUPPORT_TOL))
+        saturated = ~ill & (fills | (g.r is not None))  # r.d_k r = 0 (`_bloch_geometry`): s = 0
+        if saturated.any():  # K = 0 at C_T
+            rows = np.flatnonzero(saturated)
             k = np.zeros((len(rows), 0, g.n_params))
             groups.append((rows, HolevoSolution(k, c_t[rows], c_t[rows], np.zeros(len(rows), int))))
-        regular = np.flatnonzero(~ill & ~pure)
+        regular = np.flatnonzero(~ill & ~saturated)
         if regular.size:
             if np.size(g.slds) == 0:
                 raise InvalidInput("geometry must carry SLD operators")
@@ -515,9 +528,7 @@ def batch_reports(
                     lambda s: _normal_spaces(*_vector_coordinates(psi[s], ells[s]),
                                              _qfim_eigh_at(g, regular[s])))
             else:
-                coordinates, state = ((_bloch_coordinates, g.r) if g.r is not None else
-                                      (_gell_mann_coordinates, rho))
-                spaces = _normal_spaces(*coordinates(state[sel], g.slds[sel]),
+                spaces = _normal_spaces(*_gell_mann_coordinates(rho[sel], g.slds[sel]),
                                         _qfim_eigh_at(g, sel))
             for rows, basis in spaces:
                 rows = regular[rows]

@@ -10,11 +10,11 @@ import numpy as np
 
 from .errors import InvalidInput, SingularQFIM
 from .linalg import (
-    SUPPORT_TOL,
     adjugate,
     density_spectrum,
     dot,
     hermitian_part,
+    raise_first_failure,
     require_bloch_state,
     require_derivative,
     require_full_rank,
@@ -26,16 +26,18 @@ from .linalg import (
     spd_sqrt,
     state_eigensystem,
     sym_cholesky,
-    sym_eigh,
     tracenorm_antisym,
 )
 
 COND_LIMIT = 1e12
 RANK_TOL = 1e-9
-# How far above the RANK_TOL cut a row must sit to take a closed-form normal
-# direction (the two-parameter qubit's in `_normal_spaces`, the pure state's
-# in `_pure_closed_form`) and, for d = 3, Q^-1 (`_invert`).
+# How far above the RANK_TOL cut a row must sit to take the pure state's
+# closed-form normal direction (`_pure_closed_form`) and, for d in {2, 3},
+# Q^-1 from its Cholesky factor (`_invert`).
 _CLOSED_FORM_MARGIN = 10.0
+# A qubit given by its Bloch vector must be encoded unitarily: |r.d_k r| at
+# most this times |r| |d_k r| (`_bloch_geometry`).
+TANGENT_TOL = 1e-12
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
@@ -46,8 +48,8 @@ class InformationGeometry:
     a leading axis (then ``slds`` is (B, d, n, n), ``tangent_dim`` an integer array).
     A batch of pure states given as vectors carries them in ``psi`` (B, n), and
     ``slds`` then holds the vectors L_k psi (B, d, n).  A batch of qubits given
-    by Bloch vectors carries them in ``r`` (B, 3), and ``slds`` then holds the
-    Bloch parts b_k of L_k = a_k I + b_k.sigma (B, d, 3)."""
+    by Bloch vectors carries them in ``r`` (B, 3), and ``slds`` then holds
+    d_k r (B, d, 3), the Bloch parts of L_k = d_k r.sigma (`_bloch_geometry`)."""
 
     qfim: np.ndarray
     uhlmann: np.ndarray
@@ -64,7 +66,7 @@ class InformationGeometry:
     @cached_property
     def _qfim_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and eigenvectors of Q, computed once."""
-        return sym_eigh(self.qfim)
+        return np.linalg.eigh(self.qfim)
 
     @cached_property
     def _qfim_inverses(self) -> tuple:
@@ -123,30 +125,37 @@ def _geometry(q: np.ndarray, u: np.ndarray, slds: tuple, rho_spectrum=None,
 
 
 def _invert(q: np.ndarray) -> tuple:
-    """Q's inverses (Q^-1, det Q^-1, ill, void, and for d != 2 ratio, F, and
-    for d = 3 G: F^T F = Q^-1, G^T G = adj(Q^-1)), tangent rank and, if every
-    row was decomposed, eigenpairs.  A d = 3 row is certified, full rank and
-    not ill where ratio = det Q / (Tr Q)^3 <= lambda_min / lambda_max clears
-    the RANK_TOL cut by _CLOSED_FORM_MARGIN, with Q = L L^T (`sym_cholesky`,
-    positive diagonal only where Q > 0): F = adj(L) / det L, G = L^T / det L.
-    (adj(Q) / det Q would lose det Q where Q has two small eigenvalues.)
-    Other rows take `_eigen_inverses` of their own eigendecomposition."""
+    """Q's inverses (Q^-1, sqrt(det Q^-1), ill, void, ratio, and for d != 2
+    F, and for d = 3 G: F^T F = Q^-1, G^T G = adj(Q^-1)), tangent rank and,
+    if every row was decomposed, eigenpairs.  A row with d in {2, 3} is
+    certified, full rank and not ill where ratio = det Q / (Tr Q)^d <=
+    lambda_min / lambda_max clears the RANK_TOL cut by _CLOSED_FORM_MARGIN,
+    with Q = L L^T (`sym_cholesky`, positive diagonal only where Q > 0):
+    det Q = det(L)^2, and for d = 3 F = L^-1 = adj(L) / det L and
+    G = L^T / det L.  (A 3x3 Q's own cofactors would lose det Q where Q has
+    two small eigenvalues.)  Other rows, and every row of other d, take
+    `_eigen_inverses` of their own eigendecomposition."""
+    d = q.shape[-1]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # ill or uncertified rows
-        if q.shape[-1] != 3:
-            w, v = sym_eigh(q)
+        if d not in (2, 3):
+            w, v = np.linalg.eigh(q)
             return _eigen_inverses(w, v), np.sum(_tangent_mask(w), axis=-1), (w, v)
-        flat = q.reshape(-1, 3, 3)
+        flat = q.reshape(-1, d, d)
         low = sym_cholesky(flat)
-        det_low = low[:, 0, 0] * low[:, 1, 1] * low[:, 2, 2]
-        det = det_low * det_low
-        ratio = det / (flat[:, 0, 0] + flat[:, 1, 1] + flat[:, 2, 2]) ** 3
+        det_low = np.prod(np.diagonal(low, axis1=-2, axis2=-1), axis=-1)
+        ratio = det_low * det_low / np.trace(flat, axis1=-2, axis2=-1) ** d
         rest = ~(ratio > _CLOSED_FORM_MARGIN * RANK_TOL)  # L's diagonal is > 0, 0 or NaN
-        f = adjugate(low) / det_low[:, None, None]
-        g = low.swapaxes(-1, -2) / det_low[:, None, None]
-        inverses = (f.swapaxes(-1, -2) @ f, 1.0 / det, *np.zeros((2, len(flat)), bool), ratio, f, g)
-        rank, eigh = np.full(len(flat), 3), None
+        root = (1.0 / det_low)[:, None, None]
+        flags = np.zeros((2, len(flat)), bool)  # ill and void
+        if d == 2:  # adj(Q) of a 2x2 Q is exact, so Q^-1 = adj(Q) / det Q loses no more
+            inverses = (adjugate(flat) * root * root, root[:, 0, 0], *flags, ratio)
+        else:
+            f = adjugate(low) * root
+            inverses = (f.swapaxes(-1, -2) @ f, root[:, 0, 0], *flags, ratio, f,
+                        low.swapaxes(-1, -2) * root)
+        rank, eigh = np.full(len(flat), d), None
         if rest.any():
-            w, v = sym_eigh(flat[rest])
+            w, v = np.linalg.eigh(flat[rest])
             for full, part in zip(inverses, _eigen_inverses(w, v)):
                 full[rest] = part
             rank[rest] = np.sum(_tangent_mask(w), axis=-1)
@@ -162,19 +171,16 @@ def _eigen_inverses(w: np.ndarray, v: np.ndarray) -> tuple:
     that Q has a nonpositive eigenvalue or a condition number above
     COND_LIMIT; Q^-1 is then the pseudo-inverse that drops eigenvalues below
     RANK_TOL times the largest, 0 where none is positive (``void``), and
-    det Q^-1 is 0.  F = diag(sqrt(1 / w)) V^T on the kept w, G likewise on
-    their products in pairs, the eigenvalues of adj(Q^-1)."""
+    sqrt(det Q^-1) is 0.  F = diag(sqrt(1 / w)) V^T on the kept w, G likewise
+    on their products in pairs, the eigenvalues of adj(Q^-1)."""
     top, low = w[..., -1:], w[..., :1]
     ill = ((low <= 0.0) | (top / np.where(low > 0.0, low, 1.0) > COND_LIMIT))[..., 0]
     keep = (w > 0.0) & ((w > RANK_TOL * top) | ~ill[..., None])
     inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    scaled, vt = v * inv_w[..., None, :], v.swapaxes(-1, -2)
-    if w.shape[-1] == 2:
-        return small_matmul(scaled, vt), np.prod(inv_w, axis=-1), ill, top[..., 0] <= 0.0
     ratio = np.where(top > 0.0, low / np.where(top > 0.0, top, 1.0), 0.0)[..., 0]
     roots = (inv_w, inv_w[..., [1, 0, 0]] * inv_w[..., [2, 2, 1]]) if w.shape[-1] == 3 else (inv_w,)
-    return (scaled @ vt, np.prod(inv_w, axis=-1), ill, top[..., 0] <= 0.0, ratio,
-            *((v * np.sqrt(x)[..., None, :]).swapaxes(-1, -2) for x in roots))
+    return ((v * inv_w[..., None, :]) @ v.swapaxes(-1, -2), np.prod(np.sqrt(inv_w), axis=-1), ill,
+            top[..., 0] <= 0.0, ratio, *((v * np.sqrt(x)[..., None, :]).swapaxes(-1, -2) for x in roots))
 
 
 def _tangent_mask(w: np.ndarray) -> np.ndarray:
@@ -245,13 +251,10 @@ def model_geometry(
 
     * ``pure`` = (psi, l): Q + iU = <l_a|l_b> (Matsumoto, J. Phys. A 35,
       3111, 2002), and the spectrum is (1, 0, ...); see `_vector_geometry`.
-    * ``bloch`` = (r, d r) of a qubit, checked by `require_bloch_state`:
-      L_i = a_i I + b_i.sigma with a_i = -(r.d_i r) / (1 - |r|^2) and
-      b_i = d_i r - a_i r, Q_ij = d_i r.d_j r + (r.d_i r)(r.d_j r) / (1 - |r|^2)
-      and U_ij = r.(d_i r x d_j r), with the spectrum (1 +- |r|) / 2; see
-      `_bloch_geometry`.  Where (1 - |r|) / 2 + (1 - |r|) / 2 is at or below
-      SUPPORT_TOL, the L's entry on the lower eigenvector is 0, as
-      `sld_in_eigenbasis` has it.
+    * ``bloch`` = (r, d r) of a unitarily encoded qubit, checked by
+      `require_bloch_state` and `_bloch_geometry`: r.d_i r = 0, so
+      L_i = d_i r.sigma, Q_ij = d_i r.d_j r and U_ij = r.(d_i r x d_j r), with
+      the spectrum (1 +- |r|) / 2.
     """
     if pure is not None:
         return _vector_geometry(*pure)
@@ -276,18 +279,21 @@ def _vector_geometry(psi: np.ndarray, ells: np.ndarray) -> InformationGeometry:
 
 def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
     """The qubit route of `model_geometry`, from r (B, 3) and d r (B, d, 3):
-    the geometry carries r and, as its ``slds``, the Bloch parts b (B, d, 3)."""
+    the geometry carries r and, as its ``slds``, d r.  The encoding must be
+    unitary, r a rotation of a fixed vector, so r.d_i r = 0: the first row
+    where |r.d_i r| exceeds TANGENT_TOL |r| |d_i r| raises InvalidInput.
+    Then the SLDs L_i = a_i I + b_i.sigma have a_i = 0 and b_i = d_i r."""
     r, dr, radius = require_bloch_state(r, dr)
-    radial = dot(dr, r[..., None, :])  # r.d_i r
-    # b_i = d_i r - k (r.d_i r) r and Q_ij = d_i r.d_j r - k (r.d_i r)(r.d_j r),
-    # with a_i = k r.d_i r on the support and k = -1 / (1 - |r|^2); the cut
-    # drops the lower eigenvector's term s_i^2 / (1 - |r|), s_i = r.d_i r / |r|
-    cut = 1.0 - radius <= SUPPORT_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kr = np.where(cut, (1.0 + 2.0 * radius) / (2.0 * radius**2 * (1.0 + radius)),
-                      -1.0 / ((1.0 - radius) * (1.0 + radius)))[..., None] * radial
-    b = dr - kr[..., None] * r[..., None, :]
-    q = dr @ dr.swapaxes(-1, -2) - kr[..., :, None] * radial[..., None, :]
+    # each vector over its largest entry, so that no square under- or overflows
+    u, du = (v / np.maximum(np.max(np.abs(v), axis=-1, keepdims=True), 1e-300) for v in (r, dr))
+    with np.errstate(invalid="ignore"):  # 0 / 0 where r or d_i r is zero: tangent
+        cosine = np.nan_to_num(np.abs(dot(du, u[..., None, :]))
+                               / np.sqrt(dot(u, u)[..., None] * dot(du, du)))
+    worst = np.max(cosine, axis=-1)
+    raise_first_failure((worst > TANGENT_TOL, lambda i: InvalidInput(
+        f"d r is not tangent to r: |r.d r| / (|r| |d r|) = {np.ravel(worst)[i]:.3e}; "
+        "a qubit given by its Bloch vector must be encoded unitarily")))
+    q = dr @ dr.swapaxes(-1, -2)  # symmetric: both triangles sum the same products
     x, y, z = dr[..., 0], dr[..., 1], dr[..., 2]
 
     def wedge(f, g):  # f_i g_j - g_i f_j over the parameter pairs (i, j)
@@ -296,7 +302,7 @@ def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
     cross = np.stack([wedge(y, z), wedge(z, x), wedge(x, y)], axis=-1)  # d_i r x d_j r
     u = dot(r[..., None, None, :], cross)
     spectrum = np.stack([0.5 + 0.5 * radius, np.maximum(0.5 - 0.5 * radius, 0.0)], axis=-1)
-    return _geometry(0.5 * (q + q.swapaxes(-1, -2)), u, b, spectrum, r=r)
+    return _geometry(q, u, dr, spectrum, r=r)
 
 
 def rld_qfim(rho: np.ndarray, derivs: Sequence[np.ndarray]) -> np.ndarray:
@@ -378,13 +384,14 @@ def _frame(g: InformationGeometry, w_mat: np.ndarray, sqrt_w: np.ndarray) -> _We
     the caller applies the singularity policy.
 
     C_SLD = sum W o Q^-1.  For d = 2, A J A^T = det(A) J for every 2x2 A,
-    J = [[0, 1], [-1, 0]], so the core is U_12 det(Q^-1) det(sqrt W) J.  For
+    J = [[0, 1], [-1, 0]], so the core is U_12 det(Q^-1) det(sqrt W) J, with
+    det(Q^-1) as its root times its root, since it can overflow alone.  For
     d = 3, Q^-1 U Q^-1 = [adj(Q^-1) u]x (`adjugate`) = [G^T G u]x
     (`_invert`), u the axial vector of U.  Neither forms a product with Q^-1."""
-    qinv, det_qinv, ill = g._qfim_inverses[:3]
+    qinv, root_det, ill = g._qfim_inverses[:3]
     if g.n_params == 2:
         det_sqrt_w = sqrt_w[..., 0, 0] * sqrt_w[..., 1, 1] - sqrt_w[..., 0, 1] * sqrt_w[..., 1, 0]
-        core = (g.uhlmann[..., 0, 1] * det_qinv * det_sqrt_w)[..., None, None] * _J
+        core = (g.uhlmann[..., 0, 1] * root_det * root_det * det_sqrt_w)[..., None, None] * _J
     elif g.n_params == 3:
         adj_u = g._qfim_inverses[6].swapaxes(-1, -2) @ g._adj_root_u[..., None]
         core = sqrt_w @ _from_axial(adj_u[..., 0]) @ sqrt_w
@@ -438,7 +445,7 @@ def _spectral_radius(g: InformationGeometry) -> np.ndarray:
     {0, +-|adj(F)^T u|}, so R = |G u| (`_invert`), u the axial vector of U;
     other d take a stacked eigvalsh."""
     if g.n_params == 2:
-        return np.abs(g.uhlmann[..., 0, 1]) * np.sqrt(g._qfim_inverses[1])
+        return np.abs(g.uhlmann[..., 0, 1]) * g._qfim_inverses[1]
     if g.n_params == 3:
         return np.sqrt(dot(g._adj_root_u, g._adj_root_u))
     f = g._qfim_inverses[5]  # i F U F^T, F^T F = Q^-1, has the spectrum of i Q^-1 U
@@ -508,7 +515,7 @@ def weight_transform(g: InformationGeometry, w_mat: np.ndarray) -> WeightTransfo
     d = g.n_params
     if np.count_nonzero(w_mat - np.diag(np.diag(w_mat))) == 0:
         return WeightTransform(rotated=g, diagonal_weight=w_mat.copy(), rotation=np.eye(d))
-    vals, vecs = sym_eigh(w_mat)
+    vals, vecs = np.linalg.eigh(w_mat)
     for k in range(d):
         idx = int(np.argmax(np.abs(vecs[:, k])))
         if vecs[idx, k] < 0:
@@ -617,17 +624,6 @@ def _gell_mann_coordinates(rho: np.ndarray, slds: np.ndarray) -> tuple:
     return means, s, 0.5 * (slds.reshape(slds.shape[:2] + (-1,)) @ traces.T).real
 
 
-def _bloch_coordinates(r: np.ndarray, b: np.ndarray) -> tuple:
-    """`_gell_mann_coordinates` of qubits given by Bloch vectors r (B, 3) with
-    the Bloch parts b (B, d, 3) of their SLDs, where the Gell-Mann basis is
-    the Pauli matrices: the means are r, S_ab = delta_ab - r_a r_b
-    + i eps_abc r_c, and the SLD coefficients are b."""
-    im = np.zeros(r.shape + (3,))
-    im[:, 0, 1], im[:, 1, 2], im[:, 2, 0] = r[:, 2], r[:, 0], r[:, 1]
-    s = np.eye(3) - r[:, :, None] * r[:, None, :] + 1j * (im - im.swapaxes(-1, -2))
-    return r, s, b
-
-
 def _vector_coordinates(psi: np.ndarray, ells: np.ndarray) -> tuple:
     """`_gell_mann_coordinates` of pure states psi (B, n) given with the
     vectors l_k = L_k psi (B, d, n) of their SLDs, in the real form
@@ -646,45 +642,6 @@ def _vector_coordinates(psi: np.ndarray, ells: np.ndarray) -> tuple:
     # J = [[0, I], [-I, 0]] commutes with Pi, so Pi J Pi = J Pi: a signed swap of row blocks
     s.imag = np.concatenate([s.real[..., n:, :], -s.real[..., :n, :]], axis=-2)
     return psi, s, np.concatenate([ells.real, ells.imag], axis=-1)
-
-
-def _normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray, qfim_eigh: tuple) -> list:
-    """The normal-space bases of a batch of states given by their
-    coordinates (`_gell_mann_coordinates`, `_bloch_coordinates` or
-    `_vector_coordinates`) and the eigendecomposition of their Q, as
-    `tangent_normal_decomposition` builds one, grouped by size: (rows,
-    basis with those rows stacked along a leading axis).
-
-    For a qubit with two parameters, where the Gell-Mann basis is the Pauli
-    matrices, Re S = I - r r^T (r the Bloch vector) and the SLD coefficients
-    are the Bloch parts b_i of L_i = a_i I + b_i.sigma, the one normal
-    direction is (I - r r^T)^-1 (b_1 x b_2), normalized under Re S.  Rows
-    where 1 - |r|^2 or det Q / (Tr Q)^2 comes within _CLOSED_FORM_MARGIN of
-    the RANK_TOL cut take the eigendecompositions instead, which draw the
-    line between sizes; so do all other coordinates."""
-    if l.shape[1:] != (2, 3):
-        return _eigen_normal_spaces(means, s, l, qfim_eigh)
-    w = qfim_eigh[0]
-    gap = 1.0 - dot(means, means)
-    cut = _CLOSED_FORM_MARGIN * RANK_TOL
-    closed = (gap > cut) & (w[:, 0] * w[:, 1] > cut * (w[:, 0] + w[:, 1]) ** 2)
-
-    def closed_form(sel):
-        r, b = means[sel], l[sel]
-        b1, b2 = b[:, 0], b[:, 1]
-        normal = np.stack([b1[:, 1] * b2[:, 2] - b1[:, 2] * b2[:, 1],
-                           b1[:, 2] * b2[:, 0] - b1[:, 0] * b2[:, 2],
-                           b1[:, 0] * b2[:, 1] - b1[:, 1] * b2[:, 0]], axis=-1)  # b_1 x b_2
-        along = dot(r, normal) / gap[sel]
-        x = normal + r * along[:, None]  # (I - r r^T)^-1 (b_1 x b_2)
-        x /= np.sqrt(dot(normal, normal) + dot(r, normal) * along)[:, None]  # sqrt(x^T Re S x)
-        # Re S x is along b_1 x b_2: the eigenvector whose sign the eigen route pivots
-        pivot = np.take_along_axis(normal, np.argmax(np.abs(normal), axis=-1)[:, None], axis=-1)
-        x *= np.where(pivot < 0, -1.0, 1.0)
-        return _basis(x[..., None], r, s[sel], b)
-
-    return split_routes(closed, closed_form, lambda sel: _eigen_normal_spaces(
-        means[sel], s[sel], l[sel], tuple(x[sel] for x in qfim_eigh)))
 
 
 def split_routes(closed: np.ndarray, closed_form, general) -> list:
@@ -716,7 +673,7 @@ def _qfim_eigh_at(g: InformationGeometry, rows) -> tuple:
     """Q's eigenpairs on the given rows: cached, else of those rows alone."""
     if "_qfim_eigh" in g.__dict__:
         return tuple(x[rows] for x in g._qfim_eigh)
-    return sym_eigh(g.qfim[rows])
+    return np.linalg.eigh(g.qfim[rows])
 
 
 def _pure_normal_direction(psi: np.ndarray, ells: np.ndarray, f: np.ndarray) -> NormalSpaceBasis:
@@ -747,10 +704,13 @@ def _pure_normal_direction(psi: np.ndarray, ells: np.ndarray, f: np.ndarray) -> 
     return NormalSpaceBasis(z[..., None], psi, gram, dot(l, jz[:, None, :])[..., None])
 
 
-def _eigen_normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray,
-                         qfim_eigh: tuple) -> list:
-    """`_normal_spaces` by eigendecompositions, from the means, the form S,
-    the SLD coefficients l (B, d, N) and Q's eigendecomposition."""
+def _normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray, qfim_eigh: tuple) -> list:
+    """The normal-space bases of a batch of states given by their
+    coordinates (`_gell_mann_coordinates` or `_vector_coordinates`: the
+    means, the form S and the SLD coefficients l (B, d, N)) and the
+    eigendecomposition of their Q, as `tangent_normal_decomposition` builds
+    one, grouped by size: (rows, basis with those rows stacked along a
+    leading axis)."""
     s_re = s.real
     # Q = l Re S l^T, so Q's eigenpairs with the RANK_TOL cut give an
     # orthonormal tangent frame even when Q is (near) singular.

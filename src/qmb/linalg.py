@@ -1,10 +1,9 @@
 """Dense complex-matrix primitives for Hermitian operators.
 
 Everything here works on plain ``numpy`` arrays (square, n <= 8 in practice):
-one matrix, or a stack of them along leading axes.  A stack of real
-symmetric 2x2 matrices is decomposed in closed form by `sym_eigh`, a 3x3
-one has its adjugate and Cholesky factor in closed form, and any other stack
-is decomposed by one stacked LAPACK call.  A stack of products is formed by
+one matrix, or a stack of them along leading axes.  A stack of real 2x2 or
+3x3 matrices has its adjugate and, if symmetric, its Cholesky factor in
+closed form; eigendecompositions are one stacked LAPACK call.  A stack of products is formed by
 `small_matmul` as broadcast multiply-adds.  A stack is validated matrix by
 matrix, and the first failing matrix in C order raises the error it would
 raise alone.  All decompositions are exact dense methods; no iterative
@@ -110,75 +109,39 @@ def density_spectrum(rho: np.ndarray, name: str = "rho") -> tuple[np.ndarray, np
     return rho, w
 
 
-def sym_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors (columns) of real
-    symmetric matrices (..., n, n), read from the lower triangle, as
-    ``np.linalg.eigh`` returns them.
-
-    For n = 2 the decomposition is one symmetric Schur rotation (Golub &
-    Van Loan, Matrix Computations, section 8.5, symSchur2), with no LAPACK
-    call.  Entries are first scaled by the power of two at max |a_ij|, an
-    exact scaling, so that no product overflows or underflows.  With
-    m = (p + c) / 2, h = (p - c) / 2 and rad = hypot(h, b) for [[p, b], [b, c]],
-    the eigenvalue of larger magnitude is m + rad (m >= 0) or m - rad, free
-    of cancellation, and the other is det / it.  The rotation is symSchur2's
-    t = sign(theta) / (|theta| + hypot(1, theta)), theta = (c - p) / (2 b),
-    multiplied through by |b|: up to its sign t = b / (|h| + rad), which
-    stays finite at b = 0, where a diagonal input gets exact unit vectors.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape[-2:] != (2, 2):
-        return np.linalg.eigh(a)
-    mag = np.abs(a)
-    _, e = np.frexp(np.maximum(np.maximum(mag[..., 0, 0], mag[..., 1, 0]), mag[..., 1, 1]))
-    scaled = np.ldexp(a, -e[..., None, None])
-    p, b, c = scaled[..., 0, 0], scaled[..., 1, 0], scaled[..., 1, 1]
-    mean, half = 0.5 * (p + c), 0.5 * (p - c)
-    rad = np.hypot(half, b)
-    big = np.where(mean >= 0.0, mean + rad, mean - rad)
-    # big and |h| + rad are 0 only for the zero matrix, where p c - b^2 = b = 0
-    other = (p * c - b * b) / np.where(big != 0.0, big, 1.0)
-    den = np.abs(half) + rad
-    t = b / np.where(den > 0.0, den, 1.0)
-    w = np.empty(a.shape[:-1])
-    np.minimum(big, other, out=w[..., 0])
-    np.maximum(big, other, out=w[..., 1])
-    np.ldexp(w, e[..., None], out=w)
-    cs = 1.0 / np.sqrt(1.0 + t * t)
-    sn = t * cs
-    # the upper eigenvector (x, y) is (1, t) where p >= c and (t, 1) where p < c
-    upper = half >= 0.0
-    x, y = np.where(upper, cs, sn), np.where(upper, sn, cs)
-    v = np.empty(a.shape)
-    v[..., 0, 1] = v[..., 1, 0] = x
-    v[..., 1, 1] = y
-    np.negative(y, out=v[..., 0, 0])
-    return w, v
-
-
 _WRAP = np.array([0, 1, 2, 0, 1])
 
 
+_ADJ2_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
 def adjugate(a: np.ndarray) -> np.ndarray:
-    """adj(A) of real 3x3 matrices (..., 3, 3): column k of adj(A)^T is the
-    cross product of A's columns k + 1 and k + 2 (mod 3).  adj(A) A =
-    det(A) I, and A [u]x A^T = [adj(A)^T u]x for every A ([u]x the
-    antisymmetric matrix of the axial vector u)."""
+    """adj(A) of real 2x2 or 3x3 matrices (..., n, n), so adj(A) A = det(A) I.
+    For n = 2 it is [[a_22, -a_12], [-a_21, a_11]].  For n = 3, column k of
+    adj(A)^T is the cross product of A's columns k + 1 and k + 2 (mod 3), and
+    A [u]x A^T = [adj(A)^T u]x for every A ([u]x the antisymmetric matrix of
+    the axial vector u)."""
+    if a.shape[-1] == 2:
+        return a[..., ::-1, ::-1].swapaxes(-1, -2) * _ADJ2_SIGNS
     e = a[..., _WRAP[:, None], _WRAP]  # e_ij = A_(i mod 3)(j mod 3): each minor is a slice
     cof = e[..., 1:4, 1:4] * e[..., 2:5, 2:5] - e[..., 2:5, 1:4] * e[..., 1:4, 2:5]
     return cof.swapaxes(-1, -2)
 
 
 def sym_cholesky(a: np.ndarray) -> np.ndarray:
-    """The Cholesky factor L (lower, L L^T = A) of real symmetric 3x3
-    matrices (..., 3, 3), read from the lower triangle, a column at a time.
+    """The Cholesky factor L (lower, L L^T = A) of real symmetric 2x2 or 3x3
+    matrices (..., n, n), read from the lower triangle, a column at a time.
     L_kk^2 are the ratios of A's leading principal minors, so A > 0 exactly
-    where L's diagonal is positive (Sylvester), and det A = (L_11 L_22 L_33)^2."""
+    where L's diagonal is positive (Sylvester), and det A = (prod_k L_kk)^2.
+    Each Schur complement is updated as s_ij - s_i1 (s_j1 / s_11), which
+    rounds less than through L's square roots."""
     low = np.zeros(a.shape)
-    low[..., :, 0] = a[..., :, 0] / np.sqrt(a[..., :1, 0])
-    s = a[..., 1:, 1:] - low[..., 1:, 0, None] * low[..., None, 1:, 0]
-    low[..., 1:, 1] = s[..., :, 0] / np.sqrt(s[..., :1, 0])
-    low[..., 2, 2] = np.sqrt(s[..., 1, 1] - low[..., 2, 1] * low[..., 2, 1])
+    s = a  # the Schur complement left after the columns so far
+    for k in range(a.shape[-1] - 1):
+        pivot = s[..., :1, 0]
+        low[..., k:, k] = s[..., :, 0] / np.sqrt(pivot)
+        s = s[..., 1:, 1:] - s[..., 1:, :1] * (s[..., None, 1:, 0] / pivot[..., None])
+    low[..., -1, -1] = np.sqrt(s[..., 0, 0])
     return low
 
 
@@ -325,9 +288,9 @@ WEIGHT_NOT_DEFINITE = "weight matrix must be positive definite"
 
 def spd_sqrt(w_mat: np.ndarray) -> np.ndarray:
     """Spectral square root of a symmetric positive definite weight matrix
-    (or a stack); its `sym_eigh` also tests definiteness: a weight whose
+    (or a stack); its ``eigh`` also tests definiteness: a weight whose
     smallest eigenvalue is at or below WEIGHT_FLOOR is not definite."""
-    vals, vecs = sym_eigh(w_mat)
+    vals, vecs = np.linalg.eigh(w_mat)
     raise_first_failure((vals[..., 0] <= WEIGHT_FLOOR, lambda i: InvalidInput(WEIGHT_NOT_DEFINITE)))
     return small_matmul(vecs * np.sqrt(vals)[..., None, :], vecs.swapaxes(-1, -2))
 

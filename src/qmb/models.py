@@ -320,7 +320,10 @@ class ModelArrays(NamedTuple):
     qubit given by its Bloch vector is ``bloch`` = (r (..., 3), d r (..., d, 3)),
     whose rho and derivatives `_bloch_state` builds where they are needed
     (the RLD bound); any other state is rho (..., n, n) with its derivatives
-    (..., d, n, n)."""
+    (..., d, n, n).  ``bloch`` is for a unitary encoding alone, r a rotation
+    of a fixed vector so that r.d_k r = 0, which `geometry.model_geometry`
+    checks and from which `bounds.batch_reports` reads C_H = C_T; a qubit
+    whose |r| varies is given as rho and derivs."""
 
     rho: np.ndarray | None
     derivs: np.ndarray | None

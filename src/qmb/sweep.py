@@ -386,8 +386,9 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> _Chunk:
     cells, gone = [bound[ax.name] for ax in spec.axes], [np.zeros(rows, bool)] * len(spec.axes)
     with np.errstate(divide="ignore", invalid="ignore"):
         for name in spec.outputs:  # a gap is void where its bound is
-            base = "c" + name[3:] if name.startswith("gap_") else name
-            cells.append(cols[base] if base == name else (cols[base] - c_s) / c_s)
+            # C_T = (1 + T) C_SLD and C_R = (1 + R) C_SLD, so gap_t and gap_r are T and R
+            base = {"gap_h": "c_h", "gap_t": "T", "gap_r": "R"}.get(name, name)
+            cells.append((cols[base] - c_s) / c_s if name == "gap_h" else cols[base])
             gone.append(missing.get(base, cols["null"]) | void)
         masks = {**cols["flags"], FLAG_R_ABOVE_ONE: ~cols["null"] & (cols["R"] > 1.0 + 1e-9)}
         if spec.maximize_over:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qmb import bounds, geometry, linalg, models, sweep
+from qmb import bounds, geometry, models, sweep
 from qmb.errors import InvalidInput
 from qmb.geometry import _bloch_geometry, _geometry, _need_derivatives, _weight_frame
 from qmb.linalg import (
@@ -212,7 +212,7 @@ def su2_qutrit_geometry(cfg, params) -> tuple[np.ndarray, np.ndarray]:
 
 def analytic_geometry(cfg, params) -> tuple[np.ndarray, np.ndarray]:
     """The closed-form (Q, U) of a model point: the SU(2) formulas above, and
-    for the tunable qubit Q_ij = d_i r.d_j r + (r.d_i r)(r.d_j r)/(1 - |r|^2),
+    for the tunable qubit, a rotation of r0 (r.d_i r = 0), Q_ij = d_i r.d_j r and
     U_ij = r.(d_i r x d_j r) from its Bloch path (`geometry._bloch_geometry`)."""
     if cfg.model_id == "su2_qubit":
         return su2_qubit_geometry(cfg, params)
@@ -526,16 +526,14 @@ def solve_adjugate(a):
 
 
 def use_lapack_oracle(monkeypatch, stacked: bool) -> None:
-    """Decompose every 2x2 Q and W by LAPACK's eigh instead of
-    `linalg.sym_eigh`; with ``stacked``, also build the weight frame and R
-    from stacked products (`stacked_frame`, `eigvalsh_spectral_radius`)
-    instead of the d = 2 determinant forms and the d = 3 cofactors, and take
-    the exact Holevo step's d = 3 solve from LAPACK (`solve_adjugate`): the
-    path as it was before the closed forms.  (`_invert` still certifies
-    d = 3 rows from their Cholesky factor unless _CLOSED_FORM_MARGIN is
-    infinite.)"""
-    for module in (geometry, linalg):
-        monkeypatch.setattr(module, "sym_eigh", np.linalg.eigh)
+    """Invert every Q by LAPACK's eigh: an infinite _CLOSED_FORM_MARGIN
+    certifies no Cholesky factor in `_invert` (and sends every pure row to
+    the eigen route's normal space); with ``stacked``, also build the weight
+    frame and R from stacked products (`stacked_frame`,
+    `eigvalsh_spectral_radius`) instead of the d = 2 determinant forms and
+    the d = 3 cofactors, and take the exact Holevo step's d = 3 solve from
+    LAPACK (`solve_adjugate`): the path as it was before the closed forms."""
+    monkeypatch.setattr(geometry, "_CLOSED_FORM_MARGIN", np.inf)
     if stacked:
         for module in (geometry, bounds):
             monkeypatch.setattr(module, "_frame", stacked_frame)
@@ -546,8 +544,8 @@ def use_lapack_oracle(monkeypatch, stacked: bool) -> None:
 def use_matmul_oracle(monkeypatch) -> None:
     """Route `run_sweep` and the one-point functions through the oracles
     above; an infinite margin sends every row a closed-form normal direction
-    would take (the qubit's in `_normal_spaces`, the pure state's in
-    `batch_reports`) through the eigendecompositions."""
+    would take (the pure state's in `batch_reports`) through the
+    eigendecompositions, and inverts every Q by eigh."""
     monkeypatch.setattr(models, "_su2_state", matmul_su2_state)
     monkeypatch.setattr(sweep, "model_arrays", matrix_model_arrays)
     monkeypatch.setattr(sweep, "model_geometry", matmul_model_geometry)

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmb.bounds as bounds
@@ -23,7 +23,7 @@ from qmb.bounds import (
     full_report,
     holevo_tangent_min,
 )
-from qmb.errors import HierarchyViolation, SingularState
+from qmb.errors import HierarchyViolation, InvalidInput, SingularState
 from qmb.geometry import (
     _gell_mann_coordinates,
     _normal_spaces,
@@ -37,7 +37,15 @@ from qmb.geometry import (
     weight_transform,
 )
 from qmb.linalg import spd_sqrt, tracenorm_antisym
-from qmb.models import _bloch_state, _su2_state, model_arrays, model_config, model_point
+from qmb.models import (
+    ModelPoint,
+    _bloch_state,
+    _su2_state,
+    _tunable_qubit_bloch_derivs,
+    model_arrays,
+    model_config,
+    model_point,
+)
 
 from conftest import (
     holevo_pure_qubit_closed_form,
@@ -661,30 +669,24 @@ class TestFullReport:
             assert sorted(calls) == ["require_weight", "spd_sqrt"]
 
     def test_normal_space_reads_q_decomposition(self, rng, monkeypatch):
-        # Q is decomposed once, and the normal space reads its tangent frame
-        # from that decomposition: a full-rank qutrit with two parameters
-        # decomposes rho and the (1, 8, 8) normal-space form by eigh before
-        # the dual solve, whose matrices are not stacked; Q and W (for its
-        # root) are 2x2 and take the closed form, once each
-        import qmb.geometry as geometry
-        import qmb.linalg as linalg
+        # the normal space reads its tangent frame from one decomposition
+        # of Q: a full-rank qutrit with two parameters decomposes rho, W (for
+        # its root), Q (whose inverses came from its Cholesky factor) and
+        # the (1, 8, 8) normal-space form by eigh, once each, before the
+        # dual solve, whose matrices are not stacked
         from qmb.models import ModelPoint
 
-        shapes, closed = [], []
-        eigh, sym_eigh = np.linalg.eigh, linalg.sym_eigh
+        shapes = []
+        eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a, *r, **k: shapes.append(np.shape(a)) or eigh(a, *r, **k))
-        for module in (geometry, linalg):
-            monkeypatch.setattr(module, "sym_eigh",
-                                lambda a: closed.append(np.shape(a)) or sym_eigh(a))
         rho, derivs = random_model(rng, 3, 2)
         report = full_report(ModelPoint((0.0, 0.0), rho, tuple(derivs)), np.diag([1.0, 2.0]),
                              ReportOptions(compute_rld=False))
         assert report.holevo.iterations > 0
         stacked = [shape for shape in shapes if len(shape) == 3]
-        assert shapes[:2] == [(3, 3), (1, 8, 8)]
-        assert stacked == [(1, 8, 8)]
-        assert closed == [(2, 2), (2, 2)]
+        assert shapes[:4] == [(3, 3), (2, 2), (1, 2, 2), (1, 8, 8)]
+        assert stacked == [(1, 2, 2), (1, 8, 8)]
 
     def test_pure_state_flags_rld(self):
         cfg = model_config("su2_qubit", alpha=np.pi / 2, beta=0.0, t=5.0)
@@ -922,3 +924,102 @@ class TestPureStateShortcut:
         _, sizes, ill = self._assert_shortcut_rows_are_the_empty_ones(monkeypatch, rho, derivs)
         assert not ill.any()
         assert (sizes == 2 * (n - 1) - d).all()
+
+
+def _rotation(seed):
+    """A random rotation O in SO(3)."""
+    o, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    return o * np.sign(np.linalg.det(o))
+
+
+class TestUnitaryQubit:
+    """A qubit encoded unitarily, r a rotation of r0, has r.d_k r = 0: its
+    one normal direction is along r with coupling s = 0, so C_H = C_T, which
+    `batch_reports` reads from the structure on the Bloch route."""
+
+    @settings(deadline=None)
+    @given(
+        radius=st.one_of(st.floats(0.0, 1.0), st.floats(-14.0, -0.3).map(lambda e: 1.0 - 10.0**e)),
+        polar=st.floats(0.0, np.pi), angles=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=6,
+                                                     max_size=6),
+    )
+    @example(radius=1.1207161765396304e-94, polar=1.0, angles=[0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    @example(radius=9.545967526615684e-154, polar=1.0, angles=[0.0, 3.0, 0.125, 0.0, 0.0, 0.0])
+    def test_matrix_route_solves_to_c_t(self, radius, polar, angles):
+        # the tunable qubit as rho and its derivatives, r0 anywhere in the
+        # ball: `full_report` builds the normal space and solves, and finds
+        # C_H = C_T within the pinned tolerance.  Where Q is regular (rank 2,
+        # one normal direction x, coupling S = Im Tr[rho L_i P]), |S_i| stays
+        # within (1e-14 + 1e-15 cond(Q)) |d_i r| |x|: the eigen route's
+        # direction carries rounding of order eps cond(Q).  C_SLD grows as
+        # 1 / |r0|^2: at |r0| = 1e-94 det Q^-1 alone would overflow, and at
+        # 1e-153 Q^-1 does, which makes a flagged null row
+        azimuth, gamma, theta, phi, l1, l2 = angles
+        r0 = radius * np.array([np.sin(polar) * np.cos(azimuth),
+                                np.sin(polar) * np.sin(azimuth), np.cos(polar)])
+        cfg = model_config("tunable_qubit", r_x=r0[0], r_y=r0[1], r_z=r0[2], gamma=gamma,
+                           theta=theta % np.pi, phi=phi)
+        point = model_point(cfg, (l1, l2))
+        g = compute_geometry(point.rho, point.derivs)
+        report = full_report(point, np.diag([1.0, 2.0]), ReportOptions(compute_rld=False), g)
+        if report.c_h is None:  # a singular Q, or one whose inverse overflows
+            assert "SingularQFIM" in report.flags
+            return
+        cond = np.linalg.cond(g.qfim)
+        assert abs(report.c_h - report.c_t) <= (1e-12 + 1e-16 * cond) * report.c_t
+        basis = tangent_normal_decomposition(point.rho, g)
+        if g.tangent_dim == 2 and basis.size == 1:
+            dr = np.stack(_tunable_qubit_bloch_derivs(cfg, l1, l2)[1:])
+            bound = (1e-14 + 1e-15 * cond) * np.linalg.norm(dr, axis=-1) * np.linalg.norm(basis.coeffs)
+            assert np.all(np.abs(basis.coupling[:, 0]) <= bound)
+
+    def test_non_unitary_qubit_reaches_the_solve(self, monkeypatch):
+        # r = (a cos phi, a sin phi, z) over (a, phi) changes |r|: the Bloch
+        # route refuses it, and the matrix route solves to C_H < C_T
+        a, phi, z = 0.5, 0.3, 0.3
+        r = np.array([a * np.cos(phi), a * np.sin(phi), z])
+        dr = np.array([[np.cos(phi), np.sin(phi), 0.0], [-a * np.sin(phi), a * np.cos(phi), 0.0]])
+        with pytest.raises(InvalidInput, match="d r is not tangent to r"):
+            model_geometry(None, None, None, (r[None], dr[None]))
+        solved = []
+        monkeypatch.setattr(bounds, "_holevo_solutions", lambda setup, _fn=bounds._holevo_solutions: (
+            solved.append(len(setup.left)) or _fn(setup)))
+        rho, derivs = _bloch_state(r, dr)
+        report = full_report(ModelPoint((a, phi), rho, tuple(derivs)), np.eye(2))
+        assert solved == [1]
+        assert report.c_t - report.c_h == pytest.approx(0.698004, abs=1e-6)
+
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+    def test_rotation_and_weight_scaling_covariance(self, seed, scale):
+        # no oracle: on the Bloch route, (r, d r) -> (O r, O d r) with O in
+        # SO(3) leaves Q, U, R, T, C_SLD, C_T and C_H unchanged, and
+        # W -> c W scales every bound by c and leaves R and T unchanged, each
+        # within the pinned tolerance (1e-12 + 1e-16 cond(Q)) |v|
+        rng = np.random.default_rng(seed)
+        rows = 8
+        r = rng.normal(size=(rows, 3))
+        r *= rng.uniform(0.0, 1.0, size=(rows, 1)) ** 0.25 / np.linalg.norm(r, axis=-1, keepdims=True)
+        dr = np.cross(r[:, None, :], rng.normal(size=(rows, 2, 3)))  # tangent: r.d r = 0
+        w_mat = np.stack([random_spd(rng, 2) for _ in range(rows)])
+        o = _rotation(seed)
+        opts = ReportOptions(compute_rld=False)
+
+        def columns(r, dr, w_mat):
+            g = model_geometry(None, None, None, (r, dr))
+            cols = batch_reports(None, None, g, w_mat, spd_sqrt(w_mat), opts)
+            return g, {k: cols[k] for k in ("c_sld", "c_t", "c_r", "c_h", "R", "T")}
+
+        g, want = columns(r, dr, w_mat)
+        cond = np.linalg.cond(g.qfim)
+        tol = 1e-12 + 1e-16 * cond
+        turned, got = columns(r @ o.T, dr @ o.T, w_mat)
+        for name in ("qfim", "uhlmann"):
+            x, y = getattr(turned, name), getattr(g, name)
+            assert np.all(np.abs(x - y) <= tol[:, None, None] * np.max(np.abs(y), axis=(-2, -1),
+                                                                        keepdims=True)), name
+        for name, value in want.items():
+            assert np.all(np.abs(got[name] - value) <= tol * np.abs(value)), name
+        _, scaled = columns(r, dr, scale * w_mat)
+        for name, value in want.items():
+            factor = 1.0 if name in ("R", "T") else scale
+            assert np.all(np.abs(scaled[name] - factor * value) <= tol * factor * np.abs(value)), name

@@ -17,7 +17,6 @@ from qmb.errors import (
 )
 from qmb.geometry import (
     RANK_TOL,
-    _eigen_normal_spaces,
     _frame,
     _gell_mann,
     _gell_mann_coordinates,
@@ -43,7 +42,7 @@ from qmb.geometry import (
     weight_transform,
 )
 from qmb.linalg import hermitian_part, rld_solve, sld_solve
-from qmb.models import PAULI, _bloch_state, model_config, model_point
+from qmb.models import _bloch_state, model_config, model_point
 
 from conftest import (
     analytic_geometry,
@@ -54,7 +53,6 @@ from conftest import (
     random_pure_model,
     random_rank_deficient_model,
     random_spd,
-    random_traceless_hermitian,
 )
 
 
@@ -175,10 +173,11 @@ class TestComputeGeometry:
         # or d r and |r| > 1 raise what compute_geometry raises on the
         # matching rho = (I + r.sigma) / 2 and d_k rho = d_k r.sigma / 2, the
         # state's checks before the derivatives', first failing row first.
-        # A wrong trace, a non-Hermitian drho or a traced one cannot arise
+        # A wrong trace, a non-Hermitian drho or a traced one cannot arise.
+        # d r is tangent, r.d_k r = 0, as the route requires
         r = rng.normal(size=(2, 3))
         r *= 0.6 / np.linalg.norm(r, axis=-1, keepdims=True)
-        dr = rng.normal(size=(2, 2, 3))
+        dr = np.cross(r[:, None, :], rng.normal(size=(2, 2, 3)))
         long = r / 0.6  # |r| = 1 before scaling
 
         def second(batch, row):  # the batch with its second row replaced
@@ -206,9 +205,9 @@ class TestComputeGeometry:
 
     def test_decomposes_rho_and_q_once_each(self, rng, monkeypatch):
         # validation, the SLDs, the tangent rank and the inverses of Q all
-        # read one eigh of rho and one decomposition of Q, closed form for
-        # d = 2 and an eigh above; R is closed form for d <= 3 and takes its
-        # own spectrum above
+        # read one eigh of rho and one decomposition of Q, a Cholesky factor
+        # for d = 2 and an eigh above; R is closed form for d <= 3 and takes
+        # its own spectrum above
         calls = []
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             fn = getattr(np.linalg, name)
@@ -376,15 +375,14 @@ class TestQuantumness:
 class TestWeightRoot:
     def test_one_eigh_per_weight(self, rng, monkeypatch):
         # definiteness is read from the decomposition the root needs: one
-        # eigh for a 3x3 weight, none for a stack of 2x2 weights, which
-        # take the closed form
+        # eigh for a 3x3 weight, and one for a stack of 2x2 weights
         calls = []
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             fn = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name,
                                 lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
         for w, expected in ((random_spd(rng, 3), ["eigh"]),
-                            (np.array([random_spd(rng, 2) for _ in range(5)]), [])):
+                            (np.array([random_spd(rng, 2) for _ in range(5)]), ["eigh"])):
             calls.clear()
             w_mat, root = _weight_and_root(w, w.shape[-1])
             assert calls == expected
@@ -555,53 +553,6 @@ class TestNormalSpace:
         # the only surviving coupling is to the third parameter direction
         assert np.abs(basis.coupling[2, 0]) == pytest.approx(2 * np.sqrt(2), abs=1e-8)
         assert np.max(np.abs(basis.coupling[:2, 0])) <= 1e-8
-
-    @given(radius=st.floats(0.0, 0.999), seed=st.integers(0, 2**16))
-    def test_qubit_closed_form_matches_eigen_route(self, radius, seed):
-        # the closed-form direction (I - r r^T)^-1 (b_1 x b_2) of a two-parameter
-        # qubit against the eigendecompositions (an infinite margin sends every
-        # row there), sign included; the rows of one batch span many radii.
-        # (Nearer the pure states, random derivatives give the SLDs radial
-        # parts of order 1 / (1 - |r|^2), and the eigendecompositions' own
-        # rounding of about 1e-16 cond(Q) reaches the RANK_TOL cut.)
-        rng = np.random.default_rng(seed)
-        def bloch(r):  # (I + r.sigma) / 2
-            return 0.5 * (np.eye(2) + sum(c * p for c, p in zip(r, PAULI)))
-
-        rho, geometries = [], []
-        for scale in np.linspace(0.0, 1.0, 8):
-            v = rng.normal(size=3)
-            state = bloch(scale * radius * v / np.linalg.norm(v))
-            derivs = [random_traceless_hermitian(rng, 2) for _ in range(2)]
-            rho.append(state)
-            geometries.append(compute_geometry(state, np.stack(derivs)))
-        # rows the margin keeps from the closed form: a rank-1 tangent space,
-        # and a near-pure state (tangent derivatives) whose direction falls
-        # under the RANK_TOL cut
-        rho.append(bloch(0.5 * radius * v / np.linalg.norm(v)))
-        geometries.append(compute_geometry(rho[-1], np.stack([derivs[0], 2.0 * derivs[0]])))
-        r = (1.0 - 1e-10) * v / np.linalg.norm(v)
-        rho.append(bloch(r))
-        tangent = [bloch(np.cross(r, rng.normal(size=3))) - bloch(np.zeros(3)) for _ in range(2)]
-        geometries.append(compute_geometry(rho[-1], np.stack(tangent)))
-        rho, slds = np.stack(rho), np.stack([g.slds for g in geometries])
-        qfim_eigh = tuple(np.stack(x) for x in zip(*(g._qfim_eigh for g in geometries)))
-        coordinates = _gell_mann_coordinates(rho, slds)
-        got = _normal_spaces(*coordinates, qfim_eigh)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(geometry, "_CLOSED_FORM_MARGIN", np.inf)
-            want = _normal_spaces(*coordinates, qfim_eigh)
-
-        def by_row(groups):
-            return {int(i): take(basis, k) for rows, basis in groups for k, i in enumerate(rows)}
-
-        got, want = by_row(got), by_row(want)
-        assert got.keys() == want.keys() == set(range(len(rho)))
-        for i, basis in got.items():
-            assert basis.size == want[i].size
-            for name in ("coeffs", "gram", "coupling"):
-                np.testing.assert_allclose(getattr(basis, name), getattr(want[i], name),
-                                           rtol=0, atol=1e-11)
 
     def test_invariants_random_models(self, rng):
         for n, d in ((2, 2), (3, 2), (3, 3)):
@@ -851,18 +802,21 @@ def test_vector_normal_space_matches_gell_mann_route(seed, n, data):
 
 
 def _pure_vectors_with_spectrum(rng, spectra):
-    """Pure qutrits with three parameters (m = 1) whose Q has the given
-    eigenvalues, one row per spectrum: psi (B, 3) and l_k (B, 3, 3) built
-    from three orthonormal real-form directions orthogonal to psi and i psi
-    (u_1, i u_1, u_2), scaled by sqrt(lambda) and turned by a random rotation."""
+    """Pure states with as many levels as parameters d, 2 or 3, whose Q has
+    the given eigenvalues, one row per spectrum: psi (B, d) and l_k (B, d, d)
+    built from d orthonormal real-form directions orthogonal to psi and
+    i psi (u_1, i u_1 and for d = 3 u_2), scaled by sqrt(lambda) and turned
+    by a random rotation.  A qubit's tangent space then fills the pure
+    states' directions (m = 0); a qutrit keeps one normal direction (m = 1)."""
     psis, ells = [], []
     for spectrum in spectra:
-        psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        d = len(spectrum)
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
         psi /= np.linalg.norm(psi)
-        a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        a = rng.normal(size=(d, d - 1)) + 1j * rng.normal(size=(d, d - 1))
         u = np.linalg.qr(a - np.outer(psi, psi.conj() @ a))[0]
-        directions = np.stack([u[:, 0], 1j * u[:, 0], u[:, 1]])
-        rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        directions = np.stack([u[:, 0], 1j * u[:, 0], *u[:, 1:].T])
+        rotation = np.linalg.qr(rng.normal(size=(d, d)))[0]
         psis.append(psi)
         ells.append(rotation @ (np.sqrt(spectrum)[:, None] * directions))
     return np.stack(psis), np.stack(ells)
@@ -883,7 +837,7 @@ class TestPureNormalDirection:
         cond = w[:, -1] / w[:, 0]
         assert _pure_closed_form(g._qfim_inverses, n, d).all()
         got = _pure_normal_direction(psi, ells, g._qfim_inverses[5])
-        ((rows, want),) = _eigen_normal_spaces(*_vector_coordinates(psi, ells), g._qfim_eigh)
+        ((rows, want),) = _normal_spaces(*_vector_coordinates(psi, ells), g._qfim_eigh)
         assert rows.tolist() == list(range(len(psi)))
         assert want.coeffs.shape[-1] == got.coeffs.shape[-1] == 1
         assert np.array_equal(got.means, psi)
@@ -922,7 +876,7 @@ class TestPureNormalDirection:
         np.testing.assert_allclose(w[:, 0] / w[:, -1], ratios, rtol=1e-6)
         assert g.tangent_dim.tolist() == [3, 3, 3, 2]
         assert _pure_closed_form(g._qfim_inverses, 3, 3).tolist() == [True, True, False, False]
-        sizes = {int(r): basis.coeffs.shape[-1] for rows, basis in _eigen_normal_spaces(
+        sizes = {int(r): basis.coeffs.shape[-1] for rows, basis in _normal_spaces(
             *_vector_coordinates(psi, ells), g._qfim_eigh) for r in rows}
         assert sizes == {0: 1, 1: 1, 2: 1, 3: 2}
 
@@ -945,7 +899,7 @@ class TestPureNormalDirection:
         # agrees with the eigen route
         head = tuple(x[:2] for x in g._qfim_eigh)
         got = _pure_normal_direction(psi[:2], ells[:2], g._qfim_inverses[5][:2])
-        ((_, want),) = _eigen_normal_spaces(*_vector_coordinates(psi[:2], ells[:2]), head)
+        ((_, want),) = _normal_spaces(*_vector_coordinates(psi[:2], ells[:2]), head)
         tol = (1e-12 + 1e-16 * w[:2, -1] / w[:2, 0])[:, None, None]
         assert np.all(np.abs(got.coeffs - want.coeffs) <= tol)
         scale = np.max(np.abs(want.coupling), axis=(-2, -1), keepdims=True)
@@ -958,32 +912,37 @@ class TestPureNormalDirection:
         np.testing.assert_array_equal(sent["_normal_spaces"], psi)
 
 
-_SPECTRA = ("one_small", "two_small", "near_the_line", "rank_two", "indefinite")
+_SPECTRA = ("one_small", "two_small", "near_the_line", "singular", "indefinite")
 
 
-@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(_SPECTRA),
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]), kind=st.sampled_from(_SPECTRA),
        log_cond=st.floats(0.0, 11.0), side=st.sampled_from([0.5, 0.9, 0.99, 1.01, 1.1, 1.5]))
-def test_certified_inverse_matches_eigen_route(seed, kind, log_cond, side):
-    # d = 3 rows whose Q^-1 comes from the Cholesky factor (`_invert`)
-    # against every row through eigh (an infinite margin certifies none):
-    # Q's spectrum is (1, a, 10^-log_cond), (1, (1 + a) x, x), one with
-    # det Q / (Tr Q)^3 at ``side`` times the certificate's line, rank 2, or
-    # indefinite with det Q > 0, turned and scaled at random.  The rank, ill
-    # and the flags match exactly, the rows left to eigh bit for bit, and the
-    # certified rows within (1e-12 + 1e-15 cond(Q)) |v|: the eigh route
-    # itself strays up to about 4e-16 cond(Q) |v| from a 40-digit C_SLD
+def test_certified_inverse_matches_eigen_route(seed, d, kind, log_cond, side):
+    # rows whose Q^-1 comes from the Cholesky factor (`_invert`) against
+    # every row through eigh (an infinite margin certifies none): Q's
+    # spectrum has one small eigenvalue 10^-log_cond, or two (d = 3; for
+    # d = 2 both are small), det Q / (Tr Q)^d at ``side`` times the
+    # certificate's line, rank d - 1, or is indefinite with det Q > 0,
+    # turned and scaled at random.  The
+    # rank, ill and the flags match exactly, the rows left to eigh bit for
+    # bit, and the certified rows within (1e-12 + 1e-15 cond(Q)) |v|: the
+    # eigh route itself strays up to about 4e-16 cond(Q) |v| from a 40-digit C_SLD
     rng = np.random.default_rng(seed)
     a, small, line = rng.uniform(0.2, 1.0), 10.0**-log_cond, geometry._CLOSED_FORM_MARGIN * RANK_TOL
-    spectrum = np.array({"one_small": (1.0, a, small), "two_small": (1.0, (1.0 + a) * small, small),
-                         "near_the_line": (1.0, a, side * line * (1.0 + a) ** 3 / a),
-                         "rank_two": (1.0, a, 0.0), "indefinite": (-1.0, -a, 5.0)}[kind])
-    # diag(-1, -a, 5) has det Q > 0 and det Q / (Tr Q)^3 far above the line,
-    # but is not definite: one of its Cholesky pivots is not positive
+    spectrum = np.array({
+        3: {"one_small": (1.0, a, small), "two_small": (1.0, (1.0 + a) * small, small),
+            "near_the_line": (1.0, a, side * line * (1.0 + a) ** 3 / a),
+            "singular": (1.0, a, 0.0), "indefinite": (-1.0, -a, 5.0)},
+        2: {"one_small": (1.0, small), "two_small": ((1.0 + a) * small, small),
+            "near_the_line": (1.0, side * line), "singular": (1.0, 0.0), "indefinite": (-1.0, -a)},
+    }[d][kind])
+    # diag(-1, -a, 5) and diag(-1, -a) have det Q > 0 and det Q / (Tr Q)^d
+    # far above the line, but are not definite: a Cholesky pivot is not positive
     spectrum *= 10.0 ** rng.uniform(-2.0, 2.0)
-    v = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    v = np.linalg.qr(rng.normal(size=(d, d)))[0]
     q = (v * spectrum) @ v.T
-    q, u = 0.5 * (q + q.T)[None], random_antisymmetric(rng, 3)[None]
-    w_mat, sqrt_w = _weight_and_root(random_spd(rng, 3)[None], 3)
+    q, u = 0.5 * (q + q.T)[None], random_antisymmetric(rng, d)[None]
+    w_mat, sqrt_w = _weight_and_root(random_spd(rng, d)[None], d)
     vectors = _pure_vectors_with_spectrum(rng, [spectrum]) if kind != "indefinite" else None
 
     def outputs():
@@ -1006,7 +965,7 @@ def test_certified_inverse_matches_eigen_route(seed, kind, log_cond, side):
         patch.setattr(geometry, "_CLOSED_FORM_MARGIN", np.inf)
         g0, want, want_reports = outputs()
     certified = "_qfim_eigh" not in g.__dict__
-    if kind in ("rank_two", "indefinite") or (kind == "near_the_line" and side < 1.0):
+    if kind in ("singular", "indefinite") or (kind == "near_the_line" and side < 1.0):
         assert not certified
     if kind == "near_the_line" and side > 1.0:
         assert certified
@@ -1015,9 +974,10 @@ def test_certified_inverse_matches_eigen_route(seed, kind, log_cond, side):
         np.testing.assert_array_equal(g._qfim_inverses[k], g0._qfim_inverses[k])
     w = np.linalg.eigvalsh(q[0])
     tol = 1e-12 + 1e-15 * (w[-1] / w[0] if certified else 0.0)
-    for name, value in got.items():
-        scale = np.max(np.abs(want[name]))
-        assert np.max(np.abs(value - want[name])) <= tol * scale, name
+    for name, value in got.items():  # NaN where both are: T of a negative definite (void) Q
+        finite = ~np.isnan(want[name])
+        scale = np.max(np.abs(want[name]), where=finite, initial=0.0)
+        np.testing.assert_allclose(value, want[name], rtol=0, atol=tol * scale, err_msg=name)
     assert (got_reports is None) == (want_reports is None)
     if got_reports is not None:
         assert {k: m.tolist() for k, m in got_reports["flags"].items()} == {

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from qmb.errors import DerivativeNotTraceless, NonHermitianInput, SingularState
 from qmb.linalg import (
+    adjugate,
     eig_hermitian,
     require_density,
     rld_solve,
     sld_solve,
     small_matmul,
-    sym_eigh,
+    sym_cholesky,
     trace_norm,
 )
 
@@ -197,70 +198,30 @@ class TestSmallMatmul:
             assert np.array_equal(got[index], small_matmul(a_rows[index], b_rows[index]))
 
 
-EPS = np.finfo(float).eps
-
-
-def _assert_matches_lapack(a: np.ndarray) -> None:
-    """`sym_eigh` of one symmetric 2x2 matrix against np.linalg.eigh: the
-    eigenvalues ascending and within 4 eps max|lambda| of LAPACK's, the
-    vectors orthonormal, and V diag(w) V^T = A within 8 eps max|a_ij|."""
-    w, v = sym_eigh(a)
-    want = np.linalg.eigh(a)[0]
-    assert w[0] <= w[1]
-    assert np.all(np.abs(w - want) <= 4 * EPS * np.max(np.abs(want)))
-    assert np.max(np.abs(v.T @ v - np.eye(2))) <= 4 * EPS
-    assert np.max(np.abs((v * w) @ v.T - a)) <= 8 * EPS * np.max(np.abs(a))
-
-
-SCALES = st.sampled_from([1e-150, 1.0, 1e150])
-
-
-class TestSymEigh:
-    @settings(max_examples=300)
-    @given(a=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0), c=st.floats(-1.0, 1.0), scale=SCALES)
-    def test_entries_match_lapack(self, a, b, c, scale):
-        # indefinite, negative-definite, b = 0 and diagonal inputs among them
-        _assert_matches_lapack(scale * np.array([[a, b], [b, c]]))
-
-    @settings(max_examples=300)
-    @given(
-        spectrum=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(any)
-        | st.sampled_from([(1.0, 1.0), (-2.0, -2.0), (1.0, 0.0), (0.0, -1.0), (1.0, -1.0)]),
-        angle=st.floats(0.0, 2.0 * np.pi),
-        scale=SCALES,
-    )
-    def test_spectra_match_lapack(self, spectrum, angle, scale):
-        # a rotated spectrum: repeated eigenvalues, and a zero eigenvalue that
-        # rounding turns into a tiny negative or positive one
-        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-        a = (rot * np.array(spectrum)) @ rot.T
-        _assert_matches_lapack(scale * 0.5 * (a + a.T))
-
-    @pytest.mark.parametrize("diagonal", [(1.0, 2.0), (2.0, 1.0), (-3.0, 0.5), (0.5, -3.0),
-                                          (1e150, -1e-150), (1.5, 1.5)])
-    def test_diagonal_gives_unit_vectors(self, diagonal):
-        v = sym_eigh(np.diag(diagonal))[1]
-        _assert_matches_lapack(np.diag(diagonal))
-        order = [0, 1] if diagonal[0] < diagonal[1] else [1, 0]
-        if diagonal[0] != diagonal[1]:
-            assert np.array_equal(np.abs(v), np.eye(2)[:, order])
-        else:  # any orthonormal pair of unit vectors
-            assert np.array_equal(np.sort(np.abs(v).ravel()), [0.0, 0.0, 1.0, 1.0])
-
-    def test_zero_matrix(self):
-        w, v = sym_eigh(np.zeros((2, 2)))
-        assert np.array_equal(w, [0.0, 0.0])
-        assert np.array_equal(v.T @ v, np.eye(2))
-
-    def test_stack_is_row_invariant_and_reads_lower_triangle(self, rng):
-        a = rng.normal(size=(7, 2, 2))
-        w, v = sym_eigh(a)
+class TestCholeskyAndAdjugate:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_factor_reads_lower_triangle_row_by_row(self, rng, n):
+        # L L^T = A on definite rows, and each row of a stack (upper
+        # triangle scrambled) factors as the symmetric matrix of its lower
+        # triangle alone; adj(L) L = det(L) I
+        a = rng.normal(size=(7, n, n))
+        a = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(n) + np.triu(rng.normal(size=(7, n, n)), 1)
+        low = sym_cholesky(a)
         for i in range(len(a)):
             lower = np.tril(a[i]) + np.tril(a[i], -1).T
-            assert all(np.array_equal(x, y) for x, y in zip((w[i], v[i]), sym_eigh(lower)))
-            _assert_matches_lapack(lower)
+            assert np.array_equal(low[i], sym_cholesky(lower))
+            assert np.array_equal(low[i], np.tril(low[i]))
+            np.testing.assert_allclose(low[i] @ low[i].T, lower, rtol=0, atol=1e-13 * np.max(lower))
+        det = np.prod(np.diagonal(low, axis1=-2, axis2=-1), axis=-1)
+        np.testing.assert_allclose(adjugate(low) @ low, det[:, None, None] * np.eye(n),
+                                   rtol=0, atol=1e-13 * np.max(np.abs(det)))
 
-    def test_other_sizes_are_lapack(self, rng):
-        a = rng.normal(size=(4, 3, 3))
-        a = a + a.swapaxes(-1, -2)
-        assert all(np.array_equal(x, y) for x, y in zip(sym_eigh(a), np.linalg.eigh(a)))
+    @pytest.mark.parametrize("q", [np.diag([1.0, -1e-3]), np.diag([-1.0, 2.0]), np.zeros((2, 2)),
+                                   [[1.0, 2.0], [2.0, 1.0]], np.diag([1.0, 1.0, -1e-3]),
+                                   [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0 - 1e-3]]])
+    def test_indefinite_rows_lose_a_positive_pivot(self, q):
+        # Sylvester: a diagonal entry of L is positive only while the
+        # leading minor it closes is positive
+        with np.errstate(divide="ignore", invalid="ignore"):  # NaN pivots
+            diagonal = np.diagonal(sym_cholesky(np.asarray(q)))
+        assert not np.all(diagonal > 0.0)

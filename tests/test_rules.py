@@ -13,6 +13,7 @@ from qmb.bounds import FLAG_RLD_UNAVAILABLE, ReportOptions, c_rld, full_report
 from qmb.errors import InvalidInput, NonHermitianInput, QmbError, SingularQFIM, SingularState
 from qmb.geometry import (
     COND_LIMIT,
+    TANGENT_TOL,
     _geometry,
     compute_geometry,
     geometry_from_matrices,
@@ -106,12 +107,33 @@ def test_bloch_eig_floor(seed, side):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=3)
     radius = 1.0 - 2.0 * DENSITY_EIG_FLOOR * side
-    bloch = (radius * v / np.linalg.norm(v))[None], rng.normal(size=(1, 2, 3))
+    r = radius * v / np.linalg.norm(v)
+    bloch = r[None], np.cross(r, rng.normal(size=(1, 2, 3)))  # tangent, r.d r = 0
     if side > 1.0:
         with pytest.raises(NonHermitianInput, match="negative eigenvalue"):
             model_geometry(None, None, None, bloch)
     else:
         assert model_geometry(None, None, None, bloch).rho_spectrum[0, 1] == 0.0
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**16), side=SIDE)
+def test_bloch_tangent_tol(seed, side):
+    # the Bloch route takes a unitary encoding: d_k r has a part along r of
+    # at most TANGENT_TOL |r| |d_k r|.  The second row's second derivative
+    # gets a radial part eps r / |r| with eps = side TANGENT_TOL |t| (t its
+    # tangent part), so |r.d r| = side TANGENT_TOL |r| |d r|; rounding, about
+    # 1e-16 |r| |d r|, stays well inside the 1% margin
+    rng = np.random.default_rng(seed)
+    r = rng.normal(size=(2, 3))
+    r *= rng.uniform(0.1, 1.0, size=(2, 1)) / np.linalg.norm(r, axis=-1, keepdims=True)
+    dr = np.cross(r[:, None, :], rng.normal(size=(2, 2, 3)))
+    dr[1, 1] += side * TANGENT_TOL * np.linalg.norm(dr[1, 1]) * r[1] / np.linalg.norm(r[1])
+    if side > 1.0:
+        with pytest.raises(InvalidInput, match="d r is not tangent to r"):
+            model_geometry(None, None, None, (r, dr))
+    else:
+        assert model_geometry(None, None, None, (r, dr)).r is not None
 
 
 @settings(max_examples=20)

@@ -50,7 +50,7 @@ from .geometry import (
 )
 from .linalg import SUPPORT_TOL, adjugate, dot, raise_first_failure, trace_norm
 from .linalg import tracenorm_antisym
-from .models import ModelPoint
+from .models import ModelPoint, _bloch_state
 
 FLAG_SINGULAR_QFIM = "SingularQFIM"
 FLAG_PSEUDO_INVERSE = "PseudoInverseUsed"
@@ -74,8 +74,9 @@ class HolevoSolution:
     a theorem where C_H = C_T at K = 0 and lower = value: an empty normal
     space (m = 0), one parameter (d = 1), a pure state whose tangent space
     fills the pure states' directions, and a unitarily encoded qubit given
-    by its Bloch vector (`batch_reports`).  On the exact m = 1 path
-    (`_holevo_exact`) ``lower`` is a copy of ``value``, not a certificate.
+    by its Bloch vector at full tangent rank (`batch_reports`).  On the
+    exact m = 1 path (`_holevo_exact`) ``lower`` is a copy of ``value``, not
+    a certificate.
     """
 
     k_matrix: np.ndarray
@@ -488,7 +489,8 @@ def batch_reports(
     rho and derivs serve its RLD bound alone), whose SLDs d_k r.sigma are
     orthogonal to r: its one normal direction lies along r, uncoupled, the
     s = 0 case of Suzuki's two-parameter formula (J. Math. Phys. 57, 042201,
-    2016) that `_holevo_exact` implements."""
+    2016) that `_holevo_exact` implements.  A Bloch row that loses a direction
+    to the RANK_TOL cut solves, as the same row given as rho does."""
     frame = _frame(g, w_mat, sqrt_w)
     # a Q whose inverse leaves the float range is singular in floating point
     out_of_range, points = ~np.isfinite(frame.c_sld), len(w_mat)
@@ -510,7 +512,8 @@ def batch_reports(
         spectrum = g.rho_spectrum
         fills = False if spectrum is None else (
             (g.tangent_dim == 2 * (spectrum.shape[-1] - 1)) & (spectrum[:, 1] <= SUPPORT_TOL))
-        saturated = ~ill & (fills | (g.r is not None))  # r.d_k r = 0 (`_bloch_geometry`): s = 0
+        # r.d_k r = 0 (`_bloch_geometry`): s = 0, unless the RANK_TOL cut drops a direction
+        saturated = ~ill & (fills | ((g.r is not None) & (g.tangent_dim == g.n_params)))
         if saturated.any():  # K = 0 at C_T
             rows = np.flatnonzero(saturated)
             k = np.zeros((len(rows), 0, g.n_params))
@@ -527,9 +530,10 @@ def batch_reports(
                     lambda s: _pure_normal_direction(psi[s], ells[s], inverses[5][regular[s]]),
                     lambda s: _normal_spaces(*_vector_coordinates(psi[s], ells[s]),
                                              _qfim_eigh_at(g, regular[s])))
-            else:
-                spaces = _normal_spaces(*_gell_mann_coordinates(rho[sel], g.slds[sel]),
-                                        _qfim_eigh_at(g, sel))
+            else:  # a Bloch row's L_k = d_k r.sigma, (I + r.sigma) / 2 differentiated along 2 d_k r
+                state, slds = (rho[sel], g.slds[sel]) if g.r is None else (
+                    _bloch_state(g.r[sel], 2.0 * g.slds[sel]))
+                spaces = _normal_spaces(*_gell_mann_coordinates(state, slds), _qfim_eigh_at(g, sel))
             for rows, basis in spaces:
                 rows = regular[rows]
                 setup = _tangent_setup(basis, take(frame, subset(rows, points)))

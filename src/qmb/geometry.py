@@ -36,7 +36,9 @@ RANK_TOL = 1e-9
 # Q^-1 from its Cholesky factor (`_invert`).
 _CLOSED_FORM_MARGIN = 10.0
 # A qubit given by its Bloch vector must be encoded unitarily: |r.d_k r| at
-# most this times |r| |d_k r| (`_bloch_geometry`).
+# most this times |r| |d_k r| (`_bloch_geometry`).  The SLD terms the route
+# then drops grow as (r.d_k r) / (1 - |r|^2), so C_H = C_T holds to
+# O(TANGENT_TOL / (1 - |r|^2)) relative, not to TANGENT_TOL, near the pure states.
 TANGENT_TOL = 1e-12
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -294,13 +296,7 @@ def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
         f"d r is not tangent to r: |r.d r| / (|r| |d r|) = {np.ravel(worst)[i]:.3e}; "
         "a qubit given by its Bloch vector must be encoded unitarily")))
     q = dr @ dr.swapaxes(-1, -2)  # symmetric: both triangles sum the same products
-    x, y, z = dr[..., 0], dr[..., 1], dr[..., 2]
-
-    def wedge(f, g):  # f_i g_j - g_i f_j over the parameter pairs (i, j)
-        return f[..., :, None] * g[..., None, :] - g[..., :, None] * f[..., None, :]
-
-    cross = np.stack([wedge(y, z), wedge(z, x), wedge(x, y)], axis=-1)  # d_i r x d_j r
-    u = dot(r[..., None, None, :], cross)
+    u = dot(r[..., None, None, :], np.cross(dr[..., :, None, :], dr[..., None, :, :]))
     spectrum = np.stack([0.5 + 0.5 * radius, np.maximum(0.5 - 0.5 * radius, 0.0)], axis=-1)
     return _geometry(q, u, dr, spectrum, r=r)
 
@@ -562,9 +558,9 @@ class NormalSpaceBasis:
     matrix Tr[rho P_i P_j] (its real part is the identity by orthonormality)
     and ``coupling`` is Im Tr[rho L_i P_j].  ``coeffs`` and ``means`` are in
     the coordinates of the route that built the basis: the Gell-Mann basis
-    above, the Pauli matrices of a Bloch vector, or for pure states given as
-    vectors (`_vector_coordinates`) the real form of the vectors P_j psi,
-    with psi as the means; ``ops`` reads only the Gell-Mann form."""
+    above or, for pure states given as vectors (`_vector_coordinates`), the
+    real form of the vectors P_j psi, with psi as the means; ``ops`` reads
+    only the Gell-Mann form."""
 
     coeffs: np.ndarray
     means: np.ndarray

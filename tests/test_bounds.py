@@ -950,8 +950,10 @@ class TestUnitaryQubit:
         # ball: `full_report` builds the normal space and solves, and finds
         # C_H = C_T within the pinned tolerance.  Where Q is regular (rank 2,
         # one normal direction x, coupling S = Im Tr[rho L_i P]), |S_i| stays
-        # within (1e-14 + 1e-15 cond(Q)) |d_i r| |x|: the eigen route's
-        # direction carries rounding of order eps cond(Q).  C_SLD grows as
+        # within 1e-14 |d_i r| |x| up to cond(Q) = 1e4 (6.6e-15 at most on
+        # 2473 random rows) and within 1e-15 cond(Q) |d_i r| |x| above, where
+        # the eigen route's direction carries rounding of order eps cond(Q)
+        # (3.7e-16 cond(Q) at most on those rows).  C_SLD grows as
         # 1 / |r0|^2: at |r0| = 1e-94 det Q^-1 alone would overflow, and at
         # 1e-153 Q^-1 does, which makes a flagged null row
         azimuth, gamma, theta, phi, l1, l2 = angles
@@ -970,7 +972,8 @@ class TestUnitaryQubit:
         basis = tangent_normal_decomposition(point.rho, g)
         if g.tangent_dim == 2 and basis.size == 1:
             dr = np.stack(_tunable_qubit_bloch_derivs(cfg, l1, l2)[1:])
-            bound = (1e-14 + 1e-15 * cond) * np.linalg.norm(dr, axis=-1) * np.linalg.norm(basis.coeffs)
+            scale = 1e-14 if cond <= 1e4 else 1e-15 * cond
+            bound = scale * np.linalg.norm(dr, axis=-1) * np.linalg.norm(basis.coeffs)
             assert np.all(np.abs(basis.coupling[:, 0]) <= bound)
 
     def test_non_unitary_qubit_reaches_the_solve(self, monkeypatch):

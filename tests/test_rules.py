@@ -123,17 +123,22 @@ def test_bloch_tangent_tol(seed, side):
     # at most TANGENT_TOL |r| |d_k r|.  The second row's second derivative
     # gets a radial part eps r / |r| with eps = side TANGENT_TOL |t| (t its
     # tangent part), so |r.d r| = side TANGENT_TOL |r| |d r|; rounding, about
-    # 1e-16 |r| |d r|, stays well inside the 1% margin
+    # 1e-16 |r| |d r|, stays well inside the 1% margin.  The bound is
+    # absolute, so it holds the same way on the third row, whose 1 - |r| is
+    # twice SUPPORT_TOL, where the dropped SLD terms are largest
     rng = np.random.default_rng(seed)
-    r = rng.normal(size=(2, 3))
-    r *= rng.uniform(0.1, 1.0, size=(2, 1)) / np.linalg.norm(r, axis=-1, keepdims=True)
-    dr = np.cross(r[:, None, :], rng.normal(size=(2, 2, 3)))
-    dr[1, 1] += side * TANGENT_TOL * np.linalg.norm(dr[1, 1]) * r[1] / np.linalg.norm(r[1])
-    if side > 1.0:
-        with pytest.raises(InvalidInput, match="d r is not tangent to r"):
-            model_geometry(None, None, None, (r, dr))
-    else:
-        assert model_geometry(None, None, None, (r, dr)).r is not None
+    r = rng.normal(size=(3, 3))
+    radius = np.append(rng.uniform(0.1, 1.0, size=2), 1.0 - 2.0 * SUPPORT_TOL)
+    r *= (radius / np.linalg.norm(r, axis=-1))[:, None]
+    dr = np.cross(r[:, None, :], rng.normal(size=(3, 2, 3)))
+    for row in (1, 2):
+        dr[row, 1] += side * TANGENT_TOL * np.linalg.norm(dr[row, 1]) * r[row] / radius[row]
+    for rows in ([0, 1], [0, 2]):
+        if side > 1.0:
+            with pytest.raises(InvalidInput, match="d r is not tangent to r"):
+                model_geometry(None, None, None, (r[rows], dr[rows]))
+        else:
+            assert model_geometry(None, None, None, (r[rows], dr[rows])).r is not None
 
 
 @settings(max_examples=20)

@@ -1672,34 +1672,21 @@ class TestBlochRoute:
     def test_near_pure_rows_match_oracle(self, radius, polar, theta, gamma, angles):
         # probes up to the pure ones and rotation axes close to z, where the
         # two parameters nearly coincide and cond(Q) grows as 1 / theta^2:
-        # the Bloch form rounds differently from the SLD matrices of rho.
-        # Near theta = 0 a pure probe's R = 1 carries rounding of about
+        # the Bloch form rounds differently from the SLD matrices of rho, and
+        # the oracle solves for the C_H that the Bloch route takes as C_T at
+        # full tangent rank.  The example sits in the band where Q is regular
+        # but cond(Q) exceeds 1 / RANK_TOL: there both routes solve.  Near
+        # theta = 0 a pure probe's R = 1 carries rounding of about
         # 1e-17 cond(Q), which can take C_R past 2 C_SLD (1 + HIERARCHY_SLACK);
-        # both routes then raise on the same link.  The Bloch route's C_H is
-        # C_T by the structure, and the oracle solves for it.  Where Q is
-        # regular but cond(Q) exceeds 1 / RANK_TOL, the oracle's rank cut
-        # counts Q's weakest direction as normal, so its solve may go below
-        # C_T, a numeric artifact of that band (ROADMAP item 1(b)); there the
-        # oracle's C_H is held only to [C_SLD, C_T]
+        # both routes then raise on the same link
         azimuth, phi, lambda2 = angles
         r = radius * np.array([math.sin(polar) * math.cos(azimuth),
                                math.sin(polar) * math.sin(azimuth), math.cos(polar)])
         fixed = {"gamma": gamma, "theta": theta, "phi": phi, "lambda2": lambda2,
                  "r_x": r[0], "r_y": r[1], "r_z": r[2]}
         spec = SweepSpec("tunable_qubit", fixed=fixed, axes=(Axis("lambda1", 0.1, 1.3, 9),))
-        holevo = ("c_h", "gap_h")
         try:
-            _assert_sweep_matches_oracle(
-                replace(spec, outputs=tuple(x for x in CANONICAL_OUTPUTS if x not in holevo)),
-                use_bloch_matrix_oracle)
-            spec = replace(spec, outputs=("c_sld", "c_t", "c_h"))
-            got = run_sweep(spec)
-            with pytest.MonkeyPatch.context() as patch:
-                use_bloch_matrix_oracle(patch)
-                oracle_geometry, geometries = sweep.model_geometry, []
-                patch.setattr(sweep, "model_geometry", lambda *a: (
-                    geometries.append(oracle_geometry(*a)) or geometries[-1]))
-                want = run_sweep(spec)
+            _assert_sweep_matches_oracle(spec, use_bloch_matrix_oracle)
         except HierarchyViolation:
             links = []
             for route in (lambda patch: None, use_bloch_matrix_oracle):
@@ -1709,20 +1696,6 @@ class TestBlochRoute:
                         run_sweep(spec)
                 links.append(str(info.value).split(":")[0])
             assert links == ["C_R > 2 C_SLD"] * 2
-            return
-        (g,) = geometries
-        for row, ref, rank, cond in zip(got, want, g.tangent_dim, np.linalg.cond(g.qfim), strict=True):
-            assert row.flags == ref.flags
-            c_s, c_t, c_h = (row.outputs[k] for k in ("c_sld", "c_t", "c_h"))
-            if c_h is None:
-                assert ref.outputs["c_h"] is None
-                continue
-            assert c_h == c_t
-            tol = (1e-12 + 1e-16 * cond) * c_t
-            if rank == 2:
-                assert abs(ref.outputs["c_h"] - c_h) <= tol
-            else:  # the rank-cut band
-                assert c_s - tol <= ref.outputs["c_h"] <= c_t + tol
 
     def test_matrices_only_for_the_rld(self, monkeypatch):
         # a fig2 chunk builds neither rho nor the Gell-Mann basis; asked for

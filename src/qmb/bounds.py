@@ -26,15 +26,13 @@ import numpy as np
 
 from .errors import HierarchyViolation, InvalidInput, SingularState
 from .geometry import (
-    COND_LIMIT,
+    RANK_TOL,
     InformationGeometry,
     NormalSpaceBasis,
     _frame,
     _gell_mann_coordinates,
     _normal_spaces,
-    _pure_closed_form,
     _pure_normal_direction,
-    _qfim_eigh_at,
     _rld_matrix,
     _spectral_radius,
     _vector_coordinates,
@@ -43,14 +41,13 @@ from .geometry import (
     _weight_frame,
     compute_geometry,
     quantumness_R,
-    split_routes,
     subset,
     take,
     uhlmann_axial,
 )
 from .linalg import SUPPORT_TOL, adjugate, dot, raise_first_failure, trace_norm
 from .linalg import tracenorm_antisym
-from .models import ModelPoint, _bloch_state
+from .models import ModelPoint
 
 FLAG_SINGULAR_QFIM = "SingularQFIM"
 FLAG_PSEUDO_INVERSE = "PseudoInverseUsed"
@@ -74,9 +71,8 @@ class HolevoSolution:
     a theorem where C_H = C_T at K = 0 and lower = value: an empty normal
     space (m = 0), one parameter (d = 1), a pure state whose tangent space
     fills the pure states' directions, and a unitarily encoded qubit given
-    by its Bloch vector at full tangent rank (`batch_reports`).  On the
-    exact m = 1 path (`_holevo_exact`) ``lower`` is a copy of ``value``, not
-    a certificate.
+    by its Bloch vector (`batch_reports`).  On the exact m = 1 path
+    (`_holevo_exact`) ``lower`` is a copy of ``value``, not a certificate.
     """
 
     k_matrix: np.ndarray
@@ -134,10 +130,11 @@ def c_rld(j: np.ndarray, w_mat: np.ndarray) -> float:
 
 
 def _c_rld(j: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C_RLD per point and where J is singular, its condition number at or
-    above COND_LIMIT (the value there is void)."""
+    """C_RLD per point and where J is singular, on the line that
+    `geometry._eigen_inverses` draws for Q: its smallest eigenvalue at or
+    below RANK_TOL times the largest (the value there is void)."""
     vals = np.linalg.eigvalsh(j)
-    singular = vals[..., 0] <= vals[..., -1] / COND_LIMIT
+    singular = vals[..., 0] <= RANK_TOL * vals[..., -1]
     jinv = np.linalg.inv(np.where(singular[..., None, None], np.eye(j.shape[-1]), j))
     jinv = 0.5 * (jinv + jinv.swapaxes(-1, -2).conj())
     value = np.trace(w_mat @ jinv.real, axis1=-2, axis2=-1) + trace_norm(w_mat @ jinv.imag)
@@ -478,19 +475,20 @@ def batch_reports(
     (c_rld, c_h, lower None when not computed), the masks null, ill, no_rld
     and not_converged, each flag's mask, and the rows of each normal-space
     size with their solutions ("holevo").  Only the dual solve runs point by
-    point.  A geometry of pure states given as vectors (``g.psi``) needs
-    neither rho nor derivs: such a state has no RLD bound, and its normal
-    space reads the vectors' coordinates.  Pure rows with one normal
-    direction clear of the RANK_TOL cut (`_pure_closed_form`) take it in
-    closed form and build no coordinates.  Rows with C_H = C_T at K = 0
-    build no normal space: a pure state whose tangent space fills the
-    2(n - 1) directions of pure states (Matsumoto, J. Phys. A 35, 3111,
-    2002), and a unitarily encoded qubit given by its Bloch vector (``g.r``;
-    rho and derivs serve its RLD bound alone), whose SLDs d_k r.sigma are
-    orthogonal to r: its one normal direction lies along r, uncoupled, the
-    s = 0 case of Suzuki's two-parameter formula (J. Math. Phys. 57, 042201,
-    2016) that `_holevo_exact` implements.  A Bloch row that loses a direction
-    to the RANK_TOL cut solves, as the same row given as rho does."""
+    point.  A row is ill where Q is (`geometry._eigen_inverses`); every
+    other row has full tangent rank.  A geometry of pure states given as
+    vectors (``g.psi``) needs neither rho nor derivs: such a state has no
+    RLD bound, and its normal space reads the vectors' coordinates, or with
+    one normal direction (m = 2(n - 1) - d = 1) is built in closed form
+    (`_pure_normal_direction`).  Rows with C_H = C_T at K = 0, read from the
+    model's structure, build no normal space: a pure state whose tangent
+    space fills the 2(n - 1) directions of pure states, d = 2(n - 1)
+    (Matsumoto, J. Phys. A 35, 3111, 2002), and a unitarily encoded qubit
+    given by its Bloch vector (``g.r``; rho and derivs serve its RLD bound
+    alone), whose SLDs d_k r.sigma are orthogonal to r: its one normal
+    direction lies along r, uncoupled, the s = 0 case of Suzuki's
+    two-parameter formula (J. Math. Phys. 57, 042201, 2016) that
+    `_holevo_exact` implements."""
     frame = _frame(g, w_mat, sqrt_w)
     # a Q whose inverse leaves the float range is singular in floating point
     out_of_range, points = ~np.isfinite(frame.c_sld), len(w_mat)
@@ -509,31 +507,26 @@ def batch_reports(
             no_rld |= singular
     c_h, lower, not_converged, groups = None, None, np.zeros(points, bool), []
     if opts.compute_holevo:
-        spectrum = g.rho_spectrum
-        fills = False if spectrum is None else (
-            (g.tangent_dim == 2 * (spectrum.shape[-1] - 1)) & (spectrum[:, 1] <= SUPPORT_TOL))
-        # r.d_k r = 0 (`_bloch_geometry`): s = 0, unless the RANK_TOL cut drops a direction
-        saturated = ~ill & (fills | ((g.r is not None) & (g.tangent_dim == g.n_params)))
+        spectrum, d = g.rho_spectrum, g.n_params
+        fills = spectrum is not None and d == 2 * (spectrum.shape[-1] - 1)
+        # r.d_k r = 0 on the Bloch route (`_bloch_geometry`), so s = 0
+        saturated = ~ill & ((g.r is not None) | (fills and spectrum[:, 1] <= SUPPORT_TOL))
         if saturated.any():  # K = 0 at C_T
             rows = np.flatnonzero(saturated)
-            k = np.zeros((len(rows), 0, g.n_params))
+            k = np.zeros((len(rows), 0, d))
             groups.append((rows, HolevoSolution(k, c_t[rows], c_t[rows], np.zeros(len(rows), int))))
         regular = np.flatnonzero(~ill & ~saturated)
         if regular.size:
             if np.size(g.slds) == 0:
                 raise InvalidInput("geometry must carry SLD operators")
             sel = subset(regular, points)
-            if g.psi is not None:  # the closed-form rows build no coordinates
-                psi, ells, inverses = g.psi[sel], g.slds[sel], g._qfim_inverses
-                spaces = split_routes(
-                    _pure_closed_form(inverses, psi.shape[-1], ells.shape[-2])[sel],
-                    lambda s: _pure_normal_direction(psi[s], ells[s], inverses[5][regular[s]]),
-                    lambda s: _normal_spaces(*_vector_coordinates(psi[s], ells[s]),
-                                             _qfim_eigh_at(g, regular[s])))
-            else:  # a Bloch row's L_k = d_k r.sigma, (I + r.sigma) / 2 differentiated along 2 d_k r
-                state, slds = (rho[sel], g.slds[sel]) if g.r is None else (
-                    _bloch_state(g.r[sel], 2.0 * g.slds[sel]))
-                spaces = _normal_spaces(*_gell_mann_coordinates(state, slds), _qfim_eigh_at(g, sel))
+            f = g._qfim_inverses[4][sel]
+            if g.psi is None:
+                spaces = _normal_spaces(*_gell_mann_coordinates(rho[sel], g.slds[sel]), f)
+            elif d == 2 * (g.psi.shape[-1] - 1) - 1:  # one normal direction
+                spaces = [(slice(None), _pure_normal_direction(g.psi[sel], g.slds[sel], f))]
+            else:
+                spaces = _normal_spaces(*_vector_coordinates(g.psi[sel], g.slds[sel]), f)
             for rows, basis in spaces:
                 rows = regular[rows]
                 setup = _tangent_setup(basis, take(frame, subset(rows, points)))

@@ -29,10 +29,12 @@ from .linalg import (
     tracenorm_antisym,
 )
 
-COND_LIMIT = 1e12
+# The one line between regular and singular Q: a row is regular, with full
+# tangent rank, where every eigenvalue of Q exceeds RANK_TOL times the
+# largest (`_eigen_inverses`).  Past cond(Q) = 1 / RANK_TOL the rounding of
+# C_SLD, R and T, about eps cond(Q), exceeds the bound chain's slack.
 RANK_TOL = 1e-9
-# How far above the RANK_TOL cut a row must sit to take the pure state's
-# closed-form normal direction (`_pure_closed_form`) and, for d in {2, 3},
+# How far above the RANK_TOL line a row with d in {2, 3} must sit to take
 # Q^-1 from its Cholesky factor (`_invert`).
 _CLOSED_FORM_MARGIN = 10.0
 # A qubit given by its Bloch vector must be encoded unitarily: |r.d_k r| at
@@ -78,7 +80,7 @@ class InformationGeometry:
     @cached_property
     def _adj_root_u(self) -> np.ndarray:
         """G u (`_invert`) for d = 3, u the axial vector of U."""
-        return (self._qfim_inverses[6] @ uhlmann_axial(self.uhlmann)[..., None])[..., 0]
+        return (self._qfim_inverses[5] @ uhlmann_axial(self.uhlmann)[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -116,8 +118,9 @@ def geometry_from_matrices(
 
 def _geometry(q: np.ndarray, u: np.ndarray, slds: tuple, rho_spectrum=None,
               psi=None, r=None) -> InformationGeometry:
-    """The geometry of (Q, U, SLDs), its tangent rank (at relative tolerance
-    RANK_TOL) and cached inverses and eigenpairs from `_invert`."""
+    """The geometry of (Q, U, SLDs), its tangent rank (the eigenvalues of Q
+    that `_eigen_inverses` keeps) and cached inverses and eigenpairs from
+    `_invert`."""
     inverses, rank, eigh = _invert(q)
     g = InformationGeometry(q, u, slds, rank if rank.ndim else int(rank), rho_spectrum, psi, r)
     g.__dict__["_qfim_inverses"] = inverses  # the cached_property slots
@@ -127,40 +130,38 @@ def _geometry(q: np.ndarray, u: np.ndarray, slds: tuple, rho_spectrum=None,
 
 
 def _invert(q: np.ndarray) -> tuple:
-    """Q's inverses (Q^-1, sqrt(det Q^-1), ill, void, ratio, and for d != 2
-    F, and for d = 3 G: F^T F = Q^-1, G^T G = adj(Q^-1)), tangent rank and,
-    if every row was decomposed, eigenpairs.  A row with d in {2, 3} is
-    certified, full rank and not ill where ratio = det Q / (Tr Q)^d <=
-    lambda_min / lambda_max clears the RANK_TOL cut by _CLOSED_FORM_MARGIN,
-    with Q = L L^T (`sym_cholesky`, positive diagonal only where Q > 0):
-    det Q = det(L)^2, and for d = 3 F = L^-1 = adj(L) / det L and
+    """Q's inverses (Q^-1, sqrt(det Q^-1), ill, void, F with F^T F = Q^-1,
+    and for d = 3 G with G^T G = adj(Q^-1)), tangent rank and, if every row
+    was decomposed, eigenpairs.  A row with d in {2, 3} is certified, full
+    rank and not ill where det Q / (Tr Q)^d <= lambda_min / lambda_max
+    clears the RANK_TOL line by _CLOSED_FORM_MARGIN, with Q = L L^T
+    (`sym_cholesky`, positive diagonal only where Q > 0): det Q = det(L)^2,
+    F = L^-1 = adj(L) / det L, and for d = 3 Q^-1 = F^T F and
     G = L^T / det L.  (A 3x3 Q's own cofactors would lose det Q where Q has
-    two small eigenvalues.)  Other rows, and every row of other d, take
+    two small eigenvalues; a 2x2 Q's are exact, so there
+    Q^-1 = adj(Q) / det Q.)  Other rows, and every row of other d, take
     `_eigen_inverses` of their own eigendecomposition."""
     d = q.shape[-1]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # ill or uncertified rows
         if d not in (2, 3):
             w, v = np.linalg.eigh(q)
-            return _eigen_inverses(w, v), np.sum(_tangent_mask(w), axis=-1), (w, v)
+            return *_eigen_inverses(w, v), (w, v)
         flat = q.reshape(-1, d, d)
         low = sym_cholesky(flat)
         det_low = np.prod(np.diagonal(low, axis1=-2, axis2=-1), axis=-1)
         ratio = det_low * det_low / np.trace(flat, axis1=-2, axis2=-1) ** d
         rest = ~(ratio > _CLOSED_FORM_MARGIN * RANK_TOL)  # L's diagonal is > 0, 0 or NaN
         root = (1.0 / det_low)[:, None, None]
-        flags = np.zeros((2, len(flat)), bool)  # ill and void
-        if d == 2:  # adj(Q) of a 2x2 Q is exact, so Q^-1 = adj(Q) / det Q loses no more
-            inverses = (adjugate(flat) * root * root, root[:, 0, 0], *flags, ratio)
-        else:
-            f = adjugate(low) * root
-            inverses = (f.swapaxes(-1, -2) @ f, root[:, 0, 0], *flags, ratio, f,
-                        low.swapaxes(-1, -2) * root)
+        f = adjugate(low) * root
+        qinv = adjugate(flat) * root * root if d == 2 else f.swapaxes(-1, -2) @ f
+        inverses = (qinv, root[:, 0, 0], *np.zeros((2, len(flat)), bool), f,
+                    *((low.swapaxes(-1, -2) * root,) if d == 3 else ()))
         rank, eigh = np.full(len(flat), d), None
         if rest.any():
             w, v = np.linalg.eigh(flat[rest])
-            for full, part in zip(inverses, _eigen_inverses(w, v)):
-                full[rest] = part
-            rank[rest] = np.sum(_tangent_mask(w), axis=-1)
+            part, rank[rest] = _eigen_inverses(w, v)
+            for full, x in zip(inverses, part):
+                full[rest] = x
             if rest.all():
                 eigh = w.reshape(q.shape[:-1]), v.reshape(q.shape)
     if q.ndim != 3:  # one point
@@ -169,27 +170,21 @@ def _invert(q: np.ndarray) -> tuple:
 
 
 def _eigen_inverses(w: np.ndarray, v: np.ndarray) -> tuple:
-    """`_invert`'s inverses from Q's eigenpairs (w ascending).  ``ill`` says
-    that Q has a nonpositive eigenvalue or a condition number above
-    COND_LIMIT; Q^-1 is then the pseudo-inverse that drops eigenvalues below
-    RANK_TOL times the largest, 0 where none is positive (``void``), and
-    sqrt(det Q^-1) is 0.  F = diag(sqrt(1 / w)) V^T on the kept w, G likewise
-    on their products in pairs, the eigenvalues of adj(Q^-1)."""
-    top, low = w[..., -1:], w[..., :1]
-    ill = ((low <= 0.0) | (top / np.where(low > 0.0, low, 1.0) > COND_LIMIT))[..., 0]
-    keep = (w > 0.0) & ((w > RANK_TOL * top) | ~ill[..., None])
-    inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    ratio = np.where(top > 0.0, low / np.where(top > 0.0, top, 1.0), 0.0)[..., 0]
-    roots = (inv_w, inv_w[..., [1, 0, 0]] * inv_w[..., [2, 2, 1]]) if w.shape[-1] == 3 else (inv_w,)
-    return ((v * inv_w[..., None, :]) @ v.swapaxes(-1, -2), np.prod(np.sqrt(inv_w), axis=-1), ill,
-            top[..., 0] <= 0.0, ratio, *((v * np.sqrt(x)[..., None, :]).swapaxes(-1, -2) for x in roots))
-
-
-def _tangent_mask(w: np.ndarray) -> np.ndarray:
-    """The eigenvalues of Q (ascending) that span the tangent space: those
-    above RANK_TOL times the largest, none where Q has no positive one."""
+    """`_invert`'s inverses from Q's eigenpairs (w ascending), and the
+    tangent rank: the number of eigenvalues kept, those above RANK_TOL times
+    the largest.  A row is ``ill`` exactly where its smallest eigenvalue is
+    not kept; Q^-1 is then the pseudo-inverse on the kept ones, 0 where Q
+    has no positive eigenvalue (``void``), and sqrt(det Q^-1) is 0.
+    F = diag(sqrt(1 / w)) V^T on the kept w, G likewise on their products in
+    pairs, the eigenvalues of adj(Q^-1)."""
     top = w[..., -1:]
-    return (w > RANK_TOL * top) & (top > 0)
+    keep = w > RANK_TOL * top
+    inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+    roots = (inv_w, inv_w[..., [1, 0, 0]] * inv_w[..., [2, 2, 1]]) if w.shape[-1] == 3 else (inv_w,)
+    inverses = ((v * inv_w[..., None, :]) @ v.swapaxes(-1, -2), np.prod(np.sqrt(inv_w), axis=-1),
+                ~keep[..., 0], top[..., 0] <= 0.0,
+                *((v * np.sqrt(x)[..., None, :]).swapaxes(-1, -2) for x in roots))
+    return inverses, np.sum(keep, axis=-1)
 
 
 def compute_geometry(rho: np.ndarray, derivs: Sequence[np.ndarray]) -> InformationGeometry:
@@ -326,14 +321,14 @@ def _rld_matrix(rho: np.ndarray, derivs: np.ndarray) -> np.ndarray:
 def _qfim_inverse(g: InformationGeometry, pseudo_inverse: bool = False) -> tuple:
     """The geometry's cached `_qfim_inverses` with the singularity policy
     applied: a Q without positive eigenvalues raises SingularQFIM, and so
-    does an ill-conditioned one unless ``pseudo_inverse`` allows the
-    pseudo-inverse."""
+    does an ill one (`_eigen_inverses`) unless ``pseudo_inverse`` allows
+    the pseudo-inverse."""
     if g._qfim_inverses[3]:
         raise SingularQFIM("QFIM has no positive eigenvalues")
     if g._qfim_inverses[2] and not pseudo_inverse:
         w = g._qfim_eigh[0]
         raise SingularQFIM(
-            f"QFIM condition number exceeds {COND_LIMIT:.1e} "
+            f"QFIM condition number exceeds {1.0 / RANK_TOL:.1e} "
             f"(eigenvalues {w[0]:.3e} .. {w[-1]:.3e})"
         )
     return g._qfim_inverses
@@ -383,17 +378,20 @@ def _frame(g: InformationGeometry, w_mat: np.ndarray, sqrt_w: np.ndarray) -> _We
     J = [[0, 1], [-1, 0]], so the core is U_12 det(Q^-1) det(sqrt W) J, with
     det(Q^-1) as its root times its root, since it can overflow alone.  For
     d = 3, Q^-1 U Q^-1 = [adj(Q^-1) u]x (`adjugate`) = [G^T G u]x
-    (`_invert`), u the axial vector of U.  Neither forms a product with Q^-1."""
+    (`_invert`), u the axial vector of U.  Neither forms a product with Q^-1.
+    A row whose Q^-1 leaves the float range gets inf or NaN, and
+    `batch_reports` makes it a null row."""
     qinv, root_det, ill = g._qfim_inverses[:3]
-    if g.n_params == 2:
-        det_sqrt_w = sqrt_w[..., 0, 0] * sqrt_w[..., 1, 1] - sqrt_w[..., 0, 1] * sqrt_w[..., 1, 0]
-        core = (g.uhlmann[..., 0, 1] * root_det * root_det * det_sqrt_w)[..., None, None] * _J
-    elif g.n_params == 3:
-        adj_u = g._qfim_inverses[6].swapaxes(-1, -2) @ g._adj_root_u[..., None]
-        core = sqrt_w @ _from_axial(adj_u[..., 0]) @ sqrt_w
-    else:
-        core = sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w
-    c_sld = (w_mat * qinv).sum(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if g.n_params == 2:
+            det_sqrt_w = sqrt_w[..., 0, 0] * sqrt_w[..., 1, 1] - sqrt_w[..., 0, 1] * sqrt_w[..., 1, 0]
+            core = (g.uhlmann[..., 0, 1] * root_det * root_det * det_sqrt_w)[..., None, None] * _J
+        elif g.n_params == 3:
+            adj_u = g._qfim_inverses[5].swapaxes(-1, -2) @ g._adj_root_u[..., None]
+            core = sqrt_w @ _from_axial(adj_u[..., 0]) @ sqrt_w
+        else:
+            core = sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w
+        c_sld = (w_mat * qinv).sum(axis=(-2, -1))
     return _WeightFrame(w_mat=w_mat, sqrt_w=sqrt_w, qinv=qinv, core=core, c_sld=c_sld,
                         used_pseudo=ill)
 
@@ -439,12 +437,14 @@ def _spectral_radius(g: InformationGeometry) -> np.ndarray:
     |U_12| sqrt(det Q^-1), exactly 0 where the pseudo-inverse drops an
     eigenvalue.  Otherwise that of i F U F^T (F^T F = Q^-1): for d = 3
     {0, +-|adj(F)^T u|}, so R = |G u| (`_invert`), u the axial vector of U;
-    other d take a stacked eigvalsh."""
-    if g.n_params == 2:
-        return np.abs(g.uhlmann[..., 0, 1]) * g._qfim_inverses[1]
-    if g.n_params == 3:
-        return np.sqrt(dot(g._adj_root_u, g._adj_root_u))
-    f = g._qfim_inverses[5]  # i F U F^T, F^T F = Q^-1, has the spectrum of i Q^-1 U
+    other d take a stacked eigvalsh.  As in `_frame`, a row whose Q^-1
+    leaves the float range gets inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if g.n_params == 2:
+            return np.abs(g.uhlmann[..., 0, 1]) * g._qfim_inverses[1]
+        if g.n_params == 3:
+            return np.sqrt(dot(g._adj_root_u, g._adj_root_u))
+    f = g._qfim_inverses[4]  # i F U F^T, F^T F = Q^-1, has the spectrum of i Q^-1 U
     vals = np.linalg.eigvalsh(hermitian_part(1j * (f @ g.uhlmann @ f.swapaxes(-1, -2))))
     return np.max(np.abs(vals), axis=-1, initial=0.0)
 
@@ -599,10 +599,10 @@ def tangent_normal_decomposition(
     """
     if not g.slds:
         raise InvalidInput("geometry must carry SLD operators")
-    _qfim_inverse(g, pseudo_inverse)  # singularity policy
+    f = _qfim_inverse(g, pseudo_inverse)[4]  # singularity policy
     rho = np.asarray(rho, dtype=complex)
     coordinates = _gell_mann_coordinates(rho[None], np.asarray(g.slds)[None])
-    ((_, basis),) = _normal_spaces(*coordinates, tuple(x[None] for x in g._qfim_eigh))
+    ((_, basis),) = _normal_spaces(*coordinates, f[None])
     return take(basis, 0)
 
 
@@ -640,43 +640,11 @@ def _vector_coordinates(psi: np.ndarray, ells: np.ndarray) -> tuple:
     return psi, s, np.concatenate([ells.real, ells.imag], axis=-1)
 
 
-def split_routes(closed: np.ndarray, closed_form, general) -> list:
-    """Normal-space groups as `_normal_spaces` gives them, for a batch split
-    by the mask ``closed``: ``closed_form(sel)`` is the basis of the rows
-    where it holds, ``general(sel)`` the groups of the others, each given
-    the index `subset` makes of its rows."""
-    groups = []
-    rows = np.flatnonzero(closed)
-    if rows.size:
-        groups.append((rows, closed_form(subset(rows, len(closed)))))
-    if rows.size < len(closed):
-        general_rows = np.flatnonzero(~closed)
-        groups += [(general_rows[r], basis)
-                   for r, basis in general(subset(general_rows, len(closed)))]
-    return groups
-
-
-def _pure_closed_form(inverses: tuple, n: int, d: int) -> np.ndarray:
-    """The rows of pure states with n levels and d parameters that
-    `_pure_normal_direction` serves: where m = 2(n - 1) - d = 1 and the
-    ratio of `_invert` clears the RANK_TOL cut by _CLOSED_FORM_MARGIN."""
-    if d != 2 * (n - 1) - 1:
-        return np.zeros(len(inverses[0]), bool)
-    return inverses[4] > _CLOSED_FORM_MARGIN * RANK_TOL
-
-
-def _qfim_eigh_at(g: InformationGeometry, rows) -> tuple:
-    """Q's eigenpairs on the given rows: cached, else of those rows alone."""
-    if "_qfim_eigh" in g.__dict__:
-        return tuple(x[rows] for x in g._qfim_eigh)
-    return np.linalg.eigh(g.qfim[rows])
-
-
 def _pure_normal_direction(psi: np.ndarray, ells: np.ndarray, f: np.ndarray) -> NormalSpaceBasis:
     """The one-direction normal spaces of pure states psi (B, n) given with
     the vectors l_k = L_k psi (B, d, n) of their SLDs and `_invert`'s F
-    (B, d, d), Q^-1 = F^T F, on the rows
-    `_pure_closed_form` selects, in the coordinates of `_vector_coordinates`.
+    (B, d, d), Q^-1 = F^T F, where m = 2(n - 1) - d = 1 and Q is regular, in
+    the coordinates of `_vector_coordinates`.
 
     In the real form, with x = psi, y = i psi and l the rows l_k (orthogonal
     to x and y), the normal projector P_N = I - x x^T - y y^T - l^T Q^-1 l
@@ -700,20 +668,17 @@ def _pure_normal_direction(psi: np.ndarray, ells: np.ndarray, f: np.ndarray) -> 
     return NormalSpaceBasis(z[..., None], psi, gram, dot(l, jz[:, None, :])[..., None])
 
 
-def _normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray, qfim_eigh: tuple) -> list:
+def _normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray, f: np.ndarray) -> list:
     """The normal-space bases of a batch of states given by their
     coordinates (`_gell_mann_coordinates` or `_vector_coordinates`: the
-    means, the form S and the SLD coefficients l (B, d, N)) and the
-    eigendecomposition of their Q, as `tangent_normal_decomposition` builds
-    one, grouped by size: (rows, basis with those rows stacked along a
-    leading axis)."""
+    means, the form S and the SLD coefficients l (B, d, N)) and `_invert`'s
+    F (B, d, d) of their Q, as `tangent_normal_decomposition` builds one,
+    grouped by size: (rows, basis with those rows stacked along a leading
+    axis)."""
     s_re = s.real
-    # Q = l Re S l^T, so Q's eigenpairs with the RANK_TOL cut give an
-    # orthonormal tangent frame even when Q is (near) singular.
-    tw, tv = qfim_eigh
-    keep = _tangent_mask(tw)[:, None, :]
-    frame = np.where(keep, tv / np.sqrt(np.where(keep, tw[:, None, :], 1.0)), 0.0)
-    frame = frame.swapaxes(-1, -2) @ l
+    # Q = l Re S l^T and F Q F^T = I (on the kept eigenvalues where Q is
+    # ill), so the rows of F l are an orthonormal tangent frame under Re S
+    frame = f @ l
     cand = np.eye(s.shape[-1]) - frame.swapaxes(-1, -2) @ (frame @ s_re)
 
     w, v = np.linalg.eigh(cand.swapaxes(-1, -2) @ s_re @ cand)

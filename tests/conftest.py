@@ -500,11 +500,10 @@ def eigvalsh_spectral_radius(g):
 
 def stacked_inverse(w):
     """The inverse eigenvalues that `geometry._eigen_inverses` keeps (0 on the
-    others) and ill, from Q's ascending eigenvalues w."""
-    top, low = w[..., -1:], w[..., :1]
-    ill = ((low <= 0.0) | (top / np.where(low > 0.0, low, 1.0) > geometry.COND_LIMIT))[..., 0]
-    keep = (w > 0.0) & ((w > geometry.RANK_TOL * top) | ~ill[..., None])
-    return np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0), ill
+    others) and ill, from Q's ascending eigenvalues w: it keeps those above
+    RANK_TOL times the largest, and a row is ill where the smallest is dropped."""
+    keep = w > geometry.RANK_TOL * w[..., -1:]
+    return np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0), ~keep[..., 0]
 
 
 def stacked_frame(g, w_mat, sqrt_w):
@@ -527,8 +526,8 @@ def solve_adjugate(a):
 
 def use_lapack_oracle(monkeypatch, stacked: bool) -> None:
     """Invert every Q by LAPACK's eigh: an infinite _CLOSED_FORM_MARGIN
-    certifies no Cholesky factor in `_invert` (and sends every pure row to
-    the eigen route's normal space); with ``stacked``, also build the weight
+    certifies no Cholesky factor in `_invert`, so every F that a normal
+    space reads comes from eigh too; with ``stacked``, also build the weight
     frame and R from stacked products (`stacked_frame`,
     `eigvalsh_spectral_radius`) instead of the d = 2 determinant forms and
     the d = 3 cofactors, and take the exact Holevo step's d = 3 solve from
@@ -543,9 +542,9 @@ def use_lapack_oracle(monkeypatch, stacked: bool) -> None:
 
 def use_matmul_oracle(monkeypatch) -> None:
     """Route `run_sweep` and the one-point functions through the oracles
-    above; an infinite margin sends every row a closed-form normal direction
-    would take (the pure state's in `batch_reports`) through the
-    eigendecompositions, and inverts every Q by eigh."""
+    above: the pure states as density matrices, so their normal spaces are
+    built from the Gell-Mann coordinates, and an infinite margin inverts
+    every Q by eigh."""
     monkeypatch.setattr(models, "_su2_state", matmul_su2_state)
     monkeypatch.setattr(sweep, "model_arrays", matrix_model_arrays)
     monkeypatch.setattr(sweep, "model_geometry", matmul_model_geometry)

@@ -25,6 +25,7 @@ from qmb.bounds import (
 )
 from qmb.errors import HierarchyViolation, InvalidInput, SingularState
 from qmb.geometry import (
+    RANK_TOL,
     _gell_mann_coordinates,
     _normal_spaces,
     compute_geometry,
@@ -669,11 +670,12 @@ class TestFullReport:
             assert sorted(calls) == ["require_weight", "spd_sqrt"]
 
     def test_normal_space_reads_q_decomposition(self, rng, monkeypatch):
-        # the normal space reads its tangent frame from one decomposition
-        # of Q: a full-rank qutrit with two parameters decomposes rho, W (for
-        # its root), Q (whose inverses came from its Cholesky factor) and
-        # the (1, 8, 8) normal-space form by eigh, once each, before the
-        # dual solve, whose matrices are not stacked
+        # the normal space reads its tangent frame from the factor F of
+        # Q^-1 = F^T F that inverted Q: a full-rank qutrit with two
+        # parameters decomposes rho, W (for its root) and the (1, 8, 8)
+        # normal-space form by eigh, once each, and never its Q, which its
+        # Cholesky factor certified, before the dual solve, whose matrices
+        # are not stacked
         from qmb.models import ModelPoint
 
         shapes = []
@@ -685,8 +687,8 @@ class TestFullReport:
                              ReportOptions(compute_rld=False))
         assert report.holevo.iterations > 0
         stacked = [shape for shape in shapes if len(shape) == 3]
-        assert shapes[:4] == [(3, 3), (2, 2), (1, 2, 2), (1, 8, 8)]
-        assert stacked == [(1, 2, 2), (1, 8, 8)]
+        assert shapes[:3] == [(3, 3), (2, 2), (1, 8, 8)]
+        assert stacked == [(1, 8, 8)]
 
     def test_pure_state_flags_rld(self):
         cfg = model_config("su2_qubit", alpha=np.pi / 2, beta=0.0, t=5.0)
@@ -821,7 +823,7 @@ class TestFullReport:
 
 def _normal_space_sizes(rho, g):
     sizes = np.empty(len(rho), int)
-    for rows, basis in _normal_spaces(*_gell_mann_coordinates(rho, g.slds), g._qfim_eigh):
+    for rows, basis in _normal_spaces(*_gell_mann_coordinates(rho, g.slds), g._qfim_inverses[4]):
         sizes[rows] = basis.coeffs.shape[-1]
     return sizes
 
@@ -860,11 +862,13 @@ class TestPureStateShortcut:
 
     def test_su2_qubit_grid_crossing_the_singular_line(self, monkeypatch):
         # B t = 2 pi carries no theta information: approaching it, cond(Q)
-        # grows as the inverse square of the offset, through (1e9, 1e12]
-        # (tangent rank 1, a one-direction normal space) into ill rows.  The
-        # density matrices come from the matrix path that model_point keeps;
-        # the model's vectors draw the same lines and send the same rows to
-        # the normal space, in the vectors' coordinates
+        # grows as the inverse square of the offset, past 1 / RANK_TOL into
+        # ill rows, the 24 rows with cond(Q) in (1e9, 1e12] included.  No
+        # regular row loses a tangent direction to a one-direction normal
+        # space: each fills the pure qubit's directions and takes the
+        # shortcut.  The density matrices come from the matrix path that
+        # model_point keeps; the model's vectors draw the same line and send
+        # no row to the normal space either
         offsets = np.concatenate([-np.logspace(-2.0, -7.5, 23), [0.0], np.logspace(-7.5, -2.0, 23)])
         params = np.stack(np.broadcast_arrays(2.0 * np.pi + offsets[:, None], [[0.3, 0.9]]), -1)
         cfg = model_config("su2_qubit", alpha=1.0, beta=0.3, t=1.0)
@@ -873,7 +877,8 @@ class TestPureStateShortcut:
         q = np.linalg.eigvalsh(g.qfim)
         cond = q[:, -1] / np.maximum(q[:, 0], 1e-300)
         near = (cond > 1e9) & (cond <= 1e12)
-        assert near.sum() >= 4 and not ill[near].any() and (sizes[near] == 1).all()
+        np.testing.assert_array_equal(ill, cond > 1.0 / RANK_TOL)  # 0.5% from it at the closest
+        assert near.sum() >= 4 and ill[near].all() and (sizes[~ill] == 0).all()
         assert ill.sum() >= 4 and (~ill & (sizes == 0)).sum() >= 40
 
         psi0, ells = model_arrays(cfg, params).pure  # psi0 (2,) is set by the constants alone
@@ -883,23 +888,14 @@ class TestPureStateShortcut:
         np.testing.assert_array_equal(g._qfim_inverses[2], ill)
         sent = []
 
-        def recorded(psi_rows, s, l, qfim_eigh):
-            groups = _normal_spaces(psi_rows, s, l, qfim_eigh)
-            sizes = [(rows.tolist(), basis.coeffs.shape[-1]) for rows, basis in groups]
-            sent.append((psi_rows, sizes))
-            return groups
-
-        monkeypatch.setattr(bounds, "_normal_spaces", recorded)
+        monkeypatch.setattr(bounds, "_normal_spaces", lambda *a: sent.append(a[0]))
         eye = np.broadcast_to(np.eye(2), (len(psi), 2, 2))
         cols = batch_reports(None, None, g, eye, eye, ReportOptions())
         monkeypatch.undo()
-        ((got, groups),) = sent
-        regular = ~ill & (sizes > 0)
-        np.testing.assert_array_equal(got, psi[regular])
-        assert groups == [(list(range(regular.sum())), 1)]
+        assert sent == []
         assert cols["no_rld"].all()
-        empty = ~ill & (sizes == 0)
-        np.testing.assert_array_equal(cols["c_h"][empty], cols["c_t"][empty])
+        np.testing.assert_array_equal(cols["c_h"][~ill], cols["c_t"][~ill])
+        assert np.isnan(cols["c_h"][ill]).all()
 
     @pytest.mark.parametrize("radius", [1.0, 1.0 - 1e-12, 1.0 - 1e-8])
     def test_tunable_qubit_probes_near_pure(self, monkeypatch, radius):
@@ -975,6 +971,26 @@ class TestUnitaryQubit:
             scale = 1e-14 if cond <= 1e4 else 1e-15 * cond
             bound = scale * np.linalg.norm(dr, axis=-1) * np.linalg.norm(basis.coeffs)
             assert np.all(np.abs(basis.coupling[:, 0]) <= bound)
+
+    def test_bloch_rows_build_no_normal_space(self, monkeypatch):
+        # rows with cond(Q) from 10^0.5 to 10^11.5 and |r| anywhere in the
+        # ball: every regular row takes C_H = C_T from the structure, right
+        # up to the 1 / RANK_TOL line, and the ill rows past it are null;
+        # none builds coordinates or a normal space, or solves
+        rows = 12
+        conds = np.logspace(0.5, 11.5, rows)
+        o = np.stack([_rotation(seed) for seed in range(rows)])
+        r = o[..., 2] * np.linspace(0.0, 1.0, rows)[:, None]
+        dr = np.stack([o[..., 0], o[..., 1] / np.sqrt(conds)[:, None]], axis=-2)
+        g = model_geometry(None, None, None, (r, dr))
+        calls = []
+        for name in ("_gell_mann_coordinates", "_normal_spaces", "_holevo_solutions"):
+            monkeypatch.setattr(bounds, name, lambda *a, _name=name: calls.append(_name))
+        eye = np.broadcast_to(np.eye(2), (rows, 2, 2))
+        cols = batch_reports(None, None, g, eye, eye, ReportOptions(compute_rld=False))
+        assert calls == []
+        np.testing.assert_array_equal(cols["ill"], conds > 1.0 / RANK_TOL)
+        np.testing.assert_array_equal(cols["c_h"][~cols["ill"]], cols["c_t"][~cols["ill"]])
 
     def test_non_unitary_qubit_reaches_the_solve(self, monkeypatch):
         # r = (a cos phi, a sin phi, z) over (a, phi) changes |r|: the Bloch

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmb.bounds import FLAG_RLD_UNAVAILABLE, ReportOptions, c_rld, full_report
+from qmb.bounds import FLAG_RLD_UNAVAILABLE, ReportOptions, batch_reports, c_rld, full_report
 from qmb.errors import InvalidInput, NonHermitianInput, QmbError, SingularQFIM, SingularState
 from qmb.geometry import (
-    COND_LIMIT,
+    RANK_TOL,
     TANGENT_TOL,
     _geometry,
     compute_geometry,
@@ -22,8 +22,15 @@ from qmb.geometry import (
     rld_qfim,
 )
 from qmb.linalg import DENSITY_EIG_FLOOR, SUPPORT_TOL, WEIGHT_FLOOR, require_weight, spd_sqrt
-from qmb.models import PARAM_NAMES, ModelPoint, generator_geometry, model_config, model_point
-from qmb.sweep import _qfim_weight, figure_preset, validate_spec
+from qmb.models import (
+    PARAM_NAMES,
+    ModelPoint,
+    _bloch_state,
+    generator_geometry,
+    model_config,
+    model_point,
+)
+from qmb.sweep import Axis, SweepSpec, _qfim_weight, figure_preset, run_sweep, validate_spec
 
 from conftest import random_traceless_hermitian
 
@@ -144,9 +151,10 @@ def test_bloch_tangent_tol(seed, side):
 @settings(max_examples=20)
 @given(side=SIDE, u=st.floats(0.1, 2.0))
 def test_cond_limit(side, u):
-    c = COND_LIMIT * side
+    # cond(Q) = c: past 1 / RANK_TOL, Q is singular
+    c = side / RANK_TOL
     g = geometry_from_matrices(np.diag([1.0, 1.0 / c]), [[0.0, u], [-u, 0.0]])
-    if c > COND_LIMIT:
+    if side > 1.0:
         with pytest.raises(SingularQFIM, match="condition number"):
             quantumness_R(g)
     else:
@@ -156,15 +164,75 @@ def test_cond_limit(side, u):
 @settings(max_examples=40)
 @given(angle=st.floats(0.0, 2.0 * math.pi), scale=st.sampled_from([1e-3, 1.0, 1e3]), side=SIDE)
 def test_rld_cond_limit(angle, scale, side):
-    # J = u diag(scale, scale * side / COND_LIMIT) u^dag with a complex unitary u
+    # J = u diag(scale, scale * side * RANK_TOL) u^dag with a complex unitary u
     c, s = math.cos(angle), math.sin(angle) * np.exp(0.7j)
     u = np.array([[c, -s.conjugate()], [s, c]])
-    j = u @ np.diag([scale, scale * side / COND_LIMIT]) @ u.conj().T
+    j = u @ np.diag([scale, scale * side * RANK_TOL]) @ u.conj().T
     if side < 1.0:
         with pytest.raises(SingularState, match="RLD QFIM is singular"):
             c_rld(j, np.eye(2))
     else:
         assert math.isfinite(c_rld(j, np.eye(2)))
+
+
+def _rows_at_cond(route, conds, seed, scale):
+    """One row per cond(Q) in ``conds`` on the given route, Q's largest
+    eigenvalue ``scale`` and its smallest scale / cond, in a random frame:
+    a pure qutrit given as vectors, psi = V e_1 and l the rotation O of
+    (V e_2, sqrt(0.6) i V e_2, V e_3 / sqrt(cond)), V unitary, whose d = 3
+    leaves one normal direction; or a unitarily encoded mixed qubit,
+    r = O (0, 0, 0.5) and d r the rotation of (O e_x, O e_y / sqrt(cond)),
+    given by its Bloch vector or as rho and its derivatives.  Returns
+    (rho, derivs, geometry)."""
+    rng = np.random.default_rng(seed)
+    small = 1.0 / np.sqrt(np.asarray(conds, dtype=float))[:, None]
+    turn = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    if route == "vector":
+        v = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0].T
+        ells = np.stack(np.broadcast_arrays(v[1], math.sqrt(0.6) * 1j * v[1], small * v[2]), -2)
+        psi = np.broadcast_to(v[0], (len(small), 3))
+        return None, None, model_geometry(None, None, (psi, math.sqrt(scale) * turn @ ells), None)
+    r = np.broadcast_to(0.5 * turn[:, 2], (len(small), 3))
+    dr = np.stack(np.broadcast_arrays(turn[:, 0], small * turn[:, 1]), -2)
+    dr = math.sqrt(scale) * _rotation(rng.uniform(0.0, 2.0 * math.pi)) @ dr
+    if route == "bloch":
+        return None, None, model_geometry(None, None, None, (r, dr))
+    rho, derivs = _bloch_state(r, dr)
+    return rho, derivs, compute_geometry(rho, derivs)
+
+
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+@pytest.mark.parametrize("route", ["vector", "bloch", "matrix"])
+def test_one_line_between_regular_and_singular(route, seed, scale):
+    # a row at cond(Q) = 0.5 / RANK_TOL is regular with full tangent rank
+    # and valued; one at 2 / RANK_TOL is ill, a flagged null row.  Rounding
+    # moves the small eigenvalue by about 1e-16 scale, 2e-7 of it
+    rho, derivs, g = _rows_at_cond(route, [0.5 / RANK_TOL, 2.0 / RANK_TOL], seed, scale)
+    d = g.n_params
+    eye = np.broadcast_to(np.eye(d), (2, d, d))
+    cols = batch_reports(rho, derivs, g, eye, eye, ReportOptions(compute_rld=False))
+    assert g.tangent_dim.tolist() == [d, d - 1]
+    assert cols["flags"]["SingularQFIM"].tolist() == [False, True]
+    assert cols["null"].tolist() == [False, True]
+    assert np.isfinite(cols["c_h"][0]) and np.isnan(cols["c_h"][1])
+
+
+def test_near_singular_sweep_completes():
+    # a pure tunable qubit across gamma = 0, where the two encodings
+    # commute and Q turns singular: every row is valued or a flagged null
+    # row, and no rounding of R near the line aborts the sweep
+    spec = SweepSpec("tunable_qubit", fixed={"alpha": 1.0, "beta": 0.3, "theta": 1.1, "phi": 0.4,
+                                             "lambda2": 0.2},
+                     axes=(Axis("gamma", -1e-3, 1e-3, 41), Axis("lambda1", 0.3, 0.9, 7)),
+                     outputs=("c_sld", "R"))
+    rows = run_sweep(spec)
+    assert len(rows) == 287
+    for row in rows:
+        values = list(row.outputs.values())
+        if "SingularQFIM" in row.flags:
+            assert values == [None, None]
+        else:
+            assert all(math.isfinite(v) for v in values)
 
 
 @pytest.mark.parametrize("scale", [1e-13, 1e-6, 1e6])

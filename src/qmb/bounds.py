@@ -222,7 +222,7 @@ def _holevo_solutions(setup: _TangentSetup) -> HolevoSolution:
 def _shrink(q, p, weight, s2):
     """The minimizer tau in [0, q] of weight tau^2 / s2 + 2 sqrt(p^2 + (q - tau)^2),
     elementwise over arrays."""
-    q, p, weight, s2 = np.broadcast_arrays(*(np.asarray(x, float) for x in (q, p, weight, s2)))
+    q, p, weight, s2 = (np.asarray(x, float) for x in (q, p, weight, s2))
     # The stationarity condition h(tau) = weight tau - s2 u / sqrt(p^2 + u^2)
     # = 0, u = q - tau, is increasing and convex on [0, q] with h(0) < 0, and
     # h >= 0 at the start, since u / sqrt(p^2 + u^2) <= min(1, u / p).  Newton
@@ -238,7 +238,7 @@ def _shrink(q, p, weight, s2):
             r = np.hypot(p, u)
             h = weight * tau - s2 * u / r
             nxt = np.maximum(tau - h / (weight + s2 * (p / r) ** 2 / r), 0.0)
-            moving &= nxt < tau
+            moving = moving & (nxt < tau)
             tau = np.where(moving, nxt, tau)
     return tau[()]
 
@@ -471,8 +471,9 @@ def batch_reports(
 ) -> dict:
     """`full_report` for a batch of states (B, n, n), derivatives (B, d, n, n),
     their geometry and validated weights and roots (B, d, d), as columns:
-    c_sld, c_rld, c_t, c_r, c_h with its certified lower bound, R and T
-    (c_rld, c_h, lower None when not computed), the masks null, ill, no_rld
+    c_sld, c_rld, c_t, c_r, c_h with its certified lower bound, R, T and
+    gap_h = (C_H - C_SLD) / C_SLD, which reads T where C_H = C_T at K = 0 is
+    a theorem (c_rld, c_h, lower, gap_h None when not computed), the masks null, ill, no_rld
     and not_converged, each flag's mask, and the rows of each normal-space
     size with their solutions ("holevo").  Only the dual solve runs point by
     point.  A row is ill where Q is (`geometry._eigen_inverses`); every
@@ -505,7 +506,7 @@ def batch_reports(
             full_rank = np.where(no_rld[:, None, None], np.eye(rho.shape[-1]), rho)
             c_rld, singular = _c_rld(_rld_matrix(full_rank, derivs), w_mat)
             no_rld |= singular
-    c_h, lower, not_converged, groups = None, None, np.zeros(points, bool), []
+    c_h, lower, gap_h, not_converged, groups = None, None, None, np.zeros(points, bool), []
     if opts.compute_holevo:
         spectrum, d = g.rho_spectrum, g.n_params
         fills = spectrum is not None and d == 2 * (spectrum.shape[-1] - 1)
@@ -531,14 +532,17 @@ def batch_reports(
                 rows = regular[rows]
                 setup = _tangent_setup(basis, take(frame, subset(rows, points)))
                 groups.append((rows, _holevo_solutions(setup)))
-        c_h, lower = np.full((2, points), np.nan)
+        c_h, lower, gap_h = np.full((3, points), np.nan)
         for rows, sol in groups:
             c_h[rows], lower[rows], not_converged[rows] = sol.value, sol.lower, ~sol.converged
+            # T where K = 0 at C_T is a theorem, taken with no evaluation for the whole group
+            gap_h[rows] = ((sol.value - frame.c_sld[rows]) / frame.c_sld[rows]
+                           if sol.iterations.any() else t_value[rows])
     r_val = _spectral_radius(g)
     flags = {FLAG_RLD_UNAVAILABLE: no_rld, FLAG_SINGULAR_QFIM: ill,
              FLAG_PSEUDO_INVERSE: ill & ~null, FLAG_HOLEVO_NOT_CONVERGED: not_converged}
     cols = dict(c_sld=frame.c_sld, c_rld=c_rld, c_t=c_t, c_r=(1.0 + r_val) * frame.c_sld, c_h=c_h,
-                lower=lower, R=r_val, T=t_value, null=null, ill=ill, no_rld=no_rld,
+                lower=lower, gap_h=gap_h, R=r_val, T=t_value, null=null, ill=ill, no_rld=no_rld,
                 not_converged=not_converged, flags=flags, holevo=groups)
     _check_hierarchy(cols, ~ill)
     return cols

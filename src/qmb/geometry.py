@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -24,6 +25,7 @@ from .linalg import (
     sld_in_eigenbasis,
     small_matmul,
     spd_sqrt,
+    stacked,
     state_eigensystem,
     sym_cholesky,
     tracenorm_antisym,
@@ -43,6 +45,7 @@ _CLOSED_FORM_MARGIN = 10.0
 # O(TANGENT_TOL / (1 - |r|^2)) relative, not to TANGENT_TOL, near the pure states.
 TANGENT_TOL = 1e-12
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]  # entries k + 1 and k + 2 (mod 3) of a 3-vector
 
 
 @dataclass(frozen=True)
@@ -283,16 +286,20 @@ def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
     r, dr, radius = require_bloch_state(r, dr)
     # each vector over its largest entry, so that no square under- or overflows
     u, du = (v / np.maximum(np.max(np.abs(v), axis=-1, keepdims=True), 1e-300) for v in (r, dr))
-    with np.errstate(invalid="ignore"):  # 0 / 0 where r or d_i r is zero: tangent
-        cosine = np.nan_to_num(np.abs(dot(du, u[..., None, :]))
-                               / np.sqrt(dot(u, u)[..., None] * dot(du, du)))
-    worst = np.max(cosine, axis=-1)
-    raise_first_failure((worst > TANGENT_TOL, lambda i: InvalidInput(
-        f"d r is not tangent to r: |r.d r| / (|r| |d r|) = {np.ravel(worst)[i]:.3e}; "
+    # |u.d_i u| against |u| |d_i u| with no quotient; the norms are 0 only where u or d_i u is
+    along, norms = np.abs(dot(du, u[..., None, :])), np.sqrt(dot(u, u)[..., None] * dot(du, du))
+    raise_first_failure(((along > TANGENT_TOL * norms).any(axis=-1), lambda i: InvalidInput(
+        "d r is not tangent to r: |r.d r| / (|r| |d r|) = "
+        f"{(along / np.where(norms > 0.0, norms, 1.0)).reshape(-1, dr.shape[-2])[i].max():.3e}; "
         "a qubit given by its Bloch vector must be encoded unitarily")))
     q = dr @ dr.swapaxes(-1, -2)  # symmetric: both triangles sum the same products
-    u = dot(r[..., None, None, :], np.cross(dr[..., :, None, :], dr[..., None, :, :]))
-    spectrum = np.stack([0.5 + 0.5 * radius, np.maximum(0.5 - 0.5 * radius, 0.0)], axis=-1)
+    u = np.zeros(q.shape)
+    for i, j in itertools.combinations(range(q.shape[-1]), 2):
+        # a x b for a = d_i r, b = d_j r: a_(k+1) b_(k+2) - a_(k+2) b_(k+1), as np.cross rounds it
+        a, b = dr[..., i, :], dr[..., j, :]
+        u[..., i, j] = dot(r, a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT])
+        u[..., j, i] = -u[..., i, j]
+    spectrum = stacked(0.5 + 0.5 * radius, np.maximum(0.5 - 0.5 * radius, 0.0))
     return _geometry(q, u, dr, spectrum, r=r)
 
 
@@ -438,15 +445,21 @@ def _spectral_radius(g: InformationGeometry) -> np.ndarray:
     eigenvalue.  Otherwise that of i F U F^T (F^T F = Q^-1): for d = 3
     {0, +-|adj(F)^T u|}, so R = |G u| (`_invert`), u the axial vector of U;
     other d take a stacked eigvalsh.  As in `_frame`, a row whose Q^-1
-    leaves the float range gets inf or NaN."""
+    leaves the float range gets inf or NaN.  A row of pure states ``g.psi``
+    with d > n - 1 that is not ill has R = 1 exactly: Q + iU = <l_a|l_b> >= 0
+    has rank at most n - 1 < d, so i Q^-1 U has the eigenvalue -1, none larger."""
     with np.errstate(over="ignore", invalid="ignore"):
         if g.n_params == 2:
-            return np.abs(g.uhlmann[..., 0, 1]) * g._qfim_inverses[1]
-        if g.n_params == 3:
-            return np.sqrt(dot(g._adj_root_u, g._adj_root_u))
-    f = g._qfim_inverses[4]  # i F U F^T, F^T F = Q^-1, has the spectrum of i Q^-1 U
-    vals = np.linalg.eigvalsh(hermitian_part(1j * (f @ g.uhlmann @ f.swapaxes(-1, -2))))
-    return np.max(np.abs(vals), axis=-1, initial=0.0)
+            r = np.abs(g.uhlmann[..., 0, 1]) * g._qfim_inverses[1]
+        elif g.n_params == 3:
+            r = np.sqrt(dot(g._adj_root_u, g._adj_root_u))
+        else:
+            f = g._qfim_inverses[4]  # i F U F^T, F^T F = Q^-1, has the spectrum of i Q^-1 U
+            vals = np.linalg.eigvalsh(hermitian_part(1j * (f @ g.uhlmann @ f.swapaxes(-1, -2))))
+            r = np.max(np.abs(vals), axis=-1, initial=0.0)
+    if g.psi is not None and g.n_params > g.psi.shape[-1] - 1:
+        r = np.where(g._qfim_inverses[2], r, 1.0)
+    return r
 
 
 def t_measure(g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = False) -> float:

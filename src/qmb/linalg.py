@@ -35,6 +35,20 @@ def raise_first_failure(*checks) -> None:
         raise checks[int(np.argmax(bad[:, i]))][1](i)
 
 
+def stacked(*parts, axis: int = -1) -> np.ndarray:
+    """The parts broadcast together and stacked along a new axis, -1 or -2,
+    as ``np.stack(np.broadcast_arrays(*parts), axis)`` stacks them, by
+    assignment into one array: neither helper's Python-level call is made."""
+    if not any(np.ndim(p) for p in parts):
+        return np.array(parts)
+    shape = np.broadcast(*parts).shape
+    at = len(shape) + 1 + axis
+    out = np.empty(shape[:at] + (len(parts),) + shape[at:], np.result_type(*parts))
+    for i, part in enumerate(parts):
+        out[(..., i) + (slice(None),) * (-1 - axis)] = part
+    return out
+
+
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a . b over the last axis, rounded as ``np.dot`` rounds one pair."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import InvalidInput, StepTooLarge
 from .geometry import _split_gram
-from .linalg import dot, hermitian_part, raise_first_failure, require_pure_state, small_matmul
+from .linalg import (dot, hermitian_part, raise_first_failure, require_pure_state, small_matmul,
+                     stacked)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -72,16 +73,6 @@ def su2_generators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
-def _vec(*parts) -> np.ndarray:
-    """Components broadcast together and stacked along a new last axis."""
-    if not any(np.ndim(p) for p in parts):
-        return np.array(parts)
-    out = np.empty(np.broadcast(*parts).shape + (len(parts),), np.result_type(*parts))
-    for i, part in enumerate(parts):
-        out[..., i] = part
-    return out
-
-
 def _mat(x) -> np.ndarray:
     """A scalar or a batch of scalars, shaped to scale (stacked) matrices."""
     return np.asarray(x)[..., None, None]
@@ -95,7 +86,7 @@ def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 def rotation_about_z(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     zero, one = np.zeros_like(c), np.ones_like(c)
-    return _vec(c, -s, zero, s, c, zero, zero, zero, one).reshape(np.shape(c) + (3, 3))
+    return stacked(c, -s, zero, s, c, zero, zero, zero, one).reshape(np.shape(c) + (3, 3))
 
 
 def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -103,8 +94,8 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     n = np.asarray(axis, dtype=float)
     n = n / np.sqrt(dot(n, n))[..., None]
     zero = np.zeros(n.shape[:-1])
-    k = _vec(zero, -n[..., 2], n[..., 1], n[..., 2], zero, -n[..., 0], -n[..., 1], n[..., 0], zero)
-    k = k.reshape(n.shape[:-1] + (3, 3))
+    k = stacked(zero, -n[..., 2], n[..., 1], n[..., 2], zero, -n[..., 0], -n[..., 1], n[..., 0],
+                zero).reshape(n.shape[:-1] + (3, 3))
     return np.eye(3) + _mat(np.sin(angle)) * k + _mat(1.0 - np.cos(angle)) * (k @ k)
 
 
@@ -202,12 +193,12 @@ def tunable_qubit_r0(constants: Mapping[str, float]) -> np.ndarray:
     """Initial Bloch vector, pure-state (alpha, beta) or explicit (r_x, r_y, r_z)."""
     if "alpha" in constants:
         a, b = constants["alpha"], constants["beta"]
-        return _vec(np.sin(a) * np.cos(b), np.sin(a) * np.sin(b), np.cos(a))
-    return _vec(constants["r_x"], constants["r_y"], constants["r_z"]).astype(float)
+        return stacked(np.sin(a) * np.cos(b), np.sin(a) * np.sin(b), np.cos(a))
+    return stacked(constants["r_x"], constants["r_y"], constants["r_z"]).astype(float)
 
 
 def _rotation_axis(theta: float, phi: float) -> np.ndarray:
-    return _vec(np.cos(phi) * np.sin(theta), np.sin(phi) * np.sin(theta), np.cos(theta))
+    return stacked(np.cos(phi) * np.sin(theta), np.sin(phi) * np.sin(theta), np.cos(theta))
 
 
 def _tunable_qubit_bloch_derivs(
@@ -227,7 +218,7 @@ def _tunable_qubit_bloch_derivs(
     rz2 = rotation_about_z(2.0 * l2)
 
     def z_cross(v):
-        return _vec(-v[..., 1], v[..., 0], np.zeros(v.shape[:-1]))
+        return stacked(-v[..., 1], v[..., 0], np.zeros(v.shape[:-1]))
 
     w = _apply(rz1, r0)
     r = _apply(rz2, _apply(rot_v, w))
@@ -245,8 +236,8 @@ def _bloch_state(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _su2_qubit_axes(b: float, theta: float, t: float) -> tuple[np.ndarray, np.ndarray]:
     s, c = np.sin(b * t / 2.0), np.cos(b * t / 2.0)
-    n_theta = _vec(np.cos(theta), 0.0, np.sin(theta))
-    return n_theta, _vec(c * np.sin(theta), -s, -c * np.cos(theta))
+    n_theta = stacked(np.cos(theta), 0.0, np.sin(theta))
+    return n_theta, stacked(c * np.sin(theta), -s, -c * np.cos(theta))
 
 
 def _su2_qutrit_axes(
@@ -255,9 +246,9 @@ def _su2_qutrit_axes(
     s, c = np.sin(b * t / 2.0), np.cos(b * t / 2.0)
     ct, st = np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
-    n_theta = _vec(ct * cp, ct * sp, st)
-    n1 = _vec(s * sp + c * st * cp, -s * cp + c * st * sp, -c * ct)
-    n2 = _vec(c * sp - s * st * cp, -c * cp - s * st * sp, s * ct)
+    n_theta = stacked(ct * cp, ct * sp, st)
+    n1 = stacked(s * sp + c * st * cp, -s * cp + c * st * sp, -c * ct)
+    n2 = stacked(c * sp - s * st * cp, -c * cp - s * st * sp, s * ct)
     return n_theta, n1, n2
 
 
@@ -274,10 +265,10 @@ def _su2_frame(cfg: ModelConfig, params: np.ndarray) -> tuple:
     b, theta = params[..., 0], params[..., 1]
     s = np.sin(b * t / 2.0)
     if cfg.model_id == "su2_qutrit":
-        psi0 = _vec(np.cos(alpha / 2.0), 0.0, np.sin(alpha / 2.0) * np.exp(1j * beta))
+        psi0 = stacked(np.cos(alpha / 2.0), 0.0, np.sin(alpha / 2.0) * np.exp(1j * beta))
         axes = _su2_qutrit_axes(b, theta, params[..., 2], t)
         return psi0, su2_generators(3), axes, (-t, 2.0 * s, 2.0 * np.cos(theta) * s)
-    psi0 = _vec(np.cos(alpha / 2.0), np.sin(alpha / 2.0) * np.exp(1j * beta))
+    psi0 = stacked(np.cos(alpha / 2.0), np.sin(alpha / 2.0) * np.exp(1j * beta))
     return psi0, tuple(0.5 * p for p in PAULI), _su2_qubit_axes(b, theta, t), (-t, 2.0 * s)
 
 
@@ -301,13 +292,12 @@ def _pure_vectors(psi0, js, axes, scales) -> tuple[np.ndarray, np.ndarray]:
     shared by every row (n,) stays one vector, and J_c psi0 and <J_c> are
     formed once.  Every product is a broadcast multiply-add, so a row
     rounds the same way in any batch."""
-    js = np.stack(js)
+    js = np.array(js)
     jpsi = (js * psi0[..., None, None, :]).sum(-1)  # J_c psi0, (..., 3, n)
     mean = (psi0.conj()[..., None, :] * jpsi).sum(-1).real  # <J_c>
     centered = jpsi - mean[..., None] * psi0[..., None, :]
-    n_k = np.stack(np.broadcast_arrays(*axes), axis=-2)  # (..., d, 3)
-    scales = np.stack(np.broadcast_arrays(*scales), axis=-1)
-    return psi0, (2j * scales)[..., None] * small_matmul(n_k, centered)
+    n_k = stacked(*axes, axis=-2)  # (..., d, 3)
+    return psi0, (2j * stacked(*scales))[..., None] * small_matmul(n_k, centered)
 
 
 class ModelArrays(NamedTuple):
@@ -347,13 +337,13 @@ def model_arrays(cfg: ModelConfig, params: np.ndarray) -> ModelArrays:
     l1 = params[..., 0]
     if "alpha" in c:
         a, b = c["alpha"], c["beta"]
-        psi0 = _vec(np.cos(a / 2.0), np.sin(a / 2.0) * np.exp(1j * b))
+        psi0 = stacked(np.cos(a / 2.0), np.sin(a / 2.0) * np.exp(1j * b))
         rot_v = rotation_about_axis(_rotation_axis(c["theta"], c["phi"]), 2.0 * c["gamma"])
         m_z = _apply(rotation_about_z(2.0 * l1).swapaxes(-1, -2), rot_v[..., 2, :])  # M^T z
         axes = (np.array([0.0, 0.0, 1.0]), m_z)
         return ModelArrays(None, None, _pure_vectors(psi0, PAULI, axes, (-1.0, -1.0)), None)
     r, d1, d2 = _tunable_qubit_bloch_derivs(cfg, l1, params[..., 1])
-    return ModelArrays(None, None, None, (r, np.stack([d1, d2], axis=-2)))
+    return ModelArrays(None, None, None, (r, stacked(d1, d2, axis=-2)))
 
 
 def model_point(cfg: ModelConfig, params: Sequence[float]) -> ModelPoint:

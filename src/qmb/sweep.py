@@ -16,7 +16,7 @@ import numpy as np
 from .bounds import FLAG_SINGULAR_QFIM, ReportOptions, batch_reports
 from .errors import InvalidInput, InvalidSpec, UnknownPreset
 from .geometry import _weight_and_root, model_geometry
-from .linalg import WEIGHT_FLOOR
+from .linalg import WEIGHT_FLOOR, stacked
 from .models import MODEL_IDS, PARAM_NAMES, ModelConfig, _bloch_state, model_arrays
 from .models import _CONSTANT_NAMES, _check_names, _checked_config
 
@@ -368,7 +368,7 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> _Chunk:
     values, void = {**spec.fixed, **bound}, np.zeros(rows, bool)
     if w.kind == "diag_log_axis":
         omega = _omegas(values.pop(w.axis))
-        w_mat = np.stack(np.broadcast_arrays(1.0, 0.0, 0.0, omega), axis=-1).reshape(-1, 2, 2)
+        w_mat = stacked(1.0, 0.0, 0.0, omega).reshape(-1, 2, 2)
         weight = w_mat, np.sqrt(w_mat)  # diagonal, omega above WEIGHT_FLOOR (validate_spec)
         if spec.maximize_over:  # each row's saturating angles, then the batch
             values.update(_saturating_angles(spec.maximize_over, values, omega))
@@ -382,22 +382,21 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> _Chunk:
     if opts.compute_rld and arrays.bloch is not None:  # the RLD alone reads rho
         rho, derivs = _bloch_state(*arrays.bloch)
     cols = batch_reports(rho, derivs, geometry, w_mat, sqrt_w, opts)
-    c_s, missing = cols["c_sld"], {"c_rld": cols["no_rld"], "c_h": cols["ill"]}
+    missing = {"c_rld": cols["no_rld"], "c_h": cols["ill"], "gap_h": cols["ill"]}
     cells, gone = [bound[ax.name] for ax in spec.axes], [np.zeros(rows, bool)] * len(spec.axes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for name in spec.outputs:  # a gap is void where its bound is
-            # C_T = (1 + T) C_SLD and C_R = (1 + R) C_SLD, so gap_t and gap_r are T and R
-            base = {"gap_h": "c_h", "gap_t": "T", "gap_r": "R"}.get(name, name)
-            cells.append((cols[base] - c_s) / c_s if name == "gap_h" else cols[base])
-            gone.append(missing.get(base, cols["null"]) | void)
-        masks = {**cols["flags"], FLAG_R_ABOVE_ONE: ~cols["null"] & (cols["R"] > 1.0 + 1e-9)}
-        if spec.maximize_over:
-            masks[FLAG_NOT_SATURATED] = ~cols["null"] & ~(cols["T"] >= 1.0 - _SATURATION_TOL)
-    codes = np.where(void, -1, np.stack(list(masks.values()), -1) @ (1 << np.arange(len(masks))))
+    for name in spec.outputs:  # a gap is void where its bound is
+        # C_T = (1 + T) C_SLD and C_R = (1 + R) C_SLD, so gap_t and gap_r are T and R
+        base = {"gap_t": "T", "gap_r": "R"}.get(name, name)
+        cells.append(cols[base])
+        gone.append(missing.get(base, cols["null"]) | void)
+    masks = {**cols["flags"], FLAG_R_ABOVE_ONE: ~cols["null"] & (cols["R"] > 1.0 + 1e-9)}
+    if spec.maximize_over:
+        masks[FLAG_NOT_SATURATED] = ~cols["null"] & ~(cols["T"] >= 1.0 - _SATURATION_TOL)
+    codes = np.where(void, -1, stacked(*masks.values()) @ (1 << np.arange(len(masks))))
     flags = {code: tuple(sorted(name for bit, name in enumerate(masks) if code >> bit & 1))
              if code >= 0 else (FLAG_SINGULAR_QFIM,) for code in set(codes.tolist())}
-    gone = np.stack(gone, -1)
-    return _Chunk(np.stack(cells, -1), gone if gone.any() else None, codes, flags)
+    gone = stacked(*gone)
+    return _Chunk(stacked(*cells), gone if gone.any() else None, codes, flags)
 
 
 def _qfim_weight(geometry) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
@@ -548,17 +547,21 @@ def _joined(chunk: _Chunk, fmt, void: str, flag_text, keys: Sequence[str] = ()) 
     list of strings), a void cell as ``void``, and each flag tuple as
     ``flag_text(flags)``, which ends the row.  With ``keys``, keys[j]
     precedes each cell of column j."""
-    bits, cells = np.unique(chunk.values.ravel().view(np.int64), return_inverse=True)
-    cells = cells.reshape(chunk.values.shape)
+    patterns = chunk.values.ravel().view(np.int64)
+    order = patterns.argsort()  # the distinct patterns in order, as np.unique finds them
+    ordered, first = patterns[order], np.empty(len(patterns), bool)
+    first[:1], first[1:] = True, ordered[1:] != ordered[:-1]
+    bits, cells = ordered[first], np.empty(chunk.values.shape, np.intp)
+    cells.flat[order] = first.cumsum() - 1
     if chunk.void is not None:
         cells = np.where(chunk.void, len(bits), cells)
-    codes = sorted(chunk.flags)
+    low = min(chunk.flags, default=0)  # a text for every code from the least to the greatest
+    codes = range(low, max(chunk.flags, default=low - 1) + 1)
     table = [*fmt(bits.view(float).tolist()), void, *keys,
-             *map(flag_text, map(chunk.flags.get, codes))]
+             *(flag_text(chunk.flags[c]) if c in chunk.flags else "" for c in codes)]
     if keys:
-        at = np.broadcast_to(len(bits) + 1 + np.arange(len(keys)), cells.shape)
-        cells = np.stack([at, cells], -1).reshape(len(cells), -1)
-    flags = len(bits) + 1 + len(keys) + np.searchsorted(codes, chunk.codes)
+        cells = stacked(len(bits) + 1 + np.arange(len(keys)), cells).reshape(len(cells), -1)
+    flags = len(bits) + 1 + len(keys) - low + chunk.codes
     index = np.concatenate([cells, flags[:, None]], axis=-1)
     return "".join(np.array(table, object)[index].ravel().tolist())
 

@@ -21,6 +21,7 @@ from qmb.linalg import (
     dot,
     hermitian_part,
     require_derivative,
+    stacked,
     state_eigensystem,
 )
 from qmb.models import (
@@ -34,7 +35,6 @@ from qmb.models import (
     _su2_qubit_axes,
     _su2_qutrit_axes,
     _tunable_qubit_bloch_derivs,
-    _vec,
     rotation_about_axis,
     rotation_about_z,
     su2_generators,
@@ -430,12 +430,12 @@ def matmul_su2_state(cfg, params):
     s = np.sin(b * t / 2.0)
     if cfg.model_id == "su2_qutrit":
         js = su2_generators(3)
-        psi0 = _vec(np.cos(alpha / 2.0), 0.0, np.sin(alpha / 2.0) * np.exp(1j * beta))
+        psi0 = stacked(np.cos(alpha / 2.0), 0.0, np.sin(alpha / 2.0) * np.exp(1j * beta))
         axes = _su2_qutrit_axes(b, theta, params[..., 2], t)
         scales = (-t, 2.0 * s, 2.0 * np.cos(theta) * s)
     else:
         js = tuple(0.5 * p for p in PAULI)
-        psi0 = _vec(np.cos(alpha / 2.0), np.sin(alpha / 2.0) * np.exp(1j * beta))
+        psi0 = stacked(np.cos(alpha / 2.0), np.sin(alpha / 2.0) * np.exp(1j * beta))
         axes = _su2_qubit_axes(b, theta, t)
         scales = (-t, 2.0 * s)
     gens = np.broadcast_arrays(*(_mat(k) * _dot_j(n, js) for k, n in zip(scales, axes)))

@@ -9,6 +9,7 @@ from qmb import bounds, geometry
 from qmb.bounds import HOLEVO_GAP_TOL, ReportOptions, batch_reports
 from qmb.errors import (
     DerivativeNotTraceless,
+    InvalidInput,
     NonHermitianInput,
     QmbError,
     SingularQFIM,
@@ -16,6 +17,8 @@ from qmb.errors import (
 )
 from qmb.geometry import (
     RANK_TOL,
+    TANGENT_TOL,
+    _bloch_geometry,
     _frame,
     _gell_mann,
     _gell_mann_coordinates,
@@ -39,7 +42,7 @@ from qmb.geometry import (
     uhlmann_axial,
     weight_transform,
 )
-from qmb.linalg import hermitian_part, rld_solve, sld_solve
+from qmb.linalg import dot, hermitian_part, rld_solve, sld_solve
 from qmb.models import _bloch_state, model_config, model_point
 
 from conftest import (
@@ -981,6 +984,61 @@ def test_certified_inverse_matches_eigen_route(seed, d, kind, log_cond, side):
         c_h, want_h = got_reports["c_h"], want_reports["c_h"]
         assert np.array_equal(np.isnan(c_h), np.isnan(want_h))
         assert np.all(np.abs(c_h - want_h)[~np.isnan(c_h)] <= tol * np.abs(want_h)[~np.isnan(c_h)])
+
+
+def _bloch_oracle(r, dr):
+    """The Bloch route's forms before they were written out: each row's
+    largest |r.d_i r| / (|r| |d_i r|) as a quotient cleaned by np.nan_to_num,
+    and U_ij = r.(d_i r x d_j r) from np.cross."""
+    u, du = (v / np.maximum(np.max(np.abs(v), axis=-1, keepdims=True), 1e-300) for v in (r, dr))
+    with np.errstate(invalid="ignore"):  # 0 / 0 where r or d_i r is zero: tangent
+        cosine = np.nan_to_num(np.abs(dot(du, u[..., None, :]))
+                               / np.sqrt(dot(u, u)[..., None] * dot(du, du)))
+    return np.max(cosine, axis=-1), dot(r[..., None, None, :],
+                                        np.cross(dr[..., :, None, :], dr[..., None, :, :]))
+
+
+_BLOCH_ROW = st.tuples(st.one_of(st.just(-np.inf), st.floats(-150.0, 0.0)),  # log10 |r|
+                       st.floats(-150.0, 150.0),  # log10 |d r|
+                       st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.99, 1.01]),
+                                 st.floats(2.0, 1e6)))  # the radial part, in TANGENT_TOL
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]),
+       rows=st.lists(_BLOCH_ROW, min_size=1, max_size=4))
+def test_bloch_route_matches_cross_and_cosine_oracle(seed, d, rows):
+    # rows with |r| from 0 and 1e-150 to 1 and |d r| from 1e-150 to 1e150,
+    # the derivative k = row mod d with a radial part of ``side``
+    # TANGENT_TOL |d r| and the others tangent.  The tangent test with no
+    # quotient rejects exactly the rows the old cosine rejects, with the
+    # same error, and the written-out cross product gives the old U_ij,
+    # i < j, bit for bit, with U_ji = -U_ij and a zero diagonal.  The two
+    # tests round apart only within an ulp of the line, and the rounding of
+    # r.d r (about 1e-16 |r| |d r|) keeps the draws from it
+    rng = np.random.default_rng(seed)
+    r, dr = np.zeros((len(rows), 3)), np.zeros((len(rows), d, 3))
+    for i, (log_r, log_dr, side) in enumerate(rows):
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        t = np.cross(v, rng.normal(size=(d, 3)))
+        t /= np.linalg.norm(t, axis=-1, keepdims=True)
+        t[i % d] += side * TANGENT_TOL * v
+        r[i], dr[i] = 10.0**log_r * v, 10.0**log_dr * t
+    worst, u = _bloch_oracle(r, dr)
+    tangent = worst <= TANGENT_TOL
+    if tangent.any():
+        got = _bloch_geometry(r[tangent], dr[tangent]).uhlmann
+        above = np.triu_indices(d, 1)
+        assert got[:, above[0], above[1]].tobytes() == u[tangent][:, above[0], above[1]].tobytes()
+        np.testing.assert_array_equal(got, u[tangent])
+        np.testing.assert_array_equal(got, -got.swapaxes(-1, -2))
+    if not tangent.all():
+        first = int(np.argmin(tangent))
+        with pytest.raises(InvalidInput) as info:
+            _bloch_geometry(r, dr)
+        assert str(info.value) == (
+            f"d r is not tangent to r: |r.d r| / (|r| |d r|) = {worst[first]:.3e}; "
+            "a qubit given by its Bloch vector must be encoded unitarily")
 
 
 def singular_values_pairing(g, w_mat):

@@ -220,7 +220,9 @@ def test_one_line_between_regular_and_singular(route, seed, scale):
 def test_near_singular_sweep_completes():
     # a pure tunable qubit across gamma = 0, where the two encodings
     # commute and Q turns singular: every row is valued or a flagged null
-    # row, and no rounding of R near the line aborts the sweep
+    # row, and no rounding of R near the line aborts the sweep.  A pure
+    # qubit has R = 1 exactly, read from its structure, so no row carries
+    # RAboveOne
     spec = SweepSpec("tunable_qubit", fixed={"alpha": 1.0, "beta": 0.3, "theta": 1.1, "phi": 0.4,
                                              "lambda2": 0.2},
                      axes=(Axis("gamma", -1e-3, 1e-3, 41), Axis("lambda1", 0.3, 0.9, 7)),
@@ -229,10 +231,12 @@ def test_near_singular_sweep_completes():
     assert len(rows) == 287
     for row in rows:
         values = list(row.outputs.values())
+        assert "RAboveOne" not in row.flags
         if "SingularQFIM" in row.flags:
             assert values == [None, None]
         else:
             assert all(math.isfinite(v) for v in values)
+            assert row.outputs["R"] == 1.0
 
 
 @pytest.mark.parametrize("scale", [1e-13, 1e-6, 1e6])

@@ -32,10 +32,8 @@ from .geometry import (
     _frame,
     _gell_mann_coordinates,
     _normal_spaces,
-    _pure_normal_direction,
     _rld_matrix,
     _spectral_radius,
-    _vector_coordinates,
     _weight_and_root,
     _WeightFrame,
     _weight_frame,
@@ -285,13 +283,8 @@ def _holevo_exact(setup: _TangentSetup) -> tuple[np.ndarray, np.ndarray]:
             b = uhlmann_axial(x[..., :, None] * s[..., None, :] - s[..., :, None] * x[..., None, :])
         b = np.where(moved, b / s2[..., None], 0.0)
     root = setup.frame.sqrt_w
-    if d == 2:  # sqrt(W) k = b by Cramer's rule
-        adj_b = np.stack([root[..., 1, 1] * b[..., 0] - root[..., 0, 1] * b[..., 1],
-                          root[..., 0, 0] * b[..., 1] - root[..., 1, 0] * b[..., 0]], axis=-1)
-        k = adj_b / (root[..., 0, 0] * root[..., 1, 1] - root[..., 0, 1] * root[..., 1, 0])[..., None]
-    else:  # k = adj(sqrt W) b / det sqrt(W)
-        adj = adjugate(root)
-        k = (adj @ b[..., None])[..., 0] / dot(adj[..., 0, :], root[..., :, 0])[..., None]
+    adj = adjugate(root)  # k = adj(sqrt W) b / det sqrt(W)
+    k = (adj @ b[..., None])[..., 0] / dot(adj[..., 0, :], root[..., :, 0])[..., None]
     value = _objective(setup)(k)
     worse = value > setup.frame.c_t
     return np.where(worse, setup.frame.c_t, value), np.where(worse[..., None], 0.0, k)
@@ -479,15 +472,17 @@ def batch_reports(
     point.  A row is ill where Q is (`geometry._eigen_inverses`); every
     other row has full tangent rank.  A geometry of pure states given as
     vectors (``g.psi``) needs neither rho nor derivs: such a state has no
-    RLD bound, and its normal space reads the vectors' coordinates, or with
-    one normal direction (m = 2(n - 1) - d = 1) is built in closed form
-    (`_pure_normal_direction`).  Rows with C_H = C_T at K = 0, read from the
-    model's structure, build no normal space: a pure state whose tangent
-    space fills the 2(n - 1) directions of pure states, d = 2(n - 1)
-    (Matsumoto, J. Phys. A 35, 3111, 2002), and a unitarily encoded qubit
-    given by its Bloch vector (``g.r``; rho and derivs serve its RLD bound
-    alone), whose SLDs d_k r.sigma are orthogonal to r: its one normal
-    direction lies along r, uncoupled, the s = 0 case of Suzuki's
+    RLD bound.  A pure qutrit with d = 3 has one normal direction
+    (m = 2(n - 1) - d = 1), whose coupling Q u / sqrt(u^T Q u), u the axial
+    vector of U, and Gram matrix [[1]] follow from Q and U alone (Matsumoto,
+    J. Phys. A 35, 3111, 2002), so its rows build no normal space; other
+    rows of vectors take the Gell-Mann route of rho = psi psi^dag.  Rows
+    with C_H = C_T at K = 0, read from the model's structure, build no
+    normal space: a pure state whose tangent space fills the
+    2(n - 1) directions of pure states, d = 2(n - 1), and a unitarily
+    encoded qubit given by its Bloch vector (``g.r``; rho and derivs serve
+    its RLD bound alone), whose SLDs d_k r.sigma are orthogonal to r: its
+    one normal direction lies along r, uncoupled, the s = 0 case of Suzuki's
     two-parameter formula (J. Math. Phys. 57, 042201, 2016) that
     `_holevo_exact` implements."""
     frame = _frame(g, w_mat, sqrt_w)
@@ -517,18 +512,32 @@ def batch_reports(
             k = np.zeros((len(rows), 0, d))
             groups.append((rows, HolevoSolution(k, c_t[rows], c_t[rows], np.zeros(len(rows), int))))
         regular = np.flatnonzero(~ill & ~saturated)
-        if regular.size:
+        sel = subset(regular, points)
+        if regular.size and g.psi is not None and g.psi.shape[-1] == d == 3:
+            # Pure qutrits, d = 3: one normal direction, unit z in the real form
+            # v -> (Re v, Im v), J the complex unit.  {psi, i psi}^perp is
+            # J-invariant and spanned by the l_a and z, and Jz is orthogonal to
+            # z, so Jz = sum_a c_a l_a and the coupling l.Jz is s = Q c.  The z
+            # part of J^2 l_b = -l_b gives U c = 0: c lies along u (U != 0, as
+            # R = 1).  |Jz| = 1 gives c^T Q c = 1, and P = |z|^2 = 1, so
+            # left = sqrt(W) Q^-1 s = sqrt(W) c; the sign of c flips K, not C_H.
+            u = uhlmann_axial(g.uhlmann[sel])
+            c = u / np.sqrt(dot(u, (g.qfim[sel] @ u[..., None])[..., 0]))[..., None]
+            part = take(frame, sel)
+            setup = _TangentSetup(part, part.sqrt_w @ c[..., None], np.ones((len(regular), 1, 1)))
+            groups.append((regular, _holevo_solutions(setup)))
+        elif regular.size:
             if np.size(g.slds) == 0:
                 raise InvalidInput("geometry must carry SLD operators")
-            sel = subset(regular, points)
-            f = g._qfim_inverses[4][sel]
             if g.psi is None:
-                spaces = _normal_spaces(*_gell_mann_coordinates(rho[sel], g.slds[sel]), f)
-            elif d == 2 * (g.psi.shape[-1] - 1) - 1:  # one normal direction
-                spaces = [(slice(None), _pure_normal_direction(g.psi[sel], g.slds[sel], f))]
-            else:
-                spaces = _normal_spaces(*_vector_coordinates(g.psi[sel], g.slds[sel]), f)
-            for rows, basis in spaces:
+                states, slds = rho[sel], g.slds[sel]
+            else:  # rho = psi psi^dag, L_k = l_k psi^dag + psi l_k^dag, so L_k psi = l_k
+                psi = g.psi[sel]
+                states = psi[:, :, None] * psi[:, None, :].conj()
+                slds = g.slds[sel][..., None] * psi[:, None, None, :].conj()
+                slds = slds + slds.swapaxes(-1, -2).conj()
+            coordinates = _gell_mann_coordinates(states, slds)
+            for rows, basis in _normal_spaces(*coordinates, g._qfim_inverses[4][sel]):
                 rows = regular[rows]
                 setup = _tangent_setup(basis, take(frame, subset(rows, points)))
                 groups.append((rows, _holevo_solutions(setup)))

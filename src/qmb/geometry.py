@@ -569,11 +569,7 @@ class NormalSpaceBasis:
     Direction j is P_j = sum_a coeffs[a, j] (G_a - c_a) in the Gell-Mann basis,
     c_a = Tr[rho G_a] (``means``), so Tr[rho P_j] = 0.  ``gram`` is the complex
     matrix Tr[rho P_i P_j] (its real part is the identity by orthonormality)
-    and ``coupling`` is Im Tr[rho L_i P_j].  ``coeffs`` and ``means`` are in
-    the coordinates of the route that built the basis: the Gell-Mann basis
-    above or, for pure states given as vectors (`_vector_coordinates`), the
-    real form of the vectors P_j psi, with psi as the means; ``ops`` reads
-    only the Gell-Mann form."""
+    and ``coupling`` is Im Tr[rho L_i P_j]."""
 
     coeffs: np.ndarray
     means: np.ndarray
@@ -633,58 +629,10 @@ def _gell_mann_coordinates(rho: np.ndarray, slds: np.ndarray) -> tuple:
     return means, s, 0.5 * (slds.reshape(slds.shape[:2] + (-1,)) @ traces.T).real
 
 
-def _vector_coordinates(psi: np.ndarray, ells: np.ndarray) -> tuple:
-    """`_gell_mann_coordinates` of pure states psi (B, n) given with the
-    vectors l_k = L_k psi (B, d, n) of their SLDs, in the real form
-    v -> (Re v, Im v) of the vectors P psi.
-
-    Tr[rho X Y] = <X psi|Y psi> for a pure state, and P psi of a direction
-    with Tr[rho P] = 0 is orthogonal to psi and i psi, so the means are psi,
-    S = Pi (I + iJ) Pi, with Pi the projector that removes psi and i psi and
-    J the complex unit (Im <u|v> = u^T J v), and the SLD coefficients are
-    the l_k in the real form."""
-    n = psi.shape[-1]
-    x = np.concatenate([psi.real, psi.imag], axis=-1)  # psi in the real form
-    y = np.concatenate([-psi.imag, psi.real], axis=-1)  # i psi
-    s = np.empty(x.shape + x.shape[-1:], complex)
-    s.real = np.eye(2 * n) - x[..., :, None] * x[..., None, :] - y[..., :, None] * y[..., None, :]
-    # J = [[0, I], [-I, 0]] commutes with Pi, so Pi J Pi = J Pi: a signed swap of row blocks
-    s.imag = np.concatenate([s.real[..., n:, :], -s.real[..., :n, :]], axis=-2)
-    return psi, s, np.concatenate([ells.real, ells.imag], axis=-1)
-
-
-def _pure_normal_direction(psi: np.ndarray, ells: np.ndarray, f: np.ndarray) -> NormalSpaceBasis:
-    """The one-direction normal spaces of pure states psi (B, n) given with
-    the vectors l_k = L_k psi (B, d, n) of their SLDs and `_invert`'s F
-    (B, d, d), Q^-1 = F^T F, where m = 2(n - 1) - d = 1 and Q is regular, in
-    the coordinates of `_vector_coordinates`.
-
-    In the real form, with x = psi, y = i psi and l the rows l_k (orthogonal
-    to x and y), the normal projector P_N = I - x x^T - y y^T - l^T Q^-1 l
-    has rank one: P_N = z z^T.  z is the column of P_N with the largest
-    diagonal entry, normalized; that entry is positive, the sign the eigen
-    route's pivot gives.  So the Gram matrix is [[1]], since S z = z + i J z,
-    and the coupling is l . J z, with J z = (Im z, -Re z)."""
-    n = psi.shape[-1]
-    c = np.concatenate([psi[:, None], 1j * psi[:, None], ells], axis=1)
-    r = np.concatenate([c.real, c.imag], axis=-1)  # x, y and l in the real form
-    l = r[:, 2:]
-    # rows x, y and f = F l, so f^T f = l^T Q^-1 l and P_N = I - a^T a
-    a = np.concatenate([r[:, :2], f @ l], axis=1)
-    diag = 1.0 - (a * a).sum(axis=-2)
-    rows, j = np.arange(len(a)), np.argmax(diag, axis=-1)
-    z = -(a * a[rows, :, j][:, :, None]).sum(axis=-2)
-    z[rows, j] = diag[rows, j]
-    z /= np.sqrt(dot(z, z))[:, None]
-    jz = np.concatenate([z[:, n:], -z[:, :n]], axis=-1)
-    gram = np.ones((len(z), 1, 1), complex)
-    return NormalSpaceBasis(z[..., None], psi, gram, dot(l, jz[:, None, :])[..., None])
-
-
 def _normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray, f: np.ndarray) -> list:
     """The normal-space bases of a batch of states given by their
-    coordinates (`_gell_mann_coordinates` or `_vector_coordinates`: the
-    means, the form S and the SLD coefficients l (B, d, N)) and `_invert`'s
+    `_gell_mann_coordinates` (the means, the form S and the SLD
+    coefficients l (B, d, n^2 - 1)) and `_invert`'s
     F (B, d, d) of their Q, as `tangent_normal_decomposition` builds one,
     grouped by size: (rows, basis with those rows stacked along a leading
     axis)."""

@@ -24,10 +24,8 @@ from qmb.geometry import (
     _gell_mann_coordinates,
     _geometry,
     _normal_spaces,
-    _pure_normal_direction,
     _qfim_inverse,
     _spectral_radius,
-    _vector_coordinates,
     _weight_and_root,
     _weight_frame,
     compute_geometry,
@@ -771,11 +769,12 @@ def test_normal_space_properties(seed, n, d, kind):
 # route's 1.35e-10 and the matrix route's 1.95e-9 from a 40-digit value
 @example(seed=241095, n=4, d=6)
 def test_vector_normal_space_matches_gell_mann_route(seed, n, d):
-    # random pure states with d <= 2(n - 1): the vectors' normal space and
-    # the Gell-Mann route's on rho = psi psi^dag, L = 2 d rho have the same
-    # size, their gram and coupling agree up to the orthogonal map
-    # O_ij = Re <P_i psi|p_j> between the bases, and so do the Holevo values,
-    # within HOLEVO_GAP_TOL and the rounding eps cond(Q) of either route
+    # random pure states with d <= 2(n - 1), as vectors and as
+    # rho = psi psi^dag with L = 2 d rho: Q and U agree, the Gell-Mann
+    # route on rho has 2(n - 1) - d normal directions, and the Holevo values
+    # agree within HOLEVO_GAP_TOL and the rounding eps cond(Q) of either
+    # route.  The vectors take the structural direction (n = d = 3) or the
+    # Gell-Mann route on their own psi psi^dag
     assume(d <= 2 * (n - 1))
     rng = np.random.default_rng(seed)
     rho, derivs = random_pure_model(rng, n, d)
@@ -789,16 +788,7 @@ def test_vector_normal_space_matches_gell_mann_route(seed, n, d):
                                    atol=1e-13 * scale)
     ((_, want),) = _normal_spaces(*_gell_mann_coordinates(rho[None], want_g.slds),
                                   want_g._qfim_inverses[4])
-    ((_, got),) = _normal_spaces(*_vector_coordinates(got_g.psi, got_g.slds),
-                                 got_g._qfim_inverses[4])
-    want, got = take(want, 0), take(got, 0)
-    assert got.size == want.size == 2 * (n - 1) - d
-    p = got.coeffs[:n] + 1j * got.coeffs[n:]  # the vectors P_j psi from their real form
-    o = (np.reshape([op @ psi for op in want.ops], (want.size, n)).conj() @ p).real
-    tol = 1e-12 * max(1.0, np.sqrt(scale))
-    np.testing.assert_allclose(o.T @ o, np.eye(got.size), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got.gram, o.T @ want.gram @ o, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got.coupling, want.coupling @ o, rtol=0, atol=tol)
+    assert take(want, 0).size == 2 * (n - 1) - d
     w_mat, sqrt_w = _weight_and_root(random_spd(rng, d)[None], d)
     opts = ReportOptions(compute_rld=False)
     got_c = batch_reports(None, None, got_g, w_mat, sqrt_w, opts)
@@ -829,48 +819,71 @@ def _pure_vectors_with_spectrum(rng, spectra):
     return np.stack(psis), np.stack(ells)
 
 
-def _eigen_route(psi, ells, f):
-    """`_pure_normal_direction`'s bases from `_normal_spaces` on the vectors'
-    coordinates, the route it replaces: one group of one direction per row."""
-    ((rows, basis),) = _normal_spaces(*_vector_coordinates(psi, ells), f)
-    assert rows.tolist() == list(range(len(psi))) and basis.coeffs.shape[-1] == 1
-    return basis
+def _as_matrices(psi, ells):
+    """rho = psi psi^dag (B, n, n) and the SLDs L_k = l_k psi^dag + psi l_k^dag
+    (B, d, n, n) of pure states given as vectors, so that L_k psi = l_k."""
+    slds = ells[..., None] * psi[:, None, None, :].conj()
+    return psi[:, :, None] * psi[:, None, :].conj(), slds + slds.swapaxes(-1, -2).conj()
+
+
+def _structural_coupling(q, uhlmann):
+    """Q u / sqrt(u^T Q u) (B, 3), u the axial vector of U (B, 3, 3): the
+    coupling of a pure qutrit's one normal direction, up to its sign."""
+    u = uhlmann_axial(uhlmann)
+    qu = (q @ u[..., None])[..., 0]
+    return qu / np.sqrt(dot(u, qu))[..., None]
+
+
+def _recorded(monkeypatch, *names) -> dict:
+    """Lists that fill with the first argument of each call to the named
+    functions of `bounds`, which still run."""
+    sent = {name: [] for name in names}
+    for name, calls in sent.items():
+        monkeypatch.setattr(bounds, name, lambda *a, _fn=getattr(bounds, name),
+                            _calls=calls: _calls.append(a[0]) or _fn(*a))
+    return sent
 
 
 class TestPureNormalDirection:
-    """The closed-form one-direction normal space of pure states given as
-    vectors (m = 2(n - 1) - d = 1) against the eigen route it replaces."""
+    """The one normal direction of pure states given as vectors
+    (m = 2(n - 1) - d = 1): a qutrit's (n = d = 3) couples by
+    Q u / sqrt(u^T Q u), read from Q and U with no normal space built, and
+    other rows take the Gell-Mann route of psi psi^dag; both against the
+    Gell-Mann (eigen) route of the matrices."""
 
     @pytest.mark.parametrize("n, d", [(3, 3), (4, 5)])
     def test_matches_eigen_route(self, monkeypatch, n, d):
         rng = np.random.default_rng(n * 10 + d)
-        vectors = [pure_model_vectors(rho, np.stack(derivs))
-                   for rho, derivs in (random_pure_model(rng, n, d) for _ in range(16))]
-        psi, ells = (np.stack(x) for x in zip(*vectors))
-        g = model_geometry(None, None, (psi, ells), None)
+        models = [random_pure_model(rng, n, d) for _ in range(16)]
+        rho, derivs = np.stack([m[0] for m in models]), np.stack([np.stack(m[1]) for m in models])
+        psi, ells = pure_model_vectors(rho, derivs)
+        g, want_g = model_geometry(None, None, (psi, ells), None), compute_geometry(rho, derivs)
         w = g._qfim_eigh[0]
         cond = w[:, -1] / w[:, 0]
         assert not g._qfim_inverses[2].any()
-        got = _pure_normal_direction(psi, ells, g._qfim_inverses[4])
-        want = _eigen_route(psi, ells, g._qfim_inverses[4])
-        assert got.coeffs.shape[-1] == 1
-        assert np.array_equal(got.means, psi)
-        assert np.array_equal(got.gram, np.ones((len(psi), 1, 1)))
-        np.testing.assert_allclose(got.gram, want.gram, rtol=0, atol=1e-14)
-        # the same sign on every row: the largest entry positive, as the pivot has it
-        big = np.argmax(np.abs(want.coeffs[..., 0]), axis=-1)[:, None]
-        assert (np.take_along_axis(got.coeffs[..., 0], big, axis=-1) > 0).all()
-        assert (np.take_along_axis(want.coeffs[..., 0], big, axis=-1) > 0).all()
-        tol = (1e-12 + 1e-16 * cond)[:, None, None]
-        assert np.all(np.abs(got.coeffs - want.coeffs) <= tol)
-        scale = np.max(np.abs(want.coupling), axis=(-2, -1), keepdims=True)
-        assert np.all(np.abs(got.coupling - want.coupling) <= tol * scale)
+        tol = (1e-12 + 1e-16 * cond)[:, None]
+        ((rows, want),) = _normal_spaces(*_gell_mann_coordinates(rho, want_g.slds),
+                                         want_g._qfim_inverses[4])
+        assert rows.tolist() == list(range(len(psi))) and want.coeffs.shape[-1] == 1
+        if n == 3:
+            got = _structural_coupling(g.qfim, g.uhlmann)
+            got *= np.sign(dot(got, want.coupling[..., 0]))[:, None]
+            scale = np.max(np.abs(want.coupling), axis=(-2, -1))[:, None]
+            assert np.all(np.abs(got - want.coupling[..., 0]) <= tol * scale)
 
         w_mat, sqrt_w = _weight_and_root(np.stack([random_spd(rng, d) for _ in psi]), d)
         opts = ReportOptions(compute_rld=False)
+        sent = _recorded(monkeypatch, "_holevo_solutions", "_normal_spaces")
         got_h = batch_reports(None, None, g, w_mat, sqrt_w, opts)["c_h"]
-        monkeypatch.setattr(bounds, "_pure_normal_direction", _eigen_route)
-        want_h = batch_reports(None, None, g, w_mat, sqrt_w, opts)["c_h"]
+        want_h = batch_reports(rho, derivs, want_g, w_mat, sqrt_w, opts)["c_h"]
+        monkeypatch.undo()
+        # one group of every row on each side; the qutrit's vectors build no normal space
+        got_setup, want_setup = sent["_holevo_solutions"]
+        assert len(sent["_normal_spaces"]) == (1 if n == 3 else 2)
+        assert got_setup.left.shape == want_setup.left.shape == (len(psi), d, 1)
+        if n == 3:
+            assert np.array_equal(got_setup.gram, np.ones((len(psi), 1, 1)))
+        np.testing.assert_allclose(got_setup.gram, want_setup.gram, rtol=0, atol=1e-14)
         assert np.all(np.abs(got_h - want_h) <= (1e-12 + 1e-16 * cond) * want_h)
 
     def test_rows_up_to_the_line_take_the_closed_form(self, monkeypatch):
@@ -878,10 +891,10 @@ class TestPureNormalDirection:
         # times RANK_TOL, where `_invert` stops certifying its Cholesky
         # factor, and below RANK_TOL itself, where the row is ill.  Every
         # regular row has full tangent rank, so one normal direction, and
-        # takes the closed form, on F from either inverse; the ill row is a
-        # flagged null row and builds no normal space.  The small eigenvalue
-        # sits on u_2, which U does not couple to the pair (u_1, i u_1), so
-        # R = 1 is read from the well-conditioned block
+        # takes the structural coupling, whichever inverse took Q; the ill
+        # row is a flagged null row.  No row builds a normal space.  The
+        # small eigenvalue sits on u_2, which U does not couple to the pair
+        # (u_1, i u_1), so u lies along it
         cut = geometry._CLOSED_FORM_MARGIN * RANK_TOL
         ratios = [0.5, 1.05 * cut, 0.95 * cut, 0.5 * RANK_TOL]
         psi, ells = _pure_vectors_with_spectrum(
@@ -892,27 +905,68 @@ class TestPureNormalDirection:
         assert g.tangent_dim.tolist() == [3, 3, 3, 2]
         assert g._qfim_inverses[2].tolist() == [False, False, False, True]
 
-        sent = {"_pure_normal_direction": [], "_normal_spaces": []}
-        for name, rows in sent.items():
-            monkeypatch.setattr(bounds, name, lambda *a, _fn=getattr(bounds, name),
-                                _rows=rows: _rows.append(a[0]) or _fn(*a))
+        sent = _recorded(monkeypatch, "_holevo_solutions", "_normal_spaces",
+                         "_gell_mann_coordinates")
         eye = np.broadcast_to(np.eye(3), (len(psi), 3, 3))
         cols = batch_reports(None, None, g, eye, eye, ReportOptions(compute_rld=False))
         monkeypatch.undo()
-        (closed,) = sent["_pure_normal_direction"]
-        np.testing.assert_array_equal(closed, psi[:3])
-        assert sent["_normal_spaces"] == []
+        (setup,) = sent["_holevo_solutions"]
+        np.testing.assert_array_equal(setup.gram, np.ones((3, 1, 1)))
+        assert sent["_normal_spaces"] == [] and sent["_gell_mann_coordinates"] == []
         assert cols["flags"]["SingularQFIM"].tolist() == [False, False, False, True]
         assert np.isfinite(cols["c_h"][:3]).all() and np.isnan(cols["c_h"][3])
+        assert cols["R"][:3].tolist() == [1.0, 1.0, 1.0]
         # up to the line (cond(Q) about 1e8 on the uncertified row) the
-        # closed form agrees with the eigen route
-        f = g._qfim_inverses[4][:3]
-        got = _pure_normal_direction(psi[:3], ells[:3], f)
-        want = _eigen_route(psi[:3], ells[:3], f)
-        tol = (1e-12 + 1e-16 * w[:3, -1] / w[:3, 0])[:, None, None]
-        assert np.all(np.abs(got.coeffs - want.coeffs) <= tol)
-        scale = np.max(np.abs(want.coupling), axis=(-2, -1), keepdims=True)
-        assert np.all(np.abs(got.coupling - want.coupling) <= tol * scale)
+        # structural coupling agrees with the eigen route on the same Q
+        rho, slds = _as_matrices(psi[:3], ells[:3])
+        ((_, want),) = _normal_spaces(*_gell_mann_coordinates(rho, slds), g._qfim_inverses[4][:3])
+        got = _structural_coupling(g.qfim[:3], g.uhlmann[:3])
+        got *= np.sign(dot(got, want.coupling[..., 0]))[:, None]
+        tol = (1e-12 + 1e-16 * w[:3, -1] / w[:3, 0])[:, None]
+        scale = np.max(np.abs(want.coupling), axis=(-2, -1))[:, None]
+        assert np.all(np.abs(got - want.coupling[..., 0]) <= tol * scale)
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_cond=st.floats(0.0, 8.0),
+       side=st.sampled_from([None, 0.5, 0.9, 0.99, 1.01, 1.1, 1.5]), aligned=st.booleans())
+def test_structural_coupling_matches_gell_mann_route(seed, log_cond, side, aligned):
+    # random pure qutrits (n = d = 3, one normal direction) whose Q has the
+    # spectrum (1, a, 10^-log_cond), or (with ``side``) det Q / (Tr Q)^3 at
+    # side times `_invert`'s certificate line, scaled at random; u lies
+    # along Q's smallest eigenvector (``aligned``) or anywhere.  The
+    # Gell-Mann route on rho = psi psi^dag and L_k = l_k psi^dag + psi l_k^dag,
+    # on the same F, couples by +-Q u / sqrt(u^T Q u) within
+    # (1e-12 + 1e-16 cond(Q)) sqrt(lambda_max), the scale of the coupling
+    # l_k.Jz (|Jz| = 1, |l_k| <= sqrt(lambda_max)); and `batch_reports`
+    # gives the same C_H from the vectors as from those matrices with the
+    # same Q and U, within HOLEVO_GAP_TOL and eps cond(Q).  (The matrices'
+    # own `compute_geometry` rounds C_SLD apart from the vectors' by up to
+    # a few eps cond(Q), whichever normal-space route follows.)
+    rng = np.random.default_rng(seed)
+    a, line = rng.uniform(0.2, 1.0), geometry._CLOSED_FORM_MARGIN * RANK_TOL
+    small = 10.0**-log_cond if side is None else side * line * (1.0 + a) ** 3 / a
+    spectrum = np.array([1.0, a, small]) * 10.0 ** rng.uniform(-2.0, 2.0)
+    if aligned:  # U couples the pair (u_1, i u_1) and leaves u_2, Q's smallest eigenvector
+        psi, ells = _pure_vectors_with_spectrum(rng, [spectrum])
+    else:
+        psi, unit = _pure_vectors_with_spectrum(rng, [(1.0, 1.0, 1.0)])
+        ells = np.linalg.qr(rng.normal(size=(3, 3)))[0] @ (np.sqrt(spectrum)[:, None] * unit)
+    g = model_geometry(None, None, (psi, ells), None)
+    w = np.linalg.eigvalsh(g.qfim[0])
+    cond = w[-1] / w[0]
+    if side is not None:  # the rows sit on the intended side of the certificate
+        assert ("_qfim_eigh" not in g.__dict__) == (side > 1.0)
+    rho, slds = _as_matrices(psi, ells)
+    ((_, basis),) = _normal_spaces(*_gell_mann_coordinates(rho, slds), g._qfim_inverses[4])
+    want, got = basis.coupling[..., 0], _structural_coupling(g.qfim, g.uhlmann)
+    got *= np.sign(dot(got, want))[:, None]
+    np.testing.assert_allclose(got, want, rtol=0, atol=(1e-12 + 1e-16 * cond) * np.sqrt(w[-1]))
+    w_mat, sqrt_w = _weight_and_root(random_spd(rng, 3)[None], 3)
+    opts = ReportOptions(compute_rld=False)
+    got_h = batch_reports(None, None, g, w_mat, sqrt_w, opts)["c_h"][0]
+    matrices = _geometry(g.qfim, g.uhlmann, slds, g.rho_spectrum)
+    want_h = batch_reports(rho, None, matrices, w_mat, sqrt_w, opts)["c_h"][0]
+    assert got_h == pytest.approx(want_h, rel=HOLEVO_GAP_TOL + np.finfo(float).eps * cond)
 
 
 _SPECTRA = ("one_small", "two_small", "near_the_line", "singular", "indefinite")

@@ -693,20 +693,17 @@ class TestFigurePresets:
         # serve every preset row.  The pure qubit of fig4 fills its tangent
         # space (m = 0), and the unitarily encoded mixed qubit of fig2 and
         # fig3 has C_H = C_T by its structure: neither builds a normal space
-        # or a tangent setup, nor solves.  The pure qutrit of fig5 takes its
-        # one direction in closed form on every row, with no coordinates
-        # built for any row
+        # or a tangent setup, nor solves.  The pure qutrit of fig5 reads its
+        # one direction's coupling from Q and U: one tangent setup of every
+        # row, Gram matrix 1, and no coordinates or normal space built
         def no_dual(*args, **kwargs):
             raise AssertionError("dual solve reached")
 
-        calls = {"_normal_spaces": [], "_vector_coordinates": [], "_pure_normal_direction": [],
-                 "_tangent_setup": [], "_holevo_solutions": []}
-        width = {"_tangent_setup": lambda basis, frame: len(frame.c_sld),  # rows per call
-                 "_holevo_solutions": lambda setup: len(setup.left)}
+        calls = {"_normal_spaces": [], "_gell_mann_coordinates": [], "_tangent_setup": [],
+                 "_holevo_solutions": []}
         for fn_name, counts in calls.items():
             monkeypatch.setattr(bounds, fn_name, lambda *a, _fn=getattr(bounds, fn_name),
-                                _rows=width.get(fn_name, lambda *a: len(a[0])),
-                                _counts=counts: _counts.append(_rows(*a)) or _fn(*a))
+                                _counts=counts: _counts.append(a[0]) or _fn(*a))
         monkeypatch.setattr(bounds, "_holevo_dual", no_dual)
         for name in ("fig2", "fig3a", "fig3b", "fig4", "fig5"):
             config = {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}
@@ -716,11 +713,11 @@ class TestFigurePresets:
             assert len(rows) == 36
             assert not any("HolevoNotConverged" in row.flags for row in rows)
             if name == "fig5":
-                assert calls == {"_normal_spaces": [], "_vector_coordinates": [],
-                                 "_pure_normal_direction": [36], "_tangent_setup": [36],
-                                 "_holevo_solutions": [36]}
-            else:
-                assert calls == {name: [] for name in calls}
+                (setup,) = calls["_holevo_solutions"]
+                assert setup.left.shape == (36, 3, 1)
+                assert np.array_equal(setup.gram, np.ones((36, 1, 1)))
+                calls["_holevo_solutions"].clear()
+            assert calls == {name: [] for name in calls}
 
     @staticmethod
     def _record_linalg(monkeypatch) -> list:

@@ -43,7 +43,7 @@ from .geometry import (
     take,
     uhlmann_axial,
 )
-from .linalg import SUPPORT_TOL, adjugate, dot, raise_first_failure, trace_norm
+from .linalg import SUPPORT_TOL, adjugate, broadcast, dot, raise_first_failure, trace_norm
 from .linalg import tracenorm_antisym
 from .models import ModelPoint
 
@@ -212,7 +212,7 @@ def _holevo_solutions(setup: _TangentSetup) -> HolevoSolution:
         return HolevoSolution(np.zeros((len(c_t), m, d)), c_t, c_t, np.zeros(len(c_t), int))
     if m == 1 and d in (2, 3):  # two evaluations: K = 0 (C_T) and the optimum
         values, ks = _holevo_exact(setup)
-        return HolevoSolution(ks[:, None], values, values, np.full(len(values), 2))
+        return HolevoSolution(ks[:, None], values, values, broadcast(2, len(values)))
     sols = [astuple(_holevo_dual(take(setup, i))) for i in range(len(setup.left))]
     return HolevoSolution(*map(np.array, zip(*sols)))  # stacked field by field
 
@@ -496,7 +496,7 @@ def batch_reports(
     if opts.compute_rld:
         spectrum = np.linalg.eigvalsh(rho) if g.rho_spectrum is None else g.rho_spectrum
         no_rld = np.min(spectrum, axis=-1) <= SUPPORT_TOL  # rank deficient
-        c_rld = np.full(points, np.nan)
+        c_rld = broadcast(np.nan, points)
         if not no_rld.all():
             full_rank = np.where(no_rld[:, None, None], np.eye(rho.shape[-1]), rho)
             c_rld, singular = _c_rld(_rld_matrix(full_rank, derivs), w_mat)
@@ -508,10 +508,10 @@ def batch_reports(
         # r.d_k r = 0 on the Bloch route (`_bloch_geometry`), so s = 0
         saturated = ~ill & ((g.r is not None) | (fills and spectrum[:, 1] <= SUPPORT_TOL))
         if saturated.any():  # K = 0 at C_T
-            rows = np.flatnonzero(saturated)
+            rows = saturated.nonzero()[0]
             k = np.zeros((len(rows), 0, d))
             groups.append((rows, HolevoSolution(k, c_t[rows], c_t[rows], np.zeros(len(rows), int))))
-        regular = np.flatnonzero(~ill & ~saturated)
+        regular = (~ill & ~saturated).nonzero()[0]
         sel = subset(regular, points)
         if regular.size and g.psi is not None and g.psi.shape[-1] == d == 3:
             # Pure qutrits, d = 3: one normal direction, unit z in the real form
@@ -524,7 +524,7 @@ def batch_reports(
             u = uhlmann_axial(g.uhlmann[sel])
             c = u / np.sqrt(dot(u, (g.qfim[sel] @ u[..., None])[..., 0]))[..., None]
             part = take(frame, sel)
-            setup = _TangentSetup(part, part.sqrt_w @ c[..., None], np.ones((len(regular), 1, 1)))
+            setup = _TangentSetup(part, part.sqrt_w @ c[..., None], broadcast(1.0, (len(c), 1, 1)))
             groups.append((regular, _holevo_solutions(setup)))
         elif regular.size:
             if np.size(g.slds) == 0:
@@ -541,7 +541,7 @@ def batch_reports(
                 rows = regular[rows]
                 setup = _tangent_setup(basis, take(frame, subset(rows, points)))
                 groups.append((rows, _holevo_solutions(setup)))
-        c_h, lower, gap_h = np.full((3, points), np.nan)
+        c_h, lower, gap_h = broadcast(np.nan, (3, points))
         for rows, sol in groups:
             c_h[rows], lower[rows], not_converged[rows] = sol.value, sol.lower, ~sol.converged
             # T where K = 0 at C_T is a theorem, taken with no evaluation for the whole group

@@ -12,6 +12,7 @@ import numpy as np
 from .errors import InvalidInput, SingularQFIM
 from .linalg import (
     adjugate,
+    broadcast,
     density_spectrum,
     dot,
     hermitian_part,
@@ -151,15 +152,15 @@ def _invert(q: np.ndarray) -> tuple:
             return *_eigen_inverses(w, v), (w, v)
         flat = q.reshape(-1, d, d)
         low = sym_cholesky(flat)
-        det_low = np.prod(np.diagonal(low, axis1=-2, axis2=-1), axis=-1)
-        ratio = det_low * det_low / np.trace(flat, axis1=-2, axis2=-1) ** d
+        det_low = np.multiply.reduce(low.diagonal(0, -2, -1), axis=-1)
+        ratio = det_low * det_low / flat.trace(0, -2, -1) ** d
         rest = ~(ratio > _CLOSED_FORM_MARGIN * RANK_TOL)  # L's diagonal is > 0, 0 or NaN
         root = (1.0 / det_low)[:, None, None]
         f = adjugate(low) * root
         qinv = adjugate(flat) * root * root if d == 2 else f.swapaxes(-1, -2) @ f
         inverses = (qinv, root[:, 0, 0], *np.zeros((2, len(flat)), bool), f,
                     *((low.swapaxes(-1, -2) * root,) if d == 3 else ()))
-        rank, eigh = np.full(len(flat), d), None
+        rank, eigh = broadcast(d, len(flat)), None
         if rest.any():
             w, v = np.linalg.eigh(flat[rest])
             part, rank[rest] = _eigen_inverses(w, v)
@@ -270,7 +271,7 @@ def _vector_geometry(psi: np.ndarray, ells: np.ndarray) -> InformationGeometry:
     of one Gram matrix, formed by `small_matmul`, and rho = psi psi^dag is
     never formed.  `require_pure_state` checks the vectors."""
     psi, ells = require_pure_state(psi, ells)
-    psi = np.broadcast_to(psi, ells.shape[:-2] + psi.shape[-1:])
+    psi = broadcast(psi, ells.shape[:-2] + psi.shape[-1:])
     q, u = _split_gram(small_matmul(ells.conj(), ells.swapaxes(-1, -2)))
     spectrum = np.zeros(psi.shape)
     spectrum[..., 0] = 1.0
@@ -285,7 +286,7 @@ def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
     Then the SLDs L_i = a_i I + b_i.sigma have a_i = 0 and b_i = d_i r."""
     r, dr, radius = require_bloch_state(r, dr)
     # each vector over its largest entry, so that no square under- or overflows
-    u, du = (v / np.maximum(np.max(np.abs(v), axis=-1, keepdims=True), 1e-300) for v in (r, dr))
+    u, du = (v / np.maximum(np.maximum.reduce(abs(v), -1, keepdims=True), 1e-300) for v in (r, dr))
     # |u.d_i u| against |u| |d_i u| with no quotient; the norms are 0 only where u or d_i u is
     along, norms = np.abs(dot(du, u[..., None, :])), np.sqrt(dot(u, u)[..., None] * dot(du, du))
     raise_first_failure(((along > TANGENT_TOL * norms).any(axis=-1), lambda i: InvalidInput(

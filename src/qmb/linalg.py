@@ -28,8 +28,9 @@ WEIGHT_FLOOR = 1e-12
 def raise_first_failure(*checks) -> None:
     """Raise for the first entry (C order) failing a check: ``checks`` are
     (mask, make_error) pairs in the order one entry is checked, the masks
-    broadcast together, and ``make_error(i)`` builds flat entry i's error."""
-    if any(mask.any() for mask, _ in checks):
+    broadcast together, and ``make_error(i)`` builds flat entry i's error.  A
+    mask may be a Python bool, the check of a value shared by every entry."""
+    if any(np.logical_or.reduce(mask, axis=None) for mask, _ in checks):
         bad = np.array([m.ravel() for m in np.broadcast_arrays(*(mask for mask, _ in checks))])
         i = int(np.argmax(bad.any(axis=0)))
         raise checks[int(np.argmax(bad[:, i]))][1](i)
@@ -39,13 +40,20 @@ def stacked(*parts, axis: int = -1) -> np.ndarray:
     """The parts broadcast together and stacked along a new axis, -1 or -2,
     as ``np.stack(np.broadcast_arrays(*parts), axis)`` stacks them, by
     assignment into one array: neither helper's Python-level call is made."""
-    if not any(np.ndim(p) for p in parts):
+    if not any(getattr(p, "ndim", 0) for p in parts):
         return np.array(parts)
     shape = np.broadcast(*parts).shape
     at = len(shape) + 1 + axis
     out = np.empty(shape[:at] + (len(parts),) + shape[at:], np.result_type(*parts))
     for i, part in enumerate(parts):
         out[(..., i) + (slice(None),) * (-1 - axis)] = part
+    return out
+
+
+def broadcast(x, shape: tuple) -> np.ndarray:
+    """``np.broadcast_to(x, shape)`` as a new array, with no Python-level call."""
+    out = np.empty(shape, np.result_type(x))
+    out[...] = x
     return out
 
 

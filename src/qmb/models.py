@@ -24,21 +24,25 @@ Conventions worth spelling out once:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidInput, StepTooLarge
 from .geometry import _split_gram
-from .linalg import (dot, hermitian_part, raise_first_failure, require_pure_state, small_matmul,
-                     stacked)
+from .linalg import (broadcast, dot, hermitian_part, raise_first_failure, require_pure_state,
+                     small_matmul, stacked)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
+_PAULI_STACK = np.array(PAULI)  # read-only, like the stacks of `_spin_matrices`
+_PAULI_STACK.flags.writeable = False
+_EYE3 = np.eye(3)
 
 MODEL_IDS = ("tunable_qubit", "su2_qubit", "su2_qutrit")
 
@@ -62,15 +66,22 @@ def su2_generators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Basis ordering is by descending magnetic quantum number, i.e.
     (|1>, |0>, |-1>) for dim = 3.
     """
+    return tuple(_spin_matrices(dim).copy())
+
+
+@cache
+def _spin_matrices(dim: int) -> np.ndarray:
+    """`su2_generators` stacked (3, dim, dim), built on first use per dim, read-only."""
     j = (dim - 1) / 2.0
     m = j - np.arange(dim)
-    jz = np.diag(m).astype(complex)
     ladder = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
     jp = np.zeros((dim, dim), dtype=complex)
     jp[np.arange(dim - 1), np.arange(1, dim)] = ladder
-    jx = 0.5 * (jp + jp.conj().T)
-    jy = -0.5j * (jp - jp.conj().T)
-    return jx, jy, jz
+    js = np.zeros((3, dim, dim), dtype=complex)
+    js[0], js[1] = 0.5 * (jp + jp.conj().T), -0.5j * (jp - jp.conj().T)
+    js[2, range(dim), range(dim)] = m
+    js.flags.writeable = False
+    return js
 
 
 def _mat(x) -> np.ndarray:
@@ -85,18 +96,16 @@ def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def rotation_about_z(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
-    zero, one = np.zeros_like(c), np.ones_like(c)
-    return stacked(c, -s, zero, s, c, zero, zero, zero, one).reshape(np.shape(c) + (3, 3))
+    return stacked(c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0).reshape(c.shape + (3, 3))
 
 
 def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix about a unit axis."""
     n = np.asarray(axis, dtype=float)
     n = n / np.sqrt(dot(n, n))[..., None]
-    zero = np.zeros(n.shape[:-1])
-    k = stacked(zero, -n[..., 2], n[..., 1], n[..., 2], zero, -n[..., 0], -n[..., 1], n[..., 0],
-                zero).reshape(n.shape[:-1] + (3, 3))
-    return np.eye(3) + _mat(np.sin(angle)) * k + _mat(1.0 - np.cos(angle)) * (k @ k)
+    k = stacked(0.0, -n[..., 2], n[..., 1], n[..., 2], 0.0, -n[..., 0], -n[..., 1], n[..., 0],
+                0.0).reshape(n.shape[:-1] + (3, 3))
+    return _EYE3 + _mat(np.sin(angle)) * k + _mat(1.0 - np.cos(angle)) * (k @ k)
 
 
 def _su2_exp(nj: np.ndarray, x) -> np.ndarray:
@@ -108,7 +117,7 @@ def _su2_exp(nj: np.ndarray, x) -> np.ndarray:
     half = np.asarray(x) / 2.0
     if nj.shape[-1] == 2:
         return _mat(np.cos(half)) * np.eye(2) - 2j * _mat(np.sin(half)) * nj
-    return (np.eye(3) - 1j * _mat(np.sin(x)) * nj
+    return (_EYE3 - 1j * _mat(np.sin(x)) * nj
             - _mat(2.0 * np.sin(half) ** 2) * small_matmul(nj, nj))
 
 
@@ -173,13 +182,15 @@ def _checked_config(model_id: str, constants: Mapping) -> ModelConfig:
     constant is one value, or an array of values, one per row of a batch;
     a scalar stays a scalar, so what depends on it alone is evaluated (and
     checked) once.  The first failing row raises, as a config of scalars would."""
-    constants = {k: np.asarray(v, float) if np.ndim(v) else float(v) for k, v in constants.items()}
+    constants = {k: np.asarray(v, float) if getattr(v, "ndim", isinstance(v, (list, tuple)))
+                 else float(v) for k, v in constants.items()}
     cfg, shape = ModelConfig(model_id, constants), np.broadcast(*constants.values()).shape
-    rules = [(~np.isfinite(val), lambda i, k=k, v=val: InvalidInput(
-        f"constant {k}={float(np.broadcast_to(v, shape).flat[i])!r} is not finite"))
-        for k, val in constants.items()]
+    rules = [(not math.isfinite(val) if isinstance(val, float) else ~np.isfinite(val),
+              lambda i, k=k, v=val: InvalidInput(
+                  f"constant {k}={float(broadcast(v, shape).flat[i])!r} is not finite"))
+             for k, val in constants.items()]
     if model_id != "tunable_qubit":
-        rules.append((np.less_equal(constants["t"], 0.0),
+        rules.append((constants["t"] <= 0.0,
                       lambda i: InvalidInput("evolution time t must be positive")))
     elif "alpha" not in constants:  # (alpha, beta) give a unit vector by construction
         r0 = cfg._r0
@@ -218,7 +229,7 @@ def _tunable_qubit_bloch_derivs(
     rz2 = rotation_about_z(2.0 * l2)
 
     def z_cross(v):
-        return stacked(-v[..., 1], v[..., 0], np.zeros(v.shape[:-1]))
+        return stacked(-v[..., 1], v[..., 0], 0.0)
 
     w = _apply(rz1, r0)
     r = _apply(rz2, _apply(rot_v, w))
@@ -267,9 +278,9 @@ def _su2_frame(cfg: ModelConfig, params: np.ndarray) -> tuple:
     if cfg.model_id == "su2_qutrit":
         psi0 = stacked(np.cos(alpha / 2.0), 0.0, np.sin(alpha / 2.0) * np.exp(1j * beta))
         axes = _su2_qutrit_axes(b, theta, params[..., 2], t)
-        return psi0, su2_generators(3), axes, (-t, 2.0 * s, 2.0 * np.cos(theta) * s)
+        return psi0, _spin_matrices(3), axes, (-t, 2.0 * s, 2.0 * np.cos(theta) * s)
     psi0 = stacked(np.cos(alpha / 2.0), np.sin(alpha / 2.0) * np.exp(1j * beta))
-    return psi0, tuple(0.5 * p for p in PAULI), _su2_qubit_axes(b, theta, t), (-t, 2.0 * s)
+    return psi0, 0.5 * _PAULI_STACK, _su2_qubit_axes(b, theta, t), (-t, 2.0 * s)
 
 
 def _su2_state(cfg: ModelConfig, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +303,6 @@ def _pure_vectors(psi0, js, axes, scales) -> tuple[np.ndarray, np.ndarray]:
     shared by every row (n,) stays one vector, and J_c psi0 and <J_c> are
     formed once.  Every product is a broadcast multiply-add, so a row
     rounds the same way in any batch."""
-    js = np.array(js)
     jpsi = (js * psi0[..., None, None, :]).sum(-1)  # J_c psi0, (..., 3, n)
     mean = (psi0.conj()[..., None, :] * jpsi).sum(-1).real  # <J_c>
     centered = jpsi - mean[..., None] * psi0[..., None, :]
@@ -341,7 +351,7 @@ def model_arrays(cfg: ModelConfig, params: np.ndarray) -> ModelArrays:
         rot_v = rotation_about_axis(_rotation_axis(c["theta"], c["phi"]), 2.0 * c["gamma"])
         m_z = _apply(rotation_about_z(2.0 * l1).swapaxes(-1, -2), rot_v[..., 2, :])  # M^T z
         axes = (np.array([0.0, 0.0, 1.0]), m_z)
-        return ModelArrays(None, None, _pure_vectors(psi0, PAULI, axes, (-1.0, -1.0)), None)
+        return ModelArrays(None, None, _pure_vectors(psi0, _PAULI_STACK, axes, (-1.0, -1.0)), None)
     r, d1, d2 = _tunable_qubit_bloch_derivs(cfg, l1, params[..., 1])
     return ModelArrays(None, None, None, (r, stacked(d1, d2, axis=-2)))
 

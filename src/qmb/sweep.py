@@ -16,7 +16,7 @@ import numpy as np
 from .bounds import FLAG_SINGULAR_QFIM, ReportOptions, batch_reports
 from .errors import InvalidInput, InvalidSpec, UnknownPreset
 from .geometry import _weight_and_root, model_geometry
-from .linalg import WEIGHT_FLOOR, stacked
+from .linalg import WEIGHT_FLOOR, broadcast, stacked
 from .models import MODEL_IDS, PARAM_NAMES, ModelConfig, _bloch_state, model_arrays
 from .models import _CONSTANT_NAMES, _check_names, _checked_config
 
@@ -55,7 +55,16 @@ class Axis:
     count: int
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
+        """np.linspace(start, stop, count) by its own steps, with none of its Python-level calls."""
+        div, span = self.count - 1, float(self.stop) - float(self.start)
+        step, offsets = span / div, np.arange(self.count, dtype=float)
+        if step == 0.0:  # the step underflows (numpy's gh-5437): divide, then scale by the span
+            offsets /= div
+            step = span
+        offsets *= step
+        offsets += self.start
+        offsets[-1] = self.stop
+        return offsets
 
 
 @dataclass(frozen=True)
@@ -333,12 +342,12 @@ def _bind_values(model_id: str, bound: dict, rows: int) -> tuple[ModelConfig, np
     if "r2" in values:
         r2 = values.pop("r2")
         planar = r2 - values["r_z"] * values["r_z"]
-        below = np.broadcast_to(planar < -1e-12, (rows,))
+        below = broadcast(planar < -1e-12, (rows,))
         if below.any():  # the rows before the first bad one raise their own errors first
             first = int(np.argmax(below))
-            _bind_values(model_id, {k: np.broadcast_to(v, (rows,))[:first]
+            _bind_values(model_id, {k: broadcast(v, (rows,))[:first]
                                     for k, v in bound.items()}, first)
-            raise InvalidSpec(f"r2={float(np.broadcast_to(r2, (rows,))[first])!r} is below r_z^2")
+            raise InvalidSpec(f"r2={float(broadcast(r2, (rows,))[first])!r} is below r_z^2")
         values["r_x"] = values["r_y"] = np.sqrt(np.maximum(planar, 0.0) / 2.0)
     names = PARAM_NAMES[model_id]
     params = np.zeros((rows, len(names)))
@@ -377,7 +386,7 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> _Chunk:
     geometry = model_geometry(*arrays)
     if w.kind == "qfim":
         weight, void = _qfim_weight(geometry)
-    w_mat, sqrt_w = (np.broadcast_to(x, (rows, *x.shape[-2:])) for x in weight)
+    w_mat, sqrt_w = (broadcast(x, (rows, *x.shape[-2:])) for x in weight)
     rho, derivs = arrays.rho, arrays.derivs
     if opts.compute_rld and arrays.bloch is not None:  # the RLD alone reads rho
         rho, derivs = _bloch_state(*arrays.bloch)
@@ -571,19 +580,21 @@ def figure_preset(name: str, config: Mapping[str, float] | None = None) -> Sweep
 
     fig2 intentionally has no default Bloch components: pass r_y and r_z in
     ``config`` (the repository's reproduction recipe uses r_y=0.2, r_z=0.4).
-    ``config`` may also override per-preset grid counts via ``count``.
+    ``config`` may also override per-preset grid counts via ``count``, an integer >= 2.
     """
     names = ("fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5")
     if name not in names:
         raise UnknownPreset(f"unknown preset {name!r}; expected {', '.join(names)}")
     cfg = dict(config or {})
-    count = int(cfg.pop("count", 0))
+    count = cfg.pop("count", None)  # an axis needs an integer count of at least 2
+    if count is not None and not (_number("count", count).is_integer() and float(count) >= 2):
+        raise InvalidSpec(f"count={count!r} must be an integer >= 2")
     # No solver is seeded; a "seed" key is still accepted and ignored because
     # the benchmark workloads in perfbench/ pass one.
     cfg.pop("seed", None)
 
     def counted(default: int) -> int:
-        return count if count >= 2 else default
+        return default if count is None else int(float(count))
 
     bloch = {}
     if name == "fig2":

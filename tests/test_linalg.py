@@ -7,6 +7,7 @@ from qmb.errors import DerivativeNotTraceless, NonHermitianInput, SingularState
 from qmb.linalg import (
     adjugate,
     eig_hermitian,
+    raise_first_failure,
     require_density,
     rld_solve,
     sld_solve,
@@ -225,3 +226,27 @@ class TestCholeskyAndAdjugate:
         with np.errstate(divide="ignore", invalid="ignore"):  # NaN pivots
             diagonal = np.diagonal(sym_cholesky(np.asarray(q)))
         assert not np.all(diagonal > 0.0)
+
+
+class TestRaiseFirstFailure:
+    @pytest.mark.parametrize("masks, raised", [
+        # a Python bool is the check of a value shared by every entry, so it
+        # fails at entry 0, before an array failing later
+        ((np.array([False, True, True]), True), "b at 0"),
+        ((True, np.array([False, True])), "a at 0"),
+        # within one entry the checks keep their order
+        ((np.array([[False, True], [True, True]]), np.array([[False, True], [False, False]])),
+         "a at 1"),
+        ((False, np.array([False, False, True])), "b at 2"),
+        ((False, np.array([[False], [True]]), True), "c at 0"),
+        ((False, False), None),
+        ((np.zeros(3, bool), False), None),
+    ])
+    def test_first_failure_in_c_order(self, masks, raised):
+        checks = [(mask, lambda i, name=name: ValueError(f"{name} at {i}"))
+                  for mask, name in zip(masks, "abc")]
+        if raised is None:
+            raise_first_failure(*checks)
+        else:
+            with pytest.raises(ValueError, match=f"^{raised}$"):
+                raise_first_failure(*checks)

@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qmb.errors import NonHermitianInput, StepTooLarge
+from qmb.errors import InvalidInput, NonHermitianInput, StepTooLarge
+from qmb import models
 from qmb.models import (
     PAULI,
     _su2_exp,
@@ -17,6 +19,8 @@ from qmb.models import (
     su2_generators,
     unitary_generator,
 )
+
+from qmb.sweep import figure_preset, run_sweep
 
 from conftest import (
     analytic_geometry,
@@ -335,6 +339,32 @@ class TestSu2State:
                     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
+class TestGeneratorStacks:
+    def test_cached_stacks_are_read_only(self):
+        for stack in (models._spin_matrices(2), models._spin_matrices(3), models._PAULI_STACK):
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0
+        assert models._spin_matrices(3) is models._spin_matrices(3)
+        np.testing.assert_array_equal(models._PAULI_STACK, np.array(PAULI))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_generators_are_fresh_arrays(self, dim):
+        # su2_generators hands out copies of the cached stack: writing into
+        # them changes neither a later call nor a fig5 row
+        spec = figure_preset("fig5", {"count": 3})
+        before = run_sweep(spec)
+        js = su2_generators(dim)
+        want = [j.copy() for j in js]
+        for j in js:
+            j[...] = 7.0
+        assert all(np.array_equal(a, b) for a, b in zip(su2_generators(dim), want))
+        j = (dim - 1) / 2.0
+        assert np.array_equal(want[2], np.diag(j - np.arange(dim)).astype(complex))
+        after = run_sweep(spec)
+        assert all(a.values.tobytes() == b.values.tobytes()
+                   for a, b in zip(before.chunks, after.chunks))
+
+
 class TestSu2Exponential:
     """The closed-form SU(2) exponential against the spectral one."""
 
@@ -508,6 +538,27 @@ class TestModelConfigValidation:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             model_config("su2_qubit", alpha=1.0, beta=0.0, t=0.0)
+
+    @pytest.mark.parametrize("model_id, constants, message", [
+        ("tunable_qubit", dict(gamma=math.nan, theta=0.1, phi=0.2, alpha=1.0, beta=0.3),
+         "constant gamma=nan is not finite"),
+        ("tunable_qubit", dict(gamma=0.1, theta=0.1, phi=0.2, alpha=1.0, beta=math.inf),
+         "constant beta=inf is not finite"),
+        ("su2_qubit", dict(alpha=1.0, beta=0.0, t=0.0), "evolution time t must be positive"),
+        ("su2_qutrit", dict(alpha=1.0, beta=0.0, t=np.array([1.0, -1.0])),
+         "evolution time t must be positive"),
+        ("su2_qutrit", dict(alpha=1.0, beta=0.0, t=[1.0, -1.0]), "evolution time t must be positive"),
+        # a scalar holds for every row, so its failure is row 0's, and it
+        # comes before the array's failure at row 1
+        ("tunable_qubit", dict(r_x=np.array([0.1, math.nan]), r_y=0.1, r_z=0.1, gamma=0.1,
+                               theta=0.2, phi=math.nan), "constant phi=nan is not finite"),
+        # within one row the constants are checked in order: r_x before phi
+        ("tunable_qubit", dict(r_x=np.array([math.inf, 0.1]), r_y=0.1, r_z=0.1, gamma=0.1,
+                               theta=0.2, phi=math.nan), "constant r_x=inf is not finite"),
+    ])
+    def test_first_failing_rule_raises(self, model_id, constants, message):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            model_config(model_id, **constants)
 
     def test_requires_rotation_angles(self):
         with pytest.raises(ValueError):

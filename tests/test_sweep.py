@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qmb
@@ -402,7 +402,39 @@ class TestRunPoint:
             run_point(spec)
 
 
+def _magnitudes():
+    """Finite floats of either sign from 1e-300 to 1e300, subnormals and 0."""
+    scaled = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-300, 299))
+    subnormal = st.integers(-64, 64).map(lambda k: k * 5e-324)
+    return st.one_of(scaled, st.floats(-1e300, 1e300), subnormal)
+
+
+@st.composite
+def _linspace_ends(draw):
+    """(start, stop) with a finite span: any two magnitudes, equal ends, or
+    ends a few subnormals apart, whose step underflows (numpy's gh-5437)."""
+    kind, start = draw(st.sampled_from(["any", "equal", "underflow"])), draw(_magnitudes())
+    if kind == "underflow":
+        start = draw(st.integers(-64, 64)) * 5e-324
+        return start, start + draw(st.integers(-8, 8)) * 5e-324
+    stop = start if kind == "equal" else draw(_magnitudes())
+    assume(math.isfinite(stop - start))
+    return start, stop
+
+
 class TestRunSweep:
+    @given(ends=_linspace_ends(), count=st.integers(2, 5000))
+    @example(ends=(0.0, 5e-324), count=3)  # the step underflows to 0
+    @example(ends=(-1e300, 1e300), count=5000)
+    @example(ends=(1.0, -2.5), count=7)
+    def test_axis_values_match_linspace(self, ends, count):
+        # Axis.values follows np.linspace's recipe with none of its
+        # Python-level calls; np.linspace stays the oracle, to the bit
+        start, stop = ends
+        got, want = Axis("x", start, stop, count).values(), np.linspace(start, stop, count)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_two_point_axis(self):
         rows = run_sweep(small_spec())
         assert len(rows) == 2
@@ -627,6 +659,18 @@ class TestFigurePresets:
         with pytest.raises(UnknownPreset):
             figure_preset("fig9")
 
+    @pytest.mark.parametrize("count", [1, 0, -3, 2.7, math.nan, math.inf, "two"])
+    def test_rejects_count_below_two_or_not_integer(self, count):
+        # an axis needs an integer count of at least 2
+        with pytest.raises(InvalidSpec, match="^count="):
+            figure_preset("fig4", {"count": count})
+
+    def test_integral_float_count_accepted(self):
+        spec = figure_preset("fig4", {"count": 2.0})
+        assert [ax.count for ax in spec.axes] == [2, 2]
+        assert all(type(ax.count) is int for ax in spec.axes)
+        assert [ax.count for ax in figure_preset("fig4").axes] == [48, 48]
+
     def test_fig2_requires_bloch_config(self):
         with pytest.raises(InvalidSpec):
             figure_preset("fig2")
@@ -767,6 +811,40 @@ class TestFigurePresets:
         assert len(rows.chunks) == {"fig1": 1, "fig2": 4, "fig3a": 3, "fig3b": 3, "fig4": 3,
                                     "fig5": 2}[name]
         assert calls == []
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5"])
+    def test_no_python_level_numpy_function_per_chunk(self, name):
+        # a preset chunk and its CSV and JSON text enter no Python function
+        # of numpy's package, whose first call in a process costs several
+        # times a later one, except the ndarray method wrappers (_methods),
+        # errstate (_ufunc_config) and the dispatchers of numpy's C
+        # functions (multiarray).  fig5 at count=40 is two chunks, and fig3b
+        # binds r2.  The cached spin matrices are built inside, too
+        package = os.path.dirname(np.__file__) + os.sep
+        allowed = {os.path.join(package, "_core", f)
+                   for f in ("_methods.py", "_ufunc_config.py", "multiarray.py")}
+        config = {"fig2": {"r_y": 0.2, "r_z": 0.4}, "fig5": {"count": 40}}.get(name, {})
+        spec = validate_spec(figure_preset(name, config))
+        models._spin_matrices.cache_clear()
+        entered = set()
+
+        def record(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename.startswith(package):
+                if code.co_filename not in allowed:
+                    entered.add(f"{code.co_filename[len(package):]}:{code.co_name}")
+
+        previous = sys.getprofile()
+        sys.setprofile(record)
+        try:
+            rows = run_sweep(spec)
+            for fmt in ("csv", "json"):
+                emit(rows, fmt, io.StringIO(), spec)
+        finally:
+            sys.setprofile(previous)
+        assert len(rows.chunks) == {"fig1": 1, "fig2": 4, "fig3a": 3, "fig3b": 3, "fig4": 3,
+                                    "fig5": 2}[name]
+        assert entered == set()
 
     @pytest.mark.parametrize("offset, flags", [(0.0, ("SingularQFIM",)), (1e-4, ())])
     def test_uncertified_row_alone_is_decomposed(self, monkeypatch, offset, flags):
@@ -1183,6 +1261,17 @@ class TestCli:
             cli_main(["preset", "fig4", "--set", "count=2", *flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["1", "0", "-3", "2.7"])
+    def test_preset_rejects_bad_count(self, capsys, count):
+        assert cli_main(["preset", "fig4", "--set", f"count={count}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: count={float(count)!r} must be an integer >= 2")
+
+    def test_preset_accepts_integral_count(self, capsys):
+        assert cli_main(["preset", "fig4", "--set", "count=2.0"]) == 0
+        assert capsys.readouterr().out.count("\n") == 5
 
     def test_preset_config_keys(self, tmp_path, capsys):
         cfg = tmp_path / "preset.conf"

@@ -472,11 +472,13 @@ def batch_reports(
     point.  A row is ill where Q is (`geometry._eigen_inverses`); every
     other row has full tangent rank.  A geometry of pure states given as
     vectors (``g.psi``) needs neither rho nor derivs: such a state has no
-    RLD bound.  A pure qutrit with d = 3 has one normal direction
-    (m = 2(n - 1) - d = 1), whose coupling Q u / sqrt(u^T Q u), u the axial
-    vector of U, and Gram matrix [[1]] follow from Q and U alone (Matsumoto,
-    J. Phys. A 35, 3111, 2002), so its rows build no normal space; other
-    rows of vectors take the Gell-Mann route of rho = psi psi^dag.  Rows
+    RLD bound, and its C_H follows from Q and U alone (Matsumoto, J. Phys.
+    A 35, 3111, 2002) where d = 2(n - 1) (below) or n = d = 3.  A pure
+    qutrit with d = 3 has one normal direction (m = 2(n - 1) - d = 1),
+    whose coupling Q u / sqrt(u^T Q u), u the axial vector of U, and Gram
+    matrix [[1]] follow from Q and U, so its rows build no normal space.
+    A regular row of vectors of any other shape raises InvalidInput when
+    C_H is asked: other pure models go in as rho and derivs.  Rows
     with C_H = C_T at K = 0, read from the model's structure, build no
     normal space: a pure state whose tangent space fills the
     2(n - 1) directions of pure states, d = 2(n - 1), and a unitarily
@@ -513,7 +515,12 @@ def batch_reports(
             groups.append((rows, HolevoSolution(k, c_t[rows], c_t[rows], np.zeros(len(rows), int))))
         regular = (~ill & ~saturated).nonzero()[0]
         sel = subset(regular, points)
-        if regular.size and g.psi is not None and g.psi.shape[-1] == d == 3:
+        if regular.size and g.psi is not None:
+            if not g.psi.shape[-1] == d == 3:
+                raise InvalidInput(
+                    f"pure states given as vectors with n = {g.psi.shape[-1]} levels and d = {d} "
+                    "parameters have no structural C_H, which needs d = 2(n - 1) or n = d = 3; "
+                    "pass rho and derivs for other pure models")
             # Pure qutrits, d = 3: one normal direction, unit z in the real form
             # v -> (Re v, Im v), J the complex unit.  {psi, i psi}^perp is
             # J-invariant and spanned by the l_a and z, and Jz is orthogonal to
@@ -529,14 +536,7 @@ def batch_reports(
         elif regular.size:
             if np.size(g.slds) == 0:
                 raise InvalidInput("geometry must carry SLD operators")
-            if g.psi is None:
-                states, slds = rho[sel], g.slds[sel]
-            else:  # rho = psi psi^dag, L_k = l_k psi^dag + psi l_k^dag, so L_k psi = l_k
-                psi = g.psi[sel]
-                states = psi[:, :, None] * psi[:, None, :].conj()
-                slds = g.slds[sel][..., None] * psi[:, None, None, :].conj()
-                slds = slds + slds.swapaxes(-1, -2).conj()
-            coordinates = _gell_mann_coordinates(states, slds)
+            coordinates = _gell_mann_coordinates(rho[sel], g.slds[sel])
             for rows, basis in _normal_spaces(*coordinates, g._qfim_inverses[4][sel]):
                 rows = regular[rows]
                 setup = _tangent_setup(basis, take(frame, subset(rows, points)))

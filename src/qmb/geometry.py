@@ -51,13 +51,13 @@ _NEXT, _PREV = [1, 2, 0], [2, 0, 1]  # entries k + 1 and k + 2 (mod 3) of a 3-ve
 
 @dataclass(frozen=True)
 class InformationGeometry:
-    """SLD QFIM, mean Uhlmann curvature, the SLDs, the tangent-space rank and the
-    descending spectrum of rho (if known), of one point or of a batch stacked along
-    a leading axis (then ``slds`` is (B, d, n, n), ``tangent_dim`` an integer array).
-    A batch of pure states given as vectors carries them in ``psi`` (B, n), and
-    ``slds`` then holds the vectors L_k psi (B, d, n).  A batch of qubits given
-    by Bloch vectors carries them in ``r`` (B, 3), and ``slds`` then holds
-    d_k r (B, d, 3), the Bloch parts of L_k = d_k r.sigma (`_bloch_geometry`)."""
+    """SLD QFIM, mean Uhlmann curvature, the SLD operators (if known), the
+    tangent-space rank and the descending spectrum of rho (if known), of one point
+    or of a batch stacked along a leading axis (then ``slds`` is (B, d, n, n),
+    ``tangent_dim`` an integer array).  Pure states given as vectors carry
+    ``psi``, (B, n) or one (n,) for every row, and qubits given by Bloch vectors
+    carry ``r`` (B, 3); either marks the route the geometry came from, and
+    leaves ``slds`` empty."""
 
     qfim: np.ndarray
     uhlmann: np.ndarray
@@ -269,21 +269,21 @@ def _vector_geometry(psi: np.ndarray, ells: np.ndarray) -> InformationGeometry:
     from the vectors l_k = L_k psi (B, d, n) of their SLDs:
     Tr[rho L_a L_b] = <l_a|l_b>, so Q and U are the real and imaginary parts
     of one Gram matrix, formed by `small_matmul`, and rho = psi psi^dag is
-    never formed.  `require_pure_state` checks the vectors."""
+    never formed.  `require_pure_state` checks the vectors; psi is kept as
+    given, and gives n."""
     psi, ells = require_pure_state(psi, ells)
-    psi = broadcast(psi, ells.shape[:-2] + psi.shape[-1:])
     q, u = _split_gram(small_matmul(ells.conj(), ells.swapaxes(-1, -2)))
-    spectrum = np.zeros(psi.shape)
+    spectrum = np.zeros(ells.shape[:-2] + psi.shape[-1:])
     spectrum[..., 0] = 1.0
-    return _geometry(q, u, ells, spectrum, psi)
+    return _geometry(q, u, (), spectrum, psi)
 
 
 def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
     """The qubit route of `model_geometry`, from r (B, 3) and d r (B, d, 3):
-    the geometry carries r and, as its ``slds``, d r.  The encoding must be
-    unitary, r a rotation of a fixed vector, so r.d_i r = 0: the first row
-    where |r.d_i r| exceeds TANGENT_TOL |r| |d_i r| raises InvalidInput.
-    Then the SLDs L_i = a_i I + b_i.sigma have a_i = 0 and b_i = d_i r."""
+    the geometry carries r.  The encoding must be unitary, r a rotation of a
+    fixed vector, so r.d_i r = 0: the first row where |r.d_i r| exceeds
+    TANGENT_TOL |r| |d_i r| raises InvalidInput.  Then the SLDs
+    L_i = a_i I + b_i.sigma have a_i = 0 and b_i = d_i r."""
     r, dr, radius = require_bloch_state(r, dr)
     # each vector over its largest entry, so that no square under- or overflows
     u, du = (v / np.maximum(np.maximum.reduce(abs(v), -1, keepdims=True), 1e-300) for v in (r, dr))
@@ -301,7 +301,7 @@ def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
         u[..., i, j] = dot(r, a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT])
         u[..., j, i] = -u[..., i, j]
     spectrum = stacked(0.5 + 0.5 * radius, np.maximum(0.5 - 0.5 * radius, 0.0))
-    return _geometry(q, u, dr, spectrum, r=r)
+    return _geometry(q, u, (), spectrum, r=r)
 
 
 def rld_qfim(rho: np.ndarray, derivs: Sequence[np.ndarray]) -> np.ndarray:

@@ -195,7 +195,7 @@ def _checked_config(model_id: str, constants: Mapping) -> ModelConfig:
     elif "alpha" not in constants:  # (alpha, beta) give a unit vector by construction
         r0 = cfg._r0
         rules.append((dot(r0, r0) > 1.0 + 1e-12, lambda i: InvalidInput(
-            f"Bloch vector norm {np.linalg.norm(r0.reshape(-1, 3)[i])!r} exceeds 1")))
+            f"Bloch vector norm {float(np.linalg.norm(r0.reshape(-1, 3)[i]))!r} exceeds 1")))
     raise_first_failure(*rules)
     return cfg
 

@@ -44,7 +44,9 @@ from qmb.models import (
 # Property tests draw the same examples on every run and have no deadline,
 # so the suite stays reproducible on slow or shared machines.  CI also runs
 # chosen property tests under "qmb-ci" (pytest --hypothesis-profile=qmb-ci),
-# the same with ten times the default 100 examples.
+# the same with ten times the default 100 examples; there the chunk contract
+# (`test_rows_do_not_depend_on_their_chunk`) runs chunks of one row at every
+# preset's default density.
 settings.register_profile("qmb", derandomize=True, deadline=None, database=None)
 settings.register_profile("qmb-ci", settings.get_profile("qmb"), max_examples=1000)
 settings.load_profile("qmb")

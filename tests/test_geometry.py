@@ -41,7 +41,7 @@ from qmb.geometry import (
     weight_transform,
 )
 from qmb.linalg import dot, hermitian_part, rld_solve, sld_solve
-from qmb.models import _bloch_state, model_config, model_point
+from qmb.models import _bloch_state, model_arrays, model_config, model_point
 
 from conftest import (
     analytic_geometry,
@@ -201,6 +201,25 @@ class TestComputeGeometry:
             with pytest.raises(type(want.value)) as got:
                 model_geometry(None, None, None, (states, ds))
             assert str(got.value) == str(want.value), case
+
+    @pytest.mark.parametrize("model_id, constants", [
+        ("su2_qutrit", dict(alpha=0.7, beta=0.2, t=1.0)),
+        ("su2_qubit", dict(alpha=0.7, beta=0.2, t=1.0)),
+        ("tunable_qubit", dict(alpha=0.7, beta=0.2, gamma=0.7, theta=1.2, phi=0.1)),
+        ("tunable_qubit", dict(r_x=0.3, r_y=0.2, r_z=0.4, gamma=0.7, theta=1.2, phi=0.1)),
+    ])
+    def test_vector_and_bloch_routes_carry_no_slds(self, rng, model_id, constants):
+        # only compute_geometry and geometry_from_matrices hold SLD
+        # operators; psi or r marks the route, psi in the shape the model
+        # gave it, with the spectrum in the rows' shape
+        cfg = model_config(model_id, **constants)
+        arrays = model_arrays(cfg, rng.uniform(0.1, 1.0, size=(4, cfg.n_params)))
+        g = model_geometry(*arrays)
+        assert g.slds == ()
+        assert (g.psi is None) == (arrays.pure is None) and (g.r is None) == (arrays.bloch is None)
+        if arrays.pure is not None:
+            assert g.psi.shape == arrays.pure[0].shape
+        assert g.rho_spectrum.shape == (4, 3 if model_id == "su2_qutrit" else 2)
 
     def test_decomposes_rho_and_q_once_each(self, rng, monkeypatch):
         # validation, the SLDs, the tangent rank and the inverses of Q all
@@ -768,13 +787,15 @@ def test_normal_space_properties(seed, n, d, kind):
 # cond(Q) = 1.57e7: the routes' C_T differ by 1.8e-9 relative, the vector
 # route's 1.35e-10 and the matrix route's 1.95e-9 from a 40-digit value
 @example(seed=241095, n=4, d=6)
+@example(seed=45, n=4, d=5)  # one normal direction, outside the structural shapes
 def test_vector_normal_space_matches_gell_mann_route(seed, n, d):
     # random pure states with d <= 2(n - 1), as vectors and as
-    # rho = psi psi^dag with L = 2 d rho: Q and U agree, the Gell-Mann
-    # route on rho has 2(n - 1) - d normal directions, and the Holevo values
+    # rho = psi psi^dag with L = 2 d rho: Q and U agree, and the Gell-Mann
+    # route on rho has 2(n - 1) - d normal directions.  Where the vectors
+    # read C_H from Q and U (d = 2(n - 1), or n = d = 3) the Holevo values
     # agree within HOLEVO_GAP_TOL and the rounding eps cond(Q) of either
-    # route.  The vectors take the structural direction (n = d = 3) or the
-    # Gell-Mann route on their own psi psi^dag
+    # route; vectors of any other shape refuse C_H, and still give R and T.
+    # The matrices' Gell-Mann route converges on every shape
     assume(d <= 2 * (n - 1))
     rng = np.random.default_rng(seed)
     rho, derivs = random_pure_model(rng, n, d)
@@ -791,9 +812,17 @@ def test_vector_normal_space_matches_gell_mann_route(seed, n, d):
     assert take(want, 0).size == 2 * (n - 1) - d
     w_mat, sqrt_w = _weight_and_root(random_spd(rng, d)[None], d)
     opts = ReportOptions(compute_rld=False)
-    got_c = batch_reports(None, None, got_g, w_mat, sqrt_w, opts)
     want_c = batch_reports(rho[None], np.stack(derivs)[None], want_g, w_mat, sqrt_w, opts)
-    assert not got_c["not_converged"][0] and not want_c["not_converged"][0]
+    assert not want_c["not_converged"][0]
+    if d != 2 * (n - 1) and not n == d == 3:
+        with pytest.raises(InvalidInput, match=f"n = {n} levels and d = {d} parameters"):
+            batch_reports(None, None, got_g, w_mat, sqrt_w, opts)
+        cols = batch_reports(None, None, got_g, w_mat, sqrt_w,
+                             ReportOptions(compute_rld=False, compute_holevo=False))
+        assert np.isfinite(cols["R"]).all() and np.isfinite(cols["T"]).all()
+        return
+    got_c = batch_reports(None, None, got_g, w_mat, sqrt_w, opts)
+    assert not got_c["not_converged"][0]
     rel = HOLEVO_GAP_TOL + np.finfo(float).eps * np.linalg.cond(want_g.qfim[0])
     assert got_c["c_h"][0] == pytest.approx(want_c["c_h"][0], rel=rel)
 
@@ -845,13 +874,12 @@ def _recorded(monkeypatch, *names) -> dict:
 
 
 class TestPureNormalDirection:
-    """The one normal direction of pure states given as vectors
-    (m = 2(n - 1) - d = 1): a qutrit's (n = d = 3) couples by
-    Q u / sqrt(u^T Q u), read from Q and U with no normal space built, and
-    other rows take the Gell-Mann route of psi psi^dag; both against the
-    Gell-Mann (eigen) route of the matrices."""
+    """The one normal direction of pure qutrits given as vectors
+    (n = d = 3, m = 2(n - 1) - d = 1) couples by Q u / sqrt(u^T Q u), read
+    from Q and U with no normal space built; against the Gell-Mann (eigen)
+    route of the matrices."""
 
-    @pytest.mark.parametrize("n, d", [(3, 3), (4, 5)])
+    @pytest.mark.parametrize("n, d", [(3, 3)])
     def test_matches_eigen_route(self, monkeypatch, n, d):
         rng = np.random.default_rng(n * 10 + d)
         models = [random_pure_model(rng, n, d) for _ in range(16)]
@@ -865,11 +893,10 @@ class TestPureNormalDirection:
         ((rows, want),) = _normal_spaces(*_gell_mann_coordinates(rho, want_g.slds),
                                          want_g._qfim_inverses[4])
         assert rows.tolist() == list(range(len(psi))) and want.coeffs.shape[-1] == 1
-        if n == 3:
-            got = _structural_coupling(g.qfim, g.uhlmann)
-            got *= np.sign(dot(got, want.coupling[..., 0]))[:, None]
-            scale = np.max(np.abs(want.coupling), axis=(-2, -1))[:, None]
-            assert np.all(np.abs(got - want.coupling[..., 0]) <= tol * scale)
+        got = _structural_coupling(g.qfim, g.uhlmann)
+        got *= np.sign(dot(got, want.coupling[..., 0]))[:, None]
+        scale = np.max(np.abs(want.coupling), axis=(-2, -1))[:, None]
+        assert np.all(np.abs(got - want.coupling[..., 0]) <= tol * scale)
 
         w_mat, sqrt_w = _weight_and_root(np.stack([random_spd(rng, d) for _ in psi]), d)
         opts = ReportOptions(compute_rld=False)
@@ -879,10 +906,9 @@ class TestPureNormalDirection:
         monkeypatch.undo()
         # one group of every row on each side; the qutrit's vectors build no normal space
         got_setup, want_setup = sent["_holevo_solutions"]
-        assert len(sent["_normal_spaces"]) == (1 if n == 3 else 2)
+        assert len(sent["_normal_spaces"]) == 1
         assert got_setup.left.shape == want_setup.left.shape == (len(psi), d, 1)
-        if n == 3:
-            assert np.array_equal(got_setup.gram, np.ones((len(psi), 1, 1)))
+        assert np.array_equal(got_setup.gram, np.ones((len(psi), 1, 1)))
         np.testing.assert_allclose(got_setup.gram, want_setup.gram, rtol=0, atol=1e-14)
         assert np.all(np.abs(got_h - want_h) <= (1e-12 + 1e-16 * cond) * want_h)
 

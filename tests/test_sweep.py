@@ -1529,6 +1529,29 @@ class TestChunkedSweep:
         for got, want in zip(chunked, whole, strict=True):
             _assert_rows_close(got, want, 1e-14)
 
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5"])
+    def test_rows_do_not_depend_on_their_chunk(self, monkeypatch, name):
+        # a row's output bits depend on the row alone: chunks of 7 and 1024
+        # rows give the same CSV and full-precision JSON bytes at the
+        # preset's default density, and so do chunks of one row, at
+        # count = 12 (fig1 and fig5 at their default density), or at the
+        # default density under the qmb-ci profile
+        config = {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}
+
+        def texts(chunk, config):
+            monkeypatch.setattr(sweep, "_CHUNK", chunk)
+            spec = validate_spec(figure_preset(name, config))
+            rows, out = run_sweep(spec), []
+            for fmt in ("csv", "json"):
+                emit(rows, fmt, buffer := io.StringIO(), spec)
+                out.append(buffer.getvalue())
+            return out
+
+        assert texts(7, config) == texts(1024, config)
+        if name not in ("fig1", "fig5") and settings.default.max_examples < 1000:
+            config = {**config, "count": 12}
+        assert texts(1, config) == texts(1024, config)
+
     def test_hierarchy_violation_names_the_first_bad_row(self, monkeypatch):
         # one check per chunk: row 2 leaves the chain at its last link and
         # row 5 at an earlier one, and row 2 is the one reported
@@ -1559,13 +1582,13 @@ class TestChunkedSweep:
             (
                 {"phi": 0.0, "r_y": 0.3, "r_z": 0.3},
                 (Axis("lambda2", 0.0, 1.0, 2), Axis("r_x", 0.5, 1.1, 4)),
-                "Bloch vector norm np.float64(1.1789826122551597) exceeds 1",
+                "Bloch vector norm 1.1789826122551597 exceeds 1",
             ),
             (
                 # the first row is too long; a later one has r2 below r_z^2
                 {"r_z": 0.5},
                 (Axis("r2", 1.2, 0.1, 4), Axis("phi", 0.0, 1.0, 2)),
-                "Bloch vector norm np.float64(1.0954451150103321) exceeds 1",
+                "Bloch vector norm 1.0954451150103321 exceeds 1",
             ),
             (
                 # r2 and r_z both fixed: the rule reads two scalars

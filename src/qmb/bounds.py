@@ -19,8 +19,7 @@ than HOLEVO_GAP_TOL (relative) carries HolevoNotConverged.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,8 +59,7 @@ HOLEVO_GAP_TOL = 1e-9
 _DUAL_MAX_ITER = 50
 
 
-@dataclass(frozen=True)
-class HolevoSolution:
+class HolevoSolution(NamedTuple):
     """The Holevo value, the K attaining it, a lower bound and the objective
     or dual evaluations; arrays along a leading axis for a batch.
 
@@ -87,15 +85,13 @@ class HolevoSolution:
         return HolevoSolution(self.k_matrix[i], *scalars)
 
 
-@dataclass(frozen=True)
-class ReportOptions:
+class ReportOptions(NamedTuple):
     pseudo_inverse: bool = False
     compute_rld: bool = True
     compute_holevo: bool = True
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """All scalar bounds and measures for one model point and weight matrix.
 
     Fields are None when unavailable (rank-deficient state for the RLD,
@@ -149,8 +145,7 @@ def c_r_bound(g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = 
     return (1.0 + quantumness_R(g, pseudo_inverse)) * c_sld(g, w_mat, pseudo_inverse)
 
 
-@dataclass(frozen=True)
-class _TangentSetup:
+class _TangentSetup(NamedTuple):
     """The per-point pieces of the tangent objective, in the variable
     B = K sqrt(W): the weight frame (its core is the K = 0 value of the
     antisymmetric part, its C_SLD the constant term), the d x m coupling
@@ -213,7 +208,7 @@ def _holevo_solutions(setup: _TangentSetup) -> HolevoSolution:
     if m == 1 and d in (2, 3):  # two evaluations: K = 0 (C_T) and the optimum
         values, ks = _holevo_exact(setup)
         return HolevoSolution(ks[:, None], values, values, broadcast(2, len(values)))
-    sols = [astuple(_holevo_dual(take(setup, i))) for i in range(len(setup.left))]
+    sols = [_holevo_dual(take(setup, i)) for i in range(len(setup.left))]
     return HolevoSolution(*map(np.array, zip(*sols)))  # stacked field by field
 
 
@@ -408,7 +403,7 @@ def _check_hierarchy(report, rows=...) -> None:
     """Raise HierarchyViolation for the first point off C_SLD <= C_H <= C_T <= C_R <= 2 C_SLD.
     ``report`` is a `BoundsReport` or a batch's columns, with ``rows`` selecting the points
     to check; a C_H of None leaves out its two links."""
-    fields = report if isinstance(report, dict) else vars(report)
+    fields = report if isinstance(report, dict) else report._asdict()
     values = {k: fields[k] if fields[k] is None else np.asarray(fields[k], dtype=float)[rows]
               for k in ("c_sld", "c_h", "c_t", "c_r")}
     c_s, c_h, c_t, c_r = values.values()

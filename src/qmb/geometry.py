@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,8 +87,7 @@ class InformationGeometry:
         return (self._qfim_inverses[5] @ uhlmann_axial(self.uhlmann)[..., None])[..., 0]
 
 
-@dataclass(frozen=True)
-class WeightTransform:
+class WeightTransform(NamedTuple):
     """Rotation + rescaling splitting of a weight matrix, W = P^T D P."""
 
     rotated: InformationGeometry
@@ -96,8 +95,7 @@ class WeightTransform:
     rotation: np.ndarray
 
 
-@dataclass(frozen=True)
-class TSaturationReport:
+class TSaturationReport(NamedTuple):
     """Diagnostics for when the weight-dependent measure reaches the quantumness."""
 
     t_value: float
@@ -342,11 +340,11 @@ def _qfim_inverse(g: InformationGeometry, pseudo_inverse: bool = False) -> tuple
     return g._qfim_inverses
 
 
-@dataclass(frozen=True)
-class _WeightFrame:
+class _WeightFrame(NamedTuple):
     """What every weighted bound reads at one (geometry, W): the validated
-    W, sqrt(W), Q^-1, the core sqrt(W) Q^-1 U Q^-1 sqrt(W) and
-    C_SLD = Tr[W Q^-1].  ``used_pseudo`` says whether Q^-1 is the
+    W, sqrt(W), Q^-1, the core sqrt(W) Q^-1 U Q^-1 sqrt(W),
+    C_SLD = Tr[W Q^-1], the core's trace norm ||core||_1 and
+    C_T = C_SLD + ||core||_1.  ``used_pseudo`` says whether Q^-1 is the
     rank-truncated pseudo-inverse."""
 
     w_mat: np.ndarray
@@ -355,19 +353,12 @@ class _WeightFrame:
     core: np.ndarray
     c_sld: float
     used_pseudo: bool
-
-    @cached_property
-    def core_norm(self) -> float:
-        """||sqrt(W) Q^-1 U Q^-1 sqrt(W)||_1."""
-        return tracenorm_antisym(self.core)
+    core_norm: float
+    c_t: float
 
     @property
     def t_value(self) -> float:
         return self.core_norm / self.c_sld
-
-    @cached_property
-    def c_t(self) -> float:
-        return self.c_sld + self.core_norm
 
 
 def _weight_and_root(w_mat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -400,8 +391,8 @@ def _frame(g: InformationGeometry, w_mat: np.ndarray, sqrt_w: np.ndarray) -> _We
         else:
             core = sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w
         c_sld = (w_mat * qinv).sum(axis=(-2, -1))
-    return _WeightFrame(w_mat=w_mat, sqrt_w=sqrt_w, qinv=qinv, core=core, c_sld=c_sld,
-                        used_pseudo=ill)
+        core_norm = tracenorm_antisym(core)
+        return _WeightFrame(w_mat, sqrt_w, qinv, core, c_sld, ill, core_norm, c_sld + core_norm)
 
 
 def _weight_frame(
@@ -519,7 +510,9 @@ def weight_transform(g: InformationGeometry, w_mat: np.ndarray) -> WeightTransfo
     """Split W = P^T D P and rotate the geometry into the eigenframe of W.
 
     T is invariant: T[D, PQP^T, PUP^T] = T[W, Q, U].  Diagonal inputs pass
-    through unchanged (P = I), keeping the trivial case exact.
+    through unchanged (P = I), keeping the trivial case exact.  The state
+    does not move, so the rotated geometry keeps its spectrum, ``psi`` and
+    ``r``, and with them the structural R and C_H of its route.
     """
     w_mat = _weight_and_root(w_mat, g.n_params)[0]
     d = g.n_params
@@ -537,7 +530,8 @@ def weight_transform(g: InformationGeometry, w_mat: np.ndarray) -> WeightTransfo
         hermitian_part(sum(rot[mu, nu] * g.slds[nu] for nu in range(d)))
         for mu in range(d)
     ) if g.slds else ()
-    rotated = InformationGeometry(0.5 * (q_r + q_r.T), 0.5 * (u_r - u_r.T), slds_r, g.tangent_dim)
+    rotated = InformationGeometry(0.5 * (q_r + q_r.T), 0.5 * (u_r - u_r.T), slds_r, g.tangent_dim,
+                                  g.rho_spectrum, g.psi, g.r)
     return WeightTransform(rotated=rotated, diagonal_weight=np.diag(vals), rotation=rot)
 
 
@@ -563,8 +557,7 @@ def _gell_mann(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return basis, traces, products
 
 
-@dataclass(frozen=True)
-class NormalSpaceBasis:
+class NormalSpaceBasis(NamedTuple):
     """Orthonormal basis of the SLD normal space with its Gram and coupling data.
 
     Direction j is P_j = sum_a coeffs[a, j] (G_a - c_a) in the Gell-Mann basis,
@@ -581,9 +574,9 @@ class NormalSpaceBasis:
     def size(self) -> int:
         return self.coeffs.shape[1]
 
-    @cached_property
+    @property
     def ops(self) -> tuple[np.ndarray, ...]:
-        """The operators P_j, built from the coefficients on first read."""
+        """The operators P_j, built from the coefficients."""
         n = int(np.sqrt(len(self.means) + 1))
         basis = _gell_mann(n)[0]
         ops = np.tensordot(self.coeffs, basis, axes=(0, 0))
@@ -676,11 +669,8 @@ def subset(rows: np.ndarray, total: int) -> np.ndarray | slice:
 
 def take(batch, rows):
     """The given rows (an index, a slice or None for a new axis) of a batch
-    held in a dataclass of arrays, nested dataclasses included."""
-    return type(batch)(*(
-        take(v, rows) if is_dataclass(v) else v[rows]
-        for v in (getattr(batch, f.name) for f in fields(batch))
-    ))
+    held in a NamedTuple of arrays, nested NamedTuples included."""
+    return type(batch)(*(take(v, rows) if isinstance(v, tuple) else v[rows] for v in batch))
 
 
 __all__ = [

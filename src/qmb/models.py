@@ -25,8 +25,7 @@ Conventions worth spelling out once:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -121,8 +120,7 @@ def _su2_exp(nj: np.ndarray, x) -> np.ndarray:
             - _mat(2.0 * np.sin(half) ** 2) * small_matmul(nj, nj))
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(NamedTuple):
     """A model family plus its fixed constants (angles, Bloch components, time)."""
 
     model_id: str
@@ -132,14 +130,8 @@ class ModelConfig:
     def n_params(self) -> int:
         return len(PARAM_NAMES[self.model_id])
 
-    @cached_property
-    def _r0(self) -> np.ndarray:
-        """The tunable qubit's initial Bloch vector, for the rules and the model."""
-        return tunable_qubit_r0(self.constants)
 
-
-@dataclass(frozen=True)
-class ModelPoint:
+class ModelPoint(NamedTuple):
     """A state and its parameter derivatives at one parameter vector."""
 
     params: tuple[float, ...]
@@ -193,9 +185,11 @@ def _checked_config(model_id: str, constants: Mapping) -> ModelConfig:
         rules.append((constants["t"] <= 0.0,
                       lambda i: InvalidInput("evolution time t must be positive")))
     elif "alpha" not in constants:  # (alpha, beta) give a unit vector by construction
-        r0 = cfg._r0
-        rules.append((dot(r0, r0) > 1.0 + 1e-12, lambda i: InvalidInput(
-            f"Bloch vector norm {float(np.linalg.norm(r0.reshape(-1, 3)[i]))!r} exceeds 1")))
+        # |r0|^2 from the components: the model stacks r0, once per chunk
+        r_x, r_y, r_z = constants["r_x"], constants["r_y"], constants["r_z"]
+        rules.append((r_x * r_x + r_y * r_y + r_z * r_z > 1.0 + 1e-12, lambda i: InvalidInput(
+            "Bloch vector norm "
+            f"{float(np.linalg.norm(tunable_qubit_r0(constants).reshape(-1, 3)[i]))!r} exceeds 1")))
     raise_first_failure(*rules)
     return cfg
 
@@ -222,7 +216,7 @@ def _tunable_qubit_bloch_derivs(
     product z x v = (-v_y, v_x, 0); no finite differences are involved.
     """
     c = cfg.constants
-    r0 = cfg._r0
+    r0 = tunable_qubit_r0(c)
     gamma, theta, phi = c["gamma"], c["theta"], c["phi"]
     rot_v = rotation_about_axis(_rotation_axis(theta, phi), 2.0 * gamma)
     rz1 = rotation_about_z(2.0 * l1)
@@ -245,17 +239,14 @@ def _bloch_state(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return rho, hermitian_part(0.5 * _dot_j(dr, PAULI))
 
 
-def _su2_qubit_axes(b: float, theta: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-    s, c = np.sin(b * t / 2.0), np.cos(b * t / 2.0)
-    n_theta = stacked(np.cos(theta), 0.0, np.sin(theta))
-    return n_theta, stacked(c * np.sin(theta), -s, -c * np.cos(theta))
+def _su2_qubit_axes(s, c, ct, st) -> tuple[np.ndarray, np.ndarray]:
+    """The SU(2) qubit's generator axes from s, c = sin, cos(B t / 2) and
+    ct, st = cos, sin(theta)."""
+    return stacked(ct, 0.0, st), stacked(c * st, -s, -c * ct)
 
 
-def _su2_qutrit_axes(
-    b: float, theta: float, phi: float, t: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    s, c = np.sin(b * t / 2.0), np.cos(b * t / 2.0)
-    ct, st = np.cos(theta), np.sin(theta)
+def _su2_qutrit_axes(s, c, ct, st, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SU(2) qutrit's generator axes from the factors of `_su2_qubit_axes` and phi."""
     cp, sp = np.cos(phi), np.sin(phi)
     n_theta = stacked(ct * cp, ct * sp, st)
     n1 = stacked(s * sp + c * st * cp, -s * cp + c * st * sp, -c * ct)
@@ -274,13 +265,14 @@ def _su2_frame(cfg: ModelConfig, params: np.ndarray) -> tuple:
     c = cfg.constants
     alpha, beta, t = c["alpha"], c["beta"], c["t"]
     b, theta = params[..., 0], params[..., 1]
-    s = np.sin(b * t / 2.0)
+    s, c = np.sin(b * t / 2.0), np.cos(b * t / 2.0)  # each trig factor once
+    ct, st = np.cos(theta), np.sin(theta)
     if cfg.model_id == "su2_qutrit":
         psi0 = stacked(np.cos(alpha / 2.0), 0.0, np.sin(alpha / 2.0) * np.exp(1j * beta))
-        axes = _su2_qutrit_axes(b, theta, params[..., 2], t)
-        return psi0, _spin_matrices(3), axes, (-t, 2.0 * s, 2.0 * np.cos(theta) * s)
+        axes = _su2_qutrit_axes(s, c, ct, st, params[..., 2])
+        return psi0, _spin_matrices(3), axes, (-t, 2.0 * s, 2.0 * ct * s)
     psi0 = stacked(np.cos(alpha / 2.0), np.sin(alpha / 2.0) * np.exp(1j * beta))
-    return psi0, 0.5 * _PAULI_STACK, _su2_qubit_axes(b, theta, t), (-t, 2.0 * s)
+    return psi0, 0.5 * _PAULI_STACK, _su2_qubit_axes(s, c, ct, st), (-t, 2.0 * s)
 
 
 def _su2_state(cfg: ModelConfig, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 import numbers
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -45,8 +44,7 @@ _OVERRIDES = (("xi", "lambda1"), ("r2", "r_xy"), ("r_xy", "r_x"), ("r_xy", "r_y"
               ("r2", "r_x"), ("r2", "r_y"))
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(NamedTuple):
     """One linearly spaced sweep axis over a parameter or constant."""
 
     name: str
@@ -67,8 +65,7 @@ class Axis:
         return offsets
 
 
-@dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(NamedTuple):
     """How to build the weight matrix at each point.
 
     kinds: identity | diag (values) | full (row-major values) |
@@ -115,8 +112,7 @@ class SweepSpec:
     _shared: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     axis_values: tuple[float, ...]
     outputs: Mapping[str, float | None]
     flags: tuple[str, ...]
@@ -212,8 +208,8 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
     if total > MAX_SWEEP_POINTS:
         raise InvalidSpec(f"sweep has {total} points, above the {MAX_SWEEP_POINTS} guard")
     fixed = {name: _number(name, v) for name, v in spec.fixed.items()}
-    axes = tuple(replace(ax, start=_number(f"axis {ax.name!r} start", ax.start),
-                         stop=_number(f"axis {ax.name!r} stop", ax.stop)) for ax in spec.axes)
+    axes = tuple(ax._replace(start=_number(f"axis {ax.name!r} start", ax.start),
+                             stop=_number(f"axis {ax.name!r} stop", ax.stop)) for ax in spec.axes)
     spec = replace(spec, fixed=fixed, axes=axes)
     # an axis's ends, then their distance, which a finite grid's step needs finite
     ends = [(ax.name, v) for ax in axes for v in (ax.start, ax.stop)]
@@ -518,6 +514,8 @@ def _json_text(chunks: list[_Chunk], cols: list[str]) -> Iterator[str]:
     chunk by chunk: "[", each chunk's records, then "]".  Each record is the
     key of each column before its cell, then its flags; a cell is written
     as json writes a float (float.__repr__, NaN and +-Infinity) or null."""
+    import json  # on first use: only the JSON writer reads it
+
     keys = [f",\n  {json.dumps(c)}: " for c in cols[:-1]]
     keys[0] = ",\n {" + keys[0][1:]  # each record opens with its separator
 
@@ -546,6 +544,8 @@ def _csv_floats(values: list[float]) -> list[str]:
 
 def _json_floats(values: list[float]) -> list[str]:
     """Each value as json writes a float, by one json encoding."""
+    import json
+
     return json.dumps(values)[1:-1].split(", ") if values else []
 
 

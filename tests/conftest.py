@@ -23,6 +23,7 @@ from qmb.linalg import (
     require_derivative,
     stacked,
     state_eigensystem,
+    tracenorm_antisym,
 )
 from qmb.models import (
     PAULI,
@@ -163,7 +164,8 @@ def su2_qubit_geometry(cfg, params) -> tuple[np.ndarray, np.ndarray]:
     c = cfg.constants
     alpha, beta, t = c["alpha"], c["beta"], c["t"]
     b, theta = (float(x) for x in params)
-    n_theta, n1 = _su2_qubit_axes(b, theta, t)
+    n_theta, n1 = _su2_qubit_axes(np.sin(b * t / 2.0), np.cos(b * t / 2.0), np.cos(theta),
+                                  np.sin(theta))
     n2 = np.cross(n_theta, n1)
     s = math.sin(b * t / 2.0)
     r0 = np.array(
@@ -430,15 +432,16 @@ def matmul_su2_state(cfg, params):
     alpha, beta, t = c["alpha"], c["beta"], c["t"]
     b, theta = params[..., 0], params[..., 1]
     s = np.sin(b * t / 2.0)
+    factors = s, np.cos(b * t / 2.0), np.cos(theta), np.sin(theta)
     if cfg.model_id == "su2_qutrit":
         js = su2_generators(3)
         psi0 = stacked(np.cos(alpha / 2.0), 0.0, np.sin(alpha / 2.0) * np.exp(1j * beta))
-        axes = _su2_qutrit_axes(b, theta, params[..., 2], t)
+        axes = _su2_qutrit_axes(*factors, params[..., 2])
         scales = (-t, 2.0 * s, 2.0 * np.cos(theta) * s)
     else:
         js = tuple(0.5 * p for p in PAULI)
         psi0 = stacked(np.cos(alpha / 2.0), np.sin(alpha / 2.0) * np.exp(1j * beta))
-        axes = _su2_qubit_axes(b, theta, t)
+        axes = _su2_qubit_axes(*factors)
         scales = (-t, 2.0 * s)
     gens = np.broadcast_arrays(*(_mat(k) * _dot_j(n, js) for k, n in zip(scales, axes)))
     gens = np.stack(gens, axis=-3)
@@ -510,12 +513,16 @@ def stacked_inverse(w):
 
 def stacked_frame(g, w_mat, sqrt_w):
     """`geometry._frame` as stacked `@` products for every d: Q^-1 from the
-    eigenpairs, the core sqrt(W) Q^-1 U Q^-1 sqrt(W) and C_SLD = Tr[W Q^-1]."""
+    eigenpairs, the core sqrt(W) Q^-1 U Q^-1 sqrt(W), C_SLD = Tr[W Q^-1],
+    the core's trace norm and C_T = C_SLD + that norm."""
     w, v = g._qfim_eigh
     inv_w, ill = stacked_inverse(w)
     qinv = (v * inv_w[..., None, :]) @ v.swapaxes(-1, -2)
-    return geometry._WeightFrame(w_mat, sqrt_w, qinv, sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w,
-                                 np.trace(w_mat @ qinv, axis1=-2, axis2=-1), ill)
+    core = sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w
+    c_sld = np.trace(w_mat @ qinv, axis1=-2, axis2=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in `geometry._frame`
+        norm = tracenorm_antisym(core)
+        return geometry._WeightFrame(w_mat, sqrt_w, qinv, core, c_sld, ill, norm, c_sld + norm)
 
 
 def solve_adjugate(a):

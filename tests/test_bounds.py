@@ -502,7 +502,7 @@ class TestHolevoExact:
     @pytest.mark.parametrize("kind", KINDS)
     def test_no_coupling_gives_c_t(self, rng, kind):
         rho, g, basis, w = one_dim_normal_space(rng, kind)
-        basis = replace(basis, coupling=np.zeros_like(basis.coupling))
+        basis = basis._replace(coupling=np.zeros_like(basis.coupling))
         sol = holevo_tangent_min(g, basis, w)
         assert sol.value == pytest.approx(c_t_bound(g, w), rel=1e-14)
         assert not np.any(sol.k_matrix)
@@ -807,7 +807,7 @@ class TestFullReport:
         )
         with pytest.raises(HierarchyViolation, match="C_H < C_SLD"):
             _check_hierarchy(tiny)
-        _check_hierarchy(replace(tiny, c_h=1e-10 * (1.0 - 0.5 * HIERARCHY_SLACK)))
+        _check_hierarchy(tiny._replace(c_h=1e-10 * (1.0 - 0.5 * HIERARCHY_SLACK)))
 
     def test_hierarchy_violation_raised_by_full_report(self, monkeypatch):
         # one point is a batch of one: its chain is checked like a chunk's

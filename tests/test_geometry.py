@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qmb import bounds, geometry
-from qmb.bounds import HOLEVO_GAP_TOL, ReportOptions, batch_reports
+from qmb.bounds import HOLEVO_GAP_TOL, ReportOptions, batch_reports, full_report
 from qmb.errors import (
     DerivativeNotTraceless,
     InvalidInput,
@@ -532,6 +532,27 @@ class TestWeightTransform:
             t_orig = t_measure(g, w)
             t_rot = t_measure(wt.rotated, wt.diagonal_weight)
             assert t_rot == pytest.approx(t_orig, abs=1e-10)
+
+    def test_rotated_vector_rows_keep_structural_r(self, rng):
+        # R = 1 of a pure qutrit given as vectors is read from the route, which
+        # the rotation keeps with the state's spectrum
+        cfg = model_config("su2_qutrit", alpha=0.7, beta=0.2, t=1.0)
+        g = model_geometry(*model_arrays(cfg, np.array([1.0, 0.3, 0.2])))
+        wt = weight_transform(g, random_spd(rng, 3))
+        assert wt.rotated.psi is g.psi and wt.rotated.rho_spectrum is g.rho_spectrum
+        assert quantumness_R(wt.rotated) == quantumness_R(g) == 1.0
+
+    def test_rotated_bloch_rows_keep_structural_c_h(self, rng):
+        # a unitarily encoded qubit stays one under a rotation of its parameters,
+        # so its C_H = C_T is still read from the structure, with no solve
+        cfg = model_config("tunable_qubit", r_x=0.3, r_y=0.2, r_z=0.5, gamma=np.pi / 4,
+                           theta=np.pi / 2, phi=0.35)
+        g = model_geometry(*model_arrays(cfg, np.array([0.525, 0.1])))
+        wt = weight_transform(g, random_spd(rng, 2))
+        assert wt.rotated.r is g.r
+        report = full_report(model_point(cfg, (0.525, 0.1)), wt.diagonal_weight,
+                             ReportOptions(compute_rld=False), wt.rotated)
+        assert report.holevo.iterations == 0 and report.c_h == report.c_t
 
     def test_rotation_equivariance_property(self, rng):
         # T[P^T D P, Q, U] = T[D, P Q P^T, P U P^T] for any orthogonal P

@@ -279,7 +279,7 @@ class TestSpecValidation:
 
         monkeypatch.setattr(sweep, "model_arrays", no_model)
         base = {k: v for k, v in MIXED_QUBIT.items() if k != "lambda1"}
-        axis, weight = axis if isinstance(axis, tuple) else (axis, WeightSpec())
+        axis, weight = (axis, WeightSpec()) if isinstance(axis, Axis) else axis
         spec = SweepSpec("tunable_qubit", {**base, **fixed}, (axis,), weight)
         with pytest.raises(InvalidSpec, match=message):
             run_sweep(spec)
@@ -1465,7 +1465,7 @@ class TestChunkedSweep:
         for row in (rows[i] for i in range(0, len(rows), 97)):
             bound = dict(zip((ax.name for ax in spec.axes), row.axis_values))
             point = run_point(replace(spec, fixed={**spec.fixed, **bound}))
-            assert replace(point, axis_values=row.axis_values) == row
+            assert point._replace(axis_values=row.axis_values) == row
 
     @pytest.mark.parametrize("lambda_2", [5e-11, 1e-10, 1.5e-10, 2e-10, 2.5e-10, 1e-9])
     def test_pure_mixed_line_agrees(self, lambda_2):
@@ -1502,7 +1502,7 @@ class TestChunkedSweep:
         for row in rows:
             bound = dict(zip((ax.name for ax in spec.axes), row.axis_values))
             point = run_point(replace(spec, fixed={**spec.fixed, **bound}))
-            _assert_rows_close(row, replace(point, axis_values=row.axis_values), 1e-14)
+            _assert_rows_close(row, point._replace(axis_values=row.axis_values), 1e-14)
 
     @pytest.mark.parametrize("pseudo_inverse", [False, True])
     def test_zero_qfim_is_a_null_row(self, pseudo_inverse):

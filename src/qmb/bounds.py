@@ -12,39 +12,35 @@ Tr[rho X_mu X_nu] for X = L Q^-1 + P K gives Q^-1 S K - (Q^-1 S K)^T in the
 imaginary part, which keeps the objective equal to the Holevo functional of
 the actual operator tuple (and hence convex in K).  For a one-dimensional
 normal space and d <= 3 the minimum has a closed form.  Every other case
-maximizes the concave Lagrangian dual by Newton steps, which brackets C_H
-between a primal value and a dual lower bound; a row whose bracket is wider
-than HOLEVO_GAP_TOL (relative) carries HolevoNotConverged.
+maximizes the concave Lagrangian dual by Newton steps (`general`, with the
+RLD bound), which brackets C_H between a primal value and a dual lower
+bound; a row whose bracket is wider than HOLEVO_GAP_TOL (relative) carries
+HolevoNotConverged.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .errors import HierarchyViolation, InvalidInput, SingularState
+from .errors import HierarchyViolation, InvalidInput
 from .geometry import (
-    RANK_TOL,
     InformationGeometry,
-    NormalSpaceBasis,
     _frame,
-    _gell_mann_coordinates,
-    _normal_spaces,
-    _rld_matrix,
     _spectral_radius,
     _weight_and_root,
     _WeightFrame,
     _weight_frame,
-    compute_geometry,
     quantumness_R,
     subset,
     take,
     uhlmann_axial,
 )
-from .linalg import SUPPORT_TOL, adjugate, broadcast, dot, raise_first_failure, trace_norm
-from .linalg import tracenorm_antisym
-from .models import ModelPoint
+from .linalg import SUPPORT_TOL, adjugate, broadcast, dot, raise_first_failure, tracenorm_antisym
+
+if TYPE_CHECKING:  # an annotation alone: qmb.general loads on first use
+    from .general import ModelPoint
 
 FLAG_SINGULAR_QFIM = "SingularQFIM"
 FLAG_PSEUDO_INVERSE = "PseudoInverseUsed"
@@ -55,8 +51,6 @@ HIERARCHY_SLACK = 1e-7
 # A Holevo value counts as converged when its dual lower bound lies within
 # this relative distance below it.
 HOLEVO_GAP_TOL = 1e-9
-# Cap on the Newton steps of one dual solve; a handful close the gap.
-_DUAL_MAX_ITER = 50
 
 
 class HolevoSolution(NamedTuple):
@@ -114,27 +108,6 @@ def c_sld(g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = Fals
     return _weight_frame(g, w_mat, pseudo_inverse).c_sld
 
 
-def c_rld(j: np.ndarray, w_mat: np.ndarray) -> float:
-    """RLD scalar bound Tr[W Re J^-1] + ||W Im J^-1||_1."""
-    j = np.asarray(j, dtype=complex)
-    value, singular = _c_rld(j, _weight_and_root(w_mat, j.shape[0])[0])
-    if singular:
-        raise SingularState("RLD QFIM is singular")
-    return float(value)
-
-
-def _c_rld(j: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C_RLD per point and where J is singular, on the line that
-    `geometry._eigen_inverses` draws for Q: its smallest eigenvalue at or
-    below RANK_TOL times the largest (the value there is void)."""
-    vals = np.linalg.eigvalsh(j)
-    singular = vals[..., 0] <= RANK_TOL * vals[..., -1]
-    jinv = np.linalg.inv(np.where(singular[..., None, None], np.eye(j.shape[-1]), j))
-    jinv = 0.5 * (jinv + jinv.swapaxes(-1, -2).conj())
-    value = np.trace(w_mat @ jinv.real, axis1=-2, axis2=-1) + trace_norm(w_mat @ jinv.imag)
-    return value, singular
-
-
 def c_t_bound(g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = False) -> float:
     """(1 + T[W]) C_SLD[W], evaluated in the direct form Tr[W Q^-1] + ||.||_1."""
     return _weight_frame(g, w_mat, pseudo_inverse).c_t
@@ -157,12 +130,6 @@ class _TangentSetup(NamedTuple):
     gram: np.ndarray
 
 
-def _tangent_setup(basis: NormalSpaceBasis, frame: _WeightFrame) -> _TangentSetup:
-    return _TangentSetup(
-        frame=frame, left=frame.sqrt_w @ frame.qinv @ basis.coupling, gram=basis.gram
-    )
-
-
 def _objective(setup: _TangentSetup) -> Callable[[np.ndarray], float]:
     """The objective of one point's K (flattened), or of a batch's K (B, m, d)."""
     shape = setup.left.shape[:-2] + setup.left.shape[:-3:-1]  # (..., m, d)
@@ -182,20 +149,6 @@ def _objective(setup: _TangentSetup) -> Callable[[np.ndarray], float]:
     return objective
 
 
-def holevo_tangent_min(
-    g: InformationGeometry, basis: NormalSpaceBasis, w_mat: np.ndarray
-) -> HolevoSolution:
-    """Minimize the tangent-space Holevo objective over K.
-
-    An empty normal space, or a single parameter, leaves only K = 0.  A
-    one-dimensional normal space with d <= 3 parameters has an exact minimum
-    (``_holevo_exact``).  Every other case solves the Lagrangian dual
-    (``_holevo_dual``).  The returned value never exceeds the K = 0
-    objective, so it always sits between C_SLD and C_T.
-    """
-    return _holevo_solutions(take(_tangent_setup(basis, _weight_frame(g, w_mat)), None)).at(0)
-
-
 def _holevo_solutions(setup: _TangentSetup) -> HolevoSolution:
     """The minima of a batch of tangent setups that share the normal-space
     size m, as one batch of solutions; only the dual solve runs point by point."""
@@ -208,6 +161,7 @@ def _holevo_solutions(setup: _TangentSetup) -> HolevoSolution:
     if m == 1 and d in (2, 3):  # two evaluations: K = 0 (C_T) and the optimum
         values, ks = _holevo_exact(setup)
         return HolevoSolution(ks[:, None], values, values, broadcast(2, len(values)))
+    from .general import _holevo_dual  # on first use: no preset row takes the dual
     sols = [_holevo_dual(take(setup, i)) for i in range(len(setup.left))]
     return HolevoSolution(*map(np.array, zip(*sols)))  # stacked field by field
 
@@ -285,120 +239,6 @@ def _holevo_exact(setup: _TangentSetup) -> tuple[np.ndarray, np.ndarray]:
     return np.where(worse, setup.frame.c_t, value), np.where(worse[..., None], 0.0, k)
 
 
-def _holevo_dual(setup: _TangentSetup) -> HolevoSolution:
-    """Certified minimum for any normal space of size m >= 1, one point.
-
-    ||A||_1 = max <Y, A> over antisymmetric Y with ||Y||_op <= 1, and the
-    objective is convex in b = K sqrt(W), so (Albarelli, Friel & Datta,
-    PRL 123, 200503, 2019) C_H = max_Y g(Y) with the concave
-    g(Y) = C_SLD + <Y, core> - gamma^T H^+ gamma, H = I_d (x) Re P + Y (x) Im P,
-    gamma = vec(left^T Y).  Its inner minimizer x* = vec(b*) = -H^+ gamma is
-    a primal point, so each iterate brackets C_H between g and the objective
-    at x*.  Newton steps in the entries y_a of Y above the diagonal (gradient
-    <E_a, Im Z(x*)>, Hessian -2 U H^+ U^T, u_a = gamma_a + H_a x*) maximize
-    the quadratic model over the feasible set, with backtracking on g.
-    """
-    frame, left, gram = setup.frame, setup.left, setup.gram
-    d, m = left.shape
-    rows, cols = np.triu_indices(d, 1)
-    basis = np.zeros((len(rows), d, d))
-    basis[np.arange(len(rows)), rows, cols] = 1.0
-    basis -= basis.swapaxes(-1, -2)
-    h_0 = np.kron(np.eye(d), gram.real)
-    h_y = np.stack([np.kron(e, gram.imag) for e in basis])
-    gamma_y = (left.T @ basis).swapaxes(-1, -2).reshape(len(basis), d * m)
-    core_y = np.einsum("aij,ij->a", basis, frame.core)
-    objective, from_b = _objective(setup), np.linalg.inv(frame.sqrt_w)
-
-    def dual(y: np.ndarray) -> tuple:
-        """g(y), x*(y), and the gradient and negated Hessian of g at y."""
-        gamma = y @ gamma_y
-        w, v = np.linalg.eigh(h_0 + np.tensordot(y, h_y, 1))
-        keep, proj = w > 1e-12 * w[-1], v.T @ gamma
-        if np.any(np.abs(proj[~keep]) > 1e-9 * np.linalg.norm(gamma)):
-            return -np.inf, None, None, None  # gamma outside the range of H
-        inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-        x = -v @ (inv * proj)
-        u = (gamma_y + h_y @ x) @ v
-        grad = core_y + 2.0 * (gamma_y @ x) + (h_y @ x) @ x
-        return frame.c_sld + y @ core_y + gamma @ x, x, grad, 2.0 * (u * inv) @ u.T
-
-    y = np.zeros(len(basis))
-    g, x, grad, hess = dual(y)
-    value, lower, k_best, evals, gap = float(frame.c_t), float(g), np.zeros((m, d)), 1, np.inf
-    for steps in range(_DUAL_MAX_ITER + 1):
-        k = x.reshape(d, m).T @ from_b
-        primal = float(objective(k))
-        if primal < value:
-            value, k_best = primal, k
-        lower = max(lower, float(g))
-        # steps go on past the tolerance for as long as they narrow the bracket
-        if not 0.0 < value - lower < gap or steps == _DUAL_MAX_ITER:
-            break
-        gap = value - lower
-        z = _ball_step(y, grad, hess) if d <= 3 else _clipped_step(y, grad, hess, basis)
-        # near the optimum g is flat to rounding while x* still converges, so
-        # a step that loses no more than rounding is taken
-        t = 1.0
-        for _ in range(34):
-            trial = dual(y + t * (z - y))
-            evals += 1
-            if trial[0] >= g - 1e-14 * abs(g):
-                break
-            t *= 0.5
-        else:
-            break  # no ascent left along the step
-        y, (g, x, grad, hess) = y + t * (z - y), trial
-    # at the optimum rounding can put g a few ulps above the primal value
-    return HolevoSolution(k_best, value, min(lower, value), evals)
-
-
-def _ball_step(y, grad, hess):
-    """For d <= 3, where ||Y||_op = |y|: the maximizer over |z| <= 1 of the
-    model grad.(z - y) - (z - y).hess.(z - y) / 2.  That is the Newton point,
-    or if that is unbounded or outside the ball (a boundary optimum),
-    z(lam) = (hess + lam I)^-1 (grad + hess y) at the root of |z(lam)| = 1."""
-    a, q = np.linalg.eigh(hess)
-    a = np.maximum(a, 0.0)
-    flat = a <= 1e-12 * a[-1]
-    slope, c = q.T @ grad, q.T @ (grad + hess @ y)
-    if not np.any(flat & (np.abs(slope) > 1e-14 * np.max(np.abs(c)))):
-        z = y + q @ np.where(flat, 0.0, slope / np.where(flat, 1.0, a))
-        if z @ z <= 1.0:
-            return z
-    # |z(lam)| >= 1 here, and 1 / |z(lam)| - 1 is increasing and concave,
-    # so Newton steps on it rise monotonically onto the root
-    lam = max(0.0, float(np.max(np.abs(c) - a)))
-    for _ in range(100):
-        den = np.where(a + lam > 0.0, a + lam, np.inf)
-        zc = c / den
-        norm, curve = np.sqrt(zc @ zc), zc @ (zc / den)
-        nxt = lam + (norm - 1.0) * norm * norm / curve if curve > 0.0 else lam
-        if norm <= 1.0 or not nxt > lam:
-            break
-        lam = nxt
-    z = q @ zc
-    return z / max(1.0, np.sqrt(z @ z))
-
-
-def _clipped_step(y, grad, hess, basis):
-    """The model maximizer of `_ball_step` over ||Y||_op <= 1 for d >= 4, by
-    up to 200 accelerated projected-gradient steps from y; the projection
-    clips the eigenvalues of iY to [-1, 1]."""
-    rows, cols = np.triu_indices(basis.shape[-1], 1)
-    rate = 1.0 / max(np.linalg.eigvalsh(hess)[-1], 1e-12 * np.max(np.abs(grad)), 1e-300)
-    z = prev = y
-    t = 1.0
-    for _ in range(200):
-        t, t_prev = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t)), t
-        v = z + (t_prev - 1.0) / t * (z - prev)
-        w, u = np.linalg.eigh(1j * np.tensordot(v + rate * (grad - hess @ (v - y)), basis, 1))
-        prev, z = z, (-1j * (u * np.clip(w, -1.0, 1.0)) @ u.conj().T).real[rows, cols]
-        if np.max(np.abs(z - prev)) <= 1e-13:
-            break
-    return z
-
-
 def _check_hierarchy(report, rows=...) -> None:
     """Raise HierarchyViolation for the first point off C_SLD <= C_H <= C_T <= C_R <= 2 C_SLD.
     ``report`` is a `BoundsReport` or a batch's columns, with ``rows`` selecting the points
@@ -436,6 +276,7 @@ def full_report(
     values raises HierarchyViolation: that is a bug signal, not physics.
     This is `batch_reports` on a batch of one.
     """
+    from .general import compute_geometry  # on first use: a model point is matrix input
     opts = opts or ReportOptions()
     g = geometry or compute_geometry(point.rho, point.derivs)
     w_mat, sqrt_w = _weight_and_root(w_mat, g.n_params)
@@ -495,6 +336,7 @@ def batch_reports(
         no_rld = np.min(spectrum, axis=-1) <= SUPPORT_TOL  # rank deficient
         c_rld = broadcast(np.nan, points)
         if not no_rld.all():
+            from .general import _c_rld, _rld_matrix  # on first use: no preset asks for C_RLD
             full_rank = np.where(no_rld[:, None, None], np.eye(rho.shape[-1]), rho)
             c_rld, singular = _c_rld(_rld_matrix(full_rank, derivs), w_mat)
             no_rld |= singular
@@ -531,6 +373,8 @@ def batch_reports(
         elif regular.size:
             if np.size(g.slds) == 0:
                 raise InvalidInput("geometry must carry SLD operators")
+            # on first use: matrix input alone builds a normal space
+            from .general import _gell_mann_coordinates, _normal_spaces, _tangent_setup
             coordinates = _gell_mann_coordinates(rho[sel], g.slds[sel])
             for rows, basis in _normal_spaces(*coordinates, g._qfim_inverses[4][sel]):
                 rows = regular[rows]

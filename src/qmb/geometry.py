@@ -1,10 +1,14 @@
-"""Information geometry of a parameterized state: Q, U, R, T, and the normal space."""
+"""Information geometry of a parameterized state: Q, U, R and T.
+
+The geometry of density-matrix input, the normal space and the one-point
+analyses of T (`t_saturation_analysis`, `weight_transform`) are in `general`.
+"""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -13,21 +17,15 @@ from .errors import InvalidInput, SingularQFIM
 from .linalg import (
     adjugate,
     broadcast,
-    density_spectrum,
     dot,
     hermitian_part,
     raise_first_failure,
     require_bloch_state,
-    require_derivative,
-    require_full_rank,
-    require_hermitian,
     require_pure_state,
     require_weight,
-    sld_in_eigenbasis,
     small_matmul,
     spd_sqrt,
     stacked,
-    state_eigensystem,
     sym_cholesky,
     tracenorm_antisym,
 )
@@ -85,28 +83,6 @@ class InformationGeometry:
     def _adj_root_u(self) -> np.ndarray:
         """G u (`_invert`) for d = 3, u the axial vector of U."""
         return (self._qfim_inverses[5] @ uhlmann_axial(self.uhlmann)[..., None])[..., 0]
-
-
-class WeightTransform(NamedTuple):
-    """Rotation + rescaling splitting of a weight matrix, W = P^T D P."""
-
-    rotated: InformationGeometry
-    diagonal_weight: np.ndarray
-    rotation: np.ndarray
-
-
-class TSaturationReport(NamedTuple):
-    """Diagnostics for when the weight-dependent measure reaches the quantumness."""
-
-    t_value: float
-    r_value: float
-    t_equals_r: bool
-    saturating_weight: np.ndarray | None
-    saturating_omegas: tuple[float, float] | None
-    maximizing_diagonal_omega: float | None
-    odd_diagonal_requires_zero_u: bool
-    rank_u: int
-    rank_bound_ok: bool
 
 
 def geometry_from_matrices(
@@ -189,46 +165,6 @@ def _eigen_inverses(w: np.ndarray, v: np.ndarray) -> tuple:
     return inverses, np.sum(keep, axis=-1)
 
 
-def compute_geometry(rho: np.ndarray, derivs: Sequence[np.ndarray]) -> InformationGeometry:
-    """SLD-route geometry from a state and its parameter derivatives.
-
-    Q_munu = Re Tr[rho L_mu L_nu], U_munu = Im Tr[rho L_mu L_nu]; the
-    tangent dimension is the rank of Q at relative tolerance RANK_TOL.  rho is
-    decomposed once, and validated against that spectrum.
-    A batch of states (B, n, n) with derivatives (B, d, n, n) gives the
-    batch geometry from one stacked decomposition each of rho and Q; each
-    state is checked as it would be alone.
-    """
-    derivs = _need_derivatives(derivs)
-    w, v = state_eigensystem(rho)
-    derivs = require_derivative(derivs)
-    # one parameter at a time keeps a batch's temporaries at (B, n, n)
-    slds = [sld_in_eigenbasis(w, v, derivs[..., k, :, :]) for k in range(derivs.shape[-3])]
-    q, u = _sld_gram(np.asarray(rho, dtype=complex), slds)
-    slds = np.stack(slds, axis=-3)
-    return _geometry(q, u, tuple(slds) if slds.ndim == 3 else slds, w)
-
-
-def _need_derivatives(derivs) -> np.ndarray:
-    derivs = np.asarray(derivs)
-    if derivs.ndim < 3 or derivs.shape[-3] < 1:
-        raise InvalidInput("need at least one parameter derivative")
-    return derivs
-
-
-def _sld_gram(rho: np.ndarray, slds: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, U) as the real and imaginary parts of Tr[rho L_a L_b], from the
-    SLDs one parameter at a time."""
-    d = len(slds)
-    rho_l = [small_matmul(rho, l) for l in slds]
-    gram = np.empty(np.shape(rho)[:-2] + (d, d), dtype=complex)
-    for a in range(d):
-        for b in range(a, d):  # Tr[X Y] = sum_ij X_ij Y_ji, with no product
-            gram[..., a, b] = (rho_l[a] * slds[b].swapaxes(-1, -2)).sum(axis=(-2, -1))
-            gram[..., b, a] = np.conj(gram[..., a, b])
-    return _split_gram(gram)
-
-
 def _split_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Q, U), the symmetric real and antisymmetric imaginary parts of the
     Gram matrix Q + iU of the SLDs."""
@@ -259,6 +195,7 @@ def model_geometry(
         return _vector_geometry(*pure)
     if bloch is not None:
         return _bloch_geometry(*bloch)
+    from .general import compute_geometry  # on first use: no built-in model gives matrices
     return compute_geometry(rho, derivs)
 
 
@@ -300,28 +237,6 @@ def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
         u[..., j, i] = -u[..., i, j]
     spectrum = stacked(0.5 + 0.5 * radius, np.maximum(0.5 - 0.5 * radius, 0.0))
     return _geometry(q, u, (), spectrum, r=r)
-
-
-def rld_qfim(rho: np.ndarray, derivs: Sequence[np.ndarray]) -> np.ndarray:
-    """RLD quantum Fisher information J_munu = Tr[rho L^R_mu L^R_nu^dag].
-
-    Defined for full-rank states only; raises SingularState otherwise.  The
-    state is validated and its spectrum taken once, and one factorization
-    of rho solves rho L^R_mu = d_mu rho for every derivative.
-    """
-    rho, w = density_spectrum(rho)
-    derivs = require_hermitian(derivs, "drho")
-    require_full_rank(w)
-    return _rld_matrix(rho, derivs)
-
-
-def _rld_matrix(rho: np.ndarray, derivs: np.ndarray) -> np.ndarray:
-    """J for full-rank states rho (..., n, n) with derivatives (..., d, n, n)."""
-    n, d = rho.shape[-1], derivs.shape[-3]
-    stacked = derivs.swapaxes(-3, -2).reshape(derivs.shape[:-3] + (n, d * n))
-    ls = np.linalg.solve(rho, stacked).reshape(derivs.shape[:-3] + (n, d, n)).swapaxes(-3, -2)
-    j = np.einsum("...aij,...bij->...ab", rho[..., None, :, :] @ ls, ls.conj())
-    return 0.5 * (j + j.swapaxes(-1, -2).conj())
 
 
 def _qfim_inverse(g: InformationGeometry, pseudo_inverse: bool = False) -> tuple:
@@ -459,208 +374,6 @@ def t_measure(g: InformationGeometry, w_mat: np.ndarray, pseudo_inverse: bool = 
     return _weight_frame(g, w_mat, pseudo_inverse).t_value
 
 
-def _rank_antisym(u: np.ndarray) -> int:
-    sv = np.linalg.svd(u, compute_uv=False)
-    if sv.size == 0 or sv[0] <= 0:
-        return 0
-    return int(np.sum(sv > RANK_TOL * sv[0]))
-
-
-def t_saturation_analysis(g: InformationGeometry, w_mat: np.ndarray) -> TSaturationReport:
-    """When does T[W] reach R, and which weight matrix gets it there.
-
-    For two parameters the unique saturating family is W proportional to Q
-    (omega2* = Q22/Q11, omega1* = Q12/Q11), and among diagonal weights
-    diag(1, omega) the measure is maximized at omega = Q22/Q11.  For an odd
-    number of parameters with diagonal Q and W, T = R forces U = 0.  The
-    rank bound T <= Rank(U) R holds always.
-    """
-    q, u = g.qfim, g.uhlmann
-    frame = _weight_frame(g, w_mat)
-    w_mat = frame.w_mat
-    d = q.shape[0]
-    t_val = frame.t_value
-    r_val = quantumness_R(g)
-    rank_u = _rank_antisym(u)
-    saturating_weight = None
-    saturating_omegas = None
-    max_omega = None
-    if d == 2:
-        max_omega = float(q[1, 1] / q[0, 0])
-        if u[0, 1] != 0.0:  # det U = U_12^2
-            saturating_weight = q / q[0, 0]
-            saturating_omegas = (float(q[0, 1] / q[0, 0]), float(q[1, 1] / q[0, 0]))
-    off_q = np.max(np.abs(q - np.diag(np.diag(q))), initial=0.0)
-    off_w = np.max(np.abs(w_mat - np.diag(np.diag(w_mat))), initial=0.0)
-    odd_diagonal = d % 2 == 1 and off_q <= 1e-12 and off_w <= 1e-12
-    return TSaturationReport(
-        t_value=t_val,
-        r_value=r_val,
-        t_equals_r=abs(t_val - r_val) <= 1e-9,
-        saturating_weight=saturating_weight,
-        saturating_omegas=saturating_omegas,
-        maximizing_diagonal_omega=max_omega,
-        odd_diagonal_requires_zero_u=odd_diagonal,
-        rank_u=rank_u,
-        rank_bound_ok=t_val <= rank_u * r_val + 1e-9,
-    )
-
-
-def weight_transform(g: InformationGeometry, w_mat: np.ndarray) -> WeightTransform:
-    """Split W = P^T D P and rotate the geometry into the eigenframe of W.
-
-    T is invariant: T[D, PQP^T, PUP^T] = T[W, Q, U].  Diagonal inputs pass
-    through unchanged (P = I), keeping the trivial case exact.  The state
-    does not move, so the rotated geometry keeps its spectrum, ``psi`` and
-    ``r``, and with them the structural R and C_H of its route.
-    """
-    w_mat = _weight_and_root(w_mat, g.n_params)[0]
-    d = g.n_params
-    if np.count_nonzero(w_mat - np.diag(np.diag(w_mat))) == 0:
-        return WeightTransform(rotated=g, diagonal_weight=w_mat.copy(), rotation=np.eye(d))
-    vals, vecs = np.linalg.eigh(w_mat)
-    for k in range(d):
-        idx = int(np.argmax(np.abs(vecs[:, k])))
-        if vecs[idx, k] < 0:
-            vecs[:, k] = -vecs[:, k]
-    rot = vecs.T
-    q_r = rot @ g.qfim @ rot.T
-    u_r = rot @ g.uhlmann @ rot.T
-    slds_r = tuple(
-        hermitian_part(sum(rot[mu, nu] * g.slds[nu] for nu in range(d)))
-        for mu in range(d)
-    ) if g.slds else ()
-    rotated = InformationGeometry(0.5 * (q_r + q_r.T), 0.5 * (u_r - u_r.T), slds_r, g.tangent_dim,
-                                  g.rho_spectrum, g.psi, g.r)
-    return WeightTransform(rotated=rotated, diagonal_weight=np.diag(vals), rotation=rot)
-
-
-@lru_cache(maxsize=None)
-def _gell_mann(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Generalized Gell-Mann basis G_a, stacked (n^2 - 1, n, n) in lexicographic
-    order (symmetric pairs, antisymmetric pairs, diagonal), Hilbert-Schmidt
-    norm sqrt(2); with flat rows giving Tr[x G_a] = traces @ x.ravel() and
-    Tr[rho G_a G_b] = (products @ rho.ravel())[a (n^2 - 1) + b].  Built on
-    first use per n, read-only."""
-    basis = np.zeros((n * n - 1, n, n), dtype=complex)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for a, (i, j) in enumerate(pairs):
-        basis[a, i, j] = basis[a, j, i] = 1.0
-        basis[len(pairs) + a, i, j], basis[len(pairs) + a, j, i] = -1j, 1j
-    for l in range(1, n):
-        diag = [1.0] * l + [-float(l)] + [0.0] * (n - l - 1)
-        basis[2 * len(pairs) + l - 1] = np.diag(diag) * np.sqrt(2.0 / (l * (l + 1)))
-    traces = basis.transpose(0, 2, 1).reshape(n * n - 1, n * n)
-    products = (basis[:, None] @ basis[None, :]).transpose(0, 1, 3, 2).reshape(-1, n * n)
-    for arr in (basis, traces, products):
-        arr.flags.writeable = False
-    return basis, traces, products
-
-
-class NormalSpaceBasis(NamedTuple):
-    """Orthonormal basis of the SLD normal space with its Gram and coupling data.
-
-    Direction j is P_j = sum_a coeffs[a, j] (G_a - c_a) in the Gell-Mann basis,
-    c_a = Tr[rho G_a] (``means``), so Tr[rho P_j] = 0.  ``gram`` is the complex
-    matrix Tr[rho P_i P_j] (its real part is the identity by orthonormality)
-    and ``coupling`` is Im Tr[rho L_i P_j]."""
-
-    coeffs: np.ndarray
-    means: np.ndarray
-    gram: np.ndarray
-    coupling: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.coeffs.shape[1]
-
-    @property
-    def ops(self) -> tuple[np.ndarray, ...]:
-        """The operators P_j, built from the coefficients."""
-        n = int(np.sqrt(len(self.means) + 1))
-        basis = _gell_mann(n)[0]
-        ops = np.tensordot(self.coeffs, basis, axes=(0, 0))
-        ops -= (self.means @ self.coeffs)[:, None, None] * np.eye(n)
-        return tuple(ops)
-
-
-def tangent_normal_decomposition(
-    rho: np.ndarray,
-    g: InformationGeometry,
-    pseudo_inverse: bool = False,
-) -> NormalSpaceBasis:
-    """Orthonormal basis of the SLD normal space at rho.
-
-    Real coefficients x stand for sum_a x_a (G_a - Tr[rho G_a]) in the Gell-Mann
-    basis.  With S = Tr[rho G_a G_b] - Tr[rho G_a] Tr[rho G_b], the inner
-    product Re Tr[rho (AB + BA)] / 2 is x^T Re S y, Im Tr[rho A B] is x^T Im S y,
-    and SLD i has coefficients Tr[L_i G_a] / 2.  The SLD span is projected out
-    under Re S, and directions whose Gram eigenvalue falls below RANK_TOL times
-    the largest diagonal of Re S are discarded.  Those satisfy rho P = 0, so
-    they add nothing to the Holevo objective; dropping them keeps the Gram
-    matrix invertible.
-    """
-    if not g.slds:
-        raise InvalidInput("geometry must carry SLD operators")
-    f = _qfim_inverse(g, pseudo_inverse)[4]  # singularity policy
-    rho = np.asarray(rho, dtype=complex)
-    coordinates = _gell_mann_coordinates(rho[None], np.asarray(g.slds)[None])
-    ((_, basis),) = _normal_spaces(*coordinates, f[None])
-    return take(basis, 0)
-
-
-def _gell_mann_coordinates(rho: np.ndarray, slds: np.ndarray) -> tuple:
-    """The Gell-Mann coordinates that `_normal_spaces` reads, of states
-    (B, n, n) with SLDs (B, d, n, n): rho's means c_a = Tr[rho G_a] (B, n^2 - 1),
-    the form S_ab = Tr[rho G_a G_b] - c_a c_b and the SLD coefficients
-    Tr[L_i G_a] / 2 (B, d, n^2 - 1)."""
-    n = rho.shape[-1]
-    _, traces, products = _gell_mann(n)
-    flat_rho = rho.reshape(len(rho), n * n, 1)
-    means = (traces @ flat_rho)[..., 0].real
-    s = (products @ flat_rho).reshape(means.shape + (-1,))
-    s -= means[:, :, None] * means[:, None, :]
-    return means, s, 0.5 * (slds.reshape(slds.shape[:2] + (-1,)) @ traces.T).real
-
-
-def _normal_spaces(means: np.ndarray, s: np.ndarray, l: np.ndarray, f: np.ndarray) -> list:
-    """The normal-space bases of a batch of states given by their
-    `_gell_mann_coordinates` (the means, the form S and the SLD
-    coefficients l (B, d, n^2 - 1)) and `_invert`'s
-    F (B, d, d) of their Q, as `tangent_normal_decomposition` builds one,
-    grouped by size: (rows, basis with those rows stacked along a leading
-    axis)."""
-    s_re = s.real
-    # Q = l Re S l^T and F Q F^T = I (on the kept eigenvalues where Q is
-    # ill), so the rows of F l are an orthonormal tangent frame under Re S
-    frame = f @ l
-    cand = np.eye(s.shape[-1]) - frame.swapaxes(-1, -2) @ (frame @ s_re)
-
-    w, v = np.linalg.eigh(cand.swapaxes(-1, -2) @ s_re @ cand)
-    # The cut is against the scale of the form itself, not the projected
-    # maximum, which would keep pure roundoff when the normal space is empty.
-    raw_scale = np.max(np.diagonal(s_re, axis1=-2, axis2=-1), axis=-1)
-    sizes = np.where(raw_scale > 0, np.sum(w > RANK_TOL * raw_scale[:, None], axis=-1), 0)
-    groups = []
-    for size in sorted(set(sizes.tolist())):  # (np.unique would import numpy.ma)
-        rows = np.flatnonzero(sizes == size)
-        sel = subset(rows, len(sizes))
-        vecs, kept = v[sel, :, ::-1][..., :size], w[sel, None, ::-1][..., :size]
-        pivot = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[:, None, :], axis=-2)
-        coeffs = cand[sel] @ (vecs * (np.where(pivot < 0, -1.0, 1.0) / np.sqrt(kept)))
-        groups.append((rows, _basis(coeffs, means[sel], s[sel], l[sel])))
-    return groups
-
-
-def _basis(coeffs: np.ndarray, means: np.ndarray, s: np.ndarray, l: np.ndarray) -> NormalSpaceBasis:
-    """The stacked basis of the given coefficients (B, n^2 - 1, m), with its
-    Gram and coupling matrices."""
-    sv = s @ coeffs
-    gram = coeffs.swapaxes(-1, -2) @ sv
-    gram = 0.5 * (gram + gram.swapaxes(-1, -2).conj())
-    return NormalSpaceBasis(coeffs, means, gram, (l @ sv).imag)
-
-
 def subset(rows: np.ndarray, total: int) -> np.ndarray | slice:
     """An index for ``rows`` of a batch of ``total``: a slice, so a view
     and no copy, when the rows are all of them."""
@@ -675,16 +388,8 @@ def take(batch, rows):
 
 __all__ = [
     "InformationGeometry",
-    "NormalSpaceBasis",
-    "WeightTransform",
-    "TSaturationReport",
-    "compute_geometry",
     "geometry_from_matrices",
-    "rld_qfim",
     "quantumness_R",
     "t_measure",
-    "t_saturation_analysis",
-    "weight_transform",
-    "tangent_normal_decomposition",
     "uhlmann_axial",
 ]

@@ -8,13 +8,14 @@ closed form; eigendecompositions are one stacked LAPACK call.  A stack of produc
 matrix, and the first failing matrix in C order raises the error it would
 raise alone.  All decompositions are exact dense methods; no iterative
 estimators.
+The checks and solves of density matrices are in `general`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DerivativeNotTraceless, InvalidInput, NonHermitianInput, SingularState
+from .errors import DerivativeNotTraceless, InvalidInput, NonHermitianInput
 
 HERMITICITY_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-12
@@ -68,8 +69,10 @@ def small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The product is one broadcast multiply-add per inner index, summed in
     index order: for the 2x2 and 3x3 matrices of the models a stacked
     complex ``@`` costs several times as much per matrix.  The form never
-    depends on the stack, so each matrix is rounded the same way whatever
-    stack holds it.
+    depends on the stack, so for n >= 2, and for real input of any n, each
+    matrix is rounded the same way whatever stack holds it.  A complex
+    n = 1 product is one complex multiply, which numpy rounds by the shape
+    of the operands, 1-2 ulp apart; no model has n = 1.
     """
     n = a.shape[-1]
     out = a[..., :, :1] * b[..., :1, :]
@@ -83,52 +86,9 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2).conj())
 
 
-def _hermitian_checks(h: np.ndarray, name: str) -> tuple:
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise NonHermitianInput(f"{name} must be a square matrix, got shape {h.shape}")
-    finite = np.isfinite(h).all(axis=(-2, -1))
-    scale = 1.0 + np.max(np.abs(h), axis=(-2, -1), initial=0.0)
-    with np.errstate(invalid="ignore"):
-        defect = np.max(np.abs(h - h.swapaxes(-1, -2).conj()), axis=(-2, -1), initial=0.0)
-    return (
-        (~finite, lambda i: NonHermitianInput(f"{name} has non-finite entries")),
-        (defect > HERMITICITY_TOL * scale,
-         lambda i: NonHermitianInput(f"{name} is not Hermitian: defect {defect.flat[i]:.3e}")),
-    )
-
-
-def require_hermitian(h: np.ndarray, name: str = "operator") -> np.ndarray:
-    """Validate the Hermiticity invariant and return the input as complex."""
-    h = np.asarray(h, dtype=complex)
-    raise_first_failure(*_hermitian_checks(h, name))
-    return h
-
-
-def require_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Validate unit trace and positivity (up to the eigenvalue floor)."""
-    return density_spectrum(rho, name)[0]
-
-
-def _require_unit_trace(rho: np.ndarray, name: str) -> np.ndarray:
-    rho = require_hermitian(rho, name)
-    tr = np.trace(rho, axis1=-2, axis2=-1).real
-    raise_first_failure((np.abs(tr - 1.0) > DENSITY_TRACE_TOL, lambda i: NonHermitianInput(
-        f"{name} has trace {tr.flat[i]!r}, expected 1")))
-    return rho
-
-
 def _require_eig_floor(lowest: np.ndarray, name: str) -> None:
     raise_first_failure((lowest < DENSITY_EIG_FLOOR, lambda i: NonHermitianInput(
         f"{name} has negative eigenvalue {np.ravel(lowest)[i]:.3e}")))
-
-
-def density_spectrum(rho: np.ndarray, name: str = "rho") -> tuple[np.ndarray, np.ndarray]:
-    """rho as a complex array and its ascending eigenvalues from one eigvalsh,
-    validated against them as ``require_density`` does."""
-    rho = _require_unit_trace(rho, name)
-    w = np.linalg.eigvalsh(rho)
-    _require_eig_floor(w[..., 0], name)
-    return rho, w
 
 
 _WRAP = np.array([0, 1, 2, 0, 1])
@@ -167,32 +127,6 @@ def sym_cholesky(a: np.ndarray) -> np.ndarray:
     return low
 
 
-def eig_hermitian(h: np.ndarray, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a Hermitian matrix.
-
-    Returns eigenvalues sorted descending and the matching eigenvector
-    columns with a deterministic phase: the largest-magnitude component of
-    each eigenvector (lowest index on ties) is made real and positive.
-    """
-    h = require_hermitian(h) if check else np.asarray(h)
-    w, v = np.linalg.eigh(hermitian_part(h))
-    w, v = w[..., ::-1], v[..., ::-1]
-    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
-    mag = np.hypot(pivot.real, pivot.imag)  # as abs() rounds a complex scalar
-    return w, v * np.where(mag > 0, pivot.conj() / np.where(mag > 0, mag, 1.0), 1.0)
-
-
-def state_eigensystem(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a density matrix, tiny negatives clamped to 0.
-
-    rho is validated as ``require_density`` does, against the spectrum of
-    this same decomposition.
-    """
-    w, v = eig_hermitian(_require_unit_trace(rho, "rho"), check=False)
-    _require_eig_floor(w[..., -1], "rho")
-    return np.clip(w, 0.0, None), v
-
-
 def trace_norm(a: np.ndarray) -> float:
     """Sum of singular values, ||A||_1 = Tr sqrt(A^dag A)."""
     a = np.asarray(a, dtype=complex)
@@ -211,15 +145,6 @@ def tracenorm_antisym(m: np.ndarray) -> float:
     if d == 3:
         return 2.0 * np.hypot(np.hypot(m[..., 1, 2], m[..., 0, 2]), m[..., 0, 1])
     return trace_norm(m)
-
-
-def require_derivative(drho: np.ndarray) -> np.ndarray:
-    """Validate a state derivative: Hermitian and traceless."""
-    drho = np.asarray(drho, dtype=complex)
-    tr = np.trace(drho, axis1=-2, axis2=-1)
-    raise_first_failure(*_hermitian_checks(drho, "drho"), (np.abs(tr) > 1e-10, lambda i: (
-        DerivativeNotTraceless(f"Tr drho = {tr.flat[i]!r}, expected 0"))))
-    return drho
 
 
 def require_pure_state(psi: np.ndarray, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,43 +191,6 @@ def require_bloch_state(
     raise_first_failure((~np.isfinite(dr).all(axis=(-2, -1)), lambda i: NonHermitianInput(
         "drho has non-finite entries")))
     return r, dr, radius
-
-
-def sld_in_eigenbasis(w: np.ndarray, v: np.ndarray, drho: np.ndarray) -> np.ndarray:
-    """The SLD of ``drho`` given the eigensystem (w, v) of rho, so several
-    derivatives of one state share a single decomposition."""
-    vh = v.swapaxes(-1, -2).conj()
-    m = small_matmul(small_matmul(vh, drho), v)
-    denom = w[..., :, None] + w[..., None, :]
-    keep = denom > SUPPORT_TOL
-    coeff = np.where(keep, 2.0 * m / np.where(keep, denom, 1.0), 0.0)
-    return hermitian_part(small_matmul(small_matmul(v, coeff), vh))
-
-
-def sld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
-    """Symmetric logarithmic derivative L solving d_rho = (L rho + rho L) / 2.
-
-    In the eigenbasis of rho, L_ij = 2 (drho)_ij / (p_i + p_j) on the
-    support (p_i + p_j > SUPPORT_TOL) and 0 elsewhere; the kernel-sector
-    choice makes Tr[rho L^2] minimal and matches the pure-state SLD.
-    """
-    w, v = state_eigensystem(rho)
-    return sld_in_eigenbasis(w, v, require_derivative(drho))
-
-
-def require_full_rank(w: np.ndarray) -> None:
-    """Raise SingularState unless the RLD exists: the ascending spectrum w
-    has no eigenvalue at or below SUPPORT_TOL."""
-    if w[0] <= SUPPORT_TOL:
-        raise SingularState(f"rho is rank deficient (min eigenvalue {w[0]:.3e}); RLD undefined")
-
-
-def rld_solve(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
-    """Right logarithmic derivative L^R = rho^-1 drho (full-rank rho only)."""
-    rho, w = density_spectrum(rho)
-    drho = require_hermitian(drho, "drho")
-    require_full_rank(w)
-    return np.linalg.solve(rho, drho)
 
 
 WEIGHT_NOT_DEFINITE = "weight matrix must be positive definite"

@@ -2,8 +2,8 @@
 
 Each model is written down once.  `model_arrays` gives a batch of states in
 the form the geometry reads them (vectors for a pure state, the Bloch vector
-for a mixed qubit), and `model_point` gives one point's density matrix and
-exact parameter derivatives from the same definitions.  The closed-form QFIM
+for a mixed qubit), and `general.model_point` gives one point's density
+matrix and exact parameter derivatives from the same definitions.  The closed-form QFIM
 and Uhlmann curvature that the tests hold the SLD route against live in
 tests/conftest.py.
 
@@ -18,7 +18,7 @@ Conventions worth spelling out once:
   ``H_k = i (d_k U^dag) U``; with this choice the closed-form QFIM and
   Uhlmann entries are expectation values in the *initial* state, and the
   exact derivative relation is ``d_k rho = U (i [H_k, rho0]) U^dag``.
-  The forward convention ``i (d_k U) U^dag`` (what `unitary_generator`
+  The forward convention ``i (d_k U) U^dag`` (what `general.unitary_generator`
   computes) is related by ``i (d_k U^dag) U = -U^dag [i (d_k U) U^dag] U``.
 """
 
@@ -26,14 +26,12 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, StepTooLarge
-from .geometry import _split_gram
-from .linalg import (broadcast, dot, hermitian_part, raise_first_failure, require_pure_state,
-                     small_matmul, stacked)
+from .errors import InvalidInput
+from .linalg import broadcast, dot, raise_first_failure, small_matmul, stacked
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -107,19 +105,6 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     return _EYE3 + _mat(np.sin(angle)) * k + _mat(1.0 - np.cos(angle)) * (k @ k)
 
 
-def _su2_exp(nj: np.ndarray, x) -> np.ndarray:
-    """exp(-i x n.J) in closed form, from n.J (..., dim, dim) of a unit axis n
-    in the spin-1/2 (dim 2) or spin-1 (dim 3) representation.  Spin 1/2 is
-    cos(x/2) I - i sin(x/2) n.sigma with n.sigma = 2 n.J; spin 1, where
-    (n.J)^3 = n.J, is I - i sin(x) n.J - (1 - cos x) (n.J)^2, with
-    1 - cos x written 2 sin^2(x/2) to stay accurate at small x."""
-    half = np.asarray(x) / 2.0
-    if nj.shape[-1] == 2:
-        return _mat(np.cos(half)) * np.eye(2) - 2j * _mat(np.sin(half)) * nj
-    return (_EYE3 - 1j * _mat(np.sin(x)) * nj
-            - _mat(2.0 * np.sin(half) ** 2) * small_matmul(nj, nj))
-
-
 class ModelConfig(NamedTuple):
     """A model family plus its fixed constants (angles, Bloch components, time)."""
 
@@ -129,14 +114,6 @@ class ModelConfig(NamedTuple):
     @property
     def n_params(self) -> int:
         return len(PARAM_NAMES[self.model_id])
-
-
-class ModelPoint(NamedTuple):
-    """A state and its parameter derivatives at one parameter vector."""
-
-    params: tuple[float, ...]
-    rho: np.ndarray
-    derivs: tuple[np.ndarray, ...]
 
 
 def model_config(model_id: str, **constants: float) -> ModelConfig:
@@ -232,13 +209,6 @@ def _tunable_qubit_bloch_derivs(
     return r, d1, d2
 
 
-def _bloch_state(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rho = (I + r.sigma) / 2 and its derivatives (dr_k.sigma) / 2 from the
-    Bloch vector r (..., 3) and its derivatives dr (..., d, 3)."""
-    rho = hermitian_part(0.5 * (np.eye(2) + _dot_j(r, PAULI)))
-    return rho, hermitian_part(0.5 * _dot_j(dr, PAULI))
-
-
 def _su2_qubit_axes(s, c, ct, st) -> tuple[np.ndarray, np.ndarray]:
     """The SU(2) qubit's generator axes from s, c = sin, cos(B t / 2) and
     ct, st = cos, sin(theta)."""
@@ -273,19 +243,6 @@ def _su2_frame(cfg: ModelConfig, params: np.ndarray) -> tuple:
         return psi0, _spin_matrices(3), axes, (-t, 2.0 * s, 2.0 * ct * s)
     psi0 = stacked(np.cos(alpha / 2.0), np.sin(alpha / 2.0) * np.exp(1j * beta))
     return psi0, 0.5 * _PAULI_STACK, _su2_qubit_axes(s, c, ct, st), (-t, 2.0 * s)
-
-
-def _su2_state(cfg: ModelConfig, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The evolved pure state rho = psi psi^dag (..., n, n) and its exact
-    derivatives (..., d, n, n) of an SU(2) model, over the leading axes of
-    ``params`` (..., d) and the constants: psi = U psi0, and with the
-    vectors l_k of `_pure_vectors`, d_k rho = (U l_k psi^dag + psi (U l_k)^dag) / 2."""
-    psi0, js, axes, scales = _su2_frame(cfg, params)
-    psi0, ells = _pure_vectors(psi0, js, axes, scales)
-    u = _su2_exp(_dot_j(axes[0], js), params[..., 0] * cfg.constants["t"])
-    psi, moved = _apply(u, psi0), _apply(u[..., None, :, :], ells)
-    rho = hermitian_part(psi[..., :, None] * psi[..., None, :].conj())
-    return rho, hermitian_part(moved[..., :, None] * psi[..., None, None, :].conj())
 
 
 def _pure_vectors(psi0, js, axes, scales) -> tuple[np.ndarray, np.ndarray]:
@@ -348,64 +305,3 @@ def model_arrays(cfg: ModelConfig, params: np.ndarray) -> ModelArrays:
     return ModelArrays(None, None, None, (r, stacked(d1, d2, axis=-2)))
 
 
-def model_point(cfg: ModelConfig, params: Sequence[float]) -> ModelPoint:
-    """The state and its exact derivatives at one parameter vector, with as
-    many parameters as the model names (`PARAM_NAMES`)."""
-    if cfg.model_id not in MODEL_IDS:
-        raise InvalidInput(f"unknown model {cfg.model_id!r}")
-    values = np.asarray(params, dtype=float)
-    if values.shape != (cfg.n_params,):
-        raise InvalidInput(f"{cfg.model_id} takes the parameters {PARAM_NAMES[cfg.model_id]}, "
-                           f"got an array of shape {values.shape}")
-    if cfg.model_id == "tunable_qubit":
-        r, d1, d2 = _tunable_qubit_bloch_derivs(cfg, *values.tolist())
-        rho, derivs = _bloch_state(r, np.stack([d1, d2]))
-    else:
-        rho, derivs = _su2_state(cfg, values)
-    return ModelPoint(tuple(values.tolist()), rho, tuple(derivs))
-
-
-def unitary_generator(
-    u_path: Callable[[float], np.ndarray],
-    x: float,
-    h: float = 1e-3,
-    full_output: bool = False,
-):
-    """Translation generator i (dU/dx) U^dag by 4-point central differences.
-
-    The 4-point stencil is the Richardson extrapolation of the plain central
-    difference; if the two disagree by more than 1e-4 the step is too large
-    for the path's curvature.  The Hermiticity defect before symmetrization
-    is available as a diagnostic via ``full_output``.
-    """
-    if h <= 0:
-        raise InvalidInput("step h must be positive")
-    u0 = u_path(x)
-    d_one = (u_path(x + h) - u_path(x - h)) / (2.0 * h)
-    d_two = (u_path(x + 2.0 * h) - u_path(x - 2.0 * h)) / (4.0 * h)
-    d_rich = (4.0 * d_one - d_two) / 3.0
-    gen_raw = 1j * d_rich @ u0.conj().T
-    gen_one = 1j * d_one @ u0.conj().T
-    if float(np.max(np.abs(gen_raw - gen_one))) > 1e-4:
-        raise StepTooLarge(
-            f"Richardson and one-step generator estimates differ by "
-            f"{float(np.max(np.abs(gen_raw - gen_one))):.3e} at x={x!r}; reduce h"
-        )
-    defect = float(np.max(np.abs(gen_raw - gen_raw.conj().T)))
-    gen = hermitian_part(gen_raw)
-    if full_output:
-        return gen, defect
-    return gen
-
-
-def generator_geometry(
-    psi0: np.ndarray, gens: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pure-state QFIM and Uhlmann matrix from translation generators: the
-    real and imaginary parts of the Gram matrix <l_a|l_b> of the vectors
-    l_k = 2i (H_k - <H_k>) psi0, checked by `require_pure_state`."""
-    psi = np.asarray(psi0, dtype=complex)
-    applied = np.asarray(gens, dtype=complex).reshape((-1,) + 2 * psi.shape) @ psi
-    centered = applied - (psi.conj() @ applied.T).real[:, None] * psi
-    _, ells = require_pure_state(psi, 2j * centered)
-    return _split_gram(ells.conj() @ ells.T)

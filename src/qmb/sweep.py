@@ -16,7 +16,7 @@ from .bounds import FLAG_SINGULAR_QFIM, ReportOptions, batch_reports
 from .errors import InvalidInput, InvalidSpec, UnknownPreset
 from .geometry import _weight_and_root, model_geometry
 from .linalg import WEIGHT_FLOOR, broadcast, stacked
-from .models import MODEL_IDS, PARAM_NAMES, ModelConfig, _bloch_state, model_arrays
+from .models import MODEL_IDS, PARAM_NAMES, ModelConfig, model_arrays
 from .models import _CONSTANT_NAMES, _check_names, _checked_config
 
 CANONICAL_OUTPUTS = ("c_sld", "c_rld", "c_t", "c_r", "c_h", "R", "T", "gap_h", "gap_t", "gap_r")
@@ -385,6 +385,7 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> _Chunk:
     w_mat, sqrt_w = (broadcast(x, (rows, *x.shape[-2:])) for x in weight)
     rho, derivs = arrays.rho, arrays.derivs
     if opts.compute_rld and arrays.bloch is not None:  # the RLD alone reads rho
+        from .general import _bloch_state  # on first use: no preset asks for C_RLD
         rho, derivs = _bloch_state(*arrays.bloch)
     cols = batch_reports(rho, derivs, geometry, w_mat, sqrt_w, opts)
     missing = {"c_rld": cols["no_rld"], "c_h": cols["ill"], "gap_h": cols["ill"]}

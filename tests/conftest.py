@@ -11,24 +11,27 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from qmb import bounds, geometry, models, sweep
+from qmb import bounds, general, geometry, models, sweep
 from qmb.errors import InvalidInput
-from qmb.geometry import _bloch_geometry, _geometry, _need_derivatives, _weight_frame
+from qmb.general import (
+    _bloch_state,
+    _need_derivatives,
+    _require_unit_trace,
+    require_derivative,
+    state_eigensystem,
+)
+from qmb.geometry import _bloch_geometry, _geometry, _weight_frame
 from qmb.linalg import (
     SUPPORT_TOL,
     _require_eig_floor,
-    _require_unit_trace,
     dot,
     hermitian_part,
-    require_derivative,
     stacked,
-    state_eigensystem,
     tracenorm_antisym,
 )
 from qmb.models import (
-    PAULI,
     ModelArrays,
-    _bloch_state,
+    PAULI,
     _dot_j,
     _mat,
     _rotation_axis,
@@ -250,7 +253,7 @@ def op_norm_inf(a: np.ndarray) -> float:
 def tangent_setup(g, basis, w_mat: np.ndarray):
     """The per-point pieces of the Holevo objective (`bounds._TangentSetup`)
     at the weight matrix ``w_mat``."""
-    return bounds._tangent_setup(basis, _weight_frame(g, w_mat))
+    return general._tangent_setup(basis, _weight_frame(g, w_mat))
 
 
 def tangent_objective(g, basis, w_mat: np.ndarray) -> Callable[[np.ndarray], float]:
@@ -426,7 +429,7 @@ def expm_generator(h: np.ndarray, t=1.0) -> np.ndarray:
 # a sweep through it, so the kernels' and the closed forms' rounding can be
 # held to a tolerance.
 def matmul_su2_state(cfg, params):
-    """`models._su2_state` through the generators: d_k rho = U (i [H_k, rho0]) U^dag,
+    """`general._su2_state` through the generators: d_k rho = U (i [H_k, rho0]) U^dag,
     with `@` products and the eigh exponential."""
     c = cfg.constants
     alpha, beta, t = c["alpha"], c["beta"], c["t"]
@@ -463,7 +466,7 @@ def matrix_model_arrays(cfg, params):
 
 
 def matmul_compute_geometry(rho, derivs):
-    """`geometry.compute_geometry` with `@` SLDs and traces of `@` products."""
+    """`general.compute_geometry` with `@` SLDs and traces of `@` products."""
     d = np.shape(derivs)[-3]
     w, v = state_eigensystem(rho)
     derivs = require_derivative(derivs)
@@ -554,10 +557,10 @@ def use_matmul_oracle(monkeypatch) -> None:
     above: the pure states as density matrices, so their normal spaces are
     built from the Gell-Mann coordinates, and an infinite margin inverts
     every Q by eigh."""
-    monkeypatch.setattr(models, "_su2_state", matmul_su2_state)
+    monkeypatch.setattr(general, "_su2_state", matmul_su2_state)
     monkeypatch.setattr(sweep, "model_arrays", matrix_model_arrays)
     monkeypatch.setattr(sweep, "model_geometry", matmul_model_geometry)
-    monkeypatch.setattr(bounds, "compute_geometry", matmul_compute_geometry)
+    monkeypatch.setattr(general, "compute_geometry", matmul_compute_geometry)
     monkeypatch.setattr(geometry, "_CLOSED_FORM_MARGIN", np.inf)
     for module in (geometry, bounds):
         monkeypatch.setattr(module, "_spectral_radius", eigvalsh_spectral_radius)

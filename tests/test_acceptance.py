@@ -10,24 +10,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from qmb.bounds import ReportOptions, c_sld, full_report, holevo_tangent_min
-from qmb.geometry import (
-    compute_geometry,
-    geometry_from_matrices,
-    quantumness_R,
-    t_measure,
-    tangent_normal_decomposition,
-)
-from qmb.models import (
+from qmb.bounds import ReportOptions, c_sld, full_report
+from qmb.general import (
     ModelPoint,
-    _dot_j,
     _su2_exp,
-    _su2_frame,
+    compute_geometry,
     generator_geometry,
-    model_config,
+    holevo_tangent_min,
     model_point,
+    tangent_normal_decomposition,
     unitary_generator,
 )
+from qmb.geometry import geometry_from_matrices, quantumness_R, t_measure
+from qmb.models import _dot_j, _su2_frame, model_config
 from qmb.sweep import Axis, figure_preset, run_sweep
 
 from conftest import analytic_geometry, random_antisymmetric, random_model, random_spd

@@ -6,47 +6,46 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmb.bounds as bounds
+import qmb.general as general
 from qmb.bounds import (
+    BoundsReport,
     HIERARCHY_SLACK,
     HOLEVO_GAP_TOL,
-    BoundsReport,
     ReportOptions,
     _check_hierarchy,
-    _holevo_dual,
     _objective,
     _shrink,
     batch_reports,
     c_r_bound,
-    c_rld,
     c_sld,
     c_t_bound,
     full_report,
-    holevo_tangent_min,
 )
 from qmb.errors import HierarchyViolation, InvalidInput, SingularState
-from qmb.geometry import (
-    RANK_TOL,
+from qmb.general import (
+    ModelPoint,
+    _bloch_state,
     _gell_mann_coordinates,
+    _holevo_dual,
     _normal_spaces,
+    _su2_state,
+    c_rld,
     compute_geometry,
-    geometry_from_matrices,
-    model_geometry,
-    quantumness_R,
+    holevo_tangent_min,
+    model_point,
     rld_qfim,
-    t_measure,
     tangent_normal_decomposition,
     weight_transform,
 )
-from qmb.linalg import spd_sqrt, tracenorm_antisym
-from qmb.models import (
-    ModelPoint,
-    _bloch_state,
-    _su2_state,
-    _tunable_qubit_bloch_derivs,
-    model_arrays,
-    model_config,
-    model_point,
+from qmb.geometry import (
+    RANK_TOL,
+    geometry_from_matrices,
+    model_geometry,
+    quantumness_R,
+    t_measure,
 )
+from qmb.linalg import spd_sqrt, tracenorm_antisym
+from qmb.models import _tunable_qubit_bloch_derivs, model_arrays, model_config
 
 from conftest import (
     holevo_pure_qubit_closed_form,
@@ -608,7 +607,7 @@ class TestFullReport:
     def test_matches_standalone_functions(self, rng, shape):
         # one weight frame per point: the report's scalars are the very
         # floats the public functions return
-        from qmb.models import ModelPoint
+        from qmb.general import ModelPoint
 
         n, d = shape
         opts = ReportOptions(compute_rld=False, compute_holevo=False)
@@ -625,7 +624,7 @@ class TestFullReport:
             assert report.c_r == c_r_bound(g, w)
 
     def test_zero_curvature_all_equal(self, rng):
-        from qmb.models import ModelPoint
+        from qmb.general import ModelPoint
 
         rho, derivs = classical_model(rng)
         point = ModelPoint(params=(0.0, 0.0), rho=rho, derivs=tuple(derivs))
@@ -676,7 +675,7 @@ class TestFullReport:
         # normal-space form by eigh, once each, and never its Q, which its
         # Cholesky factor certified, before the dual solve, whose matrices
         # are not stacked
-        from qmb.models import ModelPoint
+        from qmb.general import ModelPoint
 
         shapes = []
         eigh = np.linalg.eigh
@@ -729,7 +728,7 @@ class TestFullReport:
 
     def test_hierarchy_random_models(self, rng):
         opts = ReportOptions(compute_rld=False)
-        from qmb.models import ModelPoint
+        from qmb.general import ModelPoint
 
         for _ in range(40):
             n = int(rng.integers(2, 4))
@@ -746,7 +745,7 @@ class TestFullReport:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_one_parameter_models(self, rng, make, n):
         # with d = 1 the antisymmetric part vanishes: C_H = C_SLD = C_T at K = 0
-        from qmb.models import ModelPoint
+        from qmb.general import ModelPoint
 
         for _ in range(5):
             rho, derivs = make(rng, n, 1)
@@ -764,9 +763,9 @@ class TestFullReport:
     def test_non_convergence_is_flagged_not_fatal(self, rng, monkeypatch):
         # one Newton step leaves the dual short of the tolerance: the row
         # keeps its primal value, inside its certified bracket, and a flag
-        from qmb.models import ModelPoint
+        from qmb.general import ModelPoint
 
-        monkeypatch.setattr(bounds, "_DUAL_MAX_ITER", 1)
+        monkeypatch.setattr(general, "_DUAL_MAX_ITER", 1)
         rho, derivs = random_model(rng, 3, 3)
         point = ModelPoint(params=(0.0, 0.0, 0.0), rho=rho, derivs=tuple(derivs))
         report = full_report(point, np.eye(3), ReportOptions(compute_rld=False))
@@ -780,7 +779,7 @@ class TestFullReport:
     def test_four_parameters_certified_or_flagged(self, rng):
         # d = 4 projects its steps and carries no gap guarantee: the report
         # holds a value in its bracket and flags a gap above tolerance
-        from qmb.models import ModelPoint
+        from qmb.general import ModelPoint
 
         rho, derivs = random_model(rng, 3, 4)
         point = ModelPoint(params=(0.0,) * 4, rho=rho, derivs=tuple(derivs))
@@ -847,7 +846,7 @@ class TestPureStateShortcut:
             sent.append(rho_rows)
             return _gell_mann_coordinates(rho_rows, slds_rows)
 
-        monkeypatch.setattr(bounds, "_gell_mann_coordinates", recorded)
+        monkeypatch.setattr(general, "_gell_mann_coordinates", recorded)
         d = derivs.shape[-3]
         eye = np.broadcast_to(np.eye(d), (len(rho), d, d))
         cols = batch_reports(rho, derivs, g, eye, eye, ReportOptions(compute_rld=False))
@@ -888,7 +887,7 @@ class TestPureStateShortcut:
         np.testing.assert_array_equal(g._qfim_inverses[2], ill)
         sent = []
 
-        monkeypatch.setattr(bounds, "_normal_spaces", lambda *a: sent.append(a[0]))
+        monkeypatch.setattr(general, "_normal_spaces", lambda *a: sent.append(a[0]))
         eye = np.broadcast_to(np.eye(2), (len(psi), 2, 2))
         cols = batch_reports(None, None, g, eye, eye, ReportOptions())
         monkeypatch.undo()
@@ -984,8 +983,9 @@ class TestUnitaryQubit:
         dr = np.stack([o[..., 0], o[..., 1] / np.sqrt(conds)[:, None]], axis=-2)
         g = model_geometry(None, None, None, (r, dr))
         calls = []
-        for name in ("_gell_mann_coordinates", "_normal_spaces", "_holevo_solutions"):
-            monkeypatch.setattr(bounds, name, lambda *a, _name=name: calls.append(_name))
+        for module, name in ((general, "_gell_mann_coordinates"), (general, "_normal_spaces"),
+                             (bounds, "_holevo_solutions")):
+            monkeypatch.setattr(module, name, lambda *a, _name=name: calls.append(_name))
         eye = np.broadcast_to(np.eye(2), (rows, 2, 2))
         cols = batch_reports(None, None, g, eye, eye, ReportOptions(compute_rld=False))
         assert calls == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qmb import bounds, geometry
+from qmb import bounds, general, geometry
 from qmb.bounds import HOLEVO_GAP_TOL, ReportOptions, batch_reports, full_report
 from qmb.errors import (
     DerivativeNotTraceless,
@@ -15,33 +15,39 @@ from qmb.errors import (
     SingularQFIM,
     SingularState,
 )
+from qmb.general import (
+    _bloch_state,
+    _gell_mann,
+    _gell_mann_coordinates,
+    _normal_spaces,
+    compute_geometry,
+    model_point,
+    rld_qfim,
+    rld_solve,
+    sld_solve,
+    t_saturation_analysis,
+    tangent_normal_decomposition,
+    weight_transform,
+)
 from qmb.geometry import (
     RANK_TOL,
     TANGENT_TOL,
     _bloch_geometry,
     _frame,
-    _gell_mann,
-    _gell_mann_coordinates,
     _geometry,
-    _normal_spaces,
     _qfim_inverse,
     _spectral_radius,
     _weight_and_root,
     _weight_frame,
-    compute_geometry,
     geometry_from_matrices,
     model_geometry,
     quantumness_R,
-    rld_qfim,
     t_measure,
-    t_saturation_analysis,
     take,
-    tangent_normal_decomposition,
     uhlmann_axial,
-    weight_transform,
 )
-from qmb.linalg import dot, hermitian_part, rld_solve, sld_solve
-from qmb.models import _bloch_state, model_arrays, model_config, model_point
+from qmb.linalg import dot, hermitian_part
+from qmb.models import model_arrays, model_config
 
 from conftest import (
     analytic_geometry,
@@ -886,10 +892,12 @@ def _structural_coupling(q, uhlmann):
 
 def _recorded(monkeypatch, *names) -> dict:
     """Lists that fill with the first argument of each call to the named
-    functions of `bounds`, which still run."""
+    functions, which still run, where `bounds` reads them: its own, or
+    those of `general`, which it imports on first use."""
     sent = {name: [] for name in names}
     for name, calls in sent.items():
-        monkeypatch.setattr(bounds, name, lambda *a, _fn=getattr(bounds, name),
+        module = bounds if hasattr(bounds, name) else general
+        monkeypatch.setattr(module, name, lambda *a, _fn=getattr(module, name),
                             _calls=calls: _calls.append(a[0]) or _fn(*a))
     return sent
 

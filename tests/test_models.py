@@ -8,17 +8,8 @@ from hypothesis import strategies as st
 
 from qmb.errors import InvalidInput, NonHermitianInput, StepTooLarge
 from qmb import models
-from qmb.models import (
-    PAULI,
-    _su2_exp,
-    _su2_state,
-    _tunable_qubit_bloch_derivs,
-    generator_geometry,
-    model_config,
-    model_point,
-    su2_generators,
-    unitary_generator,
-)
+from qmb.general import _su2_exp, _su2_state, generator_geometry, model_point, unitary_generator
+from qmb.models import PAULI, _tunable_qubit_bloch_derivs, model_config, su2_generators
 
 from qmb.sweep import figure_preset, run_sweep
 
@@ -241,7 +232,7 @@ class TestSu2Qubit:
         assert u[1, 0] == pytest.approx(2 * t * s * float(n2 @ r0), abs=1e-8)
 
     def test_analytic_matches_fd_pipeline(self):
-        from qmb.geometry import compute_geometry
+        from qmb.general import compute_geometry
 
         cfg = model_config("su2_qubit", alpha=np.pi / 2, beta=0.0, t=5.0)
         pt = model_point(cfg, (1.3, 0.7))

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import qmb
-from qmb import bounds, cli, errors, geometry, linalg, models, sweep
+from qmb import bounds, cli, errors, general, geometry, linalg, models, sweep
 from qmb.bounds import BoundsReport, HolevoSolution, ReportOptions
-from qmb.geometry import NormalSpaceBasis, TSaturationReport, WeightTransform
-from qmb.models import ModelConfig, ModelPoint
+from qmb.general import ModelPoint, NormalSpaceBasis, TSaturationReport, WeightTransform
+from qmb.models import ModelConfig
 from qmb.sweep import Axis, ResultRow, WeightSpec
 
 PUBLIC_RECORDS = [HolevoSolution, ReportOptions, BoundsReport, WeightTransform,
@@ -23,7 +23,8 @@ PUBLIC_RECORDS = [HolevoSolution, ReportOptions, BoundsReport, WeightTransform,
 def test_only_cached_records_are_dataclasses():
     # InformationGeometry caches its inverses and SweepSpec its validated
     # options; dataclasses.replace drops that state, where _replace would copy it
-    classes = {cls for module in (qmb, bounds, cli, errors, geometry, linalg, models, sweep)
+    modules = (qmb, bounds, cli, errors, general, geometry, linalg, models, sweep)
+    classes = {cls for module in modules
                for _, cls in inspect.getmembers(module, inspect.isclass)
                if cls.__module__.startswith("qmb")}
     assert {cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)} == {

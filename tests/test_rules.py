@@ -9,27 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmb.bounds import FLAG_RLD_UNAVAILABLE, ReportOptions, batch_reports, c_rld, full_report
+from qmb.bounds import FLAG_RLD_UNAVAILABLE, ReportOptions, batch_reports, full_report
 from qmb.errors import InvalidInput, NonHermitianInput, QmbError, SingularQFIM, SingularState
+from qmb.general import (
+    ModelPoint,
+    _bloch_state,
+    c_rld,
+    compute_geometry,
+    generator_geometry,
+    model_point,
+    rld_qfim,
+)
 from qmb.geometry import (
     RANK_TOL,
     TANGENT_TOL,
     _geometry,
-    compute_geometry,
     geometry_from_matrices,
     model_geometry,
     quantumness_R,
-    rld_qfim,
 )
 from qmb.linalg import DENSITY_EIG_FLOOR, SUPPORT_TOL, WEIGHT_FLOOR, require_weight, spd_sqrt
-from qmb.models import (
-    PARAM_NAMES,
-    ModelPoint,
-    _bloch_state,
-    generator_geometry,
-    model_config,
-    model_point,
-)
+from qmb.models import PARAM_NAMES, model_config
 from qmb.sweep import Axis, SweepSpec, _qfim_weight, figure_preset, run_sweep, validate_spec
 
 from conftest import random_traceless_hermitian

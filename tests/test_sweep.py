@@ -16,12 +16,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qmb
-from qmb import bounds, geometry, models, sweep
+from qmb import bounds, general, geometry, models, sweep
 from qmb.bounds import ReportOptions, full_report
 from qmb.cli import main as cli_main
 from qmb.errors import HierarchyViolation, InvalidSpec, SingularQFIM, UnknownPreset
-from qmb.geometry import compute_geometry, quantumness_R, t_measure
-from qmb.models import PARAM_NAMES, model_config, model_point
+from qmb.general import compute_geometry, model_point
+from qmb.geometry import quantumness_R, t_measure
+from qmb.models import PARAM_NAMES, model_config
 from qmb.sweep import (
     CANONICAL_OUTPUTS,
     Axis,
@@ -746,9 +747,10 @@ class TestFigurePresets:
         calls = {"_normal_spaces": [], "_gell_mann_coordinates": [], "_tangent_setup": [],
                  "_holevo_solutions": []}
         for fn_name, counts in calls.items():
-            monkeypatch.setattr(bounds, fn_name, lambda *a, _fn=getattr(bounds, fn_name),
+            module = bounds if fn_name == "_holevo_solutions" else general
+            monkeypatch.setattr(module, fn_name, lambda *a, _fn=getattr(module, fn_name),
                                 _counts=counts: _counts.append(a[0]) or _fn(*a))
-        monkeypatch.setattr(bounds, "_holevo_dual", no_dual)
+        monkeypatch.setattr(general, "_holevo_dual", no_dual)
         for name in ("fig2", "fig3a", "fig3b", "fig4", "fig5"):
             config = {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {}
             for counts in calls.values():
@@ -1837,8 +1839,7 @@ class TestBlochRoute:
         # a fig2 chunk builds neither rho nor the Gell-Mann basis; asked for
         # c_rld, it builds rho and its derivatives once
         calls = []
-        for module, name in ((models, "_bloch_state"), (sweep, "_bloch_state"),
-                             (geometry, "_gell_mann")):
+        for module, name in ((general, "_bloch_state"), (general, "_gell_mann")):
             monkeypatch.setattr(module, name, lambda *a, _fn=getattr(module, name), _name=name: (
                 calls.append(_name) or _fn(*a)))
         spec = validate_spec(figure_preset("fig2", {"r_y": 0.2, "r_z": 0.4, "count": 12}))

@@ -282,7 +282,7 @@ def full_report(
     w_mat, sqrt_w = _weight_and_root(w_mat, g.n_params)
     one = InformationGeometry(*(v if v is None else np.asarray(v)[None] for v in (
         g.qfim, g.uhlmann, g.slds, g.tangent_dim, g.rho_spectrum, g.psi, g.r)))
-    one.__dict__.update({k: tuple(x[None] for x in g.__dict__[k])  # the cached decompositions
+    one.__dict__.update({k: tuple(x if x is None else x[None] for x in g.__dict__[k])  # cached
                          for k in ("_qfim_eigh", "_qfim_inverses") if k in g.__dict__})
     rho, derivs = np.asarray(point.rho)[None], np.asarray(point.derivs)[None]
     cols = batch_reports(rho, derivs, one, w_mat[None], sqrt_w[None], opts)
@@ -318,11 +318,11 @@ def batch_reports(
     with C_H = C_T at K = 0, read from the model's structure, build no
     normal space: a pure state whose tangent space fills the
     2(n - 1) directions of pure states, d = 2(n - 1), and a unitarily
-    encoded qubit given by its Bloch vector (``g.r``; rho and derivs serve
-    its RLD bound alone), whose SLDs d_k r.sigma are orthogonal to r: its
-    one normal direction lies along r, uncoupled, the s = 0 case of Suzuki's
-    two-parameter formula (J. Math. Phys. 57, 042201, 2016) that
-    `_holevo_exact` implements."""
+    encoded qubit given by its Bloch vector (``g.r``), whose SLDs d_k r.sigma
+    are orthogonal to r: its one normal direction lies along r, uncoupled,
+    the s = 0 case of Suzuki's two-parameter formula (J. Math. Phys. 57,
+    042201, 2016) that `_holevo_exact` implements.  With d = 2 such a
+    qubit also has C_RLD = C_T, so its rows need neither rho nor derivs."""
     frame = _frame(g, w_mat, sqrt_w)
     # a Q whose inverse leaves the float range is singular in floating point
     out_of_range, points = ~np.isfinite(frame.c_sld), len(w_mat)
@@ -335,10 +335,16 @@ def batch_reports(
         spectrum = np.linalg.eigvalsh(rho) if g.rho_spectrum is None else g.rho_spectrum
         no_rld = np.min(spectrum, axis=-1) <= SUPPORT_TOL  # rank deficient
         c_rld = broadcast(np.nan, points)
-        if not no_rld.all():
+        if g.r is not None and g.n_params == 2:
+            # the RLD matrix is (Q - iU) / (1 - |r|^2), as ill as Q or more,
+            # with det(Q - iU) = det Q (1 - |r|^2) (R = |r|), so its inverse
+            # is Q^-1 + iU / det Q = Q^-1 + i Q^-1 U Q^-1, and C_RLD = C_T
+            no_rld |= ill
+            c_rld = np.where(no_rld, np.nan, c_t)
+        elif not no_rld.all():
             from .general import _c_rld, _rld_matrix  # on first use: no preset asks for C_RLD
             full_rank = np.where(no_rld[:, None, None], np.eye(rho.shape[-1]), rho)
-            c_rld, singular = _c_rld(_rld_matrix(full_rank, derivs), w_mat)
+            c_rld, singular = _c_rld(_rld_matrix(full_rank, derivs), w_mat, sqrt_w)
             no_rld |= singular
     c_h, lower, gap_h, not_converged, groups = None, None, None, np.zeros(points, bool), []
     if opts.compute_holevo:
@@ -363,10 +369,10 @@ def batch_reports(
             # J-invariant and spanned by the l_a and z, and Jz is orthogonal to
             # z, so Jz = sum_a c_a l_a and the coupling l.Jz is s = Q c.  The z
             # part of J^2 l_b = -l_b gives U c = 0: c lies along u (U != 0, as
-            # R = 1).  |Jz| = 1 gives c^T Q c = 1, and P = |z|^2 = 1, so
-            # left = sqrt(W) Q^-1 s = sqrt(W) c; the sign of c flips K, not C_H.
-            u = uhlmann_axial(g.uhlmann[sel])
-            c = u / np.sqrt(dot(u, (g.qfim[sel] @ u[..., None])[..., 0]))[..., None]
+            # R = 1).  |Jz| = 1 gives c^T Q c = 1, so c = u / sqrt(u^T Q u) =
+            # u sqrt(det Q^-1) (`geometry._vector_geometry`), and P = |z|^2 = 1,
+            # so left = sqrt(W) Q^-1 s = sqrt(W) c; the sign of c flips K, not C_H.
+            c = uhlmann_axial(g.uhlmann[sel]) * g._qfim_inverses[1][sel][..., None]
             part = take(frame, sel)
             setup = _TangentSetup(part, part.sqrt_w @ c[..., None], broadcast(1.0, (len(c), 1, 1)))
             groups.append((regular, _holevo_solutions(setup)))

@@ -25,7 +25,7 @@ from .geometry import (RANK_TOL, InformationGeometry, _geometry, _qfim_inverse, 
                        take)
 from .linalg import (DENSITY_TRACE_TOL, HERMITICITY_TOL, SUPPORT_TOL, _require_eig_floor,
                      hermitian_part, raise_first_failure, require_pure_state, small_matmul,
-                     trace_norm)
+                     tracenorm_antisym)
 from .models import (_EYE3, MODEL_IDS, PARAM_NAMES, PAULI, ModelConfig, _apply, _dot_j, _mat,
                      _pure_vectors, _su2_frame, _tunable_qubit_bloch_derivs)
 
@@ -441,23 +441,28 @@ def _basis(coeffs: np.ndarray, means: np.ndarray, s: np.ndarray, l: np.ndarray) 
 
 
 def c_rld(j: np.ndarray, w_mat: np.ndarray) -> float:
-    """RLD scalar bound Tr[W Re J^-1] + ||W Im J^-1||_1."""
+    """RLD scalar bound Tr[W Re J^-1] + ||sqrt(W) Im J^-1 sqrt(W)||_1."""
     j = np.asarray(j, dtype=complex)
-    value, singular = _c_rld(j, _weight_and_root(w_mat, j.shape[0])[0])
+    value, singular = _c_rld(j, *_weight_and_root(w_mat, j.shape[0]))
     if singular:
         raise SingularState("RLD QFIM is singular")
     return float(value)
 
 
-def _c_rld(j: np.ndarray, w_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _c_rld(j: np.ndarray, w_mat: np.ndarray, sqrt_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """C_RLD per point and where J is singular, on the line that
     `geometry._eigen_inverses` draws for Q: its smallest eigenvalue at or
-    below RANK_TOL times the largest (the value there is void)."""
+    below RANK_TOL times the largest (the value there is void).  The
+    antisymmetric part enters as the sum of the absolute eigenvalues of
+    W Im J^-1, the trace norm of sqrt(W) Im J^-1 sqrt(W), which is similar
+    to it; the singular values of W Im J^-1 sum to more unless W is a
+    multiple of I."""
     vals = np.linalg.eigvalsh(j)
     singular = vals[..., 0] <= RANK_TOL * vals[..., -1]
     jinv = np.linalg.inv(np.where(singular[..., None, None], np.eye(j.shape[-1]), j))
     jinv = 0.5 * (jinv + jinv.swapaxes(-1, -2).conj())
-    value = np.trace(w_mat @ jinv.real, axis1=-2, axis2=-1) + trace_norm(w_mat @ jinv.imag)
+    value = (np.trace(w_mat @ jinv.real, axis1=-2, axis2=-1)
+             + tracenorm_antisym(sqrt_w @ jinv.imag @ sqrt_w))
     return value, singular
 
 

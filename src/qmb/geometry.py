@@ -20,13 +20,12 @@ from .linalg import (
     dot,
     hermitian_part,
     raise_first_failure,
-    require_bloch_state,
+    require_bloch_vectors,
     require_pure_state,
     require_weight,
     small_matmul,
     spd_sqrt,
     stacked,
-    sym_cholesky,
     tracenorm_antisym,
 )
 
@@ -35,9 +34,6 @@ from .linalg import (
 # largest (`_eigen_inverses`).  Past cond(Q) = 1 / RANK_TOL the rounding of
 # C_SLD, R and T, about eps cond(Q), exceeds the bound chain's slack.
 RANK_TOL = 1e-9
-# How far above the RANK_TOL line a row with d in {2, 3} must sit to take
-# Q^-1 from its Cholesky factor (`_invert`).
-_CLOSED_FORM_MARGIN = 10.0
 # A qubit given by its Bloch vector must be encoded unitarily: |r.d_k r| at
 # most this times |r| |d_k r| (`_bloch_geometry`).  The SLD terms the route
 # then drops grow as (r.d_k r) / (1 - |r|^2), so C_H = C_T holds to
@@ -80,8 +76,8 @@ class InformationGeometry:
         return _invert(self.qfim)[0]
 
     @cached_property
-    def _adj_root_u(self) -> np.ndarray:
-        """G u (`_invert`) for d = 3, u the axial vector of U."""
+    def _adj_u(self) -> np.ndarray:
+        """adj(Q^-1) u (`_invert`) for d = 3, u the axial vector of U."""
         return (self._qfim_inverses[5] @ uhlmann_axial(self.uhlmann)[..., None])[..., 0]
 
 
@@ -95,11 +91,11 @@ def geometry_from_matrices(
 
 
 def _geometry(q: np.ndarray, u: np.ndarray, slds: tuple, rho_spectrum=None,
-              psi=None, r=None) -> InformationGeometry:
+              psi=None, r=None, det=None) -> InformationGeometry:
     """The geometry of (Q, U, SLDs), its tangent rank (the eigenvalues of Q
     that `_eigen_inverses` keeps) and cached inverses and eigenpairs from
-    `_invert`."""
-    inverses, rank, eigh = _invert(q)
+    `_invert`, given det Q where the model's structure knows it."""
+    inverses, rank, eigh = _invert(q, det)
     g = InformationGeometry(q, u, slds, rank if rank.ndim else int(rank), rho_spectrum, psi, r)
     g.__dict__["_qfim_inverses"] = inverses  # the cached_property slots
     if eigh is not None:
@@ -107,43 +103,38 @@ def _geometry(q: np.ndarray, u: np.ndarray, slds: tuple, rho_spectrum=None,
     return g
 
 
-def _invert(q: np.ndarray) -> tuple:
+def _invert(q: np.ndarray, det: np.ndarray | None = None) -> tuple:
     """Q's inverses (Q^-1, sqrt(det Q^-1), ill, void, F with F^T F = Q^-1,
-    and for d = 3 G with G^T G = adj(Q^-1)), tangent rank and, if every row
-    was decomposed, eigenpairs.  A row with d in {2, 3} is certified, full
-    rank and not ill where det Q / (Tr Q)^d <= lambda_min / lambda_max
-    clears the RANK_TOL line by _CLOSED_FORM_MARGIN, with Q = L L^T
-    (`sym_cholesky`, positive diagonal only where Q > 0): det Q = det(L)^2,
-    F = L^-1 = adj(L) / det L, and for d = 3 Q^-1 = F^T F and
-    G = L^T / det L.  (A 3x3 Q's own cofactors would lose det Q where Q has
-    two small eigenvalues; a 2x2 Q's are exact, so there
-    Q^-1 = adj(Q) / det Q.)  Other rows, and every row of other d, take
-    `_eigen_inverses` of their own eigendecomposition."""
-    d = q.shape[-1]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # ill or uncertified rows
-        if d not in (2, 3):
+    and for d = 3 adj(Q^-1)), tangent rank and, if every row was
+    decomposed, eigenpairs.  ``det`` is det Q from the model's structure,
+    for one point or a batch, with d in {2, 3}.  A row is then regular where
+    det Q / (Tr Q)^d, at most lambda_min / lambda_max, exceeds RANK_TOL,
+    and takes Q^-1 = adj(Q) / det Q, sqrt(det Q^-1) = 1 / sqrt(det Q) and
+    adj(Q^-1) = Q / det Q; it forms no F (None), which only normal spaces
+    of matrix input and d >= 4 read.  Other rows, and every row without
+    ``det``, take `_eigen_inverses` of their own eigendecomposition."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # ill rows
+        if det is None:
             w, v = np.linalg.eigh(q)
             return *_eigen_inverses(w, v), (w, v)
-        flat = q.reshape(-1, d, d)
-        low = sym_cholesky(flat)
-        det_low = np.multiply.reduce(low.diagonal(0, -2, -1), axis=-1)
-        ratio = det_low * det_low / flat.trace(0, -2, -1) ** d
-        rest = ~(ratio > _CLOSED_FORM_MARGIN * RANK_TOL)  # L's diagonal is > 0, 0 or NaN
-        root = (1.0 / det_low)[:, None, None]
-        f = adjugate(low) * root
-        qinv = adjugate(flat) * root * root if d == 2 else f.swapaxes(-1, -2) @ f
-        inverses = (qinv, root[:, 0, 0], *np.zeros((2, len(flat)), bool), f,
-                    *((low.swapaxes(-1, -2) * root,) if d == 3 else ()))
+        d = q.shape[-1]
+        flat, det = q.reshape(-1, d, d), det.reshape(-1)
+        by = det[:, None, None]
+        inverses = (adjugate(flat) / by, 1.0 / np.sqrt(det), *np.zeros((2, len(flat)), bool),
+                    None, *((flat / by,) if d == 3 else ()))
         rank, eigh = broadcast(d, len(flat)), None
+        rest = ~(det / flat.trace(0, -2, -1) ** d > RANK_TOL)  # det Q is 0 or NaN there, too
         if rest.any():
             w, v = np.linalg.eigh(flat[rest])
             part, rank[rest] = _eigen_inverses(w, v)
             for full, x in zip(inverses, part):
-                full[rest] = x
+                if full is not None:
+                    full[rest] = x
             if rest.all():
                 eigh = w.reshape(q.shape[:-1]), v.reshape(q.shape)
     if q.ndim != 3:  # one point
-        inverses, rank = tuple(x.reshape(x.shape[1:]) for x in inverses), rank.reshape(())
+        inverses = tuple(x if x is None else x.reshape(x.shape[1:]) for x in inverses)
+        rank = rank.reshape(())
     return inverses, rank, eigh
 
 
@@ -153,15 +144,16 @@ def _eigen_inverses(w: np.ndarray, v: np.ndarray) -> tuple:
     the largest.  A row is ``ill`` exactly where its smallest eigenvalue is
     not kept; Q^-1 is then the pseudo-inverse on the kept ones, 0 where Q
     has no positive eigenvalue (``void``), and sqrt(det Q^-1) is 0.
-    F = diag(sqrt(1 / w)) V^T on the kept w, G likewise on their products in
-    pairs, the eigenvalues of adj(Q^-1)."""
+    F = diag(sqrt(1 / w)) V^T on the kept w, and adj(Q^-1) =
+    V diag(p) V^T, p their products in pairs."""
     top = w[..., -1:]
     keep = w > RANK_TOL * top
     inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    roots = (inv_w, inv_w[..., [1, 0, 0]] * inv_w[..., [2, 2, 1]]) if w.shape[-1] == 3 else (inv_w,)
-    inverses = ((v * inv_w[..., None, :]) @ v.swapaxes(-1, -2), np.prod(np.sqrt(inv_w), axis=-1),
-                ~keep[..., 0], top[..., 0] <= 0.0,
-                *((v * np.sqrt(x)[..., None, :]).swapaxes(-1, -2) for x in roots))
+    vt = v.swapaxes(-1, -2)
+    pairs = (inv_w[..., [1, 0, 0]] * inv_w[..., [2, 2, 1]],) if w.shape[-1] == 3 else ()
+    inverses = ((v * inv_w[..., None, :]) @ vt, np.prod(np.sqrt(inv_w), axis=-1),
+                ~keep[..., 0], top[..., 0] <= 0.0, np.sqrt(inv_w)[..., :, None] * vt,
+                *((v * p[..., None, :]) @ vt for p in pairs))
     return inverses, np.sum(keep, axis=-1)
 
 
@@ -187,7 +179,7 @@ def model_geometry(
     * ``pure`` = (psi, l): Q + iU = <l_a|l_b> (Matsumoto, J. Phys. A 35,
       3111, 2002), and the spectrum is (1, 0, ...); see `_vector_geometry`.
     * ``bloch`` = (r, d r) of a unitarily encoded qubit, checked by
-      `require_bloch_state` and `_bloch_geometry`: r.d_i r = 0, so
+      `require_bloch_vectors` and `_bloch_geometry`: r.d_i r = 0, so
       L_i = d_i r.sigma, Q_ij = d_i r.d_j r and U_ij = r.(d_i r x d_j r), with
       the spectrum (1 +- |r|) / 2.
     """
@@ -210,7 +202,16 @@ def _vector_geometry(psi: np.ndarray, ells: np.ndarray) -> InformationGeometry:
     q, u = _split_gram(small_matmul(ells.conj(), ells.swapaxes(-1, -2)))
     spectrum = np.zeros(ells.shape[:-2] + psi.shape[-1:])
     spectrum[..., 0] = 1.0
-    return _geometry(q, u, (), spectrum, psi)
+    # Q + iU >= 0 has rank at most n - 1, so det(Q + iU) = 0: det Q = U_12^2
+    # for n = d = 2, and u^T Q u (u the axial vector of U) for n = d = 3
+    det = None
+    with np.errstate(over="ignore"):  # past the float range, (Tr Q)^d overflows too: eigh
+        if psi.shape[-1] == q.shape[-1] == 2:
+            det = u[..., 0, 1] * u[..., 0, 1]
+        elif psi.shape[-1] == q.shape[-1] == 3:
+            axial = uhlmann_axial(u)
+            det = dot(axial, (q @ axial[..., None])[..., 0])
+    return _geometry(q, u, (), spectrum, psi, det=det)
 
 
 def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
@@ -219,7 +220,7 @@ def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
     fixed vector, so r.d_i r = 0: the first row where |r.d_i r| exceeds
     TANGENT_TOL |r| |d_i r| raises InvalidInput.  Then the SLDs
     L_i = a_i I + b_i.sigma have a_i = 0 and b_i = d_i r."""
-    r, dr, radius = require_bloch_state(r, dr)
+    r, dr, radius = require_bloch_vectors(r, dr)
     # each vector over its largest entry, so that no square under- or overflows
     u, du = (v / np.maximum(np.maximum.reduce(abs(v), -1, keepdims=True), 1e-300) for v in (r, dr))
     # |u.d_i u| against |u| |d_i u| with no quotient; the norms are 0 only where u or d_i u is
@@ -233,10 +234,14 @@ def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
     for i, j in itertools.combinations(range(q.shape[-1]), 2):
         # a x b for a = d_i r, b = d_j r: a_(k+1) b_(k+2) - a_(k+2) b_(k+1), as np.cross rounds it
         a, b = dr[..., i, :], dr[..., j, :]
-        u[..., i, j] = dot(r, a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT])
+        cross = a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+        u[..., i, j] = dot(r, cross)
         u[..., j, i] = -u[..., i, j]
     spectrum = stacked(0.5 + 0.5 * radius, np.maximum(0.5 - 0.5 * radius, 0.0))
-    return _geometry(q, u, (), spectrum, r=r)
+    # Lagrange's identity: det Q = |d_1 r|^2 |d_2 r|^2 - (d_1 r.d_2 r)^2 = |d_1 r x d_2 r|^2
+    with np.errstate(over="ignore"):  # past the float range, (Tr Q)^2 overflows too: eigh
+        det = dot(cross, cross) if q.shape[-1] == 2 else None
+    return _geometry(q, u, (), spectrum, r=r, det=det)
 
 
 def _qfim_inverse(g: InformationGeometry, pseudo_inverse: bool = False) -> tuple:
@@ -291,8 +296,8 @@ def _frame(g: InformationGeometry, w_mat: np.ndarray, sqrt_w: np.ndarray) -> _We
     C_SLD = sum W o Q^-1.  For d = 2, A J A^T = det(A) J for every 2x2 A,
     J = [[0, 1], [-1, 0]], so the core is U_12 det(Q^-1) det(sqrt W) J, with
     det(Q^-1) as its root times its root, since it can overflow alone.  For
-    d = 3, Q^-1 U Q^-1 = [adj(Q^-1) u]x (`adjugate`) = [G^T G u]x
-    (`_invert`), u the axial vector of U.  Neither forms a product with Q^-1.
+    d = 3, Q^-1 U Q^-1 = [adj(Q^-1) u]x (`adjugate`), u the axial vector of
+    U.  Neither forms a product with Q^-1.
     A row whose Q^-1 leaves the float range gets inf or NaN, and
     `batch_reports` makes it a null row."""
     qinv, root_det, ill = g._qfim_inverses[:3]
@@ -301,8 +306,7 @@ def _frame(g: InformationGeometry, w_mat: np.ndarray, sqrt_w: np.ndarray) -> _We
             det_sqrt_w = sqrt_w[..., 0, 0] * sqrt_w[..., 1, 1] - sqrt_w[..., 0, 1] * sqrt_w[..., 1, 0]
             core = (g.uhlmann[..., 0, 1] * root_det * root_det * det_sqrt_w)[..., None, None] * _J
         elif g.n_params == 3:
-            adj_u = g._qfim_inverses[5].swapaxes(-1, -2) @ g._adj_root_u[..., None]
-            core = sqrt_w @ _from_axial(adj_u[..., 0]) @ sqrt_w
+            core = sqrt_w @ _from_axial(g._adj_u) @ sqrt_w
         else:
             core = sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w
         c_sld = (w_mat * qinv).sum(axis=(-2, -1))
@@ -349,9 +353,9 @@ def quantumness_R(g: InformationGeometry, pseudo_inverse: bool = False) -> float
 def _spectral_radius(g: InformationGeometry) -> np.ndarray:
     """max |eig(i Q^-1 U)| per point on the inverses as they are: for d = 2,
     |U_12| sqrt(det Q^-1), exactly 0 where the pseudo-inverse drops an
-    eigenvalue.  Otherwise that of i F U F^T (F^T F = Q^-1): for d = 3
-    {0, +-|adj(F)^T u|}, so R = |G u| (`_invert`), u the axial vector of U;
-    other d take a stacked eigvalsh.  As in `_frame`, a row whose Q^-1
+    eigenvalue.  For d = 3 the spectrum is {0, +-sqrt(u^T adj(Q^-1) u)}, u
+    the axial vector of U; other d take a stacked eigvalsh of i F U F^T
+    (F^T F = Q^-1).  As in `_frame`, a row whose Q^-1
     leaves the float range gets inf or NaN.  A row of pure states ``g.psi``
     with d > n - 1 that is not ill has R = 1 exactly: Q + iU = <l_a|l_b> >= 0
     has rank at most n - 1 < d, so i Q^-1 U has the eigenvalue -1, none larger."""
@@ -359,7 +363,7 @@ def _spectral_radius(g: InformationGeometry) -> np.ndarray:
         if g.n_params == 2:
             r = np.abs(g.uhlmann[..., 0, 1]) * g._qfim_inverses[1]
         elif g.n_params == 3:
-            r = np.sqrt(dot(g._adj_root_u, g._adj_root_u))
+            r = np.sqrt(np.abs(dot(uhlmann_axial(g.uhlmann), g._adj_u)))  # >= 0 but for rounding
         else:
             f = g._qfim_inverses[4]  # i F U F^T, F^T F = Q^-1, has the spectrum of i Q^-1 U
             vals = np.linalg.eigvalsh(hermitian_part(1j * (f @ g.uhlmann @ f.swapaxes(-1, -2))))

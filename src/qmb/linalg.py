@@ -2,8 +2,8 @@
 
 Everything here works on plain ``numpy`` arrays (square, n <= 8 in practice):
 one matrix, or a stack of them along leading axes.  A stack of real 2x2 or
-3x3 matrices has its adjugate and, if symmetric, its Cholesky factor in
-closed form; eigendecompositions are one stacked LAPACK call.  A stack of products is formed by
+3x3 matrices has its adjugate in closed form; eigendecompositions are one
+stacked LAPACK call.  A stack of products is formed by
 `small_matmul` as broadcast multiply-adds.  A stack is validated matrix by
 matrix, and the first failing matrix in C order raises the error it would
 raise alone.  All decompositions are exact dense methods; no iterative
@@ -110,23 +110,6 @@ def adjugate(a: np.ndarray) -> np.ndarray:
     return cof.swapaxes(-1, -2)
 
 
-def sym_cholesky(a: np.ndarray) -> np.ndarray:
-    """The Cholesky factor L (lower, L L^T = A) of real symmetric 2x2 or 3x3
-    matrices (..., n, n), read from the lower triangle, a column at a time.
-    L_kk^2 are the ratios of A's leading principal minors, so A > 0 exactly
-    where L's diagonal is positive (Sylvester), and det A = (prod_k L_kk)^2.
-    Each Schur complement is updated as s_ij - s_i1 (s_j1 / s_11), which
-    rounds less than through L's square roots."""
-    low = np.zeros(a.shape)
-    s = a  # the Schur complement left after the columns so far
-    for k in range(a.shape[-1] - 1):
-        pivot = s[..., :1, 0]
-        low[..., k:, k] = s[..., :, 0] / np.sqrt(pivot)
-        s = s[..., 1:, 1:] - s[..., 1:, :1] * (s[..., None, 1:, 0] / pivot[..., None])
-    low[..., -1, -1] = np.sqrt(s[..., 0, 0])
-    return low
-
-
 def trace_norm(a: np.ndarray) -> float:
     """Sum of singular values, ||A||_1 = Tr sqrt(A^dag A)."""
     a = np.asarray(a, dtype=complex)
@@ -172,7 +155,7 @@ def require_pure_state(psi: np.ndarray, ells: np.ndarray) -> tuple[np.ndarray, n
     return psi, ells
 
 
-def require_bloch_state(
+def require_bloch_vectors(
     r: np.ndarray, dr: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate qubit states given by Bloch vectors r (..., 3) with their

@@ -266,13 +266,12 @@ class ModelArrays(NamedTuple):
     state and the vectors l_k = L_k psi0 of its SLDs in the initial frame
     (psi0 broadcasts against l's leading axes, and is one vector (n,) where
     the fixed constants alone set it); a
-    qubit given by its Bloch vector is ``bloch`` = (r (..., 3), d r (..., d, 3)),
-    whose rho and derivatives `_bloch_state` builds where they are needed
-    (the RLD bound); any other state is rho (..., n, n) with its derivatives
+    qubit given by its Bloch vector is ``bloch`` = (r (..., 3), d r (..., d, 3));
+    any other state is rho (..., n, n) with its derivatives
     (..., d, n, n).  ``bloch`` is for a unitary encoding alone, r a rotation
     of a fixed vector so that r.d_k r = 0, which `geometry.model_geometry`
-    checks and from which `bounds.batch_reports` reads C_H = C_T; a qubit
-    whose |r| varies is given as rho and derivs."""
+    checks and from which `bounds.batch_reports` reads C_H = C_T and
+    C_RLD = C_T; a qubit whose |r| varies is given as rho and derivs."""
 
     rho: np.ndarray | None
     derivs: np.ndarray | None

@@ -383,11 +383,7 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> _Chunk:
     if w.kind == "qfim":
         weight, void = _qfim_weight(geometry)
     w_mat, sqrt_w = (broadcast(x, (rows, *x.shape[-2:])) for x in weight)
-    rho, derivs = arrays.rho, arrays.derivs
-    if opts.compute_rld and arrays.bloch is not None:  # the RLD alone reads rho
-        from .general import _bloch_state  # on first use: no preset asks for C_RLD
-        rho, derivs = _bloch_state(*arrays.bloch)
-    cols = batch_reports(rho, derivs, geometry, w_mat, sqrt_w, opts)
+    cols = batch_reports(arrays.rho, arrays.derivs, geometry, w_mat, sqrt_w, opts)
     missing = {"c_rld": cols["no_rld"], "c_h": cols["ill"], "gap_h": cols["ill"]}
     cells, gone = [bound[ax.name] for ax in spec.axes], [np.zeros(rows, bool)] * len(spec.axes)
     for name in spec.outputs:  # a gap is void where its bound is

@@ -536,15 +536,20 @@ def solve_adjugate(a):
     return np.linalg.solve(a, np.broadcast_to(np.eye(3), a.shape)) * det
 
 
+def eigen_route(monkeypatch) -> None:
+    """Invert every Q by LAPACK's eigh: `_invert` is handed no structural
+    det Q, so no row takes adj(Q) / det Q."""
+    monkeypatch.setattr(geometry, "_invert", lambda q, det=None, _fn=geometry._invert: _fn(q))
+
+
 def use_lapack_oracle(monkeypatch, stacked: bool) -> None:
-    """Invert every Q by LAPACK's eigh: an infinite _CLOSED_FORM_MARGIN
-    certifies no Cholesky factor in `_invert`, so every F that a normal
-    space reads comes from eigh too; with ``stacked``, also build the weight
-    frame and R from stacked products (`stacked_frame`,
-    `eigvalsh_spectral_radius`) instead of the d = 2 determinant forms and
-    the d = 3 cofactors, and take the exact Holevo step's d = 3 solve from
-    LAPACK (`solve_adjugate`): the path as it was before the closed forms."""
-    monkeypatch.setattr(geometry, "_CLOSED_FORM_MARGIN", np.inf)
+    """Invert every Q by LAPACK's eigh (`eigen_route`); with ``stacked``,
+    also build the weight frame and R from stacked products
+    (`stacked_frame`, `eigvalsh_spectral_radius`) instead of the d = 2
+    determinant forms and the d = 3 cofactors, and take the exact Holevo
+    step's d = 3 solve from LAPACK (`solve_adjugate`): the path as it was
+    before the closed forms."""
+    eigen_route(monkeypatch)
     if stacked:
         for module in (geometry, bounds):
             monkeypatch.setattr(module, "_frame", stacked_frame)
@@ -555,13 +560,12 @@ def use_lapack_oracle(monkeypatch, stacked: bool) -> None:
 def use_matmul_oracle(monkeypatch) -> None:
     """Route `run_sweep` and the one-point functions through the oracles
     above: the pure states as density matrices, so their normal spaces are
-    built from the Gell-Mann coordinates, and an infinite margin inverts
-    every Q by eigh."""
+    built from the Gell-Mann coordinates, and every Q inverted by eigh."""
     monkeypatch.setattr(general, "_su2_state", matmul_su2_state)
     monkeypatch.setattr(sweep, "model_arrays", matrix_model_arrays)
     monkeypatch.setattr(sweep, "model_geometry", matmul_model_geometry)
     monkeypatch.setattr(general, "compute_geometry", matmul_compute_geometry)
-    monkeypatch.setattr(geometry, "_CLOSED_FORM_MARGIN", np.inf)
+    eigen_route(monkeypatch)
     for module in (geometry, bounds):
         monkeypatch.setattr(module, "_spectral_radius", eigvalsh_spectral_radius)
 

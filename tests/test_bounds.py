@@ -671,10 +671,9 @@ class TestFullReport:
     def test_normal_space_reads_q_decomposition(self, rng, monkeypatch):
         # the normal space reads its tangent frame from the factor F of
         # Q^-1 = F^T F that inverted Q: a full-rank qutrit with two
-        # parameters decomposes rho, W (for its root) and the (1, 8, 8)
-        # normal-space form by eigh, once each, and never its Q, which its
-        # Cholesky factor certified, before the dual solve, whose matrices
-        # are not stacked
+        # parameters decomposes rho, Q, W (for its root) and the (1, 8, 8)
+        # normal-space form by eigh, once each, before the dual solve,
+        # whose matrices are not stacked
         from qmb.general import ModelPoint
 
         shapes = []
@@ -686,7 +685,7 @@ class TestFullReport:
                              ReportOptions(compute_rld=False))
         assert report.holevo.iterations > 0
         stacked = [shape for shape in shapes if len(shape) == 3]
-        assert shapes[:3] == [(3, 3), (2, 2), (1, 8, 8)]
+        assert shapes[:4] == [(3, 3), (2, 2), (2, 2), (1, 8, 8)]
         assert stacked == [(1, 8, 8)]
 
     def test_pure_state_flags_rld(self):
@@ -991,6 +990,22 @@ class TestUnitaryQubit:
         assert calls == []
         np.testing.assert_array_equal(cols["ill"], conds > 1.0 / RANK_TOL)
         np.testing.assert_array_equal(cols["c_h"][~cols["ill"]], cols["c_t"][~cols["ill"]])
+
+    def test_full_report_on_one_bloch_row(self, rng):
+        # full_report takes the geometry of one Bloch row, whose inverses
+        # come from its structural det Q and carry no F, and gives the
+        # report of the same qubit as matrices within (1e-12 + 1e-16 cond(Q))
+        r = 0.7 * _rotation(3)[:, 2]
+        dr = np.cross(r, rng.normal(size=(2, 3)))  # tangent: r.d r = 0
+        point = ModelPoint((0.0, 0.0), *map(tuple, _bloch_state(r, dr)))
+        w = random_spd(rng, 2)
+        got = full_report(point, w, geometry=model_geometry(None, None, None, (r, dr)))
+        want = full_report(point, w)
+        cond = np.linalg.cond(compute_geometry(point.rho, point.derivs).qfim)
+        assert got.flags == want.flags
+        for name in ("c_sld", "c_rld", "c_t", "c_r", "c_h", "r_value", "t_value"):
+            value = getattr(want, name)
+            assert getattr(got, name) == pytest.approx(value, rel=1e-12 + 1e-16 * cond), name
 
     def test_non_unitary_qubit_reaches_the_solve(self, monkeypatch):
         # r = (a cos phi, a sin phi, z) over (a, phi) changes |r|: the Bloch

@@ -51,18 +51,24 @@ HIERARCHY_SLACK = 1e-7
 # A Holevo value counts as converged when its dual lower bound lies within
 # this relative distance below it.
 HOLEVO_GAP_TOL = 1e-9
+# How `batch_reports` reaches a row's C_H, its code in the column "route":
+# C_H not asked; void, where Q is ill; at_zero, C_H = C_T at K = 0 by a
+# theorem; exact, the closed form of one normal direction with d <= 3
+# (`_holevo_exact`); dual, the Lagrangian dual solve (`general._holevo_dual`).
+_ROUTES = ("not asked", "void", "at_zero", "exact", "dual")
+_NOT_ASKED, _VOID, _AT_ZERO, _EXACT, _DUAL = range(len(_ROUTES))
 
 
 class HolevoSolution(NamedTuple):
     """The Holevo value, the K attaining it, a lower bound and the objective
     or dual evaluations; arrays along a leading axis for a batch.
 
-    ``lower`` is certified (lower <= C_H <= value) by the dual solve, and by
-    a theorem where C_H = C_T at K = 0 and lower = value: an empty normal
-    space (m = 0), one parameter (d = 1), a pure state whose tangent space
-    fills the pure states' directions, and a unitarily encoded qubit given
-    by its Bloch vector (`batch_reports`).  On the exact m = 1 path
-    (`_holevo_exact`) ``lower`` is a copy of ``value``, not a certificate.
+    ``lower`` is certified (lower <= C_H <= value) by a dual point: the
+    dual solve's, or on the exact m = 1 path the closed-form one
+    (`_holevo_exact`).  Where C_H = C_T at K = 0 by a theorem, lower = value:
+    an empty normal space (m = 0), one parameter (d = 1), a pure state whose
+    tangent space fills the pure states' directions, and a unitarily encoded
+    qubit given by its Bloch vector (`batch_reports`).
     """
 
     k_matrix: np.ndarray
@@ -149,21 +155,22 @@ def _objective(setup: _TangentSetup) -> Callable[[np.ndarray], float]:
     return objective
 
 
-def _holevo_solutions(setup: _TangentSetup) -> HolevoSolution:
-    """The minima of a batch of tangent setups that share the normal-space
-    size m, as one batch of solutions; only the dual solve runs point by point."""
+def _holevo_solutions(setup: _TangentSetup) -> tuple[int, HolevoSolution]:
+    """The route and the minima of a batch of tangent setups that share the
+    normal-space size m, as one batch of solutions; only the dual solve runs
+    point by point."""
     d, m = setup.left.shape[-2:]
     # K = 0, where the objective is C_T; with one parameter the antisymmetric
     # part vanishes, so C_H = C_T = C_SLD
     if m == 0 or d == 1:
         c_t = setup.frame.c_t
-        return HolevoSolution(np.zeros((len(c_t), m, d)), c_t, c_t, np.zeros(len(c_t), int))
+        zero = HolevoSolution(np.zeros((len(c_t), m, d)), c_t, c_t, np.zeros(len(c_t), int))
+        return _AT_ZERO, zero
     if m == 1 and d in (2, 3):  # two evaluations: K = 0 (C_T) and the optimum
-        values, ks = _holevo_exact(setup)
-        return HolevoSolution(ks[:, None], values, values, broadcast(2, len(values)))
+        return _EXACT, _holevo_exact(setup)
     from .general import _holevo_dual  # on first use: no preset row takes the dual
     sols = [_holevo_dual(take(setup, i)) for i in range(len(setup.left))]
-    return HolevoSolution(*map(np.array, zip(*sols)))  # stacked field by field
+    return _DUAL, HolevoSolution(*map(np.array, zip(*sols)))  # stacked field by field
 
 
 def _shrink(q, p, weight, s2):
@@ -190,53 +197,63 @@ def _shrink(q, p, weight, s2):
     return tau[()]
 
 
-def _holevo_exact(setup: _TangentSetup) -> tuple[np.ndarray, np.ndarray]:
-    """Exact minimum for a one-dimensional normal space and d in {2, 3}.
+def _holevo_exact(setup: _TangentSetup) -> HolevoSolution:
+    """Exact minimum for a one-dimensional normal space and d in {2, 3},
+    certified by a closed-form dual point.
 
-    With b = K sqrt(W), s = sqrt(W) Q^-1 S and c the axial part of the core
-    (core_12 for d = 2, (core_23, -core_13, core_12) for d = 3), the
-    objective is C_SLD + P |b|^2 + 2 |c + M b|, where M b is the axial part
-    of s b^T - b s^T: l.b with l = (-s_2, s_1) for d = 2, s x b for d = 3.
-    Every nonzero singular value of M is |s|, so the optimum cancels the
-    part of c in the range of M (norm q) down to q - tau and keeps the rest
-    (norm p):
+    With b = K sqrt(W), s = sqrt(W) Q^-1 S and c the axial part
+    (core_23, -core_13, core_12) of the core, the objective is
+    C_SLD + P |b|^2 + 2 |c + s x b|; a d = 2 row is a d = 3 row whose third
+    parameter neither the core nor S touches, c = (0, 0, core_12) and
+    s = (s_1, s_2, 0).  b -> s x b has the singular value |s| twice, so the
+    optimum cancels the part of c in its range (norm q) down to q - tau and
+    keeps the rest (norm p):
 
         C_H = C_SLD + min_{0 <= tau <= q} P tau^2 / |s|^2 + 2 sqrt(p^2 + (q - tau)^2).
 
     For p = 0 (always when d = 2) this is Suzuki's two-parameter formula:
     C_H = C_T - |s|^2 / P when q P >= |s|^2, else C_SLD + P q^2 / |s|^2.
+    As 2 |v| = max_{|y| <= 1} 2 y.v, every |y| <= 1 bounds C_H from below by
+    g(y) = C_SLD + 2 y.c - |y x s|^2 / P, the minimum over b; at the
+    optimum's unit residual y = (c + s x b) / rho, rho = sqrt(p^2 + (q - tau)^2),
+    or where rho = 0 at y = min(1, q P / |s|^2) along c, g(y) = C_H.
 
-    Runs over a batch (leading axis) and returns the values and the K rows
-    (B, d); where the optimum does not beat K = 0 it is K = 0 at C_T.
+    Runs over a batch (leading axis) and returns the solutions, with K
+    (B, 1, d); where the optimum does not beat K = 0 it is K = 0 at C_T.
     """
     core, s = setup.frame.core, setup.left[..., 0]
     d = core.shape[-1]
+    if d == 2:
+        core, s = np.pad(core, ((0, 0), (0, 1), (0, 1))), np.pad(s, ((0, 0), (0, 1)))
     weight = setup.gram.real[..., 0, 0]
     s2 = dot(s, s)
-    if d == 2:
-        c = core[..., 0, 1]
-        q, p = np.abs(c), 0.0
-    else:
-        c = uhlmann_axial(core)
-        along = (dot(c, s) / np.where(s2 > 0.0, s2, 1.0))[..., None]
-        c_range = np.where((s2 > 0.0)[..., None], c - s * along, 0.0)
-        q = np.sqrt(dot(c_range, c_range))
-        p = np.sqrt(dot(c - c_range, c - c_range))
+    c = uhlmann_axial(core)
+    along = (dot(c, s) / np.where(s2 > 0.0, s2, 1.0))[..., None]
+    c_range = np.where((s2 > 0.0)[..., None], c - s * along, 0.0)
+    q = np.sqrt(dot(c_range, c_range))
+    p = np.sqrt(dot(c - c_range, c - c_range))
     tau = _shrink(q, p, weight, s2)
     moved = (tau != 0.0)[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        if d == 2:
-            b = -np.copysign(tau, c)[..., None] * np.stack([-s[..., 1], s[..., 0]], axis=-1)
-        else:  # x cross s as the axial vector of x s^T - s x^T; np.cross is 3x slower here
-            x = -tau[..., None] * c_range / q[..., None]
-            b = uhlmann_axial(x[..., :, None] * s[..., None, :] - s[..., :, None] * x[..., None, :])
+        x = np.where(moved, -tau[..., None] * c_range / q[..., None], 0.0)  # c + x = c + s x b
+        # x cross s as the axial vector of x s^T - s x^T; np.cross is 3x slower here
+        b = uhlmann_axial(x[..., :, None] * s[..., None, :] - s[..., :, None] * x[..., None, :])
         b = np.where(moved, b / s2[..., None], 0.0)
+        # the dual point: where rho = 0, c = c_range and q P / |s|^2 <= 1, as tau = q <= |s|^2 / P
+        rho = np.hypot(p, q - tau)[..., None]
+        ratio = (weight / np.where(s2 > 0.0, s2, np.inf))[..., None]
+        y = np.where(rho > 0.0, (c + x) / rho, c * ratio)
+    y /= np.maximum(1.0, np.sqrt(dot(y, y)))[..., None]
+    # |y x s|^2 = |y|^2 |s|^2 - (y.s)^2
+    lower = setup.frame.c_sld + 2.0 * dot(y, c) - (dot(y, y) * s2 - dot(y, s) ** 2) / weight
     root = setup.frame.sqrt_w
     adj = adjugate(root)  # k = adj(sqrt W) b / det sqrt(W)
-    k = (adj @ b[..., None])[..., 0] / dot(adj[..., 0, :], root[..., :, 0])[..., None]
+    k = (adj @ b[..., :d, None])[..., 0] / dot(adj[..., 0, :], root[..., :, 0])[..., None]
     value = _objective(setup)(k)
     worse = value > setup.frame.c_t
-    return np.where(worse, setup.frame.c_t, value), np.where(worse[..., None], 0.0, k)
+    value = np.where(worse, setup.frame.c_t, value)
+    k = np.where(worse[..., None], 0.0, k)[:, None]
+    return HolevoSolution(k, value, np.minimum(lower, value), broadcast(2, len(value)))
 
 
 def _check_hierarchy(report, rows=...) -> None:
@@ -286,11 +303,13 @@ def full_report(
                          for k in ("_qfim_eigh", "_qfim_inverses") if k in g.__dict__})
     rho, derivs = np.asarray(point.rho)[None], np.asarray(point.derivs)[None]
     cols = batch_reports(rho, derivs, one, w_mat[None], sqrt_w[None], opts)
-    sol = cols["holevo"][0][1].at(0) if cols["holevo"] else None
     names = ("c_sld", "c_t", "c_r", "R", "T")
     c_s, c_t, c_r, r, t = (None if cols["null"][0] else cols[k].item(0) for k in names)
-    c_rld = None if cols["c_rld"] is None or cols["no_rld"][0] else cols["c_rld"].item(0)
+    sol = cols["holevo"][0][2].at(0) if cols["holevo"] else None
+    if sol is None and cols["route"][0] == _AT_ZERO:  # at_zero by the structure: K = 0 at C_T
+        sol = HolevoSolution(np.zeros((0, g.n_params)), c_t, c_t, 0)
     flags = frozenset(name for name, mask in cols["flags"].items() if mask[0])
+    c_rld = None if cols["c_rld"] is None or FLAG_RLD_UNAVAILABLE in flags else cols["c_rld"].item(0)
     return BoundsReport(c_s, c_rld, c_t, c_r, sol and sol.value, r, t, sol, flags)
 
 
@@ -300,29 +319,31 @@ def batch_reports(
 ) -> dict:
     """`full_report` for a batch of states (B, n, n), derivatives (B, d, n, n),
     their geometry and validated weights and roots (B, d, d), as columns:
-    c_sld, c_rld, c_t, c_r, c_h with its certified lower bound, R, T and
-    gap_h = (C_H - C_SLD) / C_SLD, which reads T where C_H = C_T at K = 0 is
-    a theorem (c_rld, c_h, lower, gap_h None when not computed), the masks null, ill, no_rld
-    and not_converged, each flag's mask, and the rows of each normal-space
-    size with their solutions ("holevo").  Only the dual solve runs point by
-    point.  A row is ill where Q is (`geometry._eigen_inverses`); every
-    other row has full tangent rank.  A geometry of pure states given as
-    vectors (``g.psi``) needs neither rho nor derivs: such a state has no
-    RLD bound, and its C_H follows from Q and U alone (Matsumoto, J. Phys.
-    A 35, 3111, 2002) where d = 2(n - 1) (below) or n = d = 3.  A pure
-    qutrit with d = 3 has one normal direction (m = 2(n - 1) - d = 1),
-    whose coupling Q u / sqrt(u^T Q u), u the axial vector of U, and Gram
-    matrix [[1]] follow from Q and U, so its rows build no normal space.
-    A regular row of vectors of any other shape raises InvalidInput when
-    C_H is asked: other pure models go in as rho and derivs.  Rows
-    with C_H = C_T at K = 0, read from the model's structure, build no
-    normal space: a pure state whose tangent space fills the
-    2(n - 1) directions of pure states, d = 2(n - 1), and a unitarily
-    encoded qubit given by its Bloch vector (``g.r``), whose SLDs d_k r.sigma
-    are orthogonal to r: its one normal direction lies along r, uncoupled,
-    the s = 0 case of Suzuki's two-parameter formula (J. Math. Phys. 57,
-    042201, 2016) that `_holevo_exact` implements.  With d = 2 such a
-    qubit also has C_RLD = C_T, so its rows need neither rho nor derivs."""
+    c_sld, c_rld, c_t, c_r, c_h with its certified lower bound, R, T, gap_h =
+    (C_H - C_SLD) / C_SLD, which reads T on the at_zero route (c_rld, c_h,
+    lower, gap_h None when not computed), the mask null, each flag's mask
+    ("flags"), each row's route code ("route", an index into `_ROUTES`) and,
+    for each group of rows that one solve served, the rows, their route and
+    their solutions ("holevo").  Only the dual solve runs point by point.  A
+    row is ill where Q is (`geometry._eigen_inverses`), and its route void
+    when C_H is asked; every other row has full tangent rank, and its route is
+    set once, from the structure or the normal-space size.  A geometry of pure
+    states given as vectors (``g.psi``) needs neither rho nor derivs: such a
+    state has no RLD bound, and its C_H follows from Q and U alone
+    (Matsumoto, J. Phys. A 35, 3111, 2002) where d = 2(n - 1) (below) or
+    n = d = 3.  A pure qutrit with d = 3 has one normal direction
+    (m = 2(n - 1) - d = 1), whose coupling Q u / sqrt(u^T Q u), u the axial
+    vector of U, and Gram matrix [[1]] follow from Q and U, so its rows build
+    no normal space.  A regular row of vectors of any other shape raises
+    InvalidInput when C_H is asked: other pure models go in as rho and
+    derivs.  Rows with C_H = C_T at K = 0, read from the model's structure,
+    build no normal space: a pure state whose tangent space fills the
+    2(n - 1) directions of pure states, d = 2(n - 1), and a unitarily encoded
+    qubit given by its Bloch vector (``g.r``), whose SLDs d_k r.sigma are
+    orthogonal to r: its one normal direction lies along r, uncoupled, the
+    s = 0 case of Suzuki's two-parameter formula (J. Math. Phys. 57, 042201,
+    2016) that `_holevo_exact` implements.  With d = 2 such a qubit also has
+    C_RLD = C_T, so its rows need neither rho nor derivs."""
     frame = _frame(g, w_mat, sqrt_w)
     # a Q whose inverse leaves the float range is singular in floating point
     out_of_range, points = ~np.isfinite(frame.c_sld), len(w_mat)
@@ -346,16 +367,14 @@ def batch_reports(
             full_rank = np.where(no_rld[:, None, None], np.eye(rho.shape[-1]), rho)
             c_rld, singular = _c_rld(_rld_matrix(full_rank, derivs), w_mat, sqrt_w)
             no_rld |= singular
-    c_h, lower, gap_h, not_converged, groups = None, None, None, np.zeros(points, bool), []
+    c_h, lower, gap_h, not_converged = None, None, None, np.zeros(points, bool)
+    route, groups = broadcast(_NOT_ASKED, points), []
     if opts.compute_holevo:
         spectrum, d = g.rho_spectrum, g.n_params
         fills = spectrum is not None and d == 2 * (spectrum.shape[-1] - 1)
         # r.d_k r = 0 on the Bloch route (`_bloch_geometry`), so s = 0
         saturated = ~ill & ((g.r is not None) | (fills and spectrum[:, 1] <= SUPPORT_TOL))
-        if saturated.any():  # K = 0 at C_T
-            rows = saturated.nonzero()[0]
-            k = np.zeros((len(rows), 0, d))
-            groups.append((rows, HolevoSolution(k, c_t[rows], c_t[rows], np.zeros(len(rows), int))))
+        route = np.where(ill, _VOID, np.where(saturated, _AT_ZERO, _NOT_ASKED))
         regular = (~ill & ~saturated).nonzero()[0]
         sel = subset(regular, points)
         if regular.size and g.psi is not None:
@@ -375,7 +394,7 @@ def batch_reports(
             c = uhlmann_axial(g.uhlmann[sel]) * g._qfim_inverses[1][sel][..., None]
             part = take(frame, sel)
             setup = _TangentSetup(part, part.sqrt_w @ c[..., None], broadcast(1.0, (len(c), 1, 1)))
-            groups.append((regular, _holevo_solutions(setup)))
+            groups.append((regular, *_holevo_solutions(setup)))
         elif regular.size:
             if np.size(g.slds) == 0:
                 raise InvalidInput("geometry must carry SLD operators")
@@ -385,18 +404,17 @@ def batch_reports(
             for rows, basis in _normal_spaces(*coordinates, g._qfim_inverses[4][sel]):
                 rows = regular[rows]
                 setup = _tangent_setup(basis, take(frame, subset(rows, points)))
-                groups.append((rows, _holevo_solutions(setup)))
-        c_h, lower, gap_h = broadcast(np.nan, (3, points))
-        for rows, sol in groups:
-            c_h[rows], lower[rows], not_converged[rows] = sol.value, sol.lower, ~sol.converged
-            # T where K = 0 at C_T is a theorem, taken with no evaluation for the whole group
-            gap_h[rows] = ((sol.value - frame.c_sld[rows]) / frame.c_sld[rows]
-                           if sol.iterations.any() else t_value[rows])
+                groups.append((rows, *_holevo_solutions(setup)))
+        c_h, lower = broadcast(np.where(route == _AT_ZERO, c_t, np.nan), (2, points))
+        for rows, code, sol in groups:
+            route[rows], c_h[rows], lower[rows], not_converged[rows] = (
+                code, sol.value, sol.lower, ~sol.converged)
+        gap_h = np.where(route == _AT_ZERO, t_value, (c_h - frame.c_sld) / frame.c_sld)
     r_val = _spectral_radius(g)
     flags = {FLAG_RLD_UNAVAILABLE: no_rld, FLAG_SINGULAR_QFIM: ill,
              FLAG_PSEUDO_INVERSE: ill & ~null, FLAG_HOLEVO_NOT_CONVERGED: not_converged}
     cols = dict(c_sld=frame.c_sld, c_rld=c_rld, c_t=c_t, c_r=(1.0 + r_val) * frame.c_sld, c_h=c_h,
-                lower=lower, gap_h=gap_h, R=r_val, T=t_value, null=null, ill=ill, no_rld=no_rld,
-                not_converged=not_converged, flags=flags, holevo=groups)
+                lower=lower, gap_h=gap_h, R=r_val, T=t_value, null=null, flags=flags, route=route,
+                holevo=groups)
     _check_hierarchy(cols, ~ill)
     return cols

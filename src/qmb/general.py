@@ -483,7 +483,7 @@ def holevo_tangent_min(
     (``_holevo_dual``).  The returned value never exceeds the K = 0
     objective, so it always sits between C_SLD and C_T.
     """
-    return _holevo_solutions(take(_tangent_setup(basis, _weight_frame(g, w_mat)), None)).at(0)
+    return _holevo_solutions(take(_tangent_setup(basis, _weight_frame(g, w_mat)), None))[1].at(0)
 
 
 def _holevo_dual(setup: _TangentSetup) -> HolevoSolution:

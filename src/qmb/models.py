@@ -145,14 +145,22 @@ def _check_names(model_id: str, names) -> None:
         raise InvalidInput("tunable_qubit requires r_x, r_y, r_z (or alpha, beta)")
 
 
+def _constant(name: str, v) -> float | np.ndarray:
+    """A constant's value as a float, or as an array of floats for a list,
+    tuple or array; InvalidInput naming the constant if it is not numeric."""
+    try:
+        return np.asarray(v, float) if getattr(v, "ndim", isinstance(v, (list, tuple))) else float(v)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"constant {name}={v!r} is not a number") from None
+
+
 def _checked_config(model_id: str, constants: Mapping) -> ModelConfig:
     """The config once its values hold: each finite, the tunable qubit's
     (r_x, r_y, r_z) no longer than 1, an SU(2) model's t positive.  A
     constant is one value, or an array of values, one per row of a batch;
     a scalar stays a scalar, so what depends on it alone is evaluated (and
     checked) once.  The first failing row raises, as a config of scalars would."""
-    constants = {k: np.asarray(v, float) if getattr(v, "ndim", isinstance(v, (list, tuple)))
-                 else float(v) for k, v in constants.items()}
+    constants = {k: _constant(k, v) for k, v in constants.items()}
     cfg, shape = ModelConfig(model_id, constants), np.broadcast(*constants.values()).shape
     rules = [(not math.isfinite(val) if isinstance(val, float) else ~np.isfinite(val),
               lambda i, k=k, v=val: InvalidInput(

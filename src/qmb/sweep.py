@@ -12,7 +12,7 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from .bounds import FLAG_SINGULAR_QFIM, ReportOptions, batch_reports
+from .bounds import _VOID, FLAG_RLD_UNAVAILABLE, FLAG_SINGULAR_QFIM, ReportOptions, batch_reports
 from .errors import InvalidInput, InvalidSpec, UnknownPreset
 from .geometry import _weight_and_root, model_geometry
 from .linalg import WEIGHT_FLOOR, broadcast, stacked
@@ -384,7 +384,8 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> _Chunk:
         weight, void = _qfim_weight(geometry)
     w_mat, sqrt_w = (broadcast(x, (rows, *x.shape[-2:])) for x in weight)
     cols = batch_reports(arrays.rho, arrays.derivs, geometry, w_mat, sqrt_w, opts)
-    missing = {"c_rld": cols["no_rld"], "c_h": cols["ill"], "gap_h": cols["ill"]}
+    void_h = cols["route"] == _VOID
+    missing = {"c_rld": cols["flags"][FLAG_RLD_UNAVAILABLE], "c_h": void_h, "gap_h": void_h}
     cells, gone = [bound[ax.name] for ax in spec.axes], [np.zeros(rows, bool)] * len(spec.axes)
     for name in spec.outputs:  # a gap is void where its bound is
         # C_T = (1 + T) C_SLD and C_R = (1 + R) C_SLD, so gap_t and gap_r are T and R
@@ -601,7 +602,7 @@ def figure_preset(name: str, config: Mapping[str, float] | None = None) -> Sweep
                 f"fig2 requires explicit Bloch components {sorted(missing)} "
                 "(no silent defaults; the documented reproduction uses r_y=0.2, r_z=0.4)"
             )
-        bloch = {key: float(cfg.pop(key)) for key in ("r_y", "r_z")}
+        bloch = {key: _number(key, cfg.pop(key)) for key in ("r_y", "r_z")}
     if cfg:
         raise InvalidSpec(f"unknown {name} config keys {sorted(cfg)}")
     gaps, planar = ("gap_h", "gap_t", "gap_r"), {"gamma": math.pi / 4.0, "theta": math.pi / 2.0}

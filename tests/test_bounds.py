@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import qmb.bounds as bounds
 import qmb.general as general
+import qmb.sweep as sweep
 from qmb.bounds import (
     BoundsReport,
     HIERARCHY_SLACK,
@@ -46,6 +47,8 @@ from qmb.geometry import (
 )
 from qmb.linalg import spd_sqrt, tracenorm_antisym
 from qmb.models import _tunable_qubit_bloch_derivs, model_arrays, model_config
+from qmb.sweep import (CANONICAL_OUTPUTS, Axis, SweepSpec, figure_preset, run_sweep,
+                       validate_spec)
 
 from conftest import (
     holevo_pure_qubit_closed_form,
@@ -891,7 +894,7 @@ class TestPureStateShortcut:
         cols = batch_reports(None, None, g, eye, eye, ReportOptions())
         monkeypatch.undo()
         assert sent == []
-        assert cols["no_rld"].all()
+        assert cols["flags"]["RldUnavailable"].all()
         np.testing.assert_array_equal(cols["c_h"][~ill], cols["c_t"][~ill])
         assert np.isnan(cols["c_h"][ill]).all()
 
@@ -988,8 +991,9 @@ class TestUnitaryQubit:
         eye = np.broadcast_to(np.eye(2), (rows, 2, 2))
         cols = batch_reports(None, None, g, eye, eye, ReportOptions(compute_rld=False))
         assert calls == []
-        np.testing.assert_array_equal(cols["ill"], conds > 1.0 / RANK_TOL)
-        np.testing.assert_array_equal(cols["c_h"][~cols["ill"]], cols["c_t"][~cols["ill"]])
+        ill = cols["flags"]["SingularQFIM"]
+        np.testing.assert_array_equal(ill, conds > 1.0 / RANK_TOL)
+        np.testing.assert_array_equal(cols["c_h"][~ill], cols["c_t"][~ill])
 
     def test_full_report_on_one_bloch_row(self, rng):
         # full_report takes the geometry of one Bloch row, whose inverses
@@ -1057,3 +1061,86 @@ class TestUnitaryQubit:
         for name, value in want.items():
             factor = 1.0 if name in ("R", "T") else scale
             assert np.all(np.abs(scaled[name] - factor * value) <= tol * factor * np.abs(value)), name
+
+
+class TestRoutes:
+    """Each row's Holevo route (`bounds._ROUTES`), set once in
+    `batch_reports`: not asked, void where Q is ill, at_zero where
+    C_H = C_T at K = 0 is a theorem, exact for one normal direction with
+    d <= 3, and dual otherwise."""
+
+    @staticmethod
+    def _sweep_columns(spec) -> dict:
+        """The columns of every chunk of a sweep, joined."""
+        columns, reports = [], sweep.batch_reports
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep, "batch_reports", lambda *a: columns.append(reports(*a))
+                          or columns[-1])
+            run_sweep(spec)
+        flags = {k: np.concatenate([c["flags"][k] for c in columns]) for k in columns[0]["flags"]}
+        cols = {k: None if columns[0][k] is None else np.concatenate([c[k] for c in columns])
+                for k in ("route", "c_t", "c_h", "lower", "gap_h", "T")}
+        return {**cols, "flags": flags}
+
+    @staticmethod
+    def _counts(route) -> dict:
+        return {bounds._ROUTES[code]: int((route == code).sum()) for code in set(route.tolist())}
+
+    @pytest.mark.parametrize("name, counts", [
+        ("fig1", {"not asked": 33}), ("fig2", {"at_zero": 4096}), ("fig3a", {"at_zero": 2304}),
+        ("fig3b", {"at_zero": 2304}), ("fig4", {"at_zero": 2304}), ("fig5", {"exact": 289})])
+    def test_preset_route_counts(self, name, counts):
+        # every preset at its default density with every output it takes:
+        # fig1 asks only R and T, the unitary Bloch qubits of fig2 and fig3
+        # and the pure qubit of fig4 read C_H = C_T from their structure, and
+        # fig5's pure qutrit takes the closed form.  On at_zero rows gap_h is
+        # T and C_H is C_T, to the bit, with lower = C_H; on exact rows the
+        # dual point brackets C_H to 1e-14 relative
+        spec = figure_preset(name, {"r_y": 0.2, "r_z": 0.4} if name == "fig2" else {})
+        if name != "fig1":
+            spec = validate_spec(replace(spec, outputs=CANONICAL_OUTPUTS))
+        cols = self._sweep_columns(spec)
+        assert self._counts(cols["route"]) == counts
+        if cols["c_h"] is None:
+            return
+        at_zero = cols["route"] == bounds._AT_ZERO
+        assert cols["gap_h"][at_zero].tobytes() == cols["T"][at_zero].tobytes()
+        assert cols["c_h"][at_zero].tobytes() == cols["c_t"][at_zero].tobytes()
+        assert cols["lower"][at_zero].tobytes() == cols["c_h"][at_zero].tobytes()
+        assert np.all(cols["c_h"] - cols["lower"] <= 1e-14 * cols["c_h"])
+
+    @pytest.mark.parametrize("n, d, route", [(3, 2, "dual"), (3, 1, "at_zero"), (2, 3, "at_zero")])
+    def test_matrix_input_routes(self, rng, n, d, route):
+        # matrix input: a mixed qutrit with d = 2 keeps six normal directions
+        # and solves the dual; one parameter (d = 1), and a mixed qubit whose
+        # three parameters fill its tangent space (m = 0), stay at K = 0
+        models = [random_model(rng, n, d) for _ in range(3)]
+        rho, derivs = np.stack([m[0] for m in models]), np.stack([np.stack(m[1]) for m in models])
+        g = compute_geometry(rho, derivs)
+        eye = np.broadcast_to(np.eye(d), (len(rho), d, d))
+        cols = batch_reports(rho, derivs, g, eye, eye, ReportOptions(compute_rld=False))
+        assert self._counts(cols["route"]) == {route: 3}
+        ((_, code, sol),) = cols["holevo"]
+        assert bounds._ROUTES[code] == route and sol.k_matrix.shape[1:] == (n * n - 1 - d, d)
+        if route == "at_zero":
+            assert cols["gap_h"].tobytes() == cols["T"].tobytes()
+        else:
+            assert np.all(sol.iterations > 0) and np.all(cols["c_h"] < cols["c_t"])
+            gap = (cols["c_h"] - cols["c_sld"]) / cols["c_sld"]
+            assert cols["gap_h"].tobytes() == gap.tobytes()
+
+    def test_void_rows_are_the_singular_ones(self):
+        # the near-singular reproducer of test_near_singular_sweep_completes,
+        # asking for C_H: its route is void exactly on the SingularQFIM rows,
+        # whose C_H cells are void, and at_zero on every other row
+        spec = SweepSpec("tunable_qubit", fixed={"alpha": 1.0, "beta": 0.3, "theta": 1.1,
+                                                 "phi": 0.4, "lambda2": 0.2},
+                         axes=(Axis("gamma", -1e-3, 1e-3, 41), Axis("lambda1", 0.3, 0.9, 7)),
+                         outputs=("c_sld", "c_h", "R"))
+        cols = self._sweep_columns(spec)
+        singular = cols["flags"]["SingularQFIM"]
+        assert 0 < singular.sum() < len(singular)
+        np.testing.assert_array_equal(cols["route"] == bounds._VOID, singular)
+        assert set(cols["route"][~singular].tolist()) == {bounds._AT_ZERO}
+        rows = run_sweep(spec)
+        assert [row.outputs["c_h"] is None for row in rows] == singular.tolist()

@@ -1,6 +1,7 @@
 """The bounds against 40-digit values of the same float inputs
 (tests/exact.py): unitarily encoded qubits given by their Bloch vectors up
-to the RANK_TOL line and the pure line, and the pure-state presets."""
+to the RANK_TOL line and the pure line, and the pure-state presets, C_H
+and its certified lower bound included."""
 
 import math
 
@@ -48,7 +49,7 @@ def test_bloch_rows_match_exact_values(seed, log_cond, radius, parallel, log_wei
     g = model_geometry(None, None, None, (r[None], dr[None]))
     cols = batch_reports(None, None, g, w_mat[None], np.sqrt(w_mat)[None], ReportOptions())
     want = bloch_row(r, dr, w_mat)
-    assert not cols["ill"][0]
+    assert not cols["flags"]["SingularQFIM"][0]
     assert cols["R"][0] <= 1.0 + 1e-9
     got = np.array([cols[k][0] for k in OUTPUTS])
     exact = np.array([getattr(want, k) for k in OUTPUTS])
@@ -63,9 +64,27 @@ def test_bloch_rows_match_exact_values(seed, log_cond, radius, parallel, log_wei
 def test_pure_presets_match_exact_values(name):
     # the pure presets, as vectors, at default density: fig4's qubit
     # (cond(Q) up to 342) and fig5's qutrit (up to 4.1) hold R, T, C_SLD,
-    # C_T and C_R to 8 eps of the exact values of their SLD vectors
+    # C_T, C_R and C_H to 8 eps of the exact values of their SLD vectors
     # (2.6 eps at worst here); R = 1 is read from the structure
     errors = sweep_errors(preset_spec(name))
     assert not errors["null"].any()
     assert np.all(errors["error"] <= 8.0)
     assert np.all(errors["cond"] < 1.0 / RANK_TOL)
+
+
+def test_fig5_holevo_brackets_exact_value():
+    # fig5's pure qutrit at default density has one normal direction
+    # (m = 1).  Its C_H is held to 4 eps (1.7 eps at worst here) of a
+    # 40-digit value from the unit normal z in R^6 and an mpmath root for
+    # tau, which does not use the structural coupling u sqrt(det Q^-1).
+    # The closed-form dual point's lower bound and the value bracket it,
+    # lower <= C_H <= value, up to 4 eps of rounding (1.3 eps at worst
+    # here).  On 272 of the 289 rows C_H lies below C_T by more than
+    # 1e-12 relative, so the normal direction moves the value
+    errors = sweep_errors(preset_spec("fig5"))
+    i = OUTPUTS.index("c_h")
+    exact, got, lower = errors["exact"][:, i], errors["got"][:, i], errors["lower"]
+    assert np.all(errors["error"][:, i] <= 4.0)
+    assert np.all(lower <= exact * (1.0 + 4.0 * EPS)) and np.all(exact <= got * (1.0 + 4.0 * EPS))
+    c_t = errors["exact"][:, OUTPUTS.index("c_t")]
+    assert np.sum(c_t - exact > 1e-12 * c_t) == 272

@@ -840,7 +840,7 @@ def test_vector_normal_space_matches_gell_mann_route(seed, n, d):
     w_mat, sqrt_w = _weight_and_root(random_spd(rng, d)[None], d)
     opts = ReportOptions(compute_rld=False)
     want_c = batch_reports(rho[None], np.stack(derivs)[None], want_g, w_mat, sqrt_w, opts)
-    assert not want_c["not_converged"][0]
+    assert not want_c["flags"]["HolevoNotConverged"][0]
     if d != 2 * (n - 1) and not n == d == 3:
         with pytest.raises(InvalidInput, match=f"n = {n} levels and d = {d} parameters"):
             batch_reports(None, None, got_g, w_mat, sqrt_w, opts)
@@ -849,7 +849,7 @@ def test_vector_normal_space_matches_gell_mann_route(seed, n, d):
         assert np.isfinite(cols["R"]).all() and np.isfinite(cols["T"]).all()
         return
     got_c = batch_reports(None, None, got_g, w_mat, sqrt_w, opts)
-    assert not got_c["not_converged"][0]
+    assert not got_c["flags"]["HolevoNotConverged"][0]
     rel = HOLEVO_GAP_TOL + np.finfo(float).eps * np.linalg.cond(want_g.qfim[0])
     assert got_c["c_h"][0] == pytest.approx(want_c["c_h"][0], rel=rel)
 

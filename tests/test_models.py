@@ -546,6 +546,11 @@ class TestModelConfigValidation:
         # within one row the constants are checked in order: r_x before phi
         ("tunable_qubit", dict(r_x=np.array([math.inf, 0.1]), r_y=0.1, r_z=0.1, gamma=0.1,
                                theta=0.2, phi=math.nan), "constant r_x=inf is not finite"),
+        # a value that is not a number, scalar or in a list, names its constant
+        ("su2_qubit", dict(alpha="abc", beta=0, t=1), "constant alpha='abc' is not a number"),
+        ("su2_qutrit", dict(alpha=1.0, beta=None, t=1.0), "constant beta=None is not a number"),
+        ("su2_qutrit", dict(alpha=1.0, beta=0.0, t=[1.0, "x"]),
+         "constant t=[1.0, 'x'] is not a number"),
     ])
     def test_first_failing_rule_raises(self, model_id, constants, message):
         with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):

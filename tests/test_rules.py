@@ -254,9 +254,10 @@ def test_rld_cut_is_relative(scale):
         lambda: model_config("su2_qubit", alpha=0.1, beta=0.0),
         lambda: generator_geometry(np.array([1.0, 0.0]), []),
         lambda: model_point(model_config("su2_qubit", alpha=0.1, beta=0.0, t=1.0), (0.5,)),
+        lambda: model_config("su2_qubit", alpha="abc", beta=0, t=1),
     ],
     ids=["weight_not_definite", "weight_not_square", "no_derivatives", "missing_constant",
-         "no_generators", "wrong_parameter_count"],
+         "no_generators", "wrong_parameter_count", "non_numeric_constant"],
 )
 def test_input_errors_are_qmb_errors(call):
     with pytest.raises(QmbError) as info:

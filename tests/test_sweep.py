@@ -680,6 +680,11 @@ class TestFigurePresets:
         with pytest.raises(InvalidSpec):
             figure_preset("fig2")
 
+    @pytest.mark.parametrize("r_y", ["abc", None])
+    def test_fig2_rejects_non_numeric_bloch_config(self, r_y):
+        with pytest.raises(InvalidSpec, match=f"^r_y={re.escape(repr(r_y))} is not a number$"):
+            figure_preset("fig2", {"r_y": r_y, "r_z": 0.4})
+
     def test_fig2_grid_claim_small(self):
         spec = figure_preset("fig2", {"r_y": 0.2, "r_z": 0.4, "count": 6})
         rows = run_sweep(spec)
@@ -1844,7 +1849,7 @@ class TestBlochRoute:
         (r, dr), (g, w_mat, cols) = bloch[0], columns[0]
         j = general._rld_matrix(*general._bloch_state(r, dr))
         want, singular = general._c_rld(j, w_mat, w_mat)  # W = I
-        np.testing.assert_array_equal(cols["no_rld"], singular)
+        np.testing.assert_array_equal(cols["flags"]["RldUnavailable"], singular)
         assert not singular.any() and cols["c_rld"].tobytes() == cols["c_t"].tobytes()
         w = np.linalg.eigvalsh(g.qfim)
         tol = 64.0 * np.finfo(float).eps * w[:, -1] / w[:, 0]

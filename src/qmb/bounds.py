@@ -37,7 +37,15 @@ from .geometry import (
     take,
     uhlmann_axial,
 )
-from .linalg import SUPPORT_TOL, adjugate, broadcast, dot, raise_first_failure, tracenorm_antisym
+from .linalg import (
+    SUPPORT_TOL,
+    adjugate,
+    broadcast,
+    dot,
+    entry_sum,
+    raise_first_failure,
+    tracenorm_antisym,
+)
 
 if TYPE_CHECKING:  # an annotation alone: qmb.general loads on first use
     from .general import ModelPoint
@@ -149,7 +157,7 @@ def _objective(setup: _TangentSetup) -> Callable[[np.ndarray], float]:
         b = np.asarray(k, dtype=float).reshape(shape) @ sqrt_w
         cross = left @ b
         im_z = core + b.swapaxes(-1, -2) @ (gram_im @ b) + cross - cross.swapaxes(-1, -2)
-        val = base + (b * (gram_re @ b)).sum(axis=(-2, -1)) + tracenorm_antisym(im_z)
+        val = base + entry_sum(b * (gram_re @ b), 2) + tracenorm_antisym(im_z)
         return np.where(np.isfinite(val), val, 1e300)[()]
 
     return objective
@@ -367,6 +375,7 @@ def batch_reports(
             full_rank = np.where(no_rld[:, None, None], np.eye(rho.shape[-1]), rho)
             c_rld, singular = _c_rld(_rld_matrix(full_rank, derivs), w_mat, sqrt_w)
             no_rld |= singular
+            c_rld = np.where(no_rld, np.nan, c_rld)  # not the bound of the identity in rho's place
     c_h, lower, gap_h, not_converged = None, None, None, np.zeros(points, bool)
     route, groups = broadcast(_NOT_ASKED, points), []
     if opts.compute_holevo:
@@ -416,5 +425,5 @@ def batch_reports(
     cols = dict(c_sld=frame.c_sld, c_rld=c_rld, c_t=c_t, c_r=(1.0 + r_val) * frame.c_sld, c_h=c_h,
                 lower=lower, gap_h=gap_h, R=r_val, T=t_value, null=null, flags=flags, route=route,
                 holevo=groups)
-    _check_hierarchy(cols, ~ill)
+    _check_hierarchy(cols, ~ill if ill.any() else ...)
     return cols

@@ -18,11 +18,13 @@ from .linalg import (
     adjugate,
     broadcast,
     dot,
+    entry_sum,
     hermitian_part,
     raise_first_failure,
     require_bloch_vectors,
     require_pure_state,
     require_weight,
+    rows_failing,
     small_matmul,
     spd_sqrt,
     stacked,
@@ -123,7 +125,8 @@ def _invert(q: np.ndarray, det: np.ndarray | None = None) -> tuple:
         inverses = (adjugate(flat) / by, 1.0 / np.sqrt(det), *np.zeros((2, len(flat)), bool),
                     None, *((flat / by,) if d == 3 else ()))
         rank, eigh = broadcast(d, len(flat)), None
-        rest = ~(det / flat.trace(0, -2, -1) ** d > RANK_TOL)  # det Q is 0 or NaN there, too
+        trace = entry_sum(flat.diagonal(0, -2, -1))
+        rest = ~(det / trace ** d > RANK_TOL)  # det Q is 0 or NaN there, too
         if rest.any():
             w, v = np.linalg.eigh(flat[rest])
             part, rank[rest] = _eigen_inverses(w, v)
@@ -222,10 +225,10 @@ def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
     L_i = a_i I + b_i.sigma have a_i = 0 and b_i = d_i r."""
     r, dr, radius = require_bloch_vectors(r, dr)
     # each vector over its largest entry, so that no square under- or overflows
-    u, du = (v / np.maximum(np.maximum.reduce(abs(v), -1, keepdims=True), 1e-300) for v in (r, dr))
+    u, du = (v / np.maximum(_largest(abs(v)), 1e-300)[..., None] for v in (r, dr))
     # |u.d_i u| against |u| |d_i u| with no quotient; the norms are 0 only where u or d_i u is
     along, norms = np.abs(dot(du, u[..., None, :])), np.sqrt(dot(u, u)[..., None] * dot(du, du))
-    raise_first_failure(((along > TANGENT_TOL * norms).any(axis=-1), lambda i: InvalidInput(
+    raise_first_failure((rows_failing(~(along > TANGENT_TOL * norms)), lambda i: InvalidInput(
         "d r is not tangent to r: |r.d r| / (|r| |d r|) = "
         f"{(along / np.where(norms > 0.0, norms, 1.0)).reshape(-1, dr.shape[-2])[i].max():.3e}; "
         "a qubit given by its Bloch vector must be encoded unitarily")))
@@ -242,6 +245,11 @@ def _bloch_geometry(r: np.ndarray, dr: np.ndarray) -> InformationGeometry:
     with np.errstate(over="ignore"):  # past the float range, (Tr Q)^2 overflows too: eigh
         det = dot(cross, cross) if q.shape[-1] == 2 else None
     return _geometry(q, u, (), spectrum, r=r, det=det)
+
+
+def _largest(a: np.ndarray) -> np.ndarray:
+    """The largest of the 3 entries of each vector in a (..., 3)."""
+    return np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])
 
 
 def _qfim_inverse(g: InformationGeometry, pseudo_inverse: bool = False) -> tuple:
@@ -309,7 +317,7 @@ def _frame(g: InformationGeometry, w_mat: np.ndarray, sqrt_w: np.ndarray) -> _We
             core = sqrt_w @ _from_axial(g._adj_u) @ sqrt_w
         else:
             core = sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w
-        c_sld = (w_mat * qinv).sum(axis=(-2, -1))
+        c_sld = entry_sum(w_mat * qinv, 2)
         core_norm = tracenorm_antisym(core)
         return _WeightFrame(w_mat, sqrt_w, qinv, core, c_sld, ill, core_norm, c_sld + core_norm)
 

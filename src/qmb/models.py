@@ -31,7 +31,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import broadcast, dot, raise_first_failure, small_matmul, stacked
+from .linalg import broadcast, dot, entry_sum, raise_first_failure, small_matmul, stacked
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -260,8 +260,8 @@ def _pure_vectors(psi0, js, axes, scales) -> tuple[np.ndarray, np.ndarray]:
     shared by every row (n,) stays one vector, and J_c psi0 and <J_c> are
     formed once.  Every product is a broadcast multiply-add, so a row
     rounds the same way in any batch."""
-    jpsi = (js * psi0[..., None, None, :]).sum(-1)  # J_c psi0, (..., 3, n)
-    mean = (psi0.conj()[..., None, :] * jpsi).sum(-1).real  # <J_c>
+    jpsi = entry_sum(js * psi0[..., None, None, :])  # J_c psi0, (..., 3, n)
+    mean = entry_sum(psi0.conj()[..., None, :] * jpsi).real  # <J_c>
     centered = jpsi - mean[..., None] * psi0[..., None, :]
     n_k = stacked(*axes, axis=-2)  # (..., d, 3)
     return psi0, (2j * stacked(*scales))[..., None] * small_matmul(n_k, centered)

@@ -15,7 +15,7 @@ import numpy as np
 from .bounds import _VOID, FLAG_RLD_UNAVAILABLE, FLAG_SINGULAR_QFIM, ReportOptions, batch_reports
 from .errors import InvalidInput, InvalidSpec, UnknownPreset
 from .geometry import _weight_and_root, model_geometry
-from .linalg import WEIGHT_FLOOR, broadcast, stacked
+from .linalg import WEIGHT_FLOOR, broadcast, rows_failing, stacked
 from .models import MODEL_IDS, PARAM_NAMES, ModelConfig, model_arrays
 from .models import _CONSTANT_NAMES, _check_names, _checked_config
 
@@ -395,7 +395,10 @@ def _evaluate_chunk(spec: SweepSpec, bound: dict, rows: int) -> _Chunk:
     masks = {**cols["flags"], FLAG_R_ABOVE_ONE: ~cols["null"] & (cols["R"] > 1.0 + 1e-9)}
     if spec.maximize_over:
         masks[FLAG_NOT_SATURATED] = ~cols["null"] & ~(cols["T"] >= 1.0 - _SATURATION_TOL)
-    codes = np.where(void, -1, stacked(*masks.values()) @ (1 << np.arange(len(masks))))
+    codes = np.zeros(rows, int)  # bit k set where the k-th mask is
+    for bit, mask in enumerate(masks.values()):
+        codes |= mask << bit
+    codes = np.where(void, -1, codes)
     flags = {code: tuple(sorted(name for bit, name in enumerate(masks) if code >> bit & 1))
              if code >= 0 else (FLAG_SINGULAR_QFIM,) for code in set(codes.tolist())}
     gone = stacked(*gone)
@@ -411,7 +414,7 @@ def _qfim_weight(geometry) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     q11 = geometry.qfim[:, :1, :1]
     with np.errstate(divide="ignore", invalid="ignore"):
         w_mat, w_vals = geometry.qfim / q11, q_vals / q11[:, 0]
-    void = ~np.isfinite(w_mat).all(axis=(-2, -1)) | ~(w_vals[:, 0] > WEIGHT_FLOOR)
+    void = rows_failing(np.isfinite(w_mat), (-2, -1)) | ~(w_vals[:, 0] > WEIGHT_FLOOR)
     roots = np.sqrt(np.where(void[:, None], 1.0, w_vals))
     sqrt_w = (q_vecs * roots[:, None, :]) @ q_vecs.swapaxes(-1, -2)
     eye = np.eye(q_vals.shape[-1])
@@ -558,8 +561,9 @@ def _joined(chunk: _Chunk, fmt, void: str, flag_text, keys: Sequence[str] = ()) 
     order = patterns.argsort()  # the distinct patterns in order, as np.unique finds them
     ordered, first = patterns[order], np.empty(len(patterns), bool)
     first[:1], first[1:] = True, ordered[1:] != ordered[:-1]
-    bits, cells = ordered[first], np.empty(chunk.values.shape, np.intp)
-    cells.flat[order] = first.cumsum() - 1
+    bits, cells = ordered[first], np.empty(len(patterns), np.intp)
+    cells[order] = first.cumsum() - 1
+    cells = cells.reshape(chunk.values.shape)
     if chunk.void is not None:
         cells = np.where(chunk.void, len(bits), cells)
     low = min(chunk.flags, default=0)  # a text for every code from the least to the greatest

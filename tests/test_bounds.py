@@ -698,6 +698,26 @@ class TestFullReport:
         assert "RldUnavailable" in report.flags
         assert report.c_rld is None
 
+    def test_rld_unavailable_rows_read_nan(self, rng):
+        # a rank-deficient row of matrix input takes the identity in place
+        # of rho in the stacked RLD solve; its c_rld is NaN, not the bound of
+        # that identity, and the full-rank row beside it reads as it does alone
+        (pure, pure_d), (full, full_d) = random_pure_model(rng, 3, 2), random_model(rng, 3, 2)
+        opts = ReportOptions(compute_holevo=False)
+
+        def c_rld_column(rho, derivs):
+            rho, derivs = np.array(rho), np.array(derivs)
+            g = compute_geometry(rho, derivs)
+            w = np.broadcast_to(np.eye(2), (len(rho), 2, 2))
+            cols = batch_reports(rho, derivs, g, w, w, opts)
+            return cols["c_rld"], cols["flags"]["RldUnavailable"]
+
+        both, flags = c_rld_column([pure, full], [pure_d, full_d])
+        assert flags.tolist() == [True, False]
+        assert np.isnan(both[0])
+        alone, _ = c_rld_column([full], [full_d])
+        assert both[1] == alone[0] and np.isfinite(alone[0])
+
     def test_singular_qfim_yields_null_fields(self):
         pt = tq_point(l1=(np.arctan2(0.3, 0.2) + 0.35) / 2)
         report = full_report(pt, np.eye(2))

@@ -209,6 +209,56 @@ class TestComputeGeometry:
                 model_geometry(None, None, None, (states, ds))
             assert str(got.value) == str(want.value), case
 
+    @pytest.mark.parametrize("row0, row1, error, message", [
+        ("traced", "trace", NonHermitianInput, "rho has trace np.float64(4.0), expected 1"),
+        ("trace", "nan psi", NonHermitianInput, "rho has non-finite entries"),
+        ("traced", "nan l", DerivativeNotTraceless,
+         "Tr drho = np.complex128(0.25+0j), expected 0"),
+        ("nan l", "traced", NonHermitianInput, "drho has non-finite entries"),
+    ])
+    def test_vector_route_checks_in_order_across_rows(self, row0, row1, error, message):
+        # row 0 fails a later check than row 1: each check runs over every
+        # row before the next, and one check's first failing row raises
+        # (the non-finite l and the traced derivative are one check)
+        psi = np.array([[1.0, 0.0], [1.0, 0.0]], complex)
+        ells = np.array([[[0.0, 1.0], [0.0, 1j]]] * 2)
+        for row, fault in enumerate((row0, row1)):
+            if fault == "trace":
+                psi[row] = [2.0, 0.0]
+            elif fault == "nan psi":
+                psi[row] = [np.nan, 0.0]
+            elif fault == "traced":  # Tr d_1 rho = <psi|l_1> / 2 = 0.25
+                ells[row, 0] = [0.5, 1.0]
+            else:
+                ells[row, 1] = [np.nan, 1j]
+        with pytest.raises(error) as got:
+            model_geometry(None, None, (psi, ells), None)
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("row0, row1, error, message", [
+        ("not tangent", "|r| > 1", NonHermitianInput, "rho has negative eigenvalue -2.500e-01"),
+        ("nan d r", "|r| > 1", NonHermitianInput, "rho has negative eigenvalue -2.500e-01"),
+        ("|r| > 1", "nan r", NonHermitianInput, "rho has non-finite entries"),
+        ("not tangent", "nan d r", NonHermitianInput, "drho has non-finite entries"),
+    ])
+    def test_bloch_route_checks_in_order_across_rows(self, row0, row1, error, message):
+        # as on the vector route: r's checks, then d r's, then the tangent
+        # test, each over every row before the next
+        r = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.5]])
+        dr = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]] * 2)
+        for row, fault in enumerate((row0, row1)):
+            if fault == "|r| > 1":
+                r[row] = [0.0, 0.0, 1.5]
+            elif fault == "nan r":
+                r[row] = [np.nan, 0.0, 0.5]
+            elif fault == "nan d r":
+                dr[row, 1] = [np.nan, 1.0, 0.0]
+            else:
+                dr[row, 0] = [1.0, 0.0, 0.5]
+        with pytest.raises(error) as got:
+            model_geometry(None, None, None, (r, dr))
+        assert str(got.value) == message
+
     @pytest.mark.parametrize("model_id, constants", [
         ("su2_qutrit", dict(alpha=0.7, beta=0.2, t=1.0)),
         ("su2_qubit", dict(alpha=0.7, beta=0.2, t=1.0)),

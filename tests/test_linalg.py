@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qmb.errors import DerivativeNotTraceless, NonHermitianInput, SingularState
 from qmb.general import eig_hermitian, require_density, rld_solve, sld_solve
-from qmb.linalg import adjugate, raise_first_failure, small_matmul, trace_norm
+from qmb.linalg import adjugate, entry_sum, raise_first_failure, small_matmul, trace_norm
 
 from conftest import op_norm_inf, random_density, random_traceless_hermitian
 
@@ -204,6 +204,24 @@ class TestAdjugate:
         scale = 1e-13 * np.max(np.abs(a)) ** n
         np.testing.assert_allclose(adjugate(a) @ a, det, rtol=0, atol=scale)
         np.testing.assert_allclose(a @ adjugate(a), det, rtol=0, atol=scale)
+
+
+class TestEntrySum:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_numpy_sum_to_the_bit(self, rng, dtype):
+        # the elementwise adds round as numpy's reduction of the same
+        # contiguous terms, over one trailing axis or two, whatever the
+        # count: index order, pairs from 8 real terms, numpy's own beyond
+        shapes = [((50, n), 1) for n in range(1, 21)]
+        shapes += [((50, 3, n, m), 2) for n in range(1, 5) for m in range(1, 6)]
+        for shape, axes in shapes:
+            a = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+            if dtype is complex:
+                a = a + 1j * rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+            got = np.ascontiguousarray(entry_sum(a, axes))
+            want = a.sum(axis=tuple(range(-axes, 0)))
+            assert got.shape == want.shape, shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), shape
 
 
 class TestRaiseFirstFailure:

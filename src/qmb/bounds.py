@@ -20,7 +20,7 @@ HolevoNotConverged.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import HierarchyViolation, InvalidInput
 from .geometry import (
     InformationGeometry,
     _frame,
+    _require_one_point,
     _spectral_radius,
     _weight_and_root,
     _WeightFrame,
@@ -144,23 +145,17 @@ class _TangentSetup(NamedTuple):
     gram: np.ndarray
 
 
-def _objective(setup: _TangentSetup) -> Callable[[np.ndarray], float]:
-    """The objective of one point's K (flattened), or of a batch's K (B, m, d)."""
-    shape = setup.left.shape[:-2] + setup.left.shape[:-3:-1]  # (..., m, d)
-    sqrt_w, core, base = setup.frame.sqrt_w, setup.frame.core, setup.frame.c_sld
-    left = setup.left
+def _objective(setup: _TangentSetup, k: np.ndarray) -> np.ndarray:
+    """The objective at K (..., m, d), for one point or for a batch stacked
+    along a leading axis; a value that is not finite reads 1e300."""
+    # Conjugating K -> K sqrt(W) folds both sqrt(W) factors into the
+    # quadratic terms, halving the matmul count per evaluation.
+    b = k @ setup.frame.sqrt_w
+    cross = setup.left @ b
     gram_re, gram_im = setup.gram.real, setup.gram.imag
-
-    def objective(k: np.ndarray) -> float:
-        # Conjugating K -> K sqrt(W) folds both sqrt(W) factors into the
-        # quadratic terms, halving the matmul count per evaluation.
-        b = np.asarray(k, dtype=float).reshape(shape) @ sqrt_w
-        cross = left @ b
-        im_z = core + b.swapaxes(-1, -2) @ (gram_im @ b) + cross - cross.swapaxes(-1, -2)
-        val = base + entry_sum(b * (gram_re @ b), 2) + tracenorm_antisym(im_z)
-        return np.where(np.isfinite(val), val, 1e300)[()]
-
-    return objective
+    im_z = setup.frame.core + b.swapaxes(-1, -2) @ (gram_im @ b) + cross - cross.swapaxes(-1, -2)
+    val = setup.frame.c_sld + entry_sum(b * (gram_re @ b), 2) + tracenorm_antisym(im_z)
+    return np.where(np.isfinite(val), val, 1e300)[()]
 
 
 def _holevo_solutions(setup: _TangentSetup) -> tuple[int, HolevoSolution]:
@@ -257,19 +252,19 @@ def _holevo_exact(setup: _TangentSetup) -> HolevoSolution:
     root = setup.frame.sqrt_w
     adj = adjugate(root)  # k = adj(sqrt W) b / det sqrt(W)
     k = (adj @ b[..., :d, None])[..., 0] / dot(adj[..., 0, :], root[..., :, 0])[..., None]
-    value = _objective(setup)(k)
+    k = k[:, None]
+    value = _objective(setup, k)
     worse = value > setup.frame.c_t
     value = np.where(worse, setup.frame.c_t, value)
-    k = np.where(worse[..., None], 0.0, k)[:, None]
+    k = np.where(worse[..., None, None], 0.0, k)
     return HolevoSolution(k, value, np.minimum(lower, value), broadcast(2, len(value)))
 
 
-def _check_hierarchy(report, rows=...) -> None:
+def _check_hierarchy(cols: dict, rows=...) -> None:
     """Raise HierarchyViolation for the first point off C_SLD <= C_H <= C_T <= C_R <= 2 C_SLD.
-    ``report`` is a `BoundsReport` or a batch's columns, with ``rows`` selecting the points
+    ``cols`` are a batch's columns (`batch_reports`), with ``rows`` selecting the points
     to check; a C_H of None leaves out its two links."""
-    fields = report if isinstance(report, dict) else report._asdict()
-    values = {k: fields[k] if fields[k] is None else np.asarray(fields[k], dtype=float)[rows]
+    values = {k: cols[k] if cols[k] is None else np.asarray(cols[k], dtype=float)[rows]
               for k in ("c_sld", "c_h", "c_t", "c_r")}
     c_s, c_h, c_t, c_r = values.values()
     if c_s is None or c_t is None or c_r is None:
@@ -304,6 +299,7 @@ def full_report(
     from .general import compute_geometry  # on first use: a model point is matrix input
     opts = opts or ReportOptions()
     g = geometry or compute_geometry(point.rho, point.derivs)
+    _require_one_point(g)
     w_mat, sqrt_w = _weight_and_root(w_mat, g.n_params)
     one = InformationGeometry(*(v if v is None else np.asarray(v)[None] for v in (
         g.qfim, g.uhlmann, g.slds, g.tangent_dim, g.rho_spectrum, g.psi, g.r)))
@@ -355,14 +351,15 @@ def batch_reports(
     frame = _frame(g, w_mat, sqrt_w)
     # a Q whose inverse leaves the float range is singular in floating point
     out_of_range, points = ~np.isfinite(frame.c_sld), len(w_mat)
-    ill = frame.used_pseudo | out_of_range
+    ill = g._qfim_inverses[2] | out_of_range
     null = ill & (g._qfim_inverses[3] | out_of_range | (not opts.pseudo_inverse))
     with np.errstate(divide="ignore", invalid="ignore"):  # T of a zero Q: a null row
         c_t, t_value = frame.c_t, frame.t_value
     c_rld, no_rld = None, np.zeros(points, bool)
     if opts.compute_rld:
-        spectrum = np.linalg.eigvalsh(rho) if g.rho_spectrum is None else g.rho_spectrum
-        no_rld = np.min(spectrum, axis=-1) <= SUPPORT_TOL  # rank deficient
+        # rho's smallest eigenvalue: the last of the descending spectrum
+        low = np.linalg.eigvalsh(rho)[..., 0] if g.rho_spectrum is None else g.rho_spectrum[..., -1]
+        no_rld = low <= SUPPORT_TOL  # rank deficient
         c_rld = broadcast(np.nan, points)
         if g.r is not None and g.n_params == 2:
             # the RLD matrix is (Q - iU) / (1 - |r|^2), as ill as Q or more,

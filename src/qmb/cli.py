@@ -23,7 +23,6 @@ from .sweep import (
     WeightSpec,
     emit,
     figure_preset,
-    run_point,
     run_sweep,
 )
 
@@ -159,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config(args)
         if args.command == "compute":
             spec = _build_spec(args, axes=())
-            rows = [run_point(spec)]
+            rows = run_sweep(spec)
         elif args.command == "sweep":
             axes = tuple(_parse_axis(a) for a in args.axis)
             if not axes:

@@ -20,12 +20,12 @@ import numpy as np
 from .bounds import HolevoSolution, _holevo_solutions, _objective, _TangentSetup
 from .errors import (DerivativeNotTraceless, InvalidInput, NonHermitianInput, SingularState,
                      StepTooLarge)
-from .geometry import (RANK_TOL, InformationGeometry, _geometry, _qfim_inverse, _split_gram,
-                       _weight_and_root, _WeightFrame, _weight_frame, quantumness_R, subset,
-                       take)
-from .linalg import (DENSITY_TRACE_TOL, HERMITICITY_TOL, SUPPORT_TOL, _require_eig_floor,
-                     hermitian_part, raise_first_failure, require_pure_state, small_matmul,
-                     tracenorm_antisym)
+from .geometry import (RANK_TOL, InformationGeometry, _geometry, _qfim_inverse,
+                       _require_one_point, _split_gram, _weight_and_root, _WeightFrame,
+                       _weight_frame, quantumness_R, subset, take)
+from .linalg import (DENSITY_TRACE_TOL, DERIVATIVE_TRACE_TOL, HERMITICITY_TOL, SUPPORT_TOL,
+                     _require_eig_floor, hermitian_part, raise_first_failure, require_pure_state,
+                     small_matmul, tracenorm_antisym)
 from .models import (_EYE3, MODEL_IDS, PARAM_NAMES, PAULI, ModelConfig, _apply, _dot_j, _mat,
                      _pure_vectors, _su2_frame, _tunable_qubit_bloch_derivs)
 
@@ -54,11 +54,6 @@ def require_hermitian(h: np.ndarray, name: str = "operator") -> np.ndarray:
     return h
 
 
-def require_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Validate unit trace and positivity (up to the eigenvalue floor)."""
-    return density_spectrum(rho, name)[0]
-
-
 def _require_unit_trace(rho: np.ndarray, name: str) -> np.ndarray:
     rho = require_hermitian(rho, name)
     tr = np.trace(rho, axis1=-2, axis2=-1).real
@@ -69,36 +64,29 @@ def _require_unit_trace(rho: np.ndarray, name: str) -> np.ndarray:
 
 def density_spectrum(rho: np.ndarray, name: str = "rho") -> tuple[np.ndarray, np.ndarray]:
     """rho as a complex array and its ascending eigenvalues from one eigvalsh,
-    validated against them as ``require_density`` does."""
+    validated against them: Hermitian, unit trace and no eigenvalue below
+    the floor (`linalg.DENSITY_EIG_FLOOR`)."""
     rho = _require_unit_trace(rho, name)
     w = np.linalg.eigvalsh(rho)
     _require_eig_floor(w[..., 0], name)
     return rho, w
 
 
-def eig_hermitian(h: np.ndarray, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a Hermitian matrix.
-
-    Returns eigenvalues sorted descending and the matching eigenvector
+def state_eigensystem(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral decomposition of a density matrix: the eigenvalues sorted
+    descending, tiny negatives clamped to 0, and the matching eigenvector
     columns with a deterministic phase: the largest-magnitude component of
     each eigenvector (lowest index on ties) is made real and positive.
-    """
-    h = require_hermitian(h) if check else np.asarray(h)
-    w, v = np.linalg.eigh(hermitian_part(h))
-    w, v = w[..., ::-1], v[..., ::-1]
-    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
-    mag = np.hypot(pivot.real, pivot.imag)  # as abs() rounds a complex scalar
-    return w, v * np.where(mag > 0, pivot.conj() / np.where(mag > 0, mag, 1.0), 1.0)
 
-
-def state_eigensystem(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a density matrix, tiny negatives clamped to 0.
-
-    rho is validated as ``require_density`` does, against the spectrum of
+    rho is validated as `density_spectrum` does, against the spectrum of
     this same decomposition.
     """
-    w, v = eig_hermitian(_require_unit_trace(rho, "rho"), check=False)
+    w, v = np.linalg.eigh(hermitian_part(_require_unit_trace(rho, "rho")))
+    w, v = w[..., ::-1], v[..., ::-1]
     _require_eig_floor(w[..., -1], "rho")
+    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    mag = np.hypot(pivot.real, pivot.imag)  # as abs() rounds a complex scalar
+    v = v * np.where(mag > 0, pivot.conj() / np.where(mag > 0, mag, 1.0), 1.0)
     return np.clip(w, 0.0, None), v
 
 
@@ -106,8 +94,8 @@ def require_derivative(drho: np.ndarray) -> np.ndarray:
     """Validate a state derivative: Hermitian and traceless."""
     drho = np.asarray(drho, dtype=complex)
     tr = np.trace(drho, axis1=-2, axis2=-1)
-    raise_first_failure(*_hermitian_checks(drho, "drho"), (np.abs(tr) > 1e-10, lambda i: (
-        DerivativeNotTraceless(f"Tr drho = {tr.flat[i]!r}, expected 0"))))
+    raise_first_failure(*_hermitian_checks(drho, "drho"), (np.abs(tr) > DERIVATIVE_TRACE_TOL,
+                        lambda i: DerivativeNotTraceless(f"Tr drho = {tr.flat[i]!r}, expected 0")))
     return drho
 
 
@@ -379,9 +367,9 @@ def tangent_normal_decomposition(
     they add nothing to the Holevo objective; dropping them keeps the Gram
     matrix invertible.
     """
+    f = _qfim_inverse(g, pseudo_inverse)[4]  # one point, and the singularity policy
     if not g.slds:
         raise InvalidInput("geometry must carry SLD operators")
-    f = _qfim_inverse(g, pseudo_inverse)[4]  # singularity policy
     rho = np.asarray(rho, dtype=complex)
     coordinates = _gell_mann_coordinates(rho[None], np.asarray(g.slds)[None])
     ((_, basis),) = _normal_spaces(*coordinates, f[None])
@@ -509,7 +497,7 @@ def _holevo_dual(setup: _TangentSetup) -> HolevoSolution:
     h_y = np.stack([np.kron(e, gram.imag) for e in basis])
     gamma_y = (left.T @ basis).swapaxes(-1, -2).reshape(len(basis), d * m)
     core_y = np.einsum("aij,ij->a", basis, frame.core)
-    objective, from_b = _objective(setup), np.linalg.inv(frame.sqrt_w)
+    from_b = np.linalg.inv(frame.sqrt_w)
 
     def dual(y: np.ndarray) -> tuple:
         """g(y), x*(y), and the gradient and negated Hessian of g at y."""
@@ -529,7 +517,7 @@ def _holevo_dual(setup: _TangentSetup) -> HolevoSolution:
     value, lower, k_best, evals, gap = float(frame.c_t), float(g), np.zeros((m, d)), 1, np.inf
     for steps in range(_DUAL_MAX_ITER + 1):
         k = x.reshape(d, m).T @ from_b
-        primal = float(objective(k))
+        primal = float(_objective(setup, k))
         if primal < value:
             value, k_best = primal, k
         lower = max(lower, float(g))
@@ -677,6 +665,7 @@ def weight_transform(g: InformationGeometry, w_mat: np.ndarray) -> WeightTransfo
     does not move, so the rotated geometry keeps its spectrum, ``psi`` and
     ``r``, and with them the structural R and C_H of its route.
     """
+    _require_one_point(g)
     w_mat = _weight_and_root(w_mat, g.n_params)[0]
     d = g.n_params
     if np.count_nonzero(w_mat - np.diag(np.diag(w_mat))) == 0:

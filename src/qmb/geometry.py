@@ -252,11 +252,20 @@ def _largest(a: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])
 
 
+def _require_one_point(g: InformationGeometry) -> None:
+    """Raise InvalidInput for the geometry of a batch: the one-point
+    functions take a Q of shape (d, d)."""
+    if g.qfim.ndim != 2:
+        raise InvalidInput(f"expected the geometry of one point, Q of shape (d, d); "
+                           f"got Q of shape {g.qfim.shape}")
+
+
 def _qfim_inverse(g: InformationGeometry, pseudo_inverse: bool = False) -> tuple:
-    """The geometry's cached `_qfim_inverses` with the singularity policy
-    applied: a Q without positive eigenvalues raises SingularQFIM, and so
-    does an ill one (`_eigen_inverses`) unless ``pseudo_inverse`` allows
-    the pseudo-inverse."""
+    """The cached `_qfim_inverses` of one point's geometry with the
+    singularity policy applied: a Q without positive eigenvalues raises
+    SingularQFIM, and so does an ill one (`_eigen_inverses`) unless
+    ``pseudo_inverse`` allows the pseudo-inverse."""
+    _require_one_point(g)
     if g._qfim_inverses[3]:
         raise SingularQFIM("QFIM has no positive eigenvalues")
     if g._qfim_inverses[2] and not pseudo_inverse:
@@ -269,18 +278,17 @@ def _qfim_inverse(g: InformationGeometry, pseudo_inverse: bool = False) -> tuple
 
 
 class _WeightFrame(NamedTuple):
-    """What every weighted bound reads at one (geometry, W): the validated
-    W, sqrt(W), Q^-1, the core sqrt(W) Q^-1 U Q^-1 sqrt(W),
-    C_SLD = Tr[W Q^-1], the core's trace norm ||core||_1 and
-    C_T = C_SLD + ||core||_1.  ``used_pseudo`` says whether Q^-1 is the
-    rank-truncated pseudo-inverse."""
+    """What every weighted bound reads at one (geometry, W), or per point of
+    a batch: the validated W, sqrt(W), Q^-1 (the rank-truncated
+    pseudo-inverse where the geometry's Q is ill), the core
+    sqrt(W) Q^-1 U Q^-1 sqrt(W), C_SLD = Tr[W Q^-1], the core's trace norm
+    ||core||_1 and C_T = C_SLD + ||core||_1."""
 
     w_mat: np.ndarray
     sqrt_w: np.ndarray
     qinv: np.ndarray
     core: np.ndarray
     c_sld: float
-    used_pseudo: bool
     core_norm: float
     c_t: float
 
@@ -308,7 +316,7 @@ def _frame(g: InformationGeometry, w_mat: np.ndarray, sqrt_w: np.ndarray) -> _We
     U.  Neither forms a product with Q^-1.
     A row whose Q^-1 leaves the float range gets inf or NaN, and
     `batch_reports` makes it a null row."""
-    qinv, root_det, ill = g._qfim_inverses[:3]
+    qinv, root_det = g._qfim_inverses[:2]
     with np.errstate(over="ignore", invalid="ignore"):
         if g.n_params == 2:
             det_sqrt_w = sqrt_w[..., 0, 0] * sqrt_w[..., 1, 1] - sqrt_w[..., 0, 1] * sqrt_w[..., 1, 0]
@@ -319,7 +327,7 @@ def _frame(g: InformationGeometry, w_mat: np.ndarray, sqrt_w: np.ndarray) -> _We
             core = sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w
         c_sld = entry_sum(w_mat * qinv, 2)
         core_norm = tracenorm_antisym(core)
-        return _WeightFrame(w_mat, sqrt_w, qinv, core, c_sld, ill, core_norm, c_sld + core_norm)
+        return _WeightFrame(w_mat, sqrt_w, qinv, core, c_sld, core_norm, c_sld + core_norm)
 
 
 def _weight_frame(

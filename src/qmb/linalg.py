@@ -28,6 +28,8 @@ from .errors import DerivativeNotTraceless, InvalidInput, NonHermitianInput
 
 HERMITICITY_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-12
+# A state derivative is traceless where |Tr d_k rho| is at most this.
+DERIVATIVE_TRACE_TOL = 1e-10
 DENSITY_EIG_FLOOR = -1e-12
 # An eigenvalue of rho at or below SUPPORT_TOL is zero; a weight matrix whose
 # smallest eigenvalue is at or below WEIGHT_FLOOR is not positive definite.
@@ -149,8 +151,6 @@ def adjugate(a: np.ndarray) -> np.ndarray:
 def trace_norm(a: np.ndarray) -> float:
     """Sum of singular values, ||A||_1 = Tr sqrt(A^dag A)."""
     a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0.0
     return np.sum(np.linalg.svd(a, compute_uv=False), axis=-1)
 
 
@@ -168,7 +168,7 @@ def tracenorm_antisym(m: np.ndarray) -> float:
 
 def require_pure_state(psi: np.ndarray, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate pure states psi (..., n) given with the vectors
-    l_k = L_k psi (..., d, n) of their SLDs, as `require_density` and
+    l_k = L_k psi (..., d, n) of their SLDs, as `density_spectrum` and
     `require_derivative` validate rho = psi psi^dag and its derivatives:
     finite entries, Tr rho = |psi|^2 = 1, and Tr d_k rho = <psi|l_k> / 2 = 0.
     psi broadcasts against l's leading axes, and is checked in the shape it
@@ -186,7 +186,7 @@ def require_pure_state(psi: np.ndarray, ells: np.ndarray) -> tuple[np.ndarray, n
     raise_first_failure(
         (rows_failing(np.isfinite(ells)),
          lambda i: NonHermitianInput("drho has non-finite entries")),
-        (np.abs(tr_d) > 1e-10,
+        (np.abs(tr_d) > DERIVATIVE_TRACE_TOL,
          lambda i: DerivativeNotTraceless(f"Tr drho = {tr_d.flat[i]!r}, expected 0")))
     return psi, ells
 
@@ -195,7 +195,7 @@ def require_bloch_vectors(
     r: np.ndarray, dr: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate qubit states given by Bloch vectors r (..., 3) with their
-    derivatives d r (..., d, 3), as `require_density` and `require_derivative`
+    derivatives d r (..., d, 3), as `density_spectrum` and `require_derivative`
     validate rho = (I + r.sigma) / 2 and d_k rho = d_k r.sigma / 2: finite
     entries, and the lower eigenvalue (1 - |r|) / 2 above the floor.  Unit
     trace, Hermiticity and traceless derivatives hold by construction.

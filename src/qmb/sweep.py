@@ -131,8 +131,8 @@ class _Chunk(NamedTuple):
 
     def cells(self, rows: slice = slice(None)) -> list[list]:
         """Each row's cells as Python floats, None where void."""
-        values = self.values if self.void is None else np.where(self.void, None, self.values)
-        return values[rows].tolist()
+        values = self.values[rows]
+        return (values if self.void is None else np.where(self.void[rows], None, values)).tolist()
 
 
 def _chunk_of(rows: Iterable[ResultRow], n_axes: int, outputs: tuple[str, ...]) -> _Chunk:
@@ -157,7 +157,9 @@ class SweepResult(Sequence):
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
 
-    def __getitem__(self, i: int) -> ResultRow:
+    def __getitem__(self, i: int | slice) -> ResultRow | list[ResultRow]:
+        if isinstance(i, slice):  # the rows it names, as a list
+            return [self[k] for k in range(len(self))[i]]
         i = range(len(self))[i]  # a negative index counts from the end
         k = bisect.bisect_right(self._ends, i)
         i -= self._ends[k - 1] if k else 0

@@ -258,7 +258,9 @@ def tangent_setup(g, basis, w_mat: np.ndarray):
 
 def tangent_objective(g, basis, w_mat: np.ndarray) -> Callable[[np.ndarray], float]:
     """The Holevo objective of `bounds` as a function of the flattened K matrix."""
-    return bounds._objective(tangent_setup(g, basis, w_mat))
+    setup = tangent_setup(g, basis, w_mat)
+    shape = setup.left.shape[::-1]  # K is m x d
+    return lambda k: bounds._objective(setup, np.reshape(np.asarray(k, dtype=float), shape))
 
 
 def tunable_qubit_pure_geometry_grid(
@@ -501,17 +503,17 @@ def eigvalsh_spectral_radius(g):
     """`geometry._spectral_radius` by a stacked eigvalsh of
     i Q^-1/2 U Q^-1/2 for every d, Q^-1/2 from Q's eigenpairs."""
     w, v = g._qfim_eigh
-    qinv_sqrt = (v * np.sqrt(stacked_inverse(w)[0])[..., None, :]) @ v.swapaxes(-1, -2)
+    qinv_sqrt = (v * np.sqrt(stacked_inverse(w))[..., None, :]) @ v.swapaxes(-1, -2)
     vals = np.linalg.eigvalsh(hermitian_part(1j * (qinv_sqrt @ g.uhlmann @ qinv_sqrt)))
     return np.max(np.abs(vals), axis=-1, initial=0.0)
 
 
 def stacked_inverse(w):
     """The inverse eigenvalues that `geometry._eigen_inverses` keeps (0 on the
-    others) and ill, from Q's ascending eigenvalues w: it keeps those above
-    RANK_TOL times the largest, and a row is ill where the smallest is dropped."""
+    others), from Q's ascending eigenvalues w: it keeps those above RANK_TOL
+    times the largest."""
     keep = w > geometry.RANK_TOL * w[..., -1:]
-    return np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0), ~keep[..., 0]
+    return np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
 
 
 def stacked_frame(g, w_mat, sqrt_w):
@@ -519,13 +521,13 @@ def stacked_frame(g, w_mat, sqrt_w):
     eigenpairs, the core sqrt(W) Q^-1 U Q^-1 sqrt(W), C_SLD = Tr[W Q^-1],
     the core's trace norm and C_T = C_SLD + that norm."""
     w, v = g._qfim_eigh
-    inv_w, ill = stacked_inverse(w)
+    inv_w = stacked_inverse(w)
     qinv = (v * inv_w[..., None, :]) @ v.swapaxes(-1, -2)
     core = sqrt_w @ qinv @ g.uhlmann @ qinv @ sqrt_w
     c_sld = np.trace(w_mat @ qinv, axis1=-2, axis2=-1)
     with np.errstate(over="ignore", invalid="ignore"):  # as in `geometry._frame`
         norm = tracenorm_antisym(core)
-        return geometry._WeightFrame(w_mat, sqrt_w, qinv, core, c_sld, ill, norm, c_sld + norm)
+        return geometry._WeightFrame(w_mat, sqrt_w, qinv, core, c_sld, norm, c_sld + norm)
 
 
 def solve_adjugate(a):

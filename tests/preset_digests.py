@@ -4,13 +4,21 @@ Twenty-two outputs: the six presets with their default outputs, and fig2 to
 fig5 with every canonical output, each as CSV and as JSON (fig2 with
 r_y=0.2, r_z=0.4).  Each line is the digest, then the output's label:
 
-    PYTHONPATH=src python tests/preset_digests.py
+    PYTHONPATH=src python tests/preset_digests.py > digests.txt
+
+With ``--compare FILE`` the digests are checked against a saved listing,
+such as the script's own output on another tree: it names each output whose
+digest moved, or that one side lacks, and exits 1 if any did:
+
+    PYTHONPATH=src python tests/preset_digests.py --compare digests.txt
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
+import sys
 from dataclasses import replace
 
 from qmb import sweep
@@ -42,6 +50,34 @@ def digests() -> dict[str, str]:
     return out
 
 
+def compare(saved: dict[str, str], now: dict[str, str]) -> list[str]:
+    """A line for each label whose digest differs between two listings, or
+    that only one of them holds."""
+    return [f"{label}: {'moved' if label in saved and label in now else 'missing'} "
+            f"({saved.get(label, '-')[:12]} -> {now.get(label, '-')[:12]})"
+            for label in [*saved, *(k for k in now if k not in saved)]
+            if saved.get(label) != now.get(label)]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--compare", metavar="FILE",
+                        help="a saved listing to check the digests against")
+    args = parser.parse_args(argv)
+    now = digests()
+    if args.compare is None:
+        for label, digest in now.items():
+            print(digest, label)
+        return 0
+    saved = {}
+    with open(args.compare, encoding="utf-8") as handle:
+        for line in filter(str.strip, handle):
+            digest, label = line.rstrip("\n").split(" ", 1)
+            saved[label] = digest
+    changed = compare(saved, now)
+    print(*changed, f"{len(changed)} of {len(set(saved) | set(now))} outputs changed", sep="\n")
+    return 1 if changed else 0
+
+
 if __name__ == "__main__":
-    for label, digest in digests().items():
-        print(digest, label)
+    sys.exit(main())

@@ -158,7 +158,9 @@ def holevo_ladder(setup, max_iter=5000, tol=1e-9, restarts=8, seed=0, max_rounds
     sum sqrt(sigma^2 + mu^2), each result scored with the exact objective.
     Any K gives an upper bound, so this is a one-sided oracle."""
     d, m = setup.left.shape
-    objective = _objective(setup)
+
+    def objective(k):
+        return _objective(setup, k.reshape(m, d))
 
     def smoothed(mu):
         def value(k):
@@ -817,7 +819,7 @@ class TestFullReport:
             r_value=1.5, t_value=-0.5, holevo=None, flags=frozenset(),
         )
         with pytest.raises(HierarchyViolation):
-            _check_hierarchy(bad)
+            _check_hierarchy(bad._asdict())
 
     def test_hierarchy_lower_link_is_relative(self):
         # C_H >= C_SLD holds to HIERARCHY_SLACK C_SLD, as every other link
@@ -827,8 +829,8 @@ class TestFullReport:
             r_value=0.0, t_value=0.0, holevo=None, flags=frozenset(),
         )
         with pytest.raises(HierarchyViolation, match="C_H < C_SLD"):
-            _check_hierarchy(tiny)
-        _check_hierarchy(tiny._replace(c_h=1e-10 * (1.0 - 0.5 * HIERARCHY_SLACK)))
+            _check_hierarchy(tiny._asdict())
+        _check_hierarchy(tiny._replace(c_h=1e-10 * (1.0 - 0.5 * HIERARCHY_SLACK))._asdict())
 
     def test_hierarchy_violation_raised_by_full_report(self, monkeypatch):
         # one point is a batch of one: its chain is checked like a chunk's

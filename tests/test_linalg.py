@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmb.errors import DerivativeNotTraceless, NonHermitianInput, SingularState
-from qmb.general import eig_hermitian, require_density, rld_solve, sld_solve
+from qmb.general import density_spectrum, rld_solve, sld_solve, state_eigensystem
 from qmb.linalg import adjugate, entry_sum, raise_first_failure, small_matmul, trace_norm
 
 from conftest import op_norm_inf, random_density, random_traceless_hermitian
@@ -13,31 +13,33 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 class TestEigHermitian:
+    """The eigensystem of a density matrix (`state_eigensystem`): descending
+    order, reconstruction, the phase convention, the characteristic roots
+    and the rejection of a non-Hermitian input."""
+
     def test_diagonal(self):
-        vals, vecs = eig_hermitian(np.diag([2.0, 1.0]).astype(complex))
-        assert np.allclose(vals, [2.0, 1.0])
-        assert np.allclose(vecs, np.eye(2))
+        vals, vecs = state_eigensystem(np.diag([0.25, 0.75]).astype(complex))
+        assert np.allclose(vals, [0.75, 0.25])
+        assert np.allclose(vecs, np.eye(2)[:, ::-1])
 
     def test_pauli_x(self):
-        vals, vecs = eig_hermitian(SX)
-        assert np.allclose(vals, [1.0, -1.0])
+        vals, vecs = state_eigensystem(0.5 * (np.eye(2) + 0.5 * SX))
+        assert np.allclose(vals, [0.75, 0.25])
         assert np.allclose(vecs[:, 0], np.array([1, 1]) / np.sqrt(2))
         assert np.allclose(vecs[:, 1], np.array([1, -1]) / np.sqrt(2))
 
     def test_reconstruction_seed42(self):
-        rng = np.random.default_rng(42)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        h = 0.5 * (a + a.conj().T)
-        vals, vecs = eig_hermitian(h)
-        assert np.max(np.abs((vecs * vals) @ vecs.conj().T - h)) <= 1e-10 * np.max(np.abs(h))
+        rho = random_density(np.random.default_rng(42), 3)
+        vals, vecs = state_eigensystem(rho)
+        assert np.max(np.abs((vecs * vals) @ vecs.conj().T - rho)) <= 1e-10 * np.max(np.abs(rho))
         assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(3))) <= 1e-10
 
     def test_phase_convention_deterministic(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            h = random_traceless_hermitian(rng, 4)
-            _, v1 = eig_hermitian(h)
-            _, v2 = eig_hermitian(h * np.float64(1.0))
+            rho = random_density(rng, 4)
+            _, v1 = state_eigensystem(rho)
+            _, v2 = state_eigensystem(rho * np.float64(1.0))
             assert np.allclose(v1, v2)
             for k in range(4):
                 idx = int(np.argmax(np.abs(v1[:, k])))
@@ -47,17 +49,17 @@ class TestEigHermitian:
     def test_matches_characteristic_roots_2x2(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            h = random_traceless_hermitian(rng, 2) + rng.normal() * np.eye(2)
-            tr = np.trace(h).real
-            det = np.linalg.det(h).real
+            rho = random_density(rng, 2)
+            tr = np.trace(rho).real
+            det = np.linalg.det(rho).real
             disc = np.sqrt(max(tr * tr / 4 - det, 0.0))
             roots = np.array([tr / 2 + disc, tr / 2 - disc])
-            vals, _ = eig_hermitian(h)
+            vals, _ = state_eigensystem(rho)
             assert np.max(np.abs(vals - roots)) <= 1e-10 * max(1.0, np.max(np.abs(roots)))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianInput):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            state_eigensystem(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
 
 class TestNorms:
@@ -154,15 +156,15 @@ class TestRldSolve:
 
 class TestDensityValidation:
     def test_accepts_valid(self):
-        require_density(np.diag([0.5, 0.5]).astype(complex))
+        density_spectrum(np.diag([0.5, 0.5]).astype(complex))
 
     def test_rejects_bad_trace(self):
         with pytest.raises(NonHermitianInput):
-            require_density(np.diag([0.6, 0.6]).astype(complex))
+            density_spectrum(np.diag([0.6, 0.6]).astype(complex))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NonHermitianInput):
-            require_density(np.diag([1.2, -0.2]).astype(complex))
+            density_spectrum(np.diag([1.2, -0.2]).astype(complex))
 
 
 class TestSmallMatmul:

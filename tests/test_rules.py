@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmb.bounds import FLAG_RLD_UNAVAILABLE, ReportOptions, batch_reports, full_report
+from qmb.bounds import (FLAG_RLD_UNAVAILABLE, ReportOptions, batch_reports, c_r_bound, c_sld,
+                        c_t_bound, full_report)
 from qmb.errors import InvalidInput, NonHermitianInput, QmbError, SingularQFIM, SingularState
 from qmb.general import (
     ModelPoint,
@@ -17,8 +18,12 @@ from qmb.general import (
     c_rld,
     compute_geometry,
     generator_geometry,
+    holevo_tangent_min,
     model_point,
     rld_qfim,
+    t_saturation_analysis,
+    tangent_normal_decomposition,
+    weight_transform,
 )
 from qmb.geometry import (
     RANK_TOL,
@@ -27,12 +32,13 @@ from qmb.geometry import (
     geometry_from_matrices,
     model_geometry,
     quantumness_R,
+    t_measure,
 )
 from qmb.linalg import DENSITY_EIG_FLOOR, SUPPORT_TOL, WEIGHT_FLOOR, require_weight, spd_sqrt
 from qmb.models import PARAM_NAMES, model_config
 from qmb.sweep import Axis, SweepSpec, _qfim_weight, figure_preset, run_sweep, validate_spec
 
-from conftest import random_traceless_hermitian
+from conftest import random_model, random_traceless_hermitian
 
 # A value 1% to either side of a rule's constant, as a multiple of it.
 SIDE = st.sampled_from([0.99, 1.01])
@@ -245,6 +251,18 @@ def test_rld_cut_is_relative(scale):
     assert c_rld(scale * np.eye(2), np.eye(2)) == pytest.approx(2.0 / scale, rel=1e-12)
 
 
+def _point_and_batch():
+    """A mixed qubit's point, its normal-space basis and the geometry of a
+    batch of that point twice, which every one-point function rejects."""
+    rho, derivs = random_model(np.random.default_rng(11), 2, 2)
+    basis = tangent_normal_decomposition(rho, compute_geometry(rho, derivs))
+    batch = compute_geometry(np.stack([rho, rho]), np.stack([derivs, derivs]))
+    return ModelPoint((0.0, 0.0), rho, tuple(derivs)), basis, batch
+
+
+_EYE2 = np.eye(2)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -255,9 +273,23 @@ def test_rld_cut_is_relative(scale):
         lambda: generator_geometry(np.array([1.0, 0.0]), []),
         lambda: model_point(model_config("su2_qubit", alpha=0.1, beta=0.0, t=1.0), (0.5,)),
         lambda: model_config("su2_qubit", alpha="abc", beta=0, t=1),
+        lambda: c_sld(_point_and_batch()[2], _EYE2),
+        lambda: c_t_bound(_point_and_batch()[2], _EYE2),
+        lambda: c_r_bound(_point_and_batch()[2], _EYE2),
+        lambda: t_measure(_point_and_batch()[2], _EYE2),
+        lambda: quantumness_R(_point_and_batch()[2]),
+        lambda: tangent_normal_decomposition(_point_and_batch()[0].rho, _point_and_batch()[2]),
+        lambda: holevo_tangent_min(_point_and_batch()[2], _point_and_batch()[1], _EYE2),
+        lambda: t_saturation_analysis(_point_and_batch()[2], _EYE2),
+        lambda: weight_transform(_point_and_batch()[2], _EYE2),
+        lambda: full_report(_point_and_batch()[0], _EYE2, geometry=_point_and_batch()[2]),
     ],
     ids=["weight_not_definite", "weight_not_square", "no_derivatives", "missing_constant",
-         "no_generators", "wrong_parameter_count", "non_numeric_constant"],
+         "no_generators", "wrong_parameter_count", "non_numeric_constant",
+         *(f"batch_geometry_{name}" for name in (
+             "c_sld", "c_t_bound", "c_r_bound", "t_measure", "quantumness_R",
+             "tangent_normal_decomposition", "holevo_tangent_min", "t_saturation_analysis",
+             "weight_transform", "full_report"))],
 )
 def test_input_errors_are_qmb_errors(call):
     with pytest.raises(QmbError) as info:

@@ -613,6 +613,11 @@ class TestEmit:
         assert len(rows) == len(listed) == math.prod(ax.count for ax in spec.axes)
         assert rows[0] == listed[0] and rows[-1] == listed[-1]
         assert [rows[i] for i in range(-len(rows), len(rows))] == listed + listed
+        # a slice is the rows it names, as a list, across chunk boundaries
+        # and for negative steps
+        for part in (slice(1, 3), slice(None), slice(None, None, -1), slice(-3, None),
+                     slice(1000, 1030, 7), slice(1030, 1000, -3), slice(5, 5), slice(-1, 0, 2)):
+            assert rows[part] == listed[part]
         assert listed[-1].axis_values == tuple(ax.stop for ax in spec.axes)
         voids = [name for row in listed for name, v in row.outputs.items() if v is None]
         if case == "fig1_singular_rows":
@@ -657,6 +662,21 @@ class TestEmit:
         emit(result, "csv", out, spec)
         assert path.read_bytes() == out.getvalue().encode()
         assert out.getvalue().count("\n") == 10
+
+
+# Each preset with its default outputs, then fig2 to fig5 with every
+# canonical output, as `qmb sweep` and `qmb compute` ask by default
+_PROFILED = ["fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5",
+             *(f"{name}-every-output" for name in ("fig2", "fig3a", "fig3b", "fig4", "fig5"))]
+
+
+def _profiled_spec(case):
+    """The validated spec of a `_PROFILED` case and its preset's name;
+    fig5 at count=40 is two chunks, and fig3b binds r2."""
+    name, _, every = case.partition("-")
+    config = {"fig2": {"r_y": 0.2, "r_z": 0.4}, "fig5": {"count": 40}}.get(name, {})
+    spec = figure_preset(name, config)
+    return validate_spec(replace(spec, outputs=CANONICAL_OUTPUTS) if every else spec), name
 
 
 class TestFigurePresets:
@@ -824,19 +844,18 @@ class TestFigurePresets:
                                     "fig5": 2}[name]
         assert calls == []
 
-    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5"])
+    @pytest.mark.parametrize("name", _PROFILED)
     def test_no_python_level_numpy_function_per_chunk(self, name):
         # a preset chunk and its CSV and JSON text enter no Python function
         # of numpy's package, whose first call in a process costs several
         # times a later one, except the ndarray method wrappers (_methods),
         # errstate (_ufunc_config) and the dispatchers of numpy's C
-        # functions (multiarray).  fig5 at count=40 is two chunks, and fig3b
-        # binds r2.  The cached spin matrices are built inside, too
+        # functions (multiarray); with every output, c_rld included.  The
+        # cached spin matrices are built inside, too
         package = os.path.dirname(np.__file__) + os.sep
         allowed = {os.path.join(package, "_core", f)
                    for f in ("_methods.py", "_ufunc_config.py", "multiarray.py")}
-        config = {"fig2": {"r_y": 0.2, "r_z": 0.4}, "fig5": {"count": 40}}.get(name, {})
-        spec = validate_spec(figure_preset(name, config))
+        spec, name = _profiled_spec(name)
         models._spin_matrices.cache_clear()
         entered = set()
 
@@ -858,15 +877,14 @@ class TestFigurePresets:
                                     "fig5": 2}[name]
         assert entered == set()
 
-    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5"])
+    @pytest.mark.parametrize("name", _PROFILED)
     def test_no_reduction_over_a_short_axis_of_rows(self, name):
         # numpy's reduction over a short trailing axis of a stack of rows
         # costs 5 to 20 times the same work done elementwise: a preset chunk
         # and its CSV and JSON text call no ndarray reduction (_methods) with
         # an axis on an array whose leading axis is the chunk's rows
         methods = os.path.join(os.path.dirname(np.__file__), "_core", "_methods.py")
-        config = {"fig2": {"r_y": 0.2, "r_z": 0.4}, "fig5": {"count": 40}}.get(name, {})
-        spec = validate_spec(figure_preset(name, config))
+        spec, _ = _profiled_spec(name)
         reduced = []
 
         def record(frame, event, arg):
@@ -1244,9 +1262,9 @@ class TestCli:
 
         def spy(spec):
             specs.append(spec)
-            return run_point(spec)
+            return run_sweep(spec)
 
-        monkeypatch.setattr("qmb.cli.run_point", spy)
+        monkeypatch.setattr("qmb.cli.run_sweep", spy)
         cfg = tmp_path / "point.conf"
         lines = ["model=su2_qubit", "weight=diag:1,2"]
         lines += [f"set={k}={v}" for k, v in
